@@ -3,7 +3,10 @@
     hullsim run --config path/to/experiment.cfg [--seed S] [--out DIR]
                 [--format csv|json|both] [--check]
 
-Exit codes: 0 success, 1 configuration/validation error, 2 runtime error.
+The flags override config keys (see the README's config format); --check
+sets diagnostics.step_bound and diagnostics.hitting. Exit codes: 0 success;
+1 bad config, found before simulating (unknown key or parameter, bad value,
+a body, x0 or probe that does not fit the grid); 2 runtime error.
 """
 
 from __future__ import annotations
@@ -43,11 +46,10 @@ def _run(args: argparse.Namespace) -> int:
         overrides["out"] = args.out
     if args.format is not None:
         overrides["format"] = "csv json" if args.format == "both" else args.format
+    if args.check:
+        overrides["diagnostics.step_bound"] = overrides["diagnostics.hitting"] = "true"
     try:
         config = harness.load_config(args.config, overrides)
-        if args.check:
-            config.run_step_bound = True
-            config.run_hitting = True
         if config.out is None:
             raise harness.ConfigError("no output directory (set 'out' or pass --out)")
     except harness.ConfigError as exc:

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import Ball, Box, ConvexBody, GeometryError, contains, project
+from .geometry import Ball, Box, ConvexBody, GeometryError, HPolytope, Interval, contains, project
 
 _MASK64 = (1 << 64) - 1
 DET_FLOOR = 1e-12
@@ -403,7 +403,36 @@ def simulate_ensemble(
 
 
 # ---------------------------------------------------------------------------
-# model registry
+# model and body registries: kind -> (parameter defaults, builder)
+
+
+class PerAxis(float):
+    """Default of a parameter that takes one number per dimension."""
+
+
+def resolve_params(what: str, registry: dict, kind: str, dim: int, given: dict) -> tuple:
+    """The builder of a registered kind and its keyword arguments.
+
+    Absent parameters take their defaults. A scalar parameter takes one
+    number and a PerAxis parameter one number per dimension; an unknown kind,
+    an unknown parameter or a value of another shape raises ModelError.
+    """
+    if kind not in registry:
+        raise ModelError(f"unknown {what} kind {kind!r} (known: {', '.join(registry)})")
+    defaults, builder = registry[kind]
+    unknown = sorted(set(given) - set(defaults))
+    if unknown:
+        raise ModelError(f"unexpected parameters for {what} {kind!r}: {unknown}")
+    args = {}
+    for name, default in defaults.items():
+        per_axis = isinstance(default, PerAxis)
+        value = given.get(name, np.full(dim, default) if per_axis else default)
+        value = np.atleast_1d(np.asarray(value, dtype=float))
+        if value.shape != ((dim,) if per_axis else (1,)):
+            expected = f"{dim} numbers, one per dimension" if per_axis else "one number"
+            raise ModelError(f"{what} {kind!r} parameter {name!r} takes {expected}, got {value.size}")
+        args[name] = value if per_axis else float(value[0])
+    return builder, args
 
 
 def _diag_matrix(values: np.ndarray, m: int) -> np.ndarray:
@@ -413,93 +442,72 @@ def _diag_matrix(values: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
+def _constant_diffusion(sigma: float, dim: int) -> Callable[[np.ndarray], np.ndarray]:
+    eye = sigma * np.eye(dim)
+    return lambda x: np.broadcast_to(eye, np.shape(x) + (dim,))
+
+
+def _ou(dim, theta, sigma):
+    if theta < 0 or not sigma > 0:
+        raise ModelError("ou model needs theta >= 0 and sigma > 0")
+    return (lambda x: -theta * x), _constant_diffusion(sigma, dim), theta, 0.0
+
+
+def _zero_drift(dim, sigma):
+    if not sigma > 0:
+        raise ModelError("zero_drift model needs sigma > 0")
+    drift = lambda x: np.zeros_like(np.asarray(x, dtype=float))
+    return drift, _constant_diffusion(sigma, dim), 0.0, 0.0
+
+
+def _tanh_drift(dim, scale, sigma):
+    if scale < 0 or not sigma > 0:
+        raise ModelError("tanh_drift model needs scale >= 0 and sigma > 0")
+    return (lambda x: -scale * np.tanh(x)), _constant_diffusion(sigma, dim), scale, 0.0
+
+
+def _tanh_sigma(dim, theta, sigma0, sigma1):
+    if theta < 0:
+        raise ModelError("tanh_sigma model needs theta >= 0")
+    if not sigma0 - abs(sigma1) > 0:
+        raise ModelError("tanh_sigma needs sigma0 - |sigma1| > 0 to stay invertible")
+    diffusion = lambda x: _diag_matrix(sigma0 + sigma1 * np.tanh(np.asarray(x, dtype=float)), dim)
+    return (lambda x: -theta * x), diffusion, theta, abs(sigma1)
+
+
+# builder(dim, **params) -> (drift, diffusion, lip_drift, lip_diffusion)
+MODELS = {
+    "ou": ({"theta": 1.0, "sigma": 1.0}, _ou),  # linear mean reversion, constant diffusion
+    "zero_drift": ({"sigma": 1.0}, _zero_drift),  # constant diffusion only
+    "tanh_drift": ({"scale": 1.0, "sigma": 1.0}, _tanh_drift),  # bounded nonlinear pull
+    # linear mean reversion, diagonal diffusion sigma0 + sigma1 * tanh(x)
+    "tanh_sigma": ({"theta": 0.0, "sigma0": 0.3, "sigma1": 0.1}, _tanh_sigma),
+}
+
+
 def make_model(kind: str, dim: int, x0, **params) -> SdeModel:
-    """Build a registered drift/diffusion model.
-
-    Kinds: "ou" (linear mean reversion, constant diffusion), "zero_drift"
-    (constant diffusion), "tanh_drift" (bounded nonlinear pull, constant
-    diffusion), "tanh_sigma" (linear mean reversion, diagonal state-dependent
-    diffusion sigma0 + sigma1 * tanh(x)).
-    """
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-
-    if kind == "ou":
-        theta = float(params.pop("theta", 1.0))
-        sigma = float(params.pop("sigma", 1.0))
-        _reject_extras(kind, params)
-        if theta < 0 or not sigma > 0:
-            raise ModelError("ou model needs theta >= 0 and sigma > 0")
-        eye = sigma * np.eye(dim)
-        return SdeModel(
-            dim=dim,
-            drift=lambda x: -theta * x,
-            diffusion=lambda x: np.broadcast_to(eye, np.shape(x) + (dim,)),
-            x0=x0,
-            lip_drift=theta,
-            lip_diffusion=0.0,
-            label=f"ou(theta={theta}, sigma={sigma})",
-        )
-
-    if kind == "zero_drift":
-        sigma = float(params.pop("sigma", 1.0))
-        _reject_extras(kind, params)
-        if not sigma > 0:
-            raise ModelError("zero_drift model needs sigma > 0")
-        eye = sigma * np.eye(dim)
-        return SdeModel(
-            dim=dim,
-            drift=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-            diffusion=lambda x: np.broadcast_to(eye, np.shape(x) + (dim,)),
-            x0=x0,
-            lip_drift=0.0,
-            lip_diffusion=0.0,
-            label=f"zero_drift(sigma={sigma})",
-        )
-
-    if kind == "tanh_drift":
-        scale = float(params.pop("scale", 1.0))
-        sigma = float(params.pop("sigma", 1.0))
-        _reject_extras(kind, params)
-        if scale < 0 or not sigma > 0:
-            raise ModelError("tanh_drift model needs scale >= 0 and sigma > 0")
-        eye = sigma * np.eye(dim)
-        return SdeModel(
-            dim=dim,
-            drift=lambda x: -scale * np.tanh(x),
-            diffusion=lambda x: np.broadcast_to(eye, np.shape(x) + (dim,)),
-            x0=x0,
-            lip_drift=scale,
-            lip_diffusion=0.0,
-            label=f"tanh_drift(scale={scale}, sigma={sigma})",
-        )
-
-    if kind == "tanh_sigma":
-        theta = float(params.pop("theta", 0.0))
-        sigma0 = float(params.pop("sigma0", 0.3))
-        sigma1 = float(params.pop("sigma1", 0.1))
-        _reject_extras(kind, params)
-        if theta < 0:
-            raise ModelError("tanh_sigma model needs theta >= 0")
-        if not sigma0 - abs(sigma1) > 0:
-            raise ModelError("tanh_sigma needs sigma0 - |sigma1| > 0 to stay invertible")
-        return SdeModel(
-            dim=dim,
-            drift=lambda x: -theta * x,
-            diffusion=lambda x: _diag_matrix(
-                sigma0 + sigma1 * np.tanh(np.asarray(x, dtype=float)), dim
-            ),
-            x0=x0,
-            lip_drift=theta,
-            lip_diffusion=abs(sigma1),
-            label=f"tanh_sigma(theta={theta}, sigma0={sigma0}, sigma1={sigma1})",
-        )
-
-    raise ModelError(f"unknown model kind {kind!r}")
+    """Build a registered drift/diffusion model (see MODELS)."""
+    builder, args = resolve_params("model", MODELS, kind, dim, params)
+    drift, diffusion, lip_drift, lip_diffusion = builder(dim, **args)
+    label = f"{kind}({', '.join(f'{k}={v}' for k, v in args.items())})"
+    return SdeModel(dim, drift, diffusion, x0, lip_drift, lip_diffusion, label)
 
 
-def _reject_extras(kind: str, params: dict) -> None:
-    if params:
-        raise ModelError(f"unexpected parameters for model {kind!r}: {sorted(params)}")
+def _constant(body_type: type) -> Callable[..., Multifunction]:
+    return lambda **params: constant_body(body_type(**params))
 
 
-MODEL_KINDS = ("ou", "zero_drift", "tanh_drift", "tanh_sigma")
+def _square_hpoly(half_width):
+    normals = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    return constant_body(HPolytope(normals, np.full(4, half_width)))
+
+
+BODIES = {
+    "constant_interval": ({"lo": -1.0, "hi": 1.0}, _constant(Interval)),
+    "constant_box": ({"lo": PerAxis(-1.0), "hi": PerAxis(1.0)}, _constant(Box)),
+    "constant_ball": ({"center": PerAxis(0.0), "radius": 1.0}, _constant(Ball)),
+    # the square [-half_width, half_width]^2 as four half-spaces (iterative projector)
+    "constant_square_hpoly": ({"half_width": 1.0}, _square_hpoly),
+    "shrinking_ball": ({"center": PerAxis(0.0), "r0": 1.0, "rate": 0.0}, shrinking_ball),
+    "shrinking_box": ({"lo": PerAxis(-1.0), "hi": PerAxis(1.0), "rate": 0.0}, shrinking_box),
+}

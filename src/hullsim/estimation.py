@@ -42,12 +42,10 @@ def hull_estimate(ensemble: PathEnsemble, j: int) -> HullEstimate:
     """Estimate at node j >= 1 (node 0 is the deterministic start, rejected)."""
     if not 1 <= j <= ensemble.grid.steps:
         raise EstimationError(f"time index must be in 1..{ensemble.grid.steps}, got {j}")
-    cloud = ensemble.states[:, j, :]
-    hull = convex_hull(cloud)
+    hull = convex_hull(ensemble.states[:, j, :])
     lower = upper = None
     if ensemble.dim == 1:
-        lower = float(cloud[:, 0].min())
-        upper = float(cloud[:, 0].max())
+        lower, upper = float(hull.vertices[0, 0]), float(hull.vertices[-1, 0])
     return HullEstimate(
         time_index=j, hull=hull, n_copies=ensemble.n_copies, lower=lower, upper=upper
     )

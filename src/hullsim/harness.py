@@ -12,8 +12,10 @@ from __future__ import annotations
 import json
 import time
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -26,8 +28,109 @@ class ConfigError(ValueError):
     """Invalid experiment configuration (maps to CLI exit code 1)."""
 
 
-@dataclass
+@contextmanager
+def _as_config_error(context: str = ""):
+    """Re-raise model and geometry errors as ConfigError."""
+    try:
+        yield
+    except (dynamics.ModelError, geometry.GeometryError) as exc:
+        raise ConfigError(f"{context}: {exc}" if context else str(exc)) from exc
+
+
+# ---------------------------------------------------------------------------
+# config schema: each parser takes the text of one value and raises ConfigError
+
+
+def _numbers(text: str) -> list[float]:
+    try:
+        values = [float(tok) for tok in text.replace(",", " ").split()]
+    except ValueError as exc:
+        raise ConfigError(f"expected numbers, got {text!r}") from exc
+    if not values or not np.all(np.isfinite(values)):
+        raise ConfigError(f"expected one or more finite numbers, got {text!r}")
+    return values
+
+
+def _integers(text: str) -> list[int]:
+    values = _numbers(text)
+    if any(v != int(v) for v in values):
+        raise ConfigError(f"expected integers, got {text!r}")
+    return [int(v) for v in values]
+
+
+def _one(parse: Callable[[str], list]) -> Callable[[str], object]:
+    def one(text: str):
+        values = parse(text)
+        if len(values) != 1:
+            raise ConfigError(f"expected one value, got {text!r}")
+        return values[0]
+    return one
+
+
+def _boolean(text: str) -> bool:
+    lowered = text.strip().lower()
+    if lowered not in ("true", "yes", "1", "on", "false", "no", "0", "off"):
+        raise ConfigError(f"expected a boolean, got {text!r}")
+    return lowered in ("true", "yes", "1", "on")
+
+
+def _probes(text: str) -> np.ndarray | None:
+    if text.strip().lower() == "auto":
+        return None
+    rows = [_numbers(chunk) for chunk in text.split(";") if chunk.strip()]
+    if len({len(row) for row in rows}) != 1:
+        raise ConfigError(f"expected 'auto' or points of equal length separated by ';', got {text!r}")
+    return np.array(rows)
+
+
+def _param(text: str) -> float | np.ndarray:
+    values = _numbers(text)
+    return values[0] if len(values) == 1 else np.array(values)
+
+
+SCHEMA = (
+    # (key, ExperimentConfig field, parser, text used when absent; None: required)
+    ("label", "label", str, "experiment"),
+    ("model.kind", "model_kind", str, None),
+    ("mf.kind", "mf_kind", str, None),
+    ("grid.horizon", "horizon", _one(_numbers), None),
+    ("grid.steps", "steps", _one(_integers), None),
+    ("n_grid", "n_grid", _integers, None),
+    ("replications", "replications", _one(_integers), None),
+    ("seed", "seed", _one(_integers), None),
+    ("j_indices", "j_indices", _integers, None),
+    ("probe_margin", "probe_margin", _one(_numbers), "0.01"),
+    ("x0", "x0", _numbers, None),
+    ("probes", "probes", _probes, "auto"),
+    ("out", "out", lambda text: text or None, ""),
+    ("format", "formats", lambda text: tuple(text.replace(",", " ").split()), "csv json"),
+    ("diagnostics.keep_h", "keep_pre_projection", _boolean, "false"),
+    ("diagnostics.step_bound", "run_step_bound", _boolean, "false"),
+    ("diagnostics.hitting", "run_hitting", _boolean, "false"),
+    ("diagnostics.hitting_radius", "hitting_radius", _one(_numbers), "0.1"),
+)
+# "<prefix>.<name> = numbers" sets parameter <name> of the model or body kind
+# (dynamics.MODELS, dynamics.BODIES); the value is parsed by _param.
+PARAMS = {"model": "model_params", "mf": "mf_params"}
+_KEYS = {key for key, *_ in SCHEMA}
+
+
+def _parse(key: str, parse: Callable[[str], object], text: str):
+    try:
+        return parse(text)
+    except ConfigError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+
+
+def _default(field: str):
+    key, _, parse, text = next(entry for entry in SCHEMA if entry[1] == field)
+    return _parse(key, parse, text)
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
+    """One convergence study; config files set it through SCHEMA and PARAMS."""
+
     label: str
     model_kind: str
     model_params: dict
@@ -40,68 +143,58 @@ class ExperimentConfig:
     replications: int
     seed: int
     j_indices: list[int]
-    probes: np.ndarray | None = None  # resolved lattice when None and dim > 1
-    probe_margin: float = 0.01
-    out: str | None = None
-    formats: tuple[str, ...] = ("csv", "json")
-    keep_pre_projection: bool = False
-    run_step_bound: bool = False
-    run_hitting: bool = False
-    hitting_radius: float = 0.1
+    probes: np.ndarray | None = _default("probes")  # resolved lattice when None and dim > 1
+    probe_margin: float = _default("probe_margin")
+    out: str | None = _default("out")
+    formats: tuple[str, ...] = _default("formats")
+    keep_pre_projection: bool = _default("keep_pre_projection")
+    run_step_bound: bool = _default("run_step_bound")
+    run_hitting: bool = _default("run_hitting")
+    hitting_radius: float = _default("hitting_radius")
 
     def __post_init__(self):
-        if not self.n_grid or any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
-            raise ConfigError("n_grid must be a strictly ascending list of copy counts")
-        if min(self.n_grid) < 1:
-            raise ConfigError("copy counts must be positive")
+        x0 = np.atleast_1d(np.asarray(self.x0, dtype=float))
+        object.__setattr__(self, "x0", x0)
+        if self.probes is not None:
+            object.__setattr__(self, "probes", np.atleast_2d(np.asarray(self.probes, dtype=float)))
+        with _as_config_error("grid"):
+            dynamics.TimeGrid(self.horizon, self.steps)
+        n, js = self.n_grid, self.j_indices
+        if not (x0.ndim == 1 and x0.size > 0):
+            raise ConfigError("x0 must hold one number per dimension")
+        if not n or n[0] < 1 or any(b <= a for a, b in zip(n, n[1:])):
+            raise ConfigError("n_grid must be strictly ascending positive copy counts")
         if self.replications < 1:
-            raise ConfigError("need at least one replication")
-        if not all(1 <= j <= self.steps for j in self.j_indices):
-            raise ConfigError(f"j indices must lie in 1..{self.steps}")
+            raise ConfigError("replications must be at least 1")
+        if not js or not all(1 <= j <= self.steps for j in js):
+            raise ConfigError(f"j_indices must be one or more grid nodes in 1..{self.steps}")
         if not self.probe_margin > 0:
-            raise ConfigError("probe margin must be positive")
-        bad = [f for f in self.formats if f not in ("csv", "json")]
-        if bad:
-            raise ConfigError(f"unknown output formats: {bad}")
+            raise ConfigError("probe_margin must be positive")
+        if not self.hitting_radius > 0:
+            raise ConfigError("diagnostics.hitting_radius must be positive")
+        if not self.formats or not set(self.formats) <= {"csv", "json"}:
+            raise ConfigError(f"format must name csv, json or both, got {list(self.formats)}")
 
 
 def build_model(config: ExperimentConfig) -> dynamics.SdeModel:
-    dim = np.atleast_1d(np.asarray(config.x0, dtype=float)).size
-    try:
-        return dynamics.make_model(config.model_kind, dim, config.x0, **config.model_params)
-    except dynamics.ModelError as exc:
-        raise ConfigError(str(exc)) from exc
+    with _as_config_error():
+        return dynamics.make_model(config.model_kind, config.x0.size, config.x0, **config.model_params)
 
 
 def build_multifunction(config: ExperimentConfig) -> dynamics.Multifunction:
-    kind, params = config.mf_kind, dict(config.mf_params)
-    try:
-        if kind == "constant_interval":
-            return dynamics.constant_body(geometry.Interval(params.pop("lo"), params.pop("hi")))
-        if kind == "constant_box":
-            return dynamics.constant_body(geometry.Box(np.asarray(params.pop("lo")), np.asarray(params.pop("hi"))))
-        if kind == "constant_ball":
-            return dynamics.constant_body(
-                geometry.Ball(np.asarray(params.pop("center")), params.pop("radius"))
-            )
-        if kind == "constant_square_hpoly":
-            half = float(params.pop("half_width"))
-            normals = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-            offsets = np.full(4, half)
-            return dynamics.constant_body(geometry.HPolytope(normals, offsets))
-        if kind == "shrinking_ball":
-            return dynamics.shrinking_ball(
-                np.asarray(params.pop("center")), params.pop("r0"), params.pop("rate")
-            )
-        if kind == "shrinking_box":
-            return dynamics.shrinking_box(
-                np.asarray(params.pop("lo")), np.asarray(params.pop("hi")), params.pop("rate")
-            )
-    except KeyError as exc:
-        raise ConfigError(f"multifunction {kind!r} is missing parameter {exc}") from exc
-    except (geometry.GeometryError, dynamics.ModelError) as exc:
-        raise ConfigError(str(exc)) from exc
-    raise ConfigError(f"unknown multifunction kind {kind!r}")
+    """The body family (dynamics.BODIES), checked at every grid node and against x0."""
+    with _as_config_error():
+        builder, args = dynamics.resolve_params(
+            "multifunction", dynamics.BODIES, config.mf_kind, config.x0.size, config.mf_params
+        )
+        mf = builder(**args)
+    with _as_config_error(f"multifunction {config.mf_kind!r} on the time grid"):
+        start = dynamics.bodies_at_nodes(mf, dynamics.TimeGrid(config.horizon, config.steps))[0]
+    if start.dim != config.x0.size:
+        raise ConfigError(f"x0 has {config.x0.size} coordinates but the body is {start.dim}-dimensional")
+    if not geometry.contains(start, config.x0, dynamics.CONTAINMENT_TOL):
+        raise ConfigError("x0 must lie in the body at time zero")
+    return mf
 
 
 def default_probes(body: geometry.ConvexBody, fraction: float = 0.8) -> np.ndarray:
@@ -122,11 +215,11 @@ def resolve_probes(
     grid: dynamics.TimeGrid,
 ) -> np.ndarray:
     """Fixed probe points, validated interior to the body at every requested node."""
-    j_last = max(config.j_indices)
     probes = config.probes
     if probes is None:
-        probes = default_probes(mf(grid.node(j_last)))
-    probes = np.atleast_2d(np.asarray(probes, dtype=float))
+        probes = default_probes(mf(grid.node(max(config.j_indices))))
+    elif probes.shape[1:] != config.x0.shape:
+        raise ConfigError(f"probe points need {config.x0.size} coordinates each")
     for j in config.j_indices:
         body = mf(grid.node(j))
         margin = np.asarray(body.interior_margin(probes))
@@ -231,8 +324,6 @@ def run_experiment(config: ExperimentConfig) -> ConvergenceReport:
     model = build_model(config)
     mf = build_multifunction(config)
     grid = dynamics.TimeGrid(horizon=config.horizon, steps=config.steps)
-    if not geometry.contains(mf(0.0), model.x0, 1e-9):
-        raise ConfigError("x0 must lie in the body at time zero")
 
     dim = model.dim
     probes = None
@@ -350,23 +441,11 @@ def _fit_slopes(config: ExperimentConfig, quantiles: dict) -> dict:
 
 
 def config_echo(config: ExperimentConfig) -> dict:
-    echo = {
-        "label": config.label,
-        "model.kind": config.model_kind,
-        "mf.kind": config.mf_kind,
-        "grid.horizon": config.horizon,
-        "grid.steps": config.steps,
-        "n_grid": list(config.n_grid),
-        "replications": config.replications,
-        "seed": config.seed,
-        "j_indices": list(config.j_indices),
-        "probe_margin": config.probe_margin,
-        "x0": np.atleast_1d(np.asarray(config.x0, dtype=float)).tolist(),
-    }
-    echo.update({f"model.{k}": v for k, v in sorted(config.model_params.items())})
-    for k, v in sorted(config.mf_params.items()):
-        echo[f"mf.{k}"] = v.tolist() if isinstance(v, np.ndarray) else v
-    return echo
+    """Every schema key and every given model/body parameter, as report.json holds them."""
+    echo = {key: getattr(config, field) for key, field, _, _ in SCHEMA}
+    for prefix, field in PARAMS.items():
+        echo.update({f"{prefix}.{k}": v for k, v in sorted(getattr(config, field).items())})
+    return json.loads(json.dumps(echo, default=np.ndarray.tolist))
 
 
 # ---------------------------------------------------------------------------
@@ -446,116 +525,29 @@ def parse_config_text(text: str) -> dict[str, str]:
     return flat
 
 
-def _parse_floats(value: str) -> list[float]:
-    try:
-        return [float(tok) for tok in value.replace(",", " ").split()]
-    except ValueError as exc:
-        raise ConfigError(f"expected numbers, got {value!r}") from exc
-
-
-def _parse_ints(value: str) -> list[int]:
-    floats = _parse_floats(value)
-    ints = [int(v) for v in floats]
-    if any(i != v for i, v in zip(ints, floats)):
-        raise ConfigError(f"expected integers, got {value!r}")
-    return ints
-
-
-def _parse_bool(value: str) -> bool:
-    lowered = value.strip().lower()
-    if lowered in ("true", "yes", "1", "on"):
-        return True
-    if lowered in ("false", "no", "0", "off"):
-        return False
-    raise ConfigError(f"expected a boolean, got {value!r}")
-
-
-_KNOWN_SCALARS = {
-    "label",
-    "model.kind",
-    "mf.kind",
-    "grid.horizon",
-    "grid.steps",
-    "n_grid",
-    "replications",
-    "seed",
-    "j_indices",
-    "x0",
-    "probes",
-    "probe_margin",
-    "out",
-    "format",
-    "diagnostics.keep_h",
-    "diagnostics.step_bound",
-    "diagnostics.hitting",
-    "diagnostics.hitting_radius",
-}
-
-
 def config_from_flat(flat: dict[str, str], overrides: dict | None = None) -> ExperimentConfig:
     flat = dict(flat)
     if overrides:
         flat.update({k: str(v) for k, v in overrides.items() if v is not None})
-
-    def require(key: str) -> str:
-        if key not in flat:
-            raise ConfigError(f"missing required config key {key!r}")
-        return flat[key]
-
-    for key in flat:
-        base_ok = key in _KNOWN_SCALARS or key.startswith(("model.", "mf."))
-        if not base_ok:
-            raise ConfigError(f"unknown config key {key!r}")
-
-    model_params = {
-        k.split(".", 1)[1]: float(v)
-        for k, v in flat.items()
-        if k.startswith("model.") and k != "model.kind"
-    }
-    mf_params: dict = {}
-    for k, v in flat.items():
-        if not k.startswith("mf.") or k == "mf.kind":
+    params: dict[str, dict] = {field: {} for field in PARAMS.values()}
+    for key, text in flat.items():
+        prefix, _, name = key.partition(".")
+        if key in _KEYS:
             continue
-        name = k.split(".", 1)[1]
-        vals = _parse_floats(v)
-        mf_params[name] = vals[0] if len(vals) == 1 else np.array(vals)
-
-    probes = None
-    if "probes" in flat and flat["probes"].strip().lower() != "auto":
-        probes = np.array(
-            [_parse_floats(chunk) for chunk in flat["probes"].split(";") if chunk.strip()]
-        )
-
-    fmt = flat.get("format", "csv json")
-    formats = tuple(tok for tok in fmt.replace(",", " ").split() if tok)
-
-    return ExperimentConfig(
-        label=flat.get("label", "experiment"),
-        model_kind=require("model.kind"),
-        model_params=model_params,
-        x0=np.array(_parse_floats(require("x0"))),
-        mf_kind=require("mf.kind"),
-        mf_params=mf_params,
-        horizon=float(require("grid.horizon")),
-        steps=_parse_ints(require("grid.steps"))[0],
-        n_grid=_parse_ints(require("n_grid")),
-        replications=_parse_ints(require("replications"))[0],
-        seed=_parse_ints(require("seed"))[0],
-        j_indices=_parse_ints(require("j_indices")),
-        probes=probes,
-        probe_margin=float(flat.get("probe_margin", "0.01")),
-        out=flat.get("out"),
-        formats=formats,
-        keep_pre_projection=_parse_bool(flat.get("diagnostics.keep_h", "false")),
-        run_step_bound=_parse_bool(flat.get("diagnostics.step_bound", "false")),
-        run_hitting=_parse_bool(flat.get("diagnostics.hitting", "false")),
-        hitting_radius=float(flat.get("diagnostics.hitting_radius", "0.1")),
-    )
+        if prefix not in PARAMS or not name:
+            raise ConfigError(f"unknown config key {key!r}")
+        params[PARAMS[prefix]][name] = _parse(key, _param, text)
+    fields = {}
+    for key, field, parse, default in SCHEMA:
+        if key not in flat and default is None:
+            raise ConfigError(f"missing required config key {key!r}")
+        fields[field] = _parse(key, parse, flat.get(key, default))
+    return ExperimentConfig(**fields, **params)
 
 
 def load_config(path: str | Path, overrides: dict | None = None) -> ExperimentConfig:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return config_from_flat(parse_config_text(text), overrides)

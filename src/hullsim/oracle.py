@@ -129,14 +129,12 @@ def brute_force_projection(body: ConvexBody, x, resolution: float) -> np.ndarray
     return feasible[int(np.argmin(dists))].copy()
 
 
-def brute_force_hull_distance(points, x, grid_per_axis: int = 0) -> float:
+def brute_force_hull_distance(points, x) -> float:
     """Exact planar distance from x to the convex hull of the points.
 
     Membership is decided by separating the query with the normals of all
     point pairs; outside, the distance is the minimum over all pair segments.
     Independent of the hull construction and solvers under test.
-    grid_per_axis is unused in the planar case and reserved for a future
-    sampling oracle in dimension three.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:

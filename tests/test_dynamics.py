@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from hullsim.dynamics import (
+    BODIES,
+    MODELS,
     ModelError,
     Multifunction,
     TimeGrid,
@@ -11,16 +13,18 @@ from hullsim.dynamics import (
     check_lipschitz,
     constant_body,
     derive_seed,
+    diffusion_at,
     euler_step,
     gaussian_increments,
     make_model,
     piecewise_constant,
+    resolve_params,
     shrinking_ball,
     shrinking_box,
     simulate_ensemble,
     simulate_path,
 )
-from hullsim.geometry import Ball, HPolytope, Interval, distance_to_body
+from hullsim.geometry import Ball, HPolytope, Interval, contains, distance_to_body
 
 
 def square(half=1.0):
@@ -205,9 +209,23 @@ class TestSimulateEnsemble:
 
 class TestModels:
     def test_registry_kinds(self):
-        for kind in ("ou", "zero_drift", "tanh_drift", "tanh_sigma"):
+        assert set(MODELS) == {"ou", "zero_drift", "tanh_drift", "tanh_sigma"}
+        for kind in MODELS:  # every kind builds from its defaults
             model = make_model(kind, 2, [0.0, 0.0])
             assert model.dim == 2
+            assert diffusion_at(model, np.zeros((3, 2))).shape == (3, 2, 2)
+
+    @pytest.mark.parametrize("kind", sorted(BODIES))
+    def test_every_body_kind_builds_from_defaults(self, kind):
+        builder, args = resolve_params("multifunction", BODIES, kind, 2, {})
+        body = builder(**args)(0.0)
+        assert contains(body, np.zeros(body.dim))
+
+    def test_mis_shaped_parameters(self):
+        with pytest.raises(ModelError):
+            make_model("ou", 1, [0.0], theta=np.array([1.0, 2.0]))
+        with pytest.raises(ModelError):
+            resolve_params("multifunction", BODIES, "constant_ball", 3, {"center": np.zeros(2)})
 
     def test_unknown_kind(self):
         with pytest.raises(ModelError):
@@ -222,7 +240,7 @@ class TestModels:
             make_model("tanh_sigma", 1, [0.0], sigma0=0.1, sigma1=0.2)
 
     def test_singular_diffusion_detected(self):
-        from hullsim.dynamics import SdeModel, diffusion_at
+        from hullsim.dynamics import SdeModel
 
         model = SdeModel(
             dim=1,

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,18 +9,24 @@ from hypothesis import strategies as st
 from hullsim import cli
 from hullsim.harness import (
     CSV_HEADER,
+    PARAMS,
+    SCHEMA,
     ConfigError,
     ConvergenceReport,
     ExperimentConfig,
+    config_echo,
     config_from_flat,
     default_probes,
     emit_report,
+    load_config,
     parse_config_text,
     rate_fit,
     render_csv,
     run_experiment,
 )
 from hullsim.geometry import Ball, HPolytope
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def small_config(**overrides) -> ExperimentConfig:
@@ -56,6 +63,25 @@ grid.steps = 10
 n_grid = 20 40 80
 replications = 3
 seed = 11
+j_indices = 10
+"""
+
+
+BALL_CONFIG_TEXT = """
+label = ball
+model.kind = ou
+model.theta = 1.0
+model.sigma = 0.3
+x0 = 0.0 0.0
+mf.kind = shrinking_ball
+mf.center = 0.0 0.0
+mf.r0 = 1.0
+mf.rate = 0.3
+grid.horizon = 1.0
+grid.steps = 10
+n_grid = 10 20 40
+replications = 2
+seed = 1
 j_indices = 10
 """
 
@@ -141,6 +167,42 @@ class TestConfigParsing:
     def test_overrides_win(self):
         config = config_from_flat(parse_config_text(CONFIG_TEXT), {"seed": 99})
         assert config.seed == 99
+
+
+def plain(value):
+    """A parsed config value as report.json holds it."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return list(value) if isinstance(value, tuple) else value
+
+
+class TestSchema:
+    def test_every_key_parses(self):
+        flat = parse_config_text(CONFIG_TEXT)
+        overrides = {key: default for key, _, _, default in SCHEMA if key not in flat}
+        assert None not in overrides.values()  # CONFIG_TEXT sets every required key
+        config = config_from_flat(flat, overrides)
+        echo = config_echo(config)
+        for key, field, parse, _ in SCHEMA:
+            expected = plain(parse({**flat, **overrides}[key]))
+            assert plain(getattr(config, field)) == expected
+            assert echo[key] == expected
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("e*.cfg")))
+    def test_echo_keeps_every_shipped_key_and_value(self, name):
+        config = load_config(CONFIG_DIR / name)
+        echo = config_echo(config)
+        assert json.loads(json.dumps(echo)) == echo
+        parsers = {key: parse for key, _, parse, _ in SCHEMA}
+        for key, text in parse_config_text((CONFIG_DIR / name).read_text()).items():
+            if key in parsers:
+                assert echo[key] == plain(parsers[key](text))
+            else:  # a model or body parameter: one number, or a list of them
+                numbers = [float(tok) for tok in text.split()]
+                assert echo[key] == (numbers[0] if len(numbers) == 1 else numbers)
+        params = {f"{prefix}.{k}" for prefix, f in PARAMS.items() for k in getattr(config, f)}
+        assert set(echo) == {key for key, *_ in SCHEMA} | params
+        assert echo["probe_margin"] == 0.01 and echo["x0"] == [0.0] * config.x0.size
 
 
 class TestProbes:
@@ -302,28 +364,47 @@ class TestCli:
         assert cli.main(["run", "--config", str(tmp_path / "nope.cfg"), "--out", "o"]) == 1
 
     def test_runtime_failure_exit_code(self, tmp_path, capsys):
-        # the ball radius crosses zero inside the horizon: config parses, the
-        # simulation blows up evaluating the family
-        text = """
-label = crash
-model.kind = ou
-model.theta = 1.0
-model.sigma = 0.3
-x0 = 0.0 0.0
-mf.kind = shrinking_ball
-mf.center = 0.0 0.0
-mf.r0 = 1.0
-mf.rate = 2.0
-grid.horizon = 1.0
-grid.steps = 10
-n_grid = 10 20 40
-replications = 2
-seed = 1
-j_indices = 10
-"""
-        cfg = tmp_path / "crash.cfg"
+        # a valid config whose output directory lies under a regular file: the
+        # run completes and writing the report fails
+        cfg = self.write_config(tmp_path)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert cli.main(["run", "--config", str(cfg), "--out", str(blocker / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: failed to write report")
+
+    @pytest.mark.parametrize(
+        "base,key,value",
+        [
+            ("interval", "model.theta", "abc"),
+            ("interval", "grid.horizon", "abc"),
+            ("interval", "probe_margin", "abc"),
+            ("interval", "diagnostics.hitting_radius", "abc"),
+            ("interval", "grid.horizon", "-1"),
+            ("interval", "mf.lo", "1 2"),
+            ("ball", "x0", "0 0 0"),
+            ("ball", "mf.rate", "2.0"),  # the ball vanishes before the horizon
+            ("interval", "mf.bogus", "1"),
+            ("interval", "j_indices", ""),
+            ("interval", "diagnostics.hitting_radius", "-1"),
+            ("interval", "model.theta", "1 2"),
+            ("interval", "grid.horizon", "inf"),
+            ("ball", "probes", "0.1 0.2 ; 0.3"),
+            ("ball", "probes", "0.1 0.2 0.3"),
+            ("ball", "model.kind", "levy"),
+        ],
+    )
+    def test_bad_input_fails_before_simulating(self, tmp_path, capsys, base, key, value):
+        # a later line overrides the base config's value for the same key
+        text = {"interval": CONFIG_TEXT, "ball": BALL_CONFIG_TEXT}[base] + f"{key} = {value}\n"
+        cfg = tmp_path / "bad.cfg"
         cfg.write_text(text)
-        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        out = tmp_path / "o"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_seed_override_changes_rows(self, tmp_path):
         cfg = self.write_config(tmp_path)
