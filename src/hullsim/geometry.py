@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.spatial import ConvexHull, QhullError
 
 GEOM_TOL = 1e-9
 HULL_TOL = 1e-7
@@ -422,20 +423,33 @@ def as_interval(body: ConvexBody) -> tuple[float, float]:
 
 @dataclass(frozen=True, eq=False)
 class Hull:
-    """Convex hull of a finite point cloud.
+    """Convex hull of a finite point cloud; the cloud itself is not kept.
 
-    points holds the full generating cloud, shape (p, m). For m = 1 the
-    vertices are the min and max; for m = 2 they are the extreme points in
-    counterclockwise order starting from the lexicographic minimum; for
-    m >= 3 the cloud itself is kept as the generator set.
+    vertices, shape (k, m), are the extreme points. For m = 1 they are the
+    min and max. For m >= 2 the hull is built by qhull (Quickhull: Barber,
+    Dobkin & Huhdanpaa, TOMS 1996): in 2D the vertices run counterclockwise,
+    in higher dimension they keep input order. equations, shape (f, m + 1),
+    holds one row [n, b] per facet with unit outward normal n, so that
+    n @ y + b <= 0 inside. simplices, shape (f, m), indexes the vertices of
+    each (triangulated) facet. Both are None for m = 1 and for a degenerate
+    cloud, one that spans less than m dimensions (fewer than m + 1 distinct
+    points, collinear, coplanar); convex_hull says which vertices it keeps.
     """
 
     dim: int
-    points: np.ndarray
     vertices: np.ndarray
+    equations: np.ndarray | None = None
+    simplices: np.ndarray | None = None
 
 
 def convex_hull(points) -> Hull:
+    """Hull of a (p, m) cloud, or of p values on the line; see Hull.
+
+    For m >= 2 qhull builds the hull. A cloud qhull reports as flat is kept
+    as its distinct points, or in 2D as the segment between its extremes
+    along its principal axis (for collinear points: the lexicographically
+    first and last).
+    """
     pts = np.asarray(points, dtype=float)
     if pts.size == 0:
         raise GeometryError("convex hull of an empty point set is undefined")
@@ -448,64 +462,36 @@ def convex_hull(points) -> Hull:
         vals = pts[:, 0]
         lo, hi = float(vals.min()), float(vals.max())
         verts = np.array([[lo]]) if lo == hi else np.array([[lo], [hi]])
-    elif m == 2:
-        verts = _monotone_chain(pts)
-    else:
-        verts = pts.copy()
-    return Hull(dim=m, points=pts.copy(), vertices=verts)
-
-
-def _prune_interior(pts: np.ndarray) -> np.ndarray:
-    """Drop points strictly inside the polygon of eight directional extremes.
-
-    Dropped points are convex combinations of surviving ones, so the hull
-    vertices of the survivors equal those of the full cloud.
-    """
-    dirs = np.array(
-        [[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1], [1, -1], [-1, 1], [-1, -1]],
-        dtype=float,
+        return Hull(dim=1, vertices=verts)
+    try:
+        qhull = ConvexHull(pts)
+    except QhullError:  # the cloud is flat to qhull's precision
+        uniq = np.unique(pts, axis=0)  # lexicographic order
+        if m == 2 and len(uniq) > 2:
+            # the extremes along the principal axis; for collinear points
+            # these are the lexicographically first and last
+            axis = np.linalg.svd(uniq - uniq.mean(axis=0))[2][0]
+            along = uniq @ axis
+            uniq = uniq[np.sort([np.argmin(along), np.argmax(along)])]
+        return Hull(dim=m, vertices=uniq)
+    # renumber the facet corners from cloud indices to vertex indices
+    index = np.empty(pts.shape[0], dtype=np.intp)
+    index[qhull.vertices] = np.arange(qhull.vertices.size)
+    return Hull(
+        dim=m,
+        vertices=pts[qhull.vertices],
+        equations=qhull.equations,
+        simplices=index[qhull.simplices],
     )
-    anchor_idx = np.unique(np.argmax(pts @ dirs.T, axis=0))
-    anchor = _monotone_chain(pts[anchor_idx])
-    if anchor.shape[0] < 3:
-        return pts
-    edges = np.roll(anchor, -1, axis=0) - anchor
-    rel = pts[None, :, :] - anchor[:, None, :]
-    cross = edges[:, None, 0] * rel[..., 1] - edges[:, None, 1] * rel[..., 0]
-    strictly_inside = np.all(cross > 1e-12, axis=0)
-    return pts[~strictly_inside]
-
-
-def _monotone_chain(pts: np.ndarray) -> np.ndarray:
-    """Andrew's monotone chain; collinear boundary points are dropped."""
-    if pts.shape[0] > 64:
-        pts = _prune_interior(pts)
-    uniq = np.unique(pts, axis=0)  # lexicographic sort on (x, y)
-    if uniq.shape[0] <= 2:
-        return uniq
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower: list[np.ndarray] = []
-    for p in uniq:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[np.ndarray] = []
-    for p in uniq[::-1]:
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return np.array(lower[:-1] + upper[:-1])
 
 
 def distance_to_hull(hull: Hull, x, tol: float = HULL_TOL) -> float:
-    """Distance from x to the convex hull of the generators.
+    """Distance from x to the convex hull; exactly 0.0 inside.
 
-    Exact in dimensions one (interval) and two (polygon); otherwise solved by
-    the min-norm-point scheme over the generator simplex to absolute accuracy
-    tol.
+    Exact in dimensions one (interval), two (polygon) and three (nearest
+    point over the facets that x is above). For m >= 4, and for a degenerate
+    cloud in m >= 3, a point outside is solved by the min-norm-point scheme
+    over the hull vertices to absolute accuracy tol.
     """
     if not tol > 0:
         raise GeometryError("hull distance tolerance must be positive")
@@ -517,7 +503,54 @@ def distance_to_hull(hull: Hull, x, tol: float = HULL_TOL) -> float:
         return float(max(lo - x[0], x[0] - hi, 0.0))
     if hull.dim == 2:
         return _polygon_distance(hull.vertices, x)
-    return min_norm_point_distance(hull.points, x, tol)
+    if hull.equations is None:
+        return min_norm_point_distance(hull.vertices, x, tol)
+    heights = hull.equations[:, :-1] @ x + hull.equations[:, -1]
+    visible = heights > 0
+    if not visible.any():
+        return 0.0
+    if hull.dim == 3:
+        return _facet_distance(
+            hull.vertices[hull.simplices[visible]], hull.equations[visible, :-1],
+            heights[visible], x,
+        )
+    return min_norm_point_distance(hull.vertices, x, tol)
+
+
+def _facet_distance(
+    tri: np.ndarray, normals: np.ndarray, heights: np.ndarray, x: np.ndarray
+) -> float:
+    """Distance from x to the union of triangles tri, shape (k, 3, 3).
+
+    heights are the distances from x to the triangles' planes along the unit
+    normals. Where the plane projection of x falls inside a triangle that
+    height is its distance; otherwise the nearest point lies on an edge. Over
+    the facets x is above this is the distance to the hull: the nearest hull
+    point p lies on some facet whose normal has a positive component along
+    x - p.
+    """
+    a, b, c = tri[:, 0], tri[:, 1], tri[:, 2]
+    e0, e1, rel = b - a, c - a, x - heights[:, None] * normals - a
+    d00 = np.einsum("ij,ij->i", e0, e0)
+    d01 = np.einsum("ij,ij->i", e0, e1)
+    d11 = np.einsum("ij,ij->i", e1, e1)
+    d20 = np.einsum("ij,ij->i", rel, e0)
+    d21 = np.einsum("ij,ij->i", rel, e1)
+    starts = np.concatenate([a, b, c])
+    edges = np.concatenate([b, c, a]) - starts
+    length2 = np.einsum("ij,ij->i", edges, edges)
+    # zero-area facets and zero-length edges give NaN: never inside, t = 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        denom = d00 * d11 - d01 * d01
+        v = (d11 * d20 - d01 * d21) / denom
+        w = (d00 * d21 - d01 * d20) / denom
+        t = np.clip(np.einsum("ij,ij->i", x - starts, edges) / length2, 0.0, 1.0)
+    inside = (v >= 0) & (w >= 0) & (v + w <= 1)
+    t[length2 == 0] = 0.0
+    best = row_norms(x - (starts + t[:, None] * edges)).min()
+    if inside.any():
+        best = min(best, heights[inside].min())
+    return float(best)
 
 
 def _segment_distance(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> float:

@@ -55,7 +55,9 @@ def _integers(text: str) -> list[int]:
     values = _numbers(text)
     if any(v != int(v) for v in values):
         raise ConfigError(f"expected integers, got {text!r}")
-    return [int(v) for v in values]
+    # integer tokens are read exactly: through float, 2**53 + 1 would round
+    tokens = text.replace(",", " ").split()
+    return [int(tok) if tok.lstrip("+-").isdigit() else int(v) for tok, v in zip(tokens, values)]
 
 
 def _one(parse: Callable[[str], list]) -> Callable[[str], object]:

@@ -1,11 +1,19 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hullsim.dynamics import TimeGrid, constant_body, make_model, simulate_ensemble
+from hullsim import harness
+from hullsim.dynamics import (
+    TimeGrid,
+    constant_body,
+    derive_seed,
+    make_model,
+    simulate_ensemble,
+)
 from hullsim.estimation import (
     EstimationError,
     gaussian_cdf,
@@ -15,6 +23,8 @@ from hullsim.estimation import (
     projected_cdf,
 )
 from hullsim.geometry import Interval, distance_to_hull
+
+BALL3D_CONFIG = Path(__file__).resolve().parent.parent / "hullbench" / "ball3d_state_sigma.cfg"
 
 
 def _upper_tail_continued_fraction(x: float) -> float:
@@ -175,6 +185,19 @@ class TestPointwiseError:
         assert pointwise_error(est, np.array([1.0, 1.0])) == pytest.approx(
             np.sqrt(2) / 2, abs=1e-9
         )
+
+    def test_spatial_sample_beyond_solver_cap(self):
+        # Seed 202 of the 3D ball benchmark: at N = 2000, replication 11,
+        # probe 13 stalled the Frank-Wolfe solver at its iteration cap
+        # (residual 2.3e-6) even over the hull vertices alone.
+        config = harness.load_config(BALL3D_CONFIG, {"seed": 202, "replications": 16})
+        model = harness.build_model(config)
+        mf = harness.build_multifunction(config)
+        grid = TimeGrid(config.horizon, config.steps)
+        probes = harness.resolve_probes(config, mf, grid)
+        ens = simulate_ensemble(model, mf, grid, 2000, derive_seed(config.seed, 2000, 11))
+        est = hull_estimate(ens, 20)
+        assert pointwise_error(est, probes[13]) == pytest.approx(0.1069868, abs=1e-7)
 
 
 class TestProjectedCdf:

@@ -202,10 +202,56 @@ class TestConvexHull:
         with pytest.raises(GeometryError):
             convex_hull([])
 
-    def test_high_dim_keeps_generators(self):
-        pts = np.random.default_rng(0).standard_normal((10, 3))
+    def test_three_dim_vertices_are_extreme_generators(self):
+        cloud = np.random.default_rng(0).standard_normal((10, 3))
+        centroid = cloud.mean(axis=0)
+        pts = np.vstack([cloud, centroid])
         hull = convex_hull(pts)
-        np.testing.assert_array_equal(hull.vertices, pts)
+        rows = pts.tolist()
+        assert all(v in rows for v in hull.vertices.tolist())
+        assert centroid.tolist() not in hull.vertices.tolist()
+        assert 4 <= hull.vertices.shape[0] < pts.shape[0]
+        np.testing.assert_allclose(np.linalg.norm(hull.equations[:, :3], axis=1), 1.0)
+        assert hull.simplices.shape == (hull.equations.shape[0], 3)
+        for p in pts:
+            assert distance_to_hull(hull, p) == 0.0
+
+    @pytest.mark.parametrize(
+        "pts, ends",
+        [
+            ([[2, 0], [0, 0], [1, 0]], [[0, 0], [2, 0]]),  # horizontal
+            ([[0, 3], [0, 1], [0, 2]], [[0, 1], [0, 3]]),  # vertical
+            ([[1, 1], [3, 3], [1, 1], [2, 2], [3, 3]], [[1, 1], [3, 3]]),  # duplicates
+            ([[1, 2], [1, 2], [1, 2]], [[1, 2]]),
+        ],
+    )
+    def test_collinear_planar_cloud_is_segment(self, pts, ends):
+        hull = convex_hull(np.array(pts, dtype=float))
+        np.testing.assert_array_equal(hull.vertices, ends)
+        assert hull.equations is None and hull.simplices is None
+        for p in pts:
+            assert distance_to_hull(hull, np.array(p, dtype=float)) == 0.0
+
+    @pytest.mark.parametrize(
+        "pts, query, expected",
+        [
+            ([[1, 2, 3]], [1, 2, 5], 2.0),
+            ([[0, 0, 0], [2, 0, 0], [0, 0, 0]], [1, 1, 0], 1.0),
+            ([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [0.2, 0.2, -3], 3.0),
+            ([[0, 0, 0], [1, 1, 1], [2, 2, 2], [3, 3, 3]], [4, 4, 4], np.sqrt(3)),
+            ([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0], [0.5, 0.5, 0]], [0.5, 0.5, 1], 1.0),
+            ([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0], [0.5, 0.5, 0]], [2, 0.5, 0], 1.0),
+        ],
+    )
+    def test_degenerate_spatial_cloud(self, pts, query, expected):
+        pts = np.array(pts, dtype=float)
+        hull = convex_hull(pts)
+        assert hull.equations is None and hull.simplices is None
+        np.testing.assert_array_equal(hull.vertices, np.unique(pts, axis=0))
+        d = distance_to_hull(hull, np.array(query, dtype=float), tol=1e-9)
+        assert d == pytest.approx(expected, abs=1e-8)
+        for p in pts:
+            assert distance_to_hull(hull, p) <= 1e-12
 
     @given(
         st.lists(
@@ -219,8 +265,27 @@ class TestConvexHull:
     )
     @settings(max_examples=200, deadline=None)
     def test_generators_inside_hull(self, pts):
-        hull = convex_hull(np.array(pts, dtype=float))
-        for p in hull.points:
+        pts = np.array(pts, dtype=float)
+        hull = convex_hull(pts)
+        for p in pts:
+            assert distance_to_hull(hull, p, tol=1e-7) <= 1e-6
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(-100, 100, allow_nan=False),
+                st.floats(-100, 100, allow_nan=False),
+                st.floats(-100, 100, allow_nan=False),
+            ),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_generators_inside_spatial_hull(self, pts):
+        pts = np.array(pts, dtype=float)
+        hull = convex_hull(pts)
+        for p in pts:
             assert distance_to_hull(hull, p, tol=1e-7) <= 1e-6
 
 
@@ -255,6 +320,47 @@ class TestHullDistance:
             solved = min_norm_point_distance(pts, x, tol=1e-7)
             exact = brute_force_hull_distance(pts, x)
             assert abs(solved - exact) <= 1e-6
+
+    @pytest.mark.parametrize(
+        "query, expected",
+        [
+            ([2.0, 0.5, 0.5], 1.0),  # face
+            ([2.0, 2.0, 0.5], np.sqrt(2)),  # edge
+            ([2.0, 2.0, 2.0], np.sqrt(3)),  # corner
+            ([-1.0, -1.0, -1.0], np.sqrt(3)),
+            ([0.5, 0.5, 0.5], 0.0),  # interior
+            ([1.0, 0.3, 0.0], 0.0),  # on an edge
+        ],
+    )
+    def test_unit_cube(self, query, expected):
+        corners = np.array([[i, j, k] for i in (0, 1) for j in (0, 1) for k in (0, 1)], dtype=float)
+        hull = convex_hull(np.vstack([corners, [[0.5, 0.5, 0.5], [0.2, 0.9, 0.4]]]))
+        assert hull.vertices.shape == (8, 3)
+        d = distance_to_hull(hull, np.array(query))
+        if expected == 0.0:
+            assert d == 0.0
+        else:
+            assert d == pytest.approx(expected, abs=1e-12)
+
+    def test_spatial_distance_against_solver(self):
+        # The solver runs at the default tolerance: at tol 1e-9 its stopping
+        # gap (1e-18) is below float64 rounding and it can hit its cap.
+        rng = np.random.default_rng(7)
+        for _ in range(100):
+            pts = rng.standard_normal((int(rng.integers(4, 31)), 3))
+            hull = convex_hull(pts)
+            x = rng.uniform(-3, 3, size=3)
+            exact = distance_to_hull(hull, x)
+            assert abs(exact - min_norm_point_distance(pts, x)) <= 1e-6
+
+    def test_four_dim_falls_back_to_solver_over_vertices(self):
+        corners = np.array(
+            [[(k >> b) & 1 for b in range(4)] for k in range(16)], dtype=float
+        )
+        hull = convex_hull(np.vstack([corners, np.full((1, 4), 0.5)]))
+        assert hull.vertices.shape == (16, 4)
+        assert distance_to_hull(hull, np.full(4, 0.25)) == 0.0
+        assert distance_to_hull(hull, np.array([2.0, 0.5, 0.5, 0.5])) == pytest.approx(1.0, abs=1e-6)
 
     def test_solver_in_three_dimensions(self):
         # distance from a point above a tetrahedron face computed two ways

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -203,6 +204,15 @@ class TestSchema:
         params = {f"{prefix}.{k}" for prefix, f in PARAMS.items() for k in getattr(config, f)}
         assert set(echo) == {key for key, *_ in SCHEMA} | params
         assert echo["probe_margin"] == 0.01 and echo["x0"] == [0.0] * config.x0.size
+
+    def test_large_seed_is_exact(self):
+        seed = 12345678901234567891  # above 2**53: a float would round it
+        flat = parse_config_text(CONFIG_TEXT)
+        assert config_from_flat(flat, {"seed": seed}).seed == seed
+        assert config_from_flat({**flat, "seed": str(seed)}).seed == seed
+        assert config_from_flat({**flat, "n_grid": "1e2 2.0e2"}).n_grid == [100, 200]
+        with pytest.raises(ConfigError, match="seed: expected integers"):
+            config_from_flat({**flat, "seed": "1.5"})
 
 
 class TestProbes:
@@ -440,3 +450,26 @@ class TestCli:
         data = json.loads((out / "report.json").read_text())
         assert data["diagnostics"]["step_bound"]
         assert data["diagnostics"]["hitting"]
+
+
+# SHA-256 of each default experiment's report.csv at its frozen seed.
+FROZEN_CSV_SHA256 = {
+    "e1": "b090a956d8e19dd9593fa1a080b1bc77ef55606ae858b49b58846aa267927431",
+    "e2": "e153d4449198b89117e1693601b090ab59ba2a9892035969bb9ae1323bac9575",
+    "e3": "9c3f222893c1fa02240e76f446e9120eff69427ab0f7c5172eb481116f872591",
+    "e4": "07f5a76f8d052ed0c35aad6df5eb360d7e7eb117ba5fbf27480c7a8934cf36bc",
+}
+
+
+def test_default_reports_keep_their_bytes(default_reports):
+    """e1-e4 report.csv bytes are pinned across code changes.
+
+    The digests were taken with numpy 2.4.6 and scipy 1.17.1. Other builds may
+    draw other random streams (numpy) or build hulls and solve LPs with other
+    rounding (scipy: qhull, HiGHS), so a mismatch there is not a regression.
+    """
+    digests = {
+        name: hashlib.sha256(render_csv(report).encode()).hexdigest()
+        for name, report in default_reports.items()
+    }
+    assert digests == FROZEN_CSV_SHA256
