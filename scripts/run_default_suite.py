@@ -5,8 +5,10 @@ Usage: python scripts/run_default_suite.py [--out-root OUT] [--seed S]
 
 Equivalent to `hullsim run --config configs/<name>.cfg` for each config, with
 reports under <out-root>/<label>/. Each timing line ends with the SHA-256 of
-that report.csv, so comparing e1-e4 byte for byte needs only this output. A
-bad config prints one "error:" line and exits 1.
+that report.csv, so comparing e1-e4 byte for byte needs only this output. As
+with `hullsim run`, a bad config prints one "error:" line and exits 1, and a
+failure while simulating or writing prints one "runtime error:" line and
+exits 2.
 """
 
 from __future__ import annotations
@@ -40,12 +42,15 @@ def main(argv=None) -> int:
             config = harness.load_config(CONFIG_DIR / name, overrides)
             t0 = time.perf_counter()
             report = harness.run_experiment(config)
+            elapsed = time.perf_counter() - t0
+            out_dir = Path(args.out_root) / config.label
+            harness.emit_report(report, out_dir, config.formats)
         except harness.ConfigError as exc:
             print(f"error: {name}: {exc}", file=sys.stderr)
             return 1
-        elapsed = time.perf_counter() - t0
-        out_dir = Path(args.out_root) / config.label
-        harness.emit_report(report, out_dir, config.formats)
+        except Exception as exc:  # simulation/solver/io failures
+            print(f"runtime error: {name}: {exc}", file=sys.stderr)
+            return 2
         digest = hashlib.sha256((out_dir / "report.csv").read_bytes()).hexdigest()
         print(f"{config.label}: {elapsed:.1f}s -> {out_dir} sha256 {digest}")
         probe_indices = [-1] if report.dim == 1 else range(len(report.probes))

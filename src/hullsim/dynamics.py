@@ -4,10 +4,11 @@ One step reads
 
     x_next = project(C(t_{j+1}), x + drift(x) * delta + diffusion(x) @ z)
 
-with z a Brownian increment over the step. Ensembles of independent copies
-draw their increments from counter-based streams keyed by (seed, copy_index),
-so copy i is reproducible in isolation and results do not depend on how the
-copies are scheduled.
+with z a Brownian increment over the step. Copy i draws its increments from
+the counter-based stream keyed by (seed, i), built only by gaussian_increments,
+and one stepping core runs ensembles and single paths. So copy i is
+reproducible in isolation, equals its ensemble slice bit for bit, and results
+do not depend on how the copies are scheduled.
 """
 
 from __future__ import annotations
@@ -25,7 +26,10 @@ CONTAINMENT_TOL = 1e-9
 
 
 class ModelError(ValueError):
-    """Bad model/multifunction input: dimensions, invertibility, containment."""
+    """Bad model/multifunction input: dimensions, invertibility, containment.
+
+    A singular diffusion sets where, the first evaluation index it failed at.
+    """
 
 
 def splitmix64(state: int) -> int:
@@ -44,44 +48,29 @@ def derive_seed(master: int, *parts: int) -> int:
     return state
 
 
-def gaussian_increments(seed: int, copy_index: int, n: int, m: int, delta: float) -> np.ndarray:
-    """An (n, m) matrix of i.i.d. N(0, delta) Brownian increments.
+def gaussian_increments(seed: int, copies: range, n: int, m: int, delta: float) -> np.ndarray:
+    """A (len(copies), n, m) array of i.i.d. N(0, delta) Brownian increments.
 
-    The stream is a Philox counter-based generator keyed by
-    (seed, copy_index): identical arguments give bit-identical output.
+    Row k is copy copies[k]'s stream: one Philox generator, re-keyed to
+    (seed, copies[k]) from counter zero, so a copy's rows equal those of a
+    fresh Generator(Philox(key=[seed, i])) whatever range they are drawn in.
     """
+    if len(copies) < 1:
+        raise ModelError("need at least one copy")
     if n < 1 or m < 1:
         raise ModelError("need n >= 1 steps and m >= 1 dimensions")
     if not delta > 0:
         raise ModelError("step size delta must be positive")
-    key = np.array([seed & _MASK64, copy_index & _MASK64], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
-    return rng.standard_normal((n, m)) * np.sqrt(delta)
-
-
-class _IncrementBank:
-    """Fast path over gaussian_increments: one Philox reused via state reset.
-
-    Produces bit-identical values to gaussian_increments(seed, i, n, m, delta)
-    while avoiding per-copy generator construction.
-    """
-
-    def __init__(self, seed: int):
-        self._seed = seed & _MASK64
-        self._bg = np.random.Philox(key=np.array([self._seed, 0], dtype=np.uint64))
-        self._gen = np.random.Generator(self._bg)
-        self._template = self._bg.state
-
-    def normals(self, copy_index: int, n: int, m: int) -> np.ndarray:
-        st = self._template
-        st["state"]["key"][0] = self._seed
-        st["state"]["key"][1] = copy_index & _MASK64
-        st["state"]["counter"][:] = 0
-        st["buffer_pos"] = 4
-        st["has_uint32"] = 0
-        st["uinteger"] = 0
-        self._bg.state = st
-        return self._gen.standard_normal((n, m))
+    bit_gen = np.random.Philox(key=np.array([seed & _MASK64, 0], dtype=np.uint64))
+    gen = np.random.Generator(bit_gen)
+    fresh = bit_gen.state  # counter zero, buffer and cached bits spent
+    z = np.empty((len(copies), n, m))
+    for k, i in enumerate(copies):
+        fresh["state"]["key"][1] = i & _MASK64
+        bit_gen.state = fresh
+        gen.standard_normal(out=z[k])
+    z *= np.sqrt(delta)
+    return z
 
 
 @dataclass(frozen=True)
@@ -146,8 +135,10 @@ def diffusion_at(model: SdeModel, x: np.ndarray) -> np.ndarray:
     dets = np.linalg.det(sig)
     bad = np.abs(dets) <= DET_FLOOR
     if np.any(bad):
-        where = np.argwhere(bad)[0] if np.ndim(bad) else ()
-        raise ModelError(f"diffusion matrix is singular at evaluation index {tuple(where)}")
+        where = tuple(int(k) for k in np.argwhere(bad)[0]) if np.ndim(bad) else ()
+        exc = ModelError(f"diffusion matrix is singular at evaluation index {where}")
+        exc.where = where
+        raise exc
     return sig
 
 
@@ -330,6 +321,34 @@ def _check_start(model: SdeModel, mf: Multifunction) -> None:
         raise ModelError("x0 must lie in the body at time zero")
 
 
+def _simulate(model: SdeModel, mf: Multifunction, grid: TimeGrid, seed: int, copies: range,
+              keep_pre_projection: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """Step copies i in copies as one batch on streams (seed, i).
+
+    Returns the states (len(copies), steps + 1, m) and, on request, the
+    pre-projection points (len(copies), steps, m), else None.
+    """
+    _check_start(model, mf)
+    n, m = grid.steps, model.dim
+    z = gaussian_increments(seed, copies, n, m, grid.delta)
+    states = np.empty((len(copies), n + 1, m))
+    states[:, 0] = model.x0
+    pre = np.empty((len(copies), n, m)) if keep_pre_projection else None
+    x = np.broadcast_to(model.x0, (len(copies), m)).copy()
+    for j in range(n):
+        body_next = mf(grid.node(j + 1))
+        try:
+            h, x = euler_step(model, body_next, x, z[:, j], grid.delta)
+        except (ModelError, GeometryError) as exc:
+            # a per-copy failure names its batch row; any other fails every copy
+            row = getattr(exc, "where", (0,))[0]
+            raise ModelError(f"step {j} of copy {copies[row]} failed: {exc}") from exc
+        states[:, j + 1] = x
+        if pre is not None:
+            pre[:, j] = h
+    return states, pre
+
+
 def simulate_path(
     model: SdeModel,
     mf: Multifunction,
@@ -339,23 +358,9 @@ def simulate_path(
     keep_pre_projection: bool = False,
 ) -> SamplePath:
     """Simulate a single copy on the stream (seed, copy_index)."""
-    _check_start(model, mf)
-    n, m = grid.steps, model.dim
-    z = gaussian_increments(seed, copy_index, n, m, grid.delta)
-    states = np.empty((n + 1, m))
-    states[0] = model.x0
-    pre = np.empty((n, m)) if keep_pre_projection else None
-    x = model.x0.copy()
-    for j in range(n):
-        body_next = mf(grid.node(j + 1))
-        try:
-            h, x = euler_step(model, body_next, x, z[j], grid.delta)
-        except (ModelError, GeometryError) as exc:
-            raise ModelError(f"step {j} of copy {copy_index} failed: {exc}") from exc
-        states[j + 1] = x
-        if pre is not None:
-            pre[j] = h
-    return SamplePath(grid=grid, copy_index=copy_index, states=states, pre_projection=pre)
+    copies = range(copy_index, copy_index + 1)
+    states, pre = _simulate(model, mf, grid, seed, copies, keep_pre_projection)
+    return SamplePath(grid, copy_index, states[0], None if pre is None else pre[0])
 
 
 def simulate_ensemble(
@@ -368,35 +373,10 @@ def simulate_ensemble(
 ) -> PathEnsemble:
     """Simulate copies 1..n_copies on streams (seed, i), stepping them as a batch.
 
-    Per-copy results are bit-identical to simulate_path with the same seed and
-    copy index, so the ensemble equals its serial counterpart.
+    Copy i equals simulate_path with the same seed and copy index bit for bit:
+    both run the same stepping core.
     """
-    if n_copies < 1:
-        raise ModelError("need at least one copy")
-    _check_start(model, mf)
-    n, m = grid.steps, model.dim
-
-    bank = _IncrementBank(seed)
-    z = np.empty((n_copies, n, m))
-    for i in range(n_copies):
-        z[i] = bank.normals(i + 1, n, m)
-    z *= np.sqrt(grid.delta)
-
-    states = np.empty((n_copies, n + 1, m))
-    states[0 : n_copies, 0] = model.x0
-    pre = np.empty((n_copies, n, m)) if keep_pre_projection else None
-    x = np.broadcast_to(model.x0, (n_copies, m)).copy()
-    for j in range(n):
-        body_next = mf(grid.node(j + 1))
-        try:
-            h, x = euler_step(model, body_next, x, z[:, j], grid.delta)
-        except (ModelError, GeometryError) as exc:
-            raise ModelError(
-                f"step {j} failed (evaluation indices are copy offsets): {exc}"
-            ) from exc
-        states[:, j + 1] = x
-        if pre is not None:
-            pre[:, j] = h
+    states, pre = _simulate(model, mf, grid, seed, range(1, n_copies + 1), keep_pre_projection)
     return PathEnsemble(
         grid=grid, n_copies=n_copies, seed=seed, states=states, pre_projection=pre
     )

@@ -584,8 +584,8 @@ def min_norm_point_distance(
     """Distance from x to conv(points) by Frank-Wolfe with away steps.
 
     Minimizes ||x - V @ w||^2 over the simplex of generator weights with exact
-    line search, stopping once the Frank-Wolfe duality gap is <= tol**2, which
-    bounds the distance error by tol.
+    line search. It returns ||r|| = ||V @ w - x|| once ||r|| <= tol or the
+    duality gap is <= tol * ||r||: ||r||^2 - d^2 <= gap, so ||r|| - d <= tol.
     """
     V = np.asarray(points, dtype=float)
     if V.ndim == 1:
@@ -609,8 +609,9 @@ def min_norm_point_distance(
         s = int(np.argmin(grad))
         mean_grad = float(w @ grad)
         gap = mean_grad - grad[s]
-        if gap <= tol * tol:
-            return float(np.linalg.norm(r))
+        dist = float(np.linalg.norm(r))
+        if dist <= tol or gap <= tol * dist:
+            return dist
 
         active = np.flatnonzero(w > 0)
         a = int(active[np.argmax(grad[active])])

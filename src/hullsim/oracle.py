@@ -219,9 +219,10 @@ def step1_bound_check(
     """Check ||h_{j+1} - x|| <= c1 ||x_j - x|| + c2 ||sigma(x) z + drift(x) delta|| + slack.
 
     Runs over every copy, every step, and every probe x; each probe must lie
-    in the body at the end of every step. The increments z are regenerated
-    from the ensemble's stored seed. Passing constants overrides the sampled
-    ones (used by the mutation test to confirm the check has power).
+    in the body at the end of every step. The increments z of copies 1..N are
+    redrawn in one gaussian_increments call from the ensemble's stored seed,
+    the same stream the simulation read. Passing constants overrides the
+    sampled ones (used by the mutation test to confirm the check has power).
     """
     if ensemble.pre_projection is None:
         raise OracleError("ensemble was simulated without pre-projection storage")
@@ -243,9 +244,7 @@ def step1_bound_check(
         m_c = max(norm_bound(body) for body in bodies)
         constants = constants_c1_c2(model, m_c, grid.delta, probe_count=probe_count)
 
-    z = np.empty((ensemble.n_copies, n, m))
-    for i in range(ensemble.n_copies):
-        z[i] = gaussian_increments(ensemble.seed, i + 1, n, m, grid.delta)
+    z = gaussian_increments(ensemble.seed, range(1, ensemble.n_copies + 1), n, m, grid.delta)
 
     worst = -np.inf
     violations = 0

@@ -6,8 +6,8 @@ from hullsim.dynamics import (
     MODELS,
     ModelError,
     Multifunction,
+    SdeModel,
     TimeGrid,
-    _IncrementBank,
     bodies_at_nodes,
     check_decreasing,
     check_lipschitz,
@@ -32,37 +32,57 @@ def square(half=1.0):
     return HPolytope(normals, np.full(4, half))
 
 
+def fresh_stream(seed, copy_index, n, m, delta):
+    """Reference stream: a new Philox generator keyed by (seed, copy_index)."""
+    key = np.array([seed, copy_index], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
+    return rng.standard_normal((n, m)) * np.sqrt(delta)
+
+
 class TestIncrements:
     def test_deterministic(self):
-        a = gaussian_increments(99, 4, 20, 2, 0.01)
-        b = gaussian_increments(99, 4, 20, 2, 0.01)
+        a = gaussian_increments(99, range(4, 5), 20, 2, 0.01)
+        b = gaussian_increments(99, range(4, 5), 20, 2, 0.01)
         np.testing.assert_array_equal(a, b)
 
     def test_copies_differ(self):
-        a = gaussian_increments(99, 1, 20, 2, 0.01)
-        b = gaussian_increments(99, 2, 20, 2, 0.01)
+        a = gaussian_increments(99, range(1, 2), 20, 2, 0.01)
+        b = gaussian_increments(99, range(2, 3), 20, 2, 0.01)
         assert not np.array_equal(a, b)
 
     def test_moments(self):
         # CLT band for the mean, chi-square band for the variance, 1e6 draws
         delta = 0.01
-        z = gaussian_increments(7, 1, 10_000, 100, delta)
+        z = gaussian_increments(7, range(1, 2), 10_000, 100, delta)
         n = z.size
         assert abs(z.mean()) < 4 * np.sqrt(delta / n)
         assert abs(z.var() - delta) < 0.01 * delta
 
-    def test_bank_matches_public_stream(self):
-        bank = _IncrementBank(12345)
-        for copy_index in (1, 2, 17):
-            got = bank.normals(copy_index, 20, 2) * np.sqrt(0.05)
-            ref = gaussian_increments(12345, copy_index, 20, 2, 0.05)
-            np.testing.assert_array_equal(got, ref)
+    @pytest.mark.parametrize(
+        "seed,start,stop,n,m,delta",
+        [(12345, 1, 18, 20, 2, 0.05), (7, 1000, 1003, 5, 3, 0.3), (2**64 - 1, 0, 2, 1, 1, 1.0)],
+    )
+    def test_matches_fresh_generator(self, seed, start, stop, n, m, delta):
+        z = gaussian_increments(seed, range(start, stop), n, m, delta)
+        assert z.shape == (stop - start, n, m)
+        for k in range(stop - start):
+            np.testing.assert_array_equal(z[k], fresh_stream(seed, start + k, n, m, delta))
+
+    def test_copy_does_not_depend_on_its_range(self):
+        alone = gaussian_increments(5, range(9, 10), 12, 2, 0.1)[0]
+        for copies in (range(1, 20), range(9, 11), range(3, 30, 3)):
+            z = gaussian_increments(5, copies, 12, 2, 0.1)
+            np.testing.assert_array_equal(z[copies.index(9)], alone)
 
     def test_parameter_validation(self):
         with pytest.raises(ModelError):
-            gaussian_increments(1, 1, 0, 1, 0.1)
+            gaussian_increments(1, range(1, 2), 0, 1, 0.1)
         with pytest.raises(ModelError):
-            gaussian_increments(1, 1, 5, 1, 0.0)
+            gaussian_increments(1, range(1, 2), 5, 1, 0.0)
+        with pytest.raises(ModelError):
+            gaussian_increments(1, range(1, 2), 5, 1, -0.1)
+        with pytest.raises(ModelError):
+            gaussian_increments(1, range(3, 3), 5, 1, 0.1)
 
 
 class TestTimeGrid:
@@ -114,8 +134,8 @@ class TestSimulatePath:
         grid = TimeGrid(1.0, 1)
         mf = constant_body(Interval(-1, 1))
         path = simulate_path(model, mf, grid, seed=5, copy_index=1)
-        z = gaussian_increments(5, 1, 1, 1, 1.0)
-        expected = np.clip(0.0 + z[0, 0], -1, 1)
+        z = gaussian_increments(5, range(1, 2), 1, 1, 1.0)
+        expected = np.clip(0.0 + z[0, 0, 0], -1, 1)
         assert path.states[1, 0] == expected
 
     def test_tiny_diffusion_freezes_path(self):
@@ -200,6 +220,32 @@ class TestSimulateEnsemble:
         n = ens.n_copies
         band = 4 * np.sqrt(grid.delta / n)
         assert abs(ens.states[:, 1, 0].mean()) < band
+
+    @staticmethod
+    def singular_model(singular_where):
+        def diffusion(x):
+            return np.where(singular_where(np.asarray(x))[..., None], 0.0, 1.0)
+
+        return SdeModel(1, lambda x: np.zeros_like(x), diffusion, np.array([0.0]), 0.0, 0.0)
+
+    def test_failure_names_step_and_copy(self):
+        grid = TimeGrid(1.0, 4)
+        mf = constant_body(Interval(-1, 1))
+        everywhere = self.singular_model(lambda x: np.full(x.shape, True))
+        with pytest.raises(ModelError, match=r"^step 0 of copy 1 failed: .*singular"):
+            simulate_ensemble(everywhere, mf, grid, 10, seed=3)
+        with pytest.raises(ModelError, match=r"^step 0 of copy 7 failed: .*singular"):
+            simulate_path(everywhere, mf, grid, 3, 7)
+        # singular above zero: step 1 fails first for the first copy whose
+        # first increment is positive, which the message names absolutely
+        above_zero = self.singular_model(lambda x: x > 0)
+        z = gaussian_increments(3, range(1, 11), grid.steps, 1, grid.delta)
+        first_up = 1 + int(np.argmax(z[:, 0, 0] > 0))
+        assert first_up > 1 and np.any(z[:, 0, 0] > 0)
+        with pytest.raises(ModelError, match=rf"^step 1 of copy {first_up} failed: .*singular"):
+            simulate_ensemble(above_zero, mf, grid, 10, seed=3)
+        with pytest.raises(ModelError, match=rf"^step 1 of copy {first_up} failed: .*singular"):
+            simulate_path(above_zero, mf, grid, 3, first_up)
 
     def test_copy_count_validation(self):
         model = make_model("ou", 1, [0.0])

@@ -343,15 +343,26 @@ class TestHullDistance:
             assert d == pytest.approx(expected, abs=1e-12)
 
     def test_spatial_distance_against_solver(self):
-        # The solver runs at the default tolerance: at tol 1e-9 its stopping
-        # gap (1e-18) is below float64 rounding and it can hit its cap.
         rng = np.random.default_rng(7)
         for _ in range(100):
             pts = rng.standard_normal((int(rng.integers(4, 31)), 3))
             hull = convex_hull(pts)
             x = rng.uniform(-3, 3, size=3)
             exact = distance_to_hull(hull, x)
-            assert abs(exact - min_norm_point_distance(pts, x)) <= 1e-6
+            assert abs(exact - min_norm_point_distance(pts, x, tol=1e-9)) <= 1e-9 + 1e-12
+
+    def test_solver_stops_above_rounding(self):
+        # The seventh cloud of this stream once ran to the iteration cap at
+        # tol 1e-9: a gap floor of tol**2 lies below float64 rounding.
+        rng = np.random.default_rng(0)
+        for _ in range(7):
+            pts = rng.standard_normal((int(rng.integers(4, 31)), 3))
+            x = rng.uniform(-3, 3, size=3)
+        exact = distance_to_hull(convex_hull(pts), x)
+        assert exact == pytest.approx(2.1735, abs=1e-4)
+        assert abs(min_norm_point_distance(pts, x, tol=1e-9) - exact) <= 1e-9
+        # an interior probe ends once the residual itself is below tol
+        assert min_norm_point_distance(pts, pts.mean(axis=0), tol=1e-9) <= 1e-9
 
     def test_four_dim_falls_back_to_solver_over_vertices(self):
         corners = np.array(

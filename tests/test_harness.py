@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hullsim import cli
+from hullsim import cli, harness
 from hullsim.harness import (
     CSV_HEADER,
     PARAMS,
@@ -450,6 +451,32 @@ class TestCli:
         data = json.loads((out / "report.json").read_text())
         assert data["diagnostics"]["step_bound"]
         assert data["diagnostics"]["hitting"]
+
+
+class TestDefaultSuiteScript:
+    @staticmethod
+    def load_script():
+        path = CONFIG_DIR.parent / "scripts" / "run_default_suite.py"
+        spec = importlib.util.spec_from_file_location("run_default_suite", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    @staticmethod
+    def fail(*args, **kwargs):
+        raise RuntimeError("experiment aborted at N=10, replication=0: boom")
+
+    @pytest.mark.parametrize("stage", ["run_experiment", "emit_report"])
+    def test_runtime_failure_is_one_line(self, stage, tmp_path, monkeypatch, capsys):
+        script = self.load_script()
+        monkeypatch.setattr(harness, "run_experiment", lambda config: object())
+        monkeypatch.setattr(harness, stage, self.fail)
+        assert script.main(["--out-root", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "runtime error: e1_interval_rate.cfg: experiment aborted at N=10, replication=0: boom"
+        ]
+        assert captured.out == ""
 
 
 # SHA-256 of each default experiment's report.csv at its frozen seed.
