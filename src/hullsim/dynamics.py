@@ -2,13 +2,14 @@
 
 One step reads
 
-    x_next = project(C(t_{j+1}), x + drift(x) * delta + diffusion(x) @ z)
+    x_next = project(C(t_{j+1}), x + drift(x) * delta + sigma(x) * z)
 
-with z a Brownian increment over the step. Copy i draws its increments from
-the counter-based stream keyed by (seed, i), built only by gaussian_increments,
-and one stepping core runs ensembles and single paths. So copy i is
-reproducible in isolation, equals its ensemble slice bit for bit, and results
-do not depend on how the copies are scheduled.
+with z a Brownian increment over the step and sigma(x) the diagonal of the
+diffusion matrix, applied elementwise. Copy i draws its increments from the
+counter-based stream keyed by (seed, i), built only by gaussian_increments, and
+one stepping core runs ensembles and single paths. So copy i is reproducible
+in isolation, equals its ensemble slice bit for bit, and results do not depend
+on how the copies are scheduled.
 """
 
 from __future__ import annotations
@@ -105,8 +106,9 @@ class SdeModel:
     """Drift/diffusion pair with declared Lipschitz constants.
 
     drift maps arrays of shape (..., m) to (..., m); diffusion maps (..., m)
-    to matrices (..., m, m) and must be invertible wherever it is evaluated
-    (checked lazily, |det| > 1e-12). x0 is the deterministic starting point.
+    to (..., m), the diagonal of the diffusion matrix sigma(x), which must be
+    invertible wherever it is evaluated (checked lazily, |prod_i sigma_i(x)|
+    > 1e-12). x0 is the deterministic starting point.
     """
 
     dim: int
@@ -127,13 +129,15 @@ class SdeModel:
 
 
 def diffusion_at(model: SdeModel, x: np.ndarray) -> np.ndarray:
-    """Evaluate the diffusion matrix with the invertibility check applied."""
+    """The diagonal of sigma(x), shape np.shape(x), checked to be invertible.
+
+    sigma(x) counts as singular where |det sigma(x)| = |prod_i sigma_i(x)| is
+    at most DET_FLOOR.
+    """
     sig = np.asarray(model.diffusion(x), dtype=float)
-    expected = np.shape(x) + (model.dim,)
-    if sig.shape != expected:
-        raise ModelError(f"diffusion returned shape {sig.shape}, expected {expected}")
-    dets = np.linalg.det(sig)
-    bad = np.abs(dets) <= DET_FLOOR
+    if sig.shape != np.shape(x):
+        raise ModelError(f"diffusion returned shape {sig.shape}, expected {np.shape(x)}")
+    bad = np.abs(np.prod(sig, axis=-1)) <= DET_FLOOR
     if np.any(bad):
         where = tuple(int(k) for k in np.argwhere(bad)[0]) if np.ndim(bad) else ()
         exc = ModelError(f"diffusion matrix is singular at evaluation index {where}")
@@ -158,7 +162,7 @@ def euler_step(
     if x.shape[-1] != model.dim or z.shape != x.shape:
         raise ModelError("state and increment must both have last axis of the model dimension")
     sig = diffusion_at(model, x)
-    h = x + model.drift(x) * delta + np.einsum("...ij,...j->...i", sig, z)
+    h = x + model.drift(x) * delta + sig * z
     return h, project(body_next, h)
 
 
@@ -265,7 +269,8 @@ def check_lipschitz(
 ) -> tuple[float, float]:
     """Largest empirical Lipschitz ratios of (drift, diffusion) over a box.
 
-    The diffusion ratio uses the operator norm of the matrix difference.
+    The diffusion ratio uses the operator norm of the difference of the
+    diagonal matrices, the largest |sigma_i(u) - sigma_i(v)|.
     """
     rng = np.random.default_rng(seed)
     lo = np.broadcast_to(np.asarray(lo, dtype=float), (model.dim,))
@@ -276,8 +281,7 @@ def check_lipschitz(
     ok = gaps > 1e-12
     u, v, gaps = u[ok], v[ok], gaps[ok]
     drift_ratio = float(np.max(np.linalg.norm(model.drift(u) - model.drift(v), axis=1) / gaps))
-    dsig = diffusion_at(model, u) - diffusion_at(model, v)
-    op_norms = np.linalg.svd(dsig, compute_uv=False)[..., 0]
+    op_norms = np.max(np.abs(diffusion_at(model, u) - diffusion_at(model, v)), axis=1)
     diff_ratio = float(np.max(op_norms / gaps))
     return drift_ratio, diff_ratio
 
@@ -415,35 +419,27 @@ def resolve_params(what: str, registry: dict, kind: str, dim: int, given: dict) 
     return builder, args
 
 
-def _diag_matrix(values: np.ndarray, m: int) -> np.ndarray:
-    out = np.zeros(values.shape + (m,))
-    idx = np.arange(m)
-    out[..., idx, idx] = values
-    return out
-
-
-def _constant_diffusion(sigma: float, dim: int) -> Callable[[np.ndarray], np.ndarray]:
-    eye = sigma * np.eye(dim)
-    return lambda x: np.broadcast_to(eye, np.shape(x) + (dim,))
+def _constant_diffusion(sigma: float) -> Callable[[np.ndarray], np.ndarray]:
+    return lambda x: np.broadcast_to(sigma, np.shape(x))
 
 
 def _ou(dim, theta, sigma):
     if theta < 0 or not sigma > 0:
         raise ModelError("ou model needs theta >= 0 and sigma > 0")
-    return (lambda x: -theta * x), _constant_diffusion(sigma, dim), theta, 0.0
+    return (lambda x: -theta * x), _constant_diffusion(sigma), theta, 0.0
 
 
 def _zero_drift(dim, sigma):
     if not sigma > 0:
         raise ModelError("zero_drift model needs sigma > 0")
     drift = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-    return drift, _constant_diffusion(sigma, dim), 0.0, 0.0
+    return drift, _constant_diffusion(sigma), 0.0, 0.0
 
 
 def _tanh_drift(dim, scale, sigma):
     if scale < 0 or not sigma > 0:
         raise ModelError("tanh_drift model needs scale >= 0 and sigma > 0")
-    return (lambda x: -scale * np.tanh(x)), _constant_diffusion(sigma, dim), scale, 0.0
+    return (lambda x: -scale * np.tanh(x)), _constant_diffusion(sigma), scale, 0.0
 
 
 def _tanh_sigma(dim, theta, sigma0, sigma1):
@@ -451,7 +447,7 @@ def _tanh_sigma(dim, theta, sigma0, sigma1):
         raise ModelError("tanh_sigma model needs theta >= 0")
     if not sigma0 - abs(sigma1) > 0:
         raise ModelError("tanh_sigma needs sigma0 - |sigma1| > 0 to stay invertible")
-    diffusion = lambda x: _diag_matrix(sigma0 + sigma1 * np.tanh(np.asarray(x, dtype=float)), dim)
+    diffusion = lambda x: sigma0 + sigma1 * np.tanh(np.asarray(x, dtype=float))
     return (lambda x: -theta * x), diffusion, theta, abs(sigma1)
 
 

@@ -106,7 +106,6 @@ SCHEMA = (
     ("probes", "probes", _probes, "auto"),
     ("out", "out", lambda text: text or None, ""),
     ("format", "formats", lambda text: tuple(text.replace(",", " ").split()), "csv json"),
-    ("diagnostics.keep_h", "keep_pre_projection", _boolean, "false"),
     ("diagnostics.step_bound", "run_step_bound", _boolean, "false"),
     ("diagnostics.hitting", "run_hitting", _boolean, "false"),
     ("diagnostics.hitting_radius", "hitting_radius", _one(_numbers), "0.1"),
@@ -149,7 +148,6 @@ class ExperimentConfig:
     probe_margin: float = _default("probe_margin")
     out: str | None = _default("out")
     formats: tuple[str, ...] = _default("formats")
-    keep_pre_projection: bool = _default("keep_pre_projection")
     run_step_bound: bool = _default("run_step_bound")
     run_hitting: bool = _default("run_hitting")
     hitting_radius: float = _default("hitting_radius")
@@ -340,9 +338,7 @@ def run_experiment(config: ExperimentConfig) -> ConvergenceReport:
     for n_copies in config.n_grid:
         for r in range(config.replications):
             seed = dynamics.derive_seed(config.seed, n_copies, r)
-            keep_h = config.keep_pre_projection or (
-                r == 0 and (config.run_step_bound or config.run_hitting)
-            )
+            keep_h = r == 0 and (config.run_step_bound or config.run_hitting)
             j = None
             try:
                 ens = dynamics.simulate_ensemble(

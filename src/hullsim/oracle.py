@@ -32,8 +32,9 @@ class StepConstants:
 
         ||h_next - x|| <= c1 * ||x_cur - x|| + c2 * ||sigma(x) z + drift(x) delta||
 
-    for any probe x in the next body. The two suprema are sample maxima over
-    points in the ball of radius m_c, hence lower bounds on the true values;
+    for any probe x in the next body, with sigma(x) the diagonal matrix of the
+    model's diffusion. The two suprema are sample maxima over points in the
+    ball of radius m_c, hence lower bounds on the true values;
     for constant-diffusion models they do not enter (lip_diffusion = 0) and
     c1, c2 are exact.
     """
@@ -64,7 +65,7 @@ def constants_c1_c2(
     c2 = 1 + 2 * m_c * lip_diffusion * sup ||inv(sigma(v))||
 
     with both suprema over ||v|| <= m_c, estimated by probe_count uniform
-    samples (operator norms from singular values).
+    samples. sigma(v) is diagonal, so ||inv(sigma(v))|| = 1 / min_i |sigma_i(v)|.
     """
     if not m_c > 0:
         raise OracleError("m_c must be positive")
@@ -76,9 +77,7 @@ def constants_c1_c2(
     radii = m_c * rng.random(probe_count) ** (1.0 / model.dim)
     pts = dirs * radii[:, None]
 
-    sig = np.asarray(model.diffusion(pts), dtype=float)
-    svals = np.linalg.svd(sig, compute_uv=False)
-    smallest = svals[:, -1]
+    smallest = np.min(np.abs(np.asarray(model.diffusion(pts), dtype=float)), axis=1)
     if np.any(smallest <= 1e-12):
         raise OracleError("diffusion matrix is singular at a sampled probe")
     inv_norms = 1.0 / smallest
@@ -251,7 +250,7 @@ def step1_bound_check(
     for x in probes:
         sig_x = np.asarray(model.diffusion(x), dtype=float)
         drift_x = np.asarray(model.drift(x), dtype=float)
-        resid = row_norms(np.einsum("ij,cnj->cni", sig_x, z) + drift_x * grid.delta)
+        resid = row_norms(sig_x * z + drift_x * grid.delta)
         lhs = row_norms(ensemble.pre_projection - x)
         rhs = constants.c1 * row_norms(ensemble.states[:, :-1] - x)
         margins = lhs - rhs - constants.c2 * resid
@@ -355,7 +354,7 @@ def cdf_sandwich_check(
     rng = np.random.default_rng(seed)
     v = rng.uniform(-m_c, m_c, size=(probe_count, 1))
     drift_vals = np.asarray(model.drift(v), dtype=float)[:, 0]
-    sig_vals = np.asarray(model.diffusion(v), dtype=float)[:, 0, 0]
+    sig_vals = np.asarray(model.diffusion(v), dtype=float)[:, 0]
     if np.any(sig_vals <= 0):
         raise OracleError("the envelope derivation needs a positive scalar diffusion")
     sig_min = float(np.min(sig_vals))

@@ -224,7 +224,7 @@ class TestSimulateEnsemble:
     @staticmethod
     def singular_model(singular_where):
         def diffusion(x):
-            return np.where(singular_where(np.asarray(x))[..., None], 0.0, 1.0)
+            return np.where(singular_where(np.asarray(x)), 0.0, 1.0)
 
         return SdeModel(1, lambda x: np.zeros_like(x), diffusion, np.array([0.0]), 0.0, 0.0)
 
@@ -259,7 +259,23 @@ class TestModels:
         for kind in MODELS:  # every kind builds from its defaults
             model = make_model(kind, 2, [0.0, 0.0])
             assert model.dim == 2
-            assert diffusion_at(model, np.zeros((3, 2))).shape == (3, 2, 2)
+            assert diffusion_at(model, np.zeros((3, 2))).shape == (3, 2)
+
+    @pytest.mark.parametrize("kind", sorted(MODELS))
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_step_matches_matrix_reference(self, kind, dim):
+        # sigma(x) * z is the product of the diagonal matrix of sigma(x) with z,
+        # bit for bit
+        model = make_model(kind, dim, np.zeros(dim))
+        rng = np.random.default_rng(dim)
+        x = rng.uniform(-2.0, 2.0, size=(50, dim))
+        z = rng.standard_normal((50, dim)) * 0.1
+        sig = model.diffusion(x)
+        matrix = np.zeros((50, dim, dim))
+        matrix[:, np.arange(dim), np.arange(dim)] = sig
+        expected = x + model.drift(x) * 0.01 + np.einsum("...ij,...j->...i", matrix, z)
+        h, _ = euler_step(model, Ball(np.zeros(dim), 10.0), x, z, 0.01)
+        np.testing.assert_array_equal(h, expected)
 
     @pytest.mark.parametrize("kind", sorted(BODIES))
     def test_every_body_kind_builds_from_defaults(self, kind):
@@ -291,13 +307,24 @@ class TestModels:
         model = SdeModel(
             dim=1,
             drift=lambda x: np.zeros_like(x),
-            diffusion=lambda x: np.asarray(x)[..., None] * 0.0,
+            diffusion=lambda x: np.zeros_like(x),
             x0=np.array([0.0]),
             lip_drift=0.0,
             lip_diffusion=0.0,
         )
-        with pytest.raises(ModelError):
+        with pytest.raises(ModelError, match="singular"):
             diffusion_at(model, np.array([0.5]))
+
+    def test_matrix_diffusion_rejected(self):
+        # a diffusion returning (..., m, m) matrices must not broadcast through
+        # sigma(x) * z
+        model = SdeModel(2, lambda x: np.zeros_like(x),
+                         lambda x: np.broadcast_to(np.eye(2), np.shape(x) + (2,)),
+                         np.zeros(2), 0.0, 0.0)
+        with pytest.raises(ModelError, match=r"diffusion returned shape \(3, 2, 2\), expected \(3, 2\)"):
+            diffusion_at(model, np.zeros((3, 2)))
+        with pytest.raises(ModelError, match="diffusion returned shape"):
+            euler_step(model, Ball(np.zeros(2), 1.0), np.zeros((3, 2)), np.zeros((3, 2)), 0.1)
 
     @pytest.mark.parametrize(
         "kind,params",

@@ -403,6 +403,7 @@ class TestCli:
             ("ball", "probes", "0.1 0.2 ; 0.3"),
             ("ball", "probes", "0.1 0.2 0.3"),
             ("ball", "model.kind", "levy"),
+            ("interval", "diagnostics.keep_h", "true"),  # removed key
         ],
     )
     def test_bad_input_fails_before_simulating(self, tmp_path, capsys, base, key, value):

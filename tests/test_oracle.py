@@ -53,6 +53,21 @@ class TestConstants:
         assert c_large.c1 > c_small.c1
         assert c_large.c2 == pytest.approx(c_small.c2)  # delta-free
 
+    def test_spatial_suprema_match_singular_values(self):
+        # the same samples as constants_c1_c2, with the smallest singular value
+        # of each diagonal matrix from an SVD
+        model = make_model("tanh_sigma", 3, np.zeros(3), theta=1.0, sigma0=0.3, sigma1=0.2)
+        c = constants_c1_c2(model, m_c=2.0, delta=0.05, probe_count=1000, seed=4)
+        rng = np.random.default_rng(4)
+        dirs = rng.standard_normal((1000, 3))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        pts = dirs * (2.0 * rng.random(1000) ** (1.0 / 3))[:, None]
+        smallest = np.array([np.linalg.svd(np.diag(s), compute_uv=False)[-1]
+                             for s in model.diffusion(pts)])
+        inv_norms = 1.0 / smallest
+        assert c.sup_inv_op_norm == np.max(inv_norms)
+        assert c.sup_inv_drift == np.max(inv_norms * np.linalg.norm(model.drift(pts), axis=1))
+
     def test_sampled_suprema_stabilize(self):
         model = make_model("tanh_sigma", 1, [0.0], theta=1.0, sigma0=0.3, sigma1=0.1)
         c1k = constants_c1_c2(model, m_c=1.0, delta=0.05, probe_count=1000, seed=1)
