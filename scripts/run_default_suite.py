@@ -4,8 +4,10 @@
 Usage: python scripts/run_default_suite.py [--out-root OUT] [--seed S]
 
 Equivalent to `hullsim run --config configs/<name>.cfg` for each config, with
-reports under <out-root>/<label>/. Each timing line ends with the SHA-256 of
-that report.csv, so comparing e1-e4 byte for byte needs only this output. As
+reports under <out-root>/<label>/. Each timing line gives the seconds spent in
+the simulate, estimate, diagnostics and aggregate phases (meta.phases of
+report.json) and ends with the SHA-256 of that report.csv, so comparing e1-e4
+byte for byte needs only this output. As
 with `hullsim run`, a bad config prints one "error:" line and exits 1, and a
 failure while simulating or writing prints one "runtime error:" line and
 exits 2.
@@ -52,7 +54,8 @@ def main(argv=None) -> int:
             print(f"runtime error: {name}: {exc}", file=sys.stderr)
             return 2
         digest = hashlib.sha256((out_dir / "report.csv").read_bytes()).hexdigest()
-        print(f"{config.label}: {elapsed:.1f}s -> {out_dir} sha256 {digest}")
+        phases = " ".join(f"{k} {v:.1f}s" for k, v in report.meta["phases"].items())
+        print(f"{config.label}: {elapsed:.1f}s ({phases}) -> {out_dir} sha256 {digest}")
         probe_indices = [-1] if report.dim == 1 else range(len(report.probes))
         for j in config.j_indices:
             for p in probe_indices:

@@ -24,6 +24,7 @@ from .geometry import Ball, Box, ConvexBody, GeometryError, HPolytope, Interval,
 _MASK64 = (1 << 64) - 1
 DET_FLOOR = 1e-12
 CONTAINMENT_TOL = 1e-9
+INCREMENT_BLOCK = 256  # copies per copy-major draw block in gaussian_increments
 
 
 class ModelError(ValueError):
@@ -55,6 +56,10 @@ def gaussian_increments(seed: int, copies: range, n: int, m: int, delta: float) 
     Row k is copy copies[k]'s stream: one Philox generator, re-keyed to
     (seed, copies[k]) from counter zero, so a copy's rows equal those of a
     fresh Generator(Philox(key=[seed, i])) whatever range they are drawn in.
+    The memory is step-major: the result is a transposed view of an
+    (n, len(copies), m) array, so the increments of one step, z[:, j], are
+    contiguous. Copies are drawn INCREMENT_BLOCK at a time into a small
+    copy-major block and scaled into place.
     """
     if len(copies) < 1:
         raise ModelError("need at least one copy")
@@ -65,13 +70,17 @@ def gaussian_increments(seed: int, copies: range, n: int, m: int, delta: float) 
     bit_gen = np.random.Philox(key=np.array([seed & _MASK64, 0], dtype=np.uint64))
     gen = np.random.Generator(bit_gen)
     fresh = bit_gen.state  # counter zero, buffer and cached bits spent
-    z = np.empty((len(copies), n, m))
-    for k, i in enumerate(copies):
-        fresh["state"]["key"][1] = i & _MASK64
-        bit_gen.state = fresh
-        gen.standard_normal(out=z[k])
-    z *= np.sqrt(delta)
-    return z
+    scale = np.sqrt(delta)
+    z = np.empty((n, len(copies), m))
+    block = np.empty((min(INCREMENT_BLOCK, len(copies)), n, m))
+    for start in range(0, len(copies), len(block)):
+        chunk = copies[start:start + len(block)]
+        for k, i in enumerate(chunk):
+            fresh["state"]["key"][1] = i & _MASK64
+            bit_gen.state = fresh
+            gen.standard_normal(out=block[k])
+        np.multiply(block[:len(chunk)].transpose(1, 0, 2), scale, out=z[:, start:start + len(chunk)])
+    return z.transpose(1, 0, 2)
 
 
 @dataclass(frozen=True)
@@ -302,7 +311,9 @@ class PathEnsemble:
 
     states[i, j] is copy i+1 at node j (copies use streams (seed, 1..N)).
     pre_projection, kept only on request, stores the point each step before
-    it was projected onto the next body.
+    it was projected onto the next body. Both are step-major in memory
+    (transposed views of node-major arrays), so one node's slice, states[:, j]
+    or pre_projection[:, j], is contiguous.
     """
 
     grid: TimeGrid
@@ -330,15 +341,17 @@ def _simulate(model: SdeModel, mf: Multifunction, grid: TimeGrid, seed: int, cop
     """Step copies i in copies as one batch on streams (seed, i).
 
     Returns the states (len(copies), steps + 1, m) and, on request, the
-    pre-projection points (len(copies), steps, m), else None.
+    pre-projection points (len(copies), steps, m), else None. Both are
+    transposed views of step-major arrays: each step reads the contiguous
+    increments z[:, j] and writes one contiguous node slice.
     """
     _check_start(model, mf)
     n, m = grid.steps, model.dim
     z = gaussian_increments(seed, copies, n, m, grid.delta)
-    states = np.empty((len(copies), n + 1, m))
-    states[:, 0] = model.x0
-    pre = np.empty((len(copies), n, m)) if keep_pre_projection else None
-    x = np.broadcast_to(model.x0, (len(copies), m)).copy()
+    states = np.empty((n + 1, len(copies), m))
+    states[0] = model.x0
+    pre = np.empty((n, len(copies), m)) if keep_pre_projection else None
+    x = states[0]
     for j in range(n):
         body_next = mf(grid.node(j + 1))
         try:
@@ -347,10 +360,10 @@ def _simulate(model: SdeModel, mf: Multifunction, grid: TimeGrid, seed: int, cop
             # a per-copy failure names its batch row; any other fails every copy
             row = getattr(exc, "where", (0,))[0]
             raise ModelError(f"step {j} of copy {copies[row]} failed: {exc}") from exc
-        states[:, j + 1] = x
+        states[j + 1] = x
         if pre is not None:
-            pre[:, j] = h
-    return states, pre
+            pre[j] = h
+    return states.transpose(1, 0, 2), None if pre is None else pre.transpose(1, 0, 2)
 
 
 def simulate_path(

@@ -335,15 +335,19 @@ def run_experiment(config: ExperimentConfig) -> ConvergenceReport:
 
     rows: list[ErrorRow] = []
     diagnostics: dict = {"step_bound": [], "hitting": []}
+    phases = dict.fromkeys(("simulate", "estimate", "diagnostics", "aggregate"), 0.0)
     for n_copies in config.n_grid:
         for r in range(config.replications):
             seed = dynamics.derive_seed(config.seed, n_copies, r)
             keep_h = r == 0 and (config.run_step_bound or config.run_hitting)
             j = None
             try:
+                t0 = time.perf_counter()
                 ens = dynamics.simulate_ensemble(
                     model, mf, grid, n_copies, seed, keep_pre_projection=keep_h
                 )
+                t1 = time.perf_counter()
+                phases["simulate"] += t1 - t0
                 for j in config.j_indices:
                     est = estimation.hull_estimate(ens, j)
                     if dim == 1:
@@ -355,27 +359,33 @@ def run_experiment(config: ExperimentConfig) -> ConvergenceReport:
                         for p_idx, x in enumerate(probes):
                             err = estimation.pointwise_error(est, x)
                             rows.append(ErrorRow(n_copies, r, j, p_idx, err, None, seed))
+                phases["estimate"] += time.perf_counter() - t1
             except (dynamics.ModelError, geometry.GeometryError,
                     geometry.ProjectionSolverError, estimation.EstimationError) as exc:
                 where = f"N={n_copies}, replication={r}" + (f", j={j}" if j else "")
                 raise RuntimeError(f"experiment aborted at {where}: {exc}") from exc
+            t0 = time.perf_counter()
             if r == 0 and config.run_step_bound:
                 diag_probes = probes if probes is not None else _interval_probes(truths, config)
                 report = oracle.step1_bound_check(model, ens, mf, diag_probes)
                 diagnostics["step_bound"].append({"N": n_copies, **report.to_dict()})
             if r == 0 and config.run_hitting and probes is not None:
-                for p_idx, x in enumerate(probes):
-                    hit = oracle.hitting_frequency(ens, mf, x, config.hitting_radius)
+                hits = oracle.hitting_frequency(ens, mf, probes, config.hitting_radius)
+                for p_idx, hit in enumerate(hits):
                     diagnostics["hitting"].append(
                         {"N": n_copies, "probe_index": p_idx, **hit.to_dict()}
                     )
+            phases["diagnostics"] += time.perf_counter() - t0
 
+    t0 = time.perf_counter()
     quantiles = _aggregate_quantiles(rows, config)
     slopes = _fit_slopes(config, quantiles)
+    phases["aggregate"] = time.perf_counter() - t0
     meta = {
         "master_seed": config.seed,
         "wall_clock_s": time.perf_counter() - t_start,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
+        "phases": phases,  # seconds per phase, summed over every ensemble
     }
     return ConvergenceReport(
         config_echo=config_echo(config),

@@ -298,25 +298,34 @@ class HittingReport:
 
 
 def hitting_frequency(
-    ensemble: PathEnsemble, mf: Multifunction, probe, radius: float = 0.1
-) -> HittingReport:
-    """Empirical frequency of pre-projection points near an interior probe."""
+    ensemble: PathEnsemble, mf: Multifunction, probes, radius: float = 0.1
+) -> list[HittingReport]:
+    """Empirical frequency of pre-projection points near each interior probe.
+
+    probes is a (k, m) array; the result holds one report per probe, in
+    order. All probes are counted in one pass over the nodes: at node j the
+    contiguous slice pre_projection[:, j - 1] is read once and the body's
+    interior test is evaluated once, whatever k is.
+    """
     if ensemble.pre_projection is None:
         raise OracleError("ensemble was simulated without pre-projection storage")
     if not radius > 0:
         raise OracleError("radius must be positive")
-    probe = np.atleast_1d(np.asarray(probe, dtype=float))
+    probes = np.asarray(probes, dtype=float)
+    if probes.ndim != 2 or probes.shape[1] != ensemble.dim:
+        raise OracleError(f"probes must be a (k, {ensemble.dim}) array, got shape {probes.shape}")
     grid = ensemble.grid
-    hits = np.zeros(grid.steps, dtype=int)
+    hits = np.zeros((probes.shape[0], grid.steps), dtype=int)
     for j in range(1, grid.steps + 1):
-        body = mf(grid.node(j))
         h = ensemble.pre_projection[:, j - 1]
-        close = row_norms(h - probe) <= radius
-        inside = np.asarray(body.interior_margin(h)) > 0
-        hits[j - 1] = int(np.count_nonzero(close & inside))
-    return HittingReport(
-        probe=probe, radius=radius, n_copies=ensemble.n_copies, hits_per_node=hits
-    )
+        inside = np.asarray(mf(grid.node(j)).interior_margin(h)) > 0
+        for k, probe in enumerate(probes):
+            close = row_norms(h - probe) <= radius
+            hits[k, j - 1] = int(np.count_nonzero(close & inside))
+    return [
+        HittingReport(probe=probe, radius=radius, n_copies=ensemble.n_copies, hits_per_node=row)
+        for probe, row in zip(probes, hits)
+    ]
 
 
 def cdf_sandwich_check(

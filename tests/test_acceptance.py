@@ -286,7 +286,7 @@ def test_criterion_8_hitting_condition(frozen_configs):
             model, mf, grid, 10_000, derive_seed(config.seed, 10_000, 0),
             keep_pre_projection=True,
         )
-        hits = [hitting_frequency(ens, mf, x, radius=0.1).total_hits for x in probes]
+        hits = [rep.total_hits for rep in hitting_frequency(ens, mf, probes, radius=0.1)]
         assert min(hits) > 0, (name, hits)
         summary[name] = hits
     elapsed = time.perf_counter() - t0

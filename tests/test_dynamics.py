@@ -3,6 +3,7 @@ import pytest
 
 from hullsim.dynamics import (
     BODIES,
+    INCREMENT_BLOCK,
     MODELS,
     ModelError,
     Multifunction,
@@ -73,6 +74,18 @@ class TestIncrements:
         for copies in (range(1, 20), range(9, 11), range(3, 30, 3)):
             z = gaussian_increments(5, copies, 12, 2, 0.1)
             np.testing.assert_array_equal(z[copies.index(9)], alone)
+
+    def test_rows_match_across_draw_blocks(self):
+        copies = range(5, 5 + 2 * INCREMENT_BLOCK + 3)
+        z = gaussian_increments(11, copies, 3, 2, 0.2)
+        for k, i in enumerate(copies):
+            np.testing.assert_array_equal(z[k], fresh_stream(11, i, 3, 2, 0.2))
+
+    def test_step_slices_are_contiguous(self):
+        z = gaussian_increments(11, range(1, INCREMENT_BLOCK + 40), 4, 2, 0.2)
+        assert z.shape == (INCREMENT_BLOCK + 39, 4, 2)
+        for j in range(4):
+            assert z[:, j].flags.c_contiguous
 
     def test_parameter_validation(self):
         with pytest.raises(ModelError):
@@ -184,6 +197,18 @@ class TestSimulateEnsemble:
             path = simulate_path(model, mf, grid, 31, i, keep_pre_projection=True)
             np.testing.assert_array_equal(path.states, ens.states[i - 1])
             np.testing.assert_array_equal(path.pre_projection, ens.pre_projection[i - 1])
+
+    def test_node_slices_are_contiguous(self):
+        model = make_model("ou", 2, [0.0, 0.0], theta=2.0, sigma=0.3)
+        grid = TimeGrid(1.0, 10)
+        mf = shrinking_ball([0.0, 0.0], 1.0, 0.3)
+        ens = simulate_ensemble(model, mf, grid, 50, seed=4, keep_pre_projection=True)
+        assert ens.states.shape == (50, 11, 2)
+        assert ens.pre_projection.shape == (50, 10, 2)
+        for j in range(grid.steps + 1):
+            assert ens.states[:, j].flags.c_contiguous
+        for j in range(grid.steps):
+            assert ens.pre_projection[:, j].flags.c_contiguous
 
     def test_run_to_run_determinism(self):
         model = make_model("ou", 2, [0.0, 0.0], theta=2.0, sigma=0.3)

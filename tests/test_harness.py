@@ -302,6 +302,26 @@ class TestRunExperiment:
         for entry in report.diagnostics["step_bound"]:
             assert entry["n_violations"] == 0
 
+    def test_meta_phases_account_for_run_time(self, tmp_path):
+        config = small_config(
+            model_params={"theta": 2.0, "sigma": 0.3},
+            x0=np.array([0.0, 0.0]),
+            mf_kind="constant_ball",
+            mf_params={"center": np.zeros(2), "radius": 1.0},
+            n_grid=[20, 40],
+            run_step_bound=True,
+            run_hitting=True,
+            j_indices=[10],
+        )
+        report = run_experiment(config)
+        phases = report.meta["phases"]
+        assert list(phases) == ["simulate", "estimate", "diagnostics", "aggregate"]
+        assert all(v >= 0 for v in phases.values())
+        assert sum(phases.values()) <= report.meta["wall_clock_s"]
+        emit_report(report, tmp_path)
+        assert json.loads((tmp_path / "report.json").read_text())["meta"]["phases"] == phases
+        assert "phases" not in (tmp_path / "report.csv").read_text()
+
 
 class TestEmission:
     def test_csv_header_exact(self):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hullsim.dynamics import (
+    PathEnsemble,
     TimeGrid,
     constant_body,
     make_model,
@@ -231,7 +232,7 @@ class TestHitting:
         model = make_model("zero_drift", 1, [0.0], sigma=0.5)
         mf = constant_body(Interval(-1, 1))
         ens = make_checked_ensemble(model, mf, n_copies=500, seed=12)
-        rep = hitting_frequency(ens, mf, np.array([0.0]), radius=0.1)
+        [rep] = hitting_frequency(ens, mf, np.array([[0.0]]), radius=0.1)
         assert rep.total_hits > 0
         assert rep.frequency > 0
         assert rep.hits_per_node.shape == (20,)
@@ -240,7 +241,7 @@ class TestHitting:
         model = make_model("zero_drift", 1, [0.0], sigma=1e-4)
         mf = constant_body(Interval(-1, 1))
         ens = make_checked_ensemble(model, mf, n_copies=100, seed=12)
-        rep = hitting_frequency(ens, mf, np.array([0.9]), radius=0.05)
+        [rep] = hitting_frequency(ens, mf, np.array([[0.9]]), radius=0.05)
         assert rep.total_hits == 0
 
     def test_interior_requirement_excludes_boundary_mass(self):
@@ -249,7 +250,7 @@ class TestHitting:
         model = make_model("zero_drift", 1, [0.9], sigma=2.0)
         mf = constant_body(Interval(-1, 1))
         ens = make_checked_ensemble(model, mf, n_copies=200, seed=5, steps=5)
-        rep = hitting_frequency(ens, mf, np.array([0.95]), radius=0.04)
+        [rep] = hitting_frequency(ens, mf, np.array([[0.95]]), radius=0.04)
         h = ens.pre_projection[:, :, 0]
         manual = int(np.sum((np.abs(h - 0.95) <= 0.04) & (np.abs(h) < 1)))
         assert rep.total_hits == manual
@@ -259,7 +260,84 @@ class TestHitting:
         mf = constant_body(Interval(-1, 1))
         ens = simulate_ensemble(model, mf, TimeGrid(1.0, 5), 10, 0)
         with pytest.raises(OracleError):
-            hitting_frequency(ens, mf, np.array([0.0]))
+            hitting_frequency(ens, mf, np.array([[0.0]]))
+
+    def test_probes_must_be_k_by_m(self):
+        model = linear_drift_model(dim=2, theta=2.0, sigma=0.3)
+        mf = shrinking_ball([0.0, 0.0], 1.0, 0.3)
+        ens = make_checked_ensemble(model, mf, n_copies=50)
+        for bad in ([0.1], [[0.1]], [0.1, 0.1], [[0.1, 0.1, 0.1]], [[[0.1, 0.1]]]):
+            with pytest.raises(OracleError, match="probes must be a"):
+                hitting_frequency(ens, mf, np.array(bad))
+
+    @pytest.mark.parametrize(
+        "mf,edge",
+        [(constant_body(HPolytope(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]),
+                                  np.ones(4))), 1.0),
+         (shrinking_ball([0.0, 0.0], 1.0, 0.3), 0.7)],
+        ids=["square_hpoly", "shrinking_ball"],
+    )
+    def test_batched_equals_per_probe_count(self, mf, edge):
+        # all but the centre probe lie within the radius of the final boundary,
+        # so the interior test decides some of their counts
+        model = linear_drift_model(dim=2, theta=0.5, sigma=1.0)
+        ens = make_checked_ensemble(model, mf, n_copies=400, seed=21)
+        probes = np.array([[0.0, 0.0], [0.95, 0.0], [0.0, -0.97], [0.66, 0.66], [-0.99, 0.05]])
+        probes[1:] *= edge
+        radius = 0.1
+        reports = hitting_frequency(ens, mf, probes, radius)
+        assert len(reports) == len(probes)
+        grid = ens.grid
+        excluded = 0
+        for probe, rep in zip(probes, reports):
+            manual = np.zeros(grid.steps, dtype=int)
+            for j in range(1, grid.steps + 1):
+                body = mf(grid.node(j))
+                h = ens.pre_projection[:, j - 1]
+                if isinstance(body, Ball):
+                    inside = np.linalg.norm(h - body.center, axis=1) < body.radius
+                else:
+                    inside = np.all(h @ body.normals.T < body.offsets, axis=1)
+                close = np.linalg.norm(h - probe, axis=1) <= radius
+                manual[j - 1] = np.count_nonzero(close & inside)
+                excluded += np.count_nonzero(close & ~inside)
+            np.testing.assert_array_equal(rep.probe, probe)
+            np.testing.assert_array_equal(rep.hits_per_node, manual)
+        assert excluded > 0
+        assert all(rep.total_hits > 0 for rep in reports)
+
+
+class TestLayout:
+    """The checks read the step-major ensemble and a copy-major copy alike."""
+
+    model = make_model("tanh_sigma", 2, [0.0, 0.0], theta=0.5, sigma0=0.3, sigma1=0.1)
+    mf = shrinking_ball([0.0, 0.0], 1.0, 0.3)
+    probes = np.array([[0.3, 0.0], [-0.2, 0.25], [0.0, -0.4]])
+
+    def ensembles(self):
+        """A simulated ensemble and the same one rebuilt on copy-major arrays."""
+        ens = make_checked_ensemble(self.model, self.mf, n_copies=300, seed=17)
+        rebuilt = PathEnsemble(ens.grid, ens.n_copies, ens.seed, np.ascontiguousarray(ens.states),
+                               np.ascontiguousarray(ens.pre_projection))
+        assert not ens.states.flags.c_contiguous and rebuilt.states.flags.c_contiguous
+        assert not ens.pre_projection.flags.c_contiguous
+        assert rebuilt.pre_projection.flags.c_contiguous
+        return ens, rebuilt
+
+    def test_step_bound(self):
+        ens, rebuilt = self.ensembles()
+        a = step1_bound_check(self.model, ens, self.mf, self.probes)
+        b = step1_bound_check(self.model, rebuilt, self.mf, self.probes)
+        assert a.worst_margin == b.worst_margin
+        assert a.n_violations == b.n_violations
+
+    def test_hitting(self):
+        ens, rebuilt = self.ensembles()
+        a = hitting_frequency(ens, self.mf, self.probes, 0.2)
+        b = hitting_frequency(rebuilt, self.mf, self.probes, 0.2)
+        for ra, rb in zip(a, b, strict=True):
+            np.testing.assert_array_equal(ra.hits_per_node, rb.hits_per_node)
+        assert sum(r.total_hits for r in a) > 0
 
 
 class TestCdfSandwich:
