@@ -50,16 +50,26 @@ def derive_seed(master: int, *parts: int) -> int:
     return state
 
 
+def _plain(value):
+    """A bit generator state with every numpy array turned into plain ints."""
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
 def gaussian_increments(seed: int, copies: range, n: int, m: int, delta: float) -> np.ndarray:
     """A (len(copies), n, m) array of i.i.d. N(0, delta) Brownian increments.
 
     Row k is copy copies[k]'s stream: one Philox generator, re-keyed to
     (seed, copies[k]) from counter zero, so a copy's rows equal those of a
     fresh Generator(Philox(key=[seed, i])) whatever range they are drawn in.
+    The re-key goes through the public Philox.state setter with a template
+    of plain ints built once per call (counter zero, buffer and cached bits
+    spent), of which only the second key word changes per copy.
     The memory is step-major: the result is a transposed view of an
     (n, len(copies), m) array, so the increments of one step, z[:, j], are
     contiguous. Copies are drawn INCREMENT_BLOCK at a time into a small
-    copy-major block and scaled into place.
+    copy-major block, one prebuilt row view each, and scaled into place.
     """
     if len(copies) < 1:
         raise ModelError("need at least one copy")
@@ -68,17 +78,19 @@ def gaussian_increments(seed: int, copies: range, n: int, m: int, delta: float) 
     if not delta > 0:
         raise ModelError("step size delta must be positive")
     bit_gen = np.random.Philox(key=np.array([seed & _MASK64, 0], dtype=np.uint64))
-    gen = np.random.Generator(bit_gen)
-    fresh = bit_gen.state  # counter zero, buffer and cached bits spent
+    draw = np.random.Generator(bit_gen).standard_normal
+    fresh = _plain(bit_gen.state)
+    key = fresh["state"]["key"]
     scale = np.sqrt(delta)
     z = np.empty((n, len(copies), m))
     block = np.empty((min(INCREMENT_BLOCK, len(copies)), n, m))
+    rows = list(block)
     for start in range(0, len(copies), len(block)):
         chunk = copies[start:start + len(block)]
-        for k, i in enumerate(chunk):
-            fresh["state"]["key"][1] = i & _MASK64
+        for row, i in zip(rows, chunk):
+            key[1] = i & _MASK64
             bit_gen.state = fresh
-            gen.standard_normal(out=block[k])
+            draw(out=row)
         np.multiply(block[:len(chunk)].transpose(1, 0, 2), scale, out=z[:, start:start + len(chunk)])
     return z.transpose(1, 0, 2)
 

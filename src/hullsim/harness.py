@@ -168,6 +168,8 @@ class ExperimentConfig:
             raise ConfigError("replications must be at least 1")
         if not js or not all(1 <= j <= self.steps for j in js):
             raise ConfigError(f"j_indices must be one or more grid nodes in 1..{self.steps}")
+        if len(set(js)) != len(js):
+            raise ConfigError(f"j_indices must not repeat a node, got {list(js)}")
         if not self.probe_margin > 0:
             raise ConfigError("probe_margin must be positive")
         if not self.hitting_radius > 0:
@@ -336,10 +338,11 @@ def run_experiment(config: ExperimentConfig) -> ConvergenceReport:
     rows: list[ErrorRow] = []
     diagnostics: dict = {"step_bound": [], "hitting": []}
     phases = dict.fromkeys(("simulate", "estimate", "diagnostics", "aggregate"), 0.0)
+    run_hitting = config.run_hitting and probes is not None  # the hitting check needs m > 1
     for n_copies in config.n_grid:
         for r in range(config.replications):
             seed = dynamics.derive_seed(config.seed, n_copies, r)
-            keep_h = r == 0 and (config.run_step_bound or config.run_hitting)
+            keep_h = r == 0 and (config.run_step_bound or run_hitting)
             j = None
             try:
                 t0 = time.perf_counter()
@@ -369,7 +372,7 @@ def run_experiment(config: ExperimentConfig) -> ConvergenceReport:
                 diag_probes = probes if probes is not None else _interval_probes(truths, config)
                 report = oracle.step1_bound_check(model, ens, mf, diag_probes)
                 diagnostics["step_bound"].append({"N": n_copies, **report.to_dict()})
-            if r == 0 and config.run_hitting and probes is not None:
+            if r == 0 and run_hitting:
                 hits = oracle.hitting_frequency(ens, mf, probes, config.hitting_radius)
                 for p_idx, hit in enumerate(hits):
                     diagnostics["hitting"].append(

@@ -61,7 +61,12 @@ class TestIncrements:
 
     @pytest.mark.parametrize(
         "seed,start,stop,n,m,delta",
-        [(12345, 1, 18, 20, 2, 0.05), (7, 1000, 1003, 5, 3, 0.3), (2**64 - 1, 0, 2, 1, 1, 1.0)],
+        [
+            (12345, 1, 18, 20, 2, 0.05),
+            (7, 1000, 1003, 5, 3, 0.3),
+            (2**64 - 1, 0, 2, 1, 1, 1.0),
+            (2**63 + 12345, 2**63, 2**63 + INCREMENT_BLOCK + 3, 2, 2, 0.1),
+        ],
     )
     def test_matches_fresh_generator(self, seed, start, stop, n, m, delta):
         z = gaussian_increments(seed, range(start, stop), n, m, delta)
@@ -80,6 +85,24 @@ class TestIncrements:
         z = gaussian_increments(11, copies, 3, 2, 0.2)
         for k, i in enumerate(copies):
             np.testing.assert_array_equal(z[k], fresh_stream(11, i, 3, 2, 0.2))
+
+    @pytest.mark.parametrize(
+        "copies",
+        [range(1, 2), range(1, INCREMENT_BLOCK + 2), range(5, 5 + 3 * INCREMENT_BLOCK, 2)],
+    )
+    def test_one_generator_per_call(self, monkeypatch, copies):
+        # the per-copy re-key sets the state of one Philox; it never builds another
+        philox = np.random.Philox
+        built = []
+
+        def counting_philox(*args, **kwargs):
+            built.append(kwargs)
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counting_philox)
+        z = gaussian_increments(3, copies, 4, 2, 0.1)
+        assert len(built) == 1
+        assert z.shape == (len(copies), 4, 2)
 
     def test_step_slices_are_contiguous(self):
         z = gaussian_increments(11, range(1, INCREMENT_BLOCK + 40), 4, 2, 0.2)

@@ -302,6 +302,39 @@ class TestRunExperiment:
         for entry in report.diagnostics["step_bound"]:
             assert entry["n_violations"] == 0
 
+    @pytest.mark.parametrize(
+        "dims,diagnostics,kept",
+        [
+            (1, {"run_hitting": True}, False),  # the hitting check runs only for m > 1
+            (1, {"run_step_bound": True}, True),
+            (2, {"run_hitting": True}, True),
+            (2, {}, False),
+        ],
+    )
+    def test_pre_projection_kept_only_for_a_diagnostic_that_reads_it(
+        self, monkeypatch, dims, diagnostics, kept
+    ):
+        simulate = harness.dynamics.simulate_ensemble
+        ensembles = []
+
+        def spy(*args, **kwargs):
+            ens = simulate(*args, **kwargs)
+            ensembles.append(ens)
+            return ens
+
+        monkeypatch.setattr(harness.dynamics, "simulate_ensemble", spy)
+        shape = {} if dims == 1 else dict(
+            model_params={"theta": 2.0, "sigma": 0.3},
+            x0=np.zeros(2),
+            mf_kind="constant_ball",
+            mf_params={"center": np.zeros(2), "radius": 1.0},
+        )
+        config = small_config(n_grid=[20, 40], replications=2, **shape, **diagnostics)
+        run_experiment(config)
+        assert len(ensembles) == 4  # (N, replication) in row order
+        stored = [ens.pre_projection is not None for ens in ensembles]
+        assert stored == [kept, False, kept, False]
+
     def test_meta_phases_account_for_run_time(self, tmp_path):
         config = small_config(
             model_params={"theta": 2.0, "sigma": 0.3},
@@ -417,6 +450,7 @@ class TestCli:
             ("ball", "mf.rate", "2.0"),  # the ball vanishes before the horizon
             ("interval", "mf.bogus", "1"),
             ("interval", "j_indices", ""),
+            ("interval", "j_indices", "10 10"),  # a repeated node would double its rows
             ("interval", "diagnostics.hitting_radius", "-1"),
             ("interval", "model.theta", "1 2"),
             ("interval", "grid.horizon", "inf"),
