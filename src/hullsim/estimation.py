@@ -3,8 +3,9 @@
 The estimate at node j is the convex hull of the N copy states at that node.
 In one dimension its defect against a known interval [I, S] is
 max(S - max_estimate, min_estimate - I), valid because the estimate is always
-contained in the truth; in higher dimension the estimate is judged pointwise
-through distance_to_hull.
+contained in the truth; in higher dimension the estimate is judged pointwise,
+by the distances from a batch of fixed probes to the hull in one
+distance_to_hull call.
 """
 
 from __future__ import annotations
@@ -68,8 +69,9 @@ def hausdorff_error_1d(estimate: HullEstimate, truth: ConvexBody) -> float:
     return max(hi - estimate.upper, estimate.lower - lo)
 
 
-def pointwise_error(estimate: HullEstimate, x, tol: float = HULL_TOL) -> float:
-    """Distance from a fixed point to the estimated hull."""
+def pointwise_error(estimate: HullEstimate, x, tol: float = HULL_TOL) -> np.ndarray | float:
+    """Distance from a fixed point (m,), or from each of a batch (k, m), to the
+    estimated hull."""
     return distance_to_hull(estimate.hull, x, tol)
 
 

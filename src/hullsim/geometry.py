@@ -216,11 +216,12 @@ class HPolytope(ConvexBody):
         for i in range(self.dim):
             e = np.zeros(self.dim)
             e[i] = 1.0
-            hi[i] = self._support_lp(e)
-            lo[i] = -self._support_lp(-e)
+            hi[i] = -self._support_lp(e).fun
+            lo[i] = self._support_lp(-e).fun
         object.__setattr__(self, "_bbox", (lo, hi))
 
-    def _support_lp(self, u: np.ndarray) -> float:
+    def _support_lp(self, u: np.ndarray):
+        """The HiGHS solution of max <u, y> over the body: y = .x, value -.fun."""
         res = linprog(
             -u,
             A_ub=self.normals,
@@ -234,21 +235,12 @@ class HPolytope(ConvexBody):
             raise GeometryError("half-space system is unbounded in a coordinate direction")
         if not res.success:
             raise GeometryError(f"support LP failed: {res.message}")
-        return float(-res.fun)
+        return res
 
     def support_point(self, u: np.ndarray) -> np.ndarray:
         """A maximizer of <u, .> over the body (an extreme point)."""
         u = _check_direction(u, self.dim)
-        res = linprog(
-            -u,
-            A_ub=self.normals,
-            b_ub=self.offsets,
-            bounds=[(None, None)] * self.dim,
-            method="highs",
-        )
-        if not res.success:
-            raise GeometryError(f"support LP failed: {res.message}")
-        return np.asarray(res.x, dtype=float)
+        return np.asarray(self._support_lp(u).x, dtype=float)
 
     def project(self, x):
         x = _check_points(x, self.dim)
@@ -256,7 +248,7 @@ class HPolytope(ConvexBody):
 
     def support(self, u):
         u = _check_direction(u, self.dim)
-        return self._support_lp(u)
+        return float(-self._support_lp(u).fun)
 
     def interior_margin(self, x):
         x = _check_points(x, self.dim)
@@ -431,9 +423,11 @@ class Hull:
     in higher dimension they keep input order. equations, shape (f, m + 1),
     holds one row [n, b] per facet with unit outward normal n, so that
     n @ y + b <= 0 inside. simplices, shape (f, m), indexes the vertices of
-    each (triangulated) facet. Both are None for m = 1 and for a degenerate
-    cloud, one that spans less than m dimensions (fewer than m + 1 distinct
-    points, collinear, coplanar); convex_hull says which vertices it keeps.
+    each (triangulated) facet; in 2D each row (i, j) is the counterclockwise
+    edge from vertex i to vertex j = (i + 1) % k. Both are None for m = 1
+    and for a degenerate cloud, one that spans less than m dimensions (fewer
+    than m + 1 distinct points, collinear, coplanar); convex_hull says which
+    vertices it keeps.
     """
 
     dim: int
@@ -457,6 +451,8 @@ def convex_hull(points) -> Hull:
         pts = pts[:, None]
     if pts.ndim != 2:
         raise GeometryError("points must form a (p, m) array")
+    if not np.all(np.isfinite(pts)):
+        raise GeometryError("hull points must be finite")
     m = pts.shape[1]
     if m == 1:
         vals = pts[:, 0]
@@ -477,105 +473,108 @@ def convex_hull(points) -> Hull:
     # renumber the facet corners from cloud indices to vertex indices
     index = np.empty(pts.shape[0], dtype=np.intp)
     index[qhull.vertices] = np.arange(qhull.vertices.size)
+    simplices = index[qhull.simplices]
+    if m == 2:  # orient each edge along qhull's counterclockwise vertex order
+        k = qhull.vertices.size
+        ccw = simplices[:, 1] == (simplices[:, 0] + 1) % k
+        simplices = np.where(ccw[:, None], simplices, simplices[:, ::-1])
     return Hull(
-        dim=m,
-        vertices=pts[qhull.vertices],
-        equations=qhull.equations,
-        simplices=index[qhull.simplices],
+        dim=m, vertices=pts[qhull.vertices], equations=qhull.equations, simplices=simplices
     )
 
 
-def distance_to_hull(hull: Hull, x, tol: float = HULL_TOL) -> float:
+def distance_to_hull(hull: Hull, x, tol: float = HULL_TOL) -> np.ndarray | float:
     """Distance from x to the convex hull; exactly 0.0 inside.
 
-    Exact in dimensions one (interval), two (polygon) and three (nearest
-    point over the facets that x is above). For m >= 4, and for a degenerate
-    cloud in m >= 3, a point outside is solved by the min-norm-point scheme
-    over the hull vertices to absolute accuracy tol.
+    x is one point (m,), giving a float, or a batch (k, m), giving k
+    distances; each distance is the one x[i] alone would give, bit for bit.
+    Exact in dimension one (interval), for a flat 2D cloud (a point or a
+    segment) and for full hulls in m = 2 and 3 (nearest point over the
+    facets a point is above). For m >= 4, and for a flat cloud in m >= 3,
+    each point outside is solved by the min-norm-point scheme over the hull
+    vertices to absolute accuracy tol.
     """
     if not tol > 0:
         raise GeometryError("hull distance tolerance must be positive")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (hull.dim,):
-        raise GeometryError(f"query point must have shape ({hull.dim},), got {x.shape}")
-    if hull.dim == 1:
+    m = hull.dim
+    if x.ndim > 2 or x.shape[-1] != m:
+        raise GeometryError(f"query must have shape ({m},) or (k, {m}), got {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise GeometryError("query points must be finite")
+    pts = x.reshape(-1, m)
+    if m == 1:
         lo, hi = hull.vertices[0, 0], hull.vertices[-1, 0]
-        return float(max(lo - x[0], x[0] - hi, 0.0))
-    if hull.dim == 2:
-        return _polygon_distance(hull.vertices, x)
-    if hull.equations is None:
-        return min_norm_point_distance(hull.vertices, x, tol)
-    heights = hull.equations[:, :-1] @ x + hull.equations[:, -1]
-    visible = heights > 0
-    if not visible.any():
-        return 0.0
-    if hull.dim == 3:
-        return _facet_distance(
-            hull.vertices[hull.simplices[visible]], hull.equations[visible, :-1],
-            heights[visible], x,
-        )
-    return min_norm_point_distance(hull.vertices, x, tol)
+        d = np.maximum(np.maximum(lo - pts[:, 0], pts[:, 0] - hi), 0.0)
+    elif hull.equations is None and m == 2:  # one point or one segment
+        d = _segment_distances(hull.vertices[0], hull.vertices[-1], pts)
+    elif hull.equations is None:
+        d = np.array([min_norm_point_distance(hull.vertices, p, tol) for p in pts])
+    else:
+        d = _facet_distances(hull, pts, tol)
+    return float(d[0]) if x.ndim == 1 else d
 
 
-def _facet_distance(
-    tri: np.ndarray, normals: np.ndarray, heights: np.ndarray, x: np.ndarray
-) -> float:
-    """Distance from x to the union of triangles tri, shape (k, 3, 3).
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Dot product over the last axis, broadcast over the leading axes.
 
-    heights are the distances from x to the triangles' planes along the unit
-    normals. Where the plane projection of x falls inside a triangle that
-    height is its distance; otherwise the nearest point lies on an edge. Over
-    the facets x is above this is the distance to the hull: the nearest hull
-    point p lies on some facet whose normal has a positive component along
-    x - p.
+    Each row is its own stacked matmul: bit for bit the scalar u @ v (einsum
+    is not), and never dependent on the rest of the batch (a (k, m) @ (m, f)
+    product is).
     """
-    a, b, c = tri[:, 0], tri[:, 1], tri[:, 2]
-    e0, e1, rel = b - a, c - a, x - heights[:, None] * normals - a
-    d00 = np.einsum("ij,ij->i", e0, e0)
-    d01 = np.einsum("ij,ij->i", e0, e1)
-    d11 = np.einsum("ij,ij->i", e1, e1)
-    d20 = np.einsum("ij,ij->i", rel, e0)
-    d21 = np.einsum("ij,ij->i", rel, e1)
-    starts = np.concatenate([a, b, c])
-    edges = np.concatenate([b, c, a]) - starts
-    length2 = np.einsum("ij,ij->i", edges, edges)
-    # zero-area facets and zero-length edges give NaN: never inside, t = 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        denom = d00 * d11 - d01 * d01
-        v = (d11 * d20 - d01 * d21) / denom
-        w = (d00 * d21 - d01 * d20) / denom
-        t = np.clip(np.einsum("ij,ij->i", x - starts, edges) / length2, 0.0, 1.0)
-    inside = (v >= 0) & (w >= 0) & (v + w <= 1)
-    t[length2 == 0] = 0.0
-    best = row_norms(x - (starts + t[:, None] * edges)).min()
-    if inside.any():
-        best = min(best, heights[inside].min())
-    return float(best)
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
-def _segment_distance(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> float:
+def _segment_distances(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Distance from x to the segment [a, b], row-wise; if a == b, to a."""
     ab = b - a
-    denom = float(ab @ ab)
-    if denom == 0.0:
-        return float(np.linalg.norm(x - a))
-    t = float(np.clip((x - a) @ ab / denom, 0.0, 1.0))
-    return float(np.linalg.norm(x - (a + t * ab)))
+    length2 = _dot(ab, ab)
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 where a == b
+        t = np.clip(_dot(x - a, ab) / length2, 0.0, 1.0)
+    t = np.where(length2 == 0, 0.0, t)
+    off = x - (a + t[..., None] * ab)
+    return np.sqrt(_dot(off, off))
 
 
-def _polygon_distance(verts: np.ndarray, x: np.ndarray) -> float:
-    k = verts.shape[0]
-    if k == 1:
-        return float(np.linalg.norm(x - verts[0]))
-    if k == 2:
-        return _segment_distance(verts[0], verts[1], x)
-    edges = np.roll(verts, -1, axis=0) - verts
-    rel = x - verts
-    crosses = edges[:, 0] * rel[:, 1] - edges[:, 1] * rel[:, 0]
-    if np.all(crosses >= 0):  # counterclockwise polygon: inside or on boundary
-        return 0.0
-    return min(
-        _segment_distance(verts[i], verts[(i + 1) % k], x) for i in range(k)
-    )
+def _facet_distances(hull: Hull, pts: np.ndarray, tol: float) -> np.ndarray:
+    """Distances from pts, shape (k, m), to a full-dimensional hull.
+
+    A point is outside iff it is above some facet, and its nearest hull
+    point then lies on a facet it is above: its distance is the least over
+    those facets. A 2D facet is its one edge; a 3D facet is the plane height
+    where the plane foot falls inside the triangle and else its nearest edge.
+    m >= 4 runs the min-norm-point scheme for each point outside.
+    """
+    m = hull.dim
+    normals, offsets = hull.equations[:, :-1], hull.equations[:, -1]
+    heights = _dot(pts[:, None, :], normals) + offsets
+    rows, facets = np.nonzero(heights > 0)
+    d = np.zeros(len(pts))
+    if m > 3:
+        for i in np.unique(rows):
+            d[i] = min_norm_point_distance(hull.vertices, pts[i], tol)
+        return d
+    x, corners = pts[rows], hull.vertices[hull.simplices[facets]]
+    # edges run from corner k to corner k + 1 (mod m); a 2D facet has just one
+    n_edges = 1 if m == 2 else 3
+    starts, ends = corners[:, :n_edges], np.roll(corners, -1, axis=1)[:, :n_edges]
+    dist = _segment_distances(starts, ends, x[:, None, :]).min(axis=1)
+    if m == 3:
+        h = heights[rows, facets]
+        a, b, c = corners[:, 0], corners[:, 1], corners[:, 2]
+        e0, e1, rel = b - a, c - a, x - h[:, None] * normals[facets] - a
+        d00, d01, d11 = _dot(e0, e0), _dot(e0, e1), _dot(e1, e1)
+        d20, d21 = _dot(rel, e0), _dot(rel, e1)
+        # a zero-area facet gives NaN: its plane foot is never inside
+        with np.errstate(divide="ignore", invalid="ignore"):
+            denom = d00 * d11 - d01 * d01
+            v = (d11 * d20 - d01 * d21) / denom
+            w = (d00 * d21 - d01 * d20) / denom
+        inside = (v >= 0) & (w >= 0) & (v + w <= 1)
+        dist = np.where(inside, np.minimum(dist, h), dist)
+    d[rows] = np.inf
+    np.minimum.at(d, rows, dist)
+    return d
 
 
 def min_norm_point_distance(

@@ -359,9 +359,11 @@ def run_experiment(config: ExperimentConfig) -> ConvergenceReport:
                             ErrorRow(n_copies, r, j, -1, err, n_copies * err, seed)
                         )
                     else:
-                        for p_idx, x in enumerate(probes):
-                            err = estimation.pointwise_error(est, x)
-                            rows.append(ErrorRow(n_copies, r, j, p_idx, err, None, seed))
+                        errs = estimation.pointwise_error(est, probes).tolist()
+                        rows.extend(
+                            ErrorRow(n_copies, r, j, p_idx, err, None, seed)
+                            for p_idx, err in enumerate(errs)
+                        )
                 phases["estimate"] += time.perf_counter() - t1
             except (dynamics.ModelError, geometry.GeometryError,
                     geometry.ProjectionSolverError, estimation.EstimationError) as exc:
@@ -435,19 +437,18 @@ def _fit_slopes(config: ExperimentConfig, quantiles: dict) -> dict:
             medians = np.array(
                 [quantiles[(n, j, p)]["median"] for n in config.n_grid]
             )
-            entry: dict = {"excluded": int(np.count_nonzero(medians == 0))}
             try:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
                     slope, residual = rate_fit(config.n_grid, medians)
-                entry.update(
-                    slope=slope,
-                    residual=residual,
-                    n_used=int(np.count_nonzero(medians > 0)),
-                )
             except ConfigError:
-                entry.update(slope=None, residual=None, n_used=int(np.count_nonzero(medians > 0)))
-            slopes[(j, p)] = entry
+                slope = residual = None
+            slopes[(j, p)] = {
+                "excluded": int(np.count_nonzero(medians == 0)),
+                "slope": slope,
+                "residual": residual,
+                "n_used": int(np.count_nonzero(medians > 0)),
+            }
     return slopes
 
 
@@ -477,20 +478,7 @@ def render_csv(report: ConvergenceReport) -> str:
         report.rows, key=lambda r: (r.n_copies, r.replication, r.j, r.probe_index)
     )
     for row in ordered:
-        lines.append(
-            ",".join(
-                _csv_cell(v)
-                for v in (
-                    row.n_copies,
-                    row.replication,
-                    row.j,
-                    row.probe_index,
-                    row.error,
-                    row.scaled_error,
-                    row.seed,
-                )
-            )
-        )
+        lines.append(",".join(_csv_cell(v) for v in row.to_dict().values()))
     return "\n".join(lines) + "\n"
 
 

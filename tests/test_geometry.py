@@ -383,6 +383,90 @@ class TestHullDistance:
         assert d == pytest.approx(2.0 / np.sqrt(3), abs=1e-7)
 
 
+def _hull_queries(pts: np.ndarray, rng) -> np.ndarray:
+    """Points inside, on the boundary (generators, midpoints, a hair outside
+    a generator) and outside a cloud."""
+    center = pts.mean(axis=0)
+    dirs = rng.standard_normal((6, pts.shape[1]))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    spread = np.abs(pts - center).max() + 1.0
+    return np.vstack([
+        center, pts, (pts + np.roll(pts, 1, axis=0)) / 2,
+        center + (pts - center) * (1 + 1e-12),
+        center + 0.5 * spread * dirs, center + 3 * spread * dirs,
+    ])
+
+
+CUBE_4D = np.array([[(k >> b) & 1 for b in range(4)] for k in range(16)], dtype=float)
+
+
+class TestBatchedHullDistance:
+    @pytest.mark.parametrize(
+        "pts",
+        [
+            np.random.default_rng(1).standard_normal((9, 1)),
+            np.random.default_rng(2).standard_normal((40, 2)),
+            np.random.default_rng(3).standard_normal((40, 3)),
+            np.vstack([CUBE_4D, np.random.default_rng(4).uniform(0, 1, (4, 4))]),
+            np.array([[0.5, -1.0]]),  # flat: one point
+            np.array([[0.0, 0.0], [1.0, 2.0], [0.5, 1.0]]),  # flat: a segment
+            np.array([[0, 0, 1], [2, 0, 1], [0, 3, 1], [1, 1, 1], [2, 3, 1]], dtype=float),
+        ],
+        ids=["1d", "2d", "3d", "4d", "point", "segment", "coplanar"],
+    )
+    def test_each_row_equals_its_single_query(self, pts):
+        hull = convex_hull(pts)
+        queries = _hull_queries(pts, np.random.default_rng(5))
+        batch = distance_to_hull(hull, queries)
+        singles = [distance_to_hull(hull, q) for q in queries]
+        assert batch.shape == (len(queries),)
+        assert all(isinstance(d, float) for d in singles)
+        assert batch.tobytes() == np.array(singles).tobytes()
+        assert batch[0] <= 1e-7 < batch[-1]  # inside (Frank-Wolfe: to tol), outside
+        assert distance_to_hull(hull, queries[:0]).shape == (0,)
+
+    @pytest.mark.parametrize("shape", [(4, 3), (4, 1), (2, 4, 2), (3,), ()])
+    def test_query_shape_must_be_a_point_or_a_batch(self, shape):
+        hull = convex_hull(np.array([[0, 0], [1, 0], [0, 1]], dtype=float))
+        with pytest.raises(GeometryError):
+            distance_to_hull(hull, np.zeros(shape))
+
+    def test_planar_simplices_run_counterclockwise(self):
+        rng = np.random.default_rng(6)
+        for size in (3, 4, 10, 200):
+            hull = convex_hull(rng.standard_normal((size, 2)))
+            i, j = hull.simplices.T
+            assert np.array_equal(j, (i + 1) % len(hull.vertices))
+            edge = hull.vertices[j] - hull.vertices[i]
+            outward = np.stack([edge[:, 1], -edge[:, 0]], axis=1)
+            outward /= np.linalg.norm(outward, axis=1, keepdims=True)
+            np.testing.assert_allclose(hull.equations[:, :2], outward, atol=1e-12)
+            offsets = -np.sum(outward * hull.vertices[i], axis=1)
+            np.testing.assert_allclose(hull.equations[:, 2], offsets, atol=1e-12)
+
+
+class TestNonFiniteHullInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_line_cloud(self, bad):
+        with pytest.raises(GeometryError, match="finite"):
+            convex_hull(np.array([0.0, bad, 1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_planar_cloud(self, bad):
+        with pytest.raises(GeometryError, match="finite"):
+            convex_hull(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [bad, 0.5]]))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_nan_query(self, dim):
+        hull = convex_hull(np.vstack([np.zeros(dim), np.eye(dim)]))
+        query = np.full(dim, 0.1)
+        query[0] = np.nan
+        with pytest.raises(GeometryError, match="finite"):
+            distance_to_hull(hull, query)
+        with pytest.raises(GeometryError, match="finite"):
+            distance_to_hull(hull, np.vstack([np.full(dim, 0.1), query]))
+
+
 class TestNormalCone:
     def test_endpoint_outward_direction(self):
         assert normal_cone_check(Interval(-1, 1), np.array([1.0]), np.array([1.0]))

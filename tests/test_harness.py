@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hullsim import cli, harness
+from hullsim import cli, estimation, harness
 from hullsim.harness import (
     CSV_HEADER,
     PARAMS,
@@ -267,6 +267,28 @@ class TestRunExperiment:
         assert n_probes == 8
         assert len(report.rows) == 3 * 5 * 1 * n_probes
         assert all(r.scaled_error is None for r in report.rows)
+
+    def test_one_pointwise_error_call_per_estimate(self, monkeypatch):
+        calls = []
+        original = estimation.pointwise_error
+
+        def spy(est, x, *args, **kwargs):
+            calls.append((est.n_copies, est.time_index, np.shape(x)))
+            return original(est, x, *args, **kwargs)
+
+        monkeypatch.setattr(estimation, "pointwise_error", spy)
+        config = small_config(
+            x0=np.array([0.0, 0.0]),
+            mf_kind="constant_ball",
+            mf_params={"center": np.zeros(2), "radius": 1.0},
+            replications=2,
+        )
+        report = run_experiment(config)
+        assert calls == [
+            (n, j, (8, 2)) for n in config.n_grid for _ in range(2) for j in config.j_indices
+        ]
+        assert len(report.rows) == 8 * len(calls)
+        assert all(type(r.error) is float for r in report.rows)
 
     def test_replications_use_distinct_streams(self):
         report = run_experiment(small_config())
