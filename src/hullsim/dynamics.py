@@ -66,10 +66,11 @@ def gaussian_increments(seed: int, copies: range, n: int, m: int, delta: float) 
     The re-key goes through the public Philox.state setter with a template
     of plain ints built once per call (counter zero, buffer and cached bits
     spent), of which only the second key word changes per copy.
-    The memory is step-major: the result is a transposed view of an
-    (n, len(copies), m) array, so the increments of one step, z[:, j], are
-    contiguous. Copies are drawn INCREMENT_BLOCK at a time into a small
-    copy-major block, one prebuilt row view each, and scaled into place.
+    The memory is coordinate-major: the result is a transposed view of an
+    (n, m, len(copies)) array, so one coordinate of one step, z[:, j, k], is
+    contiguous and the step's batch z[:, j] is an F-ordered (len(copies), m)
+    view. Copies are drawn INCREMENT_BLOCK at a time into a small copy-major
+    block, one prebuilt row view each, and scaled into place.
     """
     if len(copies) < 1:
         raise ModelError("need at least one copy")
@@ -82,7 +83,7 @@ def gaussian_increments(seed: int, copies: range, n: int, m: int, delta: float) 
     fresh = _plain(bit_gen.state)
     key = fresh["state"]["key"]
     scale = np.sqrt(delta)
-    z = np.empty((n, len(copies), m))
+    z = np.empty((n, m, len(copies)))
     block = np.empty((min(INCREMENT_BLOCK, len(copies)), n, m))
     rows = list(block)
     for start in range(0, len(copies), len(block)):
@@ -91,8 +92,8 @@ def gaussian_increments(seed: int, copies: range, n: int, m: int, delta: float) 
             key[1] = i & _MASK64
             bit_gen.state = fresh
             draw(out=row)
-        np.multiply(block[:len(chunk)].transpose(1, 0, 2), scale, out=z[:, start:start + len(chunk)])
-    return z.transpose(1, 0, 2)
+        np.multiply(block[:len(chunk)].transpose(1, 2, 0), scale, out=z[..., start:start + len(chunk)])
+    return z.transpose(2, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -158,7 +159,10 @@ def diffusion_at(model: SdeModel, x: np.ndarray) -> np.ndarray:
     sig = np.asarray(model.diffusion(x), dtype=float)
     if sig.shape != np.shape(x):
         raise ModelError(f"diffusion returned shape {sig.shape}, expected {np.shape(x)}")
-    bad = np.abs(np.prod(sig, axis=-1)) <= DET_FLOOR
+    det = sig[..., 0]
+    for k in range(1, sig.shape[-1]):  # column products: each runs along the batch
+        det = det * sig[..., k]
+    bad = np.abs(det) <= DET_FLOOR
     if np.any(bad):
         where = tuple(int(k) for k in np.argwhere(bad)[0]) if np.ndim(bad) else ()
         exc = ModelError(f"diffusion matrix is singular at evaluation index {where}")
@@ -323,9 +327,10 @@ class PathEnsemble:
 
     states[i, j] is copy i+1 at node j (copies use streams (seed, 1..N)).
     pre_projection, kept only on request, stores the point each step before
-    it was projected onto the next body. Both are step-major in memory
-    (transposed views of node-major arrays), so one node's slice, states[:, j]
-    or pre_projection[:, j], is contiguous.
+    it was projected onto the next body. Both are coordinate-major in memory
+    (transposed views of (node, coordinate, copy) arrays), so one coordinate
+    at one node, states[:, j, k] or pre_projection[:, j, k], is contiguous
+    and one node's slice states[:, j] is an F-ordered (n_copies, m) view.
     """
 
     grid: TimeGrid
@@ -354,16 +359,17 @@ def _simulate(model: SdeModel, mf: Multifunction, grid: TimeGrid, seed: int, cop
 
     Returns the states (len(copies), steps + 1, m) and, on request, the
     pre-projection points (len(copies), steps, m), else None. Both are
-    transposed views of step-major arrays: each step reads the contiguous
-    increments z[:, j] and writes one contiguous node slice.
+    transposed views of coordinate-major (node, coordinate, copy) arrays, as
+    the increments are: each step's operands are F-ordered (len(copies), m)
+    views, so every elementwise operation of the step runs along the copies.
     """
     _check_start(model, mf)
     n, m = grid.steps, model.dim
     z = gaussian_increments(seed, copies, n, m, grid.delta)
-    states = np.empty((n + 1, len(copies), m))
-    states[0] = model.x0
-    pre = np.empty((n, len(copies), m)) if keep_pre_projection else None
-    x = states[0]
+    states = np.empty((n + 1, m, len(copies)))
+    states[0] = model.x0[:, None]
+    pre = np.empty((n, m, len(copies))) if keep_pre_projection else None
+    x = states[0].T
     for j in range(n):
         body_next = mf(grid.node(j + 1))
         try:
@@ -372,10 +378,10 @@ def _simulate(model: SdeModel, mf: Multifunction, grid: TimeGrid, seed: int, cop
             # a per-copy failure names its batch row; any other fails every copy
             row = getattr(exc, "where", (0,))[0]
             raise ModelError(f"step {j} of copy {copies[row]} failed: {exc}") from exc
-        states[j + 1] = x
+        states[j + 1] = x.T
         if pre is not None:
-            pre[j] = h
-    return states.transpose(1, 0, 2), None if pre is None else pre.transpose(1, 0, 2)
+            pre[j] = h.T
+    return states.transpose(2, 0, 1), None if pre is None else pre.transpose(2, 0, 1)
 
 
 def simulate_path(

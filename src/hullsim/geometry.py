@@ -2,7 +2,11 @@
 
 Bodies come in four variants (interval, box, ball, H-polytope). All point
 arguments are numpy arrays whose last axis is the space dimension, so every
-closed-form operation is batch-friendly: shape (..., m) in, shape (..., m) out.
+projection is batch-friendly: shape (..., m) in, shape (..., m) out, in the
+input's memory order. Ensembles hand over coordinate-major (F-ordered) (N, m)
+batches, so per-point work runs on whole coordinate columns (row_norms) or
+as one (k, m) @ (m, N) product (the H-polytope screen and margin), with its
+loops along the N points, never along the m <= 3 coordinates.
 """
 
 from __future__ import annotations
@@ -46,9 +50,16 @@ def _check_points(x, dim: int) -> np.ndarray:
 
 
 def row_norms(a: np.ndarray) -> np.ndarray:
-    """Euclidean norm over the last axis (einsum path; norm(axis=...) is slow
-    on some numpy builds)."""
-    return np.sqrt(np.einsum("...i,...i->...", a, a))
+    """Euclidean norm over the last axis, squares summed in coordinate order.
+
+    Each square is a whole column, so the loops run along the rows and a
+    row's bits do not depend on the memory order of a (einsum's reduction
+    order does for m >= 3).
+    """
+    sq = a[..., 0] * a[..., 0]
+    for k in range(1, a.shape[-1]):
+        sq += a[..., k] * a[..., k]
+    return np.sqrt(sq)
 
 
 class ConvexBody:
@@ -204,13 +215,13 @@ class HPolytope(ConvexBody):
         offsets = np.asarray(self.offsets, dtype=float)
         if normals.ndim != 2 or offsets.ndim != 1 or normals.shape[0] != offsets.size:
             raise GeometryError("need normals of shape (k, m) and offsets of shape (k,)")
-        row_norms = np.linalg.norm(normals, axis=1)
-        if np.any(row_norms <= 0):
+        normal_norms = np.linalg.norm(normals, axis=1)
+        if np.any(normal_norms <= 0):
             raise GeometryError("every half-space normal must be nonzero")
         object.__setattr__(self, "normals", normals)
         object.__setattr__(self, "offsets", offsets)
         object.__setattr__(self, "dim", normals.shape[1])
-        object.__setattr__(self, "_row_norms", row_norms)
+        object.__setattr__(self, "_row_norms", normal_norms)
         lo = np.empty(self.dim)
         hi = np.empty(self.dim)
         for i in range(self.dim):
@@ -252,8 +263,10 @@ class HPolytope(ConvexBody):
 
     def interior_margin(self, x):
         x = _check_points(x, self.dim)
-        slack = self.offsets - x @ self.normals.T
-        return (slack / self._row_norms).min(axis=-1)
+        flat = x.reshape(-1, self.dim)
+        slack = self.offsets[:, None] - self.normals @ flat.T
+        margin = (slack / self._row_norms[:, None]).min(axis=0)
+        return margin.reshape(x.shape[:-1])[()]  # a scalar for one point
 
     def bounding_box(self):
         lo, hi = self._bbox
@@ -284,14 +297,14 @@ def _dykstra_halfspaces(body: HPolytope, x: np.ndarray) -> np.ndarray:
     feasible.
     """
     flat = x.reshape(-1, body.dim)
-    out = flat.copy()
+    out = flat.copy(order="K")
     normals = body.normals
     offsets = body.offsets
-    row_norms = body._row_norms
-    sq_norms = row_norms**2
+    normal_norms = body._row_norms
+    sq_norms = normal_norms**2
 
-    slack = flat @ normals.T - offsets
-    active = np.flatnonzero(np.any(slack > 0, axis=1))
+    slack = normals @ flat.T - offsets[:, None]
+    active = np.flatnonzero(np.any(slack > 0, axis=0))
     if active.size == 0:
         return out.reshape(x.shape)
 
@@ -308,7 +321,7 @@ def _dykstra_halfspaces(body: HPolytope, x: np.ndarray) -> np.ndarray:
             corr[i] = w - y
         moved = np.linalg.norm(y - y_prev, axis=1)
         drift = np.linalg.norm(corr - corr_prev, axis=2).max(axis=0)
-        infeas = np.max((y @ normals.T - offsets) / row_norms, axis=1)
+        infeas = np.max((y @ normals.T - offsets) / normal_norms, axis=1)
         done = (moved <= DYKSTRA_TOL) & (drift <= DYKSTRA_TOL) & (infeas <= DYKSTRA_TOL)
         if np.any(done):
             out[active[done]] = y[done]

@@ -304,8 +304,9 @@ def hitting_frequency(
 
     probes is a (k, m) array; the result holds one report per probe, in
     order. All probes are counted in one pass over the nodes: at node j the
-    contiguous slice pre_projection[:, j - 1] is read once and the body's
-    interior test is evaluated once, whatever k is.
+    slice pre_projection[:, j - 1] (an F-ordered (N, m) view of the
+    coordinate-major ensemble) is read once and the body's interior test is
+    evaluated once, whatever k is.
     """
     if ensemble.pre_projection is None:
         raise OracleError("ensemble was simulated without pre-projection storage")

@@ -104,11 +104,12 @@ class TestIncrements:
         assert len(built) == 1
         assert z.shape == (len(copies), 4, 2)
 
-    def test_step_slices_are_contiguous(self):
+    def test_coordinate_slices_are_contiguous(self):
         z = gaussian_increments(11, range(1, INCREMENT_BLOCK + 40), 4, 2, 0.2)
         assert z.shape == (INCREMENT_BLOCK + 39, 4, 2)
         for j in range(4):
-            assert z[:, j].flags.c_contiguous
+            for k in range(2):
+                assert z[:, j, k].flags.c_contiguous
 
     def test_parameter_validation(self):
         with pytest.raises(ModelError):
@@ -162,6 +163,37 @@ class TestEulerStep:
         model = make_model("ou", 2, [0.0, 0.0])
         with pytest.raises(ModelError):
             euler_step(model, Ball(np.zeros(2), 1.0), np.zeros(2), np.zeros(3), 0.1)
+
+
+class TestMemoryOrder:
+    """(N, m) in, (N, m) out, in the input's memory order, with the same bits."""
+
+    @pytest.mark.parametrize(
+        "kind, body",
+        [("ou", Interval(-1.0, 1.0)), ("tanh_drift", square()), ("tanh_sigma", Ball(np.zeros(3), 1.0))],
+    )
+    def test_step(self, kind, body):
+        model = make_model(kind, body.dim, np.zeros(body.dim))
+        rng = np.random.default_rng(9)
+        x = rng.uniform(-0.9, 0.9, size=(500, body.dim))
+        z = rng.standard_normal((500, body.dim)) * 0.5
+        fx, fz = np.asfortranarray(x), np.asfortranarray(z)
+        np.testing.assert_array_equal(diffusion_at(model, fx), diffusion_at(model, x))
+        h, x1 = euler_step(model, body, fx, fz, 0.1)
+        expected_h, expected_x1 = euler_step(model, body, x, z, 0.1)
+        np.testing.assert_array_equal(h, expected_h)
+        np.testing.assert_array_equal(x1, expected_x1)
+        assert h.flags.f_contiguous and x1.flags.f_contiguous
+        assert np.any(x1 != h)  # some copies were projected
+
+    def test_singular_row_is_named_in_either_order(self):
+        model = SdeModel(2, lambda x: 0.0 * x, lambda x: np.where(x > 0.5, 0.0, 1.0), [0.0, 0.0], 0.0, 0.0)
+        x = np.zeros((6, 2))
+        x[4, 1] = 1.0
+        for arr in (x, np.asfortranarray(x)):
+            with pytest.raises(ModelError) as info:
+                diffusion_at(model, arr)
+            assert info.value.where == (4,)
 
 
 class TestSimulatePath:
@@ -221,17 +253,19 @@ class TestSimulateEnsemble:
             np.testing.assert_array_equal(path.states, ens.states[i - 1])
             np.testing.assert_array_equal(path.pre_projection, ens.pre_projection[i - 1])
 
-    def test_node_slices_are_contiguous(self):
+    def test_coordinate_slices_are_contiguous(self):
         model = make_model("ou", 2, [0.0, 0.0], theta=2.0, sigma=0.3)
         grid = TimeGrid(1.0, 10)
         mf = shrinking_ball([0.0, 0.0], 1.0, 0.3)
-        ens = simulate_ensemble(model, mf, grid, 50, seed=4, keep_pre_projection=True)
-        assert ens.states.shape == (50, 11, 2)
-        assert ens.pre_projection.shape == (50, 10, 2)
-        for j in range(grid.steps + 1):
-            assert ens.states[:, j].flags.c_contiguous
-        for j in range(grid.steps):
-            assert ens.pre_projection[:, j].flags.c_contiguous
+        n_copies = INCREMENT_BLOCK + 50
+        ens = simulate_ensemble(model, mf, grid, n_copies, seed=4, keep_pre_projection=True)
+        assert ens.states.shape == (n_copies, 11, 2)
+        assert ens.pre_projection.shape == (n_copies, 10, 2)
+        for k in range(2):
+            for j in range(grid.steps + 1):
+                assert ens.states[:, j, k].flags.c_contiguous
+            for j in range(grid.steps):
+                assert ens.pre_projection[:, j, k].flags.c_contiguous
 
     def test_run_to_run_determinism(self):
         model = make_model("ou", 2, [0.0, 0.0], theta=2.0, sigma=0.3)

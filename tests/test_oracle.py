@@ -308,7 +308,7 @@ class TestHitting:
 
 
 class TestLayout:
-    """The checks read the step-major ensemble and a copy-major copy alike."""
+    """The checks read the coordinate-major ensemble and a copy-major copy alike."""
 
     model = make_model("tanh_sigma", 2, [0.0, 0.0], theta=0.5, sigma0=0.3, sigma1=0.1)
     mf = shrinking_ball([0.0, 0.0], 1.0, 0.3)
