@@ -9,7 +9,12 @@ diffusion matrix, applied elementwise. Copy i draws its increments from the
 counter-based stream keyed by (seed, i), built only by gaussian_increments, and
 one stepping core runs ensembles and single paths. So copy i is reproducible
 in isolation, equals its ensemble slice bit for bit, and results do not depend
-on how the copies are scheduled.
+on how the copies are scheduled. gaussian_increments uses that: a call of at
+least 2 * INCREMENT_BLOCK copies is drawn by this process and its helper
+processes (hullsim.increments) into one shared array, helpers from the front
+of their slices of the copy range and this process from the back. Smaller
+calls, calls on a one-CPU affinity mask and calls without os.memfd_create are
+drawn here alone.
 """
 
 from __future__ import annotations
@@ -20,11 +25,11 @@ from typing import Callable
 import numpy as np
 
 from .geometry import Ball, Box, ConvexBody, GeometryError, HPolytope, Interval, contains, project
+from .increments import INCREMENT_BLOCK, draw, stream_processes
 
 _MASK64 = (1 << 64) - 1
 DET_FLOOR = 1e-12
 CONTAINMENT_TOL = 1e-9
-INCREMENT_BLOCK = 256  # copies per copy-major draw block in gaussian_increments
 
 
 class ModelError(ValueError):
@@ -50,27 +55,24 @@ def derive_seed(master: int, *parts: int) -> int:
     return state
 
 
-def _plain(value):
-    """A bit generator state with every numpy array turned into plain ints."""
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
-    return value.tolist() if isinstance(value, np.ndarray) else value
-
-
 def gaussian_increments(seed: int, copies: range, n: int, m: int, delta: float) -> np.ndarray:
     """A (len(copies), n, m) array of i.i.d. N(0, delta) Brownian increments.
 
     Row k is copy copies[k]'s stream: one Philox generator, re-keyed to
     (seed, copies[k]) from counter zero, so a copy's rows equal those of a
-    fresh Generator(Philox(key=[seed, i])) whatever range they are drawn in.
-    The re-key goes through the public Philox.state setter with a template
-    of plain ints built once per call (counter zero, buffer and cached bits
-    spent), of which only the second key word changes per copy.
+    fresh Generator(Philox(key=[seed, i])) whatever range, and whatever
+    process, they are drawn in. Below 2 * INCREMENT_BLOCK copies, on a one-CPU
+    affinity mask and without os.memfd_create, this process draws every copy.
+    Otherwise the copy range is cut, on INCREMENT_BLOCK edges, into one
+    contiguous slice per helper process; each helper draws its slice from the
+    front and this process draws from the back until they meet, all into one
+    shared array that is returned as is. What a failed helper left undone is
+    drawn here. Helpers start on the first such call and live as long as this
+    process (see hullsim.increments).
     The memory is coordinate-major: the result is a transposed view of an
     (n, m, len(copies)) array, so one coordinate of one step, z[:, j, k], is
     contiguous and the step's batch z[:, j] is an F-ordered (len(copies), m)
-    view. Copies are drawn INCREMENT_BLOCK at a time into a small copy-major
-    block, one prebuilt row view each, and scaled into place.
+    view.
     """
     if len(copies) < 1:
         raise ModelError("need at least one copy")
@@ -78,22 +80,7 @@ def gaussian_increments(seed: int, copies: range, n: int, m: int, delta: float) 
         raise ModelError("need n >= 1 steps and m >= 1 dimensions")
     if not delta > 0:
         raise ModelError("step size delta must be positive")
-    bit_gen = np.random.Philox(key=np.array([seed & _MASK64, 0], dtype=np.uint64))
-    draw = np.random.Generator(bit_gen).standard_normal
-    fresh = _plain(bit_gen.state)
-    key = fresh["state"]["key"]
-    scale = np.sqrt(delta)
-    z = np.empty((n, m, len(copies)))
-    block = np.empty((min(INCREMENT_BLOCK, len(copies)), n, m))
-    rows = list(block)
-    for start in range(0, len(copies), len(block)):
-        chunk = copies[start:start + len(block)]
-        for row, i in zip(rows, chunk):
-            key[1] = i & _MASK64
-            bit_gen.state = fresh
-            draw(out=row)
-        np.multiply(block[:len(chunk)].transpose(1, 2, 0), scale, out=z[..., start:start + len(chunk)])
-    return z.transpose(2, 0, 1)
+    return draw(seed, copies, n, m, float(np.sqrt(delta))).transpose(2, 0, 1)
 
 
 @dataclass(frozen=True)

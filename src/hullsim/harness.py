@@ -391,6 +391,7 @@ def run_experiment(config: ExperimentConfig) -> ConvergenceReport:
         "wall_clock_s": time.perf_counter() - t_start,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "phases": phases,  # seconds per phase, summed over every ensemble
+        "stream_processes": dynamics.stream_processes(),  # this one plus its live increment helpers
     }
     return ConvergenceReport(
         config_echo=config_echo(config),

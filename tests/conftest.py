@@ -1,8 +1,10 @@
+import os
+from itertools import islice
 from pathlib import Path
 
 import pytest
 
-from hullsim import harness
+from hullsim import harness, increments
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -29,3 +31,38 @@ def default_reports(frozen_configs):
         name: harness.run_experiment(config)
         for name, config in frozen_configs.items()
     }
+
+
+@pytest.fixture
+def helper_pool(monkeypatch):
+    """make(cpus): a fresh increment helper pool under a cpus-CPU affinity mask.
+
+    The pool replaces the process's own until the test ends, and its helpers
+    are stopped then. Helpers start only on the test's first large draw.
+    """
+    pools = []
+
+    def make(cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        pools.append(increments._Helpers())
+        monkeypatch.setattr(increments, "_HELPERS", pools[-1])
+        return pools[-1]
+
+    yield make
+    for pool in pools:
+        pool.close()
+
+
+@pytest.fixture
+def caller_draws_half(monkeypatch):
+    """Split draws leave the front half of the blocks to the helpers, whatever their speed.
+
+    The caller stops after drawing the back half, so a live helper, even one
+    still starting, draws the rest.
+    """
+    behind = increments._behind
+
+    def half(ctl):
+        return islice(behind(ctl), int((ctl[:, 1] - ctl[:, 0]).sum()) // 2)
+
+    monkeypatch.setattr(increments, "_behind", half)

@@ -24,6 +24,7 @@ from hullsim.dynamics import (
     shrinking_box,
     simulate_ensemble,
     simulate_path,
+    stream_processes,
 )
 from hullsim.geometry import Ball, HPolytope, Interval, contains, distance_to_body
 
@@ -38,6 +39,12 @@ def fresh_stream(seed, copy_index, n, m, delta):
     key = np.array([seed, copy_index], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
     return rng.standard_normal((n, m)) * np.sqrt(delta)
+
+
+def stream_case(seed, copies, n, m, delta):
+    """A case of test_matches_fresh_generator, named seed-start-stop[-step]-n-m-delta."""
+    bounds = [copies.start, copies.stop] + ([copies.step] if copies.step != 1 else [])
+    return pytest.param(seed, copies, n, m, delta, id="-".join(map(str, [seed, *bounds, n, m, delta])))
 
 
 class TestIncrements:
@@ -60,19 +67,41 @@ class TestIncrements:
         assert abs(z.var() - delta) < 0.01 * delta
 
     @pytest.mark.parametrize(
-        "seed,start,stop,n,m,delta",
+        "seed,copies,n,m,delta",
         [
-            (12345, 1, 18, 20, 2, 0.05),
-            (7, 1000, 1003, 5, 3, 0.3),
-            (2**64 - 1, 0, 2, 1, 1, 1.0),
-            (2**63 + 12345, 2**63, 2**63 + INCREMENT_BLOCK + 3, 2, 2, 0.1),
+            stream_case(12345, range(1, 18), 20, 2, 0.05),
+            stream_case(7, range(1000, 1003), 5, 3, 0.3),
+            stream_case(2**64 - 1, range(0, 2), 1, 1, 1.0),
+            stream_case(2**63 + 12345, range(2**63, 2**63 + INCREMENT_BLOCK + 3), 2, 2, 0.1),
+            # the helper draws the front half of the blocks, this process the back half
+            stream_case(12345, range(1, 1 + 2 * INCREMENT_BLOCK), 3, 1, 0.05),
+            stream_case(99, range(3, 3 + 2 * INCREMENT_BLOCK + 101), 6, 2, 0.3),  # a part last block
+            stream_case(7, range(1, 2 + 3 * INCREMENT_BLOCK), 4, 3, 0.2),  # odd length
+            stream_case(2**63 + 12345, range(2**63, 2**63 + 2 * INCREMENT_BLOCK + 5), 2, 2, 0.1),
+            stream_case(5, range(5, 5 + 6 * INCREMENT_BLOCK, 3), 3, 3, 0.1),  # blocks slice a stepped range
         ],
     )
-    def test_matches_fresh_generator(self, seed, start, stop, n, m, delta):
-        z = gaussian_increments(seed, range(start, stop), n, m, delta)
-        assert z.shape == (stop - start, n, m)
-        for k in range(stop - start):
-            np.testing.assert_array_equal(z[k], fresh_stream(seed, start + k, n, m, delta))
+    def test_matches_fresh_generator(self, helper_pool, caller_draws_half, seed, copies, n, m, delta):
+        helper_pool(cpus=2)  # one helper, whatever this host has
+        z = gaussian_increments(seed, copies, n, m, delta)
+        assert z.shape == (len(copies), n, m)
+        assert stream_processes() == (2 if len(copies) >= 2 * INCREMENT_BLOCK else 1)
+        for k, i in enumerate(copies):
+            np.testing.assert_array_equal(z[k], fresh_stream(seed, i, n, m, delta))
+
+    def test_just_below_the_split_starts_no_helper(self, helper_pool):
+        pool = helper_pool(cpus=2)
+        copies = range(1, 2 * INCREMENT_BLOCK)
+        z = gaussian_increments(4, copies, 3, 2, 0.1)
+        assert not pool.started and stream_processes() == 1
+        np.testing.assert_array_equal(z[-1], fresh_stream(4, copies[-1], 3, 2, 0.1))
+
+    def test_one_cpu_starts_no_helper(self, helper_pool):
+        pool = helper_pool(cpus=1)
+        copies = range(1, 4 * INCREMENT_BLOCK)
+        z = gaussian_increments(4, copies, 3, 2, 0.1)
+        assert pool.started and pool.live == [] and stream_processes() == 1
+        np.testing.assert_array_equal(z[-1], fresh_stream(4, copies[-1], 3, 2, 0.1))
 
     def test_copy_does_not_depend_on_its_range(self):
         alone = gaussian_increments(5, range(9, 10), 12, 2, 0.1)[0]

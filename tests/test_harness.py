@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hullsim import cli, estimation, harness
+from hullsim.dynamics import INCREMENT_BLOCK
 from hullsim.harness import (
     CSV_HEADER,
     PARAMS,
@@ -376,6 +377,19 @@ class TestRunExperiment:
         emit_report(report, tmp_path)
         assert json.loads((tmp_path / "report.json").read_text())["meta"]["phases"] == phases
         assert "phases" not in (tmp_path / "report.csv").read_text()
+
+    def test_meta_counts_stream_processes_and_the_csv_does_not_change(self, helper_pool, tmp_path):
+        config = small_config(n_grid=[20, 40, 2 * INCREMENT_BLOCK], replications=2,
+                              run_step_bound=True)
+        outputs = []
+        for cpus in (1, 2):
+            helper_pool(cpus)
+            report = run_experiment(config)
+            emit_report(report, tmp_path / str(cpus))
+            meta = json.loads((tmp_path / str(cpus) / "report.json").read_text())["meta"]
+            assert meta["stream_processes"] == report.meta["stream_processes"] == cpus
+            outputs.append((tmp_path / str(cpus) / "report.csv").read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 class TestEmission:

@@ -1,0 +1,310 @@
+"""Life cycle of the increment helper processes (hullsim.increments).
+
+The scripts here run in fresh interpreters under -X dev -W error, so a
+ResourceWarning, including one printed at shutdown, shows on their stderr.
+"""
+
+import json
+import os
+import re
+import signal
+import subprocess
+import sys
+import textwrap
+import threading
+import time
+from contextlib import redirect_stdout
+from io import StringIO
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from hullsim import increments
+from hullsim.dynamics import INCREMENT_BLOCK, gaussian_increments, stream_processes
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+
+pytestmark = pytest.mark.skipif(
+    not hasattr(os, "memfd_create") or not hasattr(os, "fork"),
+    reason="helpers need os.memfd_create; the fork check needs os.fork",
+)
+
+# Starts one helper whatever the host's CPU count, and prints its pid.
+PRELUDE = f"""
+import json, os, sys
+from hullsim import increments
+from hullsim.dynamics import gaussian_increments, stream_processes
+os.sched_getaffinity = lambda pid: {{0, 1}}
+COPIES = range(1, 3 * {INCREMENT_BLOCK} + 1)
+first = gaussian_increments(8, COPIES, 5, 2, 0.1).copy()
+"""
+
+
+def run_script(code: str, *args: str, **kwargs) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-c", code, *args],
+        env=script_env(), capture_output=True, text=True, timeout=120, **kwargs,
+    )
+
+
+def script_env() -> dict:
+    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env.pop("PYTHONWARNINGS", None)
+    return env
+
+
+def serial(seed, copies, n, m, delta):
+    """The same increments drawn in this process alone."""
+    z = np.empty((n, m, len(copies)))
+    increments.fill(z, seed, copies, float(np.sqrt(delta)))
+    return z.transpose(2, 0, 1)
+
+
+def running(pid: int) -> bool:
+    """pid names a process that has not exited (a zombie has)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+
+
+@pytest.mark.parametrize("helpers,blocks", [(1, 2), (1, 40), (2, 3), (3, 2), (3, 79)])
+def test_caller_and_helpers_meet_with_no_block_left_out(helpers, blocks):
+    # the control-word protocol, stepped in a random order: a block is drawn
+    # between the yield that hands it out and the next request of that side
+    rng = np.random.default_rng(100 * helpers + blocks)
+    cuts = [blocks * k // helpers for k in range(helpers + 1)]
+    ctl = np.array([cuts[:-1], cuts[1:]], dtype=np.int64).T.copy()
+    sides = [increments._ahead(ctl[k]) for k in range(helpers)] + [increments._behind(ctl)]
+    drawn = [[] for _ in sides]
+    live = list(range(len(sides)))
+    while live:
+        side = live[rng.integers(len(live))]
+        block = next(sides[side], None)
+        if block is None:
+            live.remove(side)
+        else:
+            drawn[side].append(block)
+    caller = drawn[-1]
+    assert sorted(set().union(*drawn)) == list(range(blocks))
+    for k, (first, end) in enumerate(zip(cuts, cuts[1:])):
+        mine = drawn[k]
+        assert mine == list(range(first, first + len(mine)))  # a prefix, first to last
+        theirs = [b for b in caller if first <= b < end]
+        assert theirs == list(range(end - 1, end - 1 - len(theirs), -1))  # a suffix, last first
+        assert len(mine) + len(theirs) - (end - first) in (0, 1)  # at most one block twice
+
+
+def test_readme_quick_start_runs_as_an_unguarded_script():
+    readme = (ROOT / "README.md").read_text()
+    code = re.search(r"## Library example\s+```python\n(.*?)```", readme, re.S).group(1)
+    assert "__main__" not in code and "n_copies=10_000" in code
+    proc = run_script(code, cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    printed = StringIO()
+    with redirect_stdout(printed):
+        exec(compile(code, "README.md", "exec"), {})
+    assert proc.stdout == printed.getvalue() != ""
+
+
+def test_killed_helper_leaves_the_bytes_and_raises_nothing(helper_pool):
+    pool = helper_pool(cpus=2)
+    copies = range(1, 3 * INCREMENT_BLOCK + 1)
+    first = gaussian_increments(8, copies, 5, 2, 0.1).copy()
+    [helper] = pool.live
+    helper.proc.kill()
+    helper.proc.wait()
+    again = gaussian_increments(8, copies, 5, 2, 0.1)
+    np.testing.assert_array_equal(first, serial(8, copies, 5, 2, 0.1))
+    np.testing.assert_array_equal(again, first)
+    assert pool.live == [] and stream_processes() == 1
+    np.testing.assert_array_equal(gaussian_increments(8, copies, 5, 2, 0.1), first)
+
+
+def test_helper_draws_every_block_the_caller_leaves(helper_pool, monkeypatch):
+    pool = helper_pool(cpus=2)
+    monkeypatch.setattr(increments, "_behind", lambda ctl: iter(()))
+    copies = range(7, 7 + 5 * INCREMENT_BLOCK + 11)
+    z = gaussian_increments(2, copies, 4, 3, 0.3)
+    np.testing.assert_array_equal(z, serial(2, copies, 4, 3, 0.3))
+    assert len(pool.live) == 1
+
+
+def test_helper_that_stops_answering_mid_draw_is_replaced_by_the_caller(helper_pool, monkeypatch):
+    pool = helper_pool(cpus=2)
+    copies = range(1, 2 * INCREMENT_BLOCK + 1)
+    gaussian_increments(3, copies, 4, 3, 0.2)
+    [helper] = pool.live
+    monkeypatch.setattr(helper, "finished", lambda: False)
+    z = gaussian_increments(3, copies, 4, 3, 0.2)
+    np.testing.assert_array_equal(z, serial(3, copies, 4, 3, 0.2))
+    assert helper.proc.poll() is not None and pool.live == []
+
+
+def test_helper_stuck_before_its_blocks_is_killed_and_its_blocks_drawn(
+        helper_pool, caller_draws_half, monkeypatch):
+    pool = helper_pool(cpus=2)
+    copies = range(1, 4 * INCREMENT_BLOCK + 1)
+    gaussian_increments(3, copies, 4, 2, 0.2)
+    [helper] = pool.live
+    helper.proc.send_signal(signal.SIGSTOP)  # it takes no request and ignores its closed socket
+    monkeypatch.setattr(helper, "finished", lambda: False)
+    monkeypatch.setattr(increments, "STOP_WAIT_S", 0.1)
+    z = gaussian_increments(3, copies, 4, 2, 0.2)
+    np.testing.assert_array_equal(z, serial(3, copies, 4, 2, 0.2))
+    assert helper.proc.returncode == -signal.SIGKILL and pool.live == []
+
+
+def test_a_raising_draw_stops_the_helpers_it_held(helper_pool, monkeypatch):
+    pool = helper_pool(cpus=2)
+    copies = range(1, 2 * INCREMENT_BLOCK + 1)
+    gaussian_increments(3, copies, 4, 1, 0.2)
+    [helper] = pool.live
+
+    def interrupted():
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(helper, "finished", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        gaussian_increments(3, copies, 4, 1, 0.2)
+    assert helper.proc.poll() is not None and pool.live == []
+    np.testing.assert_array_equal(gaussian_increments(3, copies, 4, 1, 0.2),
+                                  serial(3, copies, 4, 1, 0.2))
+
+
+def test_no_memfd_starts_no_helper(helper_pool, monkeypatch):
+    pool = helper_pool(cpus=2)
+    monkeypatch.delattr(os, "memfd_create")
+    copies = range(1, 2 * INCREMENT_BLOCK + 1)
+    z = gaussian_increments(6, copies, 3, 2, 0.1)
+    assert pool.started and pool.live == [] and stream_processes() == 1
+    np.testing.assert_array_equal(z, serial(6, copies, 3, 2, 0.1))
+
+
+def test_draw_without_a_shared_file_is_serial_and_keeps_the_helpers(helper_pool, monkeypatch):
+    # each live shared array holds one descriptor, so memfd_create can run out of them
+    pool = helper_pool(cpus=2)
+    copies = range(1, 2 * INCREMENT_BLOCK + 1)
+    gaussian_increments(6, copies, 3, 2, 0.1)
+
+    def out_of_descriptors(name):
+        raise OSError(24, "Too many open files")
+
+    monkeypatch.setattr(os, "memfd_create", out_of_descriptors)
+    z = gaussian_increments(6, copies, 3, 2, 0.1)
+    np.testing.assert_array_equal(z, serial(6, copies, 3, 2, 0.1))
+    assert len(pool.live) == 1 and stream_processes() == 2
+
+
+def test_threads_drawing_at_once_get_their_own_streams(helper_pool):
+    # three helpers on any host: more drawing processes than this host may have CPUs
+    pool = helper_pool(cpus=4)
+    cases = [(seed, range(seed, seed + 2 * INCREMENT_BLOCK + 37 * seed), 3, 1 + seed % 3, 0.1)
+             for seed in range(1, 9)]
+    results, errors = {}, []
+
+    def worker(chunk):
+        try:
+            for _ in range(3):
+                for case in chunk:
+                    results.setdefault(case[0], []).append(gaussian_increments(*case))
+        except Exception as exc:  # reported below, not lost with the thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(cases[k::4],)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads) and errors == []
+    assert len(pool.live) == min(3, increments.MAX_HELPERS)
+    for case in cases:
+        reference = serial(*case)
+        assert len(results[case[0]]) == 3
+        for z in results[case[0]]:
+            np.testing.assert_array_equal(z, reference)
+
+
+@pytest.mark.parametrize("ending", ["return", "raise", "sigkill"])
+def test_no_helper_outlives_its_interpreter(ending):
+    code = PRELUDE + textwrap.dedent("""
+        print(json.dumps([h.proc.pid for h in increments._HELPERS.live]), flush=True)
+        if sys.argv[1] == "raise":
+            raise RuntimeError("the script fails after its draw")
+        if sys.argv[1] == "sigkill":
+            sys.stdin.read()  # until the test kills this process
+    """)
+    proc = subprocess.Popen(
+        [sys.executable, "-X", "dev", "-W", "error", "-c", code, ending], env=script_env(),
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    pids = json.loads(proc.stdout.readline())
+    assert len(pids) == 1 and all(running(pid) for pid in pids)
+    if ending == "sigkill":
+        proc.send_signal(signal.SIGKILL)
+    _, stderr = proc.communicate(timeout=60)
+    assert proc.returncode == {"return": 0, "raise": 1, "sigkill": -signal.SIGKILL}[ending]
+    assert "ResourceWarning" not in stderr
+    if ending != "sigkill":  # shut down through atexit: reaped before the exit
+        assert not any(running(pid) for pid in pids)
+        return
+    deadline = time.monotonic() + 30  # the socket closed with the process: the helper exits
+    while any(running(pid) for pid in pids) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not any(running(pid) for pid in pids)
+
+
+def test_forked_child_starts_its_own_helpers():
+    code = PRELUDE + textwrap.dedent("""
+        def helpers():
+            return [(h.proc.pid, os.fstat(h.sock.fileno()).st_ino) for h in increments._HELPERS.live]
+
+        def same_socket(fd, inode):
+            try:
+                return os.fstat(fd).st_ino == inode
+            except OSError:
+                return False
+
+        parent = helpers()
+        fds = [h.sock.fileno() for h in increments._HELPERS.live]
+        read_end, write_end = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            os.close(read_end)
+            inherited = [same_socket(fd, ino) for fd, (_, ino) in zip(fds, parent)]
+            z = gaussian_increments(8, COPIES, 5, 2, 0.1)
+            result = {"inherited": inherited, "helpers": helpers(),
+                      "equal": bool((z == first).all()), "processes": stream_processes()}
+            with os.fdopen(write_end, "w") as out:
+                json.dump(result, out)
+        else:
+            os.close(write_end)
+            with os.fdopen(read_end) as inp:
+                child = json.load(inp)
+            _, status = os.waitpid(pid, 0)
+            z = gaussian_increments(8, COPIES, 5, 2, 0.1)
+            print(json.dumps({"parent": parent, "child": child, "child_status": status,
+                              "equal_after": bool((z == first).all()),
+                              "processes_after": stream_processes(), "helpers_after": helpers()}))
+    """)
+    proc = run_script(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    out = json.loads(proc.stdout)
+    parent, child = out["parent"], out["child"]
+    assert out["child_status"] == 0
+    assert len(parent) == 1 and len(child["helpers"]) == 1
+    assert child["inherited"] == [False]  # the child closed its copy of the parent's socket
+    assert {pid for pid, _ in child["helpers"]}.isdisjoint(pid for pid, _ in parent)
+    assert {ino for _, ino in child["helpers"]}.isdisjoint(ino for _, ino in parent)
+    assert child["equal"] and child["processes"] == 2
+    assert out["equal_after"] and out["processes_after"] == 2 and out["helpers_after"] == parent
