@@ -6,8 +6,10 @@ Usage: python scripts/run_default_suite.py [--out-root OUT] [--seed S]
 Equivalent to `hullsim run --config configs/<name>.cfg` for each config, with
 reports under <out-root>/<label>/. Each timing line gives the seconds spent in
 the simulate, estimate, diagnostics and aggregate phases (meta.phases of
-report.json) and the number of processes that drew the increments
-(meta.stream_processes), and ends with the SHA-256 of that report.csv, so
+report.json), the number of processes that drew the increments
+(meta.stream_processes), the share of increment blocks the helper processes
+drew, the look-aheads joined and cancelled and the unready helpers passed over
+(meta.stream), and ends with the SHA-256 of that report.csv, so
 comparing e1-e4 byte for byte needs only this output. As
 with `hullsim run`, a bad config prints one "error:" line and exits 1, and a
 failure while simulating or writing prints one "runtime error:" line and
@@ -56,9 +58,12 @@ def main(argv=None) -> int:
             return 2
         digest = hashlib.sha256((out_dir / "report.csv").read_bytes()).hexdigest()
         phases = " ".join(f"{k} {v:.1f}s" for k, v in report.meta["phases"].items())
-        processes = report.meta["stream_processes"]
-        print(f"{config.label}: {elapsed:.1f}s ({phases}; {processes} stream processes) "
-              f"-> {out_dir} sha256 {digest}")
+        processes, stream = report.meta["stream_processes"], report.meta["stream"]
+        print(f"{config.label}: {elapsed:.1f}s ({phases}; {processes} stream processes, "
+              f"helpers drew {stream['helper_block_share']:.0%} of blocks, "
+              f"{stream['lookahead_joined']} look-aheads joined, "
+              f"{stream['lookahead_cancelled']} cancelled, "
+              f"{stream['helpers_skipped']} unready helpers skipped) -> {out_dir} sha256 {digest}")
         probe_indices = [-1] if report.dim == 1 else range(len(report.probes))
         for j in config.j_indices:
             for p in probe_indices:

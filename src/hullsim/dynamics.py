@@ -10,11 +10,17 @@ counter-based stream keyed by (seed, i), built only by gaussian_increments, and
 one stepping core runs ensembles and single paths. So copy i is reproducible
 in isolation, equals its ensemble slice bit for bit, and results do not depend
 on how the copies are scheduled. gaussian_increments uses that: a call of at
-least 2 * INCREMENT_BLOCK copies is drawn by this process and its helper
+least 2 * INCREMENT_BLOCK copies is drawn by this process and its ready helper
 processes (hullsim.increments) into one shared array, helpers from the front
 of their slices of the copy range and this process from the back. Smaller
-calls, calls on a one-CPU affinity mask and calls without os.memfd_create are
-drawn here alone.
+calls, calls on a one-CPU affinity mask, calls without os.memfd_create and
+calls made before any helper has said it is ready are drawn here alone.
+simulate_ensemble can name the ensemble simulated next on the same model and
+grid (next_ensemble=(n_copies, seed)); its increments are then posted to the
+helpers as soon as this ensemble's are complete, so they are drawn while this
+one is stepped and estimated, and the next call joins that draw. A step whose
+pre-projection point is not finite, or so large that its squared norm
+overflows, raises ModelError naming the step and the copy.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from .increments import INCREMENT_BLOCK, draw, stream_processes
 _MASK64 = (1 << 64) - 1
 DET_FLOOR = 1e-12
 CONTAINMENT_TOL = 1e-9
+FINITE_LIMIT = 1e150  # a pre-projection coordinate beyond this overflows a squared norm
 
 
 class ModelError(ValueError):
@@ -55,7 +62,8 @@ def derive_seed(master: int, *parts: int) -> int:
     return state
 
 
-def gaussian_increments(seed: int, copies: range, n: int, m: int, delta: float) -> np.ndarray:
+def gaussian_increments(seed: int, copies: range, n: int, m: int, delta: float,
+                        then: tuple[int, range] | None = None) -> np.ndarray:
     """A (len(copies), n, m) array of i.i.d. N(0, delta) Brownian increments.
 
     Row k is copy copies[k]'s stream: one Philox generator, re-keyed to
@@ -68,7 +76,10 @@ def gaussian_increments(seed: int, copies: range, n: int, m: int, delta: float) 
     front and this process draws from the back until they meet, all into one
     shared array that is returned as is. What a failed helper left undone is
     drawn here. Helpers start on the first such call and live as long as this
-    process (see hullsim.increments).
+    process, and get work only once they have said they are ready (see
+    hullsim.increments). then, the (seed, copies) of the call that follows
+    with the same n, m and delta, is posted to the helpers once this array is
+    complete, and that call joins the posted draw.
     The memory is coordinate-major: the result is a transposed view of an
     (n, m, len(copies)) array, so one coordinate of one step, z[:, j, k], is
     contiguous and the step's batch z[:, j] is an F-ordered (len(copies), m)
@@ -80,7 +91,7 @@ def gaussian_increments(seed: int, copies: range, n: int, m: int, delta: float) 
         raise ModelError("need n >= 1 steps and m >= 1 dimensions")
     if not delta > 0:
         raise ModelError("step size delta must be positive")
-    return draw(seed, copies, n, m, float(np.sqrt(delta))).transpose(2, 0, 1)
+    return draw(seed, copies, n, m, float(np.sqrt(delta)), then).transpose(2, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -167,7 +178,9 @@ def euler_step(
 ) -> tuple[np.ndarray, np.ndarray]:
     """One projected Euler step; returns (pre-projection point, next state).
 
-    Batched over leading axes of x and z.
+    Batched over leading axes of x and z. A pre-projection point with a
+    coordinate that is not finite or beyond FINITE_LIMIT raises ModelError,
+    with where the index of the first such point, before it is projected.
     """
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -175,6 +188,11 @@ def euler_step(
         raise ModelError("state and increment must both have last axis of the model dimension")
     sig = diffusion_at(model, x)
     h = x + model.drift(x) * delta + sig * z
+    if not (h.min() >= -FINITE_LIMIT and h.max() <= FINITE_LIMIT):
+        where = tuple(int(k) for k in np.argwhere(~(np.abs(h) <= FINITE_LIMIT))[0][:-1])
+        exc = ModelError(f"pre-projection point is not finite or beyond {FINITE_LIMIT:g} in a coordinate")
+        exc.where = where
+        raise exc
     return h, project(body_next, h)
 
 
@@ -341,8 +359,10 @@ def _check_start(model: SdeModel, mf: Multifunction) -> None:
 
 
 def _simulate(model: SdeModel, mf: Multifunction, grid: TimeGrid, seed: int, copies: range,
-              keep_pre_projection: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """Step copies i in copies as one batch on streams (seed, i).
+              keep_pre_projection: bool, then: tuple[int, range] | None = None
+              ) -> tuple[np.ndarray, np.ndarray | None]:
+    """Step copies i in copies as one batch on streams (seed, i); then is
+    passed on to gaussian_increments.
 
     Returns the states (len(copies), steps + 1, m) and, on request, the
     pre-projection points (len(copies), steps, m), else None. Both are
@@ -352,7 +372,7 @@ def _simulate(model: SdeModel, mf: Multifunction, grid: TimeGrid, seed: int, cop
     """
     _check_start(model, mf)
     n, m = grid.steps, model.dim
-    z = gaussian_increments(seed, copies, n, m, grid.delta)
+    z = gaussian_increments(seed, copies, n, m, grid.delta, then)
     states = np.empty((n + 1, m, len(copies)))
     states[0] = model.x0[:, None]
     pre = np.empty((n, m, len(copies))) if keep_pre_projection else None
@@ -392,13 +412,18 @@ def simulate_ensemble(
     n_copies: int,
     seed: int,
     keep_pre_projection: bool = False,
+    next_ensemble: tuple[int, int] | None = None,
 ) -> PathEnsemble:
     """Simulate copies 1..n_copies on streams (seed, i), stepping them as a batch.
 
     Copy i equals simulate_path with the same seed and copy index bit for bit:
-    both run the same stepping core.
+    both run the same stepping core. next_ensemble, the (n_copies, seed) of
+    the ensemble the caller simulates next on the same model and grid, only
+    lets that ensemble's increments be drawn while this one is stepped; the
+    result does not depend on it.
     """
-    states, pre = _simulate(model, mf, grid, seed, range(1, n_copies + 1), keep_pre_projection)
+    then = None if next_ensemble is None else (next_ensemble[1], range(1, next_ensemble[0] + 1))
+    states, pre = _simulate(model, mf, grid, seed, range(1, n_copies + 1), keep_pre_projection, then)
     return PathEnsemble(
         grid=grid, n_copies=n_copies, seed=seed, states=states, pre_projection=pre
     )

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import dynamics, estimation, geometry, oracle
+from . import dynamics, estimation, geometry, increments, oracle
 
 CSV_HEADER = "N,replication,j,probe_index,error,scaled_error,seed"
 
@@ -339,15 +339,21 @@ def run_experiment(config: ExperimentConfig) -> ConvergenceReport:
     diagnostics: dict = {"step_bound": [], "hitting": []}
     phases = dict.fromkeys(("simulate", "estimate", "diagnostics", "aggregate"), 0.0)
     run_hitting = config.run_hitting and probes is not None  # the hitting check needs m > 1
-    for n_copies in config.n_grid:
-        for r in range(config.replications):
-            seed = dynamics.derive_seed(config.seed, n_copies, r)
+    # (N, replication) units in row order; each passes the next one's
+    # (N, seed) on, so its increments are drawn while this unit is worked on
+    units = [(n, r) for n in config.n_grid for r in range(config.replications)]
+    seeds = [dynamics.derive_seed(config.seed, n, r) for n, r in units]
+    following = [(n, seed) for (n, _), seed in zip(units[1:], seeds[1:])] + [None]
+    counts = increments.stream_counters()
+    try:
+        for (n_copies, r), seed, next_ensemble in zip(units, seeds, following):
             keep_h = r == 0 and (config.run_step_bound or run_hitting)
             j = None
             try:
                 t0 = time.perf_counter()
                 ens = dynamics.simulate_ensemble(
-                    model, mf, grid, n_copies, seed, keep_pre_projection=keep_h
+                    model, mf, grid, n_copies, seed, keep_pre_projection=keep_h,
+                    next_ensemble=next_ensemble,
                 )
                 t1 = time.perf_counter()
                 phases["simulate"] += t1 - t0
@@ -381,7 +387,9 @@ def run_experiment(config: ExperimentConfig) -> ConvergenceReport:
                         {"N": n_copies, "probe_index": p_idx, **hit.to_dict()}
                     )
             phases["diagnostics"] += time.perf_counter() - t0
-
+    except BaseException:
+        increments.cancel()  # a posted look-ahead nothing will join
+        raise
     t0 = time.perf_counter()
     quantiles = _aggregate_quantiles(rows, config)
     slopes = _fit_slopes(config, quantiles)
@@ -392,6 +400,7 @@ def run_experiment(config: ExperimentConfig) -> ConvergenceReport:
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "phases": phases,  # seconds per phase, summed over every ensemble
         "stream_processes": dynamics.stream_processes(),  # this one plus its live increment helpers
+        "stream": _stream_meta(counts),
     }
     return ConvergenceReport(
         config_echo=config_echo(config),
@@ -404,6 +413,14 @@ def run_experiment(config: ExperimentConfig) -> ConvergenceReport:
         diagnostics=diagnostics,
         meta=meta,
     )
+
+
+def _stream_meta(before: dict) -> dict:
+    """This process's increment-stream counters since before (increments.COUNTERS),
+    and the share of the drawn blocks that helpers drew."""
+    counts = {k: v - before[k] for k, v in increments.stream_counters().items()}
+    counts["helper_block_share"] = counts["helper_blocks"] / counts["blocks"] if counts["blocks"] else 0.0
+    return counts
 
 
 def _interval_probes(truths: dict, config: ExperimentConfig) -> np.ndarray:

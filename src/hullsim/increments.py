@@ -2,19 +2,36 @@
 
 Copy i's rows come from one Philox generator re-keyed to (seed, i) from counter
 zero, so they depend on (seed, i) alone and any copy range can be drawn in any
-process. draw splits a range of at least 2 * INCREMENT_BLOCK copies between
-the calling process and its helper processes, all writing into one
-coordinate-major (n, m, len(copies)) array mapped from an os.memfd_create file,
-which the caller returns. The blocks of INCREMENT_BLOCK copies are cut into one
-contiguous slice per helper; a helper draws its slice from the front and the
-caller draws from the back, so the two meet where their speeds put them.
+process, at any time. draw splits a range of at least 2 * INCREMENT_BLOCK
+copies between the calling process and its helper processes, all writing into
+one coordinate-major (n, m, len(copies)) array mapped from an os.memfd_create
+file, which the caller returns. The blocks of INCREMENT_BLOCK copies are cut
+into one contiguous slice per helper; a helper draws its slice from the front
+and the caller draws from the back, so the two meet where their speeds put them.
+
+A draw may name the request that will follow it (same n, m and scale). Once
+its own array is complete, draw posts that request to the helpers, which start
+on it at once and hold it while the caller works on the array just returned:
+a one-deep look-ahead. The next draw of exactly that request joins the posted
+draw: the caller draws from the back, as always, and waits for every reply. A
+draw of another request leaves the posted draw running and is drawn by the
+caller alone, unless it names a following request of its own: then the
+sequence the posted draw was made for has moved on, and the posted draw is
+cancelled. Cancelling claims every block the helpers have not started, waits
+for their replies and drops the array. cancel does the same on request, and
+the posted draw is also cancelled at exit and dropped unwritten in a forked
+child, whose parent still owns it.
+
 There is one helper per CPU of the affinity mask beyond the first, at most
 MAX_HELPERS. A helper is a plain interpreter running this file, whose only
-import beyond the standard library is numpy. Helpers start on the first large
-draw, never on import, and serve until the process that started them exits; a
-process forked from it starts its own. The draw is serial below
-2 * INCREMENT_BLOCK copies, on a one-CPU mask and where os.memfd_create is
-missing. The caller draws whatever a failed helper left and uses that helper
+import beyond the standard library is numpy; it says "ready" once that import
+is done. Helpers start on the first large draw or look-ahead, never on
+import, and serve until the process that started them exits; a process forked
+from it starts its own. A draw gives work only to helpers that have said they
+are ready, read without waiting, so no draw waits for an interpreter to start.
+The draw is serial below 2 * INCREMENT_BLOCK copies, on a one-CPU mask, where
+os.memfd_create is missing, while the helpers hold another draw and while none
+is ready. The caller draws whatever a failed helper left and uses that helper
 no more. Every path gives the same bytes.
 """
 
@@ -38,6 +55,8 @@ INCREMENT_BLOCK = 256  # copies per copy-major draw block in fill
 MAX_HELPERS = 3  # helper processes at most, whatever the CPU count
 STOP_WAIT_S = 5.0  # a helper whose socket is closed exits after its block; one that does not is killed
 _SCRIPT = os.path.abspath(__file__)  # what a helper runs, wherever the caller's directory moves
+# What stream_counters counts, summed over every draw of this process.
+COUNTERS = ("blocks", "helper_blocks", "lookahead_joined", "lookahead_cancelled", "helpers_skipped")
 
 
 def _plain(value):
@@ -126,6 +145,7 @@ class _Helper:
 
     def __init__(self):
         self.stopped = False
+        self.up = False  # the helper's "ready" has been read
         self.sock, theirs = socket.socketpair(socket.AF_UNIX, socket.SOCK_SEQPACKET)
         with theirs:
             try:
@@ -137,6 +157,20 @@ class _Helper:
             except BaseException:
                 self.sock.close()
                 raise
+
+    def ready(self) -> bool:
+        """Whether the helper has said it is up, read without waiting; one found gone is stopped."""
+        if not self.up and not self.stopped:
+            try:
+                reply = self.sock.recv(8, socket.MSG_DONTWAIT)
+            except BlockingIOError:
+                return False
+            except OSError:
+                reply = b""
+            self.up = reply == b"ready"
+            if not self.up:
+                self.stop()
+        return self.up
 
     def send(self, fd: int, request: tuple) -> bool:
         """Pass one fill request and the array's file; False if the helper is gone."""
@@ -164,37 +198,136 @@ class _Helper:
             self.proc.wait()
 
 
+class _Split:
+    """One draw shared by the caller and the helpers it was posted to.
+
+    It holds the pool's lock from its posting until finish or cancel, so no
+    other draw uses the helpers meanwhile; either one that raises stops its
+    helpers, whose state is then unknown.
+    """
+
+    def __init__(self, pool: _Helpers, helpers: list[_Helper], request: tuple, shared: tuple):
+        seed, copies, _, _, scale = request
+        self.pool, self.helpers, self.request = pool, helpers, request
+        self.z, self.ctl, fd = shared
+        cuts = [_block_count(len(copies)) * k // len(helpers) for k in range(len(helpers) + 1)]
+        self.starts = cuts[:-1]
+        self.ctl[:] = np.column_stack([cuts[:-1], cuts[1:]])
+        self.sent = [h.send(fd, (self.z.shape, len(helpers), k, seed, copies, scale))
+                     for k, h in enumerate(helpers)]
+
+    def finish(self) -> np.ndarray:
+        """The array, once the caller has drawn from the back and every helper has replied.
+
+        A helper advances its control word only after a block is written; one
+        that fails or does not answer is stopped, and the caller draws the
+        blocks of its slice from that word on.
+        """
+        seed, copies, _, _, scale = self.request
+        z, ctl = self.z, self.ctl
+        with self.pool.holding(self.helpers):
+            fill(z, seed, copies, scale, _behind(ctl))
+            for k in self._replies():
+                fill(z, seed, copies, scale, range(*ctl[k]))  # what it left, or was killed inside
+            self.pool.count(blocks=_block_count(len(copies)),
+                            helper_blocks=int(ctl[:, 0].sum()) - sum(self.starts))
+        return z
+
+    def cancel(self) -> None:
+        """Claim every block the helpers have not started, wait for their replies, drop the array."""
+        with self.pool.holding(self.helpers):
+            self.ctl[:, 1] = self.ctl[:, 0]
+            self._replies()
+        self.z = self.ctl = None
+
+    def _replies(self) -> list[int]:
+        """Wait for every helper's reply; stop each one that gave none and return their indices."""
+        failed = [k for k, (h, ok) in enumerate(zip(self.helpers, self.sent)) if not (ok and h.finished())]
+        for k in failed:
+            self.helpers[k].stop()
+        return failed
+
+
 class _Helpers:
-    """The helper processes of one process, started on its first large draw."""
+    """The helper processes of one process, started on its first large draw or look-ahead."""
 
     def __init__(self):
         self.started = False
         self.live: list[_Helper] = []
-        self.lock = threading.Lock()  # one draw at a time uses the helpers
+        self.lock = threading.Lock()  # held by the one split draw, posted or running, that uses the helpers
+        self.posted: dict[tuple, _Split] = {}  # the look-ahead: at most one request and its split
+        self.counts = dict.fromkeys(COUNTERS, 0)
+        self.counting = threading.Lock()  # threads drawing at once add to the same counters
 
-    @contextmanager
-    def claimed(self, copies: int):
-        """The helpers for a draw of copies copies: none below 2 * INCREMENT_BLOCK.
+    def post(self, request: tuple) -> _Split | None:
+        """Send request to every ready helper; the split holds the helpers until it ends.
 
-        A draw that raises stops every helper it held, whose state is unknown.
+        None, with the helpers left alone, for a draw below 2 * INCREMENT_BLOCK
+        copies, while another split holds the helpers, when no helper is ready
+        (none at all on a one-CPU mask or without os.memfd_create) and when no
+        shared file can be made (out of descriptors or maps).
         """
-        if copies < 2 * INCREMENT_BLOCK or not self.lock.acquire(blocking=False):
-            yield []
-            return
+        if len(request[1]) < 2 * INCREMENT_BLOCK or not self.lock.acquire(blocking=False):
+            return None
         try:
             if not self.started:
                 self.started = True
                 self.live = _start(_helper_count())
-            yield self.live
+            ready = [h for h in self.live if h.ready()]
+            self.count(helpers_skipped=sum(not h.stopped for h in self.live) - len(ready))
+            shared = _shared_file(request, len(ready)) if ready else None
+            if shared is not None:
+                try:
+                    return _Split(self, ready, request, shared)
+                finally:
+                    os.close(shared[2])
         except BaseException:
             for helper in self.live:
                 helper.stop()
+            self.release()
+            raise
+        self.release()
+        return None
+
+    def count(self, **added: int) -> None:
+        with self.counting:
+            for key, value in added.items():
+                self.counts[key] += value
+
+    def release(self) -> None:
+        self.live = [h for h in self.live if not h.stopped]
+        self.lock.release()
+
+    @contextmanager
+    def holding(self, helpers: list[_Helper]):
+        """A split's last use of its helpers: released after it, stopped if it raises."""
+        try:
+            yield
+        except BaseException:
+            for helper in helpers:
+                helper.stop()
             raise
         finally:
-            self.live = [h for h in self.live if not h.stopped]
-            self.lock.release()
+            self.release()
+
+    def claim(self, request: tuple) -> _Split | None:
+        """The posted split of exactly this request, taken so that no other draw joins it."""
+        split = self.posted.pop(request, None)  # one atomic step: two threads cannot both take it
+        if split is not None:
+            self.count(lookahead_joined=1)
+        return split
+
+    def cancel(self) -> None:
+        """Cancel the posted split, if there is one."""
+        try:
+            _, split = self.posted.popitem()
+        except KeyError:
+            return
+        split.cancel()
+        self.count(lookahead_cancelled=1)
 
     def close(self) -> None:
+        self.cancel()
         for helper in self.live:
             helper.sock.close()  # every helper starts to exit before the first wait
         for helper in self.live:
@@ -202,13 +335,15 @@ class _Helpers:
         self.live = []
 
     def forget(self) -> None:
-        """In a forked child: drop the parent's helpers, so the child starts its own."""
+        """In a forked child: drop the parent's helpers and posted split, so the child starts its own."""
         for helper in self.live:
             helper.sock.close()  # the child's copy; the parent's stays open
             helper.proc.returncode = 0  # the parent's to reap, so not "still running" here
         self.started = False
         self.live = []
+        self.posted = {}  # unmapped here, unwritten: its control words are the parent's
         self.lock = threading.Lock()
+        self.counting = threading.Lock()
 
 
 def _helper_count() -> int:
@@ -227,6 +362,21 @@ def _start(count: int) -> list[_Helper]:
     return helpers
 
 
+def _shared_file(request: tuple, helpers: int) -> tuple[np.ndarray, np.ndarray, int] | None:
+    """request's uninitialised (n, m, len(copies)) array, the helpers' control
+    words and the memfd behind both; None when out of descriptors or maps."""
+    _, copies, n, m, _ = request
+    fd = None
+    try:
+        fd = os.memfd_create("hullsim-increments")
+        os.ftruncate(fd, 8 * (n * m * len(copies) + 2 * helpers))
+        return (*_shared(fd, (n, m, len(copies)), helpers), fd)
+    except OSError:
+        if fd is not None:
+            os.close(fd)
+        return None
+
+
 _HELPERS = _Helpers()
 atexit.register(lambda: _HELPERS.close())
 if hasattr(os, "register_at_fork"):
@@ -238,59 +388,55 @@ def stream_processes() -> int:
     return 1 + sum(helper.proc.poll() is None for helper in _HELPERS.live)
 
 
-def _empty(shape: tuple, helpers: int) -> tuple[np.ndarray, np.ndarray | None, int | None]:
-    """An uninitialised float64 array, the helpers' control words and the memfd behind both.
-
-    With no helpers, or no memfd (out of descriptors or maps), the array is
-    private and the control words and descriptor are None.
-    """
-    fd = None
-    if helpers:
-        try:
-            fd = os.memfd_create("hullsim-increments")
-            os.ftruncate(fd, 8 * (shape[0] * shape[1] * shape[2] + 2 * helpers))
-            return (*_shared(fd, shape, helpers), fd)
-        except OSError:
-            if fd is not None:
-                os.close(fd)
-    return np.empty(shape), None, None
+def stream_counters() -> dict[str, int]:
+    """COUNTERS so far: blocks drawn, blocks helpers drew, look-aheads joined and
+    cancelled, and unready helpers passed over by a draw or look-ahead."""
+    with _HELPERS.counting:
+        return dict(_HELPERS.counts)
 
 
-def draw(seed: int, copies: range, n: int, m: int, scale: float) -> np.ndarray:
+def cancel() -> None:
+    """Cancel the posted look-ahead, if any: its helpers are free again at once."""
+    _HELPERS.cancel()
+
+
+def draw(seed: int, copies: range, n: int, m: int, scale: float, then: tuple | None = None) -> np.ndarray:
     """Copies' increments, standard normals times scale, as an (n, m, len(copies)) array.
 
-    Column k is copy copies[k]'s stream. With helpers, the blocks of the copy
-    range are cut into one contiguous slice per helper. Each helper draws its
-    slice of the shared array from the front while the caller draws the
-    slices from the back, so every slice ends up split at one point between
-    its helper and the caller. A helper advances its control word only after
-    a block is written; one that fails or does not answer is stopped, and the
-    caller draws the blocks of its slice from that word on.
+    Column k is copy copies[k]'s stream. With ready helpers, the blocks of the
+    copy range are cut into one contiguous slice per helper. Each helper
+    draws its slice of the shared array from the front while the caller
+    draws the slices from the back, so every slice ends up split at one point
+    between its helper and the caller. then, the (seed, copies) of the draw
+    that follows with the same n, m and scale, is posted to the helpers once
+    this array is complete, and the next draw of exactly that request joins
+    it. A draw with then first cancels a posted draw of another request.
     """
-    with _HELPERS.claimed(len(copies)) as helpers:
-        shape = (n, m, len(copies))
-        z, ctl, fd = _empty(shape, len(helpers))
-        if fd is None:
-            fill(z, seed, copies, scale)
-            return z
-        cuts = [_block_count(len(copies)) * k // len(helpers) for k in range(len(helpers) + 1)]
-        ctl[:] = np.column_stack([cuts[:-1], cuts[1:]])
-        try:
-            sent = [h.send(fd, (shape, len(helpers), k, seed, copies, scale)) for k, h in enumerate(helpers)]
-        finally:
-            os.close(fd)
-        fill(z, seed, copies, scale, _behind(ctl))
-        for k, (helper, ok) in enumerate(zip(helpers, sent)):
-            if not (ok and helper.finished()):
-                helper.stop()
-                fill(z, seed, copies, scale, range(*ctl[k]))  # what it left, or was killed inside
+    request = (seed, copies, n, m, scale)
+    split = _HELPERS.claim(request)
+    if split is None:
+        if then is not None:
+            _HELPERS.cancel()  # posted for a sequence that has moved on
+        split = _HELPERS.post(request)
+    if split is None:
+        z = np.empty((n, m, len(copies)))
+        fill(z, seed, copies, scale)
+        _HELPERS.count(blocks=_block_count(len(copies)))
+    else:
+        z = split.finish()
+    if then is not None:
+        following = (*then, n, m, scale)
+        split = _HELPERS.post(following)
+        if split is not None:
+            _HELPERS.posted[following] = split
     return z
 
 
 def serve(fd: int) -> None:
-    """A helper's loop: fill each requested slice of a shared array, until end of file."""
+    """A helper's loop: say ready, then fill each requested slice of a shared array, until end of file."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # a terminal's Ctrl-C is the caller's
     with socket.socket(fileno=fd) as sock:
+        sock.send(b"ready")
         while True:
             message, fds, _, _ = socket.recv_fds(sock, 4096, 1)
             if not message:

@@ -358,6 +358,22 @@ class TestSimulateEnsemble:
         with pytest.raises(ModelError, match=rf"^step 1 of copy {first_up} failed: .*singular"):
             simulate_path(above_zero, mf, grid, 3, first_up)
 
+    @pytest.mark.parametrize("blown", [np.inf, -np.inf, np.nan, 1e200])
+    def test_non_finite_pre_projection_names_step_and_copy(self, blown):
+        # the drift blows up above zero: step 1 fails first for the first copy
+        # whose first increment is positive, before anything is projected
+        grid = TimeGrid(1.0, 4)
+        mf = constant_body(Interval(-1, 1))
+        drift = lambda x: np.where(np.asarray(x) > 0, blown, 0.0)  # noqa: E731
+        model = SdeModel(1, drift, lambda x: np.ones_like(x), np.array([0.0]), 0.0, 0.0)
+        z = gaussian_increments(3, range(1, 11), grid.steps, 1, grid.delta)
+        first_up = 1 + int(np.argmax(z[:, 0, 0] > 0))
+        message = rf"^step 1 of copy {first_up} failed: pre-projection point is not finite"
+        with pytest.raises(ModelError, match=message):
+            simulate_ensemble(model, mf, grid, 10, seed=3)
+        with pytest.raises(ModelError, match=message):
+            simulate_path(model, mf, grid, 3, first_up)
+
     def test_copy_count_validation(self):
         model = make_model("ou", 1, [0.0])
         with pytest.raises(ModelError):

@@ -1,6 +1,7 @@
 import hashlib
 import importlib.util
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -391,6 +392,34 @@ class TestRunExperiment:
             outputs.append((tmp_path / str(cpus) / "report.csv").read_bytes())
         assert outputs[0] == outputs[1]
 
+    def test_look_ahead_keeps_the_csv_of_a_2d_run(self, helper_pool, caller_draws_half, tmp_path):
+        config = small_config(
+            model_params={"theta": 2.0, "sigma": 0.3},
+            x0=np.zeros(2),
+            mf_kind="constant_ball",
+            mf_params={"center": np.zeros(2), "radius": 1.0},
+            n_grid=[20, 2 * INCREMENT_BLOCK],
+            replications=3,
+            j_indices=[10],
+            run_step_bound=True,
+        )
+        outputs, streams = [], []
+        for cpus in (1, 2):
+            helper_pool(cpus)
+            emit_report(run_experiment(config), tmp_path / str(cpus))
+            outputs.append((tmp_path / str(cpus) / "report.csv").read_bytes())
+            streams.append(json.loads((tmp_path / str(cpus) / "report.json").read_text())["meta"]["stream"])
+        assert outputs[0] == outputs[1]
+        one, two = streams
+        # the three units at N = 512 join the draws posted by the unit before each
+        assert (one["lookahead_joined"], two["lookahead_joined"]) == (0, 3)
+        assert one["lookahead_cancelled"] == two["lookahead_cancelled"] == 0
+        assert one["helper_block_share"] == 0.0 < two["helper_block_share"] <= 1.0
+        # every unit's blocks, plus the step-bound check's redraws (N = 20 and 512)
+        blocks = 3 * 1 + 3 * 2 + 1 + 2
+        assert one["blocks"] == two["blocks"] == blocks
+        assert two["helper_blocks"] <= blocks and two["helpers_skipped"] == 0
+
 
 class TestEmission:
     def test_csv_header_exact(self):
@@ -506,6 +535,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_overflowing_drift_is_one_runtime_error_line(self, tmp_path, capsys):
+        # theta = 1e300 flings every copy off the unit ball by about 1e299, a
+        # point whose squared norm overflows: it must fail, not be projected
+        cfg = tmp_path / "theta.cfg"
+        cfg.write_text(BALL_CONFIG_TEXT + "model.theta = 1e300\n")
+        out = tmp_path / "o"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1, err
+        assert err.startswith("runtime error: experiment aborted at N=10, replication=0: step ")
+        assert "pre-projection point is not finite" in err
         assert not out.exists()
 
     def test_seed_override_changes_rows(self, tmp_path):

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hullsim import increments
+from hullsim import harness, increments
 from hullsim.dynamics import INCREMENT_BLOCK, gaussian_increments, stream_processes
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -125,7 +125,7 @@ def test_killed_helper_leaves_the_bytes_and_raises_nothing(helper_pool):
     np.testing.assert_array_equal(gaussian_increments(8, copies, 5, 2, 0.1), first)
 
 
-def test_helper_draws_every_block_the_caller_leaves(helper_pool, monkeypatch):
+def test_helper_draws_every_block_the_caller_leaves(helper_pool, ready_helpers, monkeypatch):
     pool = helper_pool(cpus=2)
     monkeypatch.setattr(increments, "_behind", lambda ctl: iter(()))
     copies = range(7, 7 + 5 * INCREMENT_BLOCK + 11)
@@ -134,7 +134,7 @@ def test_helper_draws_every_block_the_caller_leaves(helper_pool, monkeypatch):
     assert len(pool.live) == 1
 
 
-def test_helper_that_stops_answering_mid_draw_is_replaced_by_the_caller(helper_pool, monkeypatch):
+def test_helper_that_stops_answering_mid_draw_is_replaced_by_the_caller(helper_pool, ready_helpers, monkeypatch):
     pool = helper_pool(cpus=2)
     copies = range(1, 2 * INCREMENT_BLOCK + 1)
     gaussian_increments(3, copies, 4, 3, 0.2)
@@ -159,7 +159,7 @@ def test_helper_stuck_before_its_blocks_is_killed_and_its_blocks_drawn(
     assert helper.proc.returncode == -signal.SIGKILL and pool.live == []
 
 
-def test_a_raising_draw_stops_the_helpers_it_held(helper_pool, monkeypatch):
+def test_a_raising_draw_stops_the_helpers_it_held(helper_pool, ready_helpers, monkeypatch):
     pool = helper_pool(cpus=2)
     copies = range(1, 2 * INCREMENT_BLOCK + 1)
     gaussian_increments(3, copies, 4, 1, 0.2)
@@ -200,7 +200,7 @@ def test_draw_without_a_shared_file_is_serial_and_keeps_the_helpers(helper_pool,
     assert len(pool.live) == 1 and stream_processes() == 2
 
 
-def test_threads_drawing_at_once_get_their_own_streams(helper_pool):
+def test_threads_drawing_at_once_get_their_own_streams(helper_pool, ready_helpers):
     # three helpers on any host: more drawing processes than this host may have CPUs
     pool = helper_pool(cpus=4)
     cases = [(seed, range(seed, seed + 2 * INCREMENT_BLOCK + 37 * seed), 3, 1 + seed % 3, 0.1)
@@ -208,10 +208,13 @@ def test_threads_drawing_at_once_get_their_own_streams(helper_pool):
     results, errors = {}, []
 
     def worker(chunk):
+        # each draw posts the next of its thread's cases, which that draw joins
+        # unless another thread's draw cancelled it first (or the shapes differ)
         try:
             for _ in range(3):
-                for case in chunk:
-                    results.setdefault(case[0], []).append(gaussian_increments(*case))
+                for case, following in zip(chunk, chunk[1:] + chunk[:1]):
+                    z = gaussian_increments(*case, then=following[:2])
+                    results.setdefault(case[0], []).append(z)
         except Exception as exc:  # reported below, not lost with the thread
             errors.append(exc)
 
@@ -308,3 +311,177 @@ def test_forked_child_starts_its_own_helpers():
     assert {ino for _, ino in child["helpers"]}.isdisjoint(ino for _, ino in parent)
     assert child["equal"] and child["processes"] == 2
     assert out["equal_after"] and out["processes_after"] == 2 and out["helpers_after"] == parent
+
+
+# The look-ahead: a draw names the (seed, copies) of the draw that follows it.
+A = (8, range(1, 3 * INCREMENT_BLOCK + 1))
+B = (9, range(1, 4 * INCREMENT_BLOCK + 1))
+C = (10, range(1, 2 * INCREMENT_BLOCK + 7))
+
+
+def increments_of(request, then=None):
+    seed, copies = request
+    return gaussian_increments(seed, copies, 5, 2, 0.1, then)
+
+
+def test_a_matched_look_ahead_is_joined(helper_pool, caller_draws_half):
+    pool = helper_pool(cpus=2)
+    np.testing.assert_array_equal(increments_of(A, then=B), serial(*A, 5, 2, 0.1))
+    assert [request[:2] for request in pool.posted] == [B]
+    np.testing.assert_array_equal(increments_of(B), serial(*B, 5, 2, 0.1))
+    assert pool.posted == {}
+    assert pool.counts["lookahead_joined"] == 1 and pool.counts["lookahead_cancelled"] == 0
+    assert pool.counts["helper_blocks"] >= 2  # the front half of B's blocks at least
+    assert len(pool.live) == 1
+
+
+def test_another_draw_leaves_the_look_ahead_and_a_new_sequence_cancels_it(
+        helper_pool, caller_draws_half):
+    pool = helper_pool(cpus=2)
+    increments_of(A, then=B)
+    # a plain draw of another request: drawn here alone, the posted draw runs on
+    np.testing.assert_array_equal(increments_of(C), serial(*C, 5, 2, 0.1))
+    assert [request[:2] for request in pool.posted] == [B]
+    # a draw that names a following request of its own: the posted one is cancelled
+    np.testing.assert_array_equal(increments_of(A, then=C), serial(*A, 5, 2, 0.1))
+    assert pool.counts["lookahead_cancelled"] == 1
+    assert [request[:2] for request in pool.posted] == [C]
+    np.testing.assert_array_equal(increments_of(C), serial(*C, 5, 2, 0.1))
+    np.testing.assert_array_equal(increments_of(B), serial(*B, 5, 2, 0.1))
+    assert pool.counts["lookahead_joined"] == 1 and len(pool.live) == 1
+
+
+def test_a_look_ahead_abandoned_by_an_exception_is_cancelled(helper_pool, caller_draws_half,
+                                                             monkeypatch):
+    pool = helper_pool(cpus=2)
+    simulate = harness.dynamics.simulate_ensemble
+    units = []
+
+    def second_unit_fails(*args, **kwargs):
+        units.append(kwargs["next_ensemble"])
+        ens = simulate(*args, **kwargs)
+        if len(units) == 2:
+            raise KeyboardInterrupt  # after this unit posted the next one's draw
+        return ens
+
+    monkeypatch.setattr(harness.dynamics, "simulate_ensemble", second_unit_fails)
+    config = harness.ExperimentConfig(
+        label="abandoned", model_kind="ou", model_params={"theta": 1.0, "sigma": 0.5},
+        x0=np.array([0.0]), mf_kind="constant_interval", mf_params={}, horizon=1.0, steps=5,
+        n_grid=[2 * INCREMENT_BLOCK], replications=4, seed=3, j_indices=[5])
+    with pytest.raises(KeyboardInterrupt):
+        harness.run_experiment(config)
+    assert pool.counts["lookahead_joined"] == 1 and pool.counts["lookahead_cancelled"] == 1
+    assert pool.posted == {}
+    [helper] = pool.live
+    assert helper.proc.poll() is None
+    n_copies, seed = units[-1]
+    abandoned = (seed, range(1, n_copies + 1))
+    before = pool.counts["helper_blocks"]
+    np.testing.assert_array_equal(increments_of(abandoned), serial(*abandoned, 5, 2, 0.1))
+    assert pool.counts["helper_blocks"] > before and pool.live == [helper]
+
+
+def test_helper_killed_mid_look_ahead_leaves_the_bytes(helper_pool, caller_draws_half):
+    pool = helper_pool(cpus=2)
+    big = (11, range(1, 200 * INCREMENT_BLOCK + 1))  # long enough to kill the helper inside it
+    increments_of(A, then=big)
+    [helper] = pool.live
+    [split] = pool.posted.values()
+    deadline = time.monotonic() + 60
+    while split.ctl[0, 0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.001)
+    helper.proc.kill()
+    helper.proc.wait()
+    assert 0 < split.ctl[0, 0] < split.ctl[0, 1]  # killed with blocks drawn and blocks left
+    np.testing.assert_array_equal(increments_of(big), serial(*big, 5, 2, 0.1))
+    assert pool.live == [] and pool.posted == {} and stream_processes() == 1
+    np.testing.assert_array_equal(increments_of(A, then=B), serial(*A, 5, 2, 0.1))
+    assert pool.posted == {}
+
+
+def test_one_cpu_look_ahead_is_a_no_op(helper_pool, caller_draws_half):
+    pool = helper_pool(cpus=1)
+    np.testing.assert_array_equal(increments_of(A, then=B), serial(*A, 5, 2, 0.1))
+    assert pool.posted == {} and pool.live == []
+    np.testing.assert_array_equal(increments_of(B), serial(*B, 5, 2, 0.1))
+    assert pool.counts["lookahead_joined"] == 0 and pool.counts["helper_blocks"] == 0
+
+
+def test_an_unready_helper_gets_no_work_and_is_counted(helper_pool, monkeypatch):
+    pool = helper_pool(cpus=2)
+    monkeypatch.setattr(increments._Helper, "ready", lambda helper: False)
+    np.testing.assert_array_equal(increments_of(A, then=B), serial(*A, 5, 2, 0.1))
+    np.testing.assert_array_equal(increments_of(B), serial(*B, 5, 2, 0.1))
+    assert len(pool.live) == 1 and pool.posted == {}
+    # the draw of A and of B, and the look-ahead after A, each passed the helper over
+    assert pool.counts["helpers_skipped"] == 3 and pool.counts["helper_blocks"] == 0
+
+
+def open_memfds() -> int:
+    """Descriptors and mappings of this process on an increments shared file."""
+    entries = Path("/proc/self/maps").read_text().splitlines()
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            entries.append(os.readlink(f"/proc/self/fd/{fd}"))
+        except OSError:  # the descriptor listdir itself read through
+            pass
+    return sum("hullsim-increments" in entry for entry in entries)
+
+
+def test_no_memfd_or_helper_outlives_close(helper_pool, caller_draws_half):
+    pool = helper_pool(cpus=2)
+    z = increments_of(A, then=B)
+    pids = [helper.proc.pid for helper in pool.live]
+    assert len(pids) == 1 and open_memfds() > 0
+    del z
+    pool.close()
+    assert open_memfds() == 0
+    assert not any(running(pid) for pid in pids)
+    assert pool.counts["lookahead_cancelled"] == 1
+
+
+def test_forked_child_drops_the_look_ahead_and_the_parent_joins_it():
+    # the parent's caller draws nothing from the back, so its helper must draw
+    # every block of the posted draw: a child that wrote its control words
+    # (claiming blocks) would leave some undrawn
+    code = PRELUDE + textwrap.dedent("""
+        import time
+        import numpy as np
+        while not all(h.ready() for h in increments._HELPERS.live):
+            time.sleep(0.005)
+        increments._behind = lambda ctl: iter(())
+        B = (9, range(1, 4 * 256 + 1))
+        gaussian_increments(8, COPIES, 5, 2, 0.1, then=B)
+        posted = [request[:2] for request in increments._HELPERS.posted]
+        reference = np.empty((5, 2, len(B[1])))
+        increments.fill(reference, *B, float(np.sqrt(0.1)))
+        reference = reference.transpose(2, 0, 1)
+        read_end, write_end = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            os.close(read_end)
+            z = gaussian_increments(*B, 5, 2, 0.1)
+            result = {"posted": len(increments._HELPERS.posted),
+                      "joined": increments._HELPERS.counts["lookahead_joined"],
+                      "equal": bool((z == reference).all())}
+            with os.fdopen(write_end, "w") as out:
+                json.dump(result, out)
+        else:
+            os.close(write_end)
+            with os.fdopen(read_end) as inp:
+                child = json.load(inp)
+            _, status = os.waitpid(pid, 0)
+            z = gaussian_increments(*B, 5, 2, 0.1)
+            print(json.dumps({"child": child, "child_status": status, "posted": str(posted),
+                              "joined": increments._HELPERS.counts["lookahead_joined"],
+                              "equal": bool((z == reference).all())}))
+    """)
+    proc = run_script(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    out = json.loads(proc.stdout)
+    assert out["child_status"] == 0
+    assert out["posted"] == str([(9, range(1, 4 * INCREMENT_BLOCK + 1))])
+    assert out["child"] == {"posted": 0, "joined": 0, "equal": True}
+    assert out["joined"] == 1 and out["equal"]
