@@ -200,13 +200,11 @@ def euler_step(
 class Multifunction:
     """Time-indexed family of convex bodies t -> C(t) on [0, horizon].
 
-    decreasing means C(t) is contained in C(s) whenever t >= s (constant
-    families qualify); it is declared here and can be validated empirically
-    with check_decreasing.
+    Whether C(t) is contained in C(s) whenever t >= s can be checked
+    empirically with check_decreasing.
     """
 
     evaluator: Callable[[float], ConvexBody]
-    decreasing: bool
     label: str = ""
 
     def __call__(self, t: float) -> ConvexBody:
@@ -214,7 +212,7 @@ class Multifunction:
 
 
 def constant_body(body: ConvexBody) -> Multifunction:
-    return Multifunction(lambda t: body, decreasing=True, label="constant")
+    return Multifunction(lambda t: body, label="constant")
 
 
 def shrinking_ball(center, r0: float, rate: float) -> Multifunction:
@@ -226,7 +224,7 @@ def shrinking_ball(center, r0: float, rate: float) -> Multifunction:
     def evaluator(t: float) -> ConvexBody:
         return Ball(center=center, radius=r0 - rate * t)
 
-    return Multifunction(evaluator, decreasing=True, label="shrinking_ball")
+    return Multifunction(evaluator, label="shrinking_ball")
 
 
 def shrinking_box(lo, hi, rate: float) -> Multifunction:
@@ -239,10 +237,10 @@ def shrinking_box(lo, hi, rate: float) -> Multifunction:
     def evaluator(t: float) -> ConvexBody:
         return Box(lo=lo + rate * t, hi=hi - rate * t)
 
-    return Multifunction(evaluator, decreasing=True, label="shrinking_box")
+    return Multifunction(evaluator, label="shrinking_box")
 
 
-def piecewise_constant(pieces: list[tuple[float, ConvexBody]], decreasing: bool = False) -> Multifunction:
+def piecewise_constant(pieces: list[tuple[float, ConvexBody]]) -> Multifunction:
     """Body valid from each listed time until the next; first time must be 0."""
     if not pieces:
         raise ModelError("need at least one (time, body) piece")
@@ -259,7 +257,7 @@ def piecewise_constant(pieces: list[tuple[float, ConvexBody]], decreasing: bool 
                 break
         return body
 
-    return Multifunction(evaluator, decreasing=decreasing, label="piecewise_constant")
+    return Multifunction(evaluator, label="piecewise_constant")
 
 
 def check_decreasing(
@@ -331,11 +329,13 @@ class PathEnsemble:
     """n_copies independent trajectories plus the seed that generated them.
 
     states[i, j] is copy i+1 at node j (copies use streams (seed, 1..N)).
-    pre_projection, kept only on request, stores the point each step before
-    it was projected onto the next body. Both are coordinate-major in memory
-    (transposed views of (node, coordinate, copy) arrays), so one coordinate
-    at one node, states[:, j, k] or pre_projection[:, j, k], is contiguous
-    and one node's slice states[:, j] is an F-ordered (n_copies, m) view.
+    pre_projection and increments, kept only on request, are the step record
+    the oracle checks: the point each step reached before it was projected
+    onto the next body, and the increment that step drew. All three are
+    coordinate-major in memory (transposed views of (node, coordinate, copy)
+    arrays), so one coordinate at one node, states[:, j, k],
+    pre_projection[:, j, k] or increments[:, j, k], is contiguous and one
+    node's slice states[:, j] is an F-ordered (n_copies, m) view.
     """
 
     grid: TimeGrid
@@ -343,6 +343,7 @@ class PathEnsemble:
     seed: int
     states: np.ndarray  # (n_copies, steps + 1, m)
     pre_projection: np.ndarray | None = None  # (n_copies, steps, m)
+    increments: np.ndarray | None = None  # (n_copies, steps, m); step j drew increments[:, j]
 
     @property
     def dim(self) -> int:
@@ -360,15 +361,16 @@ def _check_start(model: SdeModel, mf: Multifunction) -> None:
 
 def _simulate(model: SdeModel, mf: Multifunction, grid: TimeGrid, seed: int, copies: range,
               keep_pre_projection: bool, then: tuple[int, range] | None = None
-              ) -> tuple[np.ndarray, np.ndarray | None]:
+              ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """Step copies i in copies as one batch on streams (seed, i); then is
     passed on to gaussian_increments.
 
-    Returns the states (len(copies), steps + 1, m) and, on request, the
-    pre-projection points (len(copies), steps, m), else None. Both are
-    transposed views of coordinate-major (node, coordinate, copy) arrays, as
-    the increments are: each step's operands are F-ordered (len(copies), m)
-    views, so every elementwise operation of the step runs along the copies.
+    Returns the states (len(copies), steps + 1, m), on request the
+    pre-projection points (len(copies), steps, m), else None, and the
+    increments (len(copies), steps, m) that were stepped. All three are
+    transposed views of coordinate-major (node, coordinate, copy) arrays:
+    each step's operands are F-ordered (len(copies), m) views, so every
+    elementwise operation of the step runs along the copies.
     """
     _check_start(model, mf)
     n, m = grid.steps, model.dim
@@ -388,7 +390,7 @@ def _simulate(model: SdeModel, mf: Multifunction, grid: TimeGrid, seed: int, cop
         states[j + 1] = x.T
         if pre is not None:
             pre[j] = h.T
-    return states.transpose(2, 0, 1), None if pre is None else pre.transpose(2, 0, 1)
+    return states.transpose(2, 0, 1), None if pre is None else pre.transpose(2, 0, 1), z
 
 
 def simulate_path(
@@ -401,7 +403,7 @@ def simulate_path(
 ) -> SamplePath:
     """Simulate a single copy on the stream (seed, copy_index)."""
     copies = range(copy_index, copy_index + 1)
-    states, pre = _simulate(model, mf, grid, seed, copies, keep_pre_projection)
+    states, pre, _ = _simulate(model, mf, grid, seed, copies, keep_pre_projection)
     return SamplePath(grid, copy_index, states[0], None if pre is None else pre[0])
 
 
@@ -417,16 +419,16 @@ def simulate_ensemble(
     """Simulate copies 1..n_copies on streams (seed, i), stepping them as a batch.
 
     Copy i equals simulate_path with the same seed and copy index bit for bit:
-    both run the same stepping core. next_ensemble, the (n_copies, seed) of
-    the ensemble the caller simulates next on the same model and grid, only
-    lets that ensemble's increments be drawn while this one is stepped; the
-    result does not depend on it.
+    both run the same stepping core. keep_pre_projection keeps the step
+    record the oracle checks: the pre-projection points and the increments.
+    next_ensemble, the (n_copies, seed) of the ensemble the caller simulates
+    next on the same model and grid, only lets that ensemble's increments be
+    drawn while this one is stepped; the result does not depend on it.
     """
     then = None if next_ensemble is None else (next_ensemble[1], range(1, next_ensemble[0] + 1))
-    states, pre = _simulate(model, mf, grid, seed, range(1, n_copies + 1), keep_pre_projection, then)
-    return PathEnsemble(
-        grid=grid, n_copies=n_copies, seed=seed, states=states, pre_projection=pre
-    )
+    states, pre, z = _simulate(model, mf, grid, seed, range(1, n_copies + 1), keep_pre_projection, then)
+    return PathEnsemble(grid=grid, n_copies=n_copies, seed=seed, states=states,
+                        pre_projection=pre, increments=z if keep_pre_projection else None)
 
 
 # ---------------------------------------------------------------------------

@@ -387,6 +387,7 @@ def run_experiment(config: ExperimentConfig) -> ConvergenceReport:
                         {"N": n_copies, "probe_index": p_idx, **hit.to_dict()}
                     )
             phases["diagnostics"] += time.perf_counter() - t0
+            del ens  # with its kept increments, before the next unit's draw: never two at once
     except BaseException:
         increments.cancel()  # a posted look-ahead nothing will join
         raise

@@ -206,6 +206,25 @@ class BoundCheckReport:
         }
 
 
+def _add_square(out: np.ndarray, term: np.ndarray, k: int) -> None:
+    """Coordinate k's term of row_norms' sum of squares: out = term**2 at k = 0,
+    then out += term**2; term is overwritten."""
+    if k:
+        np.multiply(term, term, out=term)
+        np.add(out, term, out=out)
+    else:
+        np.multiply(term, term, out=out)
+
+
+def _distances_into(out: np.ndarray, term: np.ndarray, rows: np.ndarray, x: np.ndarray) -> None:
+    """out = row_norms(a - x), bit for bit, for the (N, m) array a whose (N,)
+    coordinate rows are rows[0..m-1]; term is scratch of the same length."""
+    for k, row in enumerate(rows):
+        np.subtract(row, x[k], out=term)
+        _add_square(out, term, k)
+    np.sqrt(out, out=out)
+
+
 def step1_bound_check(
     model: SdeModel,
     ensemble: PathEnsemble,
@@ -218,15 +237,24 @@ def step1_bound_check(
     """Check ||h_{j+1} - x|| <= c1 ||x_j - x|| + c2 ||sigma(x) z + drift(x) delta|| + slack.
 
     Runs over every copy, every step, and every probe x; each probe must lie
-    in the body at the end of every step. The increments z of copies 1..N are
-    redrawn in one gaussian_increments call from the ensemble's stored seed,
-    the same stream the simulation read. Passing constants overrides the
-    sampled ones (used by the mutation test to confirm the check has power).
+    in the body at the end of every step. The increments z are the ones the
+    ensemble kept with its pre-projection points; an ensemble that carries
+    none (one built by hand) has them redrawn in one gaussian_increments call
+    from its stored seed, the same stream the simulation read. One pass over
+    the nodes reads node j's (N,) coordinate rows of z, the pre-projection
+    points and the states once and evaluates every probe on them, in a few
+    preallocated (N,) buffers, with the operations of row_norms in the same
+    order, so the margins are those of the whole-array formula bit for bit.
+    Passing constants overrides the sampled ones (used by the mutation test
+    to confirm the check has power).
     """
     if ensemble.pre_projection is None:
         raise OracleError("ensemble was simulated without pre-projection storage")
     grid = ensemble.grid
     n, m = grid.steps, ensemble.dim
+    if ensemble.increments is not None and ensemble.increments.shape != (ensemble.n_copies, n, m):
+        raise OracleError(f"ensemble increments have shape {ensemble.increments.shape}, "
+                          f"expected {(ensemble.n_copies, n, m)}")
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
     if probes.shape[1] != m:
         raise OracleError(f"probes must have {m} coordinates")
@@ -243,19 +271,35 @@ def step1_bound_check(
         m_c = max(norm_bound(body) for body in bodies)
         constants = constants_c1_c2(model, m_c, grid.delta, probe_count=probe_count)
 
-    z = gaussian_increments(ensemble.seed, range(1, ensemble.n_copies + 1), n, m, grid.delta)
+    z = ensemble.increments
+    if z is None:
+        z = gaussian_increments(ensemble.seed, range(1, ensemble.n_copies + 1), n, m, grid.delta)
+    sigmas = [np.asarray(model.diffusion(x), dtype=float) for x in probes]
+    shifts = [np.asarray(model.drift(x), dtype=float) * grid.delta for x in probes]
+    # (node, coordinate, copy) views: each row below is one coordinate at one node
+    z_rows, h_rows = z.transpose(1, 2, 0), ensemble.pre_projection.transpose(1, 2, 0)
+    x_rows = ensemble.states[:, :-1].transpose(1, 2, 0)
+    lhs, rhs, resid, term = (np.empty(ensemble.n_copies) for _ in range(4))
 
     worst = -np.inf
     violations = 0
-    for x in probes:
-        sig_x = np.asarray(model.diffusion(x), dtype=float)
-        drift_x = np.asarray(model.drift(x), dtype=float)
-        resid = row_norms(sig_x * z + drift_x * grid.delta)
-        lhs = row_norms(ensemble.pre_projection - x)
-        rhs = constants.c1 * row_norms(ensemble.states[:, :-1] - x)
-        margins = lhs - rhs - constants.c2 * resid
-        worst = max(worst, float(margins.max()))
-        violations += int(np.count_nonzero(margins > slack))
+    for zj, hj, xj in zip(z_rows, h_rows, x_rows):
+        for x, sig_x, shift_x in zip(probes, sigmas, shifts):
+            for k in range(m):
+                np.multiply(zj[k], sig_x[k], out=term)
+                np.add(term, shift_x[k], out=term)
+                _add_square(resid, term, k)
+            np.sqrt(resid, out=resid)
+            _distances_into(lhs, term, hj, x)
+            _distances_into(rhs, term, xj, x)
+            np.multiply(rhs, constants.c1, out=rhs)
+            np.subtract(lhs, rhs, out=lhs)
+            np.multiply(resid, constants.c2, out=resid)
+            np.subtract(lhs, resid, out=lhs)  # the margins of this node and probe
+            top = float(lhs.max())
+            worst = max(worst, top)
+            if not top <= slack:  # else no margin exceeds the slack
+                violations += int(np.count_nonzero(lhs > slack))
     n_checks = ensemble.n_copies * n * probes.shape[0]
     return BoundCheckReport(
         n_checks=n_checks,
@@ -306,7 +350,8 @@ def hitting_frequency(
     order. All probes are counted in one pass over the nodes: at node j the
     slice pre_projection[:, j - 1] (an F-ordered (N, m) view of the
     coordinate-major ensemble) is read once and the body's interior test is
-    evaluated once, whatever k is.
+    evaluated once, whatever k is; each probe's distances, computed as
+    row_norms computes them, and its counts reuse the same (N,) buffers.
     """
     if ensemble.pre_projection is None:
         raise OracleError("ensemble was simulated without pre-projection storage")
@@ -317,12 +362,15 @@ def hitting_frequency(
         raise OracleError(f"probes must be a (k, {ensemble.dim}) array, got shape {probes.shape}")
     grid = ensemble.grid
     hits = np.zeros((probes.shape[0], grid.steps), dtype=int)
+    dist, term = np.empty(ensemble.n_copies), np.empty(ensemble.n_copies)
+    close = np.empty(ensemble.n_copies, dtype=bool)
     for j in range(1, grid.steps + 1):
         h = ensemble.pre_projection[:, j - 1]
         inside = np.asarray(mf(grid.node(j)).interior_margin(h)) > 0
         for k, probe in enumerate(probes):
-            close = row_norms(h - probe) <= radius
-            hits[k, j - 1] = int(np.count_nonzero(close & inside))
+            _distances_into(dist, term, h.T, probe)
+            np.less_equal(dist, radius, out=close)
+            hits[k, j - 1] = int(np.count_nonzero(np.logical_and(close, inside, out=close)))
     return [
         HittingReport(probe=probe, radius=radius, n_copies=ensemble.n_copies, hits_per_node=row)
         for probe, row in zip(probes, hits)

@@ -296,6 +296,33 @@ class TestSimulateEnsemble:
             for j in range(grid.steps):
                 assert ens.pre_projection[:, j, k].flags.c_contiguous
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("split", [False, True], ids=["serial", "helper_split"])
+    def test_kept_increments_are_the_stream(self, helper_pool, caller_draws_half, m, split):
+        # the step record keeps the very increments that were stepped: copy i's
+        # rows of the stream (seed, i), drawn here alone or shared with a helper
+        pool = helper_pool(cpus=2 if split else 1)
+        model = make_model("tanh_sigma", m, np.zeros(m), theta=0.5, sigma0=0.3, sigma1=0.1)
+        grid = TimeGrid(1.0, 6)
+        n_copies = 2 * INCREMENT_BLOCK + 37
+        ens = simulate_ensemble(model, shrinking_ball(np.zeros(m), 1.0, 0.3), grid, n_copies,
+                                seed=23, keep_pre_projection=True)
+        assert (pool.counts["helper_blocks"] > 0) == split
+        expected = gaussian_increments(23, range(1, n_copies + 1), grid.steps, m, grid.delta)
+        assert ens.increments.shape == expected.shape == (n_copies, grid.steps, m)
+        assert ens.increments.tobytes() == expected.tobytes()
+        for j in range(grid.steps):
+            for k in range(m):
+                assert ens.increments[:, j, k].flags.c_contiguous
+
+    def test_increments_kept_only_with_pre_projection(self):
+        model = make_model("ou", 2, [0.0, 0.0], theta=2.0, sigma=0.3)
+        grid = TimeGrid(1.0, 5)
+        mf = shrinking_ball([0.0, 0.0], 1.0, 0.3)
+        assert simulate_ensemble(model, mf, grid, 30, seed=4).increments is None
+        kept = simulate_ensemble(model, mf, grid, 30, seed=4, keep_pre_projection=True)
+        assert kept.increments.shape == (30, 5, 2)
+
     def test_run_to_run_determinism(self):
         model = make_model("ou", 2, [0.0, 0.0], theta=2.0, sigma=0.3)
         grid = TimeGrid(1.0, 20)
@@ -472,7 +499,6 @@ class TestModels:
 class TestMultifunctions:
     def test_constant_is_decreasing(self):
         mf = constant_body(Interval(-1, 1))
-        assert mf.decreasing
         assert check_decreasing(mf, horizon=1.0) <= 1e-9
 
     def test_shrinking_ball_decreasing(self):
@@ -484,15 +510,11 @@ class TestMultifunctions:
         assert check_decreasing(mf, horizon=1.0) <= 1e-9
 
     def test_growing_family_flagged(self):
-        grow = Multifunction(
-            lambda t: Ball(np.zeros(2), 1.0 + t), decreasing=False, label="grow"
-        )
+        grow = Multifunction(lambda t: Ball(np.zeros(2), 1.0 + t), label="grow")
         assert check_decreasing(grow, horizon=1.0) > 0.1
 
     def test_piecewise_constant_lookup(self):
-        mf = piecewise_constant(
-            [(0.0, Interval(-2, 2)), (0.5, Interval(-1, 1))], decreasing=True
-        )
+        mf = piecewise_constant([(0.0, Interval(-2, 2)), (0.5, Interval(-1, 1))])
         assert mf(0.2).hi == 2
         assert mf(0.5).hi == 1
         assert mf(0.9).hi == 1

@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 import json
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hullsim import cli, estimation, harness
+from hullsim import cli, estimation, harness, oracle
 from hullsim.dynamics import INCREMENT_BLOCK
 from hullsim.harness import (
     CSV_HEADER,
@@ -359,6 +360,31 @@ class TestRunExperiment:
         stored = [ens.pre_projection is not None for ens in ensembles]
         assert stored == [kept, False, kept, False]
 
+    def test_each_ensemble_is_dropped_before_the_next_is_simulated(self, monkeypatch):
+        # so the caller never holds a kept increment array and the next one at once
+        simulate = harness.dynamics.simulate_ensemble
+        refs, alive = [], []
+
+        def spy(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in refs))
+            ens = simulate(*args, **kwargs)
+            refs.append(weakref.ref(ens))
+            return ens
+
+        monkeypatch.setattr(harness.dynamics, "simulate_ensemble", spy)
+        config = small_config(
+            model_params={"theta": 2.0, "sigma": 0.3},
+            x0=np.zeros(2),
+            mf_kind="constant_ball",
+            mf_params={"center": np.zeros(2), "radius": 1.0},
+            n_grid=[20, 40],
+            replications=2,
+            run_step_bound=True,
+            run_hitting=True,
+        )
+        run_experiment(config)
+        assert alive == [0, 0, 0, 0]
+
     def test_meta_phases_account_for_run_time(self, tmp_path):
         config = small_config(
             model_params={"theta": 2.0, "sigma": 0.3},
@@ -415,8 +441,8 @@ class TestRunExperiment:
         assert (one["lookahead_joined"], two["lookahead_joined"]) == (0, 3)
         assert one["lookahead_cancelled"] == two["lookahead_cancelled"] == 0
         assert one["helper_block_share"] == 0.0 < two["helper_block_share"] <= 1.0
-        # every unit's blocks, plus the step-bound check's redraws (N = 20 and 512)
-        blocks = 3 * 1 + 3 * 2 + 1 + 2
+        # every unit's blocks; the step-bound check reads replication 0's kept increments
+        blocks = 3 * 1 + 3 * 2
         assert one["blocks"] == two["blocks"] == blocks
         assert two["helper_blocks"] <= blocks and two["helpers_skipped"] == 0
 
@@ -587,6 +613,51 @@ class TestCli:
         data = json.loads((out / "report.json").read_text())
         assert data["diagnostics"]["step_bound"]
         assert data["diagnostics"]["hitting"]
+
+
+# A small 2D --check run: state-dependent diffusion, the iterative projector,
+# and a copy count that is drawn with the helpers.
+CHECK_CONFIG_TEXT = """
+label = check2d
+model.kind = tanh_sigma
+model.theta = 1.0
+model.sigma0 = 0.4
+model.sigma1 = 0.15
+x0 = 0.0 0.0
+mf.kind = constant_square_hpoly
+mf.half_width = 1.0
+grid.horizon = 1.0
+grid.steps = 10
+n_grid = 20 40 600
+replications = 2
+seed = 5
+j_indices = 5 10
+"""
+# SHA-256 of its report.csv and of its report.json diagnostics (json.dumps with
+# sorted keys), as they were when the step-bound check redrew the increments.
+CHECK_CSV_SHA256 = "6a5e615f3eb10995cf1cdcb3ed58afeedc7acc9637fd53e034d58db8b7323a9b"
+CHECK_DIAGNOSTICS_SHA256 = "f857a22943e1e65b56007b9e5990a42fc2d618d822645177de043ccd8c29be6f"
+
+
+def test_check_run_reads_the_kept_increments(monkeypatch, tmp_path):
+    redraws = []
+    redraw = oracle.gaussian_increments
+
+    def counted(*args, **kwargs):
+        redraws.append(args)
+        return redraw(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "gaussian_increments", counted)
+    cfg = tmp_path / "check.cfg"
+    cfg.write_text(CHECK_CONFIG_TEXT)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out), "--check"]) == 0
+    assert redraws == []
+    diagnostics = json.loads((out / "report.json").read_text())["diagnostics"]
+    assert [(e["N"], e["n_violations"]) for e in diagnostics["step_bound"]] == [(20, 0), (40, 0), (600, 0)]
+    assert hashlib.sha256((out / "report.csv").read_bytes()).hexdigest() == CHECK_CSV_SHA256
+    text = json.dumps(diagnostics, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == CHECK_DIAGNOSTICS_SHA256
 
 
 class TestDefaultSuiteScript:

@@ -3,15 +3,17 @@ import copy
 import numpy as np
 import pytest
 
+from hullsim import oracle
 from hullsim.dynamics import (
     PathEnsemble,
     TimeGrid,
     constant_body,
+    gaussian_increments,
     make_model,
     shrinking_ball,
     simulate_ensemble,
 )
-from hullsim.geometry import Ball, Box, HPolytope, Interval, project
+from hullsim.geometry import Ball, Box, HPolytope, Interval, project, row_norms
 from hullsim.oracle import (
     OracleError,
     StepConstants,
@@ -166,8 +168,85 @@ def make_checked_ensemble(model, mf, n_copies=200, seed=3, steps=20):
     return simulate_ensemble(model, mf, grid, n_copies, seed, keep_pre_projection=True)
 
 
+def whole_array_margins(model, ens, probes, constants):
+    """Reference: the per-probe whole-array formula, margins of shape (k, N, steps)."""
+    z = gaussian_increments(ens.seed, range(1, ens.n_copies + 1), ens.grid.steps, ens.dim, ens.grid.delta)
+    margins = []
+    for x in probes:
+        sig_x = np.asarray(model.diffusion(x), dtype=float)
+        drift_x = np.asarray(model.drift(x), dtype=float)
+        resid = row_norms(sig_x * z + drift_x * ens.grid.delta)
+        lhs = row_norms(ens.pre_projection - x)
+        rhs = constants.c1 * row_norms(ens.states[:, :-1] - x)
+        margins.append(lhs - rhs - constants.c2 * resid)
+    return np.array(margins)
+
+
+def without_increments(ens):
+    """The ensemble rebuilt by hand, on the same arrays but with no kept increments."""
+    return PathEnsemble(ens.grid, ens.n_copies, ens.seed, ens.states, ens.pre_projection)
+
+
+def counting_redraws(monkeypatch):
+    """Wrap oracle.gaussian_increments; the returned list collects each call's copy range."""
+    calls = []
+    redraw = oracle.gaussian_increments
+
+    def counted(seed, copies, *args, **kwargs):
+        calls.append(copies)
+        return redraw(seed, copies, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "gaussian_increments", counted)
+    return calls
+
+
 class TestStepBound:
     probes_1d = np.array([[-0.9], [-0.4], [0.0], [0.4], [0.9]])
+
+    @pytest.mark.parametrize("dim,mutated", [(1, False), (2, False), (3, False), (2, True)],
+                             ids=["1d", "2d", "3d", "2d-c2-below-one"])
+    def test_node_major_pass_equals_whole_array_formula(self, monkeypatch, dim, mutated):
+        model = make_model("tanh_sigma", dim, np.zeros(dim), theta=1.0, sigma0=0.4, sigma1=0.15)
+        mf = shrinking_ball(np.zeros(dim), 1.0, 0.3)
+        ens = make_checked_ensemble(model, mf, n_copies=300, seed=29, steps=12)
+        # the start x0 = 0 is a probe: at node 0 its margin is (1 - c2) * resid
+        probes = np.vstack([np.zeros(dim), np.random.default_rng(dim).uniform(-0.4, 0.4, (3, dim))])
+        constants = constants_c1_c2(model, m_c=1.0, delta=ens.grid.delta)
+        if mutated:
+            constants = copy.copy(constants)  # bypasses the >= 1 construction invariant
+            object.__setattr__(constants, "c2", 0.5)
+        margins = whole_array_margins(model, ens, probes, constants)
+        redraws = counting_redraws(monkeypatch)
+        rep = step1_bound_check(model, ens, mf, probes, constants=constants)
+        assert redraws == []  # the kept increments are read, not drawn again
+        assert rep.worst_margin == float(margins.max())
+        assert rep.n_violations == int(np.count_nonzero(margins > rep.slack))
+        assert (rep.n_violations > 0) == mutated
+        assert rep.n_checks == margins.size
+        # with the slack at a reference margin, that margin one ulp higher would be counted
+        for slack in np.sort(margins, axis=None)[::margins.size // 40]:
+            rep = step1_bound_check(model, ens, mf, probes, slack=slack, constants=constants)
+            assert rep.n_violations == int(np.count_nonzero(margins > slack))
+
+    def test_hand_built_ensemble_redraws_once(self, monkeypatch):
+        model = linear_drift_model()
+        mf = constant_body(Interval(-1, 1))
+        ens = make_checked_ensemble(model, mf, n_copies=100)
+        kept = step1_bound_check(model, ens, mf, self.probes_1d)
+        redraws = counting_redraws(monkeypatch)
+        redrawn = step1_bound_check(model, without_increments(ens), mf, self.probes_1d)
+        assert redraws == [range(1, 101)]
+        assert (redrawn.worst_margin, redrawn.n_violations) == (kept.worst_margin, kept.n_violations)
+
+    @pytest.mark.parametrize("shape", [(100, 20, 2), (100, 19, 1), (99, 20, 1), (100, 20)])
+    def test_mis_shaped_increments_rejected(self, shape):
+        model = linear_drift_model()
+        mf = constant_body(Interval(-1, 1))
+        ens = make_checked_ensemble(model, mf, n_copies=100)
+        bad = PathEnsemble(ens.grid, ens.n_copies, ens.seed, ens.states, ens.pre_projection,
+                           np.zeros(shape))
+        with pytest.raises(OracleError, match=r"^ensemble increments have shape .*, expected \(100, 20, 1\)$"):
+            step1_bound_check(model, bad, mf, self.probes_1d)
 
     def test_zero_drift_is_triangle_inequality(self):
         model = make_model("zero_drift", 1, [0.0], sigma=0.5)
@@ -308,7 +387,8 @@ class TestHitting:
 
 
 class TestLayout:
-    """The checks read the coordinate-major ensemble and a copy-major copy alike."""
+    """The checks read the coordinate-major ensemble, the same one without its kept
+    increments and a copy-major copy alike."""
 
     model = make_model("tanh_sigma", 2, [0.0, 0.0], theta=0.5, sigma0=0.3, sigma1=0.1)
     mf = shrinking_ball([0.0, 0.0], 1.0, 0.3)
@@ -318,18 +398,21 @@ class TestLayout:
         """A simulated ensemble and the same one rebuilt on copy-major arrays."""
         ens = make_checked_ensemble(self.model, self.mf, n_copies=300, seed=17)
         rebuilt = PathEnsemble(ens.grid, ens.n_copies, ens.seed, np.ascontiguousarray(ens.states),
-                               np.ascontiguousarray(ens.pre_projection))
+                               np.ascontiguousarray(ens.pre_projection),
+                               np.ascontiguousarray(ens.increments))
         assert not ens.states.flags.c_contiguous and rebuilt.states.flags.c_contiguous
         assert not ens.pre_projection.flags.c_contiguous
         assert rebuilt.pre_projection.flags.c_contiguous
+        assert not ens.increments.flags.c_contiguous and rebuilt.increments.flags.c_contiguous
         return ens, rebuilt
 
     def test_step_bound(self):
         ens, rebuilt = self.ensembles()
         a = step1_bound_check(self.model, ens, self.mf, self.probes)
         b = step1_bound_check(self.model, rebuilt, self.mf, self.probes)
-        assert a.worst_margin == b.worst_margin
-        assert a.n_violations == b.n_violations
+        c = step1_bound_check(self.model, without_increments(ens), self.mf, self.probes)
+        assert a.worst_margin == b.worst_margin == c.worst_margin
+        assert a.n_violations == b.n_violations == c.n_violations
 
     def test_hitting(self):
         ens, rebuilt = self.ensembles()
