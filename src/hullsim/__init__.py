@@ -16,7 +16,6 @@ from .geometry import (
     distance_to_body,
     distance_to_hull,
     min_norm_point_distance,
-    normal_cone_check,
     norm_bound,
     project,
     support,
@@ -33,7 +32,6 @@ from .dynamics import (
     euler_step,
     gaussian_increments,
     make_model,
-    piecewise_constant,
     shrinking_ball,
     shrinking_box,
     simulate_ensemble,

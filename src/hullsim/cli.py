@@ -62,7 +62,7 @@ def _run(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # simulation/solver/io failures
-        print(f"runtime error: {exc}", file=sys.stderr)
+        print(f"runtime error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     for j in config.j_indices:
         probe_indices = [-1] if report.dim == 1 else list(range(len(report.probes)))

@@ -158,8 +158,9 @@ def diffusion_at(model: SdeModel, x: np.ndarray) -> np.ndarray:
     if sig.shape != np.shape(x):
         raise ModelError(f"diffusion returned shape {sig.shape}, expected {np.shape(x)}")
     det = sig[..., 0]
-    for k in range(1, sig.shape[-1]):  # column products: each runs along the batch
-        det = det * sig[..., k]
+    with np.errstate(over="ignore"):  # an infinite product is not singular
+        for k in range(1, sig.shape[-1]):  # column products: each runs along the batch
+            det = det * sig[..., k]
     bad = np.abs(det) <= DET_FLOOR
     if np.any(bad):
         where = tuple(int(k) for k in np.argwhere(bad)[0]) if np.ndim(bad) else ()
@@ -198,11 +199,7 @@ def euler_step(
 
 @dataclass(frozen=True)
 class Multifunction:
-    """Time-indexed family of convex bodies t -> C(t) on [0, horizon].
-
-    Whether C(t) is contained in C(s) whenever t >= s can be checked
-    empirically with check_decreasing.
-    """
+    """Time-indexed family of convex bodies t -> C(t) on [0, horizon]."""
 
     evaluator: Callable[[float], ConvexBody]
     label: str = ""
@@ -238,54 +235,6 @@ def shrinking_box(lo, hi, rate: float) -> Multifunction:
         return Box(lo=lo + rate * t, hi=hi - rate * t)
 
     return Multifunction(evaluator, label="shrinking_box")
-
-
-def piecewise_constant(pieces: list[tuple[float, ConvexBody]]) -> Multifunction:
-    """Body valid from each listed time until the next; first time must be 0."""
-    if not pieces:
-        raise ModelError("need at least one (time, body) piece")
-    times = [t for t, _ in pieces]
-    if times[0] > 0 or any(a >= b for a, b in zip(times, times[1:])):
-        raise ModelError("piece times must start at 0 and strictly increase")
-
-    def evaluator(t: float) -> ConvexBody:
-        body = pieces[0][1]
-        for start, candidate in pieces:
-            if start <= t:
-                body = candidate
-            else:
-                break
-        return body
-
-    return Multifunction(evaluator, label="piecewise_constant")
-
-
-def check_decreasing(
-    mf: Multifunction,
-    horizon: float,
-    pairs: int = 100,
-    boundary_samples: int = 16,
-    tol: float = CONTAINMENT_TOL,
-    seed: int = 0,
-) -> float:
-    """Worst containment violation of C(t) inside C(s) over sampled s < t.
-
-    Samples boundary points of the later body and measures their distance to
-    the earlier one; a decreasing family stays below tol.
-    """
-    from .geometry import distance_to_body
-
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(pairs):
-        s, t = np.sort(rng.uniform(0.0, horizon, size=2))
-        if s == t:
-            continue
-        later = mf(t)
-        earlier = mf(s)
-        pts = later.boundary_points(boundary_samples, rng)
-        worst = max(worst, float(np.max(distance_to_body(earlier, pts))))
-    return worst
 
 
 def check_lipschitz(

@@ -178,7 +178,7 @@ class Ball(ConvexBody):
         x = _check_points(x, self.dim)
         off = x - self.center
         norms = row_norms(off)[..., None]
-        scale = np.where(norms > self.radius, self.radius / np.maximum(norms, 1e-300), 1.0)
+        scale = self.radius / np.maximum(norms, self.radius)  # exactly 1 inside; never overflows
         return self.center + off * scale
 
     def support(self, u):
@@ -369,21 +369,6 @@ def support(body: ConvexBody, u) -> float:
     if not np.linalg.norm(u) > 0:
         raise GeometryError("support direction must be nonzero")
     return body.support(u)
-
-
-def normal_cone_check(body: ConvexBody, x, s, tol: float = GEOM_TOL) -> bool:
-    """True iff s lies in the normal cone of the body at x.
-
-    Implemented as support(body, s) - <s, x> <= tol. The base point must
-    belong to the body within tol.
-    """
-    x = _check_points(x, body.dim)
-    s = _check_direction(s, body.dim)
-    if distance_to_body(body, x) > tol:
-        raise GeometryError("normal cone queried at a point outside the body")
-    if np.linalg.norm(s) == 0:
-        return True
-    return body.support(s) - float(s @ x) <= tol
 
 
 def norm_bound(body: ConvexBody) -> float:

@@ -1,8 +1,10 @@
-"""Independent reference computations used by the test suite and diagnostics.
+"""Reference computations for the test suite and the --check diagnostics.
 
-Everything here is deliberately separate from the main code paths: grid-search
-projections, closed-form polygon distances from pairwise segments, empirical
-CDFs, and the per-step growth-bound checker with its two constants.
+The references are deliberately independent of the code they check:
+grid-search projections, closed-form polygon distances from pairwise segments
+and empirical CDFs. The diagnostics run on a simulated ensemble's kept step
+record: the per-step growth-bound checker with its two constants, and the
+hitting-frequency counts.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from .dynamics import (
     PathEnsemble,
     SdeModel,
     bodies_at_nodes,
-    gaussian_increments,
+    gaussian_increments,  # unused here; the benchmark's tracer looks it up on this module
 )
 from .estimation import gaussian_cdf
 from .geometry import Ball, Box, ConvexBody, HPolytope, Interval, norm_bound, row_norms
@@ -238,21 +240,20 @@ def step1_bound_check(
 
     Runs over every copy, every step, and every probe x; each probe must lie
     in the body at the end of every step. The increments z are the ones the
-    ensemble kept with its pre-projection points; an ensemble that carries
-    none (one built by hand) has them redrawn in one gaussian_increments call
-    from its stored seed, the same stream the simulation read. One pass over
-    the nodes reads node j's (N,) coordinate rows of z, the pre-projection
-    points and the states once and evaluates every probe on them, in a few
-    preallocated (N,) buffers, with the operations of row_norms in the same
-    order, so the margins are those of the whole-array formula bit for bit.
-    Passing constants overrides the sampled ones (used by the mutation test
-    to confirm the check has power).
+    ensemble kept with its pre-projection points (simulate_ensemble with
+    keep_pre_projection=True); an ensemble without either is rejected. One
+    pass over the nodes reads node j's (N,) coordinate rows of z, the
+    pre-projection points and the states once and evaluates every probe on
+    them, in a few preallocated (N,) buffers, with the operations of row_norms
+    in the same order, so the margins are those of the whole-array formula bit
+    for bit. Passing constants overrides the sampled ones (used by the
+    mutation test to confirm the check has power).
     """
-    if ensemble.pre_projection is None:
+    if ensemble.pre_projection is None or ensemble.increments is None:
         raise OracleError("ensemble was simulated without pre-projection storage")
     grid = ensemble.grid
     n, m = grid.steps, ensemble.dim
-    if ensemble.increments is not None and ensemble.increments.shape != (ensemble.n_copies, n, m):
+    if ensemble.increments.shape != (ensemble.n_copies, n, m):
         raise OracleError(f"ensemble increments have shape {ensemble.increments.shape}, "
                           f"expected {(ensemble.n_copies, n, m)}")
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
@@ -271,13 +272,10 @@ def step1_bound_check(
         m_c = max(norm_bound(body) for body in bodies)
         constants = constants_c1_c2(model, m_c, grid.delta, probe_count=probe_count)
 
-    z = ensemble.increments
-    if z is None:
-        z = gaussian_increments(ensemble.seed, range(1, ensemble.n_copies + 1), n, m, grid.delta)
     sigmas = [np.asarray(model.diffusion(x), dtype=float) for x in probes]
     shifts = [np.asarray(model.drift(x), dtype=float) * grid.delta for x in probes]
     # (node, coordinate, copy) views: each row below is one coordinate at one node
-    z_rows, h_rows = z.transpose(1, 2, 0), ensemble.pre_projection.transpose(1, 2, 0)
+    z_rows, h_rows = ensemble.increments.transpose(1, 2, 0), ensemble.pre_projection.transpose(1, 2, 0)
     x_rows = ensemble.states[:, :-1].transpose(1, 2, 0)
     lhs, rhs, resid, term = (np.empty(ensemble.n_copies) for _ in range(4))
 

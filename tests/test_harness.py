@@ -528,6 +528,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("runtime error: failed to write report")
 
+    def test_runtime_error_without_text_is_named_by_its_type(self, tmp_path, capsys, monkeypatch):
+        def fail(config):
+            raise MemoryError()
+
+        monkeypatch.setattr(harness, "run_experiment", fail)
+        cfg = self.write_config(tmp_path)
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "runtime error: MemoryError\n"
+
     @pytest.mark.parametrize(
         "base,key,value",
         [

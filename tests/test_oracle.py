@@ -3,7 +3,6 @@ import copy
 import numpy as np
 import pytest
 
-from hullsim import oracle
 from hullsim.dynamics import (
     PathEnsemble,
     TimeGrid,
@@ -182,30 +181,12 @@ def whole_array_margins(model, ens, probes, constants):
     return np.array(margins)
 
 
-def without_increments(ens):
-    """The ensemble rebuilt by hand, on the same arrays but with no kept increments."""
-    return PathEnsemble(ens.grid, ens.n_copies, ens.seed, ens.states, ens.pre_projection)
-
-
-def counting_redraws(monkeypatch):
-    """Wrap oracle.gaussian_increments; the returned list collects each call's copy range."""
-    calls = []
-    redraw = oracle.gaussian_increments
-
-    def counted(seed, copies, *args, **kwargs):
-        calls.append(copies)
-        return redraw(seed, copies, *args, **kwargs)
-
-    monkeypatch.setattr(oracle, "gaussian_increments", counted)
-    return calls
-
-
 class TestStepBound:
     probes_1d = np.array([[-0.9], [-0.4], [0.0], [0.4], [0.9]])
 
     @pytest.mark.parametrize("dim,mutated", [(1, False), (2, False), (3, False), (2, True)],
                              ids=["1d", "2d", "3d", "2d-c2-below-one"])
-    def test_node_major_pass_equals_whole_array_formula(self, monkeypatch, dim, mutated):
+    def test_node_major_pass_equals_whole_array_formula(self, dim, mutated):
         model = make_model("tanh_sigma", dim, np.zeros(dim), theta=1.0, sigma0=0.4, sigma1=0.15)
         mf = shrinking_ball(np.zeros(dim), 1.0, 0.3)
         ens = make_checked_ensemble(model, mf, n_copies=300, seed=29, steps=12)
@@ -216,9 +197,7 @@ class TestStepBound:
             constants = copy.copy(constants)  # bypasses the >= 1 construction invariant
             object.__setattr__(constants, "c2", 0.5)
         margins = whole_array_margins(model, ens, probes, constants)
-        redraws = counting_redraws(monkeypatch)
         rep = step1_bound_check(model, ens, mf, probes, constants=constants)
-        assert redraws == []  # the kept increments are read, not drawn again
         assert rep.worst_margin == float(margins.max())
         assert rep.n_violations == int(np.count_nonzero(margins > rep.slack))
         assert (rep.n_violations > 0) == mutated
@@ -228,15 +207,16 @@ class TestStepBound:
             rep = step1_bound_check(model, ens, mf, probes, slack=slack, constants=constants)
             assert rep.n_violations == int(np.count_nonzero(margins > slack))
 
-    def test_hand_built_ensemble_redraws_once(self, monkeypatch):
+    def test_ensemble_without_increments_rejected(self):
+        # the same one-line error as an ensemble without pre-projection points
         model = linear_drift_model()
         mf = constant_body(Interval(-1, 1))
         ens = make_checked_ensemble(model, mf, n_copies=100)
-        kept = step1_bound_check(model, ens, mf, self.probes_1d)
-        redraws = counting_redraws(monkeypatch)
-        redrawn = step1_bound_check(model, without_increments(ens), mf, self.probes_1d)
-        assert redraws == [range(1, 101)]
-        assert (redrawn.worst_margin, redrawn.n_violations) == (kept.worst_margin, kept.n_violations)
+        without_z = PathEnsemble(ens.grid, ens.n_copies, ens.seed, ens.states, ens.pre_projection)
+        without_h = PathEnsemble(ens.grid, ens.n_copies, ens.seed, ens.states, None, ens.increments)
+        for bad in (without_z, without_h):
+            with pytest.raises(OracleError, match=r"^ensemble was simulated without pre-projection storage$"):
+                step1_bound_check(model, bad, mf, self.probes_1d)
 
     @pytest.mark.parametrize("shape", [(100, 20, 2), (100, 19, 1), (99, 20, 1), (100, 20)])
     def test_mis_shaped_increments_rejected(self, shape):
@@ -387,8 +367,7 @@ class TestHitting:
 
 
 class TestLayout:
-    """The checks read the coordinate-major ensemble, the same one without its kept
-    increments and a copy-major copy alike."""
+    """The checks read the coordinate-major ensemble and a copy-major copy alike."""
 
     model = make_model("tanh_sigma", 2, [0.0, 0.0], theta=0.5, sigma0=0.3, sigma1=0.1)
     mf = shrinking_ball([0.0, 0.0], 1.0, 0.3)
@@ -410,9 +389,8 @@ class TestLayout:
         ens, rebuilt = self.ensembles()
         a = step1_bound_check(self.model, ens, self.mf, self.probes)
         b = step1_bound_check(self.model, rebuilt, self.mf, self.probes)
-        c = step1_bound_check(self.model, without_increments(ens), self.mf, self.probes)
-        assert a.worst_margin == b.worst_margin == c.worst_margin
-        assert a.n_violations == b.n_violations == c.n_violations
+        assert a.worst_margin == b.worst_margin
+        assert a.n_violations == b.n_violations
 
     def test_hitting(self):
         ens, rebuilt = self.ensembles()
