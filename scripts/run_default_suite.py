@@ -54,7 +54,7 @@ def main(argv=None) -> int:
             print(f"error: {name}: {exc}", file=sys.stderr)
             return 1
         except Exception as exc:  # simulation/solver/io failures
-            print(f"runtime error: {name}: {exc}", file=sys.stderr)
+            print(f"runtime error: {name}: {str(exc) or type(exc).__name__}", file=sys.stderr)
             return 2
         digest = hashlib.sha256((out_dir / "report.csv").read_bytes()).hexdigest()
         phases = " ".join(f"{k} {v:.1f}s" for k, v in report.meta["phases"].items())

@@ -79,7 +79,7 @@ def gaussian_increments(seed: int, copies: range, n: int, m: int, delta: float,
     process, and get work only once they have said they are ready (see
     hullsim.increments). then, the (seed, copies) of the call that follows
     with the same n, m and delta, is posted to the helpers once this array is
-    complete, and that call joins the posted draw.
+    complete, and that call joins the posted draw; any other call cancels it.
     The memory is coordinate-major: the result is a transposed view of an
     (n, m, len(copies)) array, so one coordinate of one step, z[:, j, k], is
     contiguous and the step's batch z[:, j] is an F-ordered (len(copies), m)
@@ -137,7 +137,6 @@ class SdeModel:
     x0: np.ndarray
     lip_drift: float
     lip_diffusion: float
-    label: str = ""
 
     def __post_init__(self):
         x0 = np.atleast_1d(np.asarray(self.x0, dtype=float))
@@ -202,14 +201,13 @@ class Multifunction:
     """Time-indexed family of convex bodies t -> C(t) on [0, horizon]."""
 
     evaluator: Callable[[float], ConvexBody]
-    label: str = ""
 
     def __call__(self, t: float) -> ConvexBody:
         return self.evaluator(t)
 
 
 def constant_body(body: ConvexBody) -> Multifunction:
-    return Multifunction(lambda t: body, label="constant")
+    return Multifunction(lambda t: body)
 
 
 def shrinking_ball(center, r0: float, rate: float) -> Multifunction:
@@ -221,7 +219,7 @@ def shrinking_ball(center, r0: float, rate: float) -> Multifunction:
     def evaluator(t: float) -> ConvexBody:
         return Ball(center=center, radius=r0 - rate * t)
 
-    return Multifunction(evaluator, label="shrinking_ball")
+    return Multifunction(evaluator)
 
 
 def shrinking_box(lo, hi, rate: float) -> Multifunction:
@@ -234,7 +232,7 @@ def shrinking_box(lo, hi, rate: float) -> Multifunction:
     def evaluator(t: float) -> ConvexBody:
         return Box(lo=lo + rate * t, hi=hi - rate * t)
 
-    return Multifunction(evaluator, label="shrinking_box")
+    return Multifunction(evaluator)
 
 
 def check_lipschitz(
@@ -459,8 +457,7 @@ def make_model(kind: str, dim: int, x0, **params) -> SdeModel:
     """Build a registered drift/diffusion model (see MODELS)."""
     builder, args = resolve_params("model", MODELS, kind, dim, params)
     drift, diffusion, lip_drift, lip_diffusion = builder(dim, **args)
-    label = f"{kind}({', '.join(f'{k}={v}' for k, v in args.items())})"
-    return SdeModel(dim, drift, diffusion, x0, lip_drift, lip_diffusion, label)
+    return SdeModel(dim, drift, diffusion, x0, lip_drift, lip_diffusion)
 
 
 def _constant(body_type: type) -> Callable[..., Multifunction]:
@@ -476,7 +473,7 @@ BODIES = {
     "constant_interval": ({"lo": -1.0, "hi": 1.0}, _constant(Interval)),
     "constant_box": ({"lo": PerAxis(-1.0), "hi": PerAxis(1.0)}, _constant(Box)),
     "constant_ball": ({"center": PerAxis(0.0), "radius": 1.0}, _constant(Ball)),
-    # the square [-half_width, half_width]^2 as four half-spaces (iterative projector)
+    # the square [-half_width, half_width]^2 as four half-spaces (face-set projector)
     "constant_square_hpoly": ({"half_width": 1.0}, _square_hpoly),
     "shrinking_ball": ({"center": PerAxis(0.0), "r0": 1.0, "rate": 0.0}, shrinking_ball),
     "shrinking_box": ({"lo": PerAxis(-1.0), "hi": PerAxis(1.0), "rate": 0.0}, shrinking_box),

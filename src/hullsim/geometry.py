@@ -11,6 +11,8 @@ loops along the N points, never along the m <= 3 coordinates.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,9 +22,8 @@ from scipy.spatial import ConvexHull, QhullError
 GEOM_TOL = 1e-9
 HULL_TOL = 1e-7
 
-DYKSTRA_TOL = 1e-10
-DYKSTRA_MAX_CYCLES = 100_000
 MIN_NORM_MAX_ITER = 100_000
+MAX_FACE_SETS = 10_000  # sets of at most m faces an HPolytope may enumerate
 
 
 class GeometryError(ValueError):
@@ -30,10 +31,7 @@ class GeometryError(ValueError):
 
 
 class ProjectionSolverError(RuntimeError):
-    """An iterative projection or distance solve hit its iteration cap.
-
-    Carries the residual (or duality gap) achieved when the cap was reached.
-    """
+    """The min-norm-point distance solve hit its iteration cap; carries the duality gap then."""
 
     def __init__(self, message: str, residual: float):
         super().__init__(f"{message} (residual={residual:.3e})")
@@ -204,7 +202,8 @@ class HPolytope(ConvexBody):
 
     Construction solves 2m support LPs along the coordinate axes, which both
     certifies that the feasible set is nonempty and bounded and caches its
-    bounding box.
+    bounding box. For project it lists each set S of at most m faces with
+    independent normals N_S (over MAX_FACE_SETS candidates is an error).
     """
 
     normals: np.ndarray
@@ -218,10 +217,24 @@ class HPolytope(ConvexBody):
         normal_norms = np.linalg.norm(normals, axis=1)
         if np.any(normal_norms <= 0):
             raise GeometryError("every half-space normal must be nonzero")
+        k, m = normals.shape
+        count = sum(math.comb(k, s) for s in range(1, m + 1))
+        if count > MAX_FACE_SETS:
+            raise GeometryError(f"{k} faces in dimension {m}: {count} face sets, over {MAX_FACE_SETS}")
         object.__setattr__(self, "normals", normals)
         object.__setattr__(self, "offsets", offsets)
-        object.__setattr__(self, "dim", normals.shape[1])
+        object.__setattr__(self, "dim", m)
         object.__setattr__(self, "_row_norms", normal_norms)
+        face_sets = []  # per set size s: faces (sets, s), N_S, G^-1 N_S and G^-1
+        for s in range(1, m + 1):
+            sets = [f for f in itertools.combinations(range(k), s)
+                    if np.linalg.matrix_rank(normals[list(f)]) == s]
+            if sets:
+                faces = np.array(sets)
+                rows = normals[faces]
+                gram = rows @ rows.transpose(0, 2, 1)
+                face_sets.append((faces, rows, np.linalg.solve(gram, rows), np.linalg.inv(gram)))
+        object.__setattr__(self, "_face_sets", face_sets)
         lo = np.empty(self.dim)
         hi = np.empty(self.dim)
         for i in range(self.dim):
@@ -254,8 +267,38 @@ class HPolytope(ConvexBody):
         return np.asarray(self._support_lp(u).x, dtype=float)
 
     def project(self, x):
+        """Exact projection; a point inside comes back unchanged.
+
+        A point outside projects onto {y : N_S y = b_S} for a face set S whose
+        multipliers lam = G^-1 (N_S x - b_S), G = N_S N_S^T, are all >= 0. Each
+        such candidate x - lam @ N_S projects x onto the polyhedron of S's
+        half-spaces, which holds the body, so the one in the body is the
+        projection: the one with the largest interior margin (first on a tie).
+        One-face sets divide by |n|^2 as a single half-space does, so a box of
+        half-spaces gives np.clip's bits wherever x - (x - b) rounds to b.
+        """
         x = _check_points(x, self.dim)
-        return _dykstra_halfspaces(self, x)
+        flat = x.reshape(-1, self.dim)
+        out = flat.copy(order="K")
+        slack = self.normals @ flat.T - self.offsets[:, None]
+        active = np.flatnonzero(np.any(slack > 0, axis=0))
+        # every candidate of a point at once, at most MAX_FACE_SETS candidates at a time
+        step = max(1, MAX_FACE_SETS // sum(len(faces) for faces, *_ in self._face_sets))
+        for i in range(0, active.size, step):
+            part = active[i:i + step]
+            pts, part_slack, cands, scores = flat[part], slack[:, part], [], []
+            for faces, rows, lift, gram_inv in self._face_sets:
+                viol = part_slack[faces]  # (sets, s, points)
+                if faces.shape[1] == 1:
+                    lam = viol / self._row_norms[faces, None] ** 2
+                    cands.append(pts - lam.transpose(0, 2, 1) * rows)
+                else:
+                    lam = gram_inv @ viol
+                    cands.append(pts - viol.transpose(0, 2, 1) @ lift)
+                scores.append(np.where(np.all(lam >= 0, axis=1), self.interior_margin(cands[-1]), -np.inf))
+            best = np.argmax(np.concatenate(scores), axis=0)
+            out[part] = np.concatenate(cands)[best, np.arange(part.size)]
+        return out.reshape(x.shape)
 
     def support(self, u):
         u = _check_direction(u, self.dim)
@@ -282,60 +325,6 @@ def _check_direction(u, dim: int) -> np.ndarray:
     if u.shape != (dim,):
         raise GeometryError(f"expected a direction of shape ({dim},), got {u.shape}")
     return u
-
-
-def _dykstra_halfspaces(body: HPolytope, x: np.ndarray) -> np.ndarray:
-    """Dykstra's alternating projections onto the defining half-spaces.
-
-    Points are processed as a batch but each one is frozen the first cycle it
-    reaches a fixed point of the iteration to tolerance DYKSTRA_TOL, so the
-    result for a given point does not depend on what else is in the batch.
-    Iterate displacement alone is not a fixed-point certificate: the iterate
-    can sit feasible and motionless for several cycles while the correction
-    vectors are still accumulating, then move again. Freezing therefore also
-    requires the corrections to have stopped drifting and the point to be
-    feasible.
-    """
-    flat = x.reshape(-1, body.dim)
-    out = flat.copy(order="K")
-    normals = body.normals
-    offsets = body.offsets
-    normal_norms = body._row_norms
-    sq_norms = normal_norms**2
-
-    slack = normals @ flat.T - offsets[:, None]
-    active = np.flatnonzero(np.any(slack > 0, axis=0))
-    if active.size == 0:
-        return out.reshape(x.shape)
-
-    y = flat[active].copy()
-    corr = np.zeros((normals.shape[0], active.size, body.dim))
-    moved = np.full(active.size, np.inf)
-    for _ in range(DYKSTRA_MAX_CYCLES):
-        y_prev = y.copy()
-        corr_prev = corr.copy()
-        for i in range(normals.shape[0]):
-            w = y + corr[i]
-            viol = np.maximum(w @ normals[i] - offsets[i], 0.0)
-            y = w - (viol / sq_norms[i])[:, None] * normals[i]
-            corr[i] = w - y
-        moved = np.linalg.norm(y - y_prev, axis=1)
-        drift = np.linalg.norm(corr - corr_prev, axis=2).max(axis=0)
-        infeas = np.max((y @ normals.T - offsets) / normal_norms, axis=1)
-        done = (moved <= DYKSTRA_TOL) & (drift <= DYKSTRA_TOL) & (infeas <= DYKSTRA_TOL)
-        if np.any(done):
-            out[active[done]] = y[done]
-            keep = ~done
-            active = active[keep]
-            if active.size == 0:
-                return out.reshape(x.shape)
-            y = y[keep]
-            corr = corr[:, keep]
-            moved = moved[keep]
-    raise ProjectionSolverError(
-        "Dykstra projection did not converge within the cycle cap",
-        residual=float(np.max(moved)),
-    )
 
 
 # ---------------------------------------------------------------------------

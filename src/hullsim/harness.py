@@ -183,15 +183,27 @@ def build_model(config: ExperimentConfig) -> dynamics.SdeModel:
         return dynamics.make_model(config.model_kind, config.x0.size, config.x0, **config.model_params)
 
 
+def _beyond_limit(values) -> bool:
+    """Whether a coordinate is not finite or beyond dynamics.FINITE_LIMIT, whose square overflows."""
+    return not np.all(np.abs(values) <= dynamics.FINITE_LIMIT)
+
+
 def build_multifunction(config: ExperimentConfig) -> dynamics.Multifunction:
-    """The body family (dynamics.BODIES), checked at every grid node and against x0."""
+    """The body family (dynamics.BODIES), checked at every grid node and against x0, all
+    within dynamics.FINITE_LIMIT."""
+    if _beyond_limit(config.x0):
+        raise ConfigError(f"x0 has a coordinate beyond {dynamics.FINITE_LIMIT:g}")
     with _as_config_error():
         builder, args = dynamics.resolve_params(
             "multifunction", dynamics.BODIES, config.mf_kind, config.x0.size, config.mf_params
         )
         mf = builder(**args)
     with _as_config_error(f"multifunction {config.mf_kind!r} on the time grid"):
-        start = dynamics.bodies_at_nodes(mf, dynamics.TimeGrid(config.horizon, config.steps))[0]
+        bodies = dynamics.bodies_at_nodes(mf, dynamics.TimeGrid(config.horizon, config.steps))
+    for j, body in enumerate(bodies):
+        if _beyond_limit(body.bounding_box()):
+            raise ConfigError(f"the body at node {j} has a coordinate beyond {dynamics.FINITE_LIMIT:g}")
+    start = bodies[0]
     if start.dim != config.x0.size:
         raise ConfigError(f"x0 has {config.x0.size} coordinates but the body is {start.dim}-dimensional")
     if not geometry.contains(start, config.x0, dynamics.CONTAINMENT_TOL):
@@ -216,12 +228,15 @@ def resolve_probes(
     mf: dynamics.Multifunction,
     grid: dynamics.TimeGrid,
 ) -> np.ndarray:
-    """Fixed probe points, validated interior to the body at every requested node."""
+    """Fixed probe points within dynamics.FINITE_LIMIT, validated interior to the body at every
+    requested node."""
     probes = config.probes
     if probes is None:
         probes = default_probes(mf(grid.node(max(config.j_indices))))
     elif probes.shape[1:] != config.x0.shape:
         raise ConfigError(f"probe points need {config.x0.size} coordinates each")
+    elif _beyond_limit(probes):
+        raise ConfigError(f"a probe has a coordinate beyond {dynamics.FINITE_LIMIT:g}")
     for j in config.j_indices:
         body = mf(grid.node(j))
         margin = np.asarray(body.interior_margin(probes))

@@ -13,14 +13,12 @@ A draw may name the request that will follow it (same n, m and scale). Once
 its own array is complete, draw posts that request to the helpers, which start
 on it at once and hold it while the caller works on the array just returned:
 a one-deep look-ahead. The next draw of exactly that request joins the posted
-draw: the caller draws from the back, as always, and waits for every reply. A
-draw of another request leaves the posted draw running and is drawn by the
-caller alone, unless it names a following request of its own: then the
-sequence the posted draw was made for has moved on, and the posted draw is
-cancelled. Cancelling claims every block the helpers have not started, waits
-for their replies and drops the array. cancel does the same on request, and
-the posted draw is also cancelled at exit and dropped unwritten in a forked
-child, whose parent still owns it.
+draw: the caller draws from the back, as always, and waits for every reply.
+Any other draw first cancels the posted draw, because the sequence it was
+made for has moved on. Cancelling claims every block the helpers have not
+started, waits for their replies and drops the array. cancel does the same
+on request, and the posted draw is also cancelled at exit and dropped
+unwritten in a forked child, whose parent still owns it.
 
 There is one helper per CPU of the affinity mask beyond the first, at most
 MAX_HELPERS. A helper is a plain interpreter running this file, whose only
@@ -410,13 +408,12 @@ def draw(seed: int, copies: range, n: int, m: int, scale: float, then: tuple | N
     between its helper and the caller. then, the (seed, copies) of the draw
     that follows with the same n, m and scale, is posted to the helpers once
     this array is complete, and the next draw of exactly that request joins
-    it. A draw with then first cancels a posted draw of another request.
+    it. Any other draw first cancels the posted draw.
     """
     request = (seed, copies, n, m, scale)
     split = _HELPERS.claim(request)
     if split is None:
-        if then is not None:
-            _HELPERS.cancel()  # posted for a sequence that has moved on
+        _HELPERS.cancel()  # posted for a sequence that has moved on
         split = _HELPERS.post(request)
     if split is None:
         z = np.empty((n, m, len(copies)))

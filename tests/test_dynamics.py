@@ -263,7 +263,7 @@ class TestSimulateEnsemble:
         large = simulate_ensemble(model, mf, grid, 5, seed=42)
         np.testing.assert_array_equal(small.states, large.states[:3])
 
-    def test_prefix_identical_through_iterative_projection(self):
+    def test_prefix_identical_through_hpolytope_projection(self):
         model = make_model("tanh_drift", 2, [0.0, 0.0], scale=2.0, sigma=0.6)
         grid = TimeGrid(1.0, 10)
         mf = constant_body(square())

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -39,8 +41,7 @@ def random_body(kind, rng):
     if kind == "ball":
         return Ball(rng.uniform(-2, 2, size=2), rng.uniform(0.2, 3))
     if kind == "hpolytope":
-        # random bounded polygon with well-separated face normals (near-parallel
-        # faces stall the alternating-projection solver)
+        # random bounded polygon
         k = int(rng.integers(4, 8))
         angles = (np.arange(k) + rng.uniform(-0.3, 0.3, size=k)) * (2 * np.pi / k)
         normals = np.column_stack([np.cos(angles), np.sin(angles)])
@@ -69,6 +70,33 @@ class TestProjection:
     def test_square_face_projection(self):
         p = project(unit_square(), np.array([2.0, 0.5]))
         np.testing.assert_allclose(p, [1.0, 0.5], atol=1e-9)
+
+    @pytest.mark.parametrize("half_width", [0.7, 1.0, 2.5])
+    def test_square_as_half_spaces_is_clip_bit_for_bit(self, half_width):
+        # a dense grid over [-2w, 2w]^2 with the corners and face lines on it,
+        # plus points just off the lines that extend the faces past the corners
+        w = half_width
+        axis = np.concatenate([np.linspace(-2 * w, 2 * w, 161), [-w, w]])
+        grid = np.stack(np.meshgrid(axis, axis), axis=-1).reshape(-1, 2)
+        along = np.linspace(w, 2 * w, 41)
+        off = w + np.array([-1e-9, -1e-12, -2.2e-16, 0.0, 2.2e-16, 1e-12, 1e-9])
+        line = np.stack(np.meshgrid(along, off), axis=-1).reshape(-1, 2)
+        signs = np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]])
+        x = np.vstack([grid, *(s * line for s in signs), *(s * line[:, ::-1] for s in signs)])
+        normals = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+        p = project(HPolytope(normals, np.full(4, w)), x)
+        np.testing.assert_array_equal(p, np.clip(x, -w, w))
+
+    def test_near_parallel_wedge_projects_onto_its_apex(self):
+        a = 1e-3  # faces at pi/2 +- a, closed by x = +-2 and y = -1
+        angles = np.array([np.pi / 2 + a, np.pi / 2 - a])
+        normals = np.vstack([np.column_stack([np.cos(angles), np.sin(angles)]),
+                             [[1.0, 0.0], [-1.0, 0.0], [0.0, -1.0]]])
+        body = HPolytope(normals, np.array([1.0, 1.0, 2.0, 2.0, 1.0]))
+        t0 = time.perf_counter()
+        p = project(body, np.array([0.0, 5.0]))
+        assert time.perf_counter() - t0 < 1.0
+        np.testing.assert_allclose(p, [0.0, 1 / np.cos(a)], rtol=0, atol=1e-12)
 
     def test_inside_point_is_fixed(self):
         x = np.array([0.25, 0.75])
@@ -213,6 +241,13 @@ class TestSupport:
     def test_unbounded_polytope_rejected(self):
         with pytest.raises(GeometryError):
             HPolytope(np.array([[1.0, 0.0]]), np.array([1.0]))
+
+    def test_too_many_face_sets_rejected_at_once(self):
+        normals = np.random.default_rng(3).standard_normal((1000, 3))
+        t0 = time.perf_counter()
+        with pytest.raises(GeometryError, match="face sets"):
+            HPolytope(normals, np.ones(1000))
+        assert time.perf_counter() - t0 < 1.0
 
     def test_empty_polytope_rejected(self):
         normals = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])

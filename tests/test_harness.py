@@ -558,6 +558,11 @@ class TestCli:
             ("ball", "probes", "0.1 0.2 0.3"),
             ("ball", "model.kind", "levy"),
             ("interval", "diagnostics.keep_h", "true"),  # removed key
+            # coordinates whose squares overflow: no numpy warning, one error line
+            ("ball", "x0", "1e300 1e300"),
+            ("ball", "mf.r0", "1e300"),
+            ("interval", "mf.hi", "1e300"),
+            ("ball", "probes", "1e300 0.0"),
         ],
     )
     def test_bad_input_fails_before_simulating(self, tmp_path, capsys, base, key, value):
@@ -624,7 +629,7 @@ class TestCli:
         assert data["diagnostics"]["hitting"]
 
 
-# A small 2D --check run: state-dependent diffusion, the iterative projector,
+# A small 2D --check run: state-dependent diffusion, the H-polytope projector,
 # and a copy count that is drawn with the helpers.
 CHECK_CONFIG_TEXT = """
 label = check2d
@@ -693,6 +698,15 @@ class TestDefaultSuiteScript:
             "runtime error: e1_interval_rate.cfg: experiment aborted at N=10, replication=0: boom"
         ]
         assert captured.out == ""
+
+    def test_runtime_error_without_text_is_named_by_its_type(self, tmp_path, monkeypatch, capsys):
+        def fail(config):
+            raise MemoryError()
+
+        script = self.load_script()
+        monkeypatch.setattr(harness, "run_experiment", fail)
+        assert script.main(["--out-root", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "runtime error: e1_interval_rate.cfg: MemoryError\n"
 
 
 # SHA-256 of each default experiment's report.csv at its frozen seed.

@@ -335,20 +335,23 @@ def test_a_matched_look_ahead_is_joined(helper_pool, caller_draws_half):
     assert len(pool.live) == 1
 
 
-def test_another_draw_leaves_the_look_ahead_and_a_new_sequence_cancels_it(
-        helper_pool, caller_draws_half):
+def test_any_other_draw_cancels_the_look_ahead(helper_pool, caller_draws_half):
     pool = helper_pool(cpus=2)
     increments_of(A, then=B)
-    # a plain draw of another request: drawn here alone, the posted draw runs on
+    # a plain draw of another request cancels the posted one, and gets the helpers
+    before = pool.counts["helper_blocks"]
     np.testing.assert_array_equal(increments_of(C), serial(*C, 5, 2, 0.1))
-    assert [request[:2] for request in pool.posted] == [B]
-    # a draw that names a following request of its own: the posted one is cancelled
+    assert pool.posted == {} and pool.counts["lookahead_cancelled"] == 1
+    assert pool.counts["helper_blocks"] > before
+    # so does a draw that names a following request of its own
+    increments_of(A, then=B)
     np.testing.assert_array_equal(increments_of(A, then=C), serial(*A, 5, 2, 0.1))
-    assert pool.counts["lookahead_cancelled"] == 1
+    assert pool.counts["lookahead_cancelled"] == 2
     assert [request[:2] for request in pool.posted] == [C]
     np.testing.assert_array_equal(increments_of(C), serial(*C, 5, 2, 0.1))
     np.testing.assert_array_equal(increments_of(B), serial(*B, 5, 2, 0.1))
-    assert pool.counts["lookahead_joined"] == 1 and len(pool.live) == 1
+    assert pool.counts["lookahead_joined"] == 1 and pool.counts["lookahead_cancelled"] == 2
+    assert pool.posted == {} and len(pool.live) == 1
 
 
 def test_a_look_ahead_abandoned_by_an_exception_is_cancelled(helper_pool, caller_draws_half,
