@@ -34,15 +34,14 @@ from .geometry import Ball, Box, ConvexBody, GeometryError, HPolytope, Interval,
 from .increments import INCREMENT_BLOCK, draw, stream_processes
 
 _MASK64 = (1 << 64) - 1
-DET_FLOOR = 1e-12
 CONTAINMENT_TOL = 1e-9
 FINITE_LIMIT = 1e150  # a pre-projection coordinate beyond this overflows a squared norm
 
 
 class ModelError(ValueError):
-    """Bad model/multifunction input: dimensions, invertibility, containment.
+    """Bad model/multifunction input: dimensions, containment, a step that blows up.
 
-    A singular diffusion sets where, the first evaluation index it failed at.
+    euler_step's finite check sets where, the index of the first point it failed at.
     """
 
 
@@ -126,9 +125,9 @@ class SdeModel:
     """Drift/diffusion pair with declared Lipschitz constants.
 
     drift maps arrays of shape (..., m) to (..., m); diffusion maps (..., m)
-    to (..., m), the diagonal of the diffusion matrix sigma(x), which must be
-    invertible wherever it is evaluated (checked lazily, |prod_i sigma_i(x)|
-    > 1e-12). x0 is the deterministic starting point.
+    to (..., m), the diagonal of the diffusion matrix sigma(x). The step uses
+    sigma as given; the oracle's step-growth constants assume it invertible.
+    x0 is the deterministic starting point.
     """
 
     dim: int
@@ -148,24 +147,10 @@ class SdeModel:
 
 
 def diffusion_at(model: SdeModel, x: np.ndarray) -> np.ndarray:
-    """The diagonal of sigma(x), shape np.shape(x), checked to be invertible.
-
-    sigma(x) counts as singular where |det sigma(x)| = |prod_i sigma_i(x)| is
-    at most DET_FLOOR.
-    """
+    """The diagonal of sigma(x), shape np.shape(x)."""
     sig = np.asarray(model.diffusion(x), dtype=float)
     if sig.shape != np.shape(x):
         raise ModelError(f"diffusion returned shape {sig.shape}, expected {np.shape(x)}")
-    det = sig[..., 0]
-    with np.errstate(over="ignore"):  # an infinite product is not singular
-        for k in range(1, sig.shape[-1]):  # column products: each runs along the batch
-            det = det * sig[..., k]
-    bad = np.abs(det) <= DET_FLOOR
-    if np.any(bad):
-        where = tuple(int(k) for k in np.argwhere(bad)[0]) if np.ndim(bad) else ()
-        exc = ModelError(f"diffusion matrix is singular at evaluation index {where}")
-        exc.where = where
-        raise exc
     return sig
 
 

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import ndtr
 
-from .geometry import HULL_TOL, ConvexBody, Hull, as_interval, convex_hull, distance_to_hull
+from .geometry import ConvexBody, Hull, as_interval, convex_hull, distance_to_hull
 from .dynamics import PathEnsemble
 
 
@@ -69,10 +69,10 @@ def hausdorff_error_1d(estimate: HullEstimate, truth: ConvexBody) -> float:
     return max(hi - estimate.upper, estimate.lower - lo)
 
 
-def pointwise_error(estimate: HullEstimate, x, tol: float = HULL_TOL) -> np.ndarray | float:
+def pointwise_error(estimate: HullEstimate, x) -> np.ndarray | float:
     """Distance from a fixed point (m,), or from each of a batch (k, m), to the
     estimated hull."""
-    return distance_to_hull(estimate.hull, x, tol)
+    return distance_to_hull(estimate.hull, x)
 
 
 def gaussian_cdf(x, mean: float = 0.0, std: float = 1.0):

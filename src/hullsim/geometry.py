@@ -4,9 +4,9 @@ Bodies come in four variants (interval, box, ball, H-polytope). All point
 arguments are numpy arrays whose last axis is the space dimension, so every
 projection is batch-friendly: shape (..., m) in, shape (..., m) out, in the
 input's memory order. Ensembles hand over coordinate-major (F-ordered) (N, m)
-batches, so per-point work runs on whole coordinate columns (row_norms) or
-as one (k, m) @ (m, N) product (the H-polytope screen and margin), with its
-loops along the N points, never along the m <= 3 coordinates.
+batches, so per-point work runs on whole coordinate columns (row_norms and
+the H-polytope screen and margin), with its loops along the N points, never
+along the m <= 3 coordinates, and a point's bits do not depend on its batch.
 """
 
 from __future__ import annotations
@@ -280,7 +280,8 @@ class HPolytope(ConvexBody):
         x = _check_points(x, self.dim)
         flat = x.reshape(-1, self.dim)
         out = flat.copy(order="K")
-        slack = self.normals @ flat.T - self.offsets[:, None]
+        slack = self._face_values(flat)
+        slack -= self.offsets[:, None]
         active = np.flatnonzero(np.any(slack > 0, axis=0))
         # every candidate of a point at once, at most MAX_FACE_SETS candidates at a time
         step = max(1, MAX_FACE_SETS // sum(len(faces) for faces, *_ in self._face_sets))
@@ -300,6 +301,13 @@ class HPolytope(ConvexBody):
             out[part] = np.concatenate(cands)[best, np.arange(part.size)]
         return out.reshape(x.shape)
 
+    def _face_values(self, flat: np.ndarray) -> np.ndarray:
+        """normals @ flat.T summed over whole columns of flat: unlike BLAS, the same bits in any batch."""
+        values = self.normals[:, :1] * flat[:, 0]
+        for c in range(1, self.dim):
+            values += self.normals[:, c:c + 1] * flat[:, c]
+        return values
+
     def support(self, u):
         u = _check_direction(u, self.dim)
         return float(-self._support_lp(u).fun)
@@ -307,7 +315,7 @@ class HPolytope(ConvexBody):
     def interior_margin(self, x):
         x = _check_points(x, self.dim)
         flat = x.reshape(-1, self.dim)
-        slack = self.offsets[:, None] - self.normals @ flat.T
+        slack = self.offsets[:, None] - self._face_values(flat)
         margin = (slack / self._row_norms[:, None]).min(axis=0)
         return margin.reshape(x.shape[:-1])[()]  # a scalar for one point
 

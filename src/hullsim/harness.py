@@ -10,6 +10,7 @@ config: every ensemble seed derives from (master seed, N, replication).
 from __future__ import annotations
 
 import json
+import os
 import time
 import warnings
 from contextlib import contextmanager
@@ -164,6 +165,9 @@ class ExperimentConfig:
             raise ConfigError("x0 must hold one number per dimension")
         if not n or n[0] < 1 or any(b <= a for a, b in zip(n, n[1:])):
             raise ConfigError("n_grid must be strictly ascending positive copy counts")
+        state_bytes = (self.steps + 1) * x0.size * n[-1] * 8  # one ensemble's states
+        if state_bytes > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+            raise ConfigError(f"one ensemble's states would take {state_bytes} bytes, more than physical memory")
         if self.replications < 1:
             raise ConfigError("replications must be at least 1")
         if not js or not all(1 <= j <= self.steps for j in js):

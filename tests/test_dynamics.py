@@ -26,6 +26,7 @@ from hullsim.dynamics import (
     stream_processes,
 )
 from hullsim.geometry import Ball, HPolytope, Interval, contains, distance_to_body
+from test_geometry import tilted_polygon
 
 
 def square(half=1.0):
@@ -214,13 +215,13 @@ class TestMemoryOrder:
         assert h.flags.f_contiguous and x1.flags.f_contiguous
         assert np.any(x1 != h)  # some copies were projected
 
-    def test_singular_row_is_named_in_either_order(self):
-        model = SdeModel(2, lambda x: 0.0 * x, lambda x: np.where(x > 0.5, 0.0, 1.0), [0.0, 0.0], 0.0, 0.0)
+    def test_blown_row_is_named_in_either_order(self):
+        model = SdeModel(2, lambda x: np.where(x > 0.5, np.inf, 0.0), np.ones_like, [0.0, 0.0], 0.0, 0.0)
         x = np.zeros((6, 2))
         x[4, 1] = 1.0
         for arr in (x, np.asfortranarray(x)):
-            with pytest.raises(ModelError) as info:
-                diffusion_at(model, arr)
+            with pytest.raises(ModelError, match="pre-projection point is not finite") as info:
+                euler_step(model, Ball(np.zeros(2), 2.0), arr, np.zeros_like(arr), 0.1)
             assert info.value.where == (4,)
 
 
@@ -272,14 +273,19 @@ class TestSimulateEnsemble:
         np.testing.assert_array_equal(small.states, large.states[:4])
 
     def test_path_equals_ensemble_slice(self):
+        # the tilted pentagon's screen mixes a point's coordinates; every copy
+        # projected at some step is checked
         model = make_model("tanh_drift", 2, [0.1, -0.2], scale=2.0, sigma=0.6)
         grid = TimeGrid(1.0, 10)
-        mf = constant_body(square())
-        ens = simulate_ensemble(model, mf, grid, 6, seed=31, keep_pre_projection=True)
-        for i in (1, 4, 6):
-            path = simulate_path(model, mf, grid, 31, i, keep_pre_projection=True)
-            np.testing.assert_array_equal(path.states, ens.states[i - 1])
-            np.testing.assert_array_equal(path.pre_projection, ens.pre_projection[i - 1])
+        for body in (square(), tilted_polygon()):
+            mf = constant_body(body)
+            ens = simulate_ensemble(model, mf, grid, 2000, seed=31, keep_pre_projection=True)
+            moved = np.flatnonzero(np.any(ens.states[:, 1:] != ens.pre_projection, axis=(1, 2))) + 1
+            assert moved.size > 0
+            for i in (1, 4, 6, *moved.tolist()):
+                path = simulate_path(model, mf, grid, 31, i, keep_pre_projection=True)
+                np.testing.assert_array_equal(path.states, ens.states[i - 1])
+                np.testing.assert_array_equal(path.pre_projection, ens.pre_projection[i - 1])
 
     def test_coordinate_slices_are_contiguous(self):
         model = make_model("ou", 2, [0.0, 0.0], theta=2.0, sigma=0.3)
@@ -358,32 +364,6 @@ class TestSimulateEnsemble:
         band = 4 * np.sqrt(grid.delta / n)
         assert abs(ens.states[:, 1, 0].mean()) < band
 
-    @staticmethod
-    def singular_model(singular_where):
-        def diffusion(x):
-            return np.where(singular_where(np.asarray(x)), 0.0, 1.0)
-
-        return SdeModel(1, lambda x: np.zeros_like(x), diffusion, np.array([0.0]), 0.0, 0.0)
-
-    def test_failure_names_step_and_copy(self):
-        grid = TimeGrid(1.0, 4)
-        mf = constant_body(Interval(-1, 1))
-        everywhere = self.singular_model(lambda x: np.full(x.shape, True))
-        with pytest.raises(ModelError, match=r"^step 0 of copy 1 failed: .*singular"):
-            simulate_ensemble(everywhere, mf, grid, 10, seed=3)
-        with pytest.raises(ModelError, match=r"^step 0 of copy 7 failed: .*singular"):
-            simulate_path(everywhere, mf, grid, 3, 7)
-        # singular above zero: step 1 fails first for the first copy whose
-        # first increment is positive, which the message names absolutely
-        above_zero = self.singular_model(lambda x: x > 0)
-        z = gaussian_increments(3, range(1, 11), grid.steps, 1, grid.delta)
-        first_up = 1 + int(np.argmax(z[:, 0, 0] > 0))
-        assert first_up > 1 and np.any(z[:, 0, 0] > 0)
-        with pytest.raises(ModelError, match=rf"^step 1 of copy {first_up} failed: .*singular"):
-            simulate_ensemble(above_zero, mf, grid, 10, seed=3)
-        with pytest.raises(ModelError, match=rf"^step 1 of copy {first_up} failed: .*singular"):
-            simulate_path(above_zero, mf, grid, 3, first_up)
-
     @pytest.mark.parametrize("blown", [np.inf, -np.inf, np.nan, 1e200])
     def test_non_finite_pre_projection_names_step_and_copy(self, blown):
         # the drift blows up above zero: step 1 fails first for the first copy
@@ -394,11 +374,17 @@ class TestSimulateEnsemble:
         model = SdeModel(1, drift, lambda x: np.ones_like(x), np.array([0.0]), 0.0, 0.0)
         z = gaussian_increments(3, range(1, 11), grid.steps, 1, grid.delta)
         first_up = 1 + int(np.argmax(z[:, 0, 0] > 0))
-        message = rf"^step 1 of copy {first_up} failed: pre-projection point is not finite"
-        with pytest.raises(ModelError, match=message):
+        message = r"failed: pre-projection point is not finite"
+        with pytest.raises(ModelError, match=rf"^step 1 of copy {first_up} {message}"):
             simulate_ensemble(model, mf, grid, 10, seed=3)
-        with pytest.raises(ModelError, match=message):
+        with pytest.raises(ModelError, match=rf"^step 1 of copy {first_up} {message}"):
             simulate_path(model, mf, grid, 3, first_up)
+        # blown up everywhere, step 0 fails every copy and names the first of the batch
+        everywhere = SdeModel(1, lambda x: np.full(np.shape(x), blown), np.ones_like, np.array([0.0]), 0.0, 0.0)
+        with pytest.raises(ModelError, match=rf"^step 0 of copy 1 {message}"):
+            simulate_ensemble(everywhere, mf, grid, 10, seed=3)
+        with pytest.raises(ModelError, match=rf"^step 0 of copy 7 {message}"):
+            simulate_path(everywhere, mf, grid, 3, 7)
 
     def test_copy_count_validation(self):
         model = make_model("ou", 1, [0.0])
@@ -454,22 +440,7 @@ class TestModels:
         with pytest.raises(ModelError):
             make_model("tanh_sigma", 1, [0.0], sigma0=0.1, sigma1=0.2)
 
-    def test_singular_diffusion_detected(self):
-        from hullsim.dynamics import SdeModel
-
-        model = SdeModel(
-            dim=1,
-            drift=lambda x: np.zeros_like(x),
-            diffusion=lambda x: np.zeros_like(x),
-            x0=np.array([0.0]),
-            lip_drift=0.0,
-            lip_diffusion=0.0,
-        )
-        with pytest.raises(ModelError, match="singular"):
-            diffusion_at(model, np.array([0.5]))
-
-    def test_huge_diagonal_is_not_singular(self):
-        # the determinant's column product overflows to inf, which is not singular
+    def test_huge_diagonal_comes_back_as_is(self):
         model = make_model("ou", 2, [0.0, 0.0], sigma=1e300)
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -11,6 +11,7 @@ from hullsim.geometry import (
     GeometryError,
     HPolytope,
     Interval,
+    ProjectionSolverError,
     as_interval,
     chebyshev_center,
     contains,
@@ -473,6 +474,15 @@ class TestHullDistance:
         )
         d = min_norm_point_distance(pts, np.array([1.0, 1.0, 1.0]), tol=1e-9)
         assert d == pytest.approx(2.0 / np.sqrt(3), abs=1e-7)
+
+    def test_solver_cap_raises_with_its_residual(self):
+        # the nearest point is an edge midpoint: the start vertex is one step short
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        x = np.array([0.5, -1.0])
+        assert min_norm_point_distance(pts, x, max_iter=2) == 1.0
+        with pytest.raises(ProjectionSolverError, match="iteration cap") as info:
+            min_norm_point_distance(pts, x, max_iter=1)
+        assert np.isfinite(info.value.residual) and info.value.residual > 0
 
 
 def _hull_queries(pts: np.ndarray, rng) -> np.ndarray:

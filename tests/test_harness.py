@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hullsim import cli, estimation, harness, oracle
+from hullsim import cli, estimation, geometry, harness, oracle
 from hullsim.dynamics import INCREMENT_BLOCK
 from hullsim.harness import (
     CSV_HEADER,
@@ -563,6 +563,8 @@ class TestCli:
             ("ball", "mf.r0", "1e300"),
             ("interval", "mf.hi", "1e300"),
             ("ball", "probes", "1e300 0.0"),
+            # one ensemble's states would take 640 GB
+            ("interval", "grid.steps", "1000000000"),
         ],
     )
     def test_bad_input_fails_before_simulating(self, tmp_path, capsys, base, key, value):
@@ -592,6 +594,36 @@ class TestCli:
         assert err.startswith("runtime error: experiment aborted at N=10, replication=0: step ")
         assert "pre-projection point is not finite" in err
         assert not out.exists()
+
+    def test_projection_solver_cap_is_one_runtime_error_line(self, tmp_path, capsys, monkeypatch):
+        def capped(estimate, x):
+            raise geometry.ProjectionSolverError("min-norm-point solver exceeded its iteration cap", residual=0.25)
+
+        monkeypatch.setattr(estimation, "pointwise_error", capped)
+        cfg = tmp_path / "ball.cfg"
+        cfg.write_text(BALL_CONFIG_TEXT)
+        out = tmp_path / "o"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "runtime error: experiment aborted at N=10, replication=0, j=10: "
+            "min-norm-point solver exceeded its iteration cap (residual=2.500e-01)\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("x0, sigma", [("0 0 0", "5e-5"), ("0 0", "1e-6")])
+    def test_small_constant_diffusion_runs(self, tmp_path, capsys, x0, sigma):
+        # sigma * I is invertible however small sigma is: the step uses it as given
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text(BALL_CONFIG_TEXT.replace("x0 = 0.0 0.0", f"x0 = {x0}")
+                       .replace("mf.center = 0.0 0.0", f"mf.center = {x0}")
+                       .replace("model.sigma = 0.3", f"model.sigma = {sigma}")
+                       .replace("grid.steps = 10", "grid.steps = 4").replace("j_indices = 10", "j_indices = 4"))
+        out = tmp_path / "o"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out), "--check"]) == 0
+        assert capsys.readouterr().err == ""
+        rows = (out / "report.csv").read_text().splitlines()[1:]
+        errors = np.array([float(row.split(",")[4]) for row in rows])
+        assert errors.size > 0 and np.all(np.isfinite(errors))
 
     def test_seed_override_changes_rows(self, tmp_path):
         cfg = self.write_config(tmp_path)
