@@ -39,7 +39,6 @@ from .dynamics import (
 )
 from .estimation import (
     EstimationError,
-    HullEstimate,
     gaussian_cdf,
     hausdorff_error_1d,
     hull_estimate,

@@ -76,10 +76,7 @@ def _run(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.command == "run":
-        return _run(args)
-    return 1
+    return _run(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -115,10 +115,6 @@ class TimeGrid:
             raise ModelError(f"node index {j} outside 0..{self.steps}")
         return j * self.horizon / self.steps
 
-    @property
-    def nodes(self) -> np.ndarray:
-        return np.arange(self.steps + 1) * self.horizon / self.steps
-
 
 @dataclass(frozen=True, eq=False)
 class SdeModel:

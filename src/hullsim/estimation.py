@@ -10,7 +10,6 @@ distance_to_hull call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -24,55 +23,33 @@ class EstimationError(ValueError):
     pass
 
 
-@dataclass(frozen=True, eq=False)
-class HullEstimate:
-    """Hull of the copy states at one time node.
-
-    lower/upper are set in dimension one (the min and max state) and None
-    otherwise.
-    """
-
-    time_index: int
-    hull: Hull
-    n_copies: int
-    lower: float | None = None
-    upper: float | None = None
-
-
-def hull_estimate(ensemble: PathEnsemble, j: int) -> HullEstimate:
-    """Estimate at node j >= 1 (node 0 is the deterministic start, rejected)."""
+def hull_estimate(ensemble: PathEnsemble, j: int) -> Hull:
+    """Hull of the copy states at node j >= 1 (node 0 is the deterministic start, rejected)."""
     if not 1 <= j <= ensemble.grid.steps:
         raise EstimationError(f"time index must be in 1..{ensemble.grid.steps}, got {j}")
-    hull = convex_hull(ensemble.states[:, j, :])
-    lower = upper = None
-    if ensemble.dim == 1:
-        lower, upper = float(hull.vertices[0, 0]), float(hull.vertices[-1, 0])
-    return HullEstimate(
-        time_index=j, hull=hull, n_copies=ensemble.n_copies, lower=lower, upper=upper
-    )
+    return convex_hull(ensemble.states[:, j, :])
 
 
-def hausdorff_error_1d(estimate: HullEstimate, truth: ConvexBody) -> float:
-    """One-sided interval defect max(hi - upper, lower - lo) against truth [lo, hi].
+def hausdorff_error_1d(hull: Hull, truth: ConvexBody) -> float:
+    """One-sided defect max(hi - upper, lower - lo) of the hull [lower, upper] in truth [lo, hi].
 
     Valid because the estimate is contained in the truth interval; a generator
     outside it (beyond 1e-9) signals an upstream containment bug and is
     rejected rather than clamped.
     """
-    if estimate.hull.dim != 1:
+    if hull.dim != 1:
         raise EstimationError("interval error is defined in dimension one only")
     lo, hi = as_interval(truth)
-    if estimate.lower < lo - 1e-9 or estimate.upper > hi + 1e-9:
-        raise EstimationError(
-            f"estimate [{estimate.lower}, {estimate.upper}] escapes [{lo}, {hi}]"
-        )
-    return max(hi - estimate.upper, estimate.lower - lo)
+    lower, upper = float(hull.vertices[0, 0]), float(hull.vertices[-1, 0])
+    if lower < lo - 1e-9 or upper > hi + 1e-9:
+        raise EstimationError(f"estimate [{lower}, {upper}] escapes [{lo}, {hi}]")
+    return max(hi - upper, lower - lo)
 
 
-def pointwise_error(estimate: HullEstimate, x) -> np.ndarray | float:
+def pointwise_error(hull: Hull, x) -> np.ndarray | float:
     """Distance from a fixed point (m,), or from each of a batch (k, m), to the
     estimated hull."""
-    return distance_to_hull(estimate.hull, x)
+    return distance_to_hull(hull, x)
 
 
 def gaussian_cdf(x, mean: float = 0.0, std: float = 1.0):

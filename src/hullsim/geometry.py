@@ -1,19 +1,20 @@
 """Convex bodies, projections, support functions, hulls, and point-to-set distances.
 
-Bodies come in four variants (interval, box, ball, H-polytope). All point
-arguments are numpy arrays whose last axis is the space dimension, so every
-projection is batch-friendly: shape (..., m) in, shape (..., m) out, in the
-input's memory order. Ensembles hand over coordinate-major (F-ordered) (N, m)
-batches, so per-point work runs on whole coordinate columns (row_norms and
-the H-polytope screen and margin), with its loops along the N points, never
-along the m <= 3 coordinates, and a point's bits do not depend on its batch.
+Bodies come in three variants: box (an interval is the box with one
+coordinate), ball and H-polytope. All point arguments are numpy arrays whose
+last axis is the space dimension, so every projection is batch-friendly:
+shape (..., m) in, shape (..., m) out, in the input's memory order.
+Ensembles hand over coordinate-major (F-ordered) (N, m) batches, so per-point
+work runs on whole coordinate columns (row_norms and the H-polytope screen and
+margin), with its loops along the N points, never along the m <= 3
+coordinates, and a point's bits do not depend on its batch.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
@@ -82,38 +83,6 @@ class ConvexBody:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
-class Interval(ConvexBody):
-    """Closed interval [lo, hi] on the line (dimension 1)."""
-
-    lo: float
-    hi: float
-    dim: int = field(default=1, init=False)
-
-    def __post_init__(self):
-        if not self.lo < self.hi:
-            raise GeometryError(f"interval needs lo < hi, got [{self.lo}, {self.hi}]")
-
-    def project(self, x):
-        x = _check_points(x, 1)
-        return np.clip(x, self.lo, self.hi)
-
-    def support(self, u):
-        u = _check_direction(u, 1)
-        return float(u[0] * (self.hi if u[0] > 0 else self.lo))
-
-    def interior_margin(self, x):
-        x = _check_points(x, 1)[..., 0]
-        return np.minimum(x - self.lo, self.hi - x)
-
-    def bounding_box(self):
-        return np.array([self.lo]), np.array([self.hi])
-
-    def boundary_points(self, count, rng):
-        ends = np.array([[self.lo], [self.hi]])
-        return ends[np.arange(count) % 2]
-
-
 @dataclass(frozen=True, eq=False)
 class Box(ConvexBody):
     """Axis-aligned box {x : lo <= x <= hi} in any dimension."""
@@ -154,6 +123,18 @@ class Box(ConvexBody):
         vals = np.where(sides == 0, self.lo[axes], self.hi[axes])
         pts[np.arange(count), axes] = vals
         return pts
+
+
+class Interval(Box):
+    """Closed interval [lo, hi] on the line: the box with one coordinate."""
+
+    def __init__(self, lo: float, hi: float):
+        super().__init__(np.array([lo], dtype=float), np.array([hi], dtype=float))
+
+    def boundary_points(self, count, rng):
+        """The two ends in turn; draws nothing from rng."""
+        ends = np.stack([self.lo, self.hi])
+        return ends[np.arange(count) % 2]
 
 
 @dataclass(frozen=True, eq=False)
@@ -378,8 +359,6 @@ def norm_bound(body: ConvexBody) -> float:
 
 def chebyshev_center(body: ConvexBody) -> tuple[np.ndarray, float]:
     """Center and radius of a largest inscribed ball."""
-    if isinstance(body, Interval):
-        return np.array([(body.lo + body.hi) / 2]), (body.hi - body.lo) / 2
     if isinstance(body, Box):
         return (body.lo + body.hi) / 2, float(np.min((body.hi - body.lo) / 2))
     if isinstance(body, Ball):
@@ -565,7 +544,7 @@ def _facet_distances(hull: Hull, pts: np.ndarray, tol: float) -> np.ndarray:
             denom = d00 * d11 - d01 * d01
             v = (d11 * d20 - d01 * d21) / denom
             w = (d00 * d21 - d01 * d20) / denom
-        inside = (v >= 0) & (w >= 0) & (v + w <= 1)
+            inside = (v >= 0) & (w >= 0) & (v + w <= 1)  # inf + -inf is NaN too
         dist = np.where(inside, np.minimum(dist, h), dist)
     d[rows] = np.inf
     np.minimum.at(d, rows, dist)

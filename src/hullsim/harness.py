@@ -14,7 +14,7 @@ import os
 import time
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
 
@@ -23,6 +23,7 @@ import numpy as np
 from . import dynamics, estimation, geometry, increments, oracle
 
 CSV_HEADER = "N,replication,j,probe_index,error,scaled_error,seed"
+ROW_BYTES = 200  # memory one ErrorRow holds at least (about 220 bytes in CPython 3.11)
 
 
 class ConfigError(ValueError):
@@ -109,7 +110,6 @@ SCHEMA = (
     ("format", "formats", lambda text: tuple(text.replace(",", " ").split()), "csv json"),
     ("diagnostics.step_bound", "run_step_bound", _boolean, "false"),
     ("diagnostics.hitting", "run_hitting", _boolean, "false"),
-    ("diagnostics.hitting_radius", "hitting_radius", _one(_numbers), "0.1"),
 )
 # "<prefix>.<name> = numbers" sets parameter <name> of the model or body kind
 # (dynamics.MODELS, dynamics.BODIES); the value is parsed by _param.
@@ -151,7 +151,6 @@ class ExperimentConfig:
     formats: tuple[str, ...] = _default("formats")
     run_step_bound: bool = _default("run_step_bound")
     run_hitting: bool = _default("run_hitting")
-    hitting_radius: float = _default("hitting_radius")
 
     def __post_init__(self):
         x0 = np.atleast_1d(np.asarray(self.x0, dtype=float))
@@ -165,8 +164,9 @@ class ExperimentConfig:
             raise ConfigError("x0 must hold one number per dimension")
         if not n or n[0] < 1 or any(b <= a for a, b in zip(n, n[1:])):
             raise ConfigError("n_grid must be strictly ascending positive copy counts")
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         state_bytes = (self.steps + 1) * x0.size * n[-1] * 8  # one ensemble's states
-        if state_bytes > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+        if state_bytes > memory:
             raise ConfigError(f"one ensemble's states would take {state_bytes} bytes, more than physical memory")
         if self.replications < 1:
             raise ConfigError("replications must be at least 1")
@@ -174,10 +174,11 @@ class ExperimentConfig:
             raise ConfigError(f"j_indices must be one or more grid nodes in 1..{self.steps}")
         if len(set(js)) != len(js):
             raise ConfigError(f"j_indices must not repeat a node, got {list(js)}")
+        rows = len(n) * self.replications * len(js)  # at least one error row per unit and node
+        if rows * ROW_BYTES > memory:
+            raise ConfigError("replications: the error rows would take more than physical memory")
         if not self.probe_margin > 0:
             raise ConfigError("probe_margin must be positive")
-        if not self.hitting_radius > 0:
-            raise ConfigError("diagnostics.hitting_radius must be positive")
         if not self.formats or not set(self.formats) <= {"csv", "json"}:
             raise ConfigError(f"format must name csv, json or both, got {list(self.formats)}")
 
@@ -215,16 +216,16 @@ def build_multifunction(config: ExperimentConfig) -> dynamics.Multifunction:
     return mf
 
 
-def default_probes(body: geometry.ConvexBody, fraction: float = 0.8) -> np.ndarray:
+def default_probes(body: geometry.ConvexBody) -> np.ndarray:
     """Interior lattice ring: directions {-1,0,1}^m \\ {0}, normalized and
-    scaled to the given fraction of the inradius about the Chebyshev center."""
+    scaled to 0.8 of the inradius about the Chebyshev center."""
     center, inradius = geometry.chebyshev_center(body)
     m = body.dim
     dirs = np.array(
         [v for v in np.ndindex(*([3] * m)) if any(c != 1 for c in v)], dtype=float
     ) - 1.0
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    return center + fraction * inradius * dirs
+    return center + 0.8 * inradius * dirs
 
 
 def resolve_probes(
@@ -374,17 +375,19 @@ def run_experiment(config: ExperimentConfig) -> ConvergenceReport:
                     model, mf, grid, n_copies, seed, keep_pre_projection=keep_h,
                     next_ensemble=next_ensemble,
                 )
+                if keep_h and not config.run_step_bound:  # only the step-bound check reads the increments
+                    ens = replace(ens, increments=None)
                 t1 = time.perf_counter()
                 phases["simulate"] += t1 - t0
                 for j in config.j_indices:
-                    est = estimation.hull_estimate(ens, j)
+                    hull = estimation.hull_estimate(ens, j)
                     if dim == 1:
-                        err = estimation.hausdorff_error_1d(est, truths[j])
+                        err = estimation.hausdorff_error_1d(hull, truths[j])
                         rows.append(
                             ErrorRow(n_copies, r, j, -1, err, n_copies * err, seed)
                         )
                     else:
-                        errs = estimation.pointwise_error(est, probes).tolist()
+                        errs = estimation.pointwise_error(hull, probes).tolist()
                         rows.extend(
                             ErrorRow(n_copies, r, j, p_idx, err, None, seed)
                             for p_idx, err in enumerate(errs)
@@ -400,7 +403,7 @@ def run_experiment(config: ExperimentConfig) -> ConvergenceReport:
                 report = oracle.step1_bound_check(model, ens, mf, diag_probes)
                 diagnostics["step_bound"].append({"N": n_copies, **report.to_dict()})
             if r == 0 and run_hitting:
-                hits = oracle.hitting_frequency(ens, mf, probes, config.hitting_radius)
+                hits = oracle.hitting_frequency(ens, mf, probes)
                 for p_idx, hit in enumerate(hits):
                     diagnostics["hitting"].append(
                         {"N": n_copies, "probe_index": p_idx, **hit.to_dict()}

@@ -21,7 +21,7 @@ from .dynamics import (
     gaussian_increments,  # unused here; the benchmark's tracer looks it up on this module
 )
 from .estimation import gaussian_cdf
-from .geometry import Ball, Box, ConvexBody, HPolytope, Interval, norm_bound, row_norms
+from .geometry import Ball, Box, ConvexBody, HPolytope, norm_bound, row_norms
 
 
 class OracleError(ValueError):
@@ -114,7 +114,7 @@ def brute_force_projection(body: ConvexBody, x, resolution: float) -> np.ndarray
         gx, gy = np.meshgrid(axes[0], axes[1], indexing="ij")
         grid = np.column_stack([gx.ravel(), gy.ravel()])
 
-    if isinstance(body, (Interval, Box)):
+    if isinstance(body, Box):
         feasible = grid
     elif isinstance(body, Ball):
         mask = row_norms(grid - body.center) <= body.radius + 1e-12
@@ -234,7 +234,6 @@ def step1_bound_check(
     probes,
     slack: float = 1e-10,
     constants: StepConstants | None = None,
-    probe_count: int = 4000,
 ) -> BoundCheckReport:
     """Check ||h_{j+1} - x|| <= c1 ||x_j - x|| + c2 ||sigma(x) z + drift(x) delta|| + slack.
 
@@ -246,8 +245,9 @@ def step1_bound_check(
     pre-projection points and the states once and evaluates every probe on
     them, in a few preallocated (N,) buffers, with the operations of row_norms
     in the same order, so the margins are those of the whole-array formula bit
-    for bit. Passing constants overrides the sampled ones (used by the
-    mutation test to confirm the check has power).
+    for bit. Passing constants overrides the ones constants_c1_c2 samples
+    from 4000 points (used by the mutation test to confirm the check has
+    power).
     """
     if ensemble.pre_projection is None or ensemble.increments is None:
         raise OracleError("ensemble was simulated without pre-projection storage")
@@ -270,7 +270,7 @@ def step1_bound_check(
 
     if constants is None:
         m_c = max(norm_bound(body) for body in bodies)
-        constants = constants_c1_c2(model, m_c, grid.delta, probe_count=probe_count)
+        constants = constants_c1_c2(model, m_c, grid.delta, probe_count=4000)
 
     sigmas = [np.asarray(model.diffusion(x), dtype=float) for x in probes]
     shifts = [np.asarray(model.drift(x), dtype=float) * grid.delta for x in probes]

@@ -156,7 +156,7 @@ class TestTimeGrid:
         grid = TimeGrid(1.0, 20)
         assert grid.delta == pytest.approx(0.05)
         assert grid.node(20) == 1.0  # exact, not accumulated
-        np.testing.assert_allclose(grid.nodes, np.linspace(0, 1, 21), atol=0)
+        np.testing.assert_allclose([grid.node(j) for j in range(21)], np.linspace(0, 1, 21), atol=0)
 
     def test_validation(self):
         with pytest.raises(ModelError):

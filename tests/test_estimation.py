@@ -22,7 +22,7 @@ from hullsim.estimation import (
     pointwise_error,
     projected_cdf,
 )
-from hullsim.geometry import Interval, distance_to_hull
+from hullsim.geometry import Ball, Hull, Interval, convex_hull, distance_to_hull
 
 BALL3D_CONFIG = Path(__file__).resolve().parent.parent / "hullbench" / "ball3d_state_sigma.cfg"
 
@@ -67,11 +67,10 @@ def make_1d_ensemble(n_copies=64, seed=0):
 class TestHullEstimate:
     def test_1d_min_max(self):
         ens = make_1d_ensemble()
-        est = hull_estimate(ens, 5)
+        hull = hull_estimate(ens, 5)
         states = ens.states[:, 5, 0]
-        assert est.lower == states.min()
-        assert est.upper == states.max()
-        assert est.n_copies == 64
+        assert hull.dim == 1
+        np.testing.assert_array_equal(hull.vertices, [[states.min()], [states.max()]])
 
     def test_node_zero_rejected(self):
         with pytest.raises(EstimationError):
@@ -83,67 +82,56 @@ class TestHullEstimate:
 
     def test_singleton_estimate(self):
         ens = make_1d_ensemble(n_copies=1)
-        est = hull_estimate(ens, 10)
+        hull = hull_estimate(ens, 10)
         x = np.array([0.7])
-        assert pointwise_error(est, x) == pytest.approx(
+        assert pointwise_error(hull, x) == pytest.approx(
             abs(0.7 - ens.states[0, 10, 0])
         )
 
     def test_2d_interior_state_dropped(self):
         model = make_model("ou", 2, [0.0, 0.0], theta=1.0, sigma=0.8)
         grid = TimeGrid(1.0, 5)
-        from hullsim.geometry import Ball
-
         ens = simulate_ensemble(model, constant_body(Ball(np.zeros(2), 2.0)), grid, 30, 3)
-        est = hull_estimate(ens, 5)
-        assert est.hull.vertices.shape[0] <= 30
-        assert est.lower is None and est.upper is None
+        hull = hull_estimate(ens, 5)
+        assert hull.dim == 2
+        assert hull.vertices.shape[0] <= 30
 
     def test_estimate_contained_in_body(self):
-        ens = make_1d_ensemble(n_copies=500, seed=4)
-        est = hull_estimate(ens, 10)
-        assert est.lower >= -1 - 1e-9
-        assert est.upper <= 1 + 1e-9
+        hull = hull_estimate(make_1d_ensemble(n_copies=500, seed=4), 10)
+        assert np.all(np.abs(hull.vertices) <= 1 + 1e-9)
 
     def test_growing_copy_count_nests_hulls(self):
         small = hull_estimate(make_1d_ensemble(n_copies=50, seed=9), 10)
         large = hull_estimate(make_1d_ensemble(n_copies=200, seed=9), 10)
-        for v in small.hull.vertices:
-            assert distance_to_hull(large.hull, v) <= 1e-12
+        for v in small.vertices:
+            assert distance_to_hull(large, v) <= 1e-12
+
+
+def segment(lower, upper):
+    return Hull(dim=1, vertices=np.array([[lower], [upper]]))
 
 
 class TestIntervalError:
     def test_two_sided_example(self):
-        ens = make_1d_ensemble()
-        est = hull_estimate(ens, 10)
-        object.__setattr__(est, "lower", -0.9)
-        object.__setattr__(est, "upper", 0.8)
-        assert hausdorff_error_1d(est, Interval(-1, 1)) == pytest.approx(0.2)
+        err = hausdorff_error_1d(segment(-0.9, 0.8), Interval(-1, 1))
+        assert err == pytest.approx(0.2)
+        assert type(err) is float  # the CSV writes repr(err)
 
     def test_exact_estimate_gives_zero(self):
-        est = hull_estimate(make_1d_ensemble(), 10)
-        object.__setattr__(est, "lower", -1.0)
-        object.__setattr__(est, "upper", 1.0)
-        assert hausdorff_error_1d(est, Interval(-1, 1)) == 0.0
+        assert hausdorff_error_1d(segment(-1.0, 1.0), Interval(-1, 1)) == 0.0
 
     def test_one_sided_gap(self):
-        est = hull_estimate(make_1d_ensemble(), 10)
-        object.__setattr__(est, "lower", -1.0)
-        object.__setattr__(est, "upper", 0.5)
-        assert hausdorff_error_1d(est, Interval(-1, 1)) == pytest.approx(0.5)
+        assert hausdorff_error_1d(segment(-1.0, 0.5), Interval(-1, 1)) == pytest.approx(0.5)
 
     def test_containment_violation_rejected(self):
-        est = hull_estimate(make_1d_ensemble(), 10)
-        object.__setattr__(est, "upper", 1.5)
         with pytest.raises(EstimationError):
-            hausdorff_error_1d(est, Interval(-1, 1))
+            hausdorff_error_1d(segment(-0.5, 1.5), Interval(-1, 1))
 
     def test_monotone_in_copies(self):
         # prefix ensembles share their streams, so adding copies can only
         # shrink the error, exactly
         big = make_1d_ensemble(n_copies=400, seed=21)
-        est_big = hull_estimate(big, 10)
-        err_big = hausdorff_error_1d(est_big, Interval(-1, 1))
+        err_big = hausdorff_error_1d(hull_estimate(big, 10), Interval(-1, 1))
         for n in (50, 150, 300):
             small = make_1d_ensemble(n_copies=n, seed=21)
             err = hausdorff_error_1d(hull_estimate(small, 10), Interval(-1, 1))
@@ -152,8 +140,6 @@ class TestIntervalError:
     def test_pointwise_monotone_in_copies(self):
         model = make_model("ou", 2, [0.0, 0.0], theta=1.0, sigma=0.6)
         grid = TimeGrid(1.0, 8)
-        from hullsim.geometry import Ball
-
         mf = constant_body(Ball(np.zeros(2), 1.0))
         big = simulate_ensemble(model, mf, grid, 300, seed=6)
         x = np.array([0.5, 0.5])
@@ -166,23 +152,13 @@ class TestIntervalError:
 class TestPointwiseError:
     def test_generator_has_zero_error(self):
         ens = make_1d_ensemble()
-        est = hull_estimate(ens, 10)
+        hull = hull_estimate(ens, 10)
         x = ens.states[3, 10]
-        assert pointwise_error(est, x) == 0.0
+        assert pointwise_error(hull, x) == 0.0
 
     def test_triangle_corner(self):
-        model = make_model("ou", 2, [0.0, 0.0])
-        grid = TimeGrid(1.0, 2)
-        from hullsim.geometry import Ball
-
-        ens = simulate_ensemble(model, constant_body(Ball(np.zeros(2), 3.0)), grid, 3, 1)
-        est = hull_estimate(ens, 2)
-        object.__setattr__(
-            est, "hull", __import__("hullsim.geometry", fromlist=["convex_hull"]).convex_hull(
-                np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-            ),
-        )
-        assert pointwise_error(est, np.array([1.0, 1.0])) == pytest.approx(
+        hull = convex_hull(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+        assert pointwise_error(hull, np.array([1.0, 1.0])) == pytest.approx(
             np.sqrt(2) / 2, abs=1e-9
         )
 
@@ -196,8 +172,8 @@ class TestPointwiseError:
         grid = TimeGrid(config.horizon, config.steps)
         probes = harness.resolve_probes(config, mf, grid)
         ens = simulate_ensemble(model, mf, grid, 2000, derive_seed(config.seed, 2000, 11))
-        est = hull_estimate(ens, 20)
-        assert pointwise_error(est, probes[13]) == pytest.approx(0.1069868, abs=1e-7)
+        hull = hull_estimate(ens, 20)
+        assert pointwise_error(hull, probes[13]) == pytest.approx(0.1069868, abs=1e-7)
 
 
 class TestProjectedCdf:

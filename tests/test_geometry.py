@@ -2,7 +2,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hullsim.geometry import (
@@ -185,6 +185,36 @@ class TestMemoryOrder:
         np.testing.assert_array_equal(distance_to_body(body, f), distance_to_body(body, c))
 
 
+class TestInterval:
+    """An interval is the box with one coordinate."""
+
+    def test_is_a_box(self):
+        assert isinstance(Interval(-1, 1), Box)
+
+    @given(
+        st.floats(-1e6, 1e6, allow_nan=False),
+        st.floats(1e-6, 1e6, allow_nan=False),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_same_bits_as_the_one_coordinate_box(self, lo, width, seed):
+        hi = lo + width
+        interval, box = Interval(lo, hi), Box(np.array([lo]), np.array([hi]))
+        x = np.random.default_rng(seed).uniform(lo - width, hi + width, size=(50, 1))
+        for pts in (x, np.asfortranarray(x), x[0]):
+            np.testing.assert_array_equal(project(interval, pts), project(box, pts))
+            np.testing.assert_array_equal(project(interval, pts), np.clip(pts, lo, hi))
+            np.testing.assert_array_equal(interval.interior_margin(pts), box.interior_margin(pts))
+            np.testing.assert_array_equal(distance_to_body(interval, pts), distance_to_body(box, pts))
+        for u in (np.array([1.5]), np.array([-0.5])):
+            assert support(interval, u) == support(box, u)
+        for a, b in zip(interval.bounding_box(), box.bounding_box()):
+            np.testing.assert_array_equal(a, b)
+        (c_interval, r_interval), (c_box, r_box) = chebyshev_center(interval), chebyshev_center(box)
+        np.testing.assert_array_equal(c_interval, c_box)
+        assert r_interval == r_box and type(r_interval) is float
+
+
 class TestContains:
     def test_interior_point(self):
         assert contains(Interval(-1, 1), np.array([0.0]), tol=0.0)
@@ -365,6 +395,8 @@ class TestConvexHull:
             max_size=30,
         )
     )
+    # a zero-area facet: its barycentric coordinates are +inf and -inf
+    @example([(0, 0, 1), (0, 5.960464477539063e-08, 0), (-1, 0, 0), (-3.7952929811005873e-50, 0, 6)])
     @settings(max_examples=200, deadline=None)
     def test_generators_inside_spatial_hull(self, pts):
         pts = np.array(pts, dtype=float)

@@ -1,6 +1,9 @@
+import contextlib
 import hashlib
 import importlib.util
+import io
 import json
+import tempfile
 import warnings
 import weakref
 from pathlib import Path
@@ -10,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hullsim import cli, estimation, geometry, harness, oracle
+from hullsim import cli, dynamics, estimation, geometry, harness, oracle
 from hullsim.dynamics import INCREMENT_BLOCK
 from hullsim.harness import (
     CSV_HEADER,
@@ -89,6 +92,8 @@ replications = 2
 seed = 1
 j_indices = 10
 """
+
+BASE_CONFIG_TEXTS = {"interval": CONFIG_TEXT, "ball": BALL_CONFIG_TEXT}
 
 
 class TestRateFit:
@@ -272,14 +277,21 @@ class TestRunExperiment:
         assert all(r.scaled_error is None for r in report.rows)
 
     def test_one_pointwise_error_call_per_estimate(self, monkeypatch):
-        calls = []
-        original = estimation.pointwise_error
+        estimates, calls = [], []
+        hull_estimate, pointwise_error = estimation.hull_estimate, estimation.pointwise_error
 
-        def spy(est, x, *args, **kwargs):
-            calls.append((est.n_copies, est.time_index, np.shape(x)))
-            return original(est, x, *args, **kwargs)
+        def estimate_spy(ens, j):
+            estimates.append((ens.n_copies, j, hull_estimate(ens, j)))
+            return estimates[-1][2]
 
-        monkeypatch.setattr(estimation, "pointwise_error", spy)
+        def error_spy(hull, x):
+            n, j, last = estimates[-1]
+            assert hull is last
+            calls.append((n, j, np.shape(x)))
+            return pointwise_error(hull, x)
+
+        monkeypatch.setattr(estimation, "hull_estimate", estimate_spy)
+        monkeypatch.setattr(estimation, "pointwise_error", error_spy)
         config = small_config(
             x0=np.array([0.0, 0.0]),
             mf_kind="constant_ball",
@@ -330,24 +342,26 @@ class TestRunExperiment:
     @pytest.mark.parametrize(
         "dims,diagnostics,kept",
         [
-            (1, {"run_hitting": True}, False),  # the hitting check runs only for m > 1
-            (1, {"run_step_bound": True}, True),
-            (2, {"run_hitting": True}, True),
-            (2, {}, False),
+            # kept: (pre-projection points, increments) in replication 0's ensemble
+            (1, {"run_hitting": True}, (False, False)),  # the hitting check runs only for m > 1
+            (1, {"run_step_bound": True}, (True, True)),
+            (2, {"run_hitting": True}, (True, False)),  # only the step-bound check reads increments
+            (2, {"run_hitting": True, "run_step_bound": True}, (True, True)),
+            (2, {}, (False, False)),
         ],
     )
     def test_pre_projection_kept_only_for_a_diagnostic_that_reads_it(
         self, monkeypatch, dims, diagnostics, kept
     ):
-        simulate = harness.dynamics.simulate_ensemble
+        estimate = estimation.hull_estimate
         ensembles = []
 
-        def spy(*args, **kwargs):
-            ens = simulate(*args, **kwargs)
-            ensembles.append(ens)
-            return ens
+        def spy(ens, j):
+            if not ensembles or ensembles[-1] is not ens:
+                ensembles.append(ens)
+            return estimate(ens, j)
 
-        monkeypatch.setattr(harness.dynamics, "simulate_ensemble", spy)
+        monkeypatch.setattr(estimation, "hull_estimate", spy)
         shape = {} if dims == 1 else dict(
             model_params={"theta": 2.0, "sigma": 0.3},
             x0=np.zeros(2),
@@ -357,8 +371,8 @@ class TestRunExperiment:
         config = small_config(n_grid=[20, 40], replications=2, **shape, **diagnostics)
         run_experiment(config)
         assert len(ensembles) == 4  # (N, replication) in row order
-        stored = [ens.pre_projection is not None for ens in ensembles]
-        assert stored == [kept, False, kept, False]
+        stored = [(ens.pre_projection is not None, ens.increments is not None) for ens in ensembles]
+        assert stored == [kept, (False, False), kept, (False, False)]
 
     def test_each_ensemble_is_dropped_before_the_next_is_simulated(self, monkeypatch):
         # so the caller never holds a kept increment array and the next one at once
@@ -543,7 +557,6 @@ class TestCli:
             ("interval", "model.theta", "abc"),
             ("interval", "grid.horizon", "abc"),
             ("interval", "probe_margin", "abc"),
-            ("interval", "diagnostics.hitting_radius", "abc"),
             ("interval", "grid.horizon", "-1"),
             ("interval", "mf.lo", "1 2"),
             ("ball", "x0", "0 0 0"),
@@ -551,13 +564,13 @@ class TestCli:
             ("interval", "mf.bogus", "1"),
             ("interval", "j_indices", ""),
             ("interval", "j_indices", "10 10"),  # a repeated node would double its rows
-            ("interval", "diagnostics.hitting_radius", "-1"),
             ("interval", "model.theta", "1 2"),
             ("interval", "grid.horizon", "inf"),
             ("ball", "probes", "0.1 0.2 ; 0.3"),
             ("ball", "probes", "0.1 0.2 0.3"),
             ("ball", "model.kind", "levy"),
             ("interval", "diagnostics.keep_h", "true"),  # removed key
+            ("interval", "diagnostics.hitting_radius", "0.1"),  # removed key
             # coordinates whose squares overflow: no numpy warning, one error line
             ("ball", "x0", "1e300 1e300"),
             ("ball", "mf.r0", "1e300"),
@@ -565,11 +578,13 @@ class TestCli:
             ("ball", "probes", "1e300 0.0"),
             # one ensemble's states would take 640 GB
             ("interval", "grid.steps", "1000000000"),
+            # its error rows would not fit in physical memory
+            ("interval", "replications", "1e300"),
         ],
     )
     def test_bad_input_fails_before_simulating(self, tmp_path, capsys, base, key, value):
         # a later line overrides the base config's value for the same key
-        text = {"interval": CONFIG_TEXT, "ball": BALL_CONFIG_TEXT}[base] + f"{key} = {value}\n"
+        text = BASE_CONFIG_TEXTS[base] + f"{key} = {value}\n"
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(text)
         out = tmp_path / "o"
@@ -659,6 +674,43 @@ class TestCli:
         data = json.loads((out / "report.json").read_text())
         assert data["diagnostics"]["step_bound"]
         assert data["diagnostics"]["hitting"]
+
+    @given(
+        case=st.sampled_from([
+            (base, key)
+            for base, text in BASE_CONFIG_TEXTS.items()
+            for key in [schema_key for schema_key, *_ in SCHEMA] + [
+                f"{prefix}.{name}"
+                for prefix, registry in (("model", dynamics.MODELS), ("mf", dynamics.BODIES))
+                for name in registry[parse_config_text(text)[f"{prefix}.kind"]][0]
+            ]
+        ]),
+        value=st.sampled_from(["0", "-1", "1e300", "-1e300", "1e-300", "-1e-300", "1 1 1"]),
+        check=st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_extreme_value_exits_cleanly(self, case, value, check):
+        # one key of a tiny config at an extreme value or of the wrong arity;
+        # "1 1 1" is the wrong arity for every key of these 1D and 2D configs
+        base, key = case
+        tiny = "n_grid = 4 8 16\nreplications = 2\ngrid.steps = 4\nj_indices = 4\n"  # later lines override
+        text = BASE_CONFIG_TEXTS[base] + tiny + f"{key} = {value}\n"
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg, out = Path(tmp) / "extreme.cfg", Path(tmp) / "o"
+            cfg.write_text(text)
+            err = io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                warnings.simplefilter("always")
+                code = cli.main(["run", "--config", str(cfg), "--out", str(out)] + ["--check"] * check)
+            assert [str(w.message) for w in caught] == []
+            assert code in (0, 1, 2)
+            message = err.getvalue()
+            assert (message == "") if code == 0 else (message.count("\n") == 1 and message.endswith("\n"))
+            if code == 0:
+                rows = (out / "report.csv").read_text().splitlines()[1:]
+                errors = np.array([float(row.split(",")[4]) for row in rows])
+                assert errors.size > 0 and np.all(np.isfinite(errors)) and np.all(errors >= 0)
 
 
 # A small 2D --check run: state-dependent diffusion, the H-polytope projector,
