@@ -6,12 +6,16 @@
 The flags override config keys (see the README's config format); --check
 sets diagnostics.step_bound and diagnostics.hitting. Exit codes: 0 success;
 1 bad config, found before simulating (unknown key or parameter, bad value,
-a body, x0 or probe that does not fit the grid); 2 runtime error.
+a body, x0 or probe that does not fit the grid, or diagnostic inputs the
+step-bound check cannot evaluate); 2 runtime error. A run prints the median
+errors, the files it wrote and a summary line: label, wall clock, meta.phases,
+meta.stream_processes, the meta.stream counters and the CSV text's SHA-256.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import sys
 
 from . import harness
@@ -72,6 +76,13 @@ def _run(args: argparse.Namespace) -> int:
             print(f"{config.label} {tag}: median errors {medians}")
     for path in paths:
         print(f"wrote {path}")
+    meta, stream = report.meta, report.meta["stream"]
+    phases = " ".join(f"{k} {v:.1f}s" for k, v in meta["phases"].items())
+    digest = hashlib.sha256(harness.render_csv(report).encode()).hexdigest()
+    print(f"{config.label}: {meta['wall_clock_s']:.1f}s ({phases}; {meta['stream_processes']} stream processes, "
+          f"helpers drew {stream['helper_block_share']:.0%} of blocks, "
+          f"{stream['lookahead_joined']} look-aheads joined, {stream['lookahead_cancelled']} cancelled, "
+          f"{stream['helpers_skipped']} unready helpers skipped) csv sha256 {digest}")
     return 0
 
 

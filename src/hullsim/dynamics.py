@@ -31,10 +31,8 @@ from typing import Callable
 import numpy as np
 
 from .geometry import Ball, Box, ConvexBody, GeometryError, HPolytope, Interval, contains, project
-from .increments import INCREMENT_BLOCK, draw, stream_processes
+from .increments import _MASK64, draw
 
-_MASK64 = (1 << 64) - 1
-CONTAINMENT_TOL = 1e-9
 FINITE_LIMIT = 1e150  # a pre-projection coordinate beyond this overflows a squared norm
 
 
@@ -177,18 +175,11 @@ def euler_step(
     return h, project(body_next, h)
 
 
-@dataclass(frozen=True)
-class Multifunction:
-    """Time-indexed family of convex bodies t -> C(t) on [0, horizon]."""
-
-    evaluator: Callable[[float], ConvexBody]
-
-    def __call__(self, t: float) -> ConvexBody:
-        return self.evaluator(t)
+Multifunction = Callable[[float], ConvexBody]  # a time-indexed family of convex bodies t -> C(t)
 
 
 def constant_body(body: ConvexBody) -> Multifunction:
-    return Multifunction(lambda t: body)
+    return lambda t: body
 
 
 def shrinking_ball(center, r0: float, rate: float) -> Multifunction:
@@ -200,7 +191,7 @@ def shrinking_ball(center, r0: float, rate: float) -> Multifunction:
     def evaluator(t: float) -> ConvexBody:
         return Ball(center=center, radius=r0 - rate * t)
 
-    return Multifunction(evaluator)
+    return evaluator
 
 
 def shrinking_box(lo, hi, rate: float) -> Multifunction:
@@ -213,7 +204,7 @@ def shrinking_box(lo, hi, rate: float) -> Multifunction:
     def evaluator(t: float) -> ConvexBody:
         return Box(lo=lo + rate * t, hi=hi - rate * t)
 
-    return Multifunction(evaluator)
+    return evaluator
 
 
 def check_lipschitz(
@@ -283,7 +274,7 @@ def bodies_at_nodes(mf: Multifunction, grid: TimeGrid) -> list[ConvexBody]:
 
 
 def _check_start(model: SdeModel, mf: Multifunction) -> None:
-    if not contains(mf(0.0), model.x0, CONTAINMENT_TOL):
+    if not contains(mf(0.0), model.x0):
         raise ModelError("x0 must lie in the body at time zero")
 
 

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import ndtr
 
-from .geometry import ConvexBody, Hull, as_interval, convex_hull, distance_to_hull
+from .geometry import GEOM_TOL, ConvexBody, Hull, as_interval, convex_hull, distance_to_hull
 from .dynamics import PathEnsemble
 
 
@@ -34,14 +34,14 @@ def hausdorff_error_1d(hull: Hull, truth: ConvexBody) -> float:
     """One-sided defect max(hi - upper, lower - lo) of the hull [lower, upper] in truth [lo, hi].
 
     Valid because the estimate is contained in the truth interval; a generator
-    outside it (beyond 1e-9) signals an upstream containment bug and is
+    outside it (beyond GEOM_TOL) signals an upstream containment bug and is
     rejected rather than clamped.
     """
     if hull.dim != 1:
         raise EstimationError("interval error is defined in dimension one only")
     lo, hi = as_interval(truth)
     lower, upper = float(hull.vertices[0, 0]), float(hull.vertices[-1, 0])
-    if lower < lo - 1e-9 or upper > hi + 1e-9:
+    if lower < lo - GEOM_TOL or upper > hi + GEOM_TOL:
         raise EstimationError(f"estimate [{lower}, {upper}] escapes [{lo}, {hi}]")
     return max(hi - upper, lower - lo)
 

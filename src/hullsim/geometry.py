@@ -413,10 +413,12 @@ class Hull:
 def convex_hull(points) -> Hull:
     """Hull of a (p, m) cloud, or of p values on the line; see Hull.
 
-    For m >= 2 qhull builds the hull. A cloud qhull reports as flat is kept
-    as its distinct points, or in 2D as the segment between its extremes
-    along its principal axis (for collinear points: the lexicographically
-    first and last).
+    For m >= 2 qhull builds the hull. Where its facet merging leaves a point
+    of a thin cloud more than HULL_TOL outside, the hull is built again from
+    joggled input (qhull's QJ option), which merges no facets. A cloud qhull
+    reports as flat is kept as its distinct points, or in 2D as the segment
+    between its extremes along its principal axis (for collinear points: the
+    lexicographically first and last).
     """
     pts = np.asarray(points, dtype=float)
     if pts.size == 0:
@@ -434,7 +436,8 @@ def convex_hull(points) -> Hull:
         verts = np.array([[lo]]) if lo == hi else np.array([[lo], [hi]])
         return Hull(dim=1, vertices=verts)
     try:
-        qhull = ConvexHull(pts)
+        # scipy's default options and Qc, which lists the points kept off the hull as coplanar
+        qhull = ConvexHull(pts, qhull_options="Qt Qc Qx" if m > 4 else "Qt Qc")
     except QhullError:  # the cloud is flat to qhull's precision
         uniq = np.unique(pts, axis=0)  # lexicographic order
         if m == 2 and len(uniq) > 2:
@@ -444,6 +447,16 @@ def convex_hull(points) -> Hull:
             along = uniq @ axis
             uniq = uniq[np.sort([np.argmin(along), np.argmax(along)])]
         return Hull(dim=m, vertices=uniq)
+    hull = _qhull_hull(pts, qhull)
+    coplanar = pts[qhull.coplanar[:, 0]]
+    if coplanar.size and np.any(distance_to_hull(hull, coplanar) > HULL_TOL):
+        # facet merging of a thin cloud left a generator outside: joggle the input instead
+        hull = _qhull_hull(pts, ConvexHull(pts, qhull_options="QJ"))
+    return hull
+
+
+def _qhull_hull(pts: np.ndarray, qhull: ConvexHull) -> Hull:
+    m = pts.shape[1]
     # renumber the facet corners from cloud indices to vertex indices
     index = np.empty(pts.shape[0], dtype=np.intp)
     index[qhull.vertices] = np.arange(qhull.vertices.size)

@@ -14,7 +14,7 @@ import os
 import time
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable
 
@@ -92,31 +92,6 @@ def _param(text: str) -> float | np.ndarray:
     return values[0] if len(values) == 1 else np.array(values)
 
 
-SCHEMA = (
-    # (key, ExperimentConfig field, parser, text used when absent; None: required)
-    ("label", "label", str, "experiment"),
-    ("model.kind", "model_kind", str, None),
-    ("mf.kind", "mf_kind", str, None),
-    ("grid.horizon", "horizon", _one(_numbers), None),
-    ("grid.steps", "steps", _one(_integers), None),
-    ("n_grid", "n_grid", _integers, None),
-    ("replications", "replications", _one(_integers), None),
-    ("seed", "seed", _one(_integers), None),
-    ("j_indices", "j_indices", _integers, None),
-    ("probe_margin", "probe_margin", _one(_numbers), "0.01"),
-    ("x0", "x0", _numbers, None),
-    ("probes", "probes", _probes, "auto"),
-    ("out", "out", lambda text: text or None, ""),
-    ("format", "formats", lambda text: tuple(text.replace(",", " ").split()), "csv json"),
-    ("diagnostics.step_bound", "run_step_bound", _boolean, "false"),
-    ("diagnostics.hitting", "run_hitting", _boolean, "false"),
-)
-# "<prefix>.<name> = numbers" sets parameter <name> of the model or body kind
-# (dynamics.MODELS, dynamics.BODIES); the value is parsed by _param.
-PARAMS = {"model": "model_params", "mf": "mf_params"}
-_KEYS = {key for key, *_ in SCHEMA}
-
-
 def _parse(key: str, parse: Callable[[str], object], text: str):
     try:
         return parse(text)
@@ -124,33 +99,38 @@ def _parse(key: str, parse: Callable[[str], object], text: str):
         raise ConfigError(f"{key}: {exc}") from exc
 
 
-def _default(field: str):
-    key, _, parse, text = next(entry for entry in SCHEMA if entry[1] == field)
-    return _parse(key, parse, text)
+def _key(key: str, parse: Callable[[str], object], absent: str | None = None):
+    """The field of config key `key`: parse reads its text, and absent is the text an
+    absent key stands for (None: the key is required), parsed into the default."""
+    metadata = {"key": key, "parse": parse, "absent": absent}
+    if absent is None:
+        return field(metadata=metadata)
+    return field(default=_parse(key, parse, absent), metadata=metadata)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
-    """One convergence study; config files set it through SCHEMA and PARAMS."""
+    """One convergence study; config files set each _key field by its key (SCHEMA)
+    and the parameter dicts through PARAMS."""
 
-    label: str
-    model_kind: str
-    model_params: dict
-    x0: np.ndarray
-    mf_kind: str
-    mf_params: dict
-    horizon: float
-    steps: int
-    n_grid: list[int]
-    replications: int
-    seed: int
-    j_indices: list[int]
-    probes: np.ndarray | None = _default("probes")  # resolved lattice when None and dim > 1
-    probe_margin: float = _default("probe_margin")
-    out: str | None = _default("out")
-    formats: tuple[str, ...] = _default("formats")
-    run_step_bound: bool = _default("run_step_bound")
-    run_hitting: bool = _default("run_hitting")
+    label: str = _key("label", str, "experiment")
+    model_kind: str = _key("model.kind", str)
+    mf_kind: str = _key("mf.kind", str)
+    horizon: float = _key("grid.horizon", _one(_numbers))
+    steps: int = _key("grid.steps", _one(_integers))
+    n_grid: list[int] = _key("n_grid", _integers)
+    replications: int = _key("replications", _one(_integers))
+    seed: int = _key("seed", _one(_integers))
+    j_indices: list[int] = _key("j_indices", _integers)
+    probe_margin: float = _key("probe_margin", _one(_numbers), "0.01")
+    x0: np.ndarray = _key("x0", _numbers)
+    probes: np.ndarray | None = _key("probes", _probes, "auto")  # resolved lattice when None and dim > 1
+    out: str | None = _key("out", lambda text: text or None, "")
+    formats: tuple[str, ...] = _key("format", lambda text: tuple(text.replace(",", " ").split()), "csv json")
+    run_step_bound: bool = _key("diagnostics.step_bound", _boolean, "false")
+    run_hitting: bool = _key("diagnostics.hitting", _boolean, "false")
+    model_params: dict = field(default_factory=dict)
+    mf_params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         x0 = np.atleast_1d(np.asarray(self.x0, dtype=float))
@@ -183,6 +163,17 @@ class ExperimentConfig:
             raise ConfigError(f"format must name csv, json or both, got {list(self.formats)}")
 
 
+# (key, ExperimentConfig field, parser, text used when absent; None: required)
+SCHEMA = tuple(
+    (f.metadata["key"], f.name, f.metadata["parse"], f.metadata["absent"])
+    for f in fields(ExperimentConfig) if "key" in f.metadata
+)
+# "<prefix>.<name> = numbers" sets parameter <name> of the model or body kind
+# (dynamics.MODELS, dynamics.BODIES); the value is parsed by _param.
+PARAMS = {"model": "model_params", "mf": "mf_params"}
+_KEYS = {key for key, *_ in SCHEMA}
+
+
 def build_model(config: ExperimentConfig) -> dynamics.SdeModel:
     with _as_config_error():
         return dynamics.make_model(config.model_kind, config.x0.size, config.x0, **config.model_params)
@@ -211,7 +202,7 @@ def build_multifunction(config: ExperimentConfig) -> dynamics.Multifunction:
     start = bodies[0]
     if start.dim != config.x0.size:
         raise ConfigError(f"x0 has {config.x0.size} coordinates but the body is {start.dim}-dimensional")
-    if not geometry.contains(start, config.x0, dynamics.CONTAINMENT_TOL):
+    if not geometry.contains(start, config.x0):
         raise ConfigError("x0 must lie in the body at time zero")
     return mf
 
@@ -354,6 +345,12 @@ def run_experiment(config: ExperimentConfig) -> ConvergenceReport:
         truths = {j: mf(grid.node(j)) for j in config.j_indices}
     else:
         probes = resolve_probes(config, mf, grid)
+    if config.run_step_bound:  # its inputs are checked before any ensemble is simulated
+        diag_probes = probes if probes is not None else _interval_probes(truths, config)
+        try:
+            constants = oracle.step_bound_constants(model, mf, grid, diag_probes)
+        except oracle.OracleError as exc:
+            raise ConfigError(f"diagnostics.step_bound: {exc}") from exc
 
     rows: list[ErrorRow] = []
     diagnostics: dict = {"step_bound": [], "hitting": []}
@@ -399,8 +396,7 @@ def run_experiment(config: ExperimentConfig) -> ConvergenceReport:
                 raise RuntimeError(f"experiment aborted at {where}: {exc}") from exc
             t0 = time.perf_counter()
             if r == 0 and config.run_step_bound:
-                diag_probes = probes if probes is not None else _interval_probes(truths, config)
-                report = oracle.step1_bound_check(model, ens, mf, diag_probes)
+                report = oracle.step1_bound_check(model, ens, mf, diag_probes, constants=constants)
                 diagnostics["step_bound"].append({"N": n_copies, **report.to_dict()})
             if r == 0 and run_hitting:
                 hits = oracle.hitting_frequency(ens, mf, probes)
@@ -422,7 +418,7 @@ def run_experiment(config: ExperimentConfig) -> ConvergenceReport:
         "wall_clock_s": time.perf_counter() - t_start,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "phases": phases,  # seconds per phase, summed over every ensemble
-        "stream_processes": dynamics.stream_processes(),  # this one plus its live increment helpers
+        "stream_processes": increments.stream_processes(),  # this one plus its live increment helpers
         "stream": _stream_meta(counts),
     }
     return ConvergenceReport(

@@ -17,11 +17,12 @@ from .dynamics import (
     Multifunction,
     PathEnsemble,
     SdeModel,
+    TimeGrid,
     bodies_at_nodes,
     gaussian_increments,  # unused here; the benchmark's tracer looks it up on this module
 )
 from .estimation import gaussian_cdf
-from .geometry import Ball, Box, ConvexBody, HPolytope, norm_bound, row_norms
+from .geometry import GEOM_TOL, Ball, Box, ConvexBody, HPolytope, distance_to_body, norm_bound, row_norms
 
 
 class OracleError(ValueError):
@@ -83,12 +84,12 @@ def constants_c1_c2(
     if np.any(smallest <= 1e-12):
         raise OracleError("diffusion matrix is singular at a sampled probe")
     inv_norms = 1.0 / smallest
-    drift_norms = np.linalg.norm(model.drift(pts), axis=1)
-
-    sup_inv = float(np.max(inv_norms))
-    sup_inv_drift = float(np.max(inv_norms * drift_norms))
-    c1 = 1.0 + (model.lip_drift + model.lip_diffusion * sup_inv_drift) * delta
-    c2 = 1.0 + 2.0 * m_c * model.lip_diffusion * sup_inv
+    with np.errstate(over="ignore", invalid="ignore"):  # StepConstants rejects what is not finite
+        drift_norms = np.linalg.norm(model.drift(pts), axis=1)
+        sup_inv = float(np.max(inv_norms))
+        sup_inv_drift = float(np.max(inv_norms * drift_norms))
+        c1 = 1.0 + (model.lip_drift + model.lip_diffusion * sup_inv_drift) * delta
+        c2 = 1.0 + 2.0 * m_c * model.lip_diffusion * sup_inv
     return StepConstants(
         c1=c1, c2=c2, m_c=m_c, sup_inv_op_norm=sup_inv, sup_inv_drift=sup_inv_drift
     )
@@ -227,6 +228,23 @@ def _distances_into(out: np.ndarray, term: np.ndarray, rows: np.ndarray, x: np.n
     np.sqrt(out, out=out)
 
 
+def _check_probes_inside(bodies: list[ConvexBody], probes: np.ndarray) -> None:
+    for body in bodies[1:]:
+        if np.any(np.asarray(distance_to_body(body, probes)) > GEOM_TOL):
+            raise OracleError("every probe must lie in the body at every step end")
+
+
+def step_bound_constants(model: SdeModel, mf: Multifunction, grid: TimeGrid,
+                         probes: np.ndarray) -> StepConstants:
+    """The constants step1_bound_check samples when not given them: constants_c1_c2
+    from 4000 points of the ball that holds every node body. Raises OracleError
+    unless each of the (k, m) probes lies in the body at the end of every step."""
+    bodies = bodies_at_nodes(mf, grid)
+    _check_probes_inside(bodies, probes)
+    m_c = max(norm_bound(body) for body in bodies)
+    return constants_c1_c2(model, m_c, grid.delta, probe_count=4000)
+
+
 def step1_bound_check(
     model: SdeModel,
     ensemble: PathEnsemble,
@@ -260,17 +278,10 @@ def step1_bound_check(
     if probes.shape[1] != m:
         raise OracleError(f"probes must have {m} coordinates")
 
-    bodies = bodies_at_nodes(mf, grid)
-    from .geometry import distance_to_body
-
-    for body in bodies[1:]:
-        d = np.asarray(distance_to_body(body, probes))
-        if np.any(d > 1e-9):
-            raise OracleError("every probe must lie in the body at every step end")
-
     if constants is None:
-        m_c = max(norm_bound(body) for body in bodies)
-        constants = constants_c1_c2(model, m_c, grid.delta, probe_count=4000)
+        constants = step_bound_constants(model, mf, grid, probes)
+    else:
+        _check_probes_inside(bodies_at_nodes(mf, grid), probes)
 
     sigmas = [np.asarray(model.diffusion(x), dtype=float) for x in probes]
     shifts = [np.asarray(model.drift(x), dtype=float) * grid.delta for x in probes]

@@ -5,7 +5,6 @@ import pytest
 
 from hullsim.dynamics import (
     BODIES,
-    INCREMENT_BLOCK,
     MODELS,
     ModelError,
     SdeModel,
@@ -23,9 +22,9 @@ from hullsim.dynamics import (
     shrinking_box,
     simulate_ensemble,
     simulate_path,
-    stream_processes,
 )
 from hullsim.geometry import Ball, HPolytope, Interval, contains, distance_to_body
+from hullsim.increments import INCREMENT_BLOCK, stream_processes
 from test_geometry import tilted_polygon
 
 

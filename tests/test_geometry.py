@@ -404,10 +404,9 @@ class TestConvexHull:
         for p in pts:
             assert distance_to_hull(hull, p, tol=1e-7) <= 1e-6
 
-    @pytest.mark.xfail(strict=True, reason="qhull's default facet merging drops a generator "
-                       "of this thin 3D cloud that lies 1.04e-6 outside the returned hull")
     def test_thin_spatial_cloud_keeps_its_generators(self):
-        # a failing example of test_generators_inside_spatial_hull, pinned
+        # qhull's default facet merging leaves (48, 0, 0) 1.04e-6 outside the hull
+        # of this thin cloud; the joggled rebuild leaves it 5.8e-11 outside
         pts = np.array([(0, 0, 1), (0, 27, -8.29e-184), (0, -2.68e-4, 1e-10),
                         (48, 0, 0), (61, 0, 0), (-42, 8.27e-6, 0)], dtype=float)
         hull = convex_hull(pts)

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import importlib.util
 import io
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hullsim import cli, dynamics, estimation, geometry, harness, oracle
-from hullsim.dynamics import INCREMENT_BLOCK
+from hullsim.increments import INCREMENT_BLOCK
 from hullsim.harness import (
     CSV_HEADER,
     PARAMS,
@@ -213,6 +214,25 @@ class TestSchema:
         params = {f"{prefix}.{k}" for prefix, f in PARAMS.items() for k in getattr(config, f)}
         assert set(echo) == {key for key, *_ in SCHEMA} | params
         assert echo["probe_margin"] == 0.01 and echo["x0"] == [0.0] * config.x0.size
+
+    def test_schema_lists_every_key_field_in_declaration_order(self):
+        keyed = [f.name for f in dataclasses.fields(ExperimentConfig) if f.name not in PARAMS.values()]
+        assert [field for _, field, _, _ in SCHEMA] == keyed
+        assert [key for key, *_ in SCHEMA] == [  # the key order of report.json's config
+            "label", "model.kind", "mf.kind", "grid.horizon", "grid.steps", "n_grid", "replications",
+            "seed", "j_indices", "probe_margin", "x0", "probes", "out", "format",
+            "diagnostics.step_bound", "diagnostics.hitting",
+        ]
+
+    def test_absent_label_is_experiment_in_a_file_and_a_construction(self):
+        flat = parse_config_text(CONFIG_TEXT)
+        del flat["label"]
+        built = small_config()
+        given = {f.name: getattr(built, f.name) for f in dataclasses.fields(built)
+                 if f.name not in ("label", "model_params", "mf_params")}
+        constructed = ExperimentConfig(**given)
+        assert config_from_flat(flat).label == constructed.label == "experiment"
+        assert constructed.model_params == constructed.mf_params == {}
 
     def test_large_seed_is_exact(self):
         seed = 12345678901234567891  # above 2**53: a float would round it
@@ -520,6 +540,45 @@ class TestCli:
         assert (tmp_path / "results" / "report.json").exists()
         assert "median errors" in capsys.readouterr().out
 
+    def test_summary_line_ends_with_the_csv_digest(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path)
+        out = tmp_path / "o"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-3:-1] == [f"wrote {out / 'report.csv'}", f"wrote {out / 'report.json'}"]
+        meta = json.loads((out / "report.json").read_text())["meta"]
+        phases = " ".join(f"{k} {v:.1f}s" for k, v in meta["phases"].items())
+        digest = hashlib.sha256((out / "report.csv").read_bytes()).hexdigest()
+        assert lines[-1].startswith(f"demo: {meta['wall_clock_s']:.1f}s ({phases}; "
+                                    f"{meta['stream_processes']} stream processes, helpers drew ")
+        assert lines[-1].endswith(f" unready helpers skipped) csv sha256 {digest}")
+
+    @pytest.mark.parametrize("name, extra, reason", [
+        ("e1_interval_rate.cfg", "model.sigma = 1e-300", "diffusion matrix is singular at a sampled probe"),
+        ("e3_shrinking_ball.cfg", "model.sigma = 1e-300", "diffusion matrix is singular at a sampled probe"),
+        # inside the ball at node 5, outside it at node 20
+        ("e3_shrinking_ball.cfg", "j_indices = 5\nprobes = 0.8 0.0 ; 0.0 0.5",
+         "every probe must lie in the body at every step end"),
+    ])
+    def test_step_bound_inputs_fail_before_the_first_ensemble(self, tmp_path, capsys, monkeypatch,
+                                                              name, extra, reason):
+        simulated = []
+        simulate = dynamics.simulate_ensemble
+
+        def counted(*args, **kwargs):
+            simulated.append(args[3])
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "simulate_ensemble", counted)
+        cfg = tmp_path / name  # later lines override: a small run, and the bad input
+        cfg.write_text((CONFIG_DIR / name).read_text() + f"n_grid = 20 40 80\nreplications = 2\n{extra}\n")
+        out = tmp_path / "o"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out), "--check"]) == 1
+        assert capsys.readouterr().err == f"error: diagnostics.step_bound: {reason}\n"
+        assert simulated == [] and not out.exists()
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0  # the check alone needs them
+        assert capsys.readouterr().err == "" and simulated == [20, 20, 40, 40, 80, 80]
+
     def test_missing_out_is_validation_error(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path)
         assert cli.main(["run", "--config", str(cfg)]) == 1
@@ -767,20 +826,21 @@ class TestDefaultSuiteScript:
         spec.loader.exec_module(module)
         return module
 
-    @staticmethod
-    def fail(*args, **kwargs):
-        raise RuntimeError("experiment aborted at N=10, replication=0: boom")
-
     @pytest.mark.parametrize("stage", ["run_experiment", "emit_report"])
     def test_runtime_failure_is_one_line(self, stage, tmp_path, monkeypatch, capsys):
+        calls = []
+
+        def fail(*args):
+            calls.append(args)
+            raise RuntimeError("experiment aborted at N=10, replication=0: boom")
+
         script = self.load_script()
         monkeypatch.setattr(harness, "run_experiment", lambda config: object())
-        monkeypatch.setattr(harness, stage, self.fail)
+        monkeypatch.setattr(harness, stage, fail)
         assert script.main(["--out-root", str(tmp_path)]) == 2
+        assert len(calls) == 1  # the suite stops at the first config that fails
         captured = capsys.readouterr()
-        assert captured.err.splitlines() == [
-            "runtime error: e1_interval_rate.cfg: experiment aborted at N=10, replication=0: boom"
-        ]
+        assert captured.err.splitlines() == ["runtime error: experiment aborted at N=10, replication=0: boom"]
         assert captured.out == ""
 
     def test_runtime_error_without_text_is_named_by_its_type(self, tmp_path, monkeypatch, capsys):
@@ -790,7 +850,22 @@ class TestDefaultSuiteScript:
         script = self.load_script()
         monkeypatch.setattr(harness, "run_experiment", fail)
         assert script.main(["--out-root", str(tmp_path)]) == 2
-        assert capsys.readouterr().err == "runtime error: e1_interval_rate.cfg: MemoryError\n"
+        assert capsys.readouterr().err == "runtime error: MemoryError\n"
+
+    def test_each_config_runs_through_the_cli_into_its_stem(self, tmp_path, monkeypatch, capsys):
+        run = harness.run_experiment
+        monkeypatch.setattr(harness, "run_experiment", lambda config: run(
+            dataclasses.replace(config, n_grid=[8, 16, 32], replications=2)))
+        script = self.load_script()
+        assert script.main(["--out-root", str(tmp_path), "--seed", "3"]) == 0
+        summaries = [line for line in capsys.readouterr().out.splitlines() if " csv sha256 " in line]
+        assert len(summaries) == len(script.CONFIGS)
+        for name, line in zip(script.CONFIGS, summaries):
+            out = tmp_path / Path(name).stem
+            report = json.loads((out / "report.json").read_text())
+            assert report["config"]["seed"] == 3
+            assert line.startswith(report["config"]["label"] + ": ")
+            assert line.endswith(hashlib.sha256((out / "report.csv").read_bytes()).hexdigest())
 
 
 # SHA-256 of each default experiment's report.csv at its frozen seed.

@@ -21,7 +21,8 @@ import numpy as np
 import pytest
 
 from hullsim import harness, increments
-from hullsim.dynamics import INCREMENT_BLOCK, gaussian_increments, stream_processes
+from hullsim.dynamics import gaussian_increments
+from hullsim.increments import INCREMENT_BLOCK, stream_processes
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -35,7 +36,8 @@ pytestmark = pytest.mark.skipif(
 PRELUDE = f"""
 import json, os, sys
 from hullsim import increments
-from hullsim.dynamics import gaussian_increments, stream_processes
+from hullsim.dynamics import gaussian_increments
+from hullsim.increments import stream_processes
 os.sched_getaffinity = lambda pid: {{0, 1}}
 COPIES = range(1, 3 * {INCREMENT_BLOCK} + 1)
 first = gaussian_increments(8, COPIES, 5, 2, 0.1).copy()

@@ -370,7 +370,7 @@ class TestLayout:
     """The checks read the coordinate-major ensemble and a copy-major copy alike."""
 
     model = make_model("tanh_sigma", 2, [0.0, 0.0], theta=0.5, sigma0=0.3, sigma1=0.1)
-    mf = shrinking_ball([0.0, 0.0], 1.0, 0.3)
+    mf = staticmethod(shrinking_ball([0.0, 0.0], 1.0, 0.3))
     probes = np.array([[0.3, 0.0], [-0.2, 0.25], [0.0, -0.4]])
 
     def ensembles(self):
