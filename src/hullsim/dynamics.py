@@ -387,26 +387,26 @@ def _constant_diffusion(sigma: float) -> Callable[[np.ndarray], np.ndarray]:
     return lambda x: np.broadcast_to(sigma, np.shape(x))
 
 
-def _ou(dim, theta, sigma):
+def _ou(theta, sigma):
     if theta < 0 or not sigma > 0:
         raise ModelError("ou model needs theta >= 0 and sigma > 0")
     return (lambda x: -theta * x), _constant_diffusion(sigma), theta, 0.0
 
 
-def _zero_drift(dim, sigma):
+def _zero_drift(sigma):
     if not sigma > 0:
         raise ModelError("zero_drift model needs sigma > 0")
     drift = lambda x: np.zeros_like(np.asarray(x, dtype=float))
     return drift, _constant_diffusion(sigma), 0.0, 0.0
 
 
-def _tanh_drift(dim, scale, sigma):
+def _tanh_drift(scale, sigma):
     if scale < 0 or not sigma > 0:
         raise ModelError("tanh_drift model needs scale >= 0 and sigma > 0")
     return (lambda x: -scale * np.tanh(x)), _constant_diffusion(sigma), scale, 0.0
 
 
-def _tanh_sigma(dim, theta, sigma0, sigma1):
+def _tanh_sigma(theta, sigma0, sigma1):
     if theta < 0:
         raise ModelError("tanh_sigma model needs theta >= 0")
     if not sigma0 - abs(sigma1) > 0:
@@ -415,7 +415,7 @@ def _tanh_sigma(dim, theta, sigma0, sigma1):
     return (lambda x: -theta * x), diffusion, theta, abs(sigma1)
 
 
-# builder(dim, **params) -> (drift, diffusion, lip_drift, lip_diffusion)
+# builder(**params) -> (drift, diffusion, lip_drift, lip_diffusion)
 MODELS = {
     "ou": ({"theta": 1.0, "sigma": 1.0}, _ou),  # linear mean reversion, constant diffusion
     "zero_drift": ({"sigma": 1.0}, _zero_drift),  # constant diffusion only
@@ -428,7 +428,7 @@ MODELS = {
 def make_model(kind: str, dim: int, x0, **params) -> SdeModel:
     """Build a registered drift/diffusion model (see MODELS)."""
     builder, args = resolve_params("model", MODELS, kind, dim, params)
-    drift, diffusion, lip_drift, lip_diffusion = builder(dim, **args)
+    drift, diffusion, lip_drift, lip_diffusion = builder(**args)
     return SdeModel(dim, drift, diffusion, x0, lip_drift, lip_diffusion)
 
 

@@ -206,7 +206,7 @@ class HPolytope(ConvexBody):
         object.__setattr__(self, "offsets", offsets)
         object.__setattr__(self, "dim", m)
         object.__setattr__(self, "_row_norms", normal_norms)
-        face_sets = []  # per set size s: faces (sets, s), N_S, G^-1 N_S and G^-1
+        face_sets = []  # per set size s: faces (sets, s), G^-1 N_S and G^-1
         for s in range(1, m + 1):
             sets = [f for f in itertools.combinations(range(k), s)
                     if np.linalg.matrix_rank(normals[list(f)]) == s]
@@ -214,7 +214,7 @@ class HPolytope(ConvexBody):
                 faces = np.array(sets)
                 rows = normals[faces]
                 gram = rows @ rows.transpose(0, 2, 1)
-                face_sets.append((faces, rows, np.linalg.solve(gram, rows), np.linalg.inv(gram)))
+                face_sets.append((faces, np.linalg.solve(gram, rows), np.linalg.inv(gram)))
         object.__setattr__(self, "_face_sets", face_sets)
         lo = np.empty(self.dim)
         hi = np.empty(self.dim)
@@ -255,8 +255,8 @@ class HPolytope(ConvexBody):
         such candidate x - lam @ N_S projects x onto the polyhedron of S's
         half-spaces, which holds the body, so the one in the body is the
         projection: the one with the largest interior margin (first on a tie).
-        One-face sets divide by |n|^2 as a single half-space does, so a box of
-        half-spaces gives np.clip's bits wherever x - (x - b) rounds to b.
+        A box of half-spaces with unit or power-of-two axis normals gives
+        np.clip's bits wherever x - (x - b) rounds to b.
         """
         x = _check_points(x, self.dim)
         flat = x.reshape(-1, self.dim)
@@ -269,14 +269,10 @@ class HPolytope(ConvexBody):
         for i in range(0, active.size, step):
             part = active[i:i + step]
             pts, part_slack, cands, scores = flat[part], slack[:, part], [], []
-            for faces, rows, lift, gram_inv in self._face_sets:
+            for faces, lift, gram_inv in self._face_sets:
                 viol = part_slack[faces]  # (sets, s, points)
-                if faces.shape[1] == 1:
-                    lam = viol / self._row_norms[faces, None] ** 2
-                    cands.append(pts - lam.transpose(0, 2, 1) * rows)
-                else:
-                    lam = gram_inv @ viol
-                    cands.append(pts - viol.transpose(0, 2, 1) @ lift)
+                lam = gram_inv @ viol
+                cands.append(pts - viol.transpose(0, 2, 1) @ lift)
                 scores.append(np.where(np.all(lam >= 0, axis=1), self.interior_margin(cands[-1]), -np.inf))
             best = np.argmax(np.concatenate(scores), axis=0)
             out[part] = np.concatenate(cands)[best, np.arange(part.size)]

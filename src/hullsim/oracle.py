@@ -209,25 +209,6 @@ class BoundCheckReport:
         }
 
 
-def _add_square(out: np.ndarray, term: np.ndarray, k: int) -> None:
-    """Coordinate k's term of row_norms' sum of squares: out = term**2 at k = 0,
-    then out += term**2; term is overwritten."""
-    if k:
-        np.multiply(term, term, out=term)
-        np.add(out, term, out=out)
-    else:
-        np.multiply(term, term, out=out)
-
-
-def _distances_into(out: np.ndarray, term: np.ndarray, rows: np.ndarray, x: np.ndarray) -> None:
-    """out = row_norms(a - x), bit for bit, for the (N, m) array a whose (N,)
-    coordinate rows are rows[0..m-1]; term is scratch of the same length."""
-    for k, row in enumerate(rows):
-        np.subtract(row, x[k], out=term)
-        _add_square(out, term, k)
-    np.sqrt(out, out=out)
-
-
 def _check_probes_inside(bodies: list[ConvexBody], probes: np.ndarray) -> None:
     for body in bodies[1:]:
         if np.any(np.asarray(distance_to_body(body, probes)) > GEOM_TOL):
@@ -259,13 +240,10 @@ def step1_bound_check(
     in the body at the end of every step. The increments z are the ones the
     ensemble kept with its pre-projection points (simulate_ensemble with
     keep_pre_projection=True); an ensemble without either is rejected. One
-    pass over the nodes reads node j's (N,) coordinate rows of z, the
-    pre-projection points and the states once and evaluates every probe on
-    them, in a few preallocated (N,) buffers, with the operations of row_norms
-    in the same order, so the margins are those of the whole-array formula bit
-    for bit. Passing constants overrides the ones constants_c1_c2 samples
-    from 4000 points (used by the mutation test to confirm the check has
-    power).
+    pass over the nodes evaluates every probe on node j's (N, m) views of z,
+    the pre-projection points and the states. Passing constants overrides the
+    ones constants_c1_c2 samples from 4000 points (used by the mutation test
+    to confirm the check has power).
     """
     if ensemble.pre_projection is None or ensemble.increments is None:
         raise OracleError("ensemble was simulated without pre-projection storage")
@@ -285,30 +263,16 @@ def step1_bound_check(
 
     sigmas = [np.asarray(model.diffusion(x), dtype=float) for x in probes]
     shifts = [np.asarray(model.drift(x), dtype=float) * grid.delta for x in probes]
-    # (node, coordinate, copy) views: each row below is one coordinate at one node
-    z_rows, h_rows = ensemble.increments.transpose(1, 2, 0), ensemble.pre_projection.transpose(1, 2, 0)
-    x_rows = ensemble.states[:, :-1].transpose(1, 2, 0)
-    lhs, rhs, resid, term = (np.empty(ensemble.n_copies) for _ in range(4))
+    c1, c2 = constants.c1, constants.c2
 
     worst = -np.inf
     violations = 0
-    for zj, hj, xj in zip(z_rows, h_rows, x_rows):
+    for j in range(n):
+        z, h, x_j = ensemble.increments[:, j], ensemble.pre_projection[:, j], ensemble.states[:, j]
         for x, sig_x, shift_x in zip(probes, sigmas, shifts):
-            for k in range(m):
-                np.multiply(zj[k], sig_x[k], out=term)
-                np.add(term, shift_x[k], out=term)
-                _add_square(resid, term, k)
-            np.sqrt(resid, out=resid)
-            _distances_into(lhs, term, hj, x)
-            _distances_into(rhs, term, xj, x)
-            np.multiply(rhs, constants.c1, out=rhs)
-            np.subtract(lhs, rhs, out=lhs)
-            np.multiply(resid, constants.c2, out=resid)
-            np.subtract(lhs, resid, out=lhs)  # the margins of this node and probe
-            top = float(lhs.max())
-            worst = max(worst, top)
-            if not top <= slack:  # else no margin exceeds the slack
-                violations += int(np.count_nonzero(lhs > slack))
+            margins = (row_norms(h - x) - c1 * row_norms(x_j - x)) - c2 * row_norms(z * sig_x + shift_x)
+            worst = max(worst, float(margins.max()))
+            violations += int(np.count_nonzero(margins > slack))
     n_checks = ensemble.n_copies * n * probes.shape[0]
     return BoundCheckReport(
         n_checks=n_checks,
@@ -356,11 +320,8 @@ def hitting_frequency(
     """Empirical frequency of pre-projection points near each interior probe.
 
     probes is a (k, m) array; the result holds one report per probe, in
-    order. All probes are counted in one pass over the nodes: at node j the
-    slice pre_projection[:, j - 1] (an F-ordered (N, m) view of the
-    coordinate-major ensemble) is read once and the body's interior test is
-    evaluated once, whatever k is; each probe's distances, computed as
-    row_norms computes them, and its counts reuse the same (N,) buffers.
+    order. All probes are counted in one pass over the nodes, which evaluates
+    the body's interior test at node j once, whatever k is.
     """
     if ensemble.pre_projection is None:
         raise OracleError("ensemble was simulated without pre-projection storage")
@@ -371,15 +332,11 @@ def hitting_frequency(
         raise OracleError(f"probes must be a (k, {ensemble.dim}) array, got shape {probes.shape}")
     grid = ensemble.grid
     hits = np.zeros((probes.shape[0], grid.steps), dtype=int)
-    dist, term = np.empty(ensemble.n_copies), np.empty(ensemble.n_copies)
-    close = np.empty(ensemble.n_copies, dtype=bool)
     for j in range(1, grid.steps + 1):
         h = ensemble.pre_projection[:, j - 1]
         inside = np.asarray(mf(grid.node(j)).interior_margin(h)) > 0
         for k, probe in enumerate(probes):
-            _distances_into(dist, term, h.T, probe)
-            np.less_equal(dist, radius, out=close)
-            hits[k, j - 1] = int(np.count_nonzero(np.logical_and(close, inside, out=close)))
+            hits[k, j - 1] = int(np.count_nonzero((row_norms(h - probe) <= radius) & inside))
     return [
         HittingReport(probe=probe, radius=radius, n_copies=ensemble.n_copies, hits_per_node=row)
         for probe, row in zip(probes, hits)

@@ -72,10 +72,14 @@ class TestProjection:
         p = project(unit_square(), np.array([2.0, 0.5]))
         np.testing.assert_allclose(p, [1.0, 0.5], atol=1e-9)
 
-    @pytest.mark.parametrize("half_width", [0.7, 1.0, 2.5])
-    def test_square_as_half_spaces_is_clip_bit_for_bit(self, half_width):
+    @pytest.mark.parametrize("half_width, scale", [
+        *(pytest.param(w, 1.0, id=f"{w}") for w in (0.7, 1.0, 2.5)),
+        *(pytest.param(w, 2.0, id=f"{w}-normals-x2") for w in (0.7, 1.0, 2.5)),
+    ])
+    def test_square_as_half_spaces_is_clip_bit_for_bit(self, half_width, scale):
         # a dense grid over [-2w, 2w]^2 with the corners and face lines on it,
-        # plus points just off the lines that extend the faces past the corners
+        # plus points just off the lines that extend the faces past the corners;
+        # normals and offsets scaled by a power of two describe the same square
         w = half_width
         axis = np.concatenate([np.linspace(-2 * w, 2 * w, 161), [-w, w]])
         grid = np.stack(np.meshgrid(axis, axis), axis=-1).reshape(-1, 2)
@@ -85,7 +89,7 @@ class TestProjection:
         signs = np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]])
         x = np.vstack([grid, *(s * line for s in signs), *(s * line[:, ::-1] for s in signs)])
         normals = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-        p = project(HPolytope(normals, np.full(4, w)), x)
+        p = project(HPolytope(scale * normals, np.full(4, scale * w)), x)
         np.testing.assert_array_equal(p, np.clip(x, -w, w))
 
     def test_near_parallel_wedge_projects_onto_its_apex(self):

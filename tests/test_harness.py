@@ -734,42 +734,39 @@ class TestCli:
         assert data["diagnostics"]["step_bound"]
         assert data["diagnostics"]["hitting"]
 
-    @given(
-        case=st.sampled_from([
-            (base, key)
-            for base, text in BASE_CONFIG_TEXTS.items()
-            for key in [schema_key for schema_key, *_ in SCHEMA] + [
-                f"{prefix}.{name}"
-                for prefix, registry in (("model", dynamics.MODELS), ("mf", dynamics.BODIES))
-                for name in registry[parse_config_text(text)[f"{prefix}.kind"]][0]
-            ]
-        ]),
-        value=st.sampled_from(["0", "-1", "1e300", "-1e300", "1e-300", "-1e-300", "1 1 1"]),
-        check=st.booleans(),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_extreme_value_exits_cleanly(self, case, value, check):
-        # one key of a tiny config at an extreme value or of the wrong arity;
-        # "1 1 1" is the wrong arity for every key of these 1D and 2D configs
-        base, key = case
+    @pytest.mark.parametrize("base, key", [
+        (base, key)
+        for base, text in BASE_CONFIG_TEXTS.items()
+        for key in [schema_key for schema_key, *_ in SCHEMA] + [
+            f"{prefix}.{name}"
+            for prefix, registry in (("model", dynamics.MODELS), ("mf", dynamics.BODIES))
+            for name in registry[parse_config_text(text)[f"{prefix}.kind"]][0]
+        ]
+    ])
+    def test_extreme_value_exits_cleanly(self, base, key):
+        # one key of a tiny config at each extreme value or of the wrong arity,
+        # with and without --check; "1 1 1" is the wrong arity for every key of
+        # these 1D and 2D configs
         tiny = "n_grid = 4 8 16\nreplications = 2\ngrid.steps = 4\nj_indices = 4\n"  # later lines override
-        text = BASE_CONFIG_TEXTS[base] + tiny + f"{key} = {value}\n"
-        with tempfile.TemporaryDirectory() as tmp:
-            cfg, out = Path(tmp) / "extreme.cfg", Path(tmp) / "o"
-            cfg.write_text(text)
-            err = io.StringIO()
-            with warnings.catch_warnings(record=True) as caught, \
-                    contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-                warnings.simplefilter("always")
-                code = cli.main(["run", "--config", str(cfg), "--out", str(out)] + ["--check"] * check)
-            assert [str(w.message) for w in caught] == []
-            assert code in (0, 1, 2)
-            message = err.getvalue()
-            assert (message == "") if code == 0 else (message.count("\n") == 1 and message.endswith("\n"))
-            if code == 0:
-                rows = (out / "report.csv").read_text().splitlines()[1:]
-                errors = np.array([float(row.split(",")[4]) for row in rows])
-                assert errors.size > 0 and np.all(np.isfinite(errors)) and np.all(errors >= 0)
+        for value in ["0", "-1", "1e300", "-1e300", "1e-300", "-1e-300", "1 1 1"]:
+            text = BASE_CONFIG_TEXTS[base] + tiny + f"{key} = {value}\n"
+            for check in (False, True):
+                with tempfile.TemporaryDirectory() as tmp:
+                    cfg, out = Path(tmp) / "extreme.cfg", Path(tmp) / "o"
+                    cfg.write_text(text)
+                    err = io.StringIO()
+                    with warnings.catch_warnings(record=True) as caught, \
+                            contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                        warnings.simplefilter("always")
+                        code = cli.main(["run", "--config", str(cfg), "--out", str(out)] + ["--check"] * check)
+                    assert [str(w.message) for w in caught] == []
+                    assert code in (0, 1, 2)
+                    message = err.getvalue()
+                    assert (message == "") if code == 0 else (message.count("\n") == 1 and message.endswith("\n"))
+                    if code == 0:
+                        rows = (out / "report.csv").read_text().splitlines()[1:]
+                        errors = np.array([float(row.split(",")[4]) for row in rows])
+                        assert errors.size > 0 and np.all(np.isfinite(errors)) and np.all(errors >= 0)
 
 
 # A small 2D --check run: state-dependent diffusion, the H-polytope projector,
