@@ -597,29 +597,18 @@ def min_norm_point_distance(
 
         active = np.flatnonzero(w > 0)
         a = int(active[np.argmax(grad[active])])
-        toward_gain = mean_grad - grad[s]
-        away_gain = grad[a] - mean_grad
-        if toward_gain >= away_gain:
-            direction = V[s] - y
-            gamma_max = 1.0
-            denom = float(direction @ direction)
-            if denom == 0.0:
-                return float(np.linalg.norm(r))
-            gamma = min(max(-float(r @ direction) / denom, 0.0), gamma_max)
-            w *= 1.0 - gamma
-            w[s] += gamma
-        else:
-            direction = y - V[a]
-            wa = w[a]
-            if wa >= 1.0:  # single-vertex support, nothing to move away from
-                return float(np.linalg.norm(r))
-            gamma_max = wa / (1.0 - wa)
-            denom = float(direction @ direction)
-            if denom == 0.0:
-                return float(np.linalg.norm(r))
-            gamma = min(max(-float(r @ direction) / denom, 0.0), gamma_max)
-            w *= 1.0 + gamma
-            w[a] -= gamma
+        if gap >= grad[a] - mean_grad:  # toward V[s], whose gain is gap, at most all the way
+            k, sign, direction, gamma_max = s, 1.0, V[s] - y, 1.0
+        elif w[a] >= 1.0:  # single-vertex support, nothing to move away from
+            return dist
+        else:  # away from V[a], at most until its weight is zero
+            k, sign, direction, gamma_max = a, -1.0, y - V[a], w[a] / (1.0 - w[a])
+        denom = float(direction @ direction)
+        if denom == 0.0:
+            return dist
+        gamma = sign * min(max(-float(r @ direction) / denom, 0.0), gamma_max)
+        w *= 1.0 - gamma  # toward: (1 - gamma) w + gamma e_s; away: (1 + gamma) w - gamma e_a
+        w[k] += gamma
         np.maximum(w, 0.0, out=w)
         w /= w.sum()
         y = V.T @ w

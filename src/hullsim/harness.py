@@ -14,16 +14,29 @@ import os
 import time
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import dynamics, estimation, geometry, increments, oracle
 
-CSV_HEADER = "N,replication,j,probe_index,error,scaled_error,seed"
-ROW_BYTES = 200  # memory one ErrorRow holds at least (about 220 bytes in CPython 3.11)
+
+class ErrorRow(NamedTuple):
+    """One error measurement; its fields are report.csv's columns and a report.json row's keys."""
+
+    N: int
+    replication: int
+    j: int
+    probe_index: int  # -1 in dimension one
+    error: float
+    scaled_error: float | None  # N * error in dimension one, None otherwise
+    seed: int
+
+
+CSV_HEADER = ",".join(ErrorRow._fields)
+ROW_BYTES = 130  # memory one ErrorRow holds at least (tracemalloc, CPython 3.11: 141 B with its list slot in e3)
 
 
 class ConfigError(ValueError):
@@ -145,16 +158,21 @@ class ExperimentConfig:
         if not n or n[0] < 1 or any(b <= a for a, b in zip(n, n[1:])):
             raise ConfigError("n_grid must be strictly ascending positive copy counts")
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        state_bytes = (self.steps + 1) * x0.size * n[-1] * 8  # one ensemble's states
-        if state_bytes > memory:
-            raise ConfigError(f"one ensemble's states would take {state_bytes} bytes, more than physical memory")
+        # one ensemble's states and increments, the next one's posted increments and,
+        # with a diagnostic on, its pre-projection points
+        per_step = 3 if self.run_step_bound or self.run_hitting else 2
+        unit_bytes = (self.steps + 1 + per_step * self.steps) * x0.size * n[-1] * 8
+        if unit_bytes > memory:
+            raise ConfigError(f"one ensemble's arrays would take {unit_bytes} bytes, more than physical memory")
         if self.replications < 1:
             raise ConfigError("replications must be at least 1")
         if not js or not all(1 <= j <= self.steps for j in js):
             raise ConfigError(f"j_indices must be one or more grid nodes in 1..{self.steps}")
         if len(set(js)) != len(js):
             raise ConfigError(f"j_indices must not repeat a node, got {list(js)}")
-        rows = len(n) * self.replications * len(js)  # at least one error row per unit and node
+        # one error row per unit, node and probe (default_probes' 3^m - 1 when not given)
+        n_probes = 1 if x0.size == 1 else 3**x0.size - 1 if self.probes is None else len(self.probes)
+        rows = len(n) * self.replications * len(js) * n_probes
         if rows * ROW_BYTES > memory:
             raise ConfigError("replications: the error rows would take more than physical memory")
         if not self.probe_margin > 0:
@@ -245,30 +263,8 @@ def resolve_probes(
 
 
 @dataclass
-class ErrorRow:
-    n_copies: int
-    replication: int
-    j: int
-    probe_index: int  # -1 in dimension one
-    error: float
-    scaled_error: float | None  # N * error in dimension one, None otherwise
-    seed: int
-
-    def to_dict(self) -> dict:
-        return {
-            "N": self.n_copies,
-            "replication": self.replication,
-            "j": self.j,
-            "probe_index": self.probe_index,
-            "error": self.error,
-            "scaled_error": self.scaled_error,
-            "seed": self.seed,
-        }
-
-
-@dataclass
 class ConvergenceReport:
-    config_echo: dict
+    config: dict
     dim: int
     n_grid: list[int]
     rows: list[ErrorRow]
@@ -279,23 +275,19 @@ class ConvergenceReport:
     meta: dict
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config_echo,
-            "dim": self.dim,
-            "n_grid": self.n_grid,
-            "rows": [r.to_dict() for r in self.rows],
-            "quantiles": [
+        """One report.json key per field, in order, with rows, quantiles and slopes as lists."""
+        return dict(
+            vars(self),
+            rows=[row._asdict() for row in self.rows],
+            quantiles=[
                 {"N": n, "j": j, "probe_index": p, **vals}
                 for (n, j, p), vals in sorted(self.quantiles.items())
             ],
-            "slopes": [
+            slopes=[
                 {"j": j, "probe_index": p, **vals}
                 for (j, p), vals in sorted(self.slopes.items())
             ],
-            "probes": self.probes,
-            "diagnostics": self.diagnostics,
-            "meta": self.meta,
-        }
+        )
 
     def median_errors(self, j: int, probe_index: int = -1) -> list[float]:
         """Median error per copy count, in n_grid order."""
@@ -397,13 +389,13 @@ def run_experiment(config: ExperimentConfig) -> ConvergenceReport:
             t0 = time.perf_counter()
             if r == 0 and config.run_step_bound:
                 report = oracle.step1_bound_check(model, ens, mf, diag_probes, constants=constants)
-                diagnostics["step_bound"].append({"N": n_copies, **report.to_dict()})
+                diagnostics["step_bound"].append({"N": n_copies, **_plain(asdict(report))})
             if r == 0 and run_hitting:
                 hits = oracle.hitting_frequency(ens, mf, probes)
-                for p_idx, hit in enumerate(hits):
-                    diagnostics["hitting"].append(
-                        {"N": n_copies, "probe_index": p_idx, **hit.to_dict()}
-                    )
+                diagnostics["hitting"].extend(
+                    {"N": n_copies, "probe_index": p_idx, **_plain(asdict(hit))}
+                    for p_idx, hit in enumerate(hits)
+                )
             phases["diagnostics"] += time.perf_counter() - t0
             del ens  # with its kept increments, before the next unit's draw: never two at once
     except BaseException:
@@ -422,7 +414,7 @@ def run_experiment(config: ExperimentConfig) -> ConvergenceReport:
         "stream": _stream_meta(counts),
     }
     return ConvergenceReport(
-        config_echo=config_echo(config),
+        config=config_echo(config),
         dim=dim,
         n_grid=list(config.n_grid),
         rows=rows,
@@ -451,7 +443,7 @@ def _interval_probes(truths: dict, config: ExperimentConfig) -> np.ndarray:
 def _aggregate_quantiles(rows: list[ErrorRow], config: ExperimentConfig) -> dict:
     grouped: dict[tuple[int, int, int], list[ErrorRow]] = {}
     for row in rows:
-        grouped.setdefault((row.n_copies, row.j, row.probe_index), []).append(row)
+        grouped.setdefault((row.N, row.j, row.probe_index), []).append(row)
     out = {}
     for key, bucket in grouped.items():
         errs = np.array([b.error for b in bucket])
@@ -494,7 +486,12 @@ def config_echo(config: ExperimentConfig) -> dict:
     echo = {key: getattr(config, field) for key, field, _, _ in SCHEMA}
     for prefix, field in PARAMS.items():
         echo.update({f"{prefix}.{k}": v for k, v in sorted(getattr(config, field).items())})
-    return json.loads(json.dumps(echo, default=np.ndarray.tolist))
+    return _plain(echo)
+
+
+def _plain(value):
+    """value as report.json reads it back, numpy arrays as lists."""
+    return json.loads(json.dumps(value, default=np.ndarray.tolist))
 
 
 # ---------------------------------------------------------------------------
@@ -511,11 +508,8 @@ def _csv_cell(value) -> str:
 
 def render_csv(report: ConvergenceReport) -> str:
     lines = [CSV_HEADER]
-    ordered = sorted(
-        report.rows, key=lambda r: (r.n_copies, r.replication, r.j, r.probe_index)
-    )
-    for row in ordered:
-        lines.append(",".join(_csv_cell(v) for v in row.to_dict().values()))
+    for row in sorted(report.rows, key=lambda row: row[:4]):
+        lines.append(",".join(_csv_cell(v) for v in row))
     return "\n".join(lines) + "\n"
 
 

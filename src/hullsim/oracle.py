@@ -189,24 +189,16 @@ def empirical_cdf(samples, x):
 
 @dataclass
 class BoundCheckReport:
-    """Outcome of the per-step growth-bound sweep."""
+    """Outcome of the per-step growth-bound sweep with the constants it used; its fields are
+    a report.json step_bound entry's keys."""
 
     n_checks: int
     n_violations: int
     worst_margin: float
     slack: float
-    constants: StepConstants
-
-    def to_dict(self) -> dict:
-        return {
-            "n_checks": self.n_checks,
-            "n_violations": self.n_violations,
-            "worst_margin": self.worst_margin,
-            "slack": self.slack,
-            "c1": self.constants.c1,
-            "c2": self.constants.c2,
-            "m_c": self.constants.m_c,
-        }
+    c1: float
+    c2: float
+    m_c: float
 
 
 def _check_probes_inside(bodies: list[ConvexBody], probes: np.ndarray) -> None:
@@ -279,7 +271,9 @@ def step1_bound_check(
         n_violations=violations,
         worst_margin=worst,
         slack=slack,
-        constants=constants,
+        c1=c1,
+        c2=c2,
+        m_c=constants.m_c,
     )
 
 
@@ -289,7 +283,7 @@ class HittingReport:
 
     hits_per_node[j-1] counts copies whose pre-projection point at node j fell
     within the ball and strictly inside the body there; frequency pools all
-    nodes.
+    nodes. Its fields are a report.json hitting entry's keys.
     """
 
     probe: np.ndarray
@@ -302,16 +296,6 @@ class HittingReport:
     def __post_init__(self):
         self.total_hits = int(self.hits_per_node.sum())
         self.frequency = self.total_hits / (self.n_copies * self.hits_per_node.size)
-
-    def to_dict(self) -> dict:
-        return {
-            "probe": self.probe.tolist(),
-            "radius": self.radius,
-            "n_copies": self.n_copies,
-            "hits_per_node": self.hits_per_node.tolist(),
-            "total_hits": self.total_hits,
-            "frequency": self.frequency,
-        }
 
 
 def hitting_frequency(

@@ -179,6 +179,26 @@ class TestConfigParsing:
         config = config_from_flat(parse_config_text(CONFIG_TEXT), {"seed": 99})
         assert config.seed == 99
 
+    @staticmethod
+    def physical_memory(monkeypatch, megabytes):
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": megabytes * 2**20 // 4096}
+        monkeypatch.setattr(harness.os, "sysconf", pages.__getitem__)
+
+    def test_row_guard_counts_one_row_per_probe(self, monkeypatch):
+        # 2 * 1000 * 2 units and nodes hold 4000 rows; the eight default probes make 32000
+        self.physical_memory(monkeypatch, 1)
+        with pytest.raises(ConfigError, match="replications: the error rows"):
+            small_config(
+                model_params={"theta": 2.0, "sigma": 0.3}, x0=np.zeros(2), mf_kind="constant_ball",
+                mf_params={"center": np.zeros(2), "radius": 1.0}, n_grid=[20, 40], replications=1000,
+            )
+
+    def test_unit_guard_counts_the_increments_and_the_look_ahead(self, monkeypatch):
+        # at N = 10000 the 21 states take 1.7 MB, with the 20 + 20 increment steps 4.9 MB
+        self.physical_memory(monkeypatch, 3)
+        with pytest.raises(ConfigError, match="one ensemble's arrays would take 4880000 bytes"):
+            small_config(steps=20, n_grid=[100, 10000])
+
 
 def plain(value):
     """A parsed config value as report.json holds it."""
@@ -279,7 +299,7 @@ class TestRunExperiment:
         report = run_experiment(config)
         assert len(report.rows) == len(config.n_grid) * config.replications * len(config.j_indices)
         assert all(r.probe_index == -1 for r in report.rows)
-        assert all(r.scaled_error == pytest.approx(r.n_copies * r.error) for r in report.rows)
+        assert all(r.scaled_error == pytest.approx(r.N * r.error) for r in report.rows)
 
     def test_row_bookkeeping_2d(self):
         config = small_config(
@@ -487,7 +507,7 @@ class TestEmission:
 
     def test_empty_report_is_header_only(self):
         report = ConvergenceReport(
-            config_echo={}, dim=1, n_grid=[], rows=[], quantiles={},
+            config={}, dim=1, n_grid=[], rows=[], quantiles={},
             slopes={}, probes=None, diagnostics={}, meta={},
         )
         assert render_csv(report) == CSV_HEADER + "\n"
@@ -791,6 +811,9 @@ j_indices = 5 10
 # sorted keys), as they were when the step-bound check redrew the increments.
 CHECK_CSV_SHA256 = "6a5e615f3eb10995cf1cdcb3ed58afeedc7acc9637fd53e034d58db8b7323a9b"
 CHECK_DIAGNOSTICS_SHA256 = "f857a22943e1e65b56007b9e5990a42fc2d618d822645177de043ccd8c29be6f"
+# SHA-256 of its whole report.json without meta and with the echoed out set to
+# None (json.dumps with sorted keys), as written by hand-listed serializers.
+CHECK_REPORT_SHA256 = "51859513e9d0a4e687321f2bc03a72f2ad4ddc1a8839f7fb001a05d26ca9f7d4"
 
 
 def test_check_run_reads_the_kept_increments(monkeypatch, tmp_path):
@@ -812,6 +835,11 @@ def test_check_run_reads_the_kept_increments(monkeypatch, tmp_path):
     assert hashlib.sha256((out / "report.csv").read_bytes()).hexdigest() == CHECK_CSV_SHA256
     text = json.dumps(diagnostics, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == CHECK_DIAGNOSTICS_SHA256
+    report = json.loads((out / "report.json").read_text())
+    del report["meta"]
+    report["config"]["out"] = None  # this test's temporary directory
+    text = json.dumps(report, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == CHECK_REPORT_SHA256
 
 
 class TestDefaultSuiteScript:
