@@ -9,7 +9,8 @@ sets diagnostics.step_bound and diagnostics.hitting. Exit codes: 0 success;
 a body, x0 or probe that does not fit the grid, or diagnostic inputs the
 step-bound check cannot evaluate); 2 runtime error. A run prints the median
 errors, the files it wrote and a summary line: label, wall clock, meta.phases,
-meta.stream_processes, the meta.stream counters and the CSV text's SHA-256.
+meta.stream_processes, the meta.stream counters and seconds, and the CSV
+text's SHA-256.
 """
 
 from __future__ import annotations
@@ -81,8 +82,9 @@ def _run(args: argparse.Namespace) -> int:
     digest = hashlib.sha256(harness.render_csv(report).encode()).hexdigest()
     print(f"{config.label}: {meta['wall_clock_s']:.1f}s ({phases}; {meta['stream_processes']} stream processes, "
           f"helpers drew {stream['helper_block_share']:.0%} of blocks, "
-          f"{stream['lookahead_joined']} look-aheads joined, {stream['lookahead_cancelled']} cancelled, "
-          f"{stream['helpers_skipped']} unready helpers skipped) csv sha256 {digest}")
+          f"this process drew for {stream['caller_draw_s']:.1f}s and waited {stream['helper_wait_s']:.1f}s "
+          f"for helpers, {stream['lookahead_joined']} look-aheads joined, {stream['lookahead_cancelled']} "
+          f"cancelled, {stream['helpers_skipped']} unready helpers skipped) csv sha256 {digest}")
     return 0
 
 

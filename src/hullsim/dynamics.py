@@ -64,10 +64,14 @@ def gaussian_increments(seed: int, copies: range, n: int, m: int, delta: float,
     """A (len(copies), n, m) array of i.i.d. N(0, delta) Brownian increments.
 
     Row k is copy copies[k]'s stream: one Philox generator, re-keyed to
-    (seed, copies[k]) from counter zero, so a copy's rows equal those of a
-    fresh Generator(Philox(key=[seed, i])) whatever range, and whatever
-    process, they are drawn in. Below 2 * INCREMENT_BLOCK copies, on a one-CPU
-    affinity mask and without os.memfd_create, this process draws every copy.
+    (seed, copies[k]) from counter zero by writing its state in place, with
+    the rows drawn by the C fill that Generator.standard_normal runs, so a
+    copy's rows equal those of a fresh Generator(Philox(key=[seed, i]))
+    whatever range, and whatever process, they are drawn in. A numpy whose
+    Philox state layout is not the one the re-key writes raises RuntimeError
+    before the first write (see hullsim.increments.fill). Below
+    2 * INCREMENT_BLOCK copies, on a one-CPU affinity mask and without
+    os.memfd_create, this process draws every copy.
     Otherwise the copy range is cut, on INCREMENT_BLOCK edges, into one
     contiguous slice per helper process; each helper draws its slice from the
     front and this process draws from the back until they meet, all into one

@@ -292,9 +292,10 @@ class HPolytope(ConvexBody):
     def interior_margin(self, x):
         x = _check_points(x, self.dim)
         flat = x.reshape(-1, self.dim)
-        slack = self.offsets[:, None] - self._face_values(flat)
-        margin = (slack / self._row_norms[:, None]).min(axis=0)
-        return margin.reshape(x.shape[:-1])[()]  # a scalar for one point
+        margins = self._face_values(flat)  # becomes (offsets - values) / row norms in place
+        np.subtract(self.offsets[:, None], margins, out=margins)
+        margins /= self._row_norms[:, None]
+        return margins.min(axis=0).reshape(x.shape[:-1])[()]  # a scalar for one point
 
     def bounding_box(self):
         lo, hi = self._bbox

@@ -2,12 +2,16 @@
 
 Copy i's rows come from one Philox generator re-keyed to (seed, i) from counter
 zero, so they depend on (seed, i) alone and any copy range can be drawn in any
-process, at any time. draw splits a range of at least 2 * INCREMENT_BLOCK
-copies between the calling process and its helper processes, all writing into
-one coordinate-major (n, m, len(copies)) array mapped from an os.memfd_create
-file, which the caller returns. The blocks of INCREMENT_BLOCK copies are cut
-into one contiguous slice per helper; a helper draws its slice from the front
-and the caller draws from the back, so the two meet where their speeds put them.
+process, at any time. fill re-keys the generator by writing its state in place
+through ctypes, after checking numpy's state layout against the public
+Philox.state getter, and draws each copy's normals with numpy's exported C
+fill, the one Generator.standard_normal calls. draw splits a range of at least
+2 * INCREMENT_BLOCK copies between the calling process and its helper
+processes, all writing into one coordinate-major (n, m, len(copies)) array
+mapped from an os.memfd_create file, which the caller returns. The blocks of
+INCREMENT_BLOCK copies are cut into one contiguous slice per helper; a helper
+draws its slice from the front and the caller draws from the back, so the two
+meet where their speeds put them.
 
 A draw may name the request that will follow it (same n, m and scale). Once
 its own array is complete, draw posts that request to the helpers, which start
@@ -36,6 +40,7 @@ no more. Every path gives the same bytes.
 from __future__ import annotations
 
 import atexit
+import ctypes
 import mmap
 import os
 import pickle
@@ -44,6 +49,7 @@ import socket
 import subprocess
 import sys
 import threading
+import time
 from contextlib import contextmanager
 
 import numpy as np
@@ -53,44 +59,88 @@ INCREMENT_BLOCK = 256  # copies per copy-major draw block in fill
 MAX_HELPERS = 3  # helper processes at most, whatever the CPU count
 STOP_WAIT_S = 5.0  # a helper whose socket is closed exits after its block; one that does not is killed
 _SCRIPT = os.path.abspath(__file__)  # what a helper runs, wherever the caller's directory moves
-# What stream_counters counts, summed over every draw of this process.
-COUNTERS = ("blocks", "helper_blocks", "lookahead_joined", "lookahead_cancelled", "helpers_skipped")
-
-
-def _plain(value):
-    """A bit generator state with every numpy array turned into plain ints."""
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
-    return value.tolist() if isinstance(value, np.ndarray) else value
+# What stream_counters counts, summed over every draw of this process; the _s counters are seconds.
+COUNTERS = ("blocks", "helper_blocks", "lookahead_joined", "lookahead_cancelled", "helpers_skipped",
+            "caller_draw_s", "helper_wait_s")
+_BUFFER_POS_OFFSET = 16  # of buffer_pos in numpy's philox_state, after the counter and key pointers
+# numpy's C distributions, loaded as numpy's own cffi example loads them
+_normal_fill = ctypes.CDLL(np.random._generator.__file__).random_standard_normal_fill
+_normal_fill.argtypes = (ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_void_p)  # bitgen_t *, npy_intp, double *
+_normal_fill.restype = None
 
 
 def fill(out: np.ndarray, seed: int, copies: range, scale: float, blocks=None) -> None:
     """Write copies' standard normals times scale into out, shape (n, m, len(copies)).
 
-    One Philox generator is re-keyed to (seed, i) for each copy i through the
-    public Philox.state setter, with a template of plain ints built once per
-    call (counter zero, buffer and cached bits spent), of which only the
-    second key word changes per copy. Block b holds copies
+    One Philox generator, keyed (seed, 0), is re-keyed to (seed, i) for each
+    copy i by three in-place writes to its state (key word 1, counter word 0
+    and buffer_pos), and the copy's n * m normals come from numpy's exported
+    random_standard_normal_fill: the C function, on the same state, that
+    Generator.standard_normal runs, called without the GIL. The writes go
+    through ctypes views that _philox_views checks against the public
+    Philox.state getter first. Block b holds copies
     [b * INCREMENT_BLOCK, (b + 1) * INCREMENT_BLOCK) of the range; the blocks
     are drawn in the order blocks gives (by default every block, first to
-    last), each into a small copy-major block, one prebuilt row view each,
-    and scaled into place.
+    last), each into a small copy-major block, one prebuilt row pointer each,
+    and scaled into place. The seconds spent here add to the caller_draw_s
+    counter.
     """
+    t0 = time.perf_counter()
     n, m = out.shape[:2]
     bit_gen = np.random.Philox(key=np.array([seed & _MASK64, 0], dtype=np.uint64))
-    draw_row = np.random.Generator(bit_gen).standard_normal
-    fresh = _plain(bit_gen.state)
-    key = fresh["state"]["key"]
+    ctr, key, buffer_pos = _philox_views(bit_gen, seed, copies[0] if copies else 0)
+    bit_generator = bit_gen.ctypes.bit_generator
     block = np.empty((min(INCREMENT_BLOCK, len(copies)), n, m))
-    rows = list(block)
+    rows = [ctypes.c_void_p(block.ctypes.data + block.strides[0] * k) for k in range(len(block))]
+    count = n * m
     for b in range(_block_count(len(copies))) if blocks is None else blocks:
         start = b * INCREMENT_BLOCK
         chunk = copies[start:start + INCREMENT_BLOCK]
         for row, i in zip(rows, chunk):
-            key[1] = i & _MASK64
-            bit_gen.state = fresh
-            draw_row(out=row)
+            key[1] = i  # a c_uint64 store keeps i modulo 2**64
+            ctr[0] = 0
+            buffer_pos.value = 4  # the buffered outputs are spent
+            _normal_fill(bit_generator, count, row)
         np.multiply(block[:len(chunk)].transpose(1, 2, 0), scale, out=out[..., start:start + len(chunk)])
+    _HELPERS.count(caller_draw_s=time.perf_counter() - t0)
+
+
+def _philox_views(bit_gen: np.random.Philox, seed: int, first: int):
+    """ctypes views of bit_gen's counter, key and buffer_pos, re-keyed to (seed, first).
+
+    numpy's philox_state starts with pointers to the counter and the key,
+    both inside the Philox object, then the int buffer_pos. The pointers are
+    checked to lie in the object and every view to read what the Philox.state
+    getter reports, before the first write; after it, the getter must read
+    back the re-keyed state. Any mismatch is a RuntimeError naming numpy's
+    version.
+    """
+    state = bit_gen.state
+    address = bit_gen.ctypes.state_address
+    ctr_at, key_at = (ctypes.c_uint64 * 2).from_address(address)
+    low = id(bit_gen)
+    high = low + type(bit_gen).__basicsize__
+    if not (low <= ctr_at <= high - 32 and low <= key_at <= high - 16):
+        raise _layout_error("its counter and key pointers leave the Philox object")
+    ctr = (ctypes.c_uint64 * 4).from_address(ctr_at)
+    key = (ctypes.c_uint64 * 2).from_address(key_at)
+    buffer_pos = ctypes.c_int.from_address(address + _BUFFER_POS_OFFSET)
+    if (list(ctr), list(key), buffer_pos.value) != (
+            state["state"]["counter"].tolist(), state["state"]["key"].tolist(), state["buffer_pos"]):
+        raise _layout_error("its counter, key and buffer_pos differ from the Philox.state getter")
+    key[1] = first
+    ctr[0] = 0
+    buffer_pos.value = 4
+    state = bit_gen.state
+    if (state["state"]["key"].tolist(), state["state"]["counter"].tolist(), state["buffer_pos"],
+            state["has_uint32"]) != ([seed & _MASK64, first & _MASK64], [0, 0, 0, 0], 4, 0):
+        raise _layout_error("the Philox.state getter does not read back the re-keyed state")
+    return ctr, key, buffer_pos
+
+
+def _layout_error(what: str) -> RuntimeError:
+    return RuntimeError(f"the Philox state layout of numpy {np.__version__} is not the one the "
+                        f"increment stream re-keys in place: {what}")
 
 
 def _block_count(copies: int) -> int:
@@ -239,8 +289,13 @@ class _Split:
         self.z = self.ctl = None
 
     def _replies(self) -> list[int]:
-        """Wait for every helper's reply; stop each one that gave none and return their indices."""
+        """Wait for every helper's reply; stop each one that gave none and return their indices.
+
+        The wait adds to the helper_wait_s counter.
+        """
+        t0 = time.perf_counter()
         failed = [k for k, (h, ok) in enumerate(zip(self.helpers, self.sent)) if not (ok and h.finished())]
+        self.pool.count(helper_wait_s=time.perf_counter() - t0)
         for k in failed:
             self.helpers[k].stop()
         return failed
@@ -254,7 +309,7 @@ class _Helpers:
         self.live: list[_Helper] = []
         self.lock = threading.Lock()  # held by the one split draw, posted or running, that uses the helpers
         self.posted: dict[tuple, _Split] = {}  # the look-ahead: at most one request and its split
-        self.counts = dict.fromkeys(COUNTERS, 0)
+        self.counts = {key: 0.0 if key.endswith("_s") else 0 for key in COUNTERS}
         self.counting = threading.Lock()  # threads drawing at once add to the same counters
 
     def post(self, request: tuple) -> _Split | None:
@@ -386,9 +441,10 @@ def stream_processes() -> int:
     return 1 + sum(helper.proc.poll() is None for helper in _HELPERS.live)
 
 
-def stream_counters() -> dict[str, int]:
+def stream_counters() -> dict[str, int | float]:
     """COUNTERS so far: blocks drawn, blocks helpers drew, look-aheads joined and
-    cancelled, and unready helpers passed over by a draw or look-ahead."""
+    cancelled, unready helpers passed over by a draw or look-ahead, seconds this
+    process spent in fill and seconds it waited for helper replies."""
     with _HELPERS.counting:
         return dict(_HELPERS.counts)
 

@@ -119,7 +119,7 @@ class TestIncrements:
         [range(1, 2), range(1, INCREMENT_BLOCK + 2), range(5, 5 + 3 * INCREMENT_BLOCK, 2)],
     )
     def test_one_generator_per_call(self, monkeypatch, copies):
-        # the per-copy re-key sets the state of one Philox; it never builds another
+        # the per-copy re-key writes the state of one Philox in place; it never builds another
         philox = np.random.Philox
         built = []
 

@@ -628,3 +628,20 @@ class TestHelpers:
         body = unit_square()
         assert body.interior_margin(np.array([0.5, 0.5])) == pytest.approx(0.5)
         assert body.interior_margin(np.array([2.0, 0.5])) < 0
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_polytope_margin_has_the_bits_of_the_slack_formula(self, dim):
+        # interior_margin works in place in _face_values' array; these are its
+        # float operations as separate expressions
+        rng = np.random.default_rng(17 + dim)
+        signs = np.array(np.meshgrid(*[[-1.0, 1.0]] * dim)).reshape(dim, -1).T  # every orthant
+        normals = signs * rng.uniform(0.5, 2.0, signs.shape)
+        body = HPolytope(normals, rng.uniform(0.5, 2.0, len(normals)))
+        for shape in [(dim,), (1000, dim), (50, 3, dim)]:
+            x = rng.uniform(-2.5, 2.5, shape)
+            flat = x.reshape(-1, dim)
+            slack = body.offsets[:, None] - body._face_values(flat)
+            expected = (slack / np.linalg.norm(normals, axis=1)[:, None]).min(axis=0).reshape(shape[:-1])[()]
+            margin = body.interior_margin(x)
+            assert np.shape(margin) == shape[:-1]
+            np.testing.assert_array_equal(margin, expected, strict=True)

@@ -500,6 +500,22 @@ class TestRunExperiment:
         assert one["blocks"] == two["blocks"] == blocks
         assert two["helper_blocks"] <= blocks and two["helpers_skipped"] == 0
 
+    def test_stream_seconds_are_finite_and_leave_the_csv(self, helper_pool, caller_draws_half, tmp_path):
+        config = small_config(n_grid=[20, 2 * INCREMENT_BLOCK], replications=3)
+        outputs = []
+        for cpus in (1, 2):
+            helper_pool(cpus)
+            report = run_experiment(config)
+            emit_report(report, tmp_path / str(cpus))
+            outputs.append((tmp_path / str(cpus) / "report.csv").read_bytes())
+            stream = json.loads((tmp_path / str(cpus) / "report.json").read_text())["meta"]["stream"]
+            assert stream == report.meta["stream"]
+            for key in ("caller_draw_s", "helper_wait_s"):
+                assert np.isfinite(stream[key]) and stream[key] >= 0
+            assert 0 < stream["caller_draw_s"] <= report.meta["phases"]["simulate"]
+            assert (stream["helper_blocks"] > 0) == (cpus == 2)
+        assert outputs[0] == outputs[1] == render_csv(run_experiment(config)).encode()
+
 
 class TestEmission:
     def test_csv_header_exact(self):
@@ -572,6 +588,9 @@ class TestCli:
         assert lines[-1].startswith(f"demo: {meta['wall_clock_s']:.1f}s ({phases}; "
                                     f"{meta['stream_processes']} stream processes, helpers drew ")
         assert lines[-1].endswith(f" unready helpers skipped) csv sha256 {digest}")
+        stream = meta["stream"]
+        assert (f" this process drew for {stream['caller_draw_s']:.1f}s and waited "
+                f"{stream['helper_wait_s']:.1f}s for helpers, ") in lines[-1]
 
     @pytest.mark.parametrize("name, extra, reason", [
         ("e1_interval_rate.cfg", "model.sigma = 1e-300", "diffusion matrix is singular at a sampled probe"),

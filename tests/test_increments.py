@@ -490,3 +490,83 @@ def test_forked_child_drops_the_look_ahead_and_the_parent_joins_it():
     assert out["posted"] == str([(9, range(1, 4 * INCREMENT_BLOCK + 1))])
     assert out["child"] == {"posted": 0, "joined": 0, "equal": True}
     assert out["joined"] == 1 and out["equal"]
+
+
+# The in-place re-key: fill writes three words of numpy's Philox state through ctypes.
+@pytest.mark.parametrize("copy", [0, 2**63, 2**64 - 1])
+def test_in_place_re_key_agrees_with_the_state_getter(copy):
+    seed = 2**64 - 5
+    bit_gen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    ctr, key, buffer_pos = increments._philox_views(bit_gen, seed, 1)
+    np.random.Generator(bit_gen).standard_normal(7)  # the counter and the buffer move on
+    key[1] = copy
+    ctr[0] = 0
+    buffer_pos.value = 4
+    state = bit_gen.state
+    assert state["state"]["key"].tolist() == [seed, copy]
+    assert state["state"]["counter"].tolist() == [0, 0, 0, 0]
+    assert (state["buffer_pos"], state["has_uint32"]) == (4, 0)
+    fresh = np.random.Philox(key=np.array([seed, copy], dtype=np.uint64))
+    np.testing.assert_array_equal(np.random.Generator(bit_gen).standard_normal((3, 2)),
+                                  np.random.Generator(fresh).standard_normal((3, 2)))
+    z = np.empty((3, 2, 1))
+    increments.fill(z, seed, range(copy, copy + 1), 1.0)
+    np.testing.assert_array_equal(z[..., 0], np.random.Generator(
+        np.random.Philox(key=np.array([seed, copy], dtype=np.uint64))).standard_normal((3, 2)))
+
+
+# Two ways the layout check can disagree with numpy: buffer_pos read at the
+# offset of buffer[0] (0 in a fresh Philox, not the getter's 4), and a Philox
+# object placed elsewhere than the counter and key pointers point.
+LAYOUT_FAULTS = {
+    "buffer_pos_offset": lambda monkeypatch: monkeypatch.setattr(increments, "_BUFFER_POS_OFFSET", 24),
+    "object_address": lambda monkeypatch: monkeypatch.setattr(increments, "id", lambda obj: 0, raising=False),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(LAYOUT_FAULTS))
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_layout_mismatch_raises_one_line_before_any_write(helper_pool, ready_helpers, monkeypatch, cpus, fault):
+    pool = helper_pool(cpus)
+    copies = range(1, 2 * INCREMENT_BLOCK + 1)
+    gaussian_increments(3, copies, 4, 2, 0.2)
+    pids = [helper.proc.pid for helper in pool.live]
+    assert len(pids) == cpus - 1
+    philox, built, drawn = np.random.Philox, [], []
+
+    def recorded_philox(*args, **kwargs):
+        built.append(philox(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(np.random, "Philox", recorded_philox)
+    monkeypatch.setattr(increments, "_normal_fill", lambda *args: drawn.append(args))
+    LAYOUT_FAULTS[fault](monkeypatch)
+    with pytest.raises(RuntimeError) as caught:
+        gaussian_increments(3, copies, 4, 2, 0.2)
+    message = str(caught.value)
+    assert "\n" not in message and f"numpy {np.__version__}" in message
+    assert drawn == [] and len(built) == 1
+    state = built[0].state  # as built: key (3, 0), counter zero, buffer spent
+    assert state["state"]["key"].tolist() == [3, 0] and state["state"]["counter"].tolist() == [0, 0, 0, 0]
+    assert state["buffer"].tolist() == [0, 0, 0, 0] and state["buffer_pos"] == 4
+    assert pool.live == [] and stream_processes() == 1
+    assert not any(running(pid) for pid in pids)
+
+
+def test_layout_mismatch_exits_2_with_one_line(tmp_path):
+    from test_harness import CONFIG_TEXT
+
+    config = tmp_path / "exp.cfg"
+    config.write_text(CONFIG_TEXT)
+    code = textwrap.dedent("""
+        import sys
+        from hullsim import cli, increments
+        increments._BUFFER_POS_OFFSET = 24
+        sys.exit(cli.main(sys.argv[1:]))
+    """)
+    proc = run_script(code, "run", "--config", str(config), "--out", str(tmp_path / "o"))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    [line] = proc.stderr.splitlines()
+    assert line.startswith(f"runtime error: the Philox state layout of numpy {np.__version__} ")
+    assert not (tmp_path / "o").exists()
