@@ -52,7 +52,6 @@ from .oracle import (
     StepConstants,
     brute_force_hull_distance,
     brute_force_projection,
-    cdf_sandwich_check,
     constants_c1_c2,
     empirical_cdf,
     hitting_frequency,

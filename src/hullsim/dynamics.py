@@ -76,8 +76,9 @@ def gaussian_increments(seed: int, copies: range, n: int, m: int, delta: float,
     contiguous slice per helper process; each helper draws its slice from the
     front and this process draws from the back until they meet, all into one
     shared array that is returned as is. What a failed helper left undone is
-    drawn here. Helpers start on the first such call and live as long as this
-    process, and get work only once they have said they are ready (see
+    drawn here. Helpers start on the first such call, unless run_experiment
+    started them before its first unit, and live as long as this process,
+    and get work only once they have said they are ready (see
     hullsim.increments). then, the (seed, copies) of the call that follows
     with the same n, m and delta, is posted to the helpers once this array is
     complete, and that call joins the posted draw; any other call cancels it.

@@ -5,10 +5,11 @@ zero, so they depend on (seed, i) alone and any copy range can be drawn in any
 process, at any time. fill re-keys the generator by writing its state in place
 through ctypes, after checking numpy's state layout against the public
 Philox.state getter, and draws each copy's normals with numpy's exported C
-fill, the one Generator.standard_normal calls. draw splits a range of at least
-2 * INCREMENT_BLOCK copies between the calling process and its helper
-processes, all writing into one coordinate-major (n, m, len(copies)) array
-mapped from an os.memfd_create file, which the caller returns. The blocks of
+fill, the one Generator.standard_normal calls, with ctypes arguments built
+once per fill call. draw splits a range of at least 2 * INCREMENT_BLOCK
+copies between the calling process and its helper processes, all writing
+into one coordinate-major (n, m, len(copies)) array mapped from an
+os.memfd_create file, which the caller returns. The blocks of
 INCREMENT_BLOCK copies are cut into one contiguous slice per helper; a helper
 draws its slice from the front and the caller draws from the back, so the two
 meet where their speeds put them.
@@ -27,10 +28,12 @@ unwritten in a forked child, whose parent still owns it.
 There is one helper per CPU of the affinity mask beyond the first, at most
 MAX_HELPERS. A helper is a plain interpreter running this file, whose only
 import beyond the standard library is numpy; it says "ready" once that import
-is done. Helpers start on the first large draw or look-ahead, never on
-import, and serve until the process that started them exits; a process forked
-from it starts its own. A draw gives work only to helpers that have said they
-are ready, read without waiting, so no draw waits for an interpreter to start.
+is done. Helpers start on the first large draw or look-ahead, or earlier
+through start_helpers, which run_experiment calls before its first unit when
+its largest N reaches 2 * INCREMENT_BLOCK; never on import. They serve until
+the process that started them exits; a process forked from it starts its own.
+A draw gives work only to helpers that have said they are ready, read without
+waiting, so no draw waits for an interpreter to start.
 The draw is serial below 2 * INCREMENT_BLOCK copies, on a one-CPU mask, where
 os.memfd_create is missing, while the helpers hold another draw and while none
 is ready. The caller draws whatever a failed helper left and uses that helper
@@ -63,9 +66,10 @@ _SCRIPT = os.path.abspath(__file__)  # what a helper runs, wherever the caller's
 COUNTERS = ("blocks", "helper_blocks", "lookahead_joined", "lookahead_cancelled", "helpers_skipped",
             "caller_draw_s", "helper_wait_s")
 _BUFFER_POS_OFFSET = 16  # of buffer_pos in numpy's philox_state, after the counter and key pointers
-# numpy's C distributions, loaded as numpy's own cffi example loads them
+# numpy's C distributions, loaded as numpy's own cffi example loads them. No argtypes: fill
+# passes (bitgen_t *, npy_intp, double *) as ready c_void_p, c_ssize_t and c_void_p instances,
+# which ctypes hands to C as they are; through CDLL it still releases the GIL for each call.
 _normal_fill = ctypes.CDLL(np.random._generator.__file__).random_standard_normal_fill
-_normal_fill.argtypes = (ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_void_p)  # bitgen_t *, npy_intp, double *
 _normal_fill.restype = None
 
 
@@ -81,9 +85,11 @@ def fill(out: np.ndarray, seed: int, copies: range, scale: float, blocks=None) -
     Philox.state getter first. Block b holds copies
     [b * INCREMENT_BLOCK, (b + 1) * INCREMENT_BLOCK) of the range; the blocks
     are drawn in the order blocks gives (by default every block, first to
-    last), each into a small copy-major block, one prebuilt row pointer each,
-    and scaled into place. The seconds spent here add to the caller_draw_s
-    counter.
+    last), each into a small copy-major block, and scaled into place. The C
+    call's arguments are built once per call, as the ctypes instances of its
+    C types: the generator's c_void_p, one c_ssize_t count and one c_void_p
+    per block row, from one read of the block's address. The seconds spent
+    here add to the caller_draw_s counter.
     """
     t0 = time.perf_counter()
     n, m = out.shape[:2]
@@ -91,8 +97,9 @@ def fill(out: np.ndarray, seed: int, copies: range, scale: float, blocks=None) -
     ctr, key, buffer_pos = _philox_views(bit_gen, seed, copies[0] if copies else 0)
     bit_generator = bit_gen.ctypes.bit_generator
     block = np.empty((min(INCREMENT_BLOCK, len(copies)), n, m))
-    rows = [ctypes.c_void_p(block.ctypes.data + block.strides[0] * k) for k in range(len(block))]
-    count = n * m
+    base, stride = block.ctypes.data, block.strides[0]
+    rows = [ctypes.c_void_p(base + stride * k) for k in range(len(block))]
+    count = ctypes.c_ssize_t(n * m)
     for b in range(_block_count(len(copies))) if blocks is None else blocks:
         start = b * INCREMENT_BLOCK
         chunk = copies[start:start + INCREMENT_BLOCK]
@@ -302,7 +309,8 @@ class _Split:
 
 
 class _Helpers:
-    """The helper processes of one process, started on its first large draw or look-ahead."""
+    """The helper processes of one process, started on its first large draw or
+    look-ahead, or by start_helpers."""
 
     def __init__(self):
         self.started = False
@@ -323,9 +331,7 @@ class _Helpers:
         if len(request[1]) < 2 * INCREMENT_BLOCK or not self.lock.acquire(blocking=False):
             return None
         try:
-            if not self.started:
-                self.started = True
-                self.live = _start(_helper_count())
+            self.start()
             ready = [h for h in self.live if h.ready()]
             self.count(helpers_skipped=sum(not h.stopped for h in self.live) - len(ready))
             shared = _shared_file(request, len(ready)) if ready else None
@@ -341,6 +347,13 @@ class _Helpers:
             raise
         self.release()
         return None
+
+    def start(self) -> None:
+        """Start the helpers, once per process: one per CPU of the affinity mask
+        beyond the first, at most MAX_HELPERS. The caller holds the lock."""
+        if not self.started:
+            self.started = True
+            self.live = _start(_helper_count())
 
     def count(self, **added: int) -> None:
         with self.counting:
@@ -452,6 +465,22 @@ def stream_counters() -> dict[str, int | float]:
 def cancel() -> None:
     """Cancel the posted look-ahead, if any: its helpers are free again at once."""
     _HELPERS.cancel()
+
+
+def start_helpers(copies: int) -> None:
+    """Start the helpers now if a draw of copies copies would start them, so
+    that they import numpy while this process does other work.
+
+    Nothing happens below 2 * INCREMENT_BLOCK copies, on a one-CPU mask,
+    without os.memfd_create, once the helpers have started, and while a draw
+    holds them (that draw started them).
+    """
+    if copies < 2 * INCREMENT_BLOCK or not _HELPERS.lock.acquire(blocking=False):
+        return
+    try:
+        _HELPERS.start()
+    finally:
+        _HELPERS.release()
 
 
 def draw(seed: int, copies: range, n: int, m: int, scale: float, then: tuple | None = None) -> np.ndarray:

@@ -21,7 +21,6 @@ from .dynamics import (
     bodies_at_nodes,
     gaussian_increments,  # unused here; the benchmark's tracer looks it up on this module
 )
-from .estimation import gaussian_cdf
 from .geometry import GEOM_TOL, Ball, Box, ConvexBody, HPolytope, distance_to_body, norm_bound, row_norms
 
 
@@ -325,54 +324,3 @@ def hitting_frequency(
         HittingReport(probe=probe, radius=radius, n_copies=ensemble.n_copies, hits_per_node=row)
         for probe, row in zip(probes, hits)
     ]
-
-
-def cdf_sandwich_check(
-    model: SdeModel,
-    mf: Multifunction,
-    ensemble: PathEnsemble,
-    j: int,
-    xs,
-    probe_count: int = 2000,
-    seed: int = 0,
-) -> np.ndarray:
-    """Margins of the analytic envelope around the empirical pre-projection CDF.
-
-    For a one-dimensional model the pre-projection value at node j satisfies
-
-        lo_env(x) = Phi(-|x - up_shift| / (sig_min sqrt(delta)))
-        hi_env(x) = Phi(+|x - low_shift| / (sig_min sqrt(delta)))
-
-    with low_shift = -m_c + delta * min drift, up_shift = m_c + delta * max
-    drift over |v| <= m_c, and sig_min the smallest diffusion value there.
-    Returns, per query x, min(emp - lo_env, hi_env - emp); nonnegative up to
-    sampling error when the model assumptions hold.
-    """
-    if ensemble.dim != 1 or model.dim != 1:
-        raise OracleError("the envelope check is one-dimensional")
-    if ensemble.pre_projection is None:
-        raise OracleError("ensemble was simulated without pre-projection storage")
-    if not 1 <= j <= ensemble.grid.steps:
-        raise OracleError("node index out of range")
-    if probe_count < 1000:
-        raise OracleError("probe_count must be at least 1000")
-
-    grid = ensemble.grid
-    m_c = max(norm_bound(body) for body in bodies_at_nodes(mf, grid))
-    rng = np.random.default_rng(seed)
-    v = rng.uniform(-m_c, m_c, size=(probe_count, 1))
-    drift_vals = np.asarray(model.drift(v), dtype=float)[:, 0]
-    sig_vals = np.asarray(model.diffusion(v), dtype=float)[:, 0]
-    if np.any(sig_vals <= 0):
-        raise OracleError("the envelope derivation needs a positive scalar diffusion")
-    sig_min = float(np.min(sig_vals))
-    low_shift = -m_c + grid.delta * float(np.min(drift_vals))
-    up_shift = m_c + grid.delta * float(np.max(drift_vals))
-    step_std = sig_min * np.sqrt(grid.delta)
-
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    samples = ensemble.pre_projection[:, j - 1, 0]
-    emp = empirical_cdf(samples, xs)
-    lo_env = gaussian_cdf(-np.abs(xs - up_shift) / step_std)
-    hi_env = gaussian_cdf(np.abs(xs - low_shift) / step_std)
-    return np.minimum(emp - lo_env, hi_env - emp)

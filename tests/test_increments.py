@@ -4,6 +4,7 @@ The scripts here run in fresh interpreters under -X dev -W error, so a
 ResourceWarning, including one printed at shutdown, shows on their stderr.
 """
 
+import ctypes
 import json
 import os
 import re
@@ -387,6 +388,30 @@ def test_a_look_ahead_abandoned_by_an_exception_is_cancelled(helper_pool, caller
     assert pool.counts["helper_blocks"] > before and pool.live == [helper]
 
 
+@pytest.mark.parametrize("largest", [2 * INCREMENT_BLOCK, 2 * INCREMENT_BLOCK - 1])
+def test_run_starts_the_helpers_before_its_first_unit_if_its_largest_n_reaches_the_split(
+        helper_pool, monkeypatch, largest):
+    pool = helper_pool(cpus=2)
+    simulate = harness.dynamics.simulate_ensemble
+    live = []
+
+    def recorded(*args, **kwargs):
+        live.append([helper.proc.pid for helper in pool.live if helper.proc.poll() is None])
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(harness.dynamics, "simulate_ensemble", recorded)
+    config = harness.ExperimentConfig(
+        label="start", model_kind="ou", model_params={"theta": 1.0, "sigma": 0.5},
+        x0=np.array([0.0]), mf_kind="constant_interval", mf_params={}, horizon=1.0, steps=5,
+        n_grid=[10, largest], replications=2, seed=3, j_indices=[5])
+    harness.run_experiment(config)
+    assert len(live) == 4
+    if largest >= 2 * INCREMENT_BLOCK:
+        assert len(live[0]) == 1  # live before the first unit, whose 10 copies start none
+    else:
+        assert live == [[]] * 4 and not pool.started and pool.live == []
+
+
 def test_helper_killed_mid_look_ahead_leaves_the_bytes(helper_pool, caller_draws_half):
     pool = helper_pool(cpus=2)
     big = (11, range(1, 200 * INCREMENT_BLOCK + 1))  # long enough to kill the helper inside it
@@ -513,6 +538,37 @@ def test_in_place_re_key_agrees_with_the_state_getter(copy):
     increments.fill(z, seed, range(copy, copy + 1), 1.0)
     np.testing.assert_array_equal(z[..., 0], np.random.Generator(
         np.random.Philox(key=np.array([seed, copy], dtype=np.uint64))).standard_normal((3, 2)))
+
+
+def test_normal_fill_gets_ctypes_instances_of_its_c_types(monkeypatch):
+    # _normal_fill declares no argtypes, so ctypes passes what it is given as
+    # it is: a plain int count would reach C as an int, not an npy_intp
+    n, m = 4, 3
+    copies = range(5, 5 + INCREMENT_BLOCK + 9)  # a full block and a part one
+    philox, built, calls = np.random.Philox, [], []
+
+    def recorded_philox(*args, **kwargs):
+        built.append(philox(*args, **kwargs))
+        return built[-1]
+
+    def recorded_fill(*args):
+        calls.append(args)
+        copy = float(built[0].state["state"]["key"][1])
+        (ctypes.c_double * (n * m)).from_address(args[2].value)[:] = [copy] * (n * m)
+
+    monkeypatch.setattr(np.random, "Philox", recorded_philox)
+    monkeypatch.setattr(increments, "_normal_fill", recorded_fill)
+    z = np.empty((n, m, len(copies)))
+    increments.fill(z, 7, copies, 0.5)
+    assert len(built) == 1 and len(calls) == len(copies)
+    assert {tuple(map(type, args)) for args in calls} == {(ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_void_p)}
+    assert {(args[0].value, args[1].value) for args in calls} == {(built[0].ctypes.bit_generator.value, n * m)}
+    # row k of the (INCREMENT_BLOCK, n, m) block is at its base + k * its stride
+    base = calls[0][2].value
+    assert [args[2].value for args in calls] == [base + 8 * n * m * (k % INCREMENT_BLOCK)
+                                                 for k in range(len(copies))]
+    # and is scaled into its copy's column
+    np.testing.assert_array_equal(z, np.broadcast_to(0.5 * np.array(copies, dtype=float), z.shape))
 
 
 # Two ways the layout check can disagree with numpy: buffer_pos read at the

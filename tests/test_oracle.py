@@ -18,7 +18,6 @@ from hullsim.oracle import (
     StepConstants,
     brute_force_hull_distance,
     brute_force_projection,
-    cdf_sandwich_check,
     constants_c1_c2,
     empirical_cdf,
     hitting_frequency,
@@ -400,20 +399,3 @@ class TestLayout:
             np.testing.assert_array_equal(ra.hits_per_node, rb.hits_per_node)
         assert sum(r.total_hits for r in a) > 0
 
-
-class TestCdfSandwich:
-    def test_envelope_holds_with_dkw_slack(self):
-        model = linear_drift_model(sigma=0.5)
-        mf = constant_body(Interval(-1, 1))
-        ens = make_checked_ensemble(model, mf, n_copies=5000, seed=8)
-        xs = np.linspace(-1.5, 1.5, 101)
-        margins = cdf_sandwich_check(model, mf, ens, j=10, xs=xs)
-        dkw = np.sqrt(np.log(2 / 0.001) / (2 * ens.n_copies))
-        assert np.min(margins) >= -dkw
-
-    def test_needs_1d(self):
-        model = linear_drift_model(dim=2, theta=2.0, sigma=0.3)
-        mf = shrinking_ball([0.0, 0.0], 1.0, 0.3)
-        ens = make_checked_ensemble(model, mf, n_copies=50)
-        with pytest.raises(OracleError):
-            cdf_sandwich_check(model, mf, ens, j=5, xs=[0.0])
