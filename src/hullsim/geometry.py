@@ -1,9 +1,10 @@
 """Convex bodies, projections, support functions, hulls, and point-to-set distances.
 
 Bodies come in three variants: box (an interval is the box with one
-coordinate), ball and H-polytope. All point arguments are numpy arrays whose
-last axis is the space dimension, so every projection is batch-friendly:
-shape (..., m) in, shape (..., m) out, in the input's memory order.
+coordinate), ball and H-polytope, which lists its vertices at construction
+and needs no LP solver. All point arguments are numpy arrays whose last axis
+is the space dimension, so every projection is batch-friendly: shape (..., m)
+in, shape (..., m) out, in the input's memory order.
 Ensembles hand over coordinate-major (F-ordered) (N, m) batches, so per-point
 work runs on whole coordinate columns (row_norms and the H-polytope screen and
 margin), with its loops along the N points, never along the m <= 3
@@ -17,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, QhullError
 
 GEOM_TOL = 1e-9
@@ -181,10 +181,10 @@ class Ball(ConvexBody):
 class HPolytope(ConvexBody):
     """Bounded intersection of half-spaces {x : normals @ x <= offsets}.
 
-    Construction solves 2m support LPs along the coordinate axes, which both
-    certifies that the feasible set is nonempty and bounded and caches its
-    bounding box. For project it lists each set S of at most m faces with
-    independent normals N_S (over MAX_FACE_SETS candidates is an error).
+    Construction lists each set S of at most m faces with independent normals
+    N_S (over MAX_FACE_SETS candidates is an error) for project, and from the
+    m-face sets the vertices, shape (v, m), each once, in face-set order: they
+    give support values, the bounding box and boundary points.
     """
 
     normals: np.ndarray
@@ -202,50 +202,26 @@ class HPolytope(ConvexBody):
         count = sum(math.comb(k, s) for s in range(1, m + 1))
         if count > MAX_FACE_SETS:
             raise GeometryError(f"{k} faces in dimension {m}: {count} face sets, over {MAX_FACE_SETS}")
+        sets = [_independent_sets(normals, s) for s in range(m + 1)]  # s = 0: the empty set
+        # unbounded: rank < m, or {d : N d <= 0} has an extreme ray, which is +-null(N_S) for
+        # an independent (m - 1)-face set S (+-1 for m = 1, S empty)
+        along = np.linalg.svd(normals[sets[m - 1]])[2][:, -1] @ (normals / normal_norms[:, None]).T
+        if not len(sets[m]) or np.any(np.all(along <= GEOM_TOL, axis=1) | np.all(along >= -GEOM_TOL, axis=1)):
+            raise GeometryError("half-space system is unbounded in a coordinate direction")
+        vertices = _vertices(normals, offsets, sets[m])
+        if not len(vertices):
+            raise GeometryError("half-space system is infeasible (empty body)")
         object.__setattr__(self, "normals", normals)
         object.__setattr__(self, "offsets", offsets)
         object.__setattr__(self, "dim", m)
+        object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "_row_norms", normal_norms)
         face_sets = []  # per set size s: faces (sets, s), G^-1 N_S and G^-1
-        for s in range(1, m + 1):
-            sets = [f for f in itertools.combinations(range(k), s)
-                    if np.linalg.matrix_rank(normals[list(f)]) == s]
-            if sets:
-                faces = np.array(sets)
-                rows = normals[faces]
-                gram = rows @ rows.transpose(0, 2, 1)
-                face_sets.append((faces, np.linalg.solve(gram, rows), np.linalg.inv(gram)))
+        for faces in filter(len, sets[1:]):
+            rows = normals[faces]
+            gram = rows @ rows.transpose(0, 2, 1)
+            face_sets.append((faces, np.linalg.solve(gram, rows), np.linalg.inv(gram)))
         object.__setattr__(self, "_face_sets", face_sets)
-        lo = np.empty(self.dim)
-        hi = np.empty(self.dim)
-        for i in range(self.dim):
-            e = np.zeros(self.dim)
-            e[i] = 1.0
-            hi[i] = -self._support_lp(e).fun
-            lo[i] = self._support_lp(-e).fun
-        object.__setattr__(self, "_bbox", (lo, hi))
-
-    def _support_lp(self, u: np.ndarray):
-        """The HiGHS solution of max <u, y> over the body: y = .x, value -.fun."""
-        res = linprog(
-            -u,
-            A_ub=self.normals,
-            b_ub=self.offsets,
-            bounds=[(None, None)] * self.dim,
-            method="highs",
-        )
-        if res.status == 2:
-            raise GeometryError("half-space system is infeasible (empty body)")
-        if res.status == 3:
-            raise GeometryError("half-space system is unbounded in a coordinate direction")
-        if not res.success:
-            raise GeometryError(f"support LP failed: {res.message}")
-        return res
-
-    def support_point(self, u: np.ndarray) -> np.ndarray:
-        """A maximizer of <u, .> over the body (an extreme point)."""
-        u = _check_direction(u, self.dim)
-        return np.asarray(self._support_lp(u).x, dtype=float)
 
     def project(self, x):
         """Exact projection; a point inside comes back unchanged.
@@ -287,7 +263,7 @@ class HPolytope(ConvexBody):
 
     def support(self, u):
         u = _check_direction(u, self.dim)
-        return float(-self._support_lp(u).fun)
+        return float(np.max(self.vertices @ u))
 
     def interior_margin(self, x):
         x = _check_points(x, self.dim)
@@ -298,12 +274,32 @@ class HPolytope(ConvexBody):
         return margins.min(axis=0).reshape(x.shape[:-1])[()]  # a scalar for one point
 
     def bounding_box(self):
-        lo, hi = self._bbox
-        return lo.copy(), hi.copy()
+        return self.vertices.min(axis=0), self.vertices.max(axis=0)
 
     def boundary_points(self, count, rng):
+        """The vertex that maximizes each of count Gaussian directions."""
         dirs = rng.standard_normal((count, self.dim))
-        return np.array([self.support_point(d) for d in dirs])
+        return self.vertices[np.argmax(dirs @ self.vertices.T, axis=1)]
+
+
+def _independent_sets(normals: np.ndarray, s: int) -> np.ndarray:
+    """Every set of s rows of normals with independent normals, shape (sets, s), in combination order."""
+    sets = [f for f in itertools.combinations(range(len(normals)), s)
+            if np.linalg.matrix_rank(normals[list(f)]) == s]
+    return np.array(sets, dtype=np.intp).reshape(len(sets), s)
+
+
+def _vertices(normals: np.ndarray, offsets: np.ndarray, faces: np.ndarray) -> np.ndarray:
+    """The solutions y of N_S y = b_S over the m-face sets S that meet every
+    half-space within GEOM_TOL, dropping any within GEOM_TOL of an earlier one."""
+    m = normals.shape[1]
+    cands = np.linalg.solve(normals[faces], offsets[faces][..., None])[..., 0]
+    slack = (cands @ normals.T - offsets) / np.linalg.norm(normals, axis=1)
+    vertices = []
+    for y in cands[np.all(slack <= GEOM_TOL, axis=1)]:
+        if all(np.linalg.norm(y - v) > GEOM_TOL for v in vertices):
+            vertices.append(y)
+    return np.array(vertices).reshape(-1, m)
 
 
 def _check_direction(u, dim: int) -> np.ndarray:
@@ -355,20 +351,22 @@ def norm_bound(body: ConvexBody) -> float:
 
 
 def chebyshev_center(body: ConvexBody) -> tuple[np.ndarray, float]:
-    """Center and radius of a largest inscribed ball."""
+    """Center and radius of a largest inscribed ball; for an HPolytope the vertex (c, r)
+    with the largest r (first on a tie) of {(c, r) : N c + r ||n|| <= b, -r <= 0}, from
+    its C(k + 1, m + 1) face sets (over MAX_FACE_SETS is an error)."""
     if isinstance(body, Box):
         return (body.lo + body.hi) / 2, float(np.min((body.hi - body.lo) / 2))
     if isinstance(body, Ball):
         return body.center.copy(), float(body.radius)
     if isinstance(body, HPolytope):
-        m = body.dim
-        c = np.zeros(m + 1)
-        c[-1] = -1.0
-        A = np.hstack([body.normals, body._row_norms[:, None]])
-        res = linprog(c, A_ub=A, b_ub=body.offsets, bounds=[(None, None)] * m + [(0, None)], method="highs")
-        if not res.success:
-            raise GeometryError(f"Chebyshev center LP failed: {res.message}")
-        return np.asarray(res.x[:m], dtype=float), float(res.x[m])
+        k, m = body.normals.shape
+        count = math.comb(k + 1, m + 1)
+        if count > MAX_FACE_SETS:
+            raise GeometryError(f"{k} faces in dimension {m}: {count} lifted face sets, over {MAX_FACE_SETS}")
+        lifted = np.block([[body.normals, body._row_norms[:, None]], [np.zeros((1, m)), -np.ones((1, 1))]])
+        vertices = _vertices(lifted, np.append(body.offsets, 0.0), _independent_sets(lifted, m + 1))
+        best = vertices[np.argmax(vertices[:, -1])]
+        return best[:m], float(best[m])
     raise GeometryError(f"unsupported body type {type(body).__name__}")
 
 

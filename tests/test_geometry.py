@@ -1,13 +1,21 @@
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
+from scipy.spatial import HalfspaceIntersection
 
 from hullsim.geometry import (
     Ball,
     Box,
+    GEOM_TOL,
+    MAX_FACE_SETS,
     GeometryError,
     HPolytope,
     Interval,
@@ -24,6 +32,8 @@ from hullsim.geometry import (
     support,
 )
 from hullsim.oracle import brute_force_hull_distance
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def unit_square():
@@ -273,9 +283,20 @@ class TestSupport:
         with pytest.raises(GeometryError):
             support(unit_square(), np.zeros(2))
 
-    def test_unbounded_polytope_rejected(self):
-        with pytest.raises(GeometryError):
-            HPolytope(np.array([[1.0, 0.0]]), np.array([1.0]))
+    @pytest.mark.parametrize(
+        "normals, offsets",
+        [
+            ([[1.0, 0.0]], [1.0]),
+            ([[1.0, 0.0], [0.6, 0.8], [0.6, -0.8]], [1.0, 1.0, 1.0]),  # in the open half-plane x > 0
+            ([[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0]),  # x <= 1, y <= 1: a vertex, and unbounded
+            ([[1.0, 0.0], [-1.0, 0.0]], [1.0, 1.0]),  # a strip: rank 1
+            ([[1.0], [2.0]], [1.0, 3.0]),  # one-sided on the line
+        ],
+        ids=["one_half_space", "open_half_plane", "cone_with_vertex", "rank1_strip", "one_sided_1d"],
+    )
+    def test_unbounded_polytope_rejected(self, normals, offsets):
+        with pytest.raises(GeometryError, match="unbounded"):
+            HPolytope(np.array(normals), np.array(offsets))
 
     def test_too_many_face_sets_rejected_at_once(self):
         normals = np.random.default_rng(3).standard_normal((1000, 3))
@@ -288,6 +309,105 @@ class TestSupport:
         normals = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
         with pytest.raises(GeometryError):
             HPolytope(normals, np.array([-1.0, -1.0, 1.0, 1.0]))
+
+    def test_chebyshev_center_over_the_cap_rejected_at_once(self):
+        # 40 faces in 2D: 820 face sets build the body; the lifted system has C(41, 3) = 10660
+        angles = np.arange(40) * (2 * np.pi / 40)
+        body = HPolytope(np.column_stack([np.cos(angles), np.sin(angles)]), np.ones(40))
+        t0 = time.perf_counter()
+        with pytest.raises(GeometryError, match=f"10660 lifted face sets, over {MAX_FACE_SETS}"):
+            chebyshev_center(body)
+        assert time.perf_counter() - t0 < 0.1
+
+
+def unit_cube_3d():
+    normals = np.vstack([np.eye(3), -np.eye(3)])
+    return HPolytope(normals, np.ones(6))
+
+
+def square_pyramid():
+    """Base [-1, 1]^2 at z = 0, apex (0, 0, 1) on all four slanted faces."""
+    normals = np.array([[1.0, 0, 1], [-1.0, 0, 1], [0, 1.0, 1], [0, -1.0, 1], [0, 0, -1.0]])
+    return HPolytope(normals, np.array([1.0, 1.0, 1.0, 1.0, 0.0]))
+
+
+def random_polytope_3d(rng):
+    """The six axis half-spaces and six random ones, each at least 0.3 from a random center."""
+    normals = np.vstack([np.eye(3), -np.eye(3), rng.standard_normal((6, 3))])
+    center = rng.uniform(-1, 1, size=3)
+    return HPolytope(normals, normals @ center + rng.uniform(0.3, 2.0, size=12))
+
+
+class TestVertices:
+    """The vertex list is scipy's HalfspaceIntersection, up to order and GEOM_TOL."""
+
+    @pytest.mark.parametrize(
+        "make, count",
+        [(unit_square, 4), (tilted_polygon, 5), (unit_cube_3d, 8), (square_pyramid, 5)],
+        ids=["square", "tilted", "cube", "pyramid"],
+    )
+    def test_matches_halfspace_intersection(self, make, count):
+        body = make()
+        center, _ = chebyshev_center(body)
+        halfspaces = np.column_stack([body.normals, -body.offsets])
+        reference = HalfspaceIntersection(halfspaces, center).intersections
+        distinct = [p for i, p in enumerate(reference)
+                    if np.all(np.linalg.norm(reference[:i] - p, axis=1) > GEOM_TOL)]
+        assert body.vertices.shape == (len(distinct), body.dim) == (count, body.dim)
+        gaps = np.linalg.norm(body.vertices[:, None] - reference[None], axis=2)
+        assert np.all(gaps.min(axis=1) <= GEOM_TOL)  # every vertex is an intersection
+        assert np.all(gaps.min(axis=0) <= GEOM_TOL)  # and every intersection a vertex
+
+    def test_pyramid_apex_listed_once(self):
+        vertices = square_pyramid().vertices
+        assert np.sum(np.linalg.norm(vertices - [0.0, 0.0, 1.0], axis=1) <= GEOM_TOL) == 1
+
+
+def lp_support(body, u):
+    """max <u, y> over the body by HiGHS."""
+    res = linprog(-u, A_ub=body.normals, b_ub=body.offsets, bounds=[(None, None)] * body.dim, method="highs")
+    assert res.success
+    return -res.fun
+
+
+def lp_chebyshev_radius(body):
+    """max r over N c + r ||n|| <= b, r >= 0, by HiGHS."""
+    m = body.dim
+    lifted = np.column_stack([body.normals, np.linalg.norm(body.normals, axis=1)])
+    cost = np.zeros(m + 1)
+    cost[-1] = -1.0
+    res = linprog(cost, A_ub=lifted, b_ub=body.offsets, bounds=[(None, None)] * m + [(0, None)], method="highs")
+    assert res.success
+    return res.x[m]
+
+
+def lp_bodies():
+    rng = np.random.default_rng(41)
+    return [random_body("hpolytope", rng) for _ in range(10)] + [random_polytope_3d(rng)]
+
+
+class TestAgainstLinearProgram:
+    """Support values, bounding box and inradius equal the LP solutions of HiGHS."""
+
+    @pytest.mark.parametrize("body", lp_bodies(), ids=[f"polygon{i}" for i in range(10)] + ["polytope3d"])
+    def test_support_box_and_inradius(self, body):
+        rng = np.random.default_rng(43)
+        for u in rng.standard_normal((20, body.dim)):
+            assert abs(support(body, u) - lp_support(body, u)) <= 1e-9
+        lo, hi = body.bounding_box()
+        for i, e in enumerate(np.eye(body.dim)):
+            assert abs(hi[i] - lp_support(body, e)) <= 1e-9
+            assert abs(lo[i] + lp_support(body, -e)) <= 1e-9
+        center, radius = chebyshev_center(body)
+        assert abs(radius - lp_chebyshev_radius(body)) <= 1e-9
+        assert abs(body.interior_margin(center) - radius) <= 1e-9
+
+
+def test_import_leaves_out_the_lp_solver():
+    code = "import sys, hullsim; sys.exit('scipy.optimize' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr or "import hullsim loaded scipy.optimize"
 
 
 class TestConvexHull:
