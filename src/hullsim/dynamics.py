@@ -9,18 +9,10 @@ diffusion matrix, applied elementwise. Copy i draws its increments from the
 counter-based stream keyed by (seed, i), built only by gaussian_increments, and
 one stepping core runs ensembles and single paths. So copy i is reproducible
 in isolation, equals its ensemble slice bit for bit, and results do not depend
-on how the copies are scheduled. gaussian_increments uses that: a call of at
-least 2 * INCREMENT_BLOCK copies is drawn by this process and its ready helper
-processes (hullsim.increments) into one shared array, helpers from the front
-of their slices of the copy range and this process from the back. Smaller
-calls, calls on a one-CPU affinity mask, calls without os.memfd_create and
-calls made before any helper has said it is ready are drawn here alone.
-simulate_ensemble can name the ensemble simulated next on the same model and
-grid (next_ensemble=(n_copies, seed)); its increments are then posted to the
-helpers as soon as this ensemble's are complete, so they are drawn while this
-one is stepped and estimated, and the next call joins that draw. A step whose
-pre-projection point is not finite, or so large that its squared norm
-overflows, raises ModelError naming the step and the copy.
+on how the copies are scheduled; how the stream is drawn, by this process and
+its helper processes, is hullsim.increments. A step whose pre-projection point
+is not finite, or so large that its squared norm overflows, raises ModelError
+naming the step and the copy.
 """
 
 from __future__ import annotations
@@ -63,29 +55,15 @@ def gaussian_increments(seed: int, copies: range, n: int, m: int, delta: float,
                         then: tuple[int, range] | None = None) -> np.ndarray:
     """A (len(copies), n, m) array of i.i.d. N(0, delta) Brownian increments.
 
-    Row k is copy copies[k]'s stream: one Philox generator, re-keyed to
-    (seed, copies[k]) from counter zero by writing its state in place, with
-    the rows drawn by the C fill that Generator.standard_normal runs, so a
-    copy's rows equal those of a fresh Generator(Philox(key=[seed, i]))
-    whatever range, and whatever process, they are drawn in. A numpy whose
-    Philox state layout is not the one the re-key writes raises RuntimeError
-    before the first write (see hullsim.increments.fill). Below
-    2 * INCREMENT_BLOCK copies, on a one-CPU affinity mask and without
-    os.memfd_create, this process draws every copy.
-    Otherwise the copy range is cut, on INCREMENT_BLOCK edges, into one
-    contiguous slice per helper process; each helper draws its slice from the
-    front and this process draws from the back until they meet, all into one
-    shared array that is returned as is. What a failed helper left undone is
-    drawn here. Helpers start on the first such call, unless run_experiment
-    started them before its first unit, and live as long as this process,
-    and get work only once they have said they are ready (see
-    hullsim.increments). then, the (seed, copies) of the call that follows
-    with the same n, m and delta, is posted to the helpers once this array is
-    complete, and that call joins the posted draw; any other call cancels it.
-    The memory is coordinate-major: the result is a transposed view of an
-    (n, m, len(copies)) array, so one coordinate of one step, z[:, j, k], is
-    contiguous and the step's batch z[:, j] is an F-ordered (len(copies), m)
-    view.
+    Row k is copy copies[k]'s stream, Generator(Philox(key=[seed, copies[k]]))
+    .standard_normal((n, m)) times sqrt(delta), whatever range and whatever
+    process it is drawn in. The memory is coordinate-major: the result is a
+    transposed view of an (n, m, len(copies)) array, so one coordinate of one
+    step, z[:, j, k], is contiguous and the step's batch z[:, j] is an
+    F-ordered (len(copies), m) view. then, the (seed, copies) of the call that
+    follows with the same n, m and delta, only lets that call's rows be drawn
+    ahead of it; no row depends on it. How the rows are drawn is
+    hullsim.increments.draw.
     """
     if len(copies) < 1:
         raise ModelError("need at least one copy")
@@ -346,8 +324,9 @@ def simulate_ensemble(
     both run the same stepping core. keep_pre_projection keeps the step
     record the oracle checks: the pre-projection points and the increments.
     next_ensemble, the (n_copies, seed) of the ensemble the caller simulates
-    next on the same model and grid, only lets that ensemble's increments be
-    drawn while this one is stepped; the result does not depend on it.
+    next on the same model and grid, is gaussian_increments' then: it only lets
+    that ensemble's increments be drawn while this one is stepped, and the
+    result does not depend on it.
     """
     then = None if next_ensemble is None else (next_ensemble[1], range(1, next_ensemble[0] + 1))
     states, pre, z = _simulate(model, mf, grid, seed, range(1, n_copies + 1), keep_pre_projection, then)

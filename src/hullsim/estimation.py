@@ -1,11 +1,11 @@
 """Convex-hull estimation of the constraining body from simulated copies.
 
 The estimate at node j is the convex hull of the N copy states at that node.
-In one dimension its defect against a known interval [I, S] is
-max(S - max_estimate, min_estimate - I), valid because the estimate is always
-contained in the truth; in higher dimension the estimate is judged pointwise,
-by the distances from a batch of fixed probes to the hull in one
-distance_to_hull call.
+In one dimension its error against the known interval is the Hausdorff
+distance, the larger hull distance of the interval's two ends, valid because
+the estimate is always contained in the truth; in higher dimension the
+estimate is judged pointwise, by the distances from a batch of fixed probes to
+the hull in one distance_to_hull call.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import ndtr
 
-from .geometry import GEOM_TOL, ConvexBody, Hull, as_interval, convex_hull, distance_to_hull
+from .geometry import ConvexBody, Hull, contains, convex_hull, distance_to_hull
 from .dynamics import PathEnsemble
 
 
@@ -31,19 +31,21 @@ def hull_estimate(ensemble: PathEnsemble, j: int) -> Hull:
 
 
 def hausdorff_error_1d(hull: Hull, truth: ConvexBody) -> float:
-    """One-sided defect max(hi - upper, lower - lo) of the hull [lower, upper] in truth [lo, hi].
+    """Hausdorff distance from the hull to the one-dimensional truth: the larger
+    distance_to_hull of the truth's two ends, so never negative.
 
-    Valid because the estimate is contained in the truth interval; a generator
-    outside it (beyond GEOM_TOL) signals an upstream containment bug and is
-    rejected rather than clamped.
+    Valid because the estimate is contained in the truth; a generator outside
+    it (contains is false) signals an upstream containment bug and is rejected
+    rather than clamped.
     """
     if hull.dim != 1:
         raise EstimationError("interval error is defined in dimension one only")
-    lo, hi = as_interval(truth)
-    lower, upper = float(hull.vertices[0, 0]), float(hull.vertices[-1, 0])
-    if lower < lo - GEOM_TOL or upper > hi + GEOM_TOL:
+    ends = np.concatenate(truth.bounding_box())[:, None]
+    if not np.all(contains(truth, hull.vertices)):
+        lower, upper = hull.vertices[[0, -1], 0].tolist()
+        lo, hi = ends.ravel().tolist()
         raise EstimationError(f"estimate [{lower}, {upper}] escapes [{lo}, {hi}]")
-    return max(hi - upper, lower - lo)
+    return float(distance_to_hull(hull, ends).max())
 
 
 def pointwise_error(hull: Hull, x) -> np.ndarray | float:

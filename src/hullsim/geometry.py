@@ -370,14 +370,6 @@ def chebyshev_center(body: ConvexBody) -> tuple[np.ndarray, float]:
     raise GeometryError(f"unsupported body type {type(body).__name__}")
 
 
-def as_interval(body: ConvexBody) -> tuple[float, float]:
-    """Endpoints [lo, hi] of a one-dimensional body."""
-    if body.dim != 1:
-        raise GeometryError("as_interval needs a one-dimensional body")
-    lo, hi = body.bounding_box()
-    return float(lo[0]), float(hi[0])
-
-
 # ---------------------------------------------------------------------------
 # convex hulls
 

@@ -1,10 +1,11 @@
 """Experiment orchestration: convergence studies over a grid of copy counts.
 
 A study simulates R independent ensembles per copy count N, measures the
-estimation error at the requested nodes (interval defect in dimension one,
-per-probe hull distances otherwise), aggregates quantiles and a log-log rate
-fit, and emits a CSV plus a JSON report. Runs are deterministic given the
-config: every ensemble seed derives from (master seed, N, replication).
+estimation error at the requested nodes (the hull's Hausdorff error in
+dimension one, per-probe hull distances otherwise), aggregates quantiles and a
+log-log rate fit, and emits a CSV plus a JSON report. Runs are deterministic
+given the config: every ensemble seed derives from (master seed, N,
+replication).
 """
 
 from __future__ import annotations
@@ -331,14 +332,9 @@ def run_experiment(config: ExperimentConfig) -> ConvergenceReport:
     grid = dynamics.TimeGrid(horizon=config.horizon, steps=config.steps)
 
     dim = model.dim
-    probes = None
-    truths: dict[int, geometry.ConvexBody] = {}
-    if dim == 1:
-        truths = {j: mf(grid.node(j)) for j in config.j_indices}
-    else:
-        probes = resolve_probes(config, mf, grid)
+    probes = None if dim == 1 else resolve_probes(config, mf, grid)
     if config.run_step_bound:  # its inputs are checked before any ensemble is simulated
-        diag_probes = probes if probes is not None else _interval_probes(truths, config)
+        diag_probes = probes if dim > 1 else _interval_probes(mf(grid.node(max(config.j_indices))))
         try:
             constants = oracle.step_bound_constants(model, mf, grid, diag_probes)
         except oracle.OracleError as exc:
@@ -373,7 +369,7 @@ def run_experiment(config: ExperimentConfig) -> ConvergenceReport:
                 for j in config.j_indices:
                     hull = estimation.hull_estimate(ens, j)
                     if dim == 1:
-                        err = estimation.hausdorff_error_1d(hull, truths[j])
+                        err = estimation.hausdorff_error_1d(hull, mf(grid.node(j)))
                         rows.append(
                             ErrorRow(n_copies, r, j, -1, err, n_copies * err, seed)
                         )
@@ -436,9 +432,8 @@ def _stream_meta(before: dict) -> dict:
     return counts
 
 
-def _interval_probes(truths: dict, config: ExperimentConfig) -> np.ndarray:
-    j_last = max(config.j_indices)
-    lo, hi = geometry.as_interval(truths[j_last])
+def _interval_probes(body: geometry.ConvexBody) -> np.ndarray:
+    lo, hi = np.concatenate(body.bounding_box())
     return np.linspace(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo), 5)[:, None]
 
 

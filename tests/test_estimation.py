@@ -124,8 +124,18 @@ class TestIntervalError:
         assert hausdorff_error_1d(segment(-1.0, 0.5), Interval(-1, 1)) == pytest.approx(0.5)
 
     def test_containment_violation_rejected(self):
-        with pytest.raises(EstimationError):
+        with pytest.raises(EstimationError, match=r"^estimate \[-0.5, 1.5\] escapes \[-1.0, 1.0\]$"):
             hausdorff_error_1d(segment(-0.5, 1.5), Interval(-1, 1))
+
+    def test_ball_ends_rounded_outside_give_zero(self):
+        # Ball.project rounds the extreme copies about 1 ulp outside both ends;
+        # the error is a distance between sets, so it reads 0, never -2.2e-16
+        ball = Ball(np.array([0.1]), 1.3)
+        hull = convex_hull(ball.project(np.random.default_rng(0).uniform(-8, 8, (1000, 1))))
+        (lo, hi), (lower, upper) = np.concatenate(ball.bounding_box()), hull.vertices[[0, -1], 0]
+        assert lower < lo and upper > hi  # the case this test is about
+        err = hausdorff_error_1d(hull, ball)
+        assert err == 0.0 and type(err) is float
 
     def test_monotone_in_copies(self):
         # prefix ensembles share their streams, so adding copies can only

@@ -20,7 +20,6 @@ from hullsim.geometry import (
     HPolytope,
     Interval,
     ProjectionSolverError,
-    as_interval,
     chebyshev_center,
     contains,
     convex_hull,
@@ -737,12 +736,6 @@ class TestHelpers:
         c, r = chebyshev_center(unit_square())
         np.testing.assert_allclose(c, [0.5, 0.5], atol=1e-9)
         assert r == pytest.approx(0.5, abs=1e-9)
-
-    def test_as_interval(self):
-        assert as_interval(Ball(np.array([1.0]), 0.5)) == (0.5, 1.5)
-        assert as_interval(Interval(-1, 2)) == (-1.0, 2.0)
-        with pytest.raises(GeometryError):
-            as_interval(Ball(np.zeros(2), 1.0))
 
     def test_interior_margin_signs(self):
         body = unit_square()

@@ -1,9 +1,15 @@
 import contextlib
 import dataclasses
+import fcntl
 import hashlib
 import importlib.util
 import io
+import itertools
 import json
+import os
+import re
+import subprocess
+import sys
 import tempfile
 import warnings
 import weakref
@@ -36,6 +42,7 @@ from hullsim.harness import (
 from hullsim.geometry import Ball, HPolytope
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+SRC = CONFIG_DIR.parent / "src"
 
 
 def small_config(**overrides) -> ExperimentConfig:
@@ -264,6 +271,45 @@ class TestSchema:
             config_from_flat({**flat, "seed": "1.5"})
 
 
+def readme_table(header: str) -> dict[str, list[str]]:
+    """The README table under the row `header`: first cell (backticks dropped) -> the other cells."""
+    lines = (CONFIG_DIR.parent / "README.md").read_text().splitlines()
+    start = lines.index(header) + 2  # past the header and its separator
+    rows = {}
+    for line in itertools.takewhile(lambda text: text.startswith("|"), lines[start:]):
+        first, *rest = [cell.strip() for cell in line.strip("|").split("|")]
+        rows[first.strip("`")] = rest
+    return rows
+
+
+def readme_params(cell: str) -> dict[str, tuple[float, bool]]:
+    """`name = default` entries -> (default, per axis); "(per axis)" marks every entry since the last marker."""
+    *per_axis, scalar = cell.split("(per axis)")
+    return {name: (float(value), marked)
+            for part, marked in [(p, True) for p in per_axis] + [(scalar, False)]
+            for name, value in re.findall(r"`(\w+) = ([^`]+)`", part)}
+
+
+class TestReadmeTables:
+    def test_config_keys_and_absent_texts_match_the_schema(self):
+        documented = {key: "required" if absent is None else "none" if absent == "" else f"`{absent}`"
+                      for key, _, _, absent in SCHEMA}
+        documented.update({f"{prefix}.<param>": "per kind" for prefix in PARAMS})
+        table = readme_table("| key | default | value |")
+        assert {key: cells[0] for key, cells in table.items()} == documented
+
+    @pytest.mark.parametrize("header, registry", [
+        ("| kind | parameters | drift, diffusion |", dynamics.MODELS),
+        ("| kind | parameters | body at time t |", dynamics.BODIES),
+    ])
+    def test_kinds_and_default_parameters_match_the_registry(self, header, registry):
+        table = readme_table(header)
+        assert list(table) == list(registry)
+        for kind, (defaults, _) in registry.items():
+            expected = {name: (float(value), isinstance(value, dynamics.PerAxis)) for name, value in defaults.items()}
+            assert readme_params(table[kind][0]) == expected, kind
+
+
 class TestProbes:
     def test_default_ring_count_2d(self):
         probes = default_probes(Ball(np.zeros(2), 1.0))
@@ -300,6 +346,23 @@ class TestRunExperiment:
         assert len(report.rows) == len(config.n_grid) * config.replications * len(config.j_indices)
         assert all(r.probe_index == -1 for r in report.rows)
         assert all(r.scaled_error == pytest.approx(r.N * r.error) for r in report.rows)
+
+    def test_1d_ball_error_is_never_negative(self):
+        # the copies pile up at both ends, which Ball.project rounds about 1 ulp
+        # outside; the interval error used to read -2.2e-16 there at N = 10000
+        config = small_config(
+            model_params={"theta": 0.0, "sigma": 2.0},
+            x0=np.array([0.1]),
+            mf_kind="constant_ball",
+            mf_params={"center": 0.1, "radius": 1.3},
+            steps=20,
+            n_grid=[100, 1000, 10000],
+            j_indices=[20],
+        )
+        report = run_experiment(config)
+        assert all(r.error >= 0 for r in report.rows)
+        slope = report.slopes[(20, -1)]
+        assert slope["excluded"] + slope["n_used"] == len(config.n_grid)
 
     def test_row_bookkeeping_2d(self):
         config = small_config(
@@ -591,6 +654,33 @@ class TestCli:
         stream = meta["stream"]
         assert (f" this process drew for {stream['caller_draw_s']:.1f}s and waited "
                 f"{stream['helper_wait_s']:.1f}s for helpers, ") in lines[-1]
+
+    def test_reader_closing_the_pipe_early_is_no_error(self, tmp_path):
+        # `hullsim run ... | head -1`: a one-page pipe, far more output than it
+        # holds (one median line per probe), closed after the first line
+        grid = np.linspace(-0.4, 0.4, 15)
+        probes = " ; ".join(f"{x:.3f} {y:.3f}" for x in grid for y in grid)
+        cfg = tmp_path / "many_probes.cfg"
+        cfg.write_text(BALL_CONFIG_TEXT + f"probes = {probes}\n")
+        out = tmp_path / "o"
+        read_end, write_end = os.pipe()
+        fcntl.fcntl(read_end, fcntl.F_SETPIPE_SZ, 4096)
+        with subprocess.Popen(
+            [sys.executable, "-m", "hullsim.cli", "run", "--config", str(cfg), "--out", str(out)],
+            stdout=write_end, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=str(SRC)),
+        ) as proc:
+            os.close(write_end)
+            first = b""
+            while not first.endswith(b"\n"):
+                byte = os.read(read_end, 1)
+                if not byte:  # the run ended before a whole line
+                    break
+                first += byte
+            os.close(read_end)
+            _, err = proc.communicate(timeout=120)
+        assert first.startswith(b"ball j=10 probe=0: median errors ")
+        assert (proc.returncode, err) == (0, b"")
+        assert (out / "report.csv").exists() and (out / "report.json").exists()
 
     @pytest.mark.parametrize("name, extra, reason", [
         ("e1_interval_rate.cfg", "model.sigma = 1e-300", "diffusion matrix is singular at a sampled probe"),
