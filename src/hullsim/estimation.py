@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtr
 
 from .geometry import ConvexBody, Hull, contains, convex_hull, distance_to_hull
 from .dynamics import PathEnsemble
@@ -58,6 +57,8 @@ def gaussian_cdf(x, mean: float = 0.0, std: float = 1.0):
     """Normal distribution function via the error-function evaluator."""
     if not std > 0:
         raise EstimationError("std must be positive")
+    from scipy.special import ndtr
+
     res = ndtr((np.asarray(x, dtype=float) - mean) / std)
     return float(res) if res.ndim == 0 else res
 

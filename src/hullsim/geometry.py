@@ -9,6 +9,8 @@ Ensembles hand over coordinate-major (F-ordered) (N, m) batches, so per-point
 work runs on whole coordinate columns (row_norms and the H-polytope screen and
 margin), with its loops along the N points, never along the m <= 3
 coordinates, and a point's bits do not depend on its batch.
+scipy's qhull is imported by the first hull with m >= 2, not with this module,
+so one-dimensional hulls load no scipy.
 """
 
 from __future__ import annotations
@@ -16,9 +18,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
+
+if TYPE_CHECKING:
+    from scipy.spatial import ConvexHull
 
 GEOM_TOL = 1e-9
 HULL_TOL = 1e-7
@@ -422,6 +427,8 @@ def convex_hull(points) -> Hull:
         lo, hi = float(vals.min()), float(vals.max())
         verts = np.array([[lo]]) if lo == hi else np.array([[lo], [hi]])
         return Hull(dim=1, vertices=verts)
+    from scipy.spatial import ConvexHull, QhullError
+
     try:
         # scipy's default options and Qc, which lists the points kept off the hull as coplanar
         qhull = ConvexHull(pts, qhull_options="Qt Qc Qx" if m > 4 else "Qt Qc")

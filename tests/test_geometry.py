@@ -402,11 +402,42 @@ class TestAgainstLinearProgram:
         assert abs(body.interior_margin(center) - radius) <= 1e-9
 
 
+def run_snippet(config: str, overrides: dict) -> str:
+    path = str(SRC.parent / "configs" / config)
+    return f"from hullsim import harness\nharness.run_experiment(harness.load_config({path!r}, {overrides!r}))"
+
+
+SMALL = {"n_grid": "20 40", "replications": 2}
+SCIPY_SNIPPETS = [
+    # (code run in a fresh interpreter, the scipy modules it must load; empty: none at all)
+    ("import hullsim", set()),
+    (
+        run_snippet(
+            "e1_interval_rate.cfg",
+            {**SMALL, "diagnostics.step_bound": "true", "diagnostics.hitting": "true"},
+        ),
+        set(),
+    ),
+    (run_snippet("e4_square_hpoly.cfg", SMALL), {"scipy.spatial"}),
+]
+
+
 def test_import_leaves_out_the_lp_solver():
-    code = "import sys, hullsim; sys.exit('scipy.optimize' in sys.modules)"
+    """No snippet loads scipy.optimize; a 1D run loads no scipy, a 2D run loads qhull."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr or "import hullsim loaded scipy.optimize"
+    report = "import sys; print(*(m for m in sys.modules if m.startswith('scipy')))"
+    for snippet, wanted in SCIPY_SNIPPETS:
+        proc = subprocess.run(
+            [sys.executable, "-c", f"{snippet}\n{report}"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stdout.split())
+        assert "scipy.optimize" not in loaded, snippet
+        if wanted:
+            assert wanted <= loaded, (snippet, sorted(loaded))
+        else:
+            assert not loaded, (snippet, sorted(loaded))
 
 
 class TestConvexHull:
