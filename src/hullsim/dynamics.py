@@ -17,8 +17,9 @@ naming the step and the copy.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -230,26 +231,41 @@ class SamplePath:
 class PathEnsemble:
     """n_copies independent trajectories plus the seed that generated them.
 
-    states[i, j] is copy i+1 at node j (copies use streams (seed, 1..N)).
-    pre_projection and increments, kept only on request, are the step record
-    the oracle checks: the point each step reached before it was projected
-    onto the next body, and the increment that step drew. All three are
-    coordinate-major in memory (transposed views of (node, coordinate, copy)
-    arrays), so one coordinate at one node, states[:, j, k],
-    pre_projection[:, j, k] or increments[:, j, k], is contiguous and one
-    node's slice states[:, j] is an F-ordered (n_copies, m) view.
+    nodes are the grid nodes whose states the ensemble kept, ascending (every
+    node 0..steps unless the simulation was given fewer), and states[i, k] is
+    copy i+1 at node nodes[k] (copies use streams (seed, 1..N)); at(j) is
+    node j's (n_copies, m) slice. pre_projection and increments, kept only on
+    request and then with every node's state, are the step record the oracle
+    checks: the point each step reached before it was projected onto the next
+    body, and the increment that step drew. All three are coordinate-major in
+    memory (transposed views of (node, coordinate, copy) arrays), so one
+    coordinate at one node, states[:, k, c], pre_projection[:, j, c] or
+    increments[:, j, c], is contiguous and one node's slice states[:, k] is
+    an F-ordered (n_copies, m) view.
     """
 
     grid: TimeGrid
     n_copies: int
     seed: int
-    states: np.ndarray  # (n_copies, steps + 1, m)
+    states: np.ndarray  # (n_copies, len(nodes), m)
     pre_projection: np.ndarray | None = None  # (n_copies, steps, m)
     increments: np.ndarray | None = None  # (n_copies, steps, m); step j drew increments[:, j]
+    nodes: tuple[int, ...] | None = None  # the nodes states holds; None: every node 0..steps
+
+    def __post_init__(self):
+        if self.nodes is None:
+            object.__setattr__(self, "nodes", tuple(range(self.grid.steps + 1)))
 
     @property
     def dim(self) -> int:
         return self.states.shape[-1]
+
+    def at(self, j: int) -> np.ndarray:
+        """The (n_copies, m) states at grid node j; a node that was not kept raises ModelError."""
+        k = bisect.bisect_left(self.nodes, j)
+        if k == len(self.nodes) or self.nodes[k] != j:
+            raise ModelError(f"node {j} was not kept; the ensemble keeps nodes {list(self.nodes)}")
+        return self.states[:, k]
 
 
 def bodies_at_nodes(mf: Multifunction, grid: TimeGrid) -> list[ConvexBody]:
@@ -261,26 +277,50 @@ def _check_start(model: SdeModel, mf: Multifunction) -> None:
         raise ModelError("x0 must lie in the body at time zero")
 
 
+def _kept_nodes(grid: TimeGrid, nodes: Sequence[int] | None, keep_pre_projection: bool) -> tuple[int, ...]:
+    """The nodes an ensemble keeps: every node for None, else nodes checked to be
+    one or more ascending grid nodes without repeats. The step record needs
+    every node's state, so keep_pre_projection takes no nodes."""
+    if nodes is None:
+        return tuple(range(grid.steps + 1))
+    if keep_pre_projection:
+        raise ModelError("keep_pre_projection keeps every node's state; it takes no nodes")
+    nodes = tuple(int(j) for j in nodes)
+    if not nodes or nodes[0] < 0 or nodes[-1] > grid.steps or any(b <= a for a, b in zip(nodes, nodes[1:])):
+        raise ModelError(f"nodes must be one or more ascending grid nodes in 0..{grid.steps} "
+                         f"without repeats, got {list(nodes)}")
+    return nodes
+
+
 def _simulate(model: SdeModel, mf: Multifunction, grid: TimeGrid, seed: int, copies: range,
-              keep_pre_projection: bool, then: tuple[int, range] | None = None
+              keep_pre_projection: bool, then: tuple[int, range] | None = None,
+              nodes: tuple[int, ...] | None = None
               ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """Step copies i in copies as one batch on streams (seed, i); then is
-    passed on to gaussian_increments.
+    passed on to gaussian_increments, and nodes, checked by _kept_nodes, are
+    the nodes whose states are kept.
 
-    Returns the states (len(copies), steps + 1, m), on request the
-    pre-projection points (len(copies), steps, m), else None, and the
-    increments (len(copies), steps, m) that were stepped. All three are
-    transposed views of coordinate-major (node, coordinate, copy) arrays:
-    each step's operands are F-ordered (len(copies), m) views, so every
-    elementwise operation of the step runs along the copies.
+    Returns the states at nodes (len(copies), len(nodes), m), every node
+    0..steps when nodes is None, on request the pre-projection points
+    (len(copies), steps, m), else None, and the increments (len(copies),
+    steps, m) that were stepped. All three are transposed views of
+    coordinate-major (node, coordinate, copy) arrays: each step's operands
+    are F-ordered (len(copies), m) views, so every elementwise operation of
+    the step runs along the copies. The batch starts from one (m,
+    len(copies)) buffer holding x0, node 0's slot of the states when node 0
+    is kept, and each step's result is copied into the states only at a
+    kept node.
     """
     _check_start(model, mf)
     n, m = grid.steps, model.dim
+    nodes = range(n + 1) if nodes is None else nodes
     z = gaussian_increments(seed, copies, n, m, grid.delta, then)
-    states = np.empty((n + 1, m, len(copies)))
-    states[0] = model.x0[:, None]
+    states = np.empty((len(nodes), m, len(copies)))
+    slots = dict(zip(nodes, states))
+    start = slots[0] if 0 in slots else np.empty((m, len(copies)))
+    start[:] = model.x0[:, None]
     pre = np.empty((n, m, len(copies))) if keep_pre_projection else None
-    x = states[0].T
+    x = start.T
     for j in range(n):
         body_next = mf(grid.node(j + 1))
         try:
@@ -289,7 +329,8 @@ def _simulate(model: SdeModel, mf: Multifunction, grid: TimeGrid, seed: int, cop
             # a per-copy failure names its batch row; any other fails every copy
             row = getattr(exc, "where", (0,))[0]
             raise ModelError(f"step {j} of copy {copies[row]} failed: {exc}") from exc
-        states[j + 1] = x.T
+        if j + 1 in slots:
+            slots[j + 1][:] = x.T
         if pre is not None:
             pre[j] = h.T
     return states.transpose(2, 0, 1), None if pre is None else pre.transpose(2, 0, 1), z
@@ -317,21 +358,29 @@ def simulate_ensemble(
     seed: int,
     keep_pre_projection: bool = False,
     next_ensemble: tuple[int, int] | None = None,
+    nodes: Sequence[int] | None = None,
 ) -> PathEnsemble:
     """Simulate copies 1..n_copies on streams (seed, i), stepping them as a batch.
 
     Copy i equals simulate_path with the same seed and copy index bit for bit:
-    both run the same stepping core. keep_pre_projection keeps the step
-    record the oracle checks: the pre-projection points and the increments.
-    next_ensemble, the (n_copies, seed) of the ensemble the caller simulates
-    next on the same model and grid, is gaussian_increments' then: it only lets
-    that ensemble's increments be drawn while this one is stepped, and the
-    result does not depend on it.
+    both run the same stepping core. nodes, ascending grid nodes without
+    repeats, are the nodes whose states the caller will read: the ensemble
+    keeps only those (PathEnsemble.at), every node 0..steps when nodes is
+    None, and the states it keeps do not depend on the others. A node outside
+    0..steps, an unsorted or repeated one and an empty list raise ModelError.
+    keep_pre_projection keeps the step record the oracle checks: the
+    pre-projection points, the increments and every node's state, so it takes
+    no nodes (ModelError). next_ensemble, the (n_copies, seed) of the ensemble
+    the caller simulates next on the same model and grid, is
+    gaussian_increments' then: it only lets that ensemble's increments be
+    drawn while this one is stepped, and the result does not depend on it.
     """
     then = None if next_ensemble is None else (next_ensemble[1], range(1, next_ensemble[0] + 1))
-    states, pre, z = _simulate(model, mf, grid, seed, range(1, n_copies + 1), keep_pre_projection, then)
+    nodes = _kept_nodes(grid, nodes, keep_pre_projection)
+    states, pre, z = _simulate(model, mf, grid, seed, range(1, n_copies + 1), keep_pre_projection, then,
+                               nodes)
     return PathEnsemble(grid=grid, n_copies=n_copies, seed=seed, states=states,
-                        pre_projection=pre, increments=z if keep_pre_projection else None)
+                        pre_projection=pre, increments=z if keep_pre_projection else None, nodes=nodes)
 
 
 # ---------------------------------------------------------------------------

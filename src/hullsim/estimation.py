@@ -1,6 +1,7 @@
 """Convex-hull estimation of the constraining body from simulated copies.
 
-The estimate at node j is the convex hull of the N copy states at that node.
+The estimate at node j is the convex hull of the N copy states at that node,
+read from an ensemble that kept node j (simulate_ensemble's nodes).
 In one dimension its error against the known interval is the Hausdorff
 distance, the larger hull distance of the interval's two ends, valid because
 the estimate is always contained in the truth; in higher dimension the
@@ -15,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .geometry import ConvexBody, Hull, contains, convex_hull, distance_to_hull
-from .dynamics import PathEnsemble
+from .dynamics import ModelError, PathEnsemble
 
 
 class EstimationError(ValueError):
@@ -23,10 +24,15 @@ class EstimationError(ValueError):
 
 
 def hull_estimate(ensemble: PathEnsemble, j: int) -> Hull:
-    """Hull of the copy states at node j >= 1 (node 0 is the deterministic start, rejected)."""
+    """Hull of the copy states at node j >= 1, ensemble.at(j) (node 0 is the
+    deterministic start, rejected; so is a node the ensemble did not keep)."""
     if not 1 <= j <= ensemble.grid.steps:
         raise EstimationError(f"time index must be in 1..{ensemble.grid.steps}, got {j}")
-    return convex_hull(ensemble.states[:, j, :])
+    try:
+        states = ensemble.at(j)
+    except ModelError as exc:
+        raise EstimationError(str(exc)) from exc
+    return convex_hull(states)
 
 
 def hausdorff_error_1d(hull: Hull, truth: ConvexBody) -> float:

@@ -158,19 +158,23 @@ class ExperimentConfig:
             raise ConfigError("x0 must hold one number per dimension")
         if not n or n[0] < 1 or any(b <= a for a, b in zip(n, n[1:])):
             raise ConfigError("n_grid must be strictly ascending positive copy counts")
-        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        # one ensemble's states and increments, the next one's posted increments and,
-        # with a diagnostic on, its pre-projection points
-        per_step = 3 if self.run_step_bound or self.run_hitting else 2
-        unit_bytes = (self.steps + 1 + per_step * self.steps) * x0.size * n[-1] * 8
-        if unit_bytes > memory:
-            raise ConfigError(f"one ensemble's arrays would take {unit_bytes} bytes, more than physical memory")
         if self.replications < 1:
             raise ConfigError("replications must be at least 1")
         if not js or not all(1 <= j <= self.steps for j in js):
             raise ConfigError(f"j_indices must be one or more grid nodes in 1..{self.steps}")
         if len(set(js)) != len(js):
             raise ConfigError(f"j_indices must not repeat a node, got {list(js)}")
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        # one ensemble's increments, the next one's posted increments, its states at
+        # j_indices and its start buffer; with a diagnostic on, replication 0 keeps
+        # every node's state (node 0's slot is the start buffer) and its pre-projection points
+        if self.run_step_bound or self.run_hitting:
+            unit_rows = self.steps + 1 + 3 * self.steps
+        else:
+            unit_rows = len(js) + 1 + 2 * self.steps
+        unit_bytes = unit_rows * x0.size * n[-1] * 8
+        if unit_bytes > memory:
+            raise ConfigError(f"one ensemble's arrays would take {unit_bytes} bytes, more than physical memory")
         # one error row per unit, node and probe (default_probes' 3^m - 1 when not given)
         n_probes = 1 if x0.size == 1 else 3**x0.size - 1 if self.probes is None else len(self.probes)
         rows = len(n) * self.replications * len(js) * n_probes
@@ -351,7 +355,9 @@ def run_experiment(config: ExperimentConfig) -> ConvergenceReport:
     units = [(n, r) for n in config.n_grid for r in range(config.replications)]
     seeds = [dynamics.derive_seed(config.seed, n, r) for n, r in units]
     following = [(n, seed) for (n, _), seed in zip(units[1:], seeds[1:])] + [None]
+    estimated = sorted(config.j_indices)  # the nodes a unit keeps unless it keeps its step record
     counts = increments.stream_counters()
+    array_bytes = 0
     try:
         for (n_copies, r), seed, next_ensemble in zip(units, seeds, following):
             keep_h = r == 0 and (config.run_step_bound or run_hitting)
@@ -360,8 +366,9 @@ def run_experiment(config: ExperimentConfig) -> ConvergenceReport:
                 t0 = time.perf_counter()
                 ens = dynamics.simulate_ensemble(
                     model, mf, grid, n_copies, seed, keep_pre_projection=keep_h,
-                    next_ensemble=next_ensemble,
+                    next_ensemble=next_ensemble, nodes=None if keep_h else estimated,
                 )
+                array_bytes = max(array_bytes, _array_bytes(ens))
                 if keep_h and not config.run_step_bound:  # only the step-bound check reads the increments
                     ens = replace(ens, increments=None)
                 t1 = time.perf_counter()
@@ -408,6 +415,7 @@ def run_experiment(config: ExperimentConfig) -> ConvergenceReport:
         "wall_clock_s": time.perf_counter() - t_start,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "phases": phases,  # seconds per phase, summed over every ensemble
+        "array_bytes": array_bytes,  # the most one unit held: increments, kept states, pre-projection points
         "stream_processes": increments.stream_processes(),  # this one plus its live increment helpers
         "stream": _stream_meta(counts),
     }
@@ -422,6 +430,14 @@ def run_experiment(config: ExperimentConfig) -> ConvergenceReport:
         diagnostics=diagnostics,
         meta=meta,
     )
+
+
+def _array_bytes(ens: dynamics.PathEnsemble) -> int:
+    """Bytes of ens's increments, drawn whether kept or not, its kept states and
+    its pre-projection points."""
+    pre = ens.pre_projection
+    increment_bytes = ens.n_copies * ens.grid.steps * ens.dim * 8
+    return increment_bytes + ens.states.nbytes + (0 if pre is None else pre.nbytes)
 
 
 def _stream_meta(before: dict) -> dict:

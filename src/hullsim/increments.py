@@ -5,8 +5,9 @@ zero, so they depend on (seed, i) alone and any copy range can be drawn in any
 process, at any time. fill re-keys the generator by writing its state in place
 through ctypes, after checking numpy's state layout against the public
 Philox.state getter, and draws each copy's normals with numpy's exported C
-fill, the one Generator.standard_normal calls, with ctypes arguments built
-once per fill call. draw splits a range of at least 2 * INCREMENT_BLOCK
+fill, the one Generator.standard_normal calls. Each thread builds its
+generator once, and its draw block with the C fill's ctypes arguments once
+per block shape. draw splits a range of at least 2 * INCREMENT_BLOCK
 copies between the calling process and its helper processes, all writing
 into one coordinate-major (n, m, len(copies)) array mapped from an
 os.memfd_create file, which the caller returns. The blocks of
@@ -76,30 +77,26 @@ _normal_fill.restype = None
 def fill(out: np.ndarray, seed: int, copies: range, scale: float, blocks=None) -> None:
     """Write copies' standard normals times scale into out, shape (n, m, len(copies)).
 
-    One Philox generator, keyed (seed, 0), is re-keyed to (seed, i) for each
-    copy i by three in-place writes to its state (key word 1, counter word 0
-    and buffer_pos), and the copy's n * m normals come from numpy's exported
-    random_standard_normal_fill: the C function, on the same state, that
-    Generator.standard_normal runs, called without the GIL. The writes go
-    through ctypes views that _philox_views checks against the public
-    Philox.state getter first. Block b holds copies
+    The calling thread's one Philox generator (_thread_generator) is keyed
+    (seed, i) for each copy i by three in-place writes to its state (key word
+    1, counter word 0 and buffer_pos), and the copy's n * m normals come from
+    numpy's exported random_standard_normal_fill: the C function, on the same
+    state, that Generator.standard_normal runs, called without the GIL. The
+    writes go through ctypes views that _philox_views checks against the
+    public Philox.state getter first, on every call. Block b holds copies
     [b * INCREMENT_BLOCK, (b + 1) * INCREMENT_BLOCK) of the range; the blocks
     are drawn in the order blocks gives (by default every block, first to
-    last), each into a small copy-major block, and scaled into place. The C
-    call's arguments are built once per call, as the ctypes instances of its
-    C types: the generator's c_void_p, one c_ssize_t count and one c_void_p
-    per block row, from one read of the block's address. The seconds spent
-    here add to the caller_draw_s counter.
+    last), each into the thread's small copy-major block, and scaled into
+    place. The C call's arguments are the ctypes instances of its C types:
+    the generator's c_void_p, one c_ssize_t count and one c_void_p per block
+    row, built with the block. The seconds spent here add to the
+    caller_draw_s counter.
     """
     t0 = time.perf_counter()
     n, m = out.shape[:2]
-    bit_gen = np.random.Philox(key=np.array([seed & _MASK64, 0], dtype=np.uint64))
-    ctr, key, buffer_pos = _philox_views(bit_gen, seed, copies[0] if copies else 0)
-    bit_generator = bit_gen.ctypes.bit_generator
-    block = np.empty((min(INCREMENT_BLOCK, len(copies)), n, m))
-    base, stride = block.ctypes.data, block.strides[0]
-    rows = [ctypes.c_void_p(base + stride * k) for k in range(len(block))]
-    count = ctypes.c_ssize_t(n * m)
+    gen = _thread_generator(seed, min(INCREMENT_BLOCK, len(copies)), n, m)
+    ctr, key, buffer_pos = _philox_views(gen.bit_gen, seed, copies[0] if copies else 0)
+    block, rows = gen.block, gen.rows
     for b in range(_block_count(len(copies))) if blocks is None else blocks:
         start = b * INCREMENT_BLOCK
         chunk = copies[start:start + INCREMENT_BLOCK]
@@ -107,14 +104,48 @@ def fill(out: np.ndarray, seed: int, copies: range, scale: float, blocks=None) -
             key[1] = i  # a c_uint64 store keeps i modulo 2**64
             ctr[0] = 0
             buffer_pos.value = 4  # the buffered outputs are spent
-            _normal_fill(bit_generator, count, row)
+            _normal_fill(gen.bit_generator, gen.count, row)
         np.multiply(block[:len(chunk)].transpose(1, 2, 0), scale, out=out[..., start:start + len(chunk)])
     _HELPERS.count(caller_draw_s=time.perf_counter() - t0)
+
+
+class _Generator:
+    """One thread's Philox generator and its copy-major (rows, n, m) draw block,
+    with the C fill's arguments: the generator's c_void_p, the c_ssize_t count
+    n * m and one c_void_p per block row, from one read of the block's address."""
+
+    def __init__(self, seed: int):
+        self.bit_gen = np.random.Philox(key=np.array([seed & _MASK64, 0], dtype=np.uint64))
+        self.bit_generator = self.bit_gen.ctypes.bit_generator
+        self.shape = None
+
+    def reshape(self, rows: int, n: int, m: int) -> None:
+        self.shape = (rows, n, m)
+        self.block = np.empty(self.shape)
+        base, stride = self.block.ctypes.data, self.block.strides[0]
+        self.rows = [ctypes.c_void_p(base + stride * k) for k in range(rows)]
+        self.count = ctypes.c_ssize_t(n * m)
+
+
+_THREAD = threading.local()  # .generator: the calling thread's _Generator
+
+
+def _thread_generator(seed: int, rows: int, n: int, m: int) -> _Generator:
+    """The calling thread's generator, built on its first fill, with a block of
+    rows copies of n * m normals, rebuilt when a fill needs another shape."""
+    gen = getattr(_THREAD, "generator", None)
+    if gen is None:
+        gen = _THREAD.generator = _Generator(seed)
+    if gen.shape != (rows, n, m):
+        gen.reshape(rows, n, m)
+    return gen
 
 
 def _philox_views(bit_gen: np.random.Philox, seed: int, first: int):
     """ctypes views of bit_gen's counter, key and buffer_pos, re-keyed to (seed, first).
 
+    The re-key writes both key words, a zero counter and a spent buffer_pos,
+    so a generator left in any state by an earlier fill starts afresh.
     numpy's philox_state starts with pointers to the counter and the key,
     both inside the Philox object, then the int buffer_pos. The pointers are
     checked to lie in the object and every view to read what the Philox.state
@@ -135,8 +166,9 @@ def _philox_views(bit_gen: np.random.Philox, seed: int, first: int):
     if (list(ctr), list(key), buffer_pos.value) != (
             state["state"]["counter"].tolist(), state["state"]["key"].tolist(), state["buffer_pos"]):
         raise _layout_error("its counter, key and buffer_pos differ from the Philox.state getter")
+    key[0] = seed & _MASK64
     key[1] = first
-    ctr[0] = 0
+    ctr[:] = (0, 0, 0, 0)
     buffer_pos.value = 4
     state = bit_gen.state
     if (state["state"]["key"].tolist(), state["state"]["counter"].tolist(), state["buffer_pos"],

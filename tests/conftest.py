@@ -1,4 +1,5 @@
 import os
+import threading
 import time
 from itertools import islice
 from pathlib import Path
@@ -85,3 +86,9 @@ def caller_draws_half(monkeypatch, ready_helpers):
         return islice(behind(ctl), int((ctl[:, 1] - ctl[:, 0]).sum()) // 2)
 
     monkeypatch.setattr(increments, "_behind", half)
+
+
+@pytest.fixture
+def undrawn_threads(monkeypatch):
+    """No thread has a Philox generator yet: each thread's next fill builds its own."""
+    monkeypatch.setattr(increments, "_THREAD", threading.local())

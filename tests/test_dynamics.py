@@ -118,7 +118,7 @@ class TestIncrements:
         "copies",
         [range(1, 2), range(1, INCREMENT_BLOCK + 2), range(5, 5 + 3 * INCREMENT_BLOCK, 2)],
     )
-    def test_one_generator_per_call(self, monkeypatch, copies):
+    def test_one_generator_per_call(self, monkeypatch, undrawn_threads, copies):
         # the per-copy re-key writes the state of one Philox in place; it never builds another
         philox = np.random.Philox
         built = []
@@ -389,6 +389,56 @@ class TestSimulateEnsemble:
         model = make_model("ou", 1, [0.0])
         with pytest.raises(ModelError):
             simulate_ensemble(model, constant_body(Interval(-1, 1)), TimeGrid(1.0, 5), 0, 1)
+
+
+# (model, body family) pairs for the kept-node tests: m = 1, 2, 3 and a shrinking ball
+KEPT_NODE_CASES = {
+    "interval": (lambda: make_model("ou", 1, [0.0], theta=1.0, sigma=0.5), lambda: constant_body(Interval(-1, 1))),
+    "square": (lambda: make_model("tanh_drift", 2, [0.0, 0.0], scale=2.0, sigma=0.6),
+               lambda: constant_body(square())),
+    "ball3d": (lambda: make_model("tanh_sigma", 3, np.zeros(3), theta=2.0, sigma0=0.3, sigma1=0.1),
+               lambda: constant_body(Ball(np.zeros(3), 1.0))),
+    "shrinking_ball": (lambda: make_model("ou", 2, [0.0, 0.0], theta=2.0, sigma=0.3),
+                       lambda: shrinking_ball([0.0, 0.0], 1.0, 0.3)),
+}
+
+
+class TestKeptNodes:
+    @pytest.mark.parametrize("case", sorted(KEPT_NODE_CASES))
+    @pytest.mark.parametrize("nodes", [[1], [5, 20], list(range(21))], ids=["1", "5-20", "all"])
+    def test_kept_nodes_equal_the_full_record(self, case, nodes):
+        model, mf = (make() for make in KEPT_NODE_CASES[case])
+        grid = TimeGrid(1.0, 20)
+        n_copies = INCREMENT_BLOCK + 30
+        full = simulate_ensemble(model, mf, grid, n_copies, seed=12)
+        kept = simulate_ensemble(model, mf, grid, n_copies, seed=12, nodes=nodes)
+        assert full.nodes == tuple(range(21)) and kept.nodes == tuple(nodes)
+        assert kept.states.shape == (n_copies, len(nodes), model.dim)
+        for k, j in enumerate(nodes):
+            assert kept.at(j).tobytes() == kept.states[:, k].tobytes() == full.states[:, j].tobytes()
+            for c in range(model.dim):
+                assert kept.states[:, k, c].flags.c_contiguous
+
+    def test_at_reads_a_kept_node_and_rejects_another(self):
+        model, mf = (make() for make in KEPT_NODE_CASES["square"])
+        ens = simulate_ensemble(model, mf, TimeGrid(1.0, 6), 9, seed=2, nodes=np.array([2, 6]))
+        assert ens.nodes == (2, 6)
+        np.testing.assert_array_equal(ens.at(6), ens.states[:, 1])
+        for j in (0, 3, 7):
+            with pytest.raises(ModelError, match=rf"^node {j} was not kept; the ensemble keeps nodes \[2, 6\]$"):
+                ens.at(j)
+
+    @pytest.mark.parametrize("nodes", [[], [6, 3], [3, 3], [3, 7], [-1, 3]],
+                             ids=["empty", "unsorted", "repeated", "beyond", "negative"])
+    def test_bad_nodes_rejected(self, nodes):
+        model, mf = (make() for make in KEPT_NODE_CASES["interval"])
+        with pytest.raises(ModelError, match="^nodes must be one or more ascending grid nodes in 0..6"):
+            simulate_ensemble(model, mf, TimeGrid(1.0, 6), 5, seed=1, nodes=nodes)
+
+    def test_nodes_with_the_step_record_rejected(self):
+        model, mf = (make() for make in KEPT_NODE_CASES["interval"])
+        with pytest.raises(ModelError, match="keep_pre_projection keeps every node's state"):
+            simulate_ensemble(model, mf, TimeGrid(1.0, 6), 5, seed=1, keep_pre_projection=True, nodes=[6])
 
 
 class TestModels:

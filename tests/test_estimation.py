@@ -80,6 +80,15 @@ class TestHullEstimate:
         with pytest.raises(EstimationError):
             hull_estimate(make_1d_ensemble(), 11)
 
+    def test_node_not_kept_rejected_in_one_line(self):
+        model = make_model("ou", 1, [0.0], theta=1.0, sigma=0.5)
+        ens = simulate_ensemble(model, constant_body(Interval(-1, 1)), TimeGrid(1.0, 10), 20, 1, nodes=[5, 10])
+        np.testing.assert_array_equal(hull_estimate(ens, 10).vertices[:, 0],
+                                      [ens.at(10).min(), ens.at(10).max()])
+        with pytest.raises(EstimationError) as caught:
+            hull_estimate(ens, 7)
+        assert str(caught.value) == "node 7 was not kept; the ensemble keeps nodes [5, 10]"
+
     def test_singleton_estimate(self):
         ens = make_1d_ensemble(n_copies=1)
         hull = hull_estimate(ens, 10)

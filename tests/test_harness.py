@@ -201,10 +201,21 @@ class TestConfigParsing:
             )
 
     def test_unit_guard_counts_the_increments_and_the_look_ahead(self, monkeypatch):
-        # at N = 10000 the 21 states take 1.7 MB, with the 20 + 20 increment steps 4.9 MB
+        # at N = 10000 the 20 + 20 increment steps take 3.2 MB, with the states at
+        # j_indices 5 and 10 and the start buffer 3.44 MB
         self.physical_memory(monkeypatch, 3)
-        with pytest.raises(ConfigError, match="one ensemble's arrays would take 4880000 bytes"):
+        with pytest.raises(ConfigError, match="one ensemble's arrays would take 3440000 bytes"):
             small_config(steps=20, n_grid=[100, 10000])
+
+    @pytest.mark.parametrize("diagnostic", ["run_step_bound", "run_hitting"])
+    def test_unit_guard_counts_the_full_record_only_with_a_diagnostic(self, monkeypatch, diagnostic):
+        # 5 MB holds the 3.44 MB of a unit that keeps j_indices 5 and 10, not the
+        # 6.48 MB of replication 0's 21 states, 20 pre-projection steps and 20 + 20 increment steps
+        self.physical_memory(monkeypatch, 5)
+        small_config(steps=20, n_grid=[100, 10000])
+        with pytest.raises(ConfigError) as caught:
+            small_config(steps=20, n_grid=[100, 10000], **{diagnostic: True})
+        assert str(caught.value) == "one ensemble's arrays would take 6480000 bytes, more than physical memory"
 
 
 def plain(value):
@@ -477,6 +488,32 @@ class TestRunExperiment:
         stored = [(ens.pre_projection is not None, ens.increments is not None) for ens in ensembles]
         assert stored == [kept, (False, False), kept, (False, False)]
 
+    @pytest.mark.parametrize("check", [False, True])
+    def test_units_keep_the_estimated_nodes_and_a_check_unit_every_node(self, monkeypatch, check):
+        simulate = harness.dynamics.simulate_ensemble
+        kept = []
+
+        def spy(*args, **kwargs):
+            ens = simulate(*args, **kwargs)
+            kept.append((ens.n_copies, ens.nodes))
+            return ens
+
+        monkeypatch.setattr(harness.dynamics, "simulate_ensemble", spy)
+        config = small_config(
+            model_params={"theta": 2.0, "sigma": 0.3},
+            x0=np.zeros(2),
+            mf_kind="constant_ball",
+            mf_params={"center": np.zeros(2), "radius": 1.0},
+            n_grid=[20, 40],
+            replications=3,
+            j_indices=[10, 5],
+            run_step_bound=check,
+            run_hitting=check,
+        )
+        run_experiment(config)
+        every, estimated = tuple(range(11)), (5, 10)
+        assert kept == [(n, every if check and r == 0 else estimated) for n in (20, 40) for r in range(3)]
+
     def test_each_ensemble_is_dropped_before_the_next_is_simulated(self, monkeypatch):
         # so the caller never holds a kept increment array and the next one at once
         simulate = harness.dynamics.simulate_ensemble
@@ -521,6 +558,17 @@ class TestRunExperiment:
         emit_report(report, tmp_path)
         assert json.loads((tmp_path / "report.json").read_text())["meta"]["phases"] == phases
         assert "phases" not in (tmp_path / "report.csv").read_text()
+
+    @pytest.mark.parametrize("check", [False, True])
+    def test_meta_array_bytes_is_the_largest_unit(self, tmp_path, check):
+        # N = 40, m = 2, 10 steps: 6400 bytes of increments and 640 per kept node;
+        # the --check unit keeps all 11 nodes and 6400 bytes of pre-projection points
+        cfg = tmp_path / "ball.cfg"
+        cfg.write_text(BALL_CONFIG_TEXT)
+        out = tmp_path / "o"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)] + ["--check"] * check) == 0
+        meta = json.loads((out / "report.json").read_text())["meta"]
+        assert meta["array_bytes"] == (6400 + 11 * 640 + 6400 if check else 6400 + 640)
 
     def test_meta_counts_stream_processes_and_the_csv_does_not_change(self, helper_pool, tmp_path):
         config = small_config(n_grid=[20, 40, 2 * INCREMENT_BLOCK], replications=2,

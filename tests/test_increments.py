@@ -540,7 +540,30 @@ def test_in_place_re_key_agrees_with_the_state_getter(copy):
         np.random.Philox(key=np.array([seed, copy], dtype=np.uint64))).standard_normal((3, 2)))
 
 
-def test_normal_fill_gets_ctypes_instances_of_its_c_types(monkeypatch):
+def test_two_draws_in_one_thread_build_one_generator(monkeypatch, undrawn_threads):
+    # the thread's generator, its block and the block's row pointers outlive a
+    # draw; a draw of another shape rebuilds the block only, another thread builds its own
+    philox, built = np.random.Philox, []
+
+    def recorded_philox(*args, **kwargs):
+        built.append(philox(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(np.random, "Philox", recorded_philox)
+    cases = [(5, range(1, INCREMENT_BLOCK + 40), 6, 2), (9, range(3, 50), 6, 2), (2**64 - 1, range(7, 9), 3, 3)]
+    drawn = [(case, gaussian_increments(*case, 0.1)) for case in cases]
+    assert len(built) == 1
+    other = threading.Thread(target=lambda: drawn.append((cases[1], gaussian_increments(*cases[1], 0.1))))
+    other.start()
+    other.join()
+    assert len(built) == 2 and built[0] is not built[1]
+    for (seed, copies, n, m), z in drawn:
+        for k, i in enumerate(copies):
+            fresh = np.random.Generator(philox(key=np.array([seed, i], dtype=np.uint64)))
+            np.testing.assert_array_equal(z[k], fresh.standard_normal((n, m)) * np.sqrt(0.1))
+
+
+def test_normal_fill_gets_ctypes_instances_of_its_c_types(monkeypatch, undrawn_threads):
     # _normal_fill declares no argtypes, so ctypes passes what it is given as
     # it is: a plain int count would reach C as an int, not an npy_intp
     n, m = 4, 3
@@ -588,6 +611,7 @@ def test_layout_mismatch_raises_one_line_before_any_write(helper_pool, ready_hel
     gaussian_increments(3, copies, 4, 2, 0.2)
     pids = [helper.proc.pid for helper in pool.live]
     assert len(pids) == cpus - 1
+    monkeypatch.setattr(increments, "_THREAD", threading.local())  # the next fill builds its generator
     philox, built, drawn = np.random.Philox, [], []
 
     def recorded_philox(*args, **kwargs):
