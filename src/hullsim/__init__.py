@@ -39,11 +39,9 @@ from .dynamics import (
 )
 from .estimation import (
     EstimationError,
-    gaussian_cdf,
     hausdorff_error_1d,
     hull_estimate,
     pointwise_error,
-    projected_cdf,
 )
 from .oracle import (
     BoundCheckReport,

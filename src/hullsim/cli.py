@@ -9,8 +9,10 @@ sets diagnostics.step_bound and diagnostics.hitting. Exit codes: 0 success;
 a body, x0 or probe that does not fit the grid, or diagnostic inputs the
 step-bound check cannot evaluate); 2 runtime error. A run prints the median
 errors, the files it wrote and a summary line: label, wall clock, meta.phases,
-meta.stream_processes, the meta.stream counters and seconds, and the CSV
-text's SHA-256. The reports are written before anything is printed, so a
+meta.stream_processes (this process and the increment helpers it forked),
+the meta.stream share of blocks the helpers drew, the seconds this process
+drew for and waited for them, the look-aheads joined and cancelled, and the
+CSV text's SHA-256. The reports are written before anything is printed, so a
 reader that closes stdout early (hullsim run ... | head -1) is no error: the
 rest of the output is dropped and the exit code is 0.
 """
@@ -88,7 +90,7 @@ def _run(args: argparse.Namespace) -> int:
               f"helpers drew {stream['helper_block_share']:.0%} of blocks, "
               f"this process drew for {stream['caller_draw_s']:.1f}s and waited {stream['helper_wait_s']:.1f}s "
               f"for helpers, {stream['lookahead_joined']} look-aheads joined, {stream['lookahead_cancelled']} "
-              f"cancelled, {stream['helpers_skipped']} unready helpers skipped) csv sha256 {digest}")
+              f"cancelled) csv sha256 {digest}")
         sys.stdout.flush()
     except BrokenPipeError:  # the reader stopped early, as `| head -1` does; the reports are written
         devnull = os.open(os.devnull, os.O_WRONLY)

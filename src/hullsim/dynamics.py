@@ -191,32 +191,6 @@ def shrinking_box(lo, hi, rate: float) -> Multifunction:
     return evaluator
 
 
-def check_lipschitz(
-    model: SdeModel,
-    lo,
-    hi,
-    pairs: int = 1000,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """Largest empirical Lipschitz ratios of (drift, diffusion) over a box.
-
-    The diffusion ratio uses the operator norm of the difference of the
-    diagonal matrices, the largest |sigma_i(u) - sigma_i(v)|.
-    """
-    rng = np.random.default_rng(seed)
-    lo = np.broadcast_to(np.asarray(lo, dtype=float), (model.dim,))
-    hi = np.broadcast_to(np.asarray(hi, dtype=float), (model.dim,))
-    u = rng.uniform(lo, hi, size=(pairs, model.dim))
-    v = rng.uniform(lo, hi, size=(pairs, model.dim))
-    gaps = np.linalg.norm(u - v, axis=1)
-    ok = gaps > 1e-12
-    u, v, gaps = u[ok], v[ok], gaps[ok]
-    drift_ratio = float(np.max(np.linalg.norm(model.drift(u) - model.drift(v), axis=1) / gaps))
-    op_norms = np.max(np.abs(diffusion_at(model, u) - diffusion_at(model, v)), axis=1)
-    diff_ratio = float(np.max(op_norms / gaps))
-    return drift_ratio, diff_ratio
-
-
 @dataclass(frozen=True, eq=False)
 class SamplePath:
     """One simulated trajectory on the grid."""

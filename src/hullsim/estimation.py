@@ -11,8 +11,6 @@ the hull in one distance_to_hull call.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from .geometry import ConvexBody, Hull, contains, convex_hull, distance_to_hull
@@ -58,27 +56,3 @@ def pointwise_error(hull: Hull, x) -> np.ndarray | float:
     estimated hull."""
     return distance_to_hull(hull, x)
 
-
-def gaussian_cdf(x, mean: float = 0.0, std: float = 1.0):
-    """Normal distribution function via the error-function evaluator."""
-    if not std > 0:
-        raise EstimationError("std must be positive")
-    from scipy.special import ndtr
-
-    res = ndtr((np.asarray(x, dtype=float) - mean) / std)
-    return float(res) if res.ndim == 0 else res
-
-
-def projected_cdf(phi: Callable[[float], float], lower: float, upper: float, x: float) -> float:
-    """Distribution function of the clamp of a variable with CDF phi onto [lower, upper].
-
-    Returns 0 below lower, phi(x) on [lower, upper), and 1 from upper on; the
-    mass phi has at or below lower collapses onto the atom at lower.
-    """
-    if not lower < upper:
-        raise EstimationError("need lower < upper")
-    if x < lower:
-        return 0.0
-    if x >= upper:
-        return 1.0
-    return float(phi(x))

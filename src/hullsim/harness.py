@@ -343,8 +343,6 @@ def run_experiment(config: ExperimentConfig) -> ConvergenceReport:
             constants = oracle.step_bound_constants(model, mf, grid, diag_probes)
         except oracle.OracleError as exc:
             raise ConfigError(f"diagnostics.step_bound: {exc}") from exc
-    # after the checks, so a config that fails them starts no helper; helpers import numpy meanwhile
-    increments.start_helpers(max(config.n_grid))
 
     rows: list[ErrorRow] = []
     diagnostics: dict = {"step_bound": [], "hitting": []}

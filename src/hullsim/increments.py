@@ -27,18 +27,18 @@ on request, and the posted draw is also cancelled at exit and dropped
 unwritten in a forked child, whose parent still owns it.
 
 There is one helper per CPU of the affinity mask beyond the first, at most
-MAX_HELPERS. A helper is a plain interpreter running this file, whose only
-import beyond the standard library is numpy; it says "ready" once that import
-is done. Helpers start on the first large draw or look-ahead, or earlier
-through start_helpers, which run_experiment calls before its first unit when
-its largest N reaches 2 * INCREMENT_BLOCK; never on import. They serve until
-the process that started them exits; a process forked from it starts its own.
-A draw gives work only to helpers that have said they are ready, read without
-waiting, so no draw waits for an interpreter to start.
-The draw is serial below 2 * INCREMENT_BLOCK copies, on a one-CPU mask, where
-os.memfd_create is missing, while the helpers hold another draw and while none
-is ready. The caller draws whatever a failed helper left and uses that helper
-no more. Every path gives the same bytes.
+MAX_HELPERS, forked from this process by its first draw or look-ahead of at
+least 2 * INCREMENT_BLOCK copies, never on import. A helper so starts with
+numpy and the C fill loaded, and takes its part of that first draw. It
+closes this process's ends of its own socket and of the helpers forked
+before it, so that closing one reaches its helper; it ignores SIGINT and
+ends through os._exit, so it never returns into this process's code, runs
+its atexit handlers or flushes the stdio buffers it inherited. Helpers serve
+until the process that started them exits; any other child it forks drops
+them and starts its own. The draw is serial below 2 * INCREMENT_BLOCK
+copies, on a one-CPU mask, where os.memfd_create or os.fork is missing and
+while the helpers hold another draw. The caller draws whatever a failed
+helper left and uses that helper no more. Every path gives the same bytes.
 """
 
 from __future__ import annotations
@@ -50,8 +50,6 @@ import os
 import pickle
 import signal
 import socket
-import subprocess
-import sys
 import threading
 import time
 from contextlib import contextmanager
@@ -62,13 +60,12 @@ _MASK64 = (1 << 64) - 1
 INCREMENT_BLOCK = 256  # copies per copy-major draw block in fill
 MAX_HELPERS = 3  # helper processes at most, whatever the CPU count
 STOP_WAIT_S = 5.0  # a helper whose socket is closed exits after its block; one that does not is killed
-_SCRIPT = os.path.abspath(__file__)  # what a helper runs, wherever the caller's directory moves
 # What stream_counters counts, summed over every draw of this process; the _s counters are seconds.
-COUNTERS = ("blocks", "helper_blocks", "lookahead_joined", "lookahead_cancelled", "helpers_skipped",
-            "caller_draw_s", "helper_wait_s")
+COUNTERS = ("blocks", "helper_blocks", "lookahead_joined", "lookahead_cancelled", "caller_draw_s",
+            "helper_wait_s")
 _BUFFER_POS_OFFSET = 16  # of buffer_pos in numpy's philox_state, after the counter and key pointers
 # numpy's C distributions, loaded as numpy's own cffi example loads them. No argtypes: fill
-# passes (bitgen_t *, npy_intp, double *) as ready c_void_p, c_ssize_t and c_void_p instances,
+# passes (bitgen_t *, npy_intp, double *) as prebuilt c_void_p, c_ssize_t and c_void_p instances,
 # which ctypes hands to C as they are; through CDLL it still releases the GIL for each call.
 _normal_fill = ctypes.CDLL(np.random._generator.__file__).random_standard_normal_fill
 _normal_fill.restype = None
@@ -228,36 +225,25 @@ def _shared(fd: int, shape: tuple, helpers: int) -> tuple[np.ndarray, np.ndarray
 
 
 class _Helper:
-    """One helper process and the caller's end of its socket."""
+    """One helper process, forked from this one, and this process's end of its socket.
 
-    def __init__(self):
+    siblings are the helpers forked before it, whose ends the new helper closes.
+    pid is the helper's, and returncode, None until it is reaped, its exit
+    code, or -signal if a signal ended it.
+    """
+
+    def __init__(self, siblings: list[_Helper]):
         self.stopped = False
-        self.up = False  # the helper's "ready" has been read
+        self.returncode = None
         self.sock, theirs = socket.socketpair(socket.AF_UNIX, socket.SOCK_SEQPACKET)
         with theirs:
             try:
-                self.proc = subprocess.Popen(
-                    [sys.executable, _SCRIPT, str(theirs.fileno())],
-                    pass_fds=(theirs.fileno(),), stdin=subprocess.DEVNULL,
-                    stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-                )
+                self.pid = os.fork()
             except BaseException:
                 self.sock.close()
                 raise
-
-    def ready(self) -> bool:
-        """Whether the helper has said it is up, read without waiting; one found gone is stopped."""
-        if not self.up and not self.stopped:
-            try:
-                reply = self.sock.recv(8, socket.MSG_DONTWAIT)
-            except BlockingIOError:
-                return False
-            except OSError:
-                reply = b""
-            self.up = reply == b"ready"
-            if not self.up:
-                self.stop()
-        return self.up
+            if self.pid == 0:
+                _serve(theirs, [self.sock] + [helper.sock for helper in siblings])
 
     def send(self, fd: int, request: tuple) -> bool:
         """Pass one fill request and the array's file; False if the helper is gone."""
@@ -275,14 +261,33 @@ class _Helper:
             return False
 
     def stop(self) -> None:
-        """Close the socket, which ends the helper's loop, and reap the process."""
+        """Close the socket, which ends the helper's loop, and reap the process;
+        one still running after STOP_WAIT_S is killed."""
         self.stopped = True
         self.sock.close()
-        try:
-            self.proc.wait(timeout=STOP_WAIT_S)
-        except subprocess.TimeoutExpired:
-            self.proc.kill()
-            self.proc.wait()
+        if self.wait(STOP_WAIT_S) is None:
+            os.kill(self.pid, signal.SIGKILL)
+            self.wait()
+
+    def poll(self) -> int | None:
+        """returncode, reaping the helper if it has exited, without waiting."""
+        return self.wait(0)
+
+    def wait(self, timeout: float | None = None) -> int | None:
+        """returncode once the helper is reaped, waiting at most timeout seconds if given."""
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while self.returncode is None:
+            try:
+                pid, status = os.waitpid(self.pid, 0 if deadline is None else os.WNOHANG)
+            except ChildProcessError:  # reaped by another wait of this process; its status is lost
+                pid, status = self.pid, 0
+            if pid:
+                self.returncode = os.waitstatus_to_exitcode(status)
+            elif time.monotonic() >= deadline:
+                break
+            else:
+                time.sleep(0.001)
+        return self.returncode
 
 
 class _Split:
@@ -341,8 +346,7 @@ class _Split:
 
 
 class _Helpers:
-    """The helper processes of one process, started on its first large draw or
-    look-ahead, or by start_helpers."""
+    """The helper processes of one process, started on its first large draw or look-ahead."""
 
     def __init__(self):
         self.started = False
@@ -353,23 +357,21 @@ class _Helpers:
         self.counting = threading.Lock()  # threads drawing at once add to the same counters
 
     def post(self, request: tuple) -> _Split | None:
-        """Send request to every ready helper; the split holds the helpers until it ends.
+        """Send request to every live helper; the split holds the helpers until it ends.
 
         None, with the helpers left alone, for a draw below 2 * INCREMENT_BLOCK
-        copies, while another split holds the helpers, when no helper is ready
-        (none at all on a one-CPU mask or without os.memfd_create) and when no
-        shared file can be made (out of descriptors or maps).
+        copies, while another split holds the helpers, when no helper is live
+        (none at all on a one-CPU mask or without os.memfd_create or os.fork)
+        and when no shared file can be made (out of descriptors or maps).
         """
         if len(request[1]) < 2 * INCREMENT_BLOCK or not self.lock.acquire(blocking=False):
             return None
         try:
             self.start()
-            ready = [h for h in self.live if h.ready()]
-            self.count(helpers_skipped=sum(not h.stopped for h in self.live) - len(ready))
-            shared = _shared_file(request, len(ready)) if ready else None
+            shared = _shared_file(request, len(self.live)) if self.live else None
             if shared is not None:
                 try:
-                    return _Split(self, ready, request, shared)
+                    return _Split(self, self.live, request, shared)
                 finally:
                     os.close(shared[2])
         except BaseException:
@@ -436,7 +438,6 @@ class _Helpers:
         """In a forked child: drop the parent's helpers and posted split, so the child starts its own."""
         for helper in self.live:
             helper.sock.close()  # the child's copy; the parent's stays open
-            helper.proc.returncode = 0  # the parent's to reap, so not "still running" here
         self.started = False
         self.live = []
         self.posted = {}  # unmapped here, unwritten: its control words are the parent's
@@ -445,7 +446,7 @@ class _Helpers:
 
 
 def _helper_count() -> int:
-    if not hasattr(os, "memfd_create") or not hasattr(os, "sched_getaffinity"):
+    if not all(hasattr(os, name) for name in ("fork", "memfd_create", "sched_getaffinity")):
         return 0
     return min(len(os.sched_getaffinity(0)) - 1, MAX_HELPERS)
 
@@ -454,7 +455,7 @@ def _start(count: int) -> list[_Helper]:
     helpers = []
     for _ in range(count):
         try:
-            helpers.append(_Helper())
+            helpers.append(_Helper(helpers))
         except OSError:
             break
     return helpers
@@ -483,13 +484,13 @@ if hasattr(os, "register_at_fork"):
 
 def stream_processes() -> int:
     """Processes that draw large increment arrays now: this one plus its live helpers."""
-    return 1 + sum(helper.proc.poll() is None for helper in _HELPERS.live)
+    return 1 + sum(helper.poll() is None for helper in _HELPERS.live)
 
 
 def stream_counters() -> dict[str, int | float]:
     """COUNTERS so far: blocks drawn, blocks helpers drew, look-aheads joined and
-    cancelled, unready helpers passed over by a draw or look-ahead, seconds this
-    process spent in fill and seconds it waited for helper replies."""
+    cancelled, seconds this process spent in fill and seconds it waited for
+    helper replies."""
     with _HELPERS.counting:
         return dict(_HELPERS.counts)
 
@@ -499,26 +500,10 @@ def cancel() -> None:
     _HELPERS.cancel()
 
 
-def start_helpers(copies: int) -> None:
-    """Start the helpers now if a draw of copies copies would start them, so
-    that they import numpy while this process does other work.
-
-    Nothing happens below 2 * INCREMENT_BLOCK copies, on a one-CPU mask,
-    without os.memfd_create, once the helpers have started, and while a draw
-    holds them (that draw started them).
-    """
-    if copies < 2 * INCREMENT_BLOCK or not _HELPERS.lock.acquire(blocking=False):
-        return
-    try:
-        _HELPERS.start()
-    finally:
-        _HELPERS.release()
-
-
 def draw(seed: int, copies: range, n: int, m: int, scale: float, then: tuple | None = None) -> np.ndarray:
     """Copies' increments, standard normals times scale, as an (n, m, len(copies)) array.
 
-    Column k is copy copies[k]'s stream. With ready helpers, the blocks of the
+    Column k is copy copies[k]'s stream. With helpers, the blocks of the
     copy range are cut into one contiguous slice per helper. Each helper
     draws its slice of the shared array from the front while the caller
     draws the slices from the back, so every slice ends up split at one point
@@ -546,18 +531,30 @@ def draw(seed: int, copies: range, n: int, m: int, scale: float, then: tuple | N
     return z
 
 
-def serve(fd: int) -> None:
-    """A helper's loop: say ready, then fill each requested slice of a shared array, until end of file."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # a terminal's Ctrl-C is the caller's
-    with socket.socket(fileno=fd) as sock:
-        sock.send(b"ready")
+def _serve(sock: socket.socket, inherited: list[socket.socket]) -> None:
+    """A forked helper's life: fill each requested slice of a shared array until
+    end of file on sock, then exit.
+
+    inherited are this process's ends of every helper socket, closed first so
+    that each helper sees end of file once the caller closes its end. The
+    helper ends only through os._exit, with 0 at end of file and 1 on any
+    error, so it never returns into the caller's stack.
+    """
+    code = 1
+    try:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)  # a terminal's Ctrl-C is the caller's
+        for caller_end in inherited:
+            caller_end.close()
         while True:
             message, fds, _, _ = socket.recv_fds(sock, 4096, 1)
             if not message:
-                return
+                break
             _fill_slice(fds[0], *pickle.loads(message))
             os.close(fds[0])
             sock.send(b"done")
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def _fill_slice(fd, shape, helpers, k, seed, copies, scale) -> None:
@@ -565,6 +562,3 @@ def _fill_slice(fd, shape, helpers, k, seed, copies, scale) -> None:
     z, ctl = _shared(fd, shape, helpers)
     fill(z, seed, copies, scale, _ahead(ctl[k]))
 
-
-if __name__ == "__main__":  # a helper process: python increments.py FD
-    serve(int(sys.argv[1]))

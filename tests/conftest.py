@@ -1,6 +1,5 @@
 import os
 import threading
-import time
 from itertools import islice
 from pathlib import Path
 
@@ -56,29 +55,10 @@ def helper_pool(monkeypatch):
 
 
 @pytest.fixture
-def ready_helpers(monkeypatch):
-    """Draws and look-aheads wait for every live helper to say it is ready.
-
-    Otherwise a helper still importing numpy gets no work, so which draws a
-    test's helpers take part in would depend on this host's speed.
-    """
-    ready = increments._Helper.ready
-
-    def awaited(helper):
-        deadline = time.monotonic() + 60
-        while not ready(helper) and not helper.stopped and time.monotonic() < deadline:
-            time.sleep(0.002)
-        return ready(helper)
-
-    monkeypatch.setattr(increments._Helper, "ready", awaited)
-
-
-@pytest.fixture
-def caller_draws_half(monkeypatch, ready_helpers):
+def caller_draws_half(monkeypatch):
     """Split draws leave the front half of the blocks to the helpers, whatever their speed.
 
-    Every live helper is ready for every draw, and the caller stops after
-    drawing the back half, so the helpers draw the rest.
+    The caller stops after drawing the back half, so the helpers draw the rest.
     """
     behind = increments._behind
 

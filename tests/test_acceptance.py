@@ -18,7 +18,6 @@ from hullsim.dynamics import (
     make_model,
     simulate_ensemble,
 )
-from hullsim.estimation import gaussian_cdf, projected_cdf
 from hullsim.geometry import (
     Ball,
     Box,
@@ -38,6 +37,7 @@ from hullsim.oracle import (
     hitting_frequency,
     step1_bound_check,
 )
+from reference import gaussian_cdf, projected_cdf
 
 
 def random_interval(rng):

@@ -10,7 +10,6 @@ from hullsim.dynamics import (
     SdeModel,
     TimeGrid,
     bodies_at_nodes,
-    check_lipschitz,
     constant_body,
     derive_seed,
     diffusion_at,
@@ -25,6 +24,7 @@ from hullsim.dynamics import (
 )
 from hullsim.geometry import Ball, HPolytope, Interval, contains, distance_to_body
 from hullsim.increments import INCREMENT_BLOCK, stream_processes
+from reference import check_lipschitz
 from test_geometry import tilted_polygon
 
 

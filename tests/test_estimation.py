@@ -16,13 +16,12 @@ from hullsim.dynamics import (
 )
 from hullsim.estimation import (
     EstimationError,
-    gaussian_cdf,
     hausdorff_error_1d,
     hull_estimate,
     pointwise_error,
-    projected_cdf,
 )
 from hullsim.geometry import Ball, Hull, Interval, convex_hull, distance_to_hull
+from reference import gaussian_cdf, projected_cdf
 
 BALL3D_CONFIG = Path(__file__).resolve().parent.parent / "hullbench" / "ball3d_state_sigma.cfg"
 

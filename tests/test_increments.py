@@ -119,8 +119,8 @@ def test_killed_helper_leaves_the_bytes_and_raises_nothing(helper_pool):
     copies = range(1, 3 * INCREMENT_BLOCK + 1)
     first = gaussian_increments(8, copies, 5, 2, 0.1).copy()
     [helper] = pool.live
-    helper.proc.kill()
-    helper.proc.wait()
+    os.kill(helper.pid, signal.SIGKILL)
+    helper.wait()
     again = gaussian_increments(8, copies, 5, 2, 0.1)
     np.testing.assert_array_equal(first, serial(8, copies, 5, 2, 0.1))
     np.testing.assert_array_equal(again, first)
@@ -128,7 +128,7 @@ def test_killed_helper_leaves_the_bytes_and_raises_nothing(helper_pool):
     np.testing.assert_array_equal(gaussian_increments(8, copies, 5, 2, 0.1), first)
 
 
-def test_helper_draws_every_block_the_caller_leaves(helper_pool, ready_helpers, monkeypatch):
+def test_helper_draws_every_block_the_caller_leaves(helper_pool, monkeypatch):
     pool = helper_pool(cpus=2)
     monkeypatch.setattr(increments, "_behind", lambda ctl: iter(()))
     copies = range(7, 7 + 5 * INCREMENT_BLOCK + 11)
@@ -137,7 +137,7 @@ def test_helper_draws_every_block_the_caller_leaves(helper_pool, ready_helpers, 
     assert len(pool.live) == 1
 
 
-def test_helper_that_stops_answering_mid_draw_is_replaced_by_the_caller(helper_pool, ready_helpers, monkeypatch):
+def test_helper_that_stops_answering_mid_draw_is_replaced_by_the_caller(helper_pool, monkeypatch):
     pool = helper_pool(cpus=2)
     copies = range(1, 2 * INCREMENT_BLOCK + 1)
     gaussian_increments(3, copies, 4, 3, 0.2)
@@ -145,7 +145,7 @@ def test_helper_that_stops_answering_mid_draw_is_replaced_by_the_caller(helper_p
     monkeypatch.setattr(helper, "finished", lambda: False)
     z = gaussian_increments(3, copies, 4, 3, 0.2)
     np.testing.assert_array_equal(z, serial(3, copies, 4, 3, 0.2))
-    assert helper.proc.poll() is not None and pool.live == []
+    assert helper.poll() is not None and pool.live == []
 
 
 def test_helper_stuck_before_its_blocks_is_killed_and_its_blocks_drawn(
@@ -154,15 +154,15 @@ def test_helper_stuck_before_its_blocks_is_killed_and_its_blocks_drawn(
     copies = range(1, 4 * INCREMENT_BLOCK + 1)
     gaussian_increments(3, copies, 4, 2, 0.2)
     [helper] = pool.live
-    helper.proc.send_signal(signal.SIGSTOP)  # it takes no request and ignores its closed socket
+    os.kill(helper.pid, signal.SIGSTOP)  # it takes no request and ignores its closed socket
     monkeypatch.setattr(helper, "finished", lambda: False)
     monkeypatch.setattr(increments, "STOP_WAIT_S", 0.1)
     z = gaussian_increments(3, copies, 4, 2, 0.2)
     np.testing.assert_array_equal(z, serial(3, copies, 4, 2, 0.2))
-    assert helper.proc.returncode == -signal.SIGKILL and pool.live == []
+    assert helper.returncode == -signal.SIGKILL and pool.live == []
 
 
-def test_a_raising_draw_stops_the_helpers_it_held(helper_pool, ready_helpers, monkeypatch):
+def test_a_raising_draw_stops_the_helpers_it_held(helper_pool, monkeypatch):
     pool = helper_pool(cpus=2)
     copies = range(1, 2 * INCREMENT_BLOCK + 1)
     gaussian_increments(3, copies, 4, 1, 0.2)
@@ -174,7 +174,7 @@ def test_a_raising_draw_stops_the_helpers_it_held(helper_pool, ready_helpers, mo
     monkeypatch.setattr(helper, "finished", interrupted)
     with pytest.raises(KeyboardInterrupt):
         gaussian_increments(3, copies, 4, 1, 0.2)
-    assert helper.proc.poll() is not None and pool.live == []
+    assert helper.poll() is not None and pool.live == []
     np.testing.assert_array_equal(gaussian_increments(3, copies, 4, 1, 0.2),
                                   serial(3, copies, 4, 1, 0.2))
 
@@ -203,7 +203,7 @@ def test_draw_without_a_shared_file_is_serial_and_keeps_the_helpers(helper_pool,
     assert len(pool.live) == 1 and stream_processes() == 2
 
 
-def test_threads_drawing_at_once_get_their_own_streams(helper_pool, ready_helpers):
+def test_threads_drawing_at_once_get_their_own_streams(helper_pool):
     # three helpers on any host: more drawing processes than this host may have CPUs
     pool = helper_pool(cpus=4)
     cases = [(seed, range(seed, seed + 2 * INCREMENT_BLOCK + 37 * seed), 3, 1 + seed % 3, 0.1)
@@ -221,6 +221,8 @@ def test_threads_drawing_at_once_get_their_own_streams(helper_pool, ready_helper
         except Exception as exc:  # reported below, not lost with the thread
             errors.append(exc)
 
+    with pool.lock:  # forked here, before the threads start
+        pool.start()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -243,11 +245,10 @@ def test_threads_drawing_at_once_get_their_own_streams(helper_pool, ready_helper
 @pytest.mark.parametrize("ending", ["return", "raise", "sigkill"])
 def test_no_helper_outlives_its_interpreter(ending):
     code = PRELUDE + textwrap.dedent("""
-        print(json.dumps([h.proc.pid for h in increments._HELPERS.live]), flush=True)
+        print(json.dumps([h.pid for h in increments._HELPERS.live]), flush=True)
+        sys.stdin.read()  # until the test has seen the helper run, then closes stdin or kills this process
         if sys.argv[1] == "raise":
             raise RuntimeError("the script fails after its draw")
-        if sys.argv[1] == "sigkill":
-            sys.stdin.read()  # until the test kills this process
     """)
     proc = subprocess.Popen(
         [sys.executable, "-X", "dev", "-W", "error", "-c", code, ending], env=script_env(),
@@ -272,7 +273,7 @@ def test_no_helper_outlives_its_interpreter(ending):
 def test_forked_child_starts_its_own_helpers():
     code = PRELUDE + textwrap.dedent("""
         def helpers():
-            return [(h.proc.pid, os.fstat(h.sock.fileno()).st_ino) for h in increments._HELPERS.live]
+            return [(h.pid, os.fstat(h.sock.fileno()).st_ino) for h in increments._HELPERS.live]
 
         def same_socket(fd, inode):
             try:
@@ -380,7 +381,7 @@ def test_a_look_ahead_abandoned_by_an_exception_is_cancelled(helper_pool, caller
     assert pool.counts["lookahead_joined"] == 1 and pool.counts["lookahead_cancelled"] == 1
     assert pool.posted == {}
     [helper] = pool.live
-    assert helper.proc.poll() is None
+    assert helper.poll() is None
     n_copies, seed = units[-1]
     abandoned = (seed, range(1, n_copies + 1))
     before = pool.counts["helper_blocks"]
@@ -389,15 +390,15 @@ def test_a_look_ahead_abandoned_by_an_exception_is_cancelled(helper_pool, caller
 
 
 @pytest.mark.parametrize("largest", [2 * INCREMENT_BLOCK, 2 * INCREMENT_BLOCK - 1])
-def test_run_starts_the_helpers_before_its_first_unit_if_its_largest_n_reaches_the_split(
-        helper_pool, monkeypatch, largest):
+def test_helpers_take_part_in_a_runs_first_split_draw(helper_pool, caller_draws_half, monkeypatch, largest):
     pool = helper_pool(cpus=2)
     simulate = harness.dynamics.simulate_ensemble
-    live = []
+    helper_blocks = []
 
     def recorded(*args, **kwargs):
-        live.append([helper.proc.pid for helper in pool.live if helper.proc.poll() is None])
-        return simulate(*args, **kwargs)
+        ens = simulate(*args, **kwargs)
+        helper_blocks.append(pool.counts["helper_blocks"])
+        return ens
 
     monkeypatch.setattr(harness.dynamics, "simulate_ensemble", recorded)
     config = harness.ExperimentConfig(
@@ -405,11 +406,13 @@ def test_run_starts_the_helpers_before_its_first_unit_if_its_largest_n_reaches_t
         x0=np.array([0.0]), mf_kind="constant_interval", mf_params={}, horizon=1.0, steps=5,
         n_grid=[10, largest], replications=2, seed=3, j_indices=[5])
     harness.run_experiment(config)
-    assert len(live) == 4
+    assert len(helper_blocks) == 4
     if largest >= 2 * INCREMENT_BLOCK:
-        assert len(live[0]) == 1  # live before the first unit, whose 10 copies start none
+        # the second unit posts the third's draw, the run's first split, which the third joins
+        assert helper_blocks[:2] == [0, 0] and helper_blocks[2] > 0
+        assert len(pool.live) == 1
     else:
-        assert live == [[]] * 4 and not pool.started and pool.live == []
+        assert helper_blocks == [0] * 4 and not pool.started and pool.live == []
 
 
 def test_helper_killed_mid_look_ahead_leaves_the_bytes(helper_pool, caller_draws_half):
@@ -421,8 +424,8 @@ def test_helper_killed_mid_look_ahead_leaves_the_bytes(helper_pool, caller_draws
     deadline = time.monotonic() + 60
     while split.ctl[0, 0] == 0 and time.monotonic() < deadline:
         time.sleep(0.001)
-    helper.proc.kill()
-    helper.proc.wait()
+    os.kill(helper.pid, signal.SIGKILL)
+    helper.wait()
     assert 0 < split.ctl[0, 0] < split.ctl[0, 1]  # killed with blocks drawn and blocks left
     np.testing.assert_array_equal(increments_of(big), serial(*big, 5, 2, 0.1))
     assert pool.live == [] and pool.posted == {} and stream_processes() == 1
@@ -436,16 +439,6 @@ def test_one_cpu_look_ahead_is_a_no_op(helper_pool, caller_draws_half):
     assert pool.posted == {} and pool.live == []
     np.testing.assert_array_equal(increments_of(B), serial(*B, 5, 2, 0.1))
     assert pool.counts["lookahead_joined"] == 0 and pool.counts["helper_blocks"] == 0
-
-
-def test_an_unready_helper_gets_no_work_and_is_counted(helper_pool, monkeypatch):
-    pool = helper_pool(cpus=2)
-    monkeypatch.setattr(increments._Helper, "ready", lambda helper: False)
-    np.testing.assert_array_equal(increments_of(A, then=B), serial(*A, 5, 2, 0.1))
-    np.testing.assert_array_equal(increments_of(B), serial(*B, 5, 2, 0.1))
-    assert len(pool.live) == 1 and pool.posted == {}
-    # the draw of A and of B, and the look-ahead after A, each passed the helper over
-    assert pool.counts["helpers_skipped"] == 3 and pool.counts["helper_blocks"] == 0
 
 
 def open_memfds() -> int:
@@ -462,7 +455,7 @@ def open_memfds() -> int:
 def test_no_memfd_or_helper_outlives_close(helper_pool, caller_draws_half):
     pool = helper_pool(cpus=2)
     z = increments_of(A, then=B)
-    pids = [helper.proc.pid for helper in pool.live]
+    pids = [helper.pid for helper in pool.live]
     assert len(pids) == 1 and open_memfds() > 0
     del z
     pool.close()
@@ -471,15 +464,50 @@ def test_no_memfd_or_helper_outlives_close(helper_pool, caller_draws_half):
     assert pool.counts["lookahead_cancelled"] == 1
 
 
+def test_a_helper_stopped_alone_and_close_reap_every_helper_with_exit_status_0(helper_pool):
+    # each helper closes this process's ends of the sockets of the helpers
+    # forked before it: a later helper that kept the first one's would keep it
+    # from seeing end of file when it is stopped alone, as a failed helper is,
+    # and stop would kill it after STOP_WAIT_S
+    pool = helper_pool(cpus=4)
+    copies = range(1, 3 * INCREMENT_BLOCK + 1)
+    np.testing.assert_array_equal(gaussian_increments(8, copies, 5, 2, 0.1), serial(8, copies, 5, 2, 0.1))
+    helpers = list(pool.live)
+    assert len(helpers) == 3
+    helpers[0].stop()
+    assert helpers[0].returncode == 0 and [helper.poll() for helper in helpers[1:]] == [None, None]
+    pool.close()
+    assert [helper.returncode for helper in helpers] == [0, 0, 0]
+
+
+def test_a_helper_ignores_sigint(helper_pool, caller_draws_half):
+    # a terminal's Ctrl-C reaches the whole process group; it is the caller's to act on
+    pool = helper_pool(cpus=2)
+    copies = range(1, 4 * INCREMENT_BLOCK + 1)
+    gaussian_increments(5, copies, 3, 2, 0.1)
+    [helper] = pool.live
+    os.kill(helper.pid, signal.SIGINT)
+    before = pool.counts["helper_blocks"]
+    np.testing.assert_array_equal(gaussian_increments(5, copies, 3, 2, 0.1), serial(5, copies, 3, 2, 0.1))
+    assert pool.counts["helper_blocks"] - before >= 2  # the front half at least
+    assert pool.live == [helper] and helper.poll() is None
+
+
+def test_text_buffered_before_the_fork_is_written_once():
+    # a piped stdout is block-buffered: a helper that flushed its copy of the
+    # buffer, at its exit or on a return into the script, would write it again
+    code = 'print("written before the helper starts")\n' + PRELUDE + "assert stream_processes() == 2\n"
+    proc = run_script(code)
+    assert proc.returncode == 0, proc.stderr
+    assert (proc.stdout, proc.stderr) == ("written before the helper starts\n", "")
+
+
 def test_forked_child_drops_the_look_ahead_and_the_parent_joins_it():
     # the parent's caller draws nothing from the back, so its helper must draw
     # every block of the posted draw: a child that wrote its control words
     # (claiming blocks) would leave some undrawn
     code = PRELUDE + textwrap.dedent("""
-        import time
         import numpy as np
-        while not all(h.ready() for h in increments._HELPERS.live):
-            time.sleep(0.005)
         increments._behind = lambda ctl: iter(())
         B = (9, range(1, 4 * 256 + 1))
         gaussian_increments(8, COPIES, 5, 2, 0.1, then=B)
@@ -605,11 +633,11 @@ LAYOUT_FAULTS = {
 
 @pytest.mark.parametrize("fault", sorted(LAYOUT_FAULTS))
 @pytest.mark.parametrize("cpus", [1, 2])
-def test_layout_mismatch_raises_one_line_before_any_write(helper_pool, ready_helpers, monkeypatch, cpus, fault):
+def test_layout_mismatch_raises_one_line_before_any_write(helper_pool, monkeypatch, cpus, fault):
     pool = helper_pool(cpus)
     copies = range(1, 2 * INCREMENT_BLOCK + 1)
     gaussian_increments(3, copies, 4, 2, 0.2)
-    pids = [helper.proc.pid for helper in pool.live]
+    pids = [helper.pid for helper in pool.live]
     assert len(pids) == cpus - 1
     monkeypatch.setattr(increments, "_THREAD", threading.local())  # the next fill builds its generator
     philox, built, drawn = np.random.Philox, [], []
