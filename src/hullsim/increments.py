@@ -52,6 +52,7 @@ import signal
 import socket
 import threading
 import time
+import warnings
 from contextlib import contextmanager
 
 import numpy as np
@@ -63,6 +64,10 @@ STOP_WAIT_S = 5.0  # a helper whose socket is closed exits after its block; one 
 # What stream_counters counts, summed over every draw of this process; the _s counters are seconds.
 COUNTERS = ("blocks", "helper_blocks", "lookahead_joined", "lookahead_cancelled", "caller_draw_s",
             "helper_wait_s")
+# Python 3.12+ warns in the parent on fork() while the process has other threads, numpy's BLAS
+# pool among them. A helper takes no lock those threads may hold: it runs only its socket loop
+# and fill, and ends through os._exit.
+_FORK_WARNING = r"This process \(pid=\d+\) is multi-threaded, use of fork\(\)"
 _BUFFER_POS_OFFSET = 16  # of buffer_pos in numpy's philox_state, after the counter and key pointers
 # numpy's C distributions, loaded as numpy's own cffi example loads them. No argtypes: fill
 # passes (bitgen_t *, npy_intp, double *) as prebuilt c_void_p, c_ssize_t and c_void_p instances,
@@ -238,7 +243,9 @@ class _Helper:
         self.sock, theirs = socket.socketpair(socket.AF_UNIX, socket.SOCK_SEQPACKET)
         with theirs:
             try:
-                self.pid = os.fork()
+                with warnings.catch_warnings():  # raised as an error, it would lose the child's pid
+                    warnings.filterwarnings("ignore", _FORK_WARNING, DeprecationWarning)
+                    self.pid = os.fork()
             except BaseException:
                 self.sock.close()
                 raise

@@ -14,6 +14,7 @@ import sys
 import textwrap
 import threading
 import time
+import warnings
 from contextlib import redirect_stdout
 from io import StringIO
 from pathlib import Path
@@ -478,6 +479,30 @@ def test_a_helper_stopped_alone_and_close_reap_every_helper_with_exit_status_0(h
     assert helpers[0].returncode == 0 and [helper.poll() for helper in helpers[1:]] == [None, None]
     pool.close()
     assert [helper.returncode for helper in helpers] == [0, 0, 0]
+
+
+def test_the_fork_warning_of_a_threaded_process_is_no_error(helper_pool, caller_draws_half, monkeypatch):
+    # Python 3.12+ warns in the parent after fork() when the process has other
+    # threads, as numpy's BLAS pool; raised as an error (warnings are errors
+    # here), it would lose the pid of a child that already runs
+    fork, pids = os.fork, []
+
+    def warning_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+            warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of fork() may lead "
+                          "to deadlocks in the child.", DeprecationWarning, stacklevel=2)
+        return pid
+
+    monkeypatch.setattr(os, "fork", warning_fork)
+    pool = helper_pool(cpus=2)
+    copies = range(1, 4 * INCREMENT_BLOCK + 1)
+    np.testing.assert_array_equal(gaussian_increments(8, copies, 5, 2, 0.1), serial(8, copies, 5, 2, 0.1))
+    [helper] = pool.live
+    assert pids == [helper.pid] and pool.counts["helper_blocks"] >= 2  # the front half at least
+    pool.close()
+    assert helper.returncode == 0 and not Path(f"/proc/{helper.pid}").exists()  # reaped, no zombie
 
 
 def test_a_helper_ignores_sigint(helper_pool, caller_draws_half):
