@@ -48,10 +48,7 @@ from .oracle import (
     HittingReport,
     OracleError,
     StepConstants,
-    brute_force_hull_distance,
-    brute_force_projection,
     constants_c1_c2,
-    empirical_cdf,
     hitting_frequency,
     step1_bound_check,
 )

@@ -84,9 +84,6 @@ class ConvexBody:
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
-    def boundary_points(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True, eq=False)
 class Box(ConvexBody):
@@ -121,25 +118,12 @@ class Box(ConvexBody):
     def bounding_box(self):
         return self.lo.copy(), self.hi.copy()
 
-    def boundary_points(self, count, rng):
-        pts = rng.uniform(self.lo, self.hi, size=(count, self.dim))
-        axes = rng.integers(0, self.dim, size=count)
-        sides = rng.integers(0, 2, size=count)
-        vals = np.where(sides == 0, self.lo[axes], self.hi[axes])
-        pts[np.arange(count), axes] = vals
-        return pts
-
 
 class Interval(Box):
     """Closed interval [lo, hi] on the line: the box with one coordinate."""
 
     def __init__(self, lo: float, hi: float):
         super().__init__(np.array([lo], dtype=float), np.array([hi], dtype=float))
-
-    def boundary_points(self, count, rng):
-        """The two ends in turn; draws nothing from rng."""
-        ends = np.stack([self.lo, self.hi])
-        return ends[np.arange(count) % 2]
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,11 +160,6 @@ class Ball(ConvexBody):
     def bounding_box(self):
         return self.center - self.radius, self.center + self.radius
 
-    def boundary_points(self, count, rng):
-        dirs = rng.standard_normal((count, self.dim))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        return self.center + self.radius * dirs
-
 
 @dataclass(frozen=True, eq=False)
 class HPolytope(ConvexBody):
@@ -189,7 +168,7 @@ class HPolytope(ConvexBody):
     Construction lists each set S of at most m faces with independent normals
     N_S (over MAX_FACE_SETS candidates is an error) for project, and from the
     m-face sets the vertices, shape (v, m), each once, in face-set order: they
-    give support values, the bounding box and boundary points.
+    give support values and the bounding box.
     """
 
     normals: np.ndarray
@@ -280,11 +259,6 @@ class HPolytope(ConvexBody):
 
     def bounding_box(self):
         return self.vertices.min(axis=0), self.vertices.max(axis=0)
-
-    def boundary_points(self, count, rng):
-        """The vertex that maximizes each of count Gaussian directions."""
-        dirs = rng.standard_normal((count, self.dim))
-        return self.vertices[np.argmax(dirs @ self.vertices.T, axis=1)]
 
 
 def _independent_sets(normals: np.ndarray, s: int) -> np.ndarray:

@@ -1,10 +1,8 @@
-"""Reference computations for the test suite and the --check diagnostics.
+"""The --check diagnostics of a run.
 
-The references are deliberately independent of the code they check:
-grid-search projections, closed-form polygon distances from pairwise segments
-and empirical CDFs. The diagnostics run on a simulated ensemble's kept step
-record: the per-step growth-bound checker with its two constants, and the
-hitting-frequency counts.
+They run on a simulated ensemble's kept step record: the per-step
+growth-bound checker with its two constants, and the hitting-frequency
+counts.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from .dynamics import (
     bodies_at_nodes,
     gaussian_increments,  # unused here; the benchmark's tracer looks it up on this module
 )
-from .geometry import Ball, Box, ConvexBody, HPolytope, contains, norm_bound, row_norms
+from .geometry import ConvexBody, contains, norm_bound, row_norms
 
 
 class OracleError(ValueError):
@@ -92,98 +90,6 @@ def constants_c1_c2(
     return StepConstants(
         c1=c1, c2=c2, m_c=m_c, sup_inv_op_norm=sup_inv, sup_inv_drift=sup_inv_drift
     )
-
-
-def brute_force_projection(body: ConvexBody, x, resolution: float) -> np.ndarray:
-    """Nearest feasible point on a bounding-box grid of the given resolution.
-
-    Feasibility is decided by the variant's defining inequalities, not by the
-    projection code under test. Lands within resolution * sqrt(m) of the true
-    projection for the fat bodies used in tests.
-    """
-    if body.dim > 2:
-        raise OracleError("grid oracle supports dimensions one and two")
-    if not resolution > 0:
-        raise OracleError("resolution must be positive")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    lo, hi = body.bounding_box()
-    axes = [np.arange(lo[i], hi[i] + resolution / 2, resolution) for i in range(body.dim)]
-    if body.dim == 1:
-        grid = axes[0][:, None]
-    else:
-        gx, gy = np.meshgrid(axes[0], axes[1], indexing="ij")
-        grid = np.column_stack([gx.ravel(), gy.ravel()])
-
-    if isinstance(body, Box):
-        feasible = grid
-    elif isinstance(body, Ball):
-        mask = row_norms(grid - body.center) <= body.radius + 1e-12
-        feasible = grid[mask]
-    elif isinstance(body, HPolytope):
-        mask = np.all(grid @ body.normals.T <= body.offsets + 1e-12, axis=1)
-        feasible = grid[mask]
-    else:
-        raise OracleError(f"unsupported body type {type(body).__name__}")
-    if feasible.shape[0] == 0:
-        raise OracleError("no feasible grid point found; resolution too coarse")
-    dists = row_norms(feasible - x)
-    return feasible[int(np.argmin(dists))].copy()
-
-
-def brute_force_hull_distance(points, x) -> float:
-    """Exact planar distance from x to the convex hull of the points.
-
-    Membership is decided by separating the query with the normals of all
-    point pairs; outside, the distance is the minimum over all pair segments.
-    Independent of the hull construction and solvers under test.
-    """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise OracleError("pair-segment oracle requires two-dimensional points")
-    x = np.asarray(x, dtype=float)
-    if x.shape != (2,):
-        raise OracleError("query point must have shape (2,)")
-    p = pts.shape[0]
-    if p == 1:
-        return float(np.linalg.norm(x - pts[0]))
-
-    ii, jj = np.triu_indices(p, k=1)
-    edges = pts[jj] - pts[ii]
-    lengths = np.linalg.norm(edges, axis=1)
-    nondeg = lengths > 0
-    outside = False
-    if np.any(nondeg):
-        normals = np.column_stack([-edges[nondeg, 1], edges[nondeg, 0]])
-        # x is separated from the cloud iff some pair normal (either sign) sees
-        # it beyond every point
-        for direction in (normals, -normals):
-            h = np.max(pts @ direction.T, axis=0)
-            if np.any(direction @ x > h):
-                outside = True
-                break
-    else:
-        outside = bool(np.linalg.norm(x - pts[0]) > 0)
-    if not outside:
-        return 0.0
-
-    a = pts[ii]
-    ab = edges
-    denom = np.sum(ab * ab, axis=1)
-    t = np.zeros_like(denom)
-    pos = denom > 0
-    t[pos] = np.clip(np.sum((x - a[pos]) * ab[pos], axis=1) / denom[pos], 0.0, 1.0)
-    closest = a + t[:, None] * ab
-    return float(np.min(np.linalg.norm(x - closest, axis=1)))
-
-
-def empirical_cdf(samples, x):
-    """Fraction of samples at or below x (x may be an array of query points)."""
-    arr = np.sort(np.asarray(samples, dtype=float))
-    if arr.size == 0:
-        raise OracleError("need at least one sample")
-    counts = np.searchsorted(arr, np.asarray(x, dtype=float), side="right")
-    res = counts / arr.size
-    return float(res) if np.ndim(res) == 0 else res
 
 
 @dataclass

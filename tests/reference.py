@@ -1,6 +1,11 @@
-"""Reference functions that only the tests call: the Gaussian and clamped CDFs
-of acceptance criterion 3, and an empirical check of a model's declared
-Lipschitz constants."""
+"""Reference functions that only the tests call.
+
+They are deliberately independent of the code they check: a grid-search
+projection, a planar hull distance from pairwise segments, empirical and
+Gaussian CDFs with the clamped CDF of acceptance criterion 3, an empirical
+check of a model's declared Lipschitz constants, and a sampler of boundary
+points for the variational inequality of a projection.
+"""
 
 from __future__ import annotations
 
@@ -11,6 +16,8 @@ from scipy.special import ndtr
 
 from hullsim.dynamics import SdeModel, diffusion_at
 from hullsim.estimation import EstimationError
+from hullsim.geometry import Ball, Box, ConvexBody, HPolytope, Interval, row_norms
+from hullsim.oracle import OracleError
 
 
 def gaussian_cdf(x, mean: float = 0.0, std: float = 1.0):
@@ -60,3 +67,122 @@ def check_lipschitz(
     op_norms = np.max(np.abs(diffusion_at(model, u) - diffusion_at(model, v)), axis=1)
     diff_ratio = float(np.max(op_norms / gaps))
     return drift_ratio, diff_ratio
+
+
+def brute_force_projection(body: ConvexBody, x, resolution: float) -> np.ndarray:
+    """Nearest feasible point on a bounding-box grid of the given resolution.
+
+    Feasibility is decided by the variant's defining inequalities, not by the
+    projection code under test. Lands within resolution * sqrt(m) of the true
+    projection for the fat bodies used in tests.
+    """
+    if body.dim > 2:
+        raise OracleError("grid oracle supports dimensions one and two")
+    if not resolution > 0:
+        raise OracleError("resolution must be positive")
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    lo, hi = body.bounding_box()
+    axes = [np.arange(lo[i], hi[i] + resolution / 2, resolution) for i in range(body.dim)]
+    if body.dim == 1:
+        grid = axes[0][:, None]
+    else:
+        gx, gy = np.meshgrid(axes[0], axes[1], indexing="ij")
+        grid = np.column_stack([gx.ravel(), gy.ravel()])
+
+    if isinstance(body, Box):
+        feasible = grid
+    elif isinstance(body, Ball):
+        mask = row_norms(grid - body.center) <= body.radius + 1e-12
+        feasible = grid[mask]
+    elif isinstance(body, HPolytope):
+        mask = np.all(grid @ body.normals.T <= body.offsets + 1e-12, axis=1)
+        feasible = grid[mask]
+    else:
+        raise OracleError(f"unsupported body type {type(body).__name__}")
+    if feasible.shape[0] == 0:
+        raise OracleError("no feasible grid point found; resolution too coarse")
+    dists = row_norms(feasible - x)
+    return feasible[int(np.argmin(dists))].copy()
+
+
+def brute_force_hull_distance(points, x) -> float:
+    """Exact planar distance from x to the convex hull of the points.
+
+    Membership is decided by separating the query with the normals of all
+    point pairs; outside, the distance is the minimum over all pair segments.
+    Independent of the hull construction and solvers under test.
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise OracleError("pair-segment oracle requires two-dimensional points")
+    x = np.asarray(x, dtype=float)
+    if x.shape != (2,):
+        raise OracleError("query point must have shape (2,)")
+    p = pts.shape[0]
+    if p == 1:
+        return float(np.linalg.norm(x - pts[0]))
+
+    ii, jj = np.triu_indices(p, k=1)
+    edges = pts[jj] - pts[ii]
+    lengths = np.linalg.norm(edges, axis=1)
+    nondeg = lengths > 0
+    outside = False
+    if np.any(nondeg):
+        normals = np.column_stack([-edges[nondeg, 1], edges[nondeg, 0]])
+        # x is separated from the cloud iff some pair normal (either sign) sees
+        # it beyond every point
+        for direction in (normals, -normals):
+            h = np.max(pts @ direction.T, axis=0)
+            if np.any(direction @ x > h):
+                outside = True
+                break
+    else:
+        outside = bool(np.linalg.norm(x - pts[0]) > 0)
+    if not outside:
+        return 0.0
+
+    a = pts[ii]
+    ab = edges
+    denom = np.sum(ab * ab, axis=1)
+    t = np.zeros_like(denom)
+    pos = denom > 0
+    t[pos] = np.clip(np.sum((x - a[pos]) * ab[pos], axis=1) / denom[pos], 0.0, 1.0)
+    closest = a + t[:, None] * ab
+    return float(np.min(np.linalg.norm(x - closest, axis=1)))
+
+
+def empirical_cdf(samples, x):
+    """Fraction of samples at or below x (x may be an array of query points)."""
+    arr = np.sort(np.asarray(samples, dtype=float))
+    if arr.size == 0:
+        raise OracleError("need at least one sample")
+    counts = np.searchsorted(arr, np.asarray(x, dtype=float), side="right")
+    res = counts / arr.size
+    return float(res) if np.ndim(res) == 0 else res
+
+
+def boundary_points(body: ConvexBody, count: int, rng: np.random.Generator) -> np.ndarray:
+    """count points on the body's boundary, shape (count, m).
+
+    An interval gives its two ends in turn and draws nothing from rng. A box
+    gives a uniform point with one uniformly chosen coordinate set to one of
+    its two bounds. A ball gives the points where Gaussian directions from its
+    center leave it, and an HPolytope the vertex that maximizes each of count Gaussian directions.
+    """
+    if isinstance(body, Interval):  # before Box: an Interval is a Box
+        ends = np.stack([body.lo, body.hi])
+        return ends[np.arange(count) % 2]
+    if isinstance(body, Box):
+        pts = rng.uniform(body.lo, body.hi, size=(count, body.dim))
+        axes = rng.integers(0, body.dim, size=count)
+        sides = rng.integers(0, 2, size=count)
+        pts[np.arange(count), axes] = np.where(sides == 0, body.lo[axes], body.hi[axes])
+        return pts
+    if isinstance(body, Ball):
+        dirs = rng.standard_normal((count, body.dim))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        return body.center + body.radius * dirs
+    if isinstance(body, HPolytope):
+        dirs = rng.standard_normal((count, body.dim))
+        return body.vertices[np.argmax(dirs @ body.vertices.T, axis=1)]
+    raise OracleError(f"unsupported body type {type(body).__name__}")

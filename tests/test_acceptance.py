@@ -29,15 +29,15 @@ from hullsim.geometry import (
     min_norm_point_distance,
     project,
 )
-from hullsim.oracle import (
+from hullsim.oracle import constants_c1_c2, hitting_frequency, step1_bound_check
+from reference import (
+    boundary_points,
     brute_force_hull_distance,
     brute_force_projection,
-    constants_c1_c2,
     empirical_cdf,
-    hitting_frequency,
-    step1_bound_check,
+    gaussian_cdf,
+    projected_cdf,
 )
-from reference import gaussian_cdf, projected_cdf
 
 
 def random_interval(rng):
@@ -96,7 +96,7 @@ def test_criterion_1_geometry_property_suite():
             gap = np.sqrt(((p - q) ** 2).sum(axis=1)) - np.sqrt(((x - y) ** 2).sum(axis=1))
             assert np.max(gap) <= 1e-9, name
             assert np.all(contains(body, p, tol=1e-9)), name
-            bpts = body.boundary_points(8, rng)
+            bpts = boundary_points(body, 8, rng)
             for i in range(0, pts_per_body, 10):
                 inner = (bpts - p[i]) @ (x[i] - p[i])
                 assert np.max(inner) <= 1e-9, name

@@ -485,9 +485,29 @@ class TestModels:
         with pytest.raises(ModelError):
             make_model("ou", 1, [0.0], mu=3.0)
 
-    def test_tanh_sigma_invertibility_guard(self):
-        with pytest.raises(ModelError):
-            make_model("tanh_sigma", 1, [0.0], sigma0=0.1, sigma1=0.2)
+    @pytest.mark.parametrize(
+        "kind, params, message",
+        [
+            ("tanh_sigma", {"sigma0": 0.1, "sigma1": 0.2}, r"tanh_sigma needs sigma0 - \|sigma1\| > 0"),
+            ("tanh_sigma", {"theta": -1.0}, "tanh_sigma model needs theta >= 0"),
+            ("zero_drift", {"sigma": 0.0}, "zero_drift model needs sigma > 0"),
+            ("tanh_drift", {"scale": -1.0}, "tanh_drift model needs scale >= 0 and sigma > 0"),
+            ("tanh_drift", {"sigma": 0.0}, "tanh_drift model needs scale >= 0 and sigma > 0"),
+        ],
+        ids=["tanh_sigma-invertible", "tanh_sigma-theta", "zero_drift-sigma", "tanh_drift-scale",
+             "tanh_drift-sigma"],
+    )
+    def test_tanh_sigma_invertibility_guard(self, kind, params, message):
+        with pytest.raises(ModelError, match=f"^{message}"):
+            make_model(kind, 1, [0.0], **params)
+
+    def test_model_rejects_a_mis_shaped_start_and_a_negative_lipschitz_constant(self):
+        drift = diffusion = np.ones_like
+        with pytest.raises(ModelError, match=r"^x0 must have shape \(2,\), got \(3,\)$"):
+            SdeModel(2, drift, diffusion, np.zeros(3), 0.0, 0.0)
+        for lip_drift, lip_diffusion in [(-1.0, 0.0), (0.0, -1.0)]:
+            with pytest.raises(ModelError, match="^Lipschitz constants must be nonnegative$"):
+                SdeModel(1, drift, diffusion, np.zeros(1), lip_drift, lip_diffusion)
 
     def test_huge_diagonal_comes_back_as_is(self):
         model = make_model("ou", 2, [0.0, 0.0], sigma=1e300)
@@ -542,6 +562,10 @@ class TestMultifunctions:
         bodies = bodies_at_nodes(shrinking_box([-1.0, -2.0], [1.0, 0.5], 0.2), self.grid)
         assert np.all(np.diff([b.lo for b in bodies], axis=0) >= 0)
         assert np.all(np.diff([b.hi for b in bodies], axis=0) <= 0)
+
+    def test_shrinking_box_rejects_a_negative_rate(self):
+        with pytest.raises(ModelError, match="^rate must be nonnegative$"):
+            shrinking_box([-1.0], [1.0], -0.1)
 
     def test_bodies_at_nodes(self):
         mf = shrinking_ball([0.0, 0.0], 1.0, 0.3)

@@ -135,6 +135,11 @@ class TestIntervalError:
         with pytest.raises(EstimationError, match=r"^estimate \[-0.5, 1.5\] escapes \[-1.0, 1.0\]$"):
             hausdorff_error_1d(segment(-0.5, 1.5), Interval(-1, 1))
 
+    def test_planar_hull_rejected(self):
+        hull = convex_hull(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+        with pytest.raises(EstimationError, match="^interval error is defined in dimension one only$"):
+            hausdorff_error_1d(hull, Ball(np.zeros(2), 2.0))
+
     def test_ball_ends_rounded_outside_give_zero(self):
         # Ball.project rounds the extreme copies about 1 ulp outside both ends;
         # the error is a distance between sets, so it reads 0, never -2.2e-16

@@ -14,6 +14,7 @@ from scipy.spatial import HalfspaceIntersection
 from hullsim.geometry import (
     Ball,
     Box,
+    ConvexBody,
     GEOM_TOL,
     MAX_FACE_SETS,
     GeometryError,
@@ -30,7 +31,7 @@ from hullsim.geometry import (
     project,
     support,
 )
-from hullsim.oracle import brute_force_hull_distance
+from reference import boundary_points, brute_force_hull_distance
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -147,7 +148,7 @@ class TestProjection:
         rng = np.random.default_rng(23)
         for _ in range(10):
             body = random_body(kind, rng)
-            bpts = body.boundary_points(16, rng)
+            bpts = boundary_points(body, 16, rng)
             for x in rng.uniform(-4, 4, size=(10, body.dim)):
                 p = project(body, x)
                 inner = (bpts - p) @ (x - p)
@@ -281,6 +282,27 @@ class TestSupport:
     def test_zero_direction_rejected(self):
         with pytest.raises(GeometryError):
             support(unit_square(), np.zeros(2))
+
+    def test_mis_shaped_direction_rejected(self):
+        with pytest.raises(GeometryError, match=r"^expected a direction of shape \(2,\), got \(3,\)$"):
+            support(unit_square(), np.ones(3))
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: Box(np.zeros(2), np.ones(3)), "box bounds must be 1-d arrays of equal length"),
+            (lambda: Ball(np.zeros((2, 2)), 1.0), "ball center must be a 1-d array"),
+            (lambda: HPolytope(np.ones(4), np.ones(4)), r"need normals of shape \(k, m\)"),
+            (lambda: HPolytope(np.eye(2), np.ones(3)), r"need normals of shape \(k, m\)"),
+            (lambda: HPolytope(np.eye(2), np.ones((2, 1))), r"need normals of shape \(k, m\)"),
+            (lambda: HPolytope(np.array([[1.0, 0.0], [0.0, 0.0], [-1.0, -1.0]]), np.ones(3)),
+             "every half-space normal must be nonzero"),
+        ],
+        ids=["box_lengths", "ball_center_2d", "normals_1d", "offsets_count", "offsets_2d", "zero_normal"],
+    )
+    def test_malformed_body_rejected(self, build, message):
+        with pytest.raises(GeometryError, match=f"^{message}"):
+            build()
 
     @pytest.mark.parametrize(
         "normals, offsets",
@@ -470,6 +492,10 @@ class TestConvexHull:
         with pytest.raises(GeometryError):
             convex_hull([])
 
+    def test_three_dim_array_rejected(self):
+        with pytest.raises(GeometryError, match=r"^points must form a \(p, m\) array$"):
+            convex_hull(np.zeros((2, 2, 2)))
+
     def test_three_dim_vertices_are_extreme_generators(self):
         cloud = np.random.default_rng(0).standard_normal((10, 3))
         centroid = cloud.mean(axis=0)
@@ -589,6 +615,24 @@ class TestHullDistance:
         hull = convex_hull(np.array([[0.0, 0.0]]))
         with pytest.raises(GeometryError):
             distance_to_hull(hull, np.zeros(2), tol=0.0)
+
+    def test_solver_takes_values_on_the_line(self):
+        assert min_norm_point_distance(np.array([0.0, 1.0, 0.5]), 3.0) == 2.0
+        assert min_norm_point_distance(np.array([0.0, 1.0, 0.5]), np.array([0.25])) == 0.0
+
+    @pytest.mark.parametrize(
+        "points, x, tol, message",
+        [
+            (np.zeros((3, 2)), np.zeros(3), 1e-7, r"generators must be \(p, m\)"),
+            (np.zeros((3, 2, 1)), np.zeros(2), 1e-7, r"generators must be \(p, m\)"),
+            (np.zeros((3, 2)), np.zeros(2), 0.0, "tolerance must be positive"),
+            (np.zeros((3, 2)), np.zeros(2), -1e-7, "tolerance must be positive"),
+        ],
+        ids=["query_width", "generators_3d", "zero_tol", "negative_tol"],
+    )
+    def test_solver_rejects_bad_input(self, points, x, tol, message):
+        with pytest.raises(GeometryError, match=f"^{message}"):
+            min_norm_point_distance(points, x, tol)
 
     def test_solver_against_polygon_oracle(self):
         rng = np.random.default_rng(11)
@@ -767,6 +811,10 @@ class TestHelpers:
         c, r = chebyshev_center(unit_square())
         np.testing.assert_allclose(c, [0.5, 0.5], atol=1e-9)
         assert r == pytest.approx(0.5, abs=1e-9)
+
+    def test_chebyshev_center_of_an_unsupported_type_rejected(self):
+        with pytest.raises(GeometryError, match="^unsupported body type ConvexBody$"):
+            chebyshev_center(ConvexBody())
 
     def test_interior_margin_signs(self):
         body = unit_square()

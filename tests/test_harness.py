@@ -131,6 +131,10 @@ class TestRateFit:
         with pytest.raises(ConfigError):
             rate_fit([10, 100, 1000], [1.0, 0.0, 0.0])
 
+    def test_negative_error_rejected(self):
+        with pytest.raises(ConfigError, match="^errors must be nonnegative$"):
+            rate_fit([10, 100, 1000], [1.0, -0.1, 0.01])
+
     @given(
         st.floats(-2.0, -0.05),
         st.floats(0.1, 50.0),
@@ -176,6 +180,10 @@ class TestConfigParsing:
     def test_descending_n_grid_rejected(self):
         with pytest.raises(ConfigError):
             small_config(n_grid=[100, 50])
+
+    def test_empty_x0_rejected(self):
+        with pytest.raises(ConfigError, match="^x0 must hold one number per dimension$"):
+            small_config(x0=np.array([]))
 
     def test_probe_list_parsing(self):
         text = CONFIG_TEXT + "probes = 0.1 0.2 ; -0.3 0.4\n"
@@ -807,6 +815,7 @@ class TestCli:
             ("ball", "model.kind", "levy"),
             ("interval", "diagnostics.keep_h", "true"),  # removed key
             ("interval", "diagnostics.hitting_radius", "0.1"),  # removed key
+            ("interval", "", "1"),  # the line " = 1" has an empty key
             # coordinates whose squares overflow: no numpy warning, one error line
             ("ball", "x0", "1e300 1e300"),
             ("ball", "mf.r0", "1e300"),

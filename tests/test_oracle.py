@@ -12,22 +12,14 @@ from hullsim.dynamics import (
     shrinking_ball,
     simulate_ensemble,
 )
-from hullsim.geometry import Ball, Box, HPolytope, Interval, project, row_norms
+from hullsim.geometry import Ball, HPolytope, Interval, row_norms
 from hullsim.oracle import (
     OracleError,
     StepConstants,
-    brute_force_hull_distance,
-    brute_force_projection,
     constants_c1_c2,
-    empirical_cdf,
     hitting_frequency,
     step1_bound_check,
 )
-
-
-def unit_square():
-    normals = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-    return HPolytope(normals, np.array([1.0, 0.0, 1.0, 0.0]))
 
 
 def linear_drift_model(dim=1, theta=1.0, sigma=0.5):
@@ -80,85 +72,16 @@ class TestConstants:
         with pytest.raises(OracleError):
             constants_c1_c2(linear_drift_model(), 1.0, 0.01, probe_count=10)
 
+    @pytest.mark.parametrize("m_c", [0.0, -1.0])
+    def test_m_c_must_be_positive(self, m_c):
+        with pytest.raises(OracleError, match="^m_c must be positive$"):
+            constants_c1_c2(linear_drift_model(), m_c, 0.01)
+
     def test_invariants_enforced(self):
         with pytest.raises(OracleError):
             StepConstants(c1=0.5, c2=1.0, m_c=1.0, sup_inv_op_norm=1.0, sup_inv_drift=0.0)
         with pytest.raises(OracleError):
             StepConstants(c1=np.inf, c2=1.0, m_c=1.0, sup_inv_op_norm=1.0, sup_inv_drift=0.0)
-
-
-class TestGridProjectionOracle:
-    def test_square_face(self):
-        p = brute_force_projection(unit_square(), np.array([2.0, 0.5]), 1e-3)
-        assert np.linalg.norm(p - [1.0, 0.5]) <= 2e-3
-
-    def test_interior_point_recovered(self):
-        p = brute_force_projection(unit_square(), np.array([0.4, 0.6]), 1e-3)
-        assert np.linalg.norm(p - [0.4, 0.6]) <= 1e-3 * np.sqrt(2)
-
-    def test_ball_radial(self):
-        p = brute_force_projection(Ball(np.zeros(2), 1.0), np.array([3.0, 4.0]), 1e-3)
-        assert np.linalg.norm(p - [0.6, 0.8]) <= 2e-3
-
-    def test_interval(self):
-        p = brute_force_projection(Interval(-1, 1), np.array([2.5]), 1e-4)
-        assert abs(p[0] - 1.0) <= 1e-4
-
-    def test_agrees_with_projection(self):
-        rng = np.random.default_rng(2)
-        body = Box(np.array([-1.0, -0.5]), np.array([0.5, 1.5]))
-        for x in rng.uniform(-3, 3, size=(10, 2)):
-            p_exact = project(body, x)
-            p_grid = brute_force_projection(body, x, 2e-3)
-            assert np.linalg.norm(p_exact - p_grid) <= 2 * 2e-3 * np.sqrt(2)
-
-    def test_dimension_cap(self):
-        with pytest.raises(OracleError):
-            brute_force_projection(Ball(np.zeros(3), 1.0), np.zeros(3), 1e-2)
-
-
-class TestPairSegmentOracle:
-    def test_triangle_corner_exact(self):
-        d = brute_force_hull_distance(
-            np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([1.0, 1.0])
-        )
-        assert d == pytest.approx(np.sqrt(2) / 2, abs=1e-15)
-
-    def test_inside_is_zero(self):
-        d = brute_force_hull_distance(
-            np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [2.0, 2.0]]),
-            np.array([1.0, 1.0]),
-        )
-        assert d == 0.0
-
-    def test_collinear_cloud(self):
-        d = brute_force_hull_distance(
-            np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]), np.array([1.0, 1.0])
-        )
-        assert d == pytest.approx(1.0)
-
-    def test_single_point(self):
-        d = brute_force_hull_distance(np.array([[1.0, 1.0]]), np.array([4.0, 5.0]))
-        assert d == pytest.approx(5.0)
-
-    def test_wrong_dimension(self):
-        with pytest.raises(OracleError):
-            brute_force_hull_distance(np.array([[1.0], [2.0]]), np.array([0.0]))
-
-
-class TestEmpiricalCdf:
-    def test_basic_counts(self):
-        assert empirical_cdf([1, 2, 3], 2) == pytest.approx(2 / 3)
-        assert empirical_cdf([1, 2, 3], 0.5) == 0.0
-        assert empirical_cdf([1, 2, 3], 10) == 1.0
-
-    def test_vectorized_queries(self):
-        out = empirical_cdf([1.0, 2.0], np.array([0.0, 1.0, 1.5, 2.0]))
-        np.testing.assert_allclose(out, [0.0, 0.5, 0.5, 1.0])
-
-    def test_empty_rejected(self):
-        with pytest.raises(OracleError):
-            empirical_cdf([], 0.0)
 
 
 def make_checked_ensemble(model, mf, n_copies=200, seed=3, steps=20):
@@ -267,6 +190,13 @@ class TestStepBound:
         with pytest.raises(OracleError):
             step1_bound_check(model, ens, mf, self.probes_1d)
 
+    def test_probes_of_the_wrong_width_rejected(self):
+        model = linear_drift_model()
+        mf = constant_body(Interval(-1, 1))
+        ens = make_checked_ensemble(model, mf, n_copies=10)
+        with pytest.raises(OracleError, match="^probes must have 1 coordinates$"):
+            step1_bound_check(model, ens, mf, np.array([[0.0, 0.0]]))
+
     def test_exterior_probe_rejected(self):
         model = linear_drift_model()
         mf = constant_body(Interval(-1, 1))
@@ -319,6 +249,14 @@ class TestHitting:
         ens = simulate_ensemble(model, mf, TimeGrid(1.0, 5), 10, 0)
         with pytest.raises(OracleError):
             hitting_frequency(ens, mf, np.array([[0.0]]))
+
+    @pytest.mark.parametrize("radius", [0.0, -0.1])
+    def test_radius_must_be_positive(self, radius):
+        model = linear_drift_model()
+        mf = constant_body(Interval(-1, 1))
+        ens = make_checked_ensemble(model, mf, n_copies=10, steps=5)
+        with pytest.raises(OracleError, match="^radius must be positive$"):
+            hitting_frequency(ens, mf, np.array([[0.0]]), radius=radius)
 
     def test_probes_must_be_k_by_m(self):
         model = linear_drift_model(dim=2, theta=2.0, sigma=0.3)
