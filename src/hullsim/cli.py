@@ -11,10 +11,11 @@ step-bound check cannot evaluate); 2 runtime error. A run prints the median
 errors, the files it wrote and a summary line: label, wall clock, meta.phases,
 meta.stream_processes (this process and the increment helpers it forked),
 the meta.stream share of blocks the helpers drew, the seconds this process
-drew for and waited for them, the look-aheads joined and cancelled, and the
-CSV text's SHA-256. The reports are written before anything is printed, so a
-reader that closes stdout early (hullsim run ... | head -1) is no error: the
-rest of the output is dropped and the exit code is 0.
+drew for and waited for them, the shared buffers made, the look-aheads
+joined and cancelled, and the CSV text's SHA-256. The reports are written
+before anything is printed, so a reader that closes stdout early (hullsim
+run ... | head -1) is no error: the rest of the output is dropped and the
+exit code is 0.
 """
 
 from __future__ import annotations
@@ -89,8 +90,8 @@ def _run(args: argparse.Namespace) -> int:
         print(f"{config.label}: {meta['wall_clock_s']:.1f}s ({phases}; {meta['stream_processes']} stream processes, "
               f"helpers drew {stream['helper_block_share']:.0%} of blocks, "
               f"this process drew for {stream['caller_draw_s']:.1f}s and waited {stream['helper_wait_s']:.1f}s "
-              f"for helpers, {stream['lookahead_joined']} look-aheads joined, {stream['lookahead_cancelled']} "
-              f"cancelled) csv sha256 {digest}")
+              f"for helpers, {stream['buffers_made']} shared buffers made, {stream['lookahead_joined']} "
+              f"look-aheads joined, {stream['lookahead_cancelled']} cancelled) csv sha256 {digest}")
         sys.stdout.flush()
     except BrokenPipeError:  # the reader stopped early, as `| head -1` does; the reports are written
         devnull = os.open(os.devnull, os.O_WRONLY)

@@ -7,12 +7,15 @@ One step reads
 with z a Brownian increment over the step and sigma(x) the diagonal of the
 diffusion matrix, applied elementwise. Copy i draws its increments from the
 counter-based stream keyed by (seed, i), built only by gaussian_increments, and
-one stepping core runs ensembles and single paths. So copy i is reproducible
-in isolation, equals its ensemble slice bit for bit, and results do not depend
-on how the copies are scheduled; how the stream is drawn, by this process and
-its helper processes, is hullsim.increments. A step whose pre-projection point
-is not finite, or so large that its squared norm overflows, raises ModelError
-naming the step and the copy.
+one stepping core runs ensembles and single paths. It steps the copies in
+chunks of STEP_CHUNK, each on its own increments array, so the caller never
+holds more than one chunk's increments and the next chunk's posted draw,
+whatever the number of copies. So copy i is reproducible in isolation, equals
+its ensemble slice bit for bit, and results do not depend on how the copies
+are scheduled; how the stream is drawn, by this process and its helper
+processes, is hullsim.increments. A step whose pre-projection point is not
+finite, or so large that its squared norm overflows, raises ModelError naming
+the step and the copy: the first failing step of the first chunk that fails.
 """
 
 from __future__ import annotations
@@ -24,9 +27,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .geometry import Ball, Box, ConvexBody, GeometryError, HPolytope, Interval, contains, project
-from .increments import _MASK64, draw
+from .increments import _MASK64, INCREMENT_BLOCK, draw
 
 FINITE_LIMIT = 1e150  # a pre-projection coordinate beyond this overflows a squared norm
+STEP_CHUNK = 16 * INCREMENT_BLOCK  # copies stepped as one batch, on one increments array
 
 
 class ModelError(ValueError):
@@ -269,45 +273,63 @@ def _kept_nodes(grid: TimeGrid, nodes: Sequence[int] | None, keep_pre_projection
 def _simulate(model: SdeModel, mf: Multifunction, grid: TimeGrid, seed: int, copies: range,
               keep_pre_projection: bool, then: tuple[int, range] | None = None,
               nodes: tuple[int, ...] | None = None
-              ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-    """Step copies i in copies as one batch on streams (seed, i); then is
-    passed on to gaussian_increments, and nodes, checked by _kept_nodes, are
-    the nodes whose states are kept.
+              ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """Step copies i in copies on streams (seed, i), in chunks of STEP_CHUNK
+    copies; nodes, checked by _kept_nodes, are the nodes whose states are kept.
+
+    Each chunk is one batch stepped on its own increments array. Its draw
+    names the next chunk as gaussian_increments' then, and the last chunk's
+    names then, so the next chunk is drawn while this one is stepped; the
+    chunk's array is dropped before the next draw. Body j + 1 is built once,
+    by the first chunk's step j. A failing copy is named by the first failing
+    step of the first chunk that fails.
 
     Returns the states at nodes (len(copies), len(nodes), m), every node
-    0..steps when nodes is None, on request the pre-projection points
-    (len(copies), steps, m), else None, and the increments (len(copies),
-    steps, m) that were stepped. All three are transposed views of
-    coordinate-major (node, coordinate, copy) arrays: each step's operands
-    are F-ordered (len(copies), m) views, so every elementwise operation of
-    the step runs along the copies. The batch starts from one (m,
-    len(copies)) buffer holding x0, node 0's slot of the states when node 0
-    is kept, and each step's result is copied into the states only at a
-    kept node.
+    0..steps when nodes is None, and on request the pre-projection points
+    and a copy of the increments that were stepped, both (len(copies), steps,
+    m), else None. All three are transposed views of coordinate-major (node,
+    coordinate, copy) arrays, written one chunk's columns at a time. Each
+    step's operands are F-ordered (len(chunk), m) views, so every
+    elementwise operation of the step runs along the copies. A chunk starts
+    from one (m, len(chunk)) buffer holding x0, copied into node 0's slot of
+    the states when node 0 is kept, and each step's result is copied into
+    the states only at a kept node.
     """
     _check_start(model, mf)
     n, m = grid.steps, model.dim
     nodes = range(n + 1) if nodes is None else nodes
-    z = gaussian_increments(seed, copies, n, m, grid.delta, then)
     states = np.empty((len(nodes), m, len(copies)))
     slots = dict(zip(nodes, states))
-    start = slots[0] if 0 in slots else np.empty((m, len(copies)))
-    start[:] = model.x0[:, None]
     pre = np.empty((n, m, len(copies))) if keep_pre_projection else None
-    x = start.T
-    for j in range(n):
-        body_next = mf(grid.node(j + 1))
-        try:
-            h, x = euler_step(model, body_next, x, z[:, j], grid.delta)
-        except (ModelError, GeometryError) as exc:
-            # a per-copy failure names its batch row; any other fails every copy
-            row = getattr(exc, "where", (0,))[0]
-            raise ModelError(f"step {j} of copy {copies[row]} failed: {exc}") from exc
-        if j + 1 in slots:
-            slots[j + 1][:] = x.T
-        if pre is not None:
-            pre[j] = h.T
-    return states.transpose(2, 0, 1), None if pre is None else pre.transpose(2, 0, 1), z
+    kept = np.empty((n, m, len(copies))) if keep_pre_projection else None
+    bodies = []  # bodies[j] is C(t_{j+1})
+    for first in range(0, max(len(copies), 1), STEP_CHUNK):  # no copies: the empty chunk's draw raises
+        chunk = copies[first:first + STEP_CHUNK]
+        following = copies[first + STEP_CHUNK:first + 2 * STEP_CHUNK]
+        z = gaussian_increments(seed, chunk, n, m, grid.delta, (seed, following) if following else then)
+        cols = slice(first, first + len(chunk))
+        start = np.empty((m, len(chunk)))
+        start[:] = model.x0[:, None]
+        if 0 in slots:
+            slots[0][:, cols] = start
+        x = start.T
+        for j in range(n):
+            if j == len(bodies):
+                bodies.append(mf(grid.node(j + 1)))
+            try:
+                h, x = euler_step(model, bodies[j], x, z[:, j], grid.delta)
+            except (ModelError, GeometryError) as exc:
+                # a per-copy failure names its batch row; any other fails every copy
+                row = getattr(exc, "where", (0,))[0]
+                raise ModelError(f"step {j} of copy {chunk[row]} failed: {exc}") from exc
+            if j + 1 in slots:
+                slots[j + 1][:, cols] = x.T
+            if pre is not None:
+                pre[j][:, cols] = h.T
+        if kept is not None:
+            kept[..., cols] = z.transpose(1, 2, 0)
+        del z  # so the next chunk's draw may reuse its shared buffer
+    return tuple(None if a is None else a.transpose(2, 0, 1) for a in (states, pre, kept))
 
 
 def simulate_path(
@@ -345,16 +367,19 @@ def simulate_ensemble(
     keep_pre_projection keeps the step record the oracle checks: the
     pre-projection points, the increments and every node's state, so it takes
     no nodes (ModelError). next_ensemble, the (n_copies, seed) of the ensemble
-    the caller simulates next on the same model and grid, is
-    gaussian_increments' then: it only lets that ensemble's increments be
-    drawn while this one is stepped, and the result does not depend on it.
+    the caller simulates next on the same model and grid, names that
+    ensemble's first chunk as the last chunk's then: it only lets those
+    increments be drawn while this ensemble's last chunk is stepped, and the
+    result does not depend on it.
     """
-    then = None if next_ensemble is None else (next_ensemble[1], range(1, next_ensemble[0] + 1))
+    then = None
+    if next_ensemble is not None:  # the next ensemble's first chunk
+        then = (next_ensemble[1], range(1, min(next_ensemble[0], STEP_CHUNK) + 1))
     nodes = _kept_nodes(grid, nodes, keep_pre_projection)
     states, pre, z = _simulate(model, mf, grid, seed, range(1, n_copies + 1), keep_pre_projection, then,
                                nodes)
     return PathEnsemble(grid=grid, n_copies=n_copies, seed=seed, states=states,
-                        pre_projection=pre, increments=z if keep_pre_projection else None, nodes=nodes)
+                        pre_projection=pre, increments=z, nodes=nodes)
 
 
 # ---------------------------------------------------------------------------

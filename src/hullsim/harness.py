@@ -165,14 +165,13 @@ class ExperimentConfig:
         if len(set(js)) != len(js):
             raise ConfigError(f"j_indices must not repeat a node, got {list(js)}")
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        # one ensemble's increments, the next one's posted increments, its states at
-        # j_indices and its start buffer; with a diagnostic on, replication 0 keeps
-        # every node's state (node 0's slot is the start buffer) and its pre-projection points
+        # one ensemble's states at j_indices; with a diagnostic on, replication 0 keeps its
+        # step record instead: every node's state, its pre-projection points and its increments
         if self.run_step_bound or self.run_hitting:
-            unit_rows = self.steps + 1 + 3 * self.steps
+            kept_rows = self.steps + 1 + 2 * self.steps
         else:
-            unit_rows = len(js) + 1 + 2 * self.steps
-        unit_bytes = unit_rows * x0.size * n[-1] * 8
+            kept_rows = len(js)
+        unit_bytes = kept_rows * x0.size * n[-1] * 8 + _chunk_bytes(self.steps, x0.size, n[-1])
         if unit_bytes > memory:
             raise ConfigError(f"one ensemble's arrays would take {unit_bytes} bytes, more than physical memory")
         # one error row per unit, node and probe (default_probes' 3^m - 1 when not given)
@@ -400,7 +399,7 @@ def run_experiment(config: ExperimentConfig) -> ConvergenceReport:
                     for p_idx, hit in enumerate(hits)
                 )
             phases["diagnostics"] += time.perf_counter() - t0
-            del ens  # with its kept increments, before the next unit's draw: never two at once
+            del ens  # with its step record, before the next unit allocates its own
     except BaseException:
         increments.cancel()  # a posted look-ahead nothing will join
         raise
@@ -413,7 +412,7 @@ def run_experiment(config: ExperimentConfig) -> ConvergenceReport:
         "wall_clock_s": time.perf_counter() - t_start,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "phases": phases,  # seconds per phase, summed over every ensemble
-        "array_bytes": array_bytes,  # the most one unit held: increments, kept states, pre-projection points
+        "array_bytes": array_bytes,  # the most one unit held: kept states and step record, two increment chunks
         "stream_processes": increments.stream_processes(),  # this one plus its live increment helpers
         "stream": _stream_meta(counts),
     }
@@ -430,12 +429,17 @@ def run_experiment(config: ExperimentConfig) -> ConvergenceReport:
     )
 
 
+def _chunk_bytes(steps: int, m: int, n_copies: int) -> int:
+    """Bytes of the increments a unit of n_copies holds at once: the chunk it
+    steps and the next chunk, posted (dynamics.STEP_CHUNK copies at most)."""
+    return 2 * steps * m * min(n_copies, dynamics.STEP_CHUNK) * 8
+
+
 def _array_bytes(ens: dynamics.PathEnsemble) -> int:
-    """Bytes of ens's increments, drawn whether kept or not, its kept states and
-    its pre-projection points."""
-    pre = ens.pre_projection
-    increment_bytes = ens.n_copies * ens.grid.steps * ens.dim * 8
-    return increment_bytes + ens.states.nbytes + (0 if pre is None else pre.nbytes)
+    """Bytes of ens's kept arrays (its states and, with the step record, its
+    pre-projection points and increments) and of the increments it drew (_chunk_bytes)."""
+    kept = sum(a.nbytes for a in (ens.states, ens.pre_projection, ens.increments) if a is not None)
+    return kept + _chunk_bytes(ens.grid.steps, ens.dim, ens.n_copies)
 
 
 def _stream_meta(before: dict) -> dict:

@@ -9,11 +9,10 @@ fill, the one Generator.standard_normal calls. Each thread builds its
 generator once, and its draw block with the C fill's ctypes arguments once
 per block shape. draw splits a range of at least 2 * INCREMENT_BLOCK
 copies between the calling process and its helper processes, all writing
-into one coordinate-major (n, m, len(copies)) array mapped from an
-os.memfd_create file, which the caller returns. The blocks of
-INCREMENT_BLOCK copies are cut into one contiguous slice per helper; a helper
-draws its slice from the front and the caller draws from the back, so the two
-meet where their speeds put them.
+into one coordinate-major (n, m, len(copies)) array in a shared buffer, which
+the caller returns. The blocks of INCREMENT_BLOCK copies are cut into one
+contiguous slice per helper; a helper draws its slice from the front and the
+caller draws from the back, so the two meet where their speeds put them.
 
 A draw may name the request that will follow it (same n, m and scale). Once
 its own array is complete, draw posts that request to the helpers, which start
@@ -22,9 +21,21 @@ a one-deep look-ahead. The next draw of exactly that request joins the posted
 draw: the caller draws from the back, as always, and waits for every reply.
 Any other draw first cancels the posted draw, because the sequence it was
 made for has moved on. Cancelling claims every block the helpers have not
-started, waits for their replies and drops the array. cancel does the same
-on request, and the posted draw is also cancelled at exit and dropped
-unwritten in a forked child, whose parent still owns it.
+started, waits for their replies and frees the array's buffer. cancel does
+the same on request, and the posted draw is also cancelled at exit and
+dropped unwritten in a forked child, whose parent still owns it.
+
+The process keeps at most two shared buffers, os.memfd_create files mapped
+here and in each helper: the one whose array the caller reads and the one
+the look-ahead writes. A split draw takes a buffer that no array views any
+more, grown in place if it is too small, and makes a new file only when
+neither buffer is free; the new one replaces the older, whose arrays keep
+their mapping. A helper keeps one mapping per buffer, named by an id sent
+with each request, so each process faults a buffer's pages in once, not once
+per draw; it drops the mappings of buffers the caller has let go at its next
+request. A draw that names no following request ends its sequence and lets
+the buffers go: each file is closed and unmapped with the last array that
+views it. close and a forked child let them go too.
 
 There is one helper per CPU of the affinity mask beyond the first, at most
 MAX_HELPERS, forked from this process by its first draw or look-ahead of at
@@ -45,6 +56,8 @@ from __future__ import annotations
 
 import atexit
 import ctypes
+import itertools
+import math
 import mmap
 import os
 import pickle
@@ -53,6 +66,7 @@ import socket
 import threading
 import time
 import warnings
+import weakref
 from contextlib import contextmanager
 
 import numpy as np
@@ -62,8 +76,8 @@ INCREMENT_BLOCK = 256  # copies per copy-major draw block in fill
 MAX_HELPERS = 3  # helper processes at most, whatever the CPU count
 STOP_WAIT_S = 5.0  # a helper whose socket is closed exits after its block; one that does not is killed
 # What stream_counters counts, summed over every draw of this process; the _s counters are seconds.
-COUNTERS = ("blocks", "helper_blocks", "lookahead_joined", "lookahead_cancelled", "caller_draw_s",
-            "helper_wait_s")
+COUNTERS = ("blocks", "helper_blocks", "lookahead_joined", "lookahead_cancelled", "buffers_made",
+            "caller_draw_s", "helper_wait_s")
 # Python 3.12+ warns in the parent on fork() while the process has other threads, numpy's BLAS
 # pool among them. A helper takes no lock those threads may hold: it runs only its socket loop
 # and fill, and ends through os._exit.
@@ -218,15 +232,53 @@ def _behind(ctl: np.ndarray):
         yield b
 
 
-def _shared(fd: int, shape: tuple, helpers: int) -> tuple[np.ndarray, np.ndarray]:
-    """The float64 array of the given shape at the start of the file behind fd,
-    and the (helpers, 2) int64 control words after it.
+def _nbytes(shape: tuple, helpers: int) -> int:
+    """Bytes of a shared draw: its float64 array and the helpers' control words."""
+    return 8 * (math.prod(shape) + 2 * helpers)
 
-    The mapping keeps its own descriptor and is unmapped with the last view.
-    """
-    buf = mmap.mmap(fd, 0)
-    ctl = np.ndarray((helpers, 2), np.int64, buffer=buf, offset=8 * shape[0] * shape[1] * shape[2])
+
+def _views(buf: mmap.mmap, shape: tuple, helpers: int) -> tuple[np.ndarray, np.ndarray]:
+    """The float64 array of the given shape at the start of buf, and the
+    (helpers, 2) int64 control words after it."""
+    ctl = np.ndarray((helpers, 2), np.int64, buffer=buf, offset=8 * math.prod(shape))
     return np.ndarray(shape, buffer=buf), ctl
+
+
+_BUFFER_IDS = itertools.count()
+
+
+class _Buffer:
+    """One shared memory file that split draws write their arrays into, and this process's mapping of it.
+
+    id names it in each request, so that a helper maps it once. The buffer
+    is free once no array views the last array made on it, and a free buffer
+    too small for a draw grows in place; it never shrinks.
+    """
+
+    def __init__(self):
+        self.id = next(_BUFFER_IDS)
+        self.fd = os.memfd_create("hullsim-increments")
+        self.map = None
+        self.array = lambda: None  # a weak reference to the last array made on it
+
+    def free(self) -> bool:
+        return self.array() is None
+
+    def arrays(self, shape: tuple, helpers: int) -> tuple[np.ndarray, np.ndarray]:
+        """_views of the buffer, grown first if it is smaller than they need."""
+        nbytes = _nbytes(shape, helpers)
+        if self.map is None or len(self.map) < nbytes:
+            self.map = None  # free: no view of it is left
+            os.ftruncate(self.fd, nbytes)
+            self.map = mmap.mmap(self.fd, nbytes)
+        z, ctl = _views(self.map, shape, helpers)
+        self.array = weakref.ref(z)
+        return z, ctl
+
+    def close(self) -> None:
+        """Close the file; the mapping ends now, or with the last array that views it."""
+        os.close(self.fd)
+        self.map = None
 
 
 class _Helper:
@@ -253,7 +305,7 @@ class _Helper:
                 _serve(theirs, [self.sock] + [helper.sock for helper in siblings])
 
     def send(self, fd: int, request: tuple) -> bool:
-        """Pass one fill request and the array's file; False if the helper is gone."""
+        """Pass one fill request and the buffer's file; False if the helper is gone."""
         try:
             socket.send_fds(self.sock, [pickle.dumps(request)], [fd])
         except OSError:
@@ -305,14 +357,16 @@ class _Split:
     helpers, whose state is then unknown.
     """
 
-    def __init__(self, pool: _Helpers, helpers: list[_Helper], request: tuple, shared: tuple):
+    def __init__(self, pool: _Helpers, helpers: list[_Helper], request: tuple, buffer: _Buffer,
+                 arrays: tuple[np.ndarray, np.ndarray]):
         seed, copies, _, _, scale = request
         self.pool, self.helpers, self.request = pool, helpers, request
-        self.z, self.ctl, fd = shared
+        self.z, self.ctl = arrays
         cuts = [_block_count(len(copies)) * k // len(helpers) for k in range(len(helpers) + 1)]
         self.starts = cuts[:-1]
         self.ctl[:] = np.column_stack([cuts[:-1], cuts[1:]])
-        self.sent = [h.send(fd, (self.z.shape, len(helpers), k, seed, copies, scale))
+        live = [b.id for b in pool.buffers]
+        self.sent = [h.send(buffer.fd, (buffer.id, live, self.z.shape, len(helpers), k, seed, copies, scale))
                      for k, h in enumerate(helpers)]
 
     def finish(self) -> np.ndarray:
@@ -320,10 +374,12 @@ class _Split:
 
         A helper advances its control word only after a block is written; one
         that fails or does not answer is stopped, and the caller draws the
-        blocks of its slice from that word on.
+        blocks of its slice from that word on. The split keeps no view of the
+        buffer, so it is free again once the caller drops the array.
         """
         seed, copies, _, _, scale = self.request
         z, ctl = self.z, self.ctl
+        self.z = self.ctl = None
         with self.pool.holding(self.helpers):
             fill(z, seed, copies, scale, _behind(ctl))
             for k in self._replies():
@@ -333,7 +389,7 @@ class _Split:
         return z
 
     def cancel(self) -> None:
-        """Claim every block the helpers have not started, wait for their replies, drop the array."""
+        """Claim every block the helpers have not started, wait for their replies, free the buffer."""
         with self.pool.holding(self.helpers):
             self.ctl[:, 1] = self.ctl[:, 0]
             self._replies()
@@ -360,6 +416,7 @@ class _Helpers:
         self.live: list[_Helper] = []
         self.lock = threading.Lock()  # held by the one split draw, posted or running, that uses the helpers
         self.posted: dict[tuple, _Split] = {}  # the look-ahead: at most one request and its split
+        self.buffers: list[_Buffer] = []  # at most two: the one the caller reads and the posted one
         self.counts = {key: 0.0 if key.endswith("_s") else 0 for key in COUNTERS}
         self.counting = threading.Lock()  # threads drawing at once add to the same counters
 
@@ -369,18 +426,15 @@ class _Helpers:
         None, with the helpers left alone, for a draw below 2 * INCREMENT_BLOCK
         copies, while another split holds the helpers, when no helper is live
         (none at all on a one-CPU mask or without os.memfd_create or os.fork)
-        and when no shared file can be made (out of descriptors or maps).
+        and when no buffer can be made or grown (out of descriptors, maps or memory).
         """
         if len(request[1]) < 2 * INCREMENT_BLOCK or not self.lock.acquire(blocking=False):
             return None
         try:
             self.start()
-            shared = _shared_file(request, len(self.live)) if self.live else None
+            shared = self.shared(request) if self.live else None
             if shared is not None:
-                try:
-                    return _Split(self, self.live, request, shared)
-                finally:
-                    os.close(shared[2])
+                return _Split(self, self.live, request, *shared)
         except BaseException:
             for helper in self.live:
                 helper.stop()
@@ -395,6 +449,31 @@ class _Helpers:
         if not self.started:
             self.started = True
             self.live = _start(_helper_count())
+
+    def shared(self, request: tuple) -> tuple[_Buffer, tuple[np.ndarray, np.ndarray]] | None:
+        """A free buffer, and request's array and the helpers' control words on it.
+
+        When neither buffer is free a new one takes the place of the older,
+        whose arrays keep their mapping. None when the file cannot be made
+        or grown. The caller holds the lock.
+        """
+        _, copies, n, m, _ = request
+        buffer = next((b for b in self.buffers if b.free()), None)
+        if buffer is None:
+            try:
+                buffer = _Buffer()
+            except OSError:
+                return None
+            self.count(buffers_made=1)
+            if len(self.buffers) == 2:
+                self.buffers.pop(0).close()
+            self.buffers.append(buffer)
+        try:
+            return buffer, buffer.arrays((n, m, len(copies)), len(self.live))
+        except OSError:
+            self.buffers.remove(buffer)
+            buffer.close()
+            return None
 
     def count(self, **added: int) -> None:
         with self.counting:
@@ -433,8 +512,24 @@ class _Helpers:
         split.cancel()
         self.count(lookahead_cancelled=1)
 
+    def drop_buffers(self) -> None:
+        """Close the buffers; an array that views one keeps its mapping."""
+        for buffer in self.buffers:
+            buffer.close()
+        self.buffers = []
+
+    def end(self) -> None:
+        """A sequence of draws ended: drop the buffers unless a split holds the helpers,
+        which only a draw of another thread's sequence can."""
+        if self.lock.acquire(blocking=False):
+            try:
+                self.drop_buffers()
+            finally:
+                self.lock.release()
+
     def close(self) -> None:
         self.cancel()
+        self.drop_buffers()
         for helper in self.live:
             helper.sock.close()  # every helper starts to exit before the first wait
         for helper in self.live:
@@ -442,12 +537,13 @@ class _Helpers:
         self.live = []
 
     def forget(self) -> None:
-        """In a forked child: drop the parent's helpers and posted split, so the child starts its own."""
+        """In a forked child: drop the parent's helpers, posted split and buffers, so the child starts its own."""
         for helper in self.live:
             helper.sock.close()  # the child's copy; the parent's stays open
         self.started = False
         self.live = []
-        self.posted = {}  # unmapped here, unwritten: its control words are the parent's
+        self.posted = {}  # unwritten: its control words are the parent's
+        self.drop_buffers()  # the child's copies: a write through them would land in the parent's arrays
         self.lock = threading.Lock()
         self.counting = threading.Lock()
 
@@ -468,21 +564,6 @@ def _start(count: int) -> list[_Helper]:
     return helpers
 
 
-def _shared_file(request: tuple, helpers: int) -> tuple[np.ndarray, np.ndarray, int] | None:
-    """request's uninitialised (n, m, len(copies)) array, the helpers' control
-    words and the memfd behind both; None when out of descriptors or maps."""
-    _, copies, n, m, _ = request
-    fd = None
-    try:
-        fd = os.memfd_create("hullsim-increments")
-        os.ftruncate(fd, 8 * (n * m * len(copies) + 2 * helpers))
-        return (*_shared(fd, (n, m, len(copies)), helpers), fd)
-    except OSError:
-        if fd is not None:
-            os.close(fd)
-        return None
-
-
 _HELPERS = _Helpers()
 atexit.register(lambda: _HELPERS.close())
 if hasattr(os, "register_at_fork"):
@@ -496,8 +577,8 @@ def stream_processes() -> int:
 
 def stream_counters() -> dict[str, int | float]:
     """COUNTERS so far: blocks drawn, blocks helpers drew, look-aheads joined and
-    cancelled, seconds this process spent in fill and seconds it waited for
-    helper replies."""
+    cancelled, shared buffers made, seconds this process spent in fill and
+    seconds it waited for helper replies."""
     with _HELPERS.counting:
         return dict(_HELPERS.counts)
 
@@ -517,7 +598,9 @@ def draw(seed: int, copies: range, n: int, m: int, scale: float, then: tuple | N
     between its helper and the caller. then, the (seed, copies) of the draw
     that follows with the same n, m and scale, is posted to the helpers once
     this array is complete, and the next draw of exactly that request joins
-    it. Any other draw first cancels the posted draw.
+    it. Any other draw first cancels the posted draw. A draw without then
+    ends its sequence: the process lets its shared buffers go, each unmapped
+    once no array views it.
     """
     request = (seed, copies, n, m, scale)
     split = _HELPERS.claim(request)
@@ -535,6 +618,8 @@ def draw(seed: int, copies: range, n: int, m: int, scale: float, then: tuple | N
         split = _HELPERS.post(following)
         if split is not None:
             _HELPERS.posted[following] = split
+    else:
+        _HELPERS.end()
     return z
 
 
@@ -544,28 +629,41 @@ def _serve(sock: socket.socket, inherited: list[socket.socket]) -> None:
 
     inherited are this process's ends of every helper socket, closed first so
     that each helper sees end of file once the caller closes its end. The
-    helper ends only through os._exit, with 0 at end of file and 1 on any
-    error, so it never returns into the caller's stack.
+    helper keeps one mapping per buffer of the caller (_fill_slice). It ends
+    only through os._exit, with 0 at end of file and 1 on any error, so it
+    never returns into the caller's stack.
     """
     code = 1
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)  # a terminal's Ctrl-C is the caller's
         for caller_end in inherited:
             caller_end.close()
+        maps = {}  # buffer id -> this process's mapping of it
         while True:
             message, fds, _, _ = socket.recv_fds(sock, 4096, 1)
             if not message:
                 break
-            _fill_slice(fds[0], *pickle.loads(message))
-            os.close(fds[0])
+            _fill_slice(maps, fds[0], *pickle.loads(message))
             sock.send(b"done")
         code = 0
     finally:
         os._exit(code)
 
 
-def _fill_slice(fd, shape, helpers, k, seed, copies, scale) -> None:
-    """Helper k's part of one draw; the mapping ends when this returns."""
-    z, ctl = _shared(fd, shape, helpers)
+def _fill_slice(maps, fd, buffer_id, live, shape, helpers, k, seed, copies, scale) -> None:
+    """Helper k's part of one draw into the caller's buffer buffer_id, whose file is fd.
+
+    maps holds this process's mapping of each buffer, made on its first draw
+    and again once the buffer has grown; the mappings of buffers not in live,
+    which the caller has let go, are dropped first.
+    """
+    try:
+        for stale in maps.keys() - set(live):
+            del maps[stale]
+        if buffer_id not in maps or len(maps[buffer_id]) < _nbytes(shape, helpers):
+            maps[buffer_id] = mmap.mmap(fd, 0)
+    finally:
+        os.close(fd)
+    z, ctl = _views(maps[buffer_id], shape, helpers)
     fill(z, seed, copies, scale, _ahead(ctl[k]))
 

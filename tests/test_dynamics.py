@@ -6,6 +6,7 @@ import pytest
 from hullsim.dynamics import (
     BODIES,
     MODELS,
+    STEP_CHUNK,
     ModelError,
     SdeModel,
     TimeGrid,
@@ -389,6 +390,47 @@ class TestSimulateEnsemble:
         model = make_model("ou", 1, [0.0])
         with pytest.raises(ModelError):
             simulate_ensemble(model, constant_body(Interval(-1, 1)), TimeGrid(1.0, 5), 0, 1)
+
+
+CHUNKED = 2 * STEP_CHUNK + 3  # copies in two full chunks and a last one of three
+
+
+class TestStepChunks:
+    """An ensemble of more than STEP_CHUNK copies is stepped one chunk of copies at a time."""
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_copies_at_the_chunk_edges_equal_their_paths(self, helper_pool, cpus):
+        helper_pool(cpus)
+        model = make_model("tanh_sigma", 2, [0.0, 0.0], theta=2.0, sigma0=0.3, sigma1=0.1)
+        mf, grid = constant_body(Ball(np.zeros(2), 1.0)), TimeGrid(1.0, 6)
+        ens = simulate_ensemble(model, mf, grid, CHUNKED, seed=5, keep_pre_projection=True)
+        assert STEP_CHUNK == 4096
+        for i in [4095, 4096, 4097, 4098, CHUNKED]:
+            path = simulate_path(model, mf, grid, 5, i, keep_pre_projection=True)
+            np.testing.assert_array_equal(ens.states[i - 1], path.states)
+            np.testing.assert_array_equal(ens.pre_projection[i - 1], path.pre_projection)
+        # the kept increments, copied chunk by chunk, are one draw over the whole range
+        whole = gaussian_increments(5, range(1, CHUNKED + 1), grid.steps, 2, grid.delta)
+        np.testing.assert_array_equal(ens.increments, whole)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_copy_failing_in_the_second_chunk_is_named(self, helper_pool, cpus):
+        helper_pool(cpus)
+        grid, calls = TimeGrid(1.0, 4), []
+
+        def drift(x):
+            # one call per chunk and step: the first chunk's four steps pass, and
+            # the second chunk's step 2 blows up at its row 9, copy 4096 + 10
+            calls.append(len(x))
+            out = np.zeros(np.shape(x))
+            if len(calls) == grid.steps + 3:
+                out[9] = np.inf
+            return out
+
+        model = SdeModel(1, drift, np.ones_like, np.array([0.0]), 0.0, 0.0)
+        with pytest.raises(ModelError, match=rf"^step 2 of copy {STEP_CHUNK + 10} failed: pre-projection"):
+            simulate_ensemble(model, constant_body(Interval(-1, 1)), grid, CHUNKED, seed=3)
+        assert calls == [STEP_CHUNK] * (grid.steps + 3)
 
 
 # (model, body family) pairs for the kept-node tests: m = 1, 2, 3 and a shrinking ball

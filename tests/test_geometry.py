@@ -704,6 +704,25 @@ class TestHullDistance:
         d = min_norm_point_distance(pts, np.array([1.0, 1.0, 1.0]), tol=1e-9)
         assert d == pytest.approx(2.0 / np.sqrt(3), abs=1e-7)
 
+    @pytest.mark.parametrize(
+        "points, x, tol, expected",
+        [
+            # 2 V @ r overflows at the far generator, so the mean gradient is NaN and
+            # no step test holds: the away vertex is the start vertex, which carries
+            # all the weight (w[a] >= 1.0), and its distance is the distance to [0, 1e308]
+            ([[0.0], [1e308]], [-1.0], 1e-9, 1.0),
+            # the toward step's squared length underflows (denom == 0.0): the segment
+            # is 1e-200 long, and a tol this small keeps its gap of 2e-200 from ending
+            # the search first; the distance is the distance to its ends
+            ([[0.0, 0.0], [1e-200, 0.0]], [1.0, 1.0], 1e-300, np.sqrt(2.0)),
+            ([[0.0, 0.0], [1e-200, 0.0]], [3.0, -4.0], 1e-300, 5.0),
+        ],
+        ids=["all_weight_on_the_away_vertex", "zero_step_length", "zero_step_length_3_4_5"],
+    )
+    def test_solver_early_exits_return_the_distance(self, points, x, tol, expected):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert min_norm_point_distance(np.array(points), np.array(x), tol) == expected
+
     def test_solver_cap_raises_with_its_residual(self):
         # the nearest point is an edge midpoint: the start vertex is one step short
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])

@@ -209,21 +209,22 @@ class TestConfigParsing:
             )
 
     def test_unit_guard_counts_the_increments_and_the_look_ahead(self, monkeypatch):
-        # at N = 10000 the 20 + 20 increment steps take 3.2 MB, with the states at
-        # j_indices 5 and 10 and the start buffer 3.44 MB
-        self.physical_memory(monkeypatch, 3)
-        with pytest.raises(ConfigError, match="one ensemble's arrays would take 3440000 bytes"):
+        # at N = 10000 the stepped and the posted chunk of 4096 copies and 20 increment
+        # steps each take 1.31072 MB, with the states at j_indices 5 and 10 1.47072 MB
+        self.physical_memory(monkeypatch, 1)
+        with pytest.raises(ConfigError, match="one ensemble's arrays would take 1470720 bytes"):
             small_config(steps=20, n_grid=[100, 10000])
 
     @pytest.mark.parametrize("diagnostic", ["run_step_bound", "run_hitting"])
     def test_unit_guard_counts_the_full_record_only_with_a_diagnostic(self, monkeypatch, diagnostic):
-        # 5 MB holds the 3.44 MB of a unit that keeps j_indices 5 and 10, not the
-        # 6.48 MB of replication 0's 21 states, 20 pre-projection steps and 20 + 20 increment steps
+        # 5 MB holds the 1.47072 MB of a unit that keeps j_indices 5 and 10, not the
+        # 6.19072 MB of replication 0's 21 states, 20 pre-projection steps and 20 kept
+        # increment steps over all 10000 copies, and its two chunks of 4096 copies and 20 steps
         self.physical_memory(monkeypatch, 5)
         small_config(steps=20, n_grid=[100, 10000])
         with pytest.raises(ConfigError) as caught:
             small_config(steps=20, n_grid=[100, 10000], **{diagnostic: True})
-        assert str(caught.value) == "one ensemble's arrays would take 6480000 bytes, more than physical memory"
+        assert str(caught.value) == "one ensemble's arrays would take 6190720 bytes, more than physical memory"
 
 
 def plain(value):
@@ -569,14 +570,15 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("check", [False, True])
     def test_meta_array_bytes_is_the_largest_unit(self, tmp_path, check):
-        # N = 40, m = 2, 10 steps: 6400 bytes of increments and 640 per kept node;
-        # the --check unit keeps all 11 nodes and 6400 bytes of pre-projection points
+        # N = 40, m = 2, 10 steps: 640 bytes per kept node and 6400 per array of increments,
+        # 2 * 6400 for the stepped and the posted chunk (all 40 copies); the --check unit keeps
+        # all 11 nodes, 6400 bytes of pre-projection points and a 6400-byte copy of its increments
         cfg = tmp_path / "ball.cfg"
         cfg.write_text(BALL_CONFIG_TEXT)
         out = tmp_path / "o"
         assert cli.main(["run", "--config", str(cfg), "--out", str(out)] + ["--check"] * check) == 0
         meta = json.loads((out / "report.json").read_text())["meta"]
-        assert meta["array_bytes"] == (6400 + 11 * 640 + 6400 if check else 6400 + 640)
+        assert meta["array_bytes"] == (11 * 640 + 6400 + 6400 + 2 * 6400 if check else 640 + 2 * 6400)
 
     def test_meta_counts_stream_processes_and_the_csv_does_not_change(self, helper_pool, tmp_path):
         config = small_config(n_grid=[20, 40, 2 * INCREMENT_BLOCK], replications=2,
@@ -709,7 +711,8 @@ class TestCli:
         assert lines[-1].endswith(f" cancelled) csv sha256 {digest}")
         stream = meta["stream"]
         assert (f" this process drew for {stream['caller_draw_s']:.1f}s and waited "
-                f"{stream['helper_wait_s']:.1f}s for helpers, ") in lines[-1]
+                f"{stream['helper_wait_s']:.1f}s for helpers, "
+                f"{stream['buffers_made']} shared buffers made, ") in lines[-1]
 
     def test_reader_closing_the_pipe_early_is_no_error(self, tmp_path):
         # `hullsim run ... | head -1`: a one-page pipe, far more output than it

@@ -465,6 +465,49 @@ def test_no_memfd_or_helper_outlives_close(helper_pool, caller_draws_half):
     assert pool.counts["lookahead_cancelled"] == 1
 
 
+# The shared buffers: at most two, reused along a sequence of draws.
+def test_a_sequence_of_draws_reuses_two_buffers_and_lets_them_go_at_its_end(helper_pool, caller_draws_half):
+    # A, B and C differ in size, so a buffer grows, and each helper maps it again
+    pool = helper_pool(cpus=2)
+    for request, following in [(A, B), (B, C), (C, A), (A, B), (B, None)]:
+        np.testing.assert_array_equal(increments_of(request, then=following), serial(*request, 5, 2, 0.1))
+    assert pool.counts["buffers_made"] == 2 and pool.counts["lookahead_joined"] == 4
+    assert pool.buffers == [] and open_memfds() == 0
+    assert pool.counts["helper_blocks"] >= 2 * 5  # the front half of each draw at least
+
+
+def test_a_held_array_is_never_written_again(helper_pool, caller_draws_half):
+    # every array is kept, so each posted draw needs a new buffer, which replaces the older one
+    pool = helper_pool(cpus=2)
+    sequence = [(A, B), (B, C), (C, A), (A, None)]
+    held = [increments_of(request, then=following) for request, following in sequence]
+    assert pool.counts["buffers_made"] == 4 and pool.buffers == []
+    for (request, _), z in zip(sequence, held):
+        np.testing.assert_array_equal(z, serial(*request, 5, 2, 0.1))
+    del z, held
+    assert open_memfds() == 0
+    # the helper dropped its mappings of the two buffers replaced in the pool
+    [helper] = pool.live
+    maps = Path(f"/proc/{helper.pid}/maps").read_text().splitlines()
+    assert sum("hullsim-increments" in entry for entry in maps) == 2
+
+
+def test_a_multi_unit_run_makes_at_most_two_buffers(helper_pool):
+    # units of 600 copies, then of three chunks (4096, 4096 and 3 copies); each
+    # unit's last chunk posts the next unit's first chunk, which that unit joins
+    pool = helper_pool(cpus=2)
+    config = harness.ExperimentConfig(
+        label="chunks", model_kind="ou", model_params={"theta": 1.0, "sigma": 0.5},
+        x0=np.array([0.0]), mf_kind="constant_interval", mf_params={}, horizon=1.0, steps=5,
+        n_grid=[600, 2 * harness.dynamics.STEP_CHUNK + 3], replications=2, seed=3, j_indices=[5])
+    stream = harness.run_experiment(config).meta["stream"]
+    assert stream["lookahead_cancelled"] == 0
+    # 600 copies at replication 1, then two chunks in each of the two large units
+    assert stream["lookahead_joined"] == 1 + 2 + 2
+    assert stream["buffers_made"] == 2
+    assert pool.buffers == [] and open_memfds() == 0
+
+
 def test_a_helper_stopped_alone_and_close_reap_every_helper_with_exit_status_0(helper_pool):
     # each helper closes this process's ends of the sockets of the helpers
     # forked before it: a later helper that kept the first one's would keep it
