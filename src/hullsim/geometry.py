@@ -540,6 +540,7 @@ def min_norm_point_distance(
     Minimizes ||x - V @ w||^2 over the simplex of generator weights with exact
     line search. It returns ||r|| = ||V @ w - x|| once ||r|| <= tol or the
     duality gap is <= tol * ||r||: ||r||^2 - d^2 <= gap, so ||r|| - d <= tol.
+    A gradient 2 V @ r that overflows float64 is a GeometryError.
     """
     V = np.asarray(points, dtype=float)
     if V.ndim == 1:
@@ -566,6 +567,8 @@ def min_norm_point_distance(
         dist = float(np.linalg.norm(r))
         if dist <= tol or gap <= tol * dist:
             return dist
+        if not math.isfinite(gap):  # 2 V @ r overflowed: every step test below would read NaN
+            raise GeometryError("min-norm-point gradient is not finite: the generators or the query are too large")
 
         active = np.flatnonzero(w > 0)
         a = int(active[np.argmax(grad[active])])

@@ -25,38 +25,40 @@ started, waits for their replies and frees the array's buffer. cancel does
 the same on request, and the posted draw is also cancelled at exit and
 dropped unwritten in a forked child, whose parent still owns it.
 
-The process keeps at most two shared buffers, os.memfd_create files mapped
-here and in each helper: the one whose array the caller reads and the one
-the look-ahead writes. A split draw takes a buffer that no array views any
-more, grown in place if it is too small, and makes a new file only when
-neither buffer is free; the new one replaces the older, whose arrays keep
-their mapping. A helper keeps one mapping per buffer, named by an id sent
-with each request, so each process faults a buffer's pages in once, not once
-per draw; it drops the mappings of buffers the caller has let go at its next
-request. A draw that names no following request ends its sequence and lets
-the buffers go: each file is closed and unmapped with the last array that
-views it. close and a forked child let them go too.
+The helpers and two shared buffers make one generation. The buffers are
+anonymous shared mappings (mmap.mmap(-1, nbytes)) made just before the
+helpers are forked, so each helper inherits them and a request names its
+buffer by index, with no descriptor. One holds the array the caller reads,
+the other the one the look-ahead writes, and each process faults a buffer's
+pages in once, not once per draw. A split draw takes a buffer that no array
+views any more and that is large enough. With none, because the request is
+larger or the caller holds arrays on both, a new generation starts: two new
+buffers sized for the request, then the helpers stopped and new ones forked.
+Arrays on the old buffers keep their own mappings, also in helpers forked
+while the caller held them, unused there until those exit. The buffers live
+until the next generation, close or exit.
 
 There is one helper per CPU of the affinity mask beyond the first, at most
-MAX_HELPERS, forked from this process by its first draw or look-ahead of at
-least 2 * INCREMENT_BLOCK copies, never on import. A helper so starts with
-numpy and the C fill loaded, and takes its part of that first draw. It
-closes this process's ends of its own socket and of the helpers forked
-before it, so that closing one reaches its helper; it ignores SIGINT and
-ends through os._exit, so it never returns into this process's code, runs
-its atexit handlers or flushes the stdio buffers it inherited. Helpers serve
-until the process that started them exits; any other child it forks drops
-them and starts its own. The draw is serial below 2 * INCREMENT_BLOCK
-copies, on a one-CPU mask, where os.memfd_create or os.fork is missing and
-while the helpers hold another draw. The caller draws whatever a failed
-helper left and uses that helper no more. Every path gives the same bytes.
+MAX_HELPERS, forked from this process by the draw or look-ahead of at least
+2 * INCREMENT_BLOCK copies that starts a generation, never on import. A
+helper so starts with numpy and the C fill loaded, and takes its part of
+that draw. It closes this process's ends of its own socket and of the
+helpers forked before it, so that closing one reaches its helper; it ignores
+SIGINT and ends through os._exit, so it never returns into this process's
+code, runs its atexit handlers or flushes the stdio buffers it inherited.
+Helpers serve until the next generation or the exit of the process that
+started them; any other child it forks drops them and their buffers and
+starts its own. The draw is serial below 2 * INCREMENT_BLOCK copies, on a
+one-CPU mask, where os.fork is missing, while the helpers hold another draw
+and when a new generation's buffers cannot be made. The caller draws
+whatever a failed helper left and uses that helper no more; the next
+generation forks a full set. Every path gives the same bytes.
 """
 
 from __future__ import annotations
 
 import atexit
 import ctypes
-import itertools
 import math
 import mmap
 import os
@@ -244,52 +246,16 @@ def _views(buf: mmap.mmap, shape: tuple, helpers: int) -> tuple[np.ndarray, np.n
     return np.ndarray(shape, buffer=buf), ctl
 
 
-_BUFFER_IDS = itertools.count()
-
-
-class _Buffer:
-    """One shared memory file that split draws write their arrays into, and this process's mapping of it.
-
-    id names it in each request, so that a helper maps it once. The buffer
-    is free once no array views the last array made on it, and a free buffer
-    too small for a draw grows in place; it never shrinks.
-    """
-
-    def __init__(self):
-        self.id = next(_BUFFER_IDS)
-        self.fd = os.memfd_create("hullsim-increments")
-        self.map = None
-        self.array = lambda: None  # a weak reference to the last array made on it
-
-    def free(self) -> bool:
-        return self.array() is None
-
-    def arrays(self, shape: tuple, helpers: int) -> tuple[np.ndarray, np.ndarray]:
-        """_views of the buffer, grown first if it is smaller than they need."""
-        nbytes = _nbytes(shape, helpers)
-        if self.map is None or len(self.map) < nbytes:
-            self.map = None  # free: no view of it is left
-            os.ftruncate(self.fd, nbytes)
-            self.map = mmap.mmap(self.fd, nbytes)
-        z, ctl = _views(self.map, shape, helpers)
-        self.array = weakref.ref(z)
-        return z, ctl
-
-    def close(self) -> None:
-        """Close the file; the mapping ends now, or with the last array that views it."""
-        os.close(self.fd)
-        self.map = None
-
-
 class _Helper:
     """One helper process, forked from this one, and this process's end of its socket.
 
-    siblings are the helpers forked before it, whose ends the new helper closes.
-    pid is the helper's, and returncode, None until it is reaped, its exit
-    code, or -signal if a signal ended it.
+    siblings are the helpers forked before it, whose ends the new helper
+    closes; buffers are its generation's, which it inherits. pid is the
+    helper's, and returncode, None until it is reaped, its exit code, or
+    -signal if a signal ended it.
     """
 
-    def __init__(self, siblings: list[_Helper]):
+    def __init__(self, siblings: list[_Helper], buffers: list[mmap.mmap]):
         self.stopped = False
         self.returncode = None
         self.sock, theirs = socket.socketpair(socket.AF_UNIX, socket.SOCK_SEQPACKET)
@@ -302,12 +268,12 @@ class _Helper:
                 self.sock.close()
                 raise
             if self.pid == 0:
-                _serve(theirs, [self.sock] + [helper.sock for helper in siblings])
+                _serve(theirs, [self.sock] + [helper.sock for helper in siblings], buffers)
 
-    def send(self, fd: int, request: tuple) -> bool:
-        """Pass one fill request and the buffer's file; False if the helper is gone."""
+    def send(self, request: tuple) -> bool:
+        """Send one fill request; False if the helper is gone."""
         try:
-            socket.send_fds(self.sock, [pickle.dumps(request)], [fd])
+            self.sock.send(pickle.dumps(request))
         except OSError:
             return False
         return True
@@ -357,16 +323,15 @@ class _Split:
     helpers, whose state is then unknown.
     """
 
-    def __init__(self, pool: _Helpers, helpers: list[_Helper], request: tuple, buffer: _Buffer,
-                 arrays: tuple[np.ndarray, np.ndarray]):
+    def __init__(self, pool: _Helpers, helpers: list[_Helper], request: tuple, index: int,
+                 z: np.ndarray, ctl: np.ndarray):
         seed, copies, _, _, scale = request
         self.pool, self.helpers, self.request = pool, helpers, request
-        self.z, self.ctl = arrays
+        self.z, self.ctl = z, ctl
         cuts = [_block_count(len(copies)) * k // len(helpers) for k in range(len(helpers) + 1)]
         self.starts = cuts[:-1]
         self.ctl[:] = np.column_stack([cuts[:-1], cuts[1:]])
-        live = [b.id for b in pool.buffers]
-        self.sent = [h.send(buffer.fd, (buffer.id, live, self.z.shape, len(helpers), k, seed, copies, scale))
+        self.sent = [h.send((index, self.z.shape, len(helpers), k, seed, copies, scale))
                      for k, h in enumerate(helpers)]
 
     def finish(self) -> np.ndarray:
@@ -409,71 +374,67 @@ class _Split:
 
 
 class _Helpers:
-    """The helper processes of one process, started on its first large draw or look-ahead."""
+    """One process's generation: its helper processes and the two shared buffers they were forked with."""
 
     def __init__(self):
-        self.started = False
         self.live: list[_Helper] = []
         self.lock = threading.Lock()  # held by the one split draw, posted or running, that uses the helpers
         self.posted: dict[tuple, _Split] = {}  # the look-ahead: at most one request and its split
-        self.buffers: list[_Buffer] = []  # at most two: the one the caller reads and the posted one
+        self.buffers: list[mmap.mmap] = []  # none before the first generation, then two
+        self.arrays = []  # per buffer, a weak reference to the last array made on it
         self.counts = {key: 0.0 if key.endswith("_s") else 0 for key in COUNTERS}
         self.counting = threading.Lock()  # threads drawing at once add to the same counters
 
     def post(self, request: tuple) -> _Split | None:
         """Send request to every live helper; the split holds the helpers until it ends.
 
-        None, with the helpers left alone, for a draw below 2 * INCREMENT_BLOCK
-        copies, while another split holds the helpers, when no helper is live
-        (none at all on a one-CPU mask or without os.memfd_create or os.fork)
-        and when no buffer can be made or grown (out of descriptors, maps or memory).
+        The array goes on a buffer that is large enough and free, with no
+        array left that views the last one made on it; with none, a new
+        generation starts (renew). None, with the helpers left alone, for a
+        draw below 2 * INCREMENT_BLOCK copies, while another split holds the
+        helpers, when no helper is live (none at all on a one-CPU mask or
+        without os.fork) and when a new generation's buffers cannot be made
+        (out of maps or memory).
         """
         if len(request[1]) < 2 * INCREMENT_BLOCK or not self.lock.acquire(blocking=False):
             return None
         try:
-            self.start()
-            shared = self.shared(request) if self.live else None
-            if shared is not None:
-                return _Split(self, self.live, request, *shared)
+            _, copies, n, m, _ = request
+            shape = (n, m, len(copies))
+            free = [k for k, buffer in enumerate(self.buffers)
+                    if self.arrays[k]() is None and len(buffer) >= _nbytes(shape, len(self.live))]
+            if (free or self.renew(shape)) and self.live:
+                index = free[0] if free else 0
+                z, ctl = _views(self.buffers[index], shape, len(self.live))
+                self.arrays[index] = weakref.ref(z)
+                return _Split(self, self.live, request, index, z, ctl)
         except BaseException:
-            for helper in self.live:
-                helper.stop()
+            self.stop()
             self.release()
             raise
         self.release()
         return None
 
-    def start(self) -> None:
-        """Start the helpers, once per process: one per CPU of the affinity mask
-        beyond the first, at most MAX_HELPERS. The caller holds the lock."""
-        if not self.started:
-            self.started = True
-            self.live = _start(_helper_count())
+    def renew(self, shape: tuple) -> bool:
+        """Start a generation: two buffers for an array of shape, then the live
+        helpers stopped and new ones forked, which inherit the buffers.
 
-    def shared(self, request: tuple) -> tuple[_Buffer, tuple[np.ndarray, np.ndarray]] | None:
-        """A free buffer, and request's array and the helpers' control words on it.
-
-        When neither buffer is free a new one takes the place of the older,
-        whose arrays keep their mapping. None when the file cannot be made
-        or grown. The caller holds the lock.
+        One helper per CPU of the affinity mask beyond the first, at most
+        MAX_HELPERS. False, with this generation left as it is, on a one-CPU
+        mask and when the buffers cannot be made. The caller holds the lock.
         """
-        _, copies, n, m, _ = request
-        buffer = next((b for b in self.buffers if b.free()), None)
-        if buffer is None:
-            try:
-                buffer = _Buffer()
-            except OSError:
-                return None
-            self.count(buffers_made=1)
-            if len(self.buffers) == 2:
-                self.buffers.pop(0).close()
-            self.buffers.append(buffer)
+        count = _helper_count()
+        if count == 0:
+            return False
         try:
-            return buffer, buffer.arrays((n, m, len(copies)), len(self.live))
+            buffers = [mmap.mmap(-1, _nbytes(shape, count)) for _ in range(2)]
         except OSError:
-            self.buffers.remove(buffer)
-            buffer.close()
-            return None
+            return False
+        self.stop()
+        self.buffers, self.arrays = buffers, [lambda: None] * 2
+        self.count(buffers_made=2)
+        self.live = _start(count, buffers)
+        return True
 
     def count(self, **added: int) -> None:
         with self.counting:
@@ -512,53 +473,43 @@ class _Helpers:
         split.cancel()
         self.count(lookahead_cancelled=1)
 
-    def drop_buffers(self) -> None:
-        """Close the buffers; an array that views one keeps its mapping."""
-        for buffer in self.buffers:
-            buffer.close()
-        self.buffers = []
-
-    def end(self) -> None:
-        """A sequence of draws ended: drop the buffers unless a split holds the helpers,
-        which only a draw of another thread's sequence can."""
-        if self.lock.acquire(blocking=False):
-            try:
-                self.drop_buffers()
-            finally:
-                self.lock.release()
-
-    def close(self) -> None:
-        self.cancel()
-        self.drop_buffers()
+    def stop(self) -> None:
+        """Stop the live helpers; every one starts to exit before the first wait."""
         for helper in self.live:
-            helper.sock.close()  # every helper starts to exit before the first wait
+            helper.sock.close()
         for helper in self.live:
             helper.stop()
         self.live = []
 
+    def close(self) -> None:
+        """Cancel the posted split, stop the helpers and drop the buffers; an
+        array that views one keeps its mapping."""
+        self.cancel()
+        self.stop()
+        self.buffers, self.arrays = [], []
+
     def forget(self) -> None:
-        """In a forked child: drop the parent's helpers, posted split and buffers, so the child starts its own."""
+        """In a forked child: drop the parent's generation and posted split, so the child starts its own."""
         for helper in self.live:
             helper.sock.close()  # the child's copy; the parent's stays open
-        self.started = False
         self.live = []
         self.posted = {}  # unwritten: its control words are the parent's
-        self.drop_buffers()  # the child's copies: a write through them would land in the parent's arrays
+        self.buffers, self.arrays = [], []  # shared with the parent: a write would land in its arrays
         self.lock = threading.Lock()
         self.counting = threading.Lock()
 
 
 def _helper_count() -> int:
-    if not all(hasattr(os, name) for name in ("fork", "memfd_create", "sched_getaffinity")):
+    if not all(hasattr(os, name) for name in ("fork", "sched_getaffinity")):
         return 0
     return min(len(os.sched_getaffinity(0)) - 1, MAX_HELPERS)
 
 
-def _start(count: int) -> list[_Helper]:
+def _start(count: int, buffers: list[mmap.mmap]) -> list[_Helper]:
     helpers = []
     for _ in range(count):
         try:
-            helpers.append(_Helper(helpers))
+            helpers.append(_Helper(helpers, buffers))
         except OSError:
             break
     return helpers
@@ -598,9 +549,7 @@ def draw(seed: int, copies: range, n: int, m: int, scale: float, then: tuple | N
     between its helper and the caller. then, the (seed, copies) of the draw
     that follows with the same n, m and scale, is posted to the helpers once
     this array is complete, and the next draw of exactly that request joins
-    it. Any other draw first cancels the posted draw. A draw without then
-    ends its sequence: the process lets its shared buffers go, each unmapped
-    once no array views it.
+    it. Any other draw first cancels the posted draw.
     """
     request = (seed, copies, n, m, scale)
     split = _HELPERS.claim(request)
@@ -618,52 +567,32 @@ def draw(seed: int, copies: range, n: int, m: int, scale: float, then: tuple | N
         split = _HELPERS.post(following)
         if split is not None:
             _HELPERS.posted[following] = split
-    else:
-        _HELPERS.end()
     return z
 
 
-def _serve(sock: socket.socket, inherited: list[socket.socket]) -> None:
-    """A forked helper's life: fill each requested slice of a shared array until
-    end of file on sock, then exit.
+def _serve(sock: socket.socket, inherited: list[socket.socket], buffers: list[mmap.mmap]) -> None:
+    """A forked helper's life: fill each requested slice of an array on one of
+    buffers, its generation's, until end of file on sock, then exit.
 
     inherited are this process's ends of every helper socket, closed first so
-    that each helper sees end of file once the caller closes its end. The
-    helper keeps one mapping per buffer of the caller (_fill_slice). It ends
-    only through os._exit, with 0 at end of file and 1 on any error, so it
-    never returns into the caller's stack.
+    that each helper sees end of file once the caller closes its end. buffers
+    come as an argument, not from _HELPERS, which the fork handler has reset.
+    The helper ends only through os._exit, with 0 at end of file and 1 on any
+    error, so it never returns into the caller's stack.
     """
     code = 1
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)  # a terminal's Ctrl-C is the caller's
         for caller_end in inherited:
             caller_end.close()
-        maps = {}  # buffer id -> this process's mapping of it
         while True:
-            message, fds, _, _ = socket.recv_fds(sock, 4096, 1)
+            message = sock.recv(4096)
             if not message:
                 break
-            _fill_slice(maps, fds[0], *pickle.loads(message))
+            index, shape, helpers, k, seed, copies, scale = pickle.loads(message)
+            z, ctl = _views(buffers[index], shape, helpers)
+            fill(z, seed, copies, scale, _ahead(ctl[k]))
             sock.send(b"done")
         code = 0
     finally:
         os._exit(code)
-
-
-def _fill_slice(maps, fd, buffer_id, live, shape, helpers, k, seed, copies, scale) -> None:
-    """Helper k's part of one draw into the caller's buffer buffer_id, whose file is fd.
-
-    maps holds this process's mapping of each buffer, made on its first draw
-    and again once the buffer has grown; the mappings of buffers not in live,
-    which the caller has let go, are dropped first.
-    """
-    try:
-        for stale in maps.keys() - set(live):
-            del maps[stale]
-        if buffer_id not in maps or len(maps[buffer_id]) < _nbytes(shape, helpers):
-            maps[buffer_id] = mmap.mmap(fd, 0)
-    finally:
-        os.close(fd)
-    z, ctl = _views(maps[buffer_id], shape, helpers)
-    fill(z, seed, copies, scale, _ahead(ctl[k]))
-

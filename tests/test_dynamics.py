@@ -93,14 +93,14 @@ class TestIncrements:
         pool = helper_pool(cpus=2)
         copies = range(1, 2 * INCREMENT_BLOCK)
         z = gaussian_increments(4, copies, 3, 2, 0.1)
-        assert not pool.started and stream_processes() == 1
+        assert pool.buffers == [] and pool.live == [] and stream_processes() == 1
         np.testing.assert_array_equal(z[-1], fresh_stream(4, copies[-1], 3, 2, 0.1))
 
     def test_one_cpu_starts_no_helper(self, helper_pool):
         pool = helper_pool(cpus=1)
         copies = range(1, 4 * INCREMENT_BLOCK)
         z = gaussian_increments(4, copies, 3, 2, 0.1)
-        assert pool.started and pool.live == [] and stream_processes() == 1
+        assert pool.buffers == [] and pool.live == [] and stream_processes() == 1
         np.testing.assert_array_equal(z[-1], fresh_stream(4, copies[-1], 3, 2, 0.1))
 
     def test_copy_does_not_depend_on_its_range(self):

@@ -707,21 +707,33 @@ class TestHullDistance:
     @pytest.mark.parametrize(
         "points, x, tol, expected",
         [
-            # 2 V @ r overflows at the far generator, so the mean gradient is NaN and
-            # no step test holds: the away vertex is the start vertex, which carries
-            # all the weight (w[a] >= 1.0), and its distance is the distance to [0, 1e308]
-            ([[0.0], [1e308]], [-1.0], 1e-9, 1.0),
             # the toward step's squared length underflows (denom == 0.0): the segment
             # is 1e-200 long, and a tol this small keeps its gap of 2e-200 from ending
             # the search first; the distance is the distance to its ends
             ([[0.0, 0.0], [1e-200, 0.0]], [1.0, 1.0], 1e-300, np.sqrt(2.0)),
             ([[0.0, 0.0], [1e-200, 0.0]], [3.0, -4.0], 1e-300, 5.0),
         ],
-        ids=["all_weight_on_the_away_vertex", "zero_step_length", "zero_step_length_3_4_5"],
+        ids=["zero_step_length", "zero_step_length_3_4_5"],
     )
     def test_solver_early_exits_return_the_distance(self, points, x, tol, expected):
         with np.errstate(over="ignore", invalid="ignore"):
             assert min_norm_point_distance(np.array(points), np.array(x), tol) == expected
+
+    @pytest.mark.parametrize(
+        "points, x",
+        [
+            # 2 V @ r overflows at the far generator, so the mean gradient is NaN and no step
+            # test can hold: the start vertex's distance, 1.118, would stand for the edge's 1.0
+            ([[0.0, 0.0], [1e308, 0.0], [0.0, 1.0]], [-1.0, 0.5]),
+            # the same overflow where the start vertex happens to be the nearest point
+            ([[0.0], [1e308]], [-1.0]),
+        ],
+        ids=["start_vertex_for_an_edge", "all_weight_on_the_away_vertex"],
+    )
+    def test_solver_rejects_an_overflowing_gradient(self, points, x):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(GeometryError) as info:
+            min_norm_point_distance(np.array(points), np.array(x))
+        assert str(info.value).startswith("min-norm-point gradient is not finite") and "\n" not in str(info.value)
 
     def test_solver_cap_raises_with_its_residual(self):
         # the nearest point is an edge midpoint: the start vertex is one step short

@@ -6,6 +6,7 @@ ResourceWarning, including one printed at shutdown, shows on their stderr.
 
 import ctypes
 import json
+import mmap
 import os
 import re
 import signal
@@ -29,10 +30,7 @@ from hullsim.increments import INCREMENT_BLOCK, stream_processes
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
-pytestmark = pytest.mark.skipif(
-    not hasattr(os, "memfd_create") or not hasattr(os, "fork"),
-    reason="helpers need os.memfd_create; the fork check needs os.fork",
-)
+pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="helpers are forked with os.fork")
 
 # Starts one helper whatever the host's CPU count, and prints its pid.
 PRELUDE = f"""
@@ -180,28 +178,29 @@ def test_a_raising_draw_stops_the_helpers_it_held(helper_pool, monkeypatch):
                                   serial(3, copies, 4, 1, 0.2))
 
 
-def test_no_memfd_starts_no_helper(helper_pool, monkeypatch):
+def test_no_fork_starts_no_helper(helper_pool, monkeypatch):
     pool = helper_pool(cpus=2)
-    monkeypatch.delattr(os, "memfd_create")
+    monkeypatch.delattr(os, "fork")
     copies = range(1, 2 * INCREMENT_BLOCK + 1)
     z = gaussian_increments(6, copies, 3, 2, 0.1)
-    assert pool.started and pool.live == [] and stream_processes() == 1
+    assert pool.buffers == [] and pool.live == [] and stream_processes() == 1
     np.testing.assert_array_equal(z, serial(6, copies, 3, 2, 0.1))
 
 
 def test_draw_without_a_shared_file_is_serial_and_keeps_the_helpers(helper_pool, monkeypatch):
-    # each live shared array holds one descriptor, so memfd_create can run out of them
+    # a larger draw needs a new generation, whose buffers may not be mapped (out of maps or memory)
     pool = helper_pool(cpus=2)
-    copies = range(1, 2 * INCREMENT_BLOCK + 1)
-    gaussian_increments(6, copies, 3, 2, 0.1)
+    gaussian_increments(6, range(1, 2 * INCREMENT_BLOCK + 1), 3, 2, 0.1)
+    [helper] = pool.live
 
-    def out_of_descriptors(name):
-        raise OSError(24, "Too many open files")
+    def out_of_memory(*args):
+        raise OSError(12, "Cannot allocate memory")
 
-    monkeypatch.setattr(os, "memfd_create", out_of_descriptors)
+    monkeypatch.setattr(mmap, "mmap", out_of_memory)
+    copies = range(1, 3 * INCREMENT_BLOCK + 1)
     z = gaussian_increments(6, copies, 3, 2, 0.1)
     np.testing.assert_array_equal(z, serial(6, copies, 3, 2, 0.1))
-    assert len(pool.live) == 1 and stream_processes() == 2
+    assert pool.live == [helper] and stream_processes() == 2 and pool.counts["buffers_made"] == 2
 
 
 def test_threads_drawing_at_once_get_their_own_streams(helper_pool):
@@ -222,8 +221,9 @@ def test_threads_drawing_at_once_get_their_own_streams(helper_pool):
         except Exception as exc:  # reported below, not lost with the thread
             errors.append(exc)
 
-    with pool.lock:  # forked here, before the threads start
-        pool.start()
+    # forked here, before the threads start, with buffers for the largest case; the
+    # threads hold every array they get, so their draws start generations of their own
+    gaussian_increments(*max(cases, key=lambda case: len(case[1]) * case[3]))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -384,10 +384,11 @@ def test_a_look_ahead_abandoned_by_an_exception_is_cancelled(helper_pool, caller
     [helper] = pool.live
     assert helper.poll() is None
     n_copies, seed = units[-1]
-    abandoned = (seed, range(1, n_copies + 1))
+    abandoned = (seed, range(1, n_copies + 1), 5, 1, 0.2)  # the run's shape: the same generation
     before = pool.counts["helper_blocks"]
-    np.testing.assert_array_equal(increments_of(abandoned), serial(*abandoned, 5, 2, 0.1))
+    np.testing.assert_array_equal(gaussian_increments(*abandoned), serial(*abandoned))
     assert pool.counts["helper_blocks"] > before and pool.live == [helper]
+    assert pool.counts["buffers_made"] == 2
 
 
 @pytest.mark.parametrize("largest", [2 * INCREMENT_BLOCK, 2 * INCREMENT_BLOCK - 1])
@@ -413,7 +414,7 @@ def test_helpers_take_part_in_a_runs_first_split_draw(helper_pool, caller_draws_
         assert helper_blocks[:2] == [0, 0] and helper_blocks[2] > 0
         assert len(pool.live) == 1
     else:
-        assert helper_blocks == [0] * 4 and not pool.started and pool.live == []
+        assert helper_blocks == [0] * 4 and pool.buffers == [] and pool.live == []
 
 
 def test_helper_killed_mid_look_ahead_leaves_the_bytes(helper_pool, caller_draws_half):
@@ -442,59 +443,63 @@ def test_one_cpu_look_ahead_is_a_no_op(helper_pool, caller_draws_half):
     assert pool.counts["lookahead_joined"] == 0 and pool.counts["helper_blocks"] == 0
 
 
-def open_memfds() -> int:
-    """Descriptors and mappings of this process on an increments shared file."""
-    entries = Path("/proc/self/maps").read_text().splitlines()
-    for fd in os.listdir("/proc/self/fd"):
-        try:
-            entries.append(os.readlink(f"/proc/self/fd/{fd}"))
-        except OSError:  # the descriptor listdir itself read through
-            pass
-    return sum("hullsim-increments" in entry for entry in entries)
+def shared_maps(pid="self") -> set[str]:
+    """The inodes of a process's anonymous shared mappings, as the increment buffers are."""
+    lines = Path(f"/proc/{pid}/maps").read_text().splitlines()
+    return {line.split()[4] for line in lines if line.endswith("/dev/zero (deleted)")}
 
 
-def test_no_memfd_or_helper_outlives_close(helper_pool, caller_draws_half):
+def test_no_buffer_or_helper_outlives_close(helper_pool, caller_draws_half):
+    before = shared_maps()  # other pools' buffers, as the session's own
     pool = helper_pool(cpus=2)
-    z = increments_of(A, then=B)
+    z = increments_of(A, then=B)  # B is larger: its look-ahead starts a second generation
     pids = [helper.pid for helper in pool.live]
-    assert len(pids) == 1 and open_memfds() > 0
+    assert len(pids) == 1 and len(shared_maps() - before) == 1 + 2  # z's buffer and the new two
     del z
     pool.close()
-    assert open_memfds() == 0
+    assert shared_maps() <= before
     assert not any(running(pid) for pid in pids)
     assert pool.counts["lookahead_cancelled"] == 1
 
 
-# The shared buffers: at most two, reused along a sequence of draws.
-def test_a_sequence_of_draws_reuses_two_buffers_and_lets_them_go_at_its_end(helper_pool, caller_draws_half):
-    # A, B and C differ in size, so a buffer grows, and each helper maps it again
+# The shared buffers: two per generation, reused along a sequence of draws.
+def test_a_sequence_of_draws_reuses_two_buffers(helper_pool, caller_draws_half):
+    # B is the largest request, so A and C reuse the two buffers its draw made
+    before = shared_maps()
     pool = helper_pool(cpus=2)
-    for request, following in [(A, B), (B, C), (C, A), (A, B), (B, None)]:
+    for request, following in [(B, C), (C, A), (A, B), (B, A), (A, None)]:
         np.testing.assert_array_equal(increments_of(request, then=following), serial(*request, 5, 2, 0.1))
     assert pool.counts["buffers_made"] == 2 and pool.counts["lookahead_joined"] == 4
-    assert pool.buffers == [] and open_memfds() == 0
     assert pool.counts["helper_blocks"] >= 2 * 5  # the front half of each draw at least
+    # both stay mapped, here and in the helper, until close
+    [helper] = pool.live
+    mine = shared_maps() - before
+    assert len(mine) == 2 and mine <= shared_maps(helper.pid)
+    pool.close()
+    assert shared_maps() <= before
 
 
 def test_a_held_array_is_never_written_again(helper_pool, caller_draws_half):
-    # every array is kept, so each posted draw needs a new buffer, which replaces the older one
+    # every array is kept, so a posted draw finds no free buffer large enough and starts a
+    # generation: A's, then B's (larger), C's on B's second buffer, then A's again (both held)
+    before = shared_maps()
     pool = helper_pool(cpus=2)
     sequence = [(A, B), (B, C), (C, A), (A, None)]
     held = [increments_of(request, then=following) for request, following in sequence]
-    assert pool.counts["buffers_made"] == 4 and pool.buffers == []
+    assert pool.counts["buffers_made"] == 3 * 2
     for (request, _), z in zip(sequence, held):
         np.testing.assert_array_equal(z, serial(*request, 5, 2, 0.1))
     del z, held
-    assert open_memfds() == 0
-    # the helper dropped its mappings of the two buffers replaced in the pool
+    # only the last generation's two buffers are left, and its helper maps both
     [helper] = pool.live
-    maps = Path(f"/proc/{helper.pid}/maps").read_text().splitlines()
-    assert sum("hullsim-increments" in entry for entry in maps) == 2
+    mine = shared_maps() - before
+    assert len(mine) == 2 and mine <= shared_maps(helper.pid)
 
 
 def test_a_multi_unit_run_makes_at_most_two_buffers(helper_pool):
     # units of 600 copies, then of three chunks (4096, 4096 and 3 copies); each
     # unit's last chunk posts the next unit's first chunk, which that unit joins
+    before = shared_maps()
     pool = helper_pool(cpus=2)
     config = harness.ExperimentConfig(
         label="chunks", model_kind="ou", model_params={"theta": 1.0, "sigma": 0.5},
@@ -504,8 +509,56 @@ def test_a_multi_unit_run_makes_at_most_two_buffers(helper_pool):
     assert stream["lookahead_cancelled"] == 0
     # 600 copies at replication 1, then two chunks in each of the two large units
     assert stream["lookahead_joined"] == 1 + 2 + 2
-    assert stream["buffers_made"] == 2
-    assert pool.buffers == [] and open_memfds() == 0
+    # two generations of two buffers: the 600-copy draws', then the chunks'
+    assert stream["buffers_made"] == 2 * 2
+    assert len(shared_maps() - before) == 2
+    pool.close()
+    assert shared_maps() <= before
+
+
+def test_a_larger_draw_starts_a_generation():
+    # new helpers on two new buffers; the old helpers exit with status 0, an
+    # array held on an old buffer keeps its bytes, and with no buffers to be
+    # had the draw is serial and the generation stays
+    code = PRELUDE + textwrap.dedent("""
+        import mmap
+        import numpy as np
+
+        def serial(seed, copies):
+            z = np.empty((5, 2, len(copies)))
+            increments.fill(z, seed, copies, float(np.sqrt(0.1)))
+            return z.transpose(2, 0, 1)
+
+        held = gaussian_increments(8, COPIES, 5, 2, 0.1)  # on a first-generation buffer
+        old = list(increments._HELPERS.live)
+        larger = range(1, 5 * 256 + 1)
+        z = gaussian_increments(9, larger, 5, 2, 0.1)
+        new = list(increments._HELPERS.live)
+        held_on_old = isinstance(held.base.base, mmap.mmap) and held.base.base not in increments._HELPERS.buffers
+
+        def out_of_memory(*args):
+            raise OSError(12, "Cannot allocate memory")
+
+        mmap.mmap = out_of_memory
+        largest = range(1, 9 * 256 + 1)
+        w = gaussian_increments(10, largest, 5, 2, 0.1)
+        print(json.dumps({
+            "old": [(h.pid, h.returncode) for h in old], "new": [h.pid for h in new],
+            "live": [h.pid for h in increments._HELPERS.live], "processes": stream_processes(),
+            "held_on_old": held_on_old,
+            "held": bool((held == first).all()), "larger": bool((z == serial(9, larger)).all()),
+            "largest": bool((w == serial(10, largest)).all()),
+            "buffers_made": increments.stream_counters()["buffers_made"]}))
+    """)
+    proc = run_script(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    out = json.loads(proc.stdout)
+    [(old_pid, old_status)] = out["old"]
+    assert old_status == 0 and not running(old_pid)
+    assert len(out["new"]) == 1 and out["new"] != [old_pid] and out["live"] == out["new"]
+    assert out["processes"] == 2 and out["buffers_made"] == 2 * 2
+    assert out["held_on_old"] and out["held"] and out["larger"] and out["largest"]
 
 
 def test_a_helper_stopped_alone_and_close_reap_every_helper_with_exit_status_0(helper_pool):
