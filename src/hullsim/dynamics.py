@@ -13,16 +13,18 @@ holds more than one chunk's increments and the next chunk's posted draw,
 whatever the number of copies. So copy i is reproducible in isolation, equals
 its ensemble slice bit for bit, and results do not depend on how the copies
 are scheduled; how the stream is drawn, by this process and its helper
-processes, is hullsim.increments. A step whose pre-projection point is not
-finite, or so large that its squared norm overflows, raises ModelError naming
-the step and the copy: the first failing step of the first chunk that fails.
+processes, is hullsim.increments. Observers read each step as it is made
+(StepObserver), so a check of the steps needs no kept record. A step whose
+pre-projection point is not finite, or so large that its squared norm
+overflows, raises ModelError naming the step and the copy: the first failing
+step of the first chunk that fails.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
@@ -213,13 +215,13 @@ class PathEnsemble:
     node 0..steps unless the simulation was given fewer), and states[i, k] is
     copy i+1 at node nodes[k] (copies use streams (seed, 1..N)); at(j) is
     node j's (n_copies, m) slice. pre_projection and increments, kept only on
-    request and then with every node's state, are the step record the oracle
-    checks: the point each step reached before it was projected onto the next
-    body, and the increment that step drew. All three are coordinate-major in
-    memory (transposed views of (node, coordinate, copy) arrays), so one
-    coordinate at one node, states[:, k, c], pre_projection[:, j, c] or
-    increments[:, j, c], is contiguous and one node's slice states[:, k] is
-    an F-ordered (n_copies, m) view.
+    request and then with every node's state, are the step record the oracle's
+    record functions replay: the point each step reached before it was
+    projected onto the next body, and the increment that step drew. All three
+    are coordinate-major in memory (transposed views of (node, coordinate,
+    copy) arrays), so one coordinate at one node, states[:, k, c],
+    pre_projection[:, j, c] or increments[:, j, c], is contiguous and one
+    node's slice states[:, k] is an F-ordered (n_copies, m) view.
     """
 
     grid: TimeGrid
@@ -270,10 +272,40 @@ def _kept_nodes(grid: TimeGrid, nodes: Sequence[int] | None, keep_pre_projection
     return nodes
 
 
+class StepObserver(Protocol):
+    """Reads each step of a simulation as it is made (simulate_ensemble's observers).
+
+    observe(j, rows, x, z, h, body) gets step j of the copies at positions rows
+    of the ensemble: their (len(rows), m) states x at node j, increments z,
+    pre-projection points h and the body C(t_{j+1}) h was projected onto. It
+    may read the arrays only during the call: z lies on a shared draw buffer,
+    and a view of it kept past the call stops that buffer's reuse.
+    """
+
+    def observe(self, j: int, rows: slice, x: np.ndarray, z: np.ndarray, h: np.ndarray,
+                body: ConvexBody) -> None: ...
+
+
+class _StepRecord:
+    """keep_pre_projection's observer: every step's pre-projection points and a copy of
+    its increments, each a coordinate-major (steps, m, copies) array."""
+
+    def __init__(self, steps: int, m: int, count: int):
+        self.pre = np.empty((steps, m, count))
+        self.increments = np.empty((steps, m, count))
+
+    def observe(self, j, rows, x, z, h, body):
+        self.pre[j][:, rows] = h.T
+        self.increments[j][:, rows] = z.T
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The pre-projection points and the increments, (copies, steps, m) views."""
+        return self.pre.transpose(2, 0, 1), self.increments.transpose(2, 0, 1)
+
+
 def _simulate(model: SdeModel, mf: Multifunction, grid: TimeGrid, seed: int, copies: range,
-              keep_pre_projection: bool, then: tuple[int, range] | None = None,
-              nodes: tuple[int, ...] | None = None
-              ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+              observers: Sequence[StepObserver] = (), then: tuple[int, range] | None = None,
+              nodes: tuple[int, ...] | None = None) -> np.ndarray:
     """Step copies i in copies on streams (seed, i), in chunks of STEP_CHUNK
     copies; nodes, checked by _kept_nodes, are the nodes whose states are kept.
 
@@ -282,14 +314,13 @@ def _simulate(model: SdeModel, mf: Multifunction, grid: TimeGrid, seed: int, cop
     names then, so the next chunk is drawn while this one is stepped; the
     chunk's array is dropped before the next draw. Body j + 1 is built once,
     by the first chunk's step j. A failing copy is named by the first failing
-    step of the first chunk that fails.
+    step of the first chunk that fails. After each step every observer reads
+    it (StepObserver), in order.
 
     Returns the states at nodes (len(copies), len(nodes), m), every node
-    0..steps when nodes is None, and on request the pre-projection points
-    and a copy of the increments that were stepped, both (len(copies), steps,
-    m), else None. All three are transposed views of coordinate-major (node,
-    coordinate, copy) arrays, written one chunk's columns at a time. Each
-    step's operands are F-ordered (len(chunk), m) views, so every
+    0..steps when nodes is None: a transposed view of a coordinate-major
+    (node, coordinate, copy) array, written one chunk's columns at a time.
+    Each step's operands are F-ordered (len(chunk), m) views, so every
     elementwise operation of the step runs along the copies. A chunk starts
     from one (m, len(chunk)) buffer holding x0, copied into node 0's slot of
     the states when node 0 is kept, and each step's result is copied into
@@ -300,8 +331,6 @@ def _simulate(model: SdeModel, mf: Multifunction, grid: TimeGrid, seed: int, cop
     nodes = range(n + 1) if nodes is None else nodes
     states = np.empty((len(nodes), m, len(copies)))
     slots = dict(zip(nodes, states))
-    pre = np.empty((n, m, len(copies))) if keep_pre_projection else None
-    kept = np.empty((n, m, len(copies))) if keep_pre_projection else None
     bodies = []  # bodies[j] is C(t_{j+1})
     for first in range(0, max(len(copies), 1), STEP_CHUNK):  # no copies: the empty chunk's draw raises
         chunk = copies[first:first + STEP_CHUNK]
@@ -317,19 +346,18 @@ def _simulate(model: SdeModel, mf: Multifunction, grid: TimeGrid, seed: int, cop
             if j == len(bodies):
                 bodies.append(mf(grid.node(j + 1)))
             try:
-                h, x = euler_step(model, bodies[j], x, z[:, j], grid.delta)
+                h, x_next = euler_step(model, bodies[j], x, z[:, j], grid.delta)
             except (ModelError, GeometryError) as exc:
                 # a per-copy failure names its batch row; any other fails every copy
                 row = getattr(exc, "where", (0,))[0]
                 raise ModelError(f"step {j} of copy {chunk[row]} failed: {exc}") from exc
+            for observer in observers:
+                observer.observe(j, cols, x, z[:, j], h, bodies[j])
+            x = x_next
             if j + 1 in slots:
                 slots[j + 1][:, cols] = x.T
-            if pre is not None:
-                pre[j][:, cols] = h.T
-        if kept is not None:
-            kept[..., cols] = z.transpose(1, 2, 0)
         del z  # so the next chunk's draw may reuse its shared buffer
-    return tuple(None if a is None else a.transpose(2, 0, 1) for a in (states, pre, kept))
+    return states.transpose(2, 0, 1)
 
 
 def simulate_path(
@@ -341,9 +369,9 @@ def simulate_path(
     keep_pre_projection: bool = False,
 ) -> SamplePath:
     """Simulate a single copy on the stream (seed, copy_index)."""
-    copies = range(copy_index, copy_index + 1)
-    states, pre, _ = _simulate(model, mf, grid, seed, copies, keep_pre_projection)
-    return SamplePath(grid, copy_index, states[0], None if pre is None else pre[0])
+    record = [_StepRecord(grid.steps, model.dim, 1)] if keep_pre_projection else []
+    states = _simulate(model, mf, grid, seed, range(copy_index, copy_index + 1), record)
+    return SamplePath(grid, copy_index, states[0], record[0].arrays()[0][0] if record else None)
 
 
 def simulate_ensemble(
@@ -355,6 +383,7 @@ def simulate_ensemble(
     keep_pre_projection: bool = False,
     next_ensemble: tuple[int, int] | None = None,
     nodes: Sequence[int] | None = None,
+    observers: Sequence[StepObserver] = (),
 ) -> PathEnsemble:
     """Simulate copies 1..n_copies on streams (seed, i), stepping them as a batch.
 
@@ -366,18 +395,20 @@ def simulate_ensemble(
     0..steps, an unsorted or repeated one and an empty list raise ModelError.
     keep_pre_projection keeps the step record the oracle checks: the
     pre-projection points, the increments and every node's state, so it takes
-    no nodes (ModelError). next_ensemble, the (n_copies, seed) of the ensemble
-    the caller simulates next on the same model and grid, names that
-    ensemble's first chunk as the last chunk's then: it only lets those
-    increments be drawn while this ensemble's last chunk is stepped, and the
-    result does not depend on it.
+    no nodes (ModelError). observers read every step as it is made
+    (StepObserver), so a check can run without a kept record. next_ensemble,
+    the (n_copies, seed) of the ensemble the caller simulates next on the same
+    model and grid, names that ensemble's first chunk as the last chunk's
+    then: it only lets those increments be drawn while this ensemble's last
+    chunk is stepped, and the result does not depend on it.
     """
     then = None
     if next_ensemble is not None:  # the next ensemble's first chunk
         then = (next_ensemble[1], range(1, min(next_ensemble[0], STEP_CHUNK) + 1))
     nodes = _kept_nodes(grid, nodes, keep_pre_projection)
-    states, pre, z = _simulate(model, mf, grid, seed, range(1, n_copies + 1), keep_pre_projection, then,
-                               nodes)
+    record = [_StepRecord(grid.steps, model.dim, n_copies)] if keep_pre_projection else []
+    states = _simulate(model, mf, grid, seed, range(1, n_copies + 1), [*observers, *record], then, nodes)
+    pre, z = record[0].arrays() if record else (None, None)
     return PathEnsemble(grid=grid, n_copies=n_copies, seed=seed, states=states,
                         pre_projection=pre, increments=z, nodes=nodes)
 

@@ -15,7 +15,7 @@ import os
 import time
 import warnings
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -165,13 +165,8 @@ class ExperimentConfig:
         if len(set(js)) != len(js):
             raise ConfigError(f"j_indices must not repeat a node, got {list(js)}")
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        # one ensemble's states at j_indices; with a diagnostic on, replication 0 keeps its
-        # step record instead: every node's state, its pre-projection points and its increments
-        if self.run_step_bound or self.run_hitting:
-            kept_rows = self.steps + 1 + 2 * self.steps
-        else:
-            kept_rows = len(js)
-        unit_bytes = kept_rows * x0.size * n[-1] * 8 + _chunk_bytes(self.steps, x0.size, n[-1])
+        # one ensemble's states at j_indices (the diagnostics keep no step record)
+        unit_bytes = len(js) * x0.size * n[-1] * 8 + _chunk_bytes(self.steps, x0.size, n[-1])
         if unit_bytes > memory:
             raise ConfigError(f"one ensemble's arrays would take {unit_bytes} bytes, more than physical memory")
         # one error row per unit, node and probe (default_probes' 3^m - 1 when not given)
@@ -352,24 +347,28 @@ def run_experiment(config: ExperimentConfig) -> ConvergenceReport:
     units = [(n, r) for n in config.n_grid for r in range(config.replications)]
     seeds = [dynamics.derive_seed(config.seed, n, r) for n, r in units]
     following = [(n, seed) for (n, _), seed in zip(units[1:], seeds[1:])] + [None]
-    estimated = sorted(config.j_indices)  # the nodes a unit keeps unless it keeps its step record
+    estimated = sorted(config.j_indices)  # the nodes every unit keeps
     counts = increments.stream_counters()
     array_bytes = 0
     try:
         for (n_copies, r), seed, next_ensemble in zip(units, seeds, following):
-            keep_h = r == 0 and (config.run_step_bound or run_hitting)
+            checks = {}  # replication 0's diagnostics, run on its steps as they are made
+            if r == 0 and config.run_step_bound:
+                checks["step_bound"] = oracle.StepBoundCheck(model, grid.delta, diag_probes, constants)
+            if r == 0 and run_hitting:
+                checks["hitting"] = oracle.HittingCount(probes, grid.steps)
+            timed = _TimedObservers(checks.values())
             j = None
             try:
                 t0 = time.perf_counter()
                 ens = dynamics.simulate_ensemble(
-                    model, mf, grid, n_copies, seed, keep_pre_projection=keep_h,
-                    next_ensemble=next_ensemble, nodes=None if keep_h else estimated,
+                    model, mf, grid, n_copies, seed, next_ensemble=next_ensemble, nodes=estimated,
+                    observers=[timed] if checks else (),
                 )
                 array_bytes = max(array_bytes, _array_bytes(ens))
-                if keep_h and not config.run_step_bound:  # only the step-bound check reads the increments
-                    ens = replace(ens, increments=None)
                 t1 = time.perf_counter()
-                phases["simulate"] += t1 - t0
+                phases["simulate"] += t1 - t0 - timed.seconds
+                phases["diagnostics"] += timed.seconds
                 for j in config.j_indices:
                     hull = estimation.hull_estimate(ens, j)
                     if dim == 1:
@@ -389,17 +388,16 @@ def run_experiment(config: ExperimentConfig) -> ConvergenceReport:
                 where = f"N={n_copies}, replication={r}" + (f", j={j}" if j else "")
                 raise RuntimeError(f"experiment aborted at {where}: {exc}") from exc
             t0 = time.perf_counter()
-            if r == 0 and config.run_step_bound:
-                report = oracle.step1_bound_check(model, ens, mf, diag_probes, constants=constants)
+            if "step_bound" in checks:
+                report = checks["step_bound"].report()
                 diagnostics["step_bound"].append({"N": n_copies, **_plain(asdict(report))})
-            if r == 0 and run_hitting:
-                hits = oracle.hitting_frequency(ens, mf, probes)
+            if "hitting" in checks:
                 diagnostics["hitting"].extend(
                     {"N": n_copies, "probe_index": p_idx, **_plain(asdict(hit))}
-                    for p_idx, hit in enumerate(hits)
+                    for p_idx, hit in enumerate(checks["hitting"].report())
                 )
             phases["diagnostics"] += time.perf_counter() - t0
-            del ens  # with its step record, before the next unit allocates its own
+            del ens  # before the next unit allocates its own
     except BaseException:
         increments.cancel()  # a posted look-ahead nothing will join
         raise
@@ -412,7 +410,7 @@ def run_experiment(config: ExperimentConfig) -> ConvergenceReport:
         "wall_clock_s": time.perf_counter() - t_start,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "phases": phases,  # seconds per phase, summed over every ensemble
-        "array_bytes": array_bytes,  # the most one unit held: kept states and step record, two increment chunks
+        "array_bytes": array_bytes,  # the most one unit held: kept states, two increment chunks
         "stream_processes": increments.stream_processes(),  # this one plus its live increment helpers
         "stream": _stream_meta(counts),
     }
@@ -436,10 +434,23 @@ def _chunk_bytes(steps: int, m: int, n_copies: int) -> int:
 
 
 def _array_bytes(ens: dynamics.PathEnsemble) -> int:
-    """Bytes of ens's kept arrays (its states and, with the step record, its
-    pre-projection points and increments) and of the increments it drew (_chunk_bytes)."""
-    kept = sum(a.nbytes for a in (ens.states, ens.pre_projection, ens.increments) if a is not None)
-    return kept + _chunk_bytes(ens.grid.steps, ens.dim, ens.n_copies)
+    """Bytes of ens's kept states and of the increments it drew (_chunk_bytes)."""
+    return ens.states.nbytes + _chunk_bytes(ens.grid.steps, ens.dim, ens.n_copies)
+
+
+class _TimedObservers:
+    """One step observer that runs the given ones in order and sums the seconds they take,
+    so run_experiment counts them as diagnostics, not simulation."""
+
+    def __init__(self, observers):
+        self.observers = list(observers)
+        self.seconds = 0.0
+
+    def observe(self, *step):
+        t0 = time.perf_counter()
+        for observer in self.observers:
+            observer.observe(*step)
+        self.seconds += time.perf_counter() - t0
 
 
 def _stream_meta(before: dict) -> dict:

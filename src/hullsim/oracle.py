@@ -1,8 +1,10 @@
 """The --check diagnostics of a run.
 
-They run on a simulated ensemble's kept step record: the per-step
-growth-bound checker with its two constants, and the hitting-frequency
-counts.
+The per-step growth-bound checker with its two constants, and the
+hitting-frequency counts. Each is a step observer (StepBoundCheck,
+HittingCount) that reads the steps as simulate_ensemble makes them; the
+record functions step1_bound_check and hitting_frequency replay an
+ensemble's kept step record through the same observer.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .dynamics import (
     bodies_at_nodes,
     gaussian_increments,  # unused here; the benchmark's tracer looks it up on this module
 )
-from .geometry import ConvexBody, contains, norm_bound, row_norms
+from .geometry import ConvexBody, contains, norm_bound
 
 
 class OracleError(ValueError):
@@ -123,6 +125,112 @@ def step_bound_constants(model: SdeModel, mf: Multifunction, grid: TimeGrid,
     return constants_c1_c2(model, m_c, grid.delta, probe_count=4000)
 
 
+class StepBoundCheck:
+    """The growth-bound check as a step observer (dynamics.StepObserver).
+
+    Each observed step adds, for every copy and every probe x, the margin
+
+        ||h - x|| - c1 ||x_j - x|| - c2 ||sigma(x) z + drift(x) delta||
+
+    to a running maximum and to a count of margins above slack; report() is
+    the BoundCheckReport. Both reduce by a max and a count, and each margin
+    is computed per copy and probe, so the report does not depend on how the
+    copies are split into chunks. probes are a (k, m) array the caller has
+    checked (step_bound_constants does). A step's (k, copies) margins are
+    computed in place in reused buffers (_ProbeNorms).
+    """
+
+    def __init__(self, model: SdeModel, delta: float, probes: np.ndarray, constants: StepConstants,
+                 slack: float = 1e-10):
+        self.norms = _ProbeNorms(probes, 2)
+        self.sigmas = np.array([np.asarray(model.diffusion(x), dtype=float) for x in probes])
+        self.shifts = np.array([np.asarray(model.drift(x), dtype=float) * delta for x in probes])
+        self.constants = constants
+        self.slack = slack
+        self.n_checks = 0
+        self.n_violations = 0
+        self.worst_margin = -np.inf
+
+    def observe(self, j, rows, x_j, z, h, body):
+        margins, term = self.norms.step(len(h))
+        self.norms.distances(h, margins)
+        self.norms.distances(x_j, term)
+        term *= self.constants.c1
+        margins -= term
+        # h and the states lie within dynamics.FINITE_LIMIT, so only the noise term can
+        # overflow (a huge delta): it is then infinite, and its margin -inf holds the bound
+        with np.errstate(over="ignore"):
+            self.norms.into(term, z, self.shifts, self.sigmas)
+            term *= self.constants.c2
+        margins -= term
+        self.worst_margin = max(self.worst_margin, float(margins.max()))
+        self.n_violations += int(np.count_nonzero(margins > self.slack))
+        self.n_checks += margins.size
+
+    def report(self) -> BoundCheckReport:
+        return BoundCheckReport(
+            n_checks=self.n_checks,
+            n_violations=self.n_violations,
+            worst_margin=self.worst_margin,
+            slack=self.slack,
+            c1=self.constants.c1,
+            c2=self.constants.c2,
+            m_c=self.constants.m_c,
+        )
+
+
+class _ProbeNorms:
+    """Norms of a step's (copies, m) points against k probes, as (k, copies) arrays.
+
+    step(n) sizes the buffers for a step of n copies and returns its output
+    buffers. into(out, points, offsets, scales) then writes
+    ||points[i] * scales[p] + offsets[p]|| (||points[i] + offsets[p]||
+    without scales) for every probe p and copy i into out, summing squares
+    coordinate by coordinate as geometry.row_norms does, so each norm has
+    row_norms' bits; distances(points, out) is ||points[i] - probe p||, since
+    a - b and a + (-b) round alike. The buffers are reused from step to step.
+    """
+
+    def __init__(self, probes: np.ndarray, outputs: int):
+        self.negated = -np.asarray(probes, dtype=float)
+        self.slabs = np.empty((outputs + 1, len(probes), 0))
+        self.term = self.slabs[0]
+
+    def step(self, n: int) -> list[np.ndarray]:
+        if self.slabs.shape[2] < n:
+            self.slabs = np.empty(self.slabs.shape[:2] + (n,))
+        self.term, *outputs = self.slabs[:, :, :n]
+        return outputs
+
+    def into(self, out: np.ndarray, points: np.ndarray, offsets: np.ndarray,
+             scales: np.ndarray | None = None) -> None:
+        term = self.term
+        for c in range(points.shape[1]):
+            if scales is None:
+                np.add(points[:, c], offsets[:, c, None], out=term)
+            else:
+                np.multiply(points[:, c], scales[:, c, None], out=term)
+                term += offsets[:, c, None]
+            if c == 0:
+                np.multiply(term, term, out=out)
+            else:
+                term *= term
+                out += term
+        np.sqrt(out, out=out)
+
+    def distances(self, points: np.ndarray, out: np.ndarray) -> None:
+        self.into(out, points, self.negated)
+
+
+def _replay(ensemble: PathEnsemble, mf: Multifunction, observer) -> None:
+    """Feed an ensemble's kept step record to a step observer, every copy as one chunk."""
+    grid, z = ensemble.grid, ensemble.increments
+    rows = slice(0, ensemble.n_copies)
+    for j in range(grid.steps):
+        observer.observe(j, rows, ensemble.states[:, j], None if z is None else z[:, j],
+                         ensemble.pre_projection[:, j], mf(grid.node(j + 1)))
+
+
 def step1_bound_check(
     model: SdeModel,
     ensemble: PathEnsemble,
@@ -136,11 +244,11 @@ def step1_bound_check(
     Runs over every copy, every step, and every probe x; each probe must lie
     in the body at the end of every step. The increments z are the ones the
     ensemble kept with its pre-projection points (simulate_ensemble with
-    keep_pre_projection=True); an ensemble without either is rejected. One
-    pass over the nodes evaluates every probe on node j's (N, m) views of z,
-    the pre-projection points and the states. Passing constants overrides the
-    ones constants_c1_c2 samples from 4000 points (used by the mutation test
-    to confirm the check has power).
+    keep_pre_projection=True); an ensemble without either is rejected. The
+    kept record is replayed through StepBoundCheck, node j's (N, m) views of
+    z, the pre-projection points and the states at a time. Passing constants
+    overrides the ones constants_c1_c2 samples from 4000 points (used by the
+    mutation test to confirm the check has power).
     """
     if ensemble.pre_projection is None or ensemble.increments is None:
         raise OracleError("ensemble was simulated without pre-projection storage")
@@ -157,29 +265,9 @@ def step1_bound_check(
         constants = step_bound_constants(model, mf, grid, probes)
     else:
         _check_probes_inside(bodies_at_nodes(mf, grid), probes)
-
-    sigmas = [np.asarray(model.diffusion(x), dtype=float) for x in probes]
-    shifts = [np.asarray(model.drift(x), dtype=float) * grid.delta for x in probes]
-    c1, c2 = constants.c1, constants.c2
-
-    worst = -np.inf
-    violations = 0
-    for j in range(n):
-        z, h, x_j = ensemble.increments[:, j], ensemble.pre_projection[:, j], ensemble.states[:, j]
-        for x, sig_x, shift_x in zip(probes, sigmas, shifts):
-            margins = (row_norms(h - x) - c1 * row_norms(x_j - x)) - c2 * row_norms(z * sig_x + shift_x)
-            worst = max(worst, float(margins.max()))
-            violations += int(np.count_nonzero(margins > slack))
-    n_checks = ensemble.n_copies * n * probes.shape[0]
-    return BoundCheckReport(
-        n_checks=n_checks,
-        n_violations=violations,
-        worst_margin=worst,
-        slack=slack,
-        c1=c1,
-        c2=c2,
-        m_c=constants.m_c,
-    )
+    check = StepBoundCheck(model, grid.delta, probes, constants, slack)
+    _replay(ensemble, mf, check)
+    return check.report()
 
 
 @dataclass
@@ -203,14 +291,46 @@ class HittingReport:
         self.frequency = self.total_hits / (self.n_copies * self.hits_per_node.size)
 
 
+class HittingCount:
+    """The hitting count as a step observer (dynamics.StepObserver).
+
+    Step j adds, per probe, the copies whose pre-projection point lies within
+    radius of the probe and strictly inside the body C(t_{j+1}) it is
+    projected onto, evaluating that body's interior test once, whatever the
+    number of probes is; report() gives one HittingReport per probe, in
+    order. probes are a checked (k, m) array and radius is positive.
+    """
+
+    def __init__(self, probes: np.ndarray, steps: int, radius: float = 0.1):
+        self.probes = probes
+        self.norms = _ProbeNorms(probes, 1)
+        self.radius = radius
+        self.hits = np.zeros((len(probes), steps), dtype=int)
+        self.n_copies = 0
+
+    def observe(self, j, rows, x, z, h, body):
+        inside = np.asarray(body.interior_margin(h)) > 0
+        [distances] = self.norms.step(len(h))
+        self.norms.distances(h, distances)
+        self.hits[:, j] += np.count_nonzero((distances <= self.radius) & inside, axis=1)
+        if j == 0:
+            self.n_copies += len(h)
+
+    def report(self) -> list[HittingReport]:
+        return [
+            HittingReport(probe=probe, radius=self.radius, n_copies=self.n_copies, hits_per_node=row)
+            for probe, row in zip(self.probes, self.hits)
+        ]
+
+
 def hitting_frequency(
     ensemble: PathEnsemble, mf: Multifunction, probes, radius: float = 0.1
 ) -> list[HittingReport]:
     """Empirical frequency of pre-projection points near each interior probe.
 
     probes is a (k, m) array; the result holds one report per probe, in
-    order. All probes are counted in one pass over the nodes, which evaluates
-    the body's interior test at node j once, whatever k is.
+    order. The ensemble's kept pre-projection points are replayed through
+    HittingCount one node at a time.
     """
     if ensemble.pre_projection is None:
         raise OracleError("ensemble was simulated without pre-projection storage")
@@ -219,14 +339,6 @@ def hitting_frequency(
     probes = np.asarray(probes, dtype=float)
     if probes.ndim != 2 or probes.shape[1] != ensemble.dim:
         raise OracleError(f"probes must be a (k, {ensemble.dim}) array, got shape {probes.shape}")
-    grid = ensemble.grid
-    hits = np.zeros((probes.shape[0], grid.steps), dtype=int)
-    for j in range(1, grid.steps + 1):
-        h = ensemble.pre_projection[:, j - 1]
-        inside = np.asarray(mf(grid.node(j)).interior_margin(h)) > 0
-        for k, probe in enumerate(probes):
-            hits[k, j - 1] = int(np.count_nonzero((row_norms(h - probe) <= radius) & inside))
-    return [
-        HittingReport(probe=probe, radius=radius, n_copies=ensemble.n_copies, hits_per_node=row)
-        for probe, row in zip(probes, hits)
-    ]
+    count = HittingCount(probes, ensemble.grid.steps, radius)
+    _replay(ensemble, mf, count)
+    return count.report()

@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 import weakref
 from pathlib import Path
@@ -216,15 +217,16 @@ class TestConfigParsing:
             small_config(steps=20, n_grid=[100, 10000])
 
     @pytest.mark.parametrize("diagnostic", ["run_step_bound", "run_hitting"])
-    def test_unit_guard_counts_the_full_record_only_with_a_diagnostic(self, monkeypatch, diagnostic):
-        # 5 MB holds the 1.47072 MB of a unit that keeps j_indices 5 and 10, not the
-        # 6.19072 MB of replication 0's 21 states, 20 pre-projection steps and 20 kept
-        # increment steps over all 10000 copies, and its two chunks of 4096 copies and 20 steps
-        self.physical_memory(monkeypatch, 5)
-        small_config(steps=20, n_grid=[100, 10000])
+    def test_unit_guard_counts_a_diagnostic_run_like_a_plain_one(self, monkeypatch, diagnostic):
+        # the diagnostics read replication 0's steps as they are made, so it keeps no step
+        # record: 2 MB holds its 1.47072 MB (states at j_indices 5 and 10, two chunks of 4096
+        # copies and 20 steps), and at 1 MB the message counts those bytes
+        self.physical_memory(monkeypatch, 2)
+        small_config(steps=20, n_grid=[100, 10000], **{diagnostic: True})
+        self.physical_memory(monkeypatch, 1)
         with pytest.raises(ConfigError) as caught:
             small_config(steps=20, n_grid=[100, 10000], **{diagnostic: True})
-        assert str(caught.value) == "one ensemble's arrays would take 6190720 bytes, more than physical memory"
+        assert str(caught.value) == "one ensemble's arrays would take 1470720 bytes, more than physical memory"
 
 
 def plain(value):
@@ -462,69 +464,35 @@ class TestRunExperiment:
         for entry in report.diagnostics["step_bound"]:
             assert entry["n_violations"] == 0
 
-    @pytest.mark.parametrize(
-        "dims,diagnostics,kept",
-        [
-            # kept: (pre-projection points, increments) in replication 0's ensemble
-            (1, {"run_hitting": True}, (False, False)),  # the hitting check runs only for m > 1
-            (1, {"run_step_bound": True}, (True, True)),
-            (2, {"run_hitting": True}, (True, False)),  # only the step-bound check reads increments
-            (2, {"run_hitting": True, "run_step_bound": True}, (True, True)),
-            (2, {}, (False, False)),
-        ],
-    )
-    def test_pre_projection_kept_only_for_a_diagnostic_that_reads_it(
-        self, monkeypatch, dims, diagnostics, kept
-    ):
-        estimate = estimation.hull_estimate
-        ensembles = []
+    @pytest.mark.parametrize("check", [False, True])
+    @pytest.mark.parametrize("dims", [1, 2])
+    def test_every_unit_keeps_only_the_estimated_nodes(self, monkeypatch, dims, check):
+        # the diagnostics read replication 0's steps as they are made, so no unit keeps a
+        # step record or a node it does not estimate
+        simulate = harness.dynamics.simulate_ensemble
+        kept = []
 
-        def spy(ens, j):
-            if not ensembles or ensembles[-1] is not ens:
-                ensembles.append(ens)
-            return estimate(ens, j)
+        def spy(*args, **kwargs):
+            ens = simulate(*args, **kwargs)
+            kept.append((ens.n_copies, ens.nodes, ens.pre_projection, ens.increments))
+            return ens
 
-        monkeypatch.setattr(estimation, "hull_estimate", spy)
+        monkeypatch.setattr(harness.dynamics, "simulate_ensemble", spy)
         shape = {} if dims == 1 else dict(
             model_params={"theta": 2.0, "sigma": 0.3},
             x0=np.zeros(2),
             mf_kind="constant_ball",
             mf_params={"center": np.zeros(2), "radius": 1.0},
         )
-        config = small_config(n_grid=[20, 40], replications=2, **shape, **diagnostics)
-        run_experiment(config)
-        assert len(ensembles) == 4  # (N, replication) in row order
-        stored = [(ens.pre_projection is not None, ens.increments is not None) for ens in ensembles]
-        assert stored == [kept, (False, False), kept, (False, False)]
-
-    @pytest.mark.parametrize("check", [False, True])
-    def test_units_keep_the_estimated_nodes_and_a_check_unit_every_node(self, monkeypatch, check):
-        simulate = harness.dynamics.simulate_ensemble
-        kept = []
-
-        def spy(*args, **kwargs):
-            ens = simulate(*args, **kwargs)
-            kept.append((ens.n_copies, ens.nodes))
-            return ens
-
-        monkeypatch.setattr(harness.dynamics, "simulate_ensemble", spy)
-        config = small_config(
-            model_params={"theta": 2.0, "sigma": 0.3},
-            x0=np.zeros(2),
-            mf_kind="constant_ball",
-            mf_params={"center": np.zeros(2), "radius": 1.0},
-            n_grid=[20, 40],
-            replications=3,
-            j_indices=[10, 5],
-            run_step_bound=check,
-            run_hitting=check,
-        )
-        run_experiment(config)
-        every, estimated = tuple(range(11)), (5, 10)
-        assert kept == [(n, every if check and r == 0 else estimated) for n in (20, 40) for r in range(3)]
+        config = small_config(n_grid=[20, 40], replications=3, j_indices=[10, 5], run_step_bound=check,
+                              run_hitting=check, **shape)
+        report = run_experiment(config)
+        assert kept == [(n, (5, 10), None, None) for n in (20, 40) for r in range(3)]
+        assert len(report.diagnostics["step_bound"]) == (2 if check else 0)
+        assert len(report.diagnostics["hitting"]) == (2 * 8 if check and dims == 2 else 0)
 
     def test_each_ensemble_is_dropped_before_the_next_is_simulated(self, monkeypatch):
-        # so the caller never holds a kept increment array and the next one at once
+        # so the caller never holds one unit's kept states and the next one's at once
         simulate = harness.dynamics.simulate_ensemble
         refs, alive = [], []
 
@@ -563,22 +531,104 @@ class TestRunExperiment:
         phases = report.meta["phases"]
         assert list(phases) == ["simulate", "estimate", "diagnostics", "aggregate"]
         assert all(v >= 0 for v in phases.values())
+        assert phases["diagnostics"] > 0
         assert sum(phases.values()) <= report.meta["wall_clock_s"]
         emit_report(report, tmp_path)
         assert json.loads((tmp_path / "report.json").read_text())["meta"]["phases"] == phases
         assert "phases" not in (tmp_path / "report.csv").read_text()
 
+    def test_observer_time_counts_as_diagnostics(self, monkeypatch):
+        # each observed step of replication 0 sleeps 2 ms inside the hitting count: that
+        # time is in the diagnostics phase and, since the phases sum to at most the wall
+        # clock, not in the simulate phase too
+        observe, slept = oracle.HittingCount.observe, []
+
+        def slow(self, *step):
+            t0 = time.perf_counter()
+            time.sleep(0.002)
+            observe(self, *step)
+            slept.append(time.perf_counter() - t0)
+
+        monkeypatch.setattr(oracle.HittingCount, "observe", slow)
+        config = small_config(
+            model_params={"theta": 2.0, "sigma": 0.3},
+            x0=np.zeros(2),
+            mf_kind="constant_ball",
+            mf_params={"center": np.zeros(2), "radius": 1.0},
+            n_grid=[20, 40],
+            replications=2,
+            run_hitting=True,
+        )
+        report = run_experiment(config)
+        phases = report.meta["phases"]
+        assert len(slept) == 2 * 10
+        assert phases["diagnostics"] >= sum(slept) >= 0.04
+        assert sum(phases.values()) <= report.meta["wall_clock_s"]
+
+    @pytest.mark.parametrize("dims", [1, 2])
+    def test_check_diagnostics_equal_the_record_functions(self, dims):
+        # replication 0's streamed diagnostics equal the public functions on the same
+        # ensemble re-simulated with its step record kept, at an N of three chunks
+        shape = {} if dims == 1 else dict(
+            model_kind="tanh_sigma",
+            model_params={"theta": 1.0, "sigma0": 0.4, "sigma1": 0.15},
+            x0=np.zeros(2),
+            mf_kind="constant_square_hpoly",
+            mf_params={"half_width": 1.0},
+        )
+        big = 2 * dynamics.STEP_CHUNK + 17
+        config = small_config(n_grid=[20, big], replications=2, run_step_bound=True, run_hitting=True,
+                              **shape)
+        report = run_experiment(config)
+        model, mf = harness.build_model(config), harness.build_multifunction(config)
+        grid = dynamics.TimeGrid(config.horizon, config.steps)
+        probes = (harness._interval_probes(mf(grid.node(10))) if dims == 1
+                  else harness.resolve_probes(config, mf, grid))
+        constants = oracle.step_bound_constants(model, mf, grid, probes)
+        step_bound, hitting = [], []
+        for n in config.n_grid:
+            ens = dynamics.simulate_ensemble(model, mf, grid, n, dynamics.derive_seed(config.seed, n, 0),
+                                             keep_pre_projection=True)
+            rep = oracle.step1_bound_check(model, ens, mf, probes, constants=constants)
+            step_bound.append({"N": n, **harness._plain(dataclasses.asdict(rep))})
+            if dims > 1:
+                hitting.extend({"N": n, "probe_index": p, **harness._plain(dataclasses.asdict(hit))}
+                               for p, hit in enumerate(oracle.hitting_frequency(ens, mf, probes)))
+        assert report.diagnostics == {"step_bound": step_bound, "hitting": hitting}
+        assert step_bound[-1]["n_checks"] == big * 10 * len(probes)
+
+    def test_check_unit_reuses_the_two_shared_buffers(self, helper_pool):
+        # the observers keep no view of a chunk's increments, so every chunk of the three-chunk
+        # --check unit reuses the one generation's two buffers: a view of chunk 1's increments
+        # kept past its steps would leave no free buffer for chunk 3, posted as chunk 2 is joined
+        helper_pool(cpus=2)
+        config = small_config(
+            model_kind="tanh_sigma",
+            model_params={"theta": 1.0, "sigma0": 0.4, "sigma1": 0.15},
+            x0=np.zeros(2),
+            mf_kind="constant_square_hpoly",
+            mf_params={"half_width": 1.0},
+            steps=5,
+            j_indices=[5],
+            n_grid=[3 * dynamics.STEP_CHUNK],
+            replications=2,
+            run_step_bound=True,
+            run_hitting=True,
+        )
+        report = run_experiment(config)
+        assert report.diagnostics["step_bound"] and report.diagnostics["hitting"]
+        assert report.meta["stream"]["buffers_made"] == 2
+
     @pytest.mark.parametrize("check", [False, True])
     def test_meta_array_bytes_is_the_largest_unit(self, tmp_path, check):
-        # N = 40, m = 2, 10 steps: 640 bytes per kept node and 6400 per array of increments,
-        # 2 * 6400 for the stepped and the posted chunk (all 40 copies); the --check unit keeps
-        # all 11 nodes, 6400 bytes of pre-projection points and a 6400-byte copy of its increments
+        # N = 40, m = 2, 10 steps: 640 bytes for the kept node and 2 * 6400 for the stepped
+        # and the posted chunk of increments (all 40 copies); the --check unit holds the same
         cfg = tmp_path / "ball.cfg"
         cfg.write_text(BALL_CONFIG_TEXT)
         out = tmp_path / "o"
         assert cli.main(["run", "--config", str(cfg), "--out", str(out)] + ["--check"] * check) == 0
         meta = json.loads((out / "report.json").read_text())["meta"]
-        assert meta["array_bytes"] == (11 * 640 + 6400 + 6400 + 2 * 6400 if check else 640 + 2 * 6400)
+        assert meta["array_bytes"] == 640 + 2 * 6400
 
     def test_meta_counts_stream_processes_and_the_csv_does_not_change(self, helper_pool, tmp_path):
         config = small_config(n_grid=[20, 40, 2 * INCREMENT_BLOCK], replications=2,

@@ -1,9 +1,11 @@
 import copy
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from hullsim.dynamics import (
+    STEP_CHUNK,
     PathEnsemble,
     TimeGrid,
     constant_body,
@@ -14,11 +16,14 @@ from hullsim.dynamics import (
 )
 from hullsim.geometry import Ball, HPolytope, Interval, row_norms
 from hullsim.oracle import (
+    HittingCount,
     OracleError,
+    StepBoundCheck,
     StepConstants,
     constants_c1_c2,
     hitting_frequency,
     step1_bound_check,
+    step_bound_constants,
 )
 
 
@@ -337,3 +342,60 @@ class TestLayout:
             np.testing.assert_array_equal(ra.hits_per_node, rb.hits_per_node)
         assert sum(r.total_hits for r in a) > 0
 
+
+
+class TestStreamed:
+    """The observers, fed each step as simulate_ensemble makes it, equal the record
+    functions on the same ensemble kept, bit for bit, over three chunks of copies."""
+
+    N = 2 * STEP_CHUNK + 17
+    grid = TimeGrid(1.0, 10)
+
+    def streamed_then_kept(self, model, mf, seed, observers):
+        """Run the observers on a streamed ensemble that keeps one node, then return the
+        same ensemble simulated again with its step record kept."""
+        simulate_ensemble(model, mf, self.grid, self.N, seed, nodes=[10], observers=observers)
+        return simulate_ensemble(model, mf, self.grid, self.N, seed, keep_pre_projection=True)
+
+    def constants(self, model, mf, probes, halved):
+        """The sampled constants, or those with c2 halved to below one: then the probe
+        at x0 = 0 has the margin (1 - c2) ||sigma(0) z|| > 0 at step 0."""
+        constants = step_bound_constants(model, mf, self.grid, probes)
+        if halved:
+            constants = copy.copy(constants)  # bypasses the >= 1 construction invariant
+            object.__setattr__(constants, "c2", constants.c2 / 2)
+        return constants
+
+    @pytest.mark.parametrize("halved", [False, True], ids=["sampled", "c2-halved"])
+    def test_step_bound_on_an_interval(self, halved):
+        model, mf = linear_drift_model(), constant_body(Interval(-1, 1))
+        probes = TestStepBound.probes_1d
+        constants = self.constants(model, mf, probes, halved)
+        check = StepBoundCheck(model, self.grid.delta, probes, constants)
+        ens = self.streamed_then_kept(model, mf, 8, [check])
+        streamed = check.report()
+        assert asdict(streamed) == asdict(step1_bound_check(model, ens, mf, probes, constants=constants))
+        assert (streamed.n_violations > 0) == halved
+        assert streamed.n_checks == self.N * 10 * len(probes)
+
+    @pytest.mark.parametrize("halved", [False, True], ids=["sampled", "c2-halved"])
+    def test_step_bound_and_hitting_on_a_square_hpolytope(self, halved):
+        model = make_model("tanh_sigma", 2, [0.0, 0.0], theta=0.5, sigma0=0.6, sigma1=0.05)
+        square = HPolytope(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]), np.ones(4))
+        mf = constant_body(square)
+        # all but the centre probe lie within the radius of a face, so the interior test
+        # decides some of their counts
+        probes = np.array([[0.0, 0.0], [0.95, 0.0], [0.0, -0.97], [0.93, 0.93]])
+        constants = self.constants(model, mf, probes, halved)
+        check, count = StepBoundCheck(model, self.grid.delta, probes, constants), HittingCount(probes, 10)
+        ens = self.streamed_then_kept(model, mf, 9, [check, count])
+        streamed = check.report()
+        assert asdict(streamed) == asdict(step1_bound_check(model, ens, mf, probes, constants=constants))
+        assert (streamed.n_violations > 0) == halved
+        kept = hitting_frequency(ens, mf, probes)
+        for a, b in zip(count.report(), kept, strict=True):
+            np.testing.assert_array_equal(a.probe, b.probe)
+            np.testing.assert_array_equal(a.hits_per_node, b.hits_per_node)
+            assert (a.radius, a.n_copies, a.total_hits, a.frequency) == (b.radius, b.n_copies, b.total_hits,
+                                                                         b.frequency)
+        assert count.n_copies == self.N and all(rep.total_hits > 0 for rep in kept)
