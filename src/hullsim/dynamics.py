@@ -14,10 +14,10 @@ whatever the number of copies. So copy i is reproducible in isolation, equals
 its ensemble slice bit for bit, and results do not depend on how the copies
 are scheduled; how the stream is drawn, by this process and its helper
 processes, is hullsim.increments. Observers read each step as it is made
-(StepObserver), so a check of the steps needs no kept record. A step whose
-pre-projection point is not finite, or so large that its squared norm
-overflows, raises ModelError naming the step and the copy: the first failing
-step of the first chunk that fails.
+(StepObserver), and no ensemble keeps a step's increments or pre-projection
+points. A step whose pre-projection point is not finite, or so large that its
+squared norm overflows, raises ModelError naming the step and the copy: the
+first failing step of the first chunk that fails.
 """
 
 from __future__ import annotations
@@ -204,7 +204,6 @@ class SamplePath:
     grid: TimeGrid
     copy_index: int
     states: np.ndarray  # (steps + 1, m)
-    pre_projection: np.ndarray | None  # (steps, m); entry j is the point before projecting onto C(t_{j+1})
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,22 +213,20 @@ class PathEnsemble:
     nodes are the grid nodes whose states the ensemble kept, ascending (every
     node 0..steps unless the simulation was given fewer), and states[i, k] is
     copy i+1 at node nodes[k] (copies use streams (seed, 1..N)); at(j) is
-    node j's (n_copies, m) slice. pre_projection and increments, kept only on
-    request and then with every node's state, are the step record the oracle's
-    record functions replay: the point each step reached before it was
-    projected onto the next body, and the increment that step drew. All three
-    are coordinate-major in memory (transposed views of (node, coordinate,
-    copy) arrays), so one coordinate at one node, states[:, k, c],
-    pre_projection[:, j, c] or increments[:, j, c], is contiguous and one
-    node's slice states[:, k] is an F-ordered (n_copies, m) view.
+    node j's (n_copies, m) slice. states is coordinate-major in memory (a
+    transposed view of a (node, coordinate, copy) array), so one coordinate
+    at one node, states[:, k, c], is contiguous and one node's slice
+    states[:, k] is an F-ordered (n_copies, m) view. An ensemble keeps no
+    pre-projection points or increments: a step is read as it is made, by an
+    observer (StepObserver). pre_projection is always None; it stays only
+    because the benchmark's tracer (hullbench) reads it.
     """
 
     grid: TimeGrid
     n_copies: int
     seed: int
     states: np.ndarray  # (n_copies, len(nodes), m)
-    pre_projection: np.ndarray | None = None  # (n_copies, steps, m)
-    increments: np.ndarray | None = None  # (n_copies, steps, m); step j drew increments[:, j]
+    pre_projection: None = None  # always None (see above)
     nodes: tuple[int, ...] | None = None  # the nodes states holds; None: every node 0..steps
 
     def __post_init__(self):
@@ -257,14 +254,11 @@ def _check_start(model: SdeModel, mf: Multifunction) -> None:
         raise ModelError("x0 must lie in the body at time zero")
 
 
-def _kept_nodes(grid: TimeGrid, nodes: Sequence[int] | None, keep_pre_projection: bool) -> tuple[int, ...]:
+def _kept_nodes(grid: TimeGrid, nodes: Sequence[int] | None) -> tuple[int, ...]:
     """The nodes an ensemble keeps: every node for None, else nodes checked to be
-    one or more ascending grid nodes without repeats. The step record needs
-    every node's state, so keep_pre_projection takes no nodes."""
+    one or more ascending grid nodes without repeats."""
     if nodes is None:
         return tuple(range(grid.steps + 1))
-    if keep_pre_projection:
-        raise ModelError("keep_pre_projection keeps every node's state; it takes no nodes")
     nodes = tuple(int(j) for j in nodes)
     if not nodes or nodes[0] < 0 or nodes[-1] > grid.steps or any(b <= a for a, b in zip(nodes, nodes[1:])):
         raise ModelError(f"nodes must be one or more ascending grid nodes in 0..{grid.steps} "
@@ -275,6 +269,8 @@ def _kept_nodes(grid: TimeGrid, nodes: Sequence[int] | None, keep_pre_projection
 class StepObserver(Protocol):
     """Reads each step of a simulation as it is made (simulate_ensemble's observers).
 
+    This is the only way to read a step: an ensemble keeps its states at the
+    requested nodes and nothing else of its steps.
     observe(j, rows, x, z, h, body) gets step j of the copies at positions rows
     of the ensemble: their (len(rows), m) states x at node j, increments z,
     pre-projection points h and the body C(t_{j+1}) h was projected onto. It
@@ -286,21 +282,11 @@ class StepObserver(Protocol):
                 body: ConvexBody) -> None: ...
 
 
-class _StepRecord:
-    """keep_pre_projection's observer: every step's pre-projection points and a copy of
-    its increments, each a coordinate-major (steps, m, copies) array."""
-
-    def __init__(self, steps: int, m: int, count: int):
-        self.pre = np.empty((steps, m, count))
-        self.increments = np.empty((steps, m, count))
-
-    def observe(self, j, rows, x, z, h, body):
-        self.pre[j][:, rows] = h.T
-        self.increments[j][:, rows] = z.T
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The pre-projection points and the increments, (copies, steps, m) views."""
-        return self.pre.transpose(2, 0, 1), self.increments.transpose(2, 0, 1)
+def ensemble_bytes(steps: int, m: int, n_copies: int, n_nodes: int) -> int:
+    """The most bytes of arrays one ensemble holds while it is simulated: its states at
+    n_nodes nodes and two chunks of increments, the chunk it steps and the next one,
+    posted (STEP_CHUNK copies at most each)."""
+    return 8 * m * (n_nodes * n_copies + 2 * steps * min(n_copies, STEP_CHUNK))
 
 
 def _simulate(model: SdeModel, mf: Multifunction, grid: TimeGrid, seed: int, copies: range,
@@ -366,12 +352,10 @@ def simulate_path(
     grid: TimeGrid,
     seed: int,
     copy_index: int,
-    keep_pre_projection: bool = False,
 ) -> SamplePath:
     """Simulate a single copy on the stream (seed, copy_index)."""
-    record = [_StepRecord(grid.steps, model.dim, 1)] if keep_pre_projection else []
-    states = _simulate(model, mf, grid, seed, range(copy_index, copy_index + 1), record)
-    return SamplePath(grid, copy_index, states[0], record[0].arrays()[0][0] if record else None)
+    states = _simulate(model, mf, grid, seed, range(copy_index, copy_index + 1))
+    return SamplePath(grid, copy_index, states[0])
 
 
 def simulate_ensemble(
@@ -380,7 +364,6 @@ def simulate_ensemble(
     grid: TimeGrid,
     n_copies: int,
     seed: int,
-    keep_pre_projection: bool = False,
     next_ensemble: tuple[int, int] | None = None,
     nodes: Sequence[int] | None = None,
     observers: Sequence[StepObserver] = (),
@@ -393,10 +376,8 @@ def simulate_ensemble(
     keeps only those (PathEnsemble.at), every node 0..steps when nodes is
     None, and the states it keeps do not depend on the others. A node outside
     0..steps, an unsorted or repeated one and an empty list raise ModelError.
-    keep_pre_projection keeps the step record the oracle checks: the
-    pre-projection points, the increments and every node's state, so it takes
-    no nodes (ModelError). observers read every step as it is made
-    (StepObserver), so a check can run without a kept record. next_ensemble,
+    observers read every step as it is made (StepObserver): they are the only
+    way to read a step's increments and pre-projection points. next_ensemble,
     the (n_copies, seed) of the ensemble the caller simulates next on the same
     model and grid, names that ensemble's first chunk as the last chunk's
     then: it only lets those increments be drawn while this ensemble's last
@@ -405,12 +386,9 @@ def simulate_ensemble(
     then = None
     if next_ensemble is not None:  # the next ensemble's first chunk
         then = (next_ensemble[1], range(1, min(next_ensemble[0], STEP_CHUNK) + 1))
-    nodes = _kept_nodes(grid, nodes, keep_pre_projection)
-    record = [_StepRecord(grid.steps, model.dim, n_copies)] if keep_pre_projection else []
-    states = _simulate(model, mf, grid, seed, range(1, n_copies + 1), [*observers, *record], then, nodes)
-    pre, z = record[0].arrays() if record else (None, None)
-    return PathEnsemble(grid=grid, n_copies=n_copies, seed=seed, states=states,
-                        pre_projection=pre, increments=z, nodes=nodes)
+    nodes = _kept_nodes(grid, nodes)
+    states = _simulate(model, mf, grid, seed, range(1, n_copies + 1), observers, then, nodes)
+    return PathEnsemble(grid=grid, n_copies=n_copies, seed=seed, states=states, nodes=nodes)
 
 
 # ---------------------------------------------------------------------------

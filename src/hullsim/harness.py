@@ -165,8 +165,7 @@ class ExperimentConfig:
         if len(set(js)) != len(js):
             raise ConfigError(f"j_indices must not repeat a node, got {list(js)}")
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        # one ensemble's states at j_indices (the diagnostics keep no step record)
-        unit_bytes = len(js) * x0.size * n[-1] * 8 + _chunk_bytes(self.steps, x0.size, n[-1])
+        unit_bytes = dynamics.ensemble_bytes(self.steps, x0.size, n[-1], len(js))
         if unit_bytes > memory:
             raise ConfigError(f"one ensemble's arrays would take {unit_bytes} bytes, more than physical memory")
         # one error row per unit, node and probe (default_probes' 3^m - 1 when not given)
@@ -349,9 +348,10 @@ def run_experiment(config: ExperimentConfig) -> ConvergenceReport:
     following = [(n, seed) for (n, _), seed in zip(units[1:], seeds[1:])] + [None]
     estimated = sorted(config.j_indices)  # the nodes every unit keeps
     counts = increments.stream_counters()
-    array_bytes = 0
+    unit_seconds = []
     try:
         for (n_copies, r), seed, next_ensemble in zip(units, seeds, following):
+            t_unit = time.perf_counter()
             checks = {}  # replication 0's diagnostics, run on its steps as they are made
             if r == 0 and config.run_step_bound:
                 checks["step_bound"] = oracle.StepBoundCheck(model, grid.delta, diag_probes, constants)
@@ -365,7 +365,6 @@ def run_experiment(config: ExperimentConfig) -> ConvergenceReport:
                     model, mf, grid, n_copies, seed, next_ensemble=next_ensemble, nodes=estimated,
                     observers=[timed] if checks else (),
                 )
-                array_bytes = max(array_bytes, _array_bytes(ens))
                 t1 = time.perf_counter()
                 phases["simulate"] += t1 - t0 - timed.seconds
                 phases["diagnostics"] += timed.seconds
@@ -396,8 +395,10 @@ def run_experiment(config: ExperimentConfig) -> ConvergenceReport:
                     {"N": n_copies, "probe_index": p_idx, **_plain(asdict(hit))}
                     for p_idx, hit in enumerate(checks["hitting"].report())
                 )
-            phases["diagnostics"] += time.perf_counter() - t0
             del ens  # before the next unit allocates its own
+            t1 = time.perf_counter()
+            phases["diagnostics"] += t1 - t0
+            unit_seconds.append(t1 - t_unit)
     except BaseException:
         increments.cancel()  # a posted look-ahead nothing will join
         raise
@@ -410,7 +411,9 @@ def run_experiment(config: ExperimentConfig) -> ConvergenceReport:
         "wall_clock_s": time.perf_counter() - t_start,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "phases": phases,  # seconds per phase, summed over every ensemble
-        "array_bytes": array_bytes,  # the most one unit held: kept states, two increment chunks
+        "units": unit_seconds,  # wall seconds of each (N, replication) unit, in row order
+        # the most one unit held: its kept states and two increment chunks
+        "array_bytes": dynamics.ensemble_bytes(grid.steps, dim, config.n_grid[-1], len(estimated)),
         "stream_processes": increments.stream_processes(),  # this one plus its live increment helpers
         "stream": _stream_meta(counts),
     }
@@ -425,17 +428,6 @@ def run_experiment(config: ExperimentConfig) -> ConvergenceReport:
         diagnostics=diagnostics,
         meta=meta,
     )
-
-
-def _chunk_bytes(steps: int, m: int, n_copies: int) -> int:
-    """Bytes of the increments a unit of n_copies holds at once: the chunk it
-    steps and the next chunk, posted (dynamics.STEP_CHUNK copies at most)."""
-    return 2 * steps * m * min(n_copies, dynamics.STEP_CHUNK) * 8
-
-
-def _array_bytes(ens: dynamics.PathEnsemble) -> int:
-    """Bytes of ens's kept states and of the increments it drew (_chunk_bytes)."""
-    return ens.states.nbytes + _chunk_bytes(ens.grid.steps, ens.dim, ens.n_copies)
 
 
 class _TimedObservers:

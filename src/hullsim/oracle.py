@@ -2,9 +2,10 @@
 
 The per-step growth-bound checker with its two constants, and the
 hitting-frequency counts. Each is a step observer (StepBoundCheck,
-HittingCount) that reads the steps as simulate_ensemble makes them; the
-record functions step1_bound_check and hitting_frequency replay an
-ensemble's kept step record through the same observer.
+HittingCount) that reads the steps as simulate_ensemble makes them, since no
+ensemble keeps its pre-projection points or increments. step1_bound_check
+and hitting_frequency check their inputs, simulate an ensemble with the
+observer and return its report.
 """
 
 from __future__ import annotations
@@ -15,11 +16,11 @@ import numpy as np
 
 from .dynamics import (
     Multifunction,
-    PathEnsemble,
     SdeModel,
     TimeGrid,
     bodies_at_nodes,
     gaussian_increments,  # unused here; the benchmark's tracer looks it up on this module
+    simulate_ensemble,
 )
 from .geometry import ConvexBody, contains, norm_bound
 
@@ -222,51 +223,35 @@ class _ProbeNorms:
         self.into(out, points, self.negated)
 
 
-def _replay(ensemble: PathEnsemble, mf: Multifunction, observer) -> None:
-    """Feed an ensemble's kept step record to a step observer, every copy as one chunk."""
-    grid, z = ensemble.grid, ensemble.increments
-    rows = slice(0, ensemble.n_copies)
-    for j in range(grid.steps):
-        observer.observe(j, rows, ensemble.states[:, j], None if z is None else z[:, j],
-                         ensemble.pre_projection[:, j], mf(grid.node(j + 1)))
-
-
 def step1_bound_check(
     model: SdeModel,
-    ensemble: PathEnsemble,
     mf: Multifunction,
+    grid: TimeGrid,
+    n_copies: int,
+    seed: int,
     probes,
     slack: float = 1e-10,
     constants: StepConstants | None = None,
 ) -> BoundCheckReport:
     """Check ||h_{j+1} - x|| <= c1 ||x_j - x|| + c2 ||sigma(x) z + drift(x) delta|| + slack.
 
-    Runs over every copy, every step, and every probe x; each probe must lie
-    in the body at the end of every step. The increments z are the ones the
-    ensemble kept with its pre-projection points (simulate_ensemble with
-    keep_pre_projection=True); an ensemble without either is rejected. The
-    kept record is replayed through StepBoundCheck, node j's (N, m) views of
-    z, the pre-projection points and the states at a time. Passing constants
-    overrides the ones constants_c1_c2 samples from 4000 points (used by the
-    mutation test to confirm the check has power).
+    Runs over copies 1..n_copies of the ensemble on streams (seed, i), every
+    step, and every probe x; each probe must lie in the body at the end of
+    every step. The probes and constants are checked before anything is
+    simulated; then StepBoundCheck reads each step as simulate_ensemble makes
+    it. Passing constants overrides the ones constants_c1_c2 samples from 4000
+    points (used by the mutation test to confirm the check has power).
     """
-    if ensemble.pre_projection is None or ensemble.increments is None:
-        raise OracleError("ensemble was simulated without pre-projection storage")
-    grid = ensemble.grid
-    n, m = grid.steps, ensemble.dim
-    if ensemble.increments.shape != (ensemble.n_copies, n, m):
-        raise OracleError(f"ensemble increments have shape {ensemble.increments.shape}, "
-                          f"expected {(ensemble.n_copies, n, m)}")
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
-    if probes.shape[1] != m:
-        raise OracleError(f"probes must have {m} coordinates")
+    if probes.shape[1] != model.dim:
+        raise OracleError(f"probes must have {model.dim} coordinates")
 
     if constants is None:
         constants = step_bound_constants(model, mf, grid, probes)
     else:
         _check_probes_inside(bodies_at_nodes(mf, grid), probes)
     check = StepBoundCheck(model, grid.delta, probes, constants, slack)
-    _replay(ensemble, mf, check)
+    simulate_ensemble(model, mf, grid, n_copies, seed, nodes=[grid.steps], observers=[check])
     return check.report()
 
 
@@ -324,21 +309,21 @@ class HittingCount:
 
 
 def hitting_frequency(
-    ensemble: PathEnsemble, mf: Multifunction, probes, radius: float = 0.1
+    model: SdeModel, mf: Multifunction, grid: TimeGrid, n_copies: int, seed: int, probes,
+    radius: float = 0.1,
 ) -> list[HittingReport]:
     """Empirical frequency of pre-projection points near each interior probe.
 
+    Counts over copies 1..n_copies of the ensemble on streams (seed, i).
     probes is a (k, m) array; the result holds one report per probe, in
-    order. The ensemble's kept pre-projection points are replayed through
-    HittingCount one node at a time.
+    order. The inputs are checked before anything is simulated; then
+    HittingCount reads each step as simulate_ensemble makes it.
     """
-    if ensemble.pre_projection is None:
-        raise OracleError("ensemble was simulated without pre-projection storage")
     if not radius > 0:
         raise OracleError("radius must be positive")
     probes = np.asarray(probes, dtype=float)
-    if probes.ndim != 2 or probes.shape[1] != ensemble.dim:
-        raise OracleError(f"probes must be a (k, {ensemble.dim}) array, got shape {probes.shape}")
-    count = HittingCount(probes, ensemble.grid.steps, radius)
-    _replay(ensemble, mf, count)
+    if probes.ndim != 2 or probes.shape[1] != model.dim:
+        raise OracleError(f"probes must be a (k, {model.dim}) array, got shape {probes.shape}")
+    count = HittingCount(probes, grid.steps, radius)
+    simulate_ensemble(model, mf, grid, n_copies, seed, nodes=[grid.steps], observers=[count])
     return count.report()

@@ -3,8 +3,9 @@
 They are deliberately independent of the code they check: a grid-search
 projection, a planar hull distance from pairwise segments, empirical and
 Gaussian CDFs with the clamped CDF of acceptance criterion 3, an empirical
-check of a model's declared Lipschitz constants, and a sampler of boundary
-points for the variational inequality of a projection.
+check of a model's declared Lipschitz constants, a sampler of boundary
+points for the variational inequality of a projection, and a step observer
+that records what an ensemble does not keep.
 """
 
 from __future__ import annotations
@@ -186,3 +187,21 @@ def boundary_points(body: ConvexBody, count: int, rng: np.random.Generator) -> n
         dirs = rng.standard_normal((count, body.dim))
         return body.vertices[np.argmax(dirs @ body.vertices.T, axis=1)]
     raise OracleError(f"unsupported body type {type(body).__name__}")
+
+
+class StepRecord:
+    """A step observer (hullsim.dynamics.StepObserver) that keeps every step's
+    pre-projection points and increments, which no ensemble keeps.
+
+    h[:, j] and z[:, j] are step j's (n_copies, m) pre-projection points and
+    increments: transposed views of coordinate-major (steps, m, n_copies)
+    arrays, written at each observed chunk's rows.
+    """
+
+    def __init__(self, steps: int, m: int, n_copies: int):
+        self.h = np.empty((steps, m, n_copies)).transpose(2, 0, 1)
+        self.z = np.empty((steps, m, n_copies)).transpose(2, 0, 1)
+
+    def observe(self, j, rows, x, z, h, body):
+        self.h[rows, j] = h
+        self.z[rows, j] = z

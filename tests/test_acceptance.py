@@ -31,6 +31,7 @@ from hullsim.geometry import (
 )
 from hullsim.oracle import constants_c1_c2, hitting_frequency, step1_bound_check
 from reference import (
+    StepRecord,
     boundary_points,
     brute_force_hull_distance,
     brute_force_projection,
@@ -158,10 +159,11 @@ def test_criterion_3_clamped_cdf_identity():
     model = make_model("ou", 1, [0.9], theta=1.0, sigma=1.0)
     grid = TimeGrid(1.0, 20)
     mf = constant_body(Interval(lo, hi))
-    ens = simulate_ensemble(model, mf, grid, 100_000, seed=314, keep_pre_projection=True)
+    record = StepRecord(grid.steps, 1, 100_000)
+    ens = simulate_ensemble(model, mf, grid, 100_000, seed=314, nodes=[1], observers=[record])
 
-    states = ens.states[:, 1, 0]
-    pre = ens.pre_projection[:, 0, 0]
+    states = ens.at(1)[:, 0]
+    pre = record.h[:, 0, 0]
     # both boundary atoms are exercised
     assert np.count_nonzero(pre <= lo) > 100
     assert np.count_nonzero(pre >= hi) > 100
@@ -252,17 +254,15 @@ def test_criterion_7_step_growth_bound():
     probes = np.array([[-0.9], [-0.4], [0.0], [0.4], [0.9]])
     for kind, params in SHIPPED_MODELS.items():
         model = make_model(kind, 1, [0.0], **params)
-        ens = simulate_ensemble(model, mf, grid, 1000, seed=2718, keep_pre_projection=True)
-        rep = step1_bound_check(model, ens, mf, probes, slack=1e-10)
+        rep = step1_bound_check(model, mf, grid, 1000, 2718, probes, slack=1e-10)
         assert rep.n_checks == 1000 * 20 * 5
         assert rep.n_violations == 0, (kind, rep.worst_margin)
 
     model = make_model("ou", 1, [0.0], **SHIPPED_MODELS["ou"])
-    ens = simulate_ensemble(model, mf, grid, 1000, seed=2718, keep_pre_projection=True)
     base = constants_c1_c2(model, m_c=1.0, delta=grid.delta)
     mutated = copy.copy(base)  # bypass the >= 1 construction invariant
     object.__setattr__(mutated, "c2", base.c2 / 2)
-    fired = step1_bound_check(model, ens, mf, probes, slack=1e-10, constants=mutated)
+    fired = step1_bound_check(model, mf, grid, 1000, 2718, probes, slack=1e-10, constants=mutated)
     assert fired.n_violations >= 1
     elapsed = time.perf_counter() - t0
     assert elapsed < 30
@@ -282,11 +282,8 @@ def test_criterion_8_hitting_condition(frozen_configs):
         mf = harness.build_multifunction(config)
         grid = TimeGrid(config.horizon, config.steps)
         probes = harness.resolve_probes(config, mf, grid)
-        ens = simulate_ensemble(
-            model, mf, grid, 10_000, derive_seed(config.seed, 10_000, 0),
-            keep_pre_projection=True,
-        )
-        hits = [rep.total_hits for rep in hitting_frequency(ens, mf, probes, radius=0.1)]
+        seed = derive_seed(config.seed, 10_000, 0)
+        hits = [rep.total_hits for rep in hitting_frequency(model, mf, grid, 10_000, seed, probes, radius=0.1)]
         assert min(hits) > 0, (name, hits)
         summary[name] = hits
     elapsed = time.perf_counter() - t0

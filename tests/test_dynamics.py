@@ -25,7 +25,7 @@ from hullsim.dynamics import (
 )
 from hullsim.geometry import Ball, HPolytope, Interval, contains, distance_to_body
 from hullsim.increments import INCREMENT_BLOCK, stream_processes
-from reference import check_lipschitz
+from reference import StepRecord, check_lipschitz
 from test_geometry import tilted_polygon
 
 
@@ -279,63 +279,62 @@ class TestSimulateEnsemble:
         grid = TimeGrid(1.0, 10)
         for body in (square(), tilted_polygon()):
             mf = constant_body(body)
-            ens = simulate_ensemble(model, mf, grid, 2000, seed=31, keep_pre_projection=True)
-            moved = np.flatnonzero(np.any(ens.states[:, 1:] != ens.pre_projection, axis=(1, 2))) + 1
+            record = StepRecord(grid.steps, 2, 2000)
+            ens = simulate_ensemble(model, mf, grid, 2000, seed=31, observers=[record])
+            moved = np.flatnonzero(np.any(ens.states[:, 1:] != record.h, axis=(1, 2))) + 1
             assert moved.size > 0
             for i in (1, 4, 6, *moved.tolist()):
-                path = simulate_path(model, mf, grid, 31, i, keep_pre_projection=True)
+                path = simulate_path(model, mf, grid, 31, i)
                 np.testing.assert_array_equal(path.states, ens.states[i - 1])
-                np.testing.assert_array_equal(path.pre_projection, ens.pre_projection[i - 1])
 
     def test_coordinate_slices_are_contiguous(self):
+        # the observers are handed F-ordered step batches: each coordinate of a
+        # step's increments and pre-projection points is contiguous
         model = make_model("ou", 2, [0.0, 0.0], theta=2.0, sigma=0.3)
         grid = TimeGrid(1.0, 10)
         mf = shrinking_ball([0.0, 0.0], 1.0, 0.3)
         n_copies = INCREMENT_BLOCK + 50
-        ens = simulate_ensemble(model, mf, grid, n_copies, seed=4, keep_pre_projection=True)
+        steps = []
+
+        class Layout:
+            def observe(self, j, rows, x, z, h, body):
+                steps.append(j)
+                assert h.shape == z.shape == (n_copies, 2)
+                assert all(a[:, k].flags.c_contiguous for a in (x, z, h) for k in range(2))
+
+        ens = simulate_ensemble(model, mf, grid, n_copies, seed=4, observers=[Layout()])
         assert ens.states.shape == (n_copies, 11, 2)
-        assert ens.pre_projection.shape == (n_copies, 10, 2)
+        assert ens.pre_projection is None
+        assert steps == list(range(grid.steps))
         for k in range(2):
             for j in range(grid.steps + 1):
                 assert ens.states[:, j, k].flags.c_contiguous
-            for j in range(grid.steps):
-                assert ens.pre_projection[:, j, k].flags.c_contiguous
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("split", [False, True], ids=["serial", "helper_split"])
     def test_kept_increments_are_the_stream(self, helper_pool, caller_draws_half, m, split):
-        # the step record keeps the very increments that were stepped: copy i's
-        # rows of the stream (seed, i), drawn here alone or shared with a helper
+        # each step reads the very increments of the stream: copy i's rows of the
+        # stream (seed, i), drawn here alone or shared with a helper
         pool = helper_pool(cpus=2 if split else 1)
         model = make_model("tanh_sigma", m, np.zeros(m), theta=0.5, sigma0=0.3, sigma1=0.1)
         grid = TimeGrid(1.0, 6)
         n_copies = 2 * INCREMENT_BLOCK + 37
-        ens = simulate_ensemble(model, shrinking_ball(np.zeros(m), 1.0, 0.3), grid, n_copies,
-                                seed=23, keep_pre_projection=True)
+        record = StepRecord(grid.steps, m, n_copies)
+        simulate_ensemble(model, shrinking_ball(np.zeros(m), 1.0, 0.3), grid, n_copies, seed=23,
+                          observers=[record])
         assert (pool.counts["helper_blocks"] > 0) == split
         expected = gaussian_increments(23, range(1, n_copies + 1), grid.steps, m, grid.delta)
-        assert ens.increments.shape == expected.shape == (n_copies, grid.steps, m)
-        assert ens.increments.tobytes() == expected.tobytes()
-        for j in range(grid.steps):
-            for k in range(m):
-                assert ens.increments[:, j, k].flags.c_contiguous
-
-    def test_increments_kept_only_with_pre_projection(self):
-        model = make_model("ou", 2, [0.0, 0.0], theta=2.0, sigma=0.3)
-        grid = TimeGrid(1.0, 5)
-        mf = shrinking_ball([0.0, 0.0], 1.0, 0.3)
-        assert simulate_ensemble(model, mf, grid, 30, seed=4).increments is None
-        kept = simulate_ensemble(model, mf, grid, 30, seed=4, keep_pre_projection=True)
-        assert kept.increments.shape == (30, 5, 2)
+        assert record.z.shape == expected.shape == (n_copies, grid.steps, m)
+        assert record.z.tobytes() == expected.tobytes()
 
     def test_run_to_run_determinism(self):
         model = make_model("ou", 2, [0.0, 0.0], theta=2.0, sigma=0.3)
         grid = TimeGrid(1.0, 20)
         mf = shrinking_ball([0.0, 0.0], 1.0, 0.3)
-        a = simulate_ensemble(model, mf, grid, 100, seed=77, keep_pre_projection=True)
-        b = simulate_ensemble(model, mf, grid, 100, seed=77, keep_pre_projection=True)
+        records = [StepRecord(grid.steps, 2, 100) for _ in range(2)]
+        a, b = (simulate_ensemble(model, mf, grid, 100, seed=77, observers=[r]) for r in records)
         np.testing.assert_array_equal(a.states, b.states)
-        np.testing.assert_array_equal(a.pre_projection, b.pre_projection)
+        np.testing.assert_array_equal(records[0].h, records[1].h)
 
     def test_containment_invariant(self):
         model = make_model("ou", 2, [0.0, 0.0], theta=1.0, sigma=1.5)
@@ -403,15 +402,15 @@ class TestStepChunks:
         helper_pool(cpus)
         model = make_model("tanh_sigma", 2, [0.0, 0.0], theta=2.0, sigma0=0.3, sigma1=0.1)
         mf, grid = constant_body(Ball(np.zeros(2), 1.0)), TimeGrid(1.0, 6)
-        ens = simulate_ensemble(model, mf, grid, CHUNKED, seed=5, keep_pre_projection=True)
+        record = StepRecord(grid.steps, 2, CHUNKED)
+        ens = simulate_ensemble(model, mf, grid, CHUNKED, seed=5, observers=[record])
         assert STEP_CHUNK == 4096
         for i in [4095, 4096, 4097, 4098, CHUNKED]:
-            path = simulate_path(model, mf, grid, 5, i, keep_pre_projection=True)
+            path = simulate_path(model, mf, grid, 5, i)
             np.testing.assert_array_equal(ens.states[i - 1], path.states)
-            np.testing.assert_array_equal(ens.pre_projection[i - 1], path.pre_projection)
-        # the kept increments, copied chunk by chunk, are one draw over the whole range
+        # the increments the chunks read, recorded chunk by chunk, are one draw over the whole range
         whole = gaussian_increments(5, range(1, CHUNKED + 1), grid.steps, 2, grid.delta)
-        np.testing.assert_array_equal(ens.increments, whole)
+        np.testing.assert_array_equal(record.z, whole)
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_a_copy_failing_in_the_second_chunk_is_named(self, helper_pool, cpus):
@@ -476,11 +475,6 @@ class TestKeptNodes:
         model, mf = (make() for make in KEPT_NODE_CASES["interval"])
         with pytest.raises(ModelError, match="^nodes must be one or more ascending grid nodes in 0..6"):
             simulate_ensemble(model, mf, TimeGrid(1.0, 6), 5, seed=1, nodes=nodes)
-
-    def test_nodes_with_the_step_record_rejected(self):
-        model, mf = (make() for make in KEPT_NODE_CASES["interval"])
-        with pytest.raises(ModelError, match="keep_pre_projection keeps every node's state"):
-            simulate_ensemble(model, mf, TimeGrid(1.0, 6), 5, seed=1, keep_pre_projection=True, nodes=[6])
 
 
 class TestModels:

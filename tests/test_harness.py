@@ -474,7 +474,7 @@ class TestRunExperiment:
 
         def spy(*args, **kwargs):
             ens = simulate(*args, **kwargs)
-            kept.append((ens.n_copies, ens.nodes, ens.pre_projection, ens.increments))
+            kept.append((ens.n_copies, ens.nodes, ens.pre_projection))
             return ens
 
         monkeypatch.setattr(harness.dynamics, "simulate_ensemble", spy)
@@ -487,7 +487,7 @@ class TestRunExperiment:
         config = small_config(n_grid=[20, 40], replications=3, j_indices=[10, 5], run_step_bound=check,
                               run_hitting=check, **shape)
         report = run_experiment(config)
-        assert kept == [(n, (5, 10), None, None) for n in (20, 40) for r in range(3)]
+        assert kept == [(n, (5, 10), None) for n in (20, 40) for r in range(3)]
         assert len(report.diagnostics["step_bound"]) == (2 if check else 0)
         assert len(report.diagnostics["hitting"]) == (2 * 8 if check and dims == 2 else 0)
 
@@ -537,6 +537,17 @@ class TestRunExperiment:
         assert json.loads((tmp_path / "report.json").read_text())["meta"]["phases"] == phases
         assert "phases" not in (tmp_path / "report.csv").read_text()
 
+    def test_meta_units_times_every_unit_in_row_order(self, tmp_path):
+        # one wall time per (N, replication) unit, in report.json only
+        report = run_experiment(small_config(replications=2, run_step_bound=True))
+        units = report.meta["units"]
+        assert len(units) == 3 * 2
+        assert all(seconds > 0 for seconds in units)
+        assert sum(units) <= report.meta["wall_clock_s"]
+        emit_report(report, tmp_path)
+        assert json.loads((tmp_path / "report.json").read_text())["meta"]["units"] == units
+        assert "units" not in (tmp_path / "report.csv").read_text()
+
     def test_observer_time_counts_as_diagnostics(self, monkeypatch):
         # each observed step of replication 0 sleeps 2 ms inside the hitting count: that
         # time is in the diagnostics phase and, since the phases sum to at most the wall
@@ -567,8 +578,8 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("dims", [1, 2])
     def test_check_diagnostics_equal_the_record_functions(self, dims):
-        # replication 0's streamed diagnostics equal the public functions on the same
-        # ensemble re-simulated with its step record kept, at an N of three chunks
+        # replication 0's diagnostics equal the public one-call checks on the same
+        # ensemble simulated again, at an N of three chunks
         shape = {} if dims == 1 else dict(
             model_kind="tanh_sigma",
             model_params={"theta": 1.0, "sigma0": 0.4, "sigma1": 0.15},
@@ -587,13 +598,13 @@ class TestRunExperiment:
         constants = oracle.step_bound_constants(model, mf, grid, probes)
         step_bound, hitting = [], []
         for n in config.n_grid:
-            ens = dynamics.simulate_ensemble(model, mf, grid, n, dynamics.derive_seed(config.seed, n, 0),
-                                             keep_pre_projection=True)
-            rep = oracle.step1_bound_check(model, ens, mf, probes, constants=constants)
+            seed = dynamics.derive_seed(config.seed, n, 0)
+            rep = oracle.step1_bound_check(model, mf, grid, n, seed, probes, constants=constants)
             step_bound.append({"N": n, **harness._plain(dataclasses.asdict(rep))})
             if dims > 1:
+                hits = oracle.hitting_frequency(model, mf, grid, n, seed, probes)
                 hitting.extend({"N": n, "probe_index": p, **harness._plain(dataclasses.asdict(hit))}
-                               for p, hit in enumerate(oracle.hitting_frequency(ens, mf, probes)))
+                               for p, hit in enumerate(hits))
         assert report.diagnostics == {"step_bound": step_bound, "hitting": hitting}
         assert step_bound[-1]["n_checks"] == big * 10 * len(probes)
 

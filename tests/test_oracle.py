@@ -4,9 +4,9 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from hullsim import dynamics
 from hullsim.dynamics import (
     STEP_CHUNK,
-    PathEnsemble,
     TimeGrid,
     constant_body,
     gaussian_increments,
@@ -25,6 +25,7 @@ from hullsim.oracle import (
     step1_bound_check,
     step_bound_constants,
 )
+from reference import StepRecord
 
 
 def linear_drift_model(dim=1, theta=1.0, sigma=0.5):
@@ -89,12 +90,16 @@ class TestConstants:
             StepConstants(c1=np.inf, c2=1.0, m_c=1.0, sup_inv_op_norm=1.0, sup_inv_drift=0.0)
 
 
-def make_checked_ensemble(model, mf, n_copies=200, seed=3, steps=20):
-    grid = TimeGrid(1.0, steps)
-    return simulate_ensemble(model, mf, grid, n_copies, seed, keep_pre_projection=True)
+GRID = TimeGrid(1.0, 20)
 
 
-def whole_array_margins(model, ens, probes, constants):
+def recorded(model, mf, grid, n_copies, seed):
+    """The ensemble with every node kept, and the StepRecord of its steps."""
+    record = StepRecord(grid.steps, model.dim, n_copies)
+    return simulate_ensemble(model, mf, grid, n_copies, seed, observers=[record]), record
+
+
+def whole_array_margins(model, ens, record, probes, constants):
     """Reference: the per-probe whole-array formula, margins of shape (k, N, steps)."""
     z = gaussian_increments(ens.seed, range(1, ens.n_copies + 1), ens.grid.steps, ens.dim, ens.grid.delta)
     margins = []
@@ -102,7 +107,7 @@ def whole_array_margins(model, ens, probes, constants):
         sig_x = np.asarray(model.diffusion(x), dtype=float)
         drift_x = np.asarray(model.drift(x), dtype=float)
         resid = row_norms(sig_x * z + drift_x * ens.grid.delta)
-        lhs = row_norms(ens.pre_projection - x)
+        lhs = row_norms(record.h - x)
         rhs = constants.c1 * row_norms(ens.states[:, :-1] - x)
         margins.append(lhs - rhs - constants.c2 * resid)
     return np.array(margins)
@@ -116,107 +121,73 @@ class TestStepBound:
     def test_node_major_pass_equals_whole_array_formula(self, dim, mutated):
         model = make_model("tanh_sigma", dim, np.zeros(dim), theta=1.0, sigma0=0.4, sigma1=0.15)
         mf = shrinking_ball(np.zeros(dim), 1.0, 0.3)
-        ens = make_checked_ensemble(model, mf, n_copies=300, seed=29, steps=12)
+        grid = TimeGrid(1.0, 12)
+        ens, record = recorded(model, mf, grid, 300, 29)
         # the start x0 = 0 is a probe: at node 0 its margin is (1 - c2) * resid
         probes = np.vstack([np.zeros(dim), np.random.default_rng(dim).uniform(-0.4, 0.4, (3, dim))])
-        constants = constants_c1_c2(model, m_c=1.0, delta=ens.grid.delta)
+        constants = constants_c1_c2(model, m_c=1.0, delta=grid.delta)
         if mutated:
             constants = copy.copy(constants)  # bypasses the >= 1 construction invariant
             object.__setattr__(constants, "c2", 0.5)
-        margins = whole_array_margins(model, ens, probes, constants)
-        rep = step1_bound_check(model, ens, mf, probes, constants=constants)
+        margins = whole_array_margins(model, ens, record, probes, constants)
+        rep = step1_bound_check(model, mf, grid, 300, 29, probes, constants=constants)
         assert rep.worst_margin == float(margins.max())
         assert rep.n_violations == int(np.count_nonzero(margins > rep.slack))
         assert (rep.n_violations > 0) == mutated
         assert rep.n_checks == margins.size
         # with the slack at a reference margin, that margin one ulp higher would be counted
         for slack in np.sort(margins, axis=None)[::margins.size // 40]:
-            rep = step1_bound_check(model, ens, mf, probes, slack=slack, constants=constants)
+            rep = step1_bound_check(model, mf, grid, 300, 29, probes, slack=slack, constants=constants)
             assert rep.n_violations == int(np.count_nonzero(margins > slack))
-
-    def test_ensemble_without_increments_rejected(self):
-        # the same one-line error as an ensemble without pre-projection points
-        model = linear_drift_model()
-        mf = constant_body(Interval(-1, 1))
-        ens = make_checked_ensemble(model, mf, n_copies=100)
-        without_z = PathEnsemble(ens.grid, ens.n_copies, ens.seed, ens.states, ens.pre_projection)
-        without_h = PathEnsemble(ens.grid, ens.n_copies, ens.seed, ens.states, None, ens.increments)
-        for bad in (without_z, without_h):
-            with pytest.raises(OracleError, match=r"^ensemble was simulated without pre-projection storage$"):
-                step1_bound_check(model, bad, mf, self.probes_1d)
-
-    @pytest.mark.parametrize("shape", [(100, 20, 2), (100, 19, 1), (99, 20, 1), (100, 20)])
-    def test_mis_shaped_increments_rejected(self, shape):
-        model = linear_drift_model()
-        mf = constant_body(Interval(-1, 1))
-        ens = make_checked_ensemble(model, mf, n_copies=100)
-        bad = PathEnsemble(ens.grid, ens.n_copies, ens.seed, ens.states, ens.pre_projection,
-                           np.zeros(shape))
-        with pytest.raises(OracleError, match=r"^ensemble increments have shape .*, expected \(100, 20, 1\)$"):
-            step1_bound_check(model, bad, mf, self.probes_1d)
 
     def test_zero_drift_is_triangle_inequality(self):
         model = make_model("zero_drift", 1, [0.0], sigma=0.5)
-        ens = make_checked_ensemble(model, constant_body(Interval(-1, 1)))
-        rep = step1_bound_check(model, ens, constant_body(Interval(-1, 1)), self.probes_1d)
+        rep = step1_bound_check(model, constant_body(Interval(-1, 1)), GRID, 200, 3, self.probes_1d)
         assert rep.n_violations == 0
         assert rep.n_checks == 200 * 20 * 5
 
     def test_linear_drift_no_violations(self):
         model = linear_drift_model()
         mf = constant_body(Interval(-1, 1))
-        ens = make_checked_ensemble(model, mf, n_copies=1000)
-        rep = step1_bound_check(model, ens, mf, self.probes_1d)
+        rep = step1_bound_check(model, mf, GRID, 1000, 3, self.probes_1d)
         assert rep.n_violations == 0
         assert rep.worst_margin <= 1e-10
 
     def test_state_dependent_sigma_no_violations(self):
         model = make_model("tanh_sigma", 1, [0.0], theta=0.5, sigma0=0.3, sigma1=0.1)
         mf = constant_body(Interval(-1, 1))
-        ens = make_checked_ensemble(model, mf, n_copies=500)
-        rep = step1_bound_check(model, ens, mf, self.probes_1d)
+        rep = step1_bound_check(model, mf, GRID, 500, 3, self.probes_1d)
         assert rep.n_violations == 0
 
     def test_halved_c2_makes_check_fire(self):
         model = linear_drift_model()
         mf = constant_body(Interval(-1, 1))
-        ens = make_checked_ensemble(model, mf, n_copies=1000)
-        base = constants_c1_c2(model, m_c=1.0, delta=ens.grid.delta)
+        base = constants_c1_c2(model, m_c=1.0, delta=GRID.delta)
         mutated = copy.copy(base)  # bypasses the >= 1 construction invariant
         object.__setattr__(mutated, "c2", base.c2 / 2)
-        rep = step1_bound_check(model, ens, mf, self.probes_1d, constants=mutated)
+        rep = step1_bound_check(model, mf, GRID, 1000, 3, self.probes_1d, constants=mutated)
         assert rep.n_violations >= 1
         assert rep.worst_margin > 1e-10
-
-    def test_missing_pre_projection_rejected(self):
-        model = linear_drift_model()
-        mf = constant_body(Interval(-1, 1))
-        ens = simulate_ensemble(model, mf, TimeGrid(1.0, 20), 50, 3)
-        with pytest.raises(OracleError):
-            step1_bound_check(model, ens, mf, self.probes_1d)
 
     def test_probes_of_the_wrong_width_rejected(self):
         model = linear_drift_model()
         mf = constant_body(Interval(-1, 1))
-        ens = make_checked_ensemble(model, mf, n_copies=10)
         with pytest.raises(OracleError, match="^probes must have 1 coordinates$"):
-            step1_bound_check(model, ens, mf, np.array([[0.0, 0.0]]))
+            step1_bound_check(model, mf, GRID, 10, 3, np.array([[0.0, 0.0]]))
 
     def test_exterior_probe_rejected(self):
         model = linear_drift_model()
         mf = constant_body(Interval(-1, 1))
-        ens = make_checked_ensemble(model, mf)
         with pytest.raises(OracleError):
-            step1_bound_check(model, ens, mf, np.array([[1.5]]))
+            step1_bound_check(model, mf, GRID, 200, 3, np.array([[1.5]]))
 
     def test_shrinking_body_probe_checked_at_every_node(self):
         model = linear_drift_model(dim=2, theta=2.0, sigma=0.3)
         mf = shrinking_ball([0.0, 0.0], 1.0, 0.3)
-        ens = make_checked_ensemble(model, mf, n_copies=100)
         # inside at time zero but outside the final ball
         with pytest.raises(OracleError):
-            step1_bound_check(model, ens, mf, np.array([[0.9, 0.0]]))
-        rep = step1_bound_check(model, ens, mf, np.array([[0.3, 0.0]]))
+            step1_bound_check(model, mf, GRID, 100, 3, np.array([[0.9, 0.0]]))
+        rep = step1_bound_check(model, mf, GRID, 100, 3, np.array([[0.3, 0.0]]))
         assert rep.n_violations == 0
 
 
@@ -224,8 +195,7 @@ class TestHitting:
     def test_easy_target_is_hit(self):
         model = make_model("zero_drift", 1, [0.0], sigma=0.5)
         mf = constant_body(Interval(-1, 1))
-        ens = make_checked_ensemble(model, mf, n_copies=500, seed=12)
-        [rep] = hitting_frequency(ens, mf, np.array([[0.0]]), radius=0.1)
+        [rep] = hitting_frequency(model, mf, GRID, 500, 12, np.array([[0.0]]), radius=0.1)
         assert rep.total_hits > 0
         assert rep.frequency > 0
         assert rep.hits_per_node.shape == (20,)
@@ -233,8 +203,7 @@ class TestHitting:
     def test_unreachable_target_is_missed(self):
         model = make_model("zero_drift", 1, [0.0], sigma=1e-4)
         mf = constant_body(Interval(-1, 1))
-        ens = make_checked_ensemble(model, mf, n_copies=100, seed=12)
-        [rep] = hitting_frequency(ens, mf, np.array([[0.9]]), radius=0.05)
+        [rep] = hitting_frequency(model, mf, GRID, 100, 12, np.array([[0.9]]), radius=0.05)
         assert rep.total_hits == 0
 
     def test_interior_requirement_excludes_boundary_mass(self):
@@ -242,34 +211,25 @@ class TestHitting:
         # only if they were strictly inside before clamping
         model = make_model("zero_drift", 1, [0.9], sigma=2.0)
         mf = constant_body(Interval(-1, 1))
-        ens = make_checked_ensemble(model, mf, n_copies=200, seed=5, steps=5)
-        [rep] = hitting_frequency(ens, mf, np.array([[0.95]]), radius=0.04)
-        h = ens.pre_projection[:, :, 0]
+        grid = TimeGrid(1.0, 5)
+        [rep] = hitting_frequency(model, mf, grid, 200, 5, np.array([[0.95]]), radius=0.04)
+        h = recorded(model, mf, grid, 200, 5)[1].h[:, :, 0]
         manual = int(np.sum((np.abs(h - 0.95) <= 0.04) & (np.abs(h) < 1)))
         assert rep.total_hits == manual
-
-    def test_needs_pre_projection(self):
-        model = linear_drift_model()
-        mf = constant_body(Interval(-1, 1))
-        ens = simulate_ensemble(model, mf, TimeGrid(1.0, 5), 10, 0)
-        with pytest.raises(OracleError):
-            hitting_frequency(ens, mf, np.array([[0.0]]))
 
     @pytest.mark.parametrize("radius", [0.0, -0.1])
     def test_radius_must_be_positive(self, radius):
         model = linear_drift_model()
         mf = constant_body(Interval(-1, 1))
-        ens = make_checked_ensemble(model, mf, n_copies=10, steps=5)
         with pytest.raises(OracleError, match="^radius must be positive$"):
-            hitting_frequency(ens, mf, np.array([[0.0]]), radius=radius)
+            hitting_frequency(model, mf, TimeGrid(1.0, 5), 10, 3, np.array([[0.0]]), radius=radius)
 
     def test_probes_must_be_k_by_m(self):
         model = linear_drift_model(dim=2, theta=2.0, sigma=0.3)
         mf = shrinking_ball([0.0, 0.0], 1.0, 0.3)
-        ens = make_checked_ensemble(model, mf, n_copies=50)
         for bad in ([0.1], [[0.1]], [0.1, 0.1], [[0.1, 0.1, 0.1]], [[[0.1, 0.1]]]):
             with pytest.raises(OracleError, match="probes must be a"):
-                hitting_frequency(ens, mf, np.array(bad))
+                hitting_frequency(model, mf, GRID, 50, 3, np.array(bad))
 
     @pytest.mark.parametrize(
         "mf,edge",
@@ -282,19 +242,18 @@ class TestHitting:
         # all but the centre probe lie within the radius of the final boundary,
         # so the interior test decides some of their counts
         model = linear_drift_model(dim=2, theta=0.5, sigma=1.0)
-        ens = make_checked_ensemble(model, mf, n_copies=400, seed=21)
         probes = np.array([[0.0, 0.0], [0.95, 0.0], [0.0, -0.97], [0.66, 0.66], [-0.99, 0.05]])
         probes[1:] *= edge
         radius = 0.1
-        reports = hitting_frequency(ens, mf, probes, radius)
+        reports = hitting_frequency(model, mf, GRID, 400, 21, probes, radius)
         assert len(reports) == len(probes)
-        grid = ens.grid
+        record = recorded(model, mf, GRID, 400, 21)[1]
         excluded = 0
         for probe, rep in zip(probes, reports):
-            manual = np.zeros(grid.steps, dtype=int)
-            for j in range(1, grid.steps + 1):
-                body = mf(grid.node(j))
-                h = ens.pre_projection[:, j - 1]
+            manual = np.zeros(GRID.steps, dtype=int)
+            for j in range(1, GRID.steps + 1):
+                body = mf(GRID.node(j))
+                h = record.h[:, j - 1]
                 if isinstance(body, Ball):
                     inside = np.linalg.norm(h - body.center, axis=1) < body.radius
                 else:
@@ -308,54 +267,36 @@ class TestHitting:
         assert all(rep.total_hits > 0 for rep in reports)
 
 
-class TestLayout:
-    """The checks read the coordinate-major ensemble and a copy-major copy alike."""
+class ChunkRows:
+    """A step observer that keeps the rows of every chunk step 0 observes."""
 
-    model = make_model("tanh_sigma", 2, [0.0, 0.0], theta=0.5, sigma0=0.3, sigma1=0.1)
-    mf = staticmethod(shrinking_ball([0.0, 0.0], 1.0, 0.3))
-    probes = np.array([[0.3, 0.0], [-0.2, 0.25], [0.0, -0.4]])
+    def __init__(self):
+        self.rows = []
 
-    def ensembles(self):
-        """A simulated ensemble and the same one rebuilt on copy-major arrays."""
-        ens = make_checked_ensemble(self.model, self.mf, n_copies=300, seed=17)
-        rebuilt = PathEnsemble(ens.grid, ens.n_copies, ens.seed, np.ascontiguousarray(ens.states),
-                               np.ascontiguousarray(ens.pre_projection),
-                               np.ascontiguousarray(ens.increments))
-        assert not ens.states.flags.c_contiguous and rebuilt.states.flags.c_contiguous
-        assert not ens.pre_projection.flags.c_contiguous
-        assert rebuilt.pre_projection.flags.c_contiguous
-        assert not ens.increments.flags.c_contiguous and rebuilt.increments.flags.c_contiguous
-        return ens, rebuilt
-
-    def test_step_bound(self):
-        ens, rebuilt = self.ensembles()
-        a = step1_bound_check(self.model, ens, self.mf, self.probes)
-        b = step1_bound_check(self.model, rebuilt, self.mf, self.probes)
-        assert a.worst_margin == b.worst_margin
-        assert a.n_violations == b.n_violations
-
-    def test_hitting(self):
-        ens, rebuilt = self.ensembles()
-        a = hitting_frequency(ens, self.mf, self.probes, 0.2)
-        b = hitting_frequency(rebuilt, self.mf, self.probes, 0.2)
-        for ra, rb in zip(a, b, strict=True):
-            np.testing.assert_array_equal(ra.hits_per_node, rb.hits_per_node)
-        assert sum(r.total_hits for r in a) > 0
-
+    def observe(self, j, rows, x, z, h, body):
+        if j == 0:
+            self.rows.append((rows.start, rows.stop))
 
 
 class TestStreamed:
-    """The observers, fed each step as simulate_ensemble makes it, equal the record
-    functions on the same ensemble kept, bit for bit, over three chunks of copies."""
+    """The observers' reports over three chunks of copies equal those of the same
+    ensemble stepped as one chunk, bit for bit."""
 
     N = 2 * STEP_CHUNK + 17
     grid = TimeGrid(1.0, 10)
 
-    def streamed_then_kept(self, model, mf, seed, observers):
-        """Run the observers on a streamed ensemble that keeps one node, then return the
-        same ensemble simulated again with its step record kept."""
-        simulate_ensemble(model, mf, self.grid, self.N, seed, nodes=[10], observers=observers)
-        return simulate_ensemble(model, mf, self.grid, self.N, seed, keep_pre_projection=True)
+    def chunked_then_whole(self, monkeypatch, model, mf, seed, make_observers):
+        """The observers make_observers() gives, run on the ensemble stepped in chunks of
+        STEP_CHUNK copies, then a second set run on it stepped as one chunk."""
+        runs = []
+        for chunk in (STEP_CHUNK, self.N):
+            monkeypatch.setattr(dynamics, "STEP_CHUNK", chunk)
+            observers, rows = make_observers(), ChunkRows()
+            simulate_ensemble(model, mf, self.grid, self.N, seed, nodes=[10], observers=[*observers, rows])
+            runs.append(observers)
+            bounds = list(range(0, self.N, chunk)) + [self.N]
+            assert rows.rows == list(zip(bounds, bounds[1:]))
+        return runs
 
     def constants(self, model, mf, probes, halved):
         """The sampled constants, or those with c2 halved to below one: then the probe
@@ -367,19 +308,19 @@ class TestStreamed:
         return constants
 
     @pytest.mark.parametrize("halved", [False, True], ids=["sampled", "c2-halved"])
-    def test_step_bound_on_an_interval(self, halved):
+    def test_step_bound_on_an_interval(self, monkeypatch, halved):
         model, mf = linear_drift_model(), constant_body(Interval(-1, 1))
         probes = TestStepBound.probes_1d
         constants = self.constants(model, mf, probes, halved)
-        check = StepBoundCheck(model, self.grid.delta, probes, constants)
-        ens = self.streamed_then_kept(model, mf, 8, [check])
-        streamed = check.report()
-        assert asdict(streamed) == asdict(step1_bound_check(model, ens, mf, probes, constants=constants))
+        [chunked], [whole] = self.chunked_then_whole(
+            monkeypatch, model, mf, 8, lambda: [StepBoundCheck(model, self.grid.delta, probes, constants)])
+        streamed = chunked.report()
+        assert asdict(streamed) == asdict(whole.report())
         assert (streamed.n_violations > 0) == halved
         assert streamed.n_checks == self.N * 10 * len(probes)
 
     @pytest.mark.parametrize("halved", [False, True], ids=["sampled", "c2-halved"])
-    def test_step_bound_and_hitting_on_a_square_hpolytope(self, halved):
+    def test_step_bound_and_hitting_on_a_square_hpolytope(self, monkeypatch, halved):
         model = make_model("tanh_sigma", 2, [0.0, 0.0], theta=0.5, sigma0=0.6, sigma1=0.05)
         square = HPolytope(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]), np.ones(4))
         mf = constant_body(square)
@@ -387,15 +328,16 @@ class TestStreamed:
         # decides some of their counts
         probes = np.array([[0.0, 0.0], [0.95, 0.0], [0.0, -0.97], [0.93, 0.93]])
         constants = self.constants(model, mf, probes, halved)
-        check, count = StepBoundCheck(model, self.grid.delta, probes, constants), HittingCount(probes, 10)
-        ens = self.streamed_then_kept(model, mf, 9, [check, count])
+        (check, count), (whole_check, whole_count) = self.chunked_then_whole(
+            monkeypatch, model, mf, 9,
+            lambda: [StepBoundCheck(model, self.grid.delta, probes, constants), HittingCount(probes, 10)])
         streamed = check.report()
-        assert asdict(streamed) == asdict(step1_bound_check(model, ens, mf, probes, constants=constants))
+        assert asdict(streamed) == asdict(whole_check.report())
         assert (streamed.n_violations > 0) == halved
-        kept = hitting_frequency(ens, mf, probes)
-        for a, b in zip(count.report(), kept, strict=True):
+        whole = whole_count.report()
+        for a, b in zip(count.report(), whole, strict=True):
             np.testing.assert_array_equal(a.probe, b.probe)
             np.testing.assert_array_equal(a.hits_per_node, b.hits_per_node)
             assert (a.radius, a.n_copies, a.total_hits, a.frequency) == (b.radius, b.n_copies, b.total_hits,
                                                                          b.frequency)
-        assert count.n_copies == self.N and all(rep.total_hits > 0 for rep in kept)
+        assert count.n_copies == self.N and all(rep.total_hits > 0 for rep in whole)
