@@ -1,18 +1,19 @@
 """The per-copy Philox increment stream, drawn by this process and helper processes.
 
-Copy i's rows come from one Philox generator re-keyed to (seed, i) from counter
-zero, so they depend on (seed, i) alone and any copy range can be drawn in any
-process, at any time. fill re-keys the generator by writing its state in place
-through ctypes, after checking numpy's state layout against the public
-Philox.state getter, and draws each copy's normals with numpy's exported C
-fill, the one Generator.standard_normal calls. Each thread builds its
-generator once, and its draw block with the C fill's ctypes arguments once
-per block shape. draw splits a range of at least 2 * INCREMENT_BLOCK
-copies between the calling process and its helper processes, all writing
-into one coordinate-major (n, m, len(copies)) array in a shared buffer, which
-the caller returns. The blocks of INCREMENT_BLOCK copies are cut into one
-contiguous slice per helper; a helper draws its slice from the front and the
-caller draws from the back, so the two meet where their speeds put them.
+Copy i's rows come from a Philox state keyed (seed, i) from counter zero, so
+they depend on (seed, i) alone and any copy range can be drawn in any process,
+at any time. Each thread keeps a copy-major draw block and one numpy
+philox_state and bitgen_t per block row, in arrays built once per block
+shape after checking numpy's struct layout against a real Philox and its
+public Philox.state getter. fill re-keys a whole block of rows with a few
+array writes and draws each copy's normals with one call of numpy's exported
+C fill, the one Generator.standard_normal calls, on its row's state. draw
+splits a range of at least 2 * INCREMENT_BLOCK copies between the calling
+process and its helper processes, all writing into one coordinate-major
+(n, m, len(copies)) array in a shared buffer, which the caller returns. The
+blocks of INCREMENT_BLOCK copies are cut into one contiguous slice per helper;
+a helper draws its slice from the front and the caller draws from the back,
+so the two meet where their speeds put them.
 
 A draw may name the request that will follow it (same n, m and scale). Once
 its own array is complete, draw posts that request to the helpers, which start
@@ -84,7 +85,19 @@ COUNTERS = ("blocks", "helper_blocks", "lookahead_joined", "lookahead_cancelled"
 # pool among them. A helper takes no lock those threads may hold: it runs only its socket loop
 # and fill, and ends through os._exit.
 _FORK_WARNING = r"This process \(pid=\d+\) is multi-threaded, use of fork\(\)"
-_BUFFER_POS_OFFSET = 16  # of buffer_pos in numpy's philox_state, after the counter and key pointers
+# numpy's philox_state (src/philox/philox.h) and bitgen_t (bitgen.h) as structured dtypes, for a
+# 64-bit build. fill keeps one of each per block row; _check_layout holds both against a real Philox
+# before a block's states are built.
+_PHILOX_STATE = np.dtype({"names": ["ctr", "key", "buffer_pos", "buffer", "has_uint32", "uinteger"],
+                          "formats": [np.uintp, np.uintp, np.intc, (np.uint64, 4), np.intc, np.uint32],
+                          "offsets": [0, 8, 16, 24, 56, 60], "itemsize": 64})
+_BITGEN = np.dtype({"names": ["state", "next_uint64", "next_uint32", "next_double", "next_raw"],
+                    "formats": [np.uintp] * 5, "offsets": [0, 8, 16, 24, 32], "itemsize": 40})
+# Set through the public Philox.state setter while the layout is checked: every word differs.
+_PROBE_WORDS = [k * 0x0102030405060708 for k in range(1, 11)]
+_PROBE = {"bit_generator": "Philox", "state": {"counter": _PROBE_WORDS[:4], "key": _PROBE_WORDS[4:6]},
+          "buffer": _PROBE_WORDS[6:], "buffer_pos": 2, "has_uint32": 1, "uinteger": 0x89ABCDEF}
+_CHECK_COPY = _MASK64  # the copy index the one-copy check draws, its top bit set
 # numpy's C distributions, loaded as numpy's own cffi example loads them. No argtypes: fill
 # passes (bitgen_t *, npy_intp, double *) as prebuilt c_void_p, c_ssize_t and c_void_p instances,
 # which ctypes hands to C as they are; through CDLL it still releases the GIL for each call.
@@ -95,54 +108,85 @@ _normal_fill.restype = None
 def fill(out: np.ndarray, seed: int, copies: range, scale: float, blocks=None) -> None:
     """Write copies' standard normals times scale into out, shape (n, m, len(copies)).
 
-    The calling thread's one Philox generator (_thread_generator) is keyed
-    (seed, i) for each copy i by three in-place writes to its state (key word
-    1, counter word 0 and buffer_pos), and the copy's n * m normals come from
-    numpy's exported random_standard_normal_fill: the C function, on the same
-    state, that Generator.standard_normal runs, called without the GIL. The
-    writes go through ctypes views that _philox_views checks against the
-    public Philox.state getter first, on every call. Block b holds copies
-    [b * INCREMENT_BLOCK, (b + 1) * INCREMENT_BLOCK) of the range; the blocks
-    are drawn in the order blocks gives (by default every block, first to
-    last), each into the thread's small copy-major block, and scaled into
-    place. The C call's arguments are the ctypes instances of its C types:
-    the generator's c_void_p, one c_ssize_t count and one c_void_p per block
-    row, built with the block. The seconds spent here add to the
-    caller_draw_s counter.
+    Block b holds copies [b * INCREMENT_BLOCK, (b + 1) * INCREMENT_BLOCK) of
+    the range; the blocks are drawn in the order blocks gives (by default
+    every block, first to last). The calling thread's generator
+    (_thread_generator) keeps one Philox state per row of its copy-major
+    draw block, and a block re-keys all its rows with a few array writes
+    (_Generator.rekey): row r to (seed, i) for its copy i, from counter
+    zero. Each copy then costs one call of numpy's exported
+    random_standard_normal_fill on its row's state: the C function that
+    Generator.standard_normal runs, called without the GIL, with the row's
+    prebuilt ctypes arguments. The block is scaled into place. The seconds
+    spent here add to the caller_draw_s counter.
     """
     t0 = time.perf_counter()
     n, m = out.shape[:2]
-    gen = _thread_generator(seed, min(INCREMENT_BLOCK, len(copies)), n, m)
-    ctr, key, buffer_pos = _philox_views(gen.bit_gen, seed, copies[0] if copies else 0)
-    block, rows = gen.block, gen.rows
+    gen = _thread_generator(seed, min(INCREMENT_BLOCK, len(copies)) or 1, n, m)  # the build draws one row
+    block, args = gen.block, gen.args
     for b in range(_block_count(len(copies))) if blocks is None else blocks:
         start = b * INCREMENT_BLOCK
-        chunk = copies[start:start + INCREMENT_BLOCK]
-        for row, i in zip(rows, chunk):
-            key[1] = i  # a c_uint64 store keeps i modulo 2**64
-            ctr[0] = 0
-            buffer_pos.value = 4  # the buffered outputs are spent
-            _normal_fill(gen.bit_generator, gen.count, row)
-        np.multiply(block[:len(chunk)].transpose(1, 2, 0), scale, out=out[..., start:start + len(chunk)])
+        k = min(INCREMENT_BLOCK, len(copies) - start)
+        gen.rekey(seed, copies[start], copies.step, k)
+        for row in args[:k]:
+            _normal_fill(*row)
+        np.multiply(block[:k].transpose(1, 2, 0), scale, out=out[..., start:start + k])
     _HELPERS.count(caller_draw_s=time.perf_counter() - t0)
 
 
 class _Generator:
-    """One thread's Philox generator and its copy-major (rows, n, m) draw block,
-    with the C fill's arguments: the generator's c_void_p, the c_ssize_t count
-    n * m and one c_void_p per block row, from one read of the block's address."""
+    """One thread's copy-major (rows, n, m) draw block and one Philox state per row.
+
+    bit_gen is a real Philox, never drawn from: its bitgen_t lends every
+    row's bitgen_t its four function pointers, and _check_layout holds the
+    dtypes against it. Row r has its key keys[r] and counter ctrs[r], its
+    philox_state states[r], which points at both, its bitgen_t bitgens[r],
+    which points at states[r], and the C fill's arguments args[r]: c_void_p
+    of bitgens[r], the c_ssize_t count n * m and c_void_p of block[r].
+    """
 
     def __init__(self, seed: int):
         self.bit_gen = np.random.Philox(key=np.array([seed & _MASK64, 0], dtype=np.uint64))
-        self.bit_generator = self.bit_gen.ctypes.bit_generator
         self.shape = None
 
-    def reshape(self, rows: int, n: int, m: int) -> None:
+    def reshape(self, seed: int, rows: int, n: int, m: int) -> None:
+        """Build the block and the rows' states for rows copies of n * m normals.
+
+        The layout is checked first, before any state is built, and the
+        built rows must then draw one copy as the public API does.
+        """
+        _check_layout(self.bit_gen)
+        self.shape = None  # until the one-copy check passes
+        self.block = np.empty((rows, n, m))
+        self.keys = np.zeros((rows, 2), np.uint64)
+        self.ctrs = np.zeros((rows, 4), np.uint64)
+        self.states = np.zeros(rows, _PHILOX_STATE)
+        self.bitgens = np.zeros(rows, _BITGEN)
+        self.row_numbers = np.arange(rows, dtype=np.uint64)
+        self.states["ctr"] = _addresses(self.ctrs)
+        self.states["key"] = _addresses(self.keys)
+        self.buffer_pos = self.states["buffer_pos"]
+        lent = _read(self.bit_gen.ctypes.bit_generator.value, _BITGEN)
+        for name in _BITGEN.names[1:]:
+            self.bitgens[name] = lent[name]
+        self.bitgens["state"] = _addresses(self.states)
+        count = ctypes.c_ssize_t(n * m)
+        self.args = [(ctypes.c_void_p(bitgen), count, ctypes.c_void_p(row))
+                     for bitgen, row in zip(_addresses(self.bitgens).tolist(), _addresses(self.block).tolist())]
+        self.rekey(seed, _CHECK_COPY, 1, 1)
+        _normal_fill(*self.args[0])
+        if not np.array_equal(self.block[0].ravel(), _public_normals(self.bit_gen, seed, _CHECK_COPY, n * m)):
+            raise _layout_error("a copy drawn on the block's states differs from Philox.standard_normal")
         self.shape = (rows, n, m)
-        self.block = np.empty(self.shape)
-        base, stride = self.block.ctypes.data, self.block.strides[0]
-        self.rows = [ctypes.c_void_p(base + stride * k) for k in range(rows)]
-        self.count = ctypes.c_ssize_t(n * m)
+
+    def rekey(self, seed: int, first: int, step: int, k: int) -> None:
+        """Key rows [0, k) to (seed, first + r * step) modulo 2**64, from counter zero, buffer spent."""
+        keys = self.keys[:k]
+        keys[:, 0] = seed & _MASK64
+        np.multiply(self.row_numbers[:k], np.uint64(step & _MASK64), out=keys[:, 1])  # uint64 wraps
+        keys[:, 1] += np.uint64(first & _MASK64)
+        self.ctrs[:k] = 0
+        self.buffer_pos[:k] = 4
 
 
 _THREAD = threading.local()  # .generator: the calling thread's _Generator
@@ -155,44 +199,65 @@ def _thread_generator(seed: int, rows: int, n: int, m: int) -> _Generator:
     if gen is None:
         gen = _THREAD.generator = _Generator(seed)
     if gen.shape != (rows, n, m):
-        gen.reshape(rows, n, m)
+        gen.reshape(seed, rows, n, m)
     return gen
 
 
-def _philox_views(bit_gen: np.random.Philox, seed: int, first: int):
-    """ctypes views of bit_gen's counter, key and buffer_pos, re-keyed to (seed, first).
+def _addresses(array: np.ndarray) -> np.ndarray:
+    """The address of each row of array, as uintp."""
+    return array.ctypes.data + array.strides[0] * np.arange(len(array), dtype=np.uintp)
 
-    The re-key writes both key words, a zero counter and a spent buffer_pos,
-    so a generator left in any state by an earlier fill starts afresh.
-    numpy's philox_state starts with pointers to the counter and the key,
-    both inside the Philox object, then the int buffer_pos. The pointers are
-    checked to lie in the object and every view to read what the Philox.state
-    getter reports, before the first write; after it, the getter must read
-    back the re-keyed state. Any mismatch is a RuntimeError naming numpy's
-    version.
+
+def _read(address: int, dtype: np.dtype) -> np.void:
+    """A copy of the dtype record at address."""
+    return np.frombuffer(ctypes.string_at(address, dtype.itemsize), dtype)[0]
+
+
+def _check_layout(bit_gen: np.random.Philox) -> None:
+    """Hold _PHILOX_STATE and _BITGEN against bit_gen, in a probe state set through
+    the public Philox.state setter; bit_gen's own state is put back after.
+
+    The counter and key pointers of the philox_state at state_address must
+    lie inside the Philox object, and the counter, key and every other field
+    must read what the Philox.state getter reports. The state word of its
+    bitgen_t must be state_address and its function pointers must be set.
+    Any mismatch is a RuntimeError naming numpy's version.
     """
-    state = bit_gen.state
-    address = bit_gen.ctypes.state_address
-    ctr_at, key_at = (ctypes.c_uint64 * 2).from_address(address)
-    low = id(bit_gen)
-    high = low + type(bit_gen).__basicsize__
-    if not (low <= ctr_at <= high - 32 and low <= key_at <= high - 16):
-        raise _layout_error("its counter and key pointers leave the Philox object")
-    ctr = (ctypes.c_uint64 * 4).from_address(ctr_at)
-    key = (ctypes.c_uint64 * 2).from_address(key_at)
-    buffer_pos = ctypes.c_int.from_address(address + _BUFFER_POS_OFFSET)
-    if (list(ctr), list(key), buffer_pos.value) != (
-            state["state"]["counter"].tolist(), state["state"]["key"].tolist(), state["buffer_pos"]):
-        raise _layout_error("its counter, key and buffer_pos differ from the Philox.state getter")
-    key[0] = seed & _MASK64
-    key[1] = first
-    ctr[:] = (0, 0, 0, 0)
-    buffer_pos.value = 4
-    state = bit_gen.state
-    if (state["state"]["key"].tolist(), state["state"]["counter"].tolist(), state["buffer_pos"],
-            state["has_uint32"]) != ([seed & _MASK64, first & _MASK64], [0, 0, 0, 0], 4, 0):
-        raise _layout_error("the Philox.state getter does not read back the re-keyed state")
-    return ctr, key, buffer_pos
+    saved = bit_gen.state
+    try:
+        bit_gen.state = _PROBE
+        state, address = bit_gen.state, bit_gen.ctypes.state_address
+        raw = _read(address, _PHILOX_STATE)
+        low = id(bit_gen)
+        high = low + type(bit_gen).__basicsize__
+        if not (low <= raw["ctr"] <= high - 32 and low <= raw["key"] <= high - 16):
+            raise _layout_error("its counter and key pointers leave the Philox object")
+        read = {"counter": np.frombuffer(ctypes.string_at(int(raw["ctr"]), 32), np.uint64).tolist(),
+                "key": np.frombuffer(ctypes.string_at(int(raw["key"]), 16), np.uint64).tolist(),
+                **{name: raw[name].tolist() for name in ("buffer_pos", "buffer", "has_uint32", "uinteger")}}
+        reported = {"counter": state["state"]["counter"].tolist(), "key": state["state"]["key"].tolist(),
+                    "buffer": state["buffer"].tolist(),
+                    **{name: state[name] for name in ("buffer_pos", "has_uint32", "uinteger")}}
+        if read != reported:
+            raise _layout_error("its philox_state fields differ from the Philox.state getter")
+        lent = _read(bit_gen.ctypes.bit_generator.value, _BITGEN)
+        if lent["state"] != address or not all(lent[name] for name in _BITGEN.names[1:]):
+            raise _layout_error("its bitgen_t does not start with the state address")
+    finally:
+        bit_gen.state = saved
+
+
+def _public_normals(bit_gen: np.random.Philox, seed: int, copy: int, size: int) -> np.ndarray:
+    """Generator(Philox(key=[seed, copy])).standard_normal(size), drawn on bit_gen in that
+    state, set through the public setter; bit_gen's own state is put back after."""
+    saved = bit_gen.state
+    try:
+        bit_gen.state = {"bit_generator": "Philox",
+                         "state": {"counter": [0] * 4, "key": [seed & _MASK64, copy & _MASK64]},
+                         "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        return np.random.Generator(bit_gen).standard_normal(size)
+    finally:
+        bit_gen.state = saved
 
 
 def _layout_error(what: str) -> RuntimeError:

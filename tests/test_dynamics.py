@@ -120,7 +120,7 @@ class TestIncrements:
         [range(1, 2), range(1, INCREMENT_BLOCK + 2), range(5, 5 + 3 * INCREMENT_BLOCK, 2)],
     )
     def test_one_generator_per_call(self, monkeypatch, undrawn_threads, copies):
-        # the per-copy re-key writes the state of one Philox in place; it never builds another
+        # a thread's block rows borrow one Philox's C functions and re-key their own states; no other is built
         philox = np.random.Philox
         built = []
 

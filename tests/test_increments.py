@@ -666,27 +666,76 @@ def test_forked_child_drops_the_look_ahead_and_the_parent_joins_it():
     assert out["joined"] == 1 and out["equal"]
 
 
-# The in-place re-key: fill writes three words of numpy's Philox state through ctypes.
+# The block re-key: every row of a thread's draw block has its own philox_state,
+# which fill keys with array writes before one C call per copy.
+def public(seed, copies, n, m):
+    """Copies' (n, m) draws from Generator(Philox(key=[seed, i mod 2**64])), copy-last."""
+    return np.stack([np.random.Generator(np.random.Philox(key=np.array([seed % 2**64, i % 2**64], dtype=np.uint64)))
+                     .standard_normal((n, m)) for i in copies], axis=-1)
+
+
+def row_state(args):
+    """What the C fill reads through one row's arguments: the philox_state its bitgen_t points at."""
+    bitgen = increments._read(args[0].value, increments._BITGEN)
+    state = increments._read(int(bitgen["state"]), increments._PHILOX_STATE)
+    return {"counter": np.frombuffer(ctypes.string_at(int(state["ctr"]), 32), np.uint64).tolist(),
+            "key": np.frombuffer(ctypes.string_at(int(state["key"]), 16), np.uint64).tolist(),
+            "buffer_pos": int(state["buffer_pos"]), "has_uint32": int(state["has_uint32"])}
+
+
 @pytest.mark.parametrize("copy", [0, 2**63, 2**64 - 1])
-def test_in_place_re_key_agrees_with_the_state_getter(copy):
+def test_in_place_re_key_agrees_with_the_state_getter(copy, undrawn_threads):
     seed = 2**64 - 5
-    bit_gen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
-    ctr, key, buffer_pos = increments._philox_views(bit_gen, seed, 1)
-    np.random.Generator(bit_gen).standard_normal(7)  # the counter and the buffer move on
-    key[1] = copy
-    ctr[0] = 0
-    buffer_pos.value = 4
-    state = bit_gen.state
-    assert state["state"]["key"].tolist() == [seed, copy]
-    assert state["state"]["counter"].tolist() == [0, 0, 0, 0]
-    assert (state["buffer_pos"], state["has_uint32"]) == (4, 0)
-    fresh = np.random.Philox(key=np.array([seed, copy], dtype=np.uint64))
-    np.testing.assert_array_equal(np.random.Generator(bit_gen).standard_normal((3, 2)),
-                                  np.random.Generator(fresh).standard_normal((3, 2)))
+    increments.fill(np.empty((3, 2, 5)), 11, range(copy, copy + 5), 1.0)  # the counters and buffers move on
+    gen = increments._THREAD.generator
+    gen.rekey(seed, copy, 1, 2)
+    for r in range(2):
+        state = np.random.Philox(key=np.array([seed, (copy + r) % 2**64], dtype=np.uint64)).state
+        assert row_state(gen.args[r]) == {"counter": state["state"]["counter"].tolist(),
+                                          "key": state["state"]["key"].tolist(),
+                                          "buffer_pos": state["buffer_pos"], "has_uint32": state["has_uint32"]}
+    assert row_state(gen.args[2])["key"] == [11, (copy + 2) % 2**64]  # rows past the re-keyed ones are left alone
+    increments._normal_fill(*gen.args[0])
+    np.testing.assert_array_equal(gen.block[0], public(seed, [copy], 3, 2)[..., 0])
     z = np.empty((3, 2, 1))
     increments.fill(z, seed, range(copy, copy + 1), 1.0)
-    np.testing.assert_array_equal(z[..., 0], np.random.Generator(
-        np.random.Philox(key=np.array([seed, copy], dtype=np.uint64))).standard_normal((3, 2)))
+    np.testing.assert_array_equal(z, public(seed, [copy], 3, 2))
+
+
+RE_KEY_CASES = {
+    # name: (fills made before, seed, copies, n, m, the ctl words whose _behind order gives the blocks)
+    "crossing_2**64": ([], 2**64 - 1, range(2**64 - INCREMENT_BLOCK - 40, 2**64 + 30), 3, 2, None),
+    "partial_last_block": ([], 9, range(3, 3 + 2 * INCREMENT_BLOCK + 17), 2, 3, None),
+    "back_to_front": ([], 9, range(5, 5 + 2 * (3 * INCREMENT_BLOCK + 11), 2), 2, 1, [[0, 2], [2, 4]]),
+    "after_another_fill": ([(123, range(2**63, 2**63 + 40), 5, 1)], 4, range(1, INCREMENT_BLOCK + 3), 3, 2, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RE_KEY_CASES))
+def test_block_re_key_equals_the_public_stream(case, undrawn_threads):
+    before, seed, copies, n, m, ctl = RE_KEY_CASES[case]
+    for other_seed, other_copies, other_n, other_m in before:
+        increments.fill(np.empty((other_n, other_m, len(other_copies))), other_seed, other_copies, 2.0)
+    blocks = None if ctl is None else list(increments._behind(np.array(ctl)))
+    assert blocks is None or sorted(blocks) == list(range(4)) != blocks
+    z = np.full((n, m, len(copies)), np.nan)
+    increments.fill(z, seed, copies, 1.0, blocks)
+    np.testing.assert_array_equal(z, public(seed, copies, n, m))
+
+
+def test_an_empty_range_draws_nothing(undrawn_threads):
+    # the block is built with one row even then: its build draws one copy to check the layout
+    z = np.empty((3, 2, 0))
+    increments.fill(z, 5, range(7, 7), 1.0)
+    assert increments._THREAD.generator.shape == (1, 3, 2)
+
+
+def test_a_helpers_share_equals_the_public_stream(helper_pool, caller_draws_half):
+    pool = helper_pool(cpus=2)
+    seed, copies = 2**64 - 7, range(2**64 - 2 * INCREMENT_BLOCK, 2**64 + 2 * INCREMENT_BLOCK + 9)
+    z = gaussian_increments(seed, copies, 3, 2, 0.25)
+    assert pool.counts["helper_blocks"] >= 2
+    np.testing.assert_array_equal(z.transpose(1, 2, 0), 0.5 * public(seed, copies, 3, 2))
 
 
 def test_two_draws_in_one_thread_build_one_generator(monkeypatch, undrawn_threads):
@@ -725,29 +774,52 @@ def test_normal_fill_gets_ctypes_instances_of_its_c_types(monkeypatch, undrawn_t
 
     def recorded_fill(*args):
         calls.append(args)
-        copy = float(built[0].state["state"]["key"][1])
+        copy = float(row_state(args)["key"][1])
         (ctypes.c_double * (n * m)).from_address(args[2].value)[:] = [copy] * (n * m)
 
     monkeypatch.setattr(np.random, "Philox", recorded_philox)
+    increments.fill(np.empty((n, m, INCREMENT_BLOCK)), 1, range(INCREMENT_BLOCK), 1.0)  # built with the C fill
+    gen = increments._THREAD.generator
     monkeypatch.setattr(increments, "_normal_fill", recorded_fill)
     z = np.empty((n, m, len(copies)))
     increments.fill(z, 7, copies, 0.5)
     assert len(built) == 1 and len(calls) == len(copies)
     assert {tuple(map(type, args)) for args in calls} == {(ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_void_p)}
-    assert {(args[0].value, args[1].value) for args in calls} == {(built[0].ctypes.bit_generator.value, n * m)}
-    # row k of the (INCREMENT_BLOCK, n, m) block is at its base + k * its stride
-    base = calls[0][2].value
-    assert [args[2].value for args in calls] == [base + 8 * n * m * (k % INCREMENT_BLOCK)
-                                                 for k in range(len(copies))]
-    # and is scaled into its copy's column
+    assert {args[1].value for args in calls} == {n * m}
+    # copy k draws on row r = k % INCREMENT_BLOCK: bitgen_t r of the block's rows and row r of the
+    # (INCREMENT_BLOCK, n, m) block
+    rows = [k % INCREMENT_BLOCK for k in range(len(copies))]
+    assert [args[0].value for args in calls] == [gen.bitgens.ctypes.data + increments._BITGEN.itemsize * r
+                                                 for r in rows]
+    assert [args[2].value for args in calls] == [gen.block.ctypes.data + 8 * n * m * r for r in rows]
+    # every row's bitgen_t points at its own state and lends the functions of the thread's Philox
+    lent = increments._read(built[0].ctypes.bit_generator.value, increments._BITGEN)
+    bitgens = [increments._read(args[0].value, increments._BITGEN) for args in calls[:INCREMENT_BLOCK]]
+    assert len({int(bitgen["state"]) for bitgen in bitgens}) == INCREMENT_BLOCK
+    assert all(bitgen[name] == lent[name] for bitgen in bitgens for name in increments._BITGEN.names[1:])
+    # and each copy's row is scaled into its copy's column
     np.testing.assert_array_equal(z, np.broadcast_to(0.5 * np.array(copies, dtype=float), z.shape))
 
 
-# Two ways the layout check can disagree with numpy: buffer_pos read at the
-# offset of buffer[0] (0 in a fresh Philox, not the getter's 4), and a Philox
-# object placed elsewhere than the counter and key pointers point.
+def moved(dtype, field, offset):
+    """dtype with field at offset and every other field where it was."""
+    names = list(dtype.names)
+    return np.dtype({"names": names, "formats": [dtype.fields[name][0] for name in names],
+                     "offsets": [offset if name == field else dtype.fields[name][1] for name in names],
+                     "itemsize": dtype.itemsize})
+
+
+# Ways the layout check can disagree with numpy: buffer_pos read inside
+# buffer[0], buffer read from buffer_pos on, bitgen_t's state pointer read
+# from its second word, and a Philox object placed elsewhere than the counter
+# and key pointers point.
 LAYOUT_FAULTS = {
-    "buffer_pos_offset": lambda monkeypatch: monkeypatch.setattr(increments, "_BUFFER_POS_OFFSET", 24),
+    "buffer_pos_offset": lambda monkeypatch: monkeypatch.setattr(
+        increments, "_PHILOX_STATE", moved(increments._PHILOX_STATE, "buffer_pos", 24)),
+    "buffer_offset": lambda monkeypatch: monkeypatch.setattr(
+        increments, "_PHILOX_STATE", moved(increments._PHILOX_STATE, "buffer", 16)),
+    "bitgen_state_word": lambda monkeypatch: monkeypatch.setattr(
+        increments, "_BITGEN", moved(increments._BITGEN, "state", 8)),
     "object_address": lambda monkeypatch: monkeypatch.setattr(increments, "id", lambda obj: 0, raising=False),
 }
 
@@ -787,15 +859,19 @@ def test_layout_mismatch_exits_2_with_one_line(tmp_path):
 
     config = tmp_path / "exp.cfg"
     config.write_text(CONFIG_TEXT)
-    code = textwrap.dedent("""
+    code = textwrap.dedent(f"""
         import sys
-        from hullsim import cli, increments
-        increments._BUFFER_POS_OFFSET = 24
-        sys.exit(cli.main(sys.argv[1:]))
+        sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})
+        import pytest
+        from hullsim import cli
+        from test_increments import LAYOUT_FAULTS
+        LAYOUT_FAULTS[sys.argv[1]](pytest.MonkeyPatch())
+        sys.exit(cli.main(sys.argv[2:]))
     """)
-    proc = run_script(code, "run", "--config", str(config), "--out", str(tmp_path / "o"))
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    [line] = proc.stderr.splitlines()
-    assert line.startswith(f"runtime error: the Philox state layout of numpy {np.__version__} ")
-    assert not (tmp_path / "o").exists()
+    for fault in sorted(LAYOUT_FAULTS):
+        proc = run_script(code, fault, "run", "--config", str(config), "--out", str(tmp_path / "o"))
+        assert proc.returncode == 2, (fault, proc.stderr)
+        assert proc.stdout == ""
+        [line] = proc.stderr.splitlines()
+        assert line.startswith(f"runtime error: the Philox state layout of numpy {np.__version__} ")
+        assert not (tmp_path / "o").exists()
