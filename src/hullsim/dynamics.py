@@ -298,10 +298,11 @@ def _simulate(model: SdeModel, mf: Multifunction, grid: TimeGrid, seed: int, cop
     Each chunk is one batch stepped on its own increments array. Its draw
     names the next chunk as gaussian_increments' then, and the last chunk's
     names then, so the next chunk is drawn while this one is stepped; the
-    chunk's array is dropped before the next draw. Body j + 1 is built once,
-    by the first chunk's step j. A failing copy is named by the first failing
-    step of the first chunk that fails. After each step every observer reads
-    it (StepObserver), in order.
+    chunk's array is dropped before the next draw. The bodies at nodes
+    1..steps are built once, before the first step (bodies_at_nodes), so an
+    mf that fails at any node raises before any observer sees a step. A
+    failing copy is named by the first failing step of the first chunk that
+    fails. After each step every observer reads it (StepObserver), in order.
 
     Returns the states at nodes (len(copies), len(nodes), m), every node
     0..steps when nodes is None: a transposed view of a coordinate-major
@@ -317,7 +318,7 @@ def _simulate(model: SdeModel, mf: Multifunction, grid: TimeGrid, seed: int, cop
     nodes = range(n + 1) if nodes is None else nodes
     states = np.empty((len(nodes), m, len(copies)))
     slots = dict(zip(nodes, states))
-    bodies = []  # bodies[j] is C(t_{j+1})
+    bodies = bodies_at_nodes(mf, grid)[1:]  # bodies[j] is C(t_{j+1})
     for first in range(0, max(len(copies), 1), STEP_CHUNK):  # no copies: the empty chunk's draw raises
         chunk = copies[first:first + STEP_CHUNK]
         following = copies[first + STEP_CHUNK:first + 2 * STEP_CHUNK]
@@ -329,8 +330,6 @@ def _simulate(model: SdeModel, mf: Multifunction, grid: TimeGrid, seed: int, cop
             slots[0][:, cols] = start
         x = start.T
         for j in range(n):
-            if j == len(bodies):
-                bodies.append(mf(grid.node(j + 1)))
             try:
                 h, x_next = euler_step(model, bodies[j], x, z[:, j], grid.delta)
             except (ModelError, GeometryError) as exc:

@@ -2,12 +2,13 @@
 
 Copy i's rows come from a Philox state keyed (seed, i) from counter zero, so
 they depend on (seed, i) alone and any copy range can be drawn in any process,
-at any time. Each thread keeps a copy-major draw block and one numpy
-philox_state and bitgen_t per block row, in arrays built once per block
-shape after checking numpy's struct layout against a real Philox and its
-public Philox.state getter. fill re-keys a whole block of rows with a few
-array writes and draws each copy's normals with one call of numpy's exported
-C fill, the one Generator.standard_normal calls, on its row's state. draw
+at any time. Each thread keeps a copy-major draw block of INCREMENT_BLOCK
+copies and one numpy philox_state and bitgen_t per block row, in arrays
+built once per (n, m), whatever the seed, after checking numpy's struct
+layout against a real Philox and its public Philox.state getter. fill
+re-keys a whole block of rows with a few array writes and draws each copy's
+normals with one call of numpy's exported C fill, the one
+Generator.standard_normal calls, on its row's state. draw
 splits a range of at least 2 * INCREMENT_BLOCK copies between the calling
 process and its helper processes, all writing into one coordinate-major
 (n, m, len(copies)) array in a shared buffer, which the caller returns. The
@@ -43,15 +44,16 @@ There is one helper per CPU of the affinity mask beyond the first, at most
 MAX_HELPERS, forked from this process by the draw or look-ahead of at least
 2 * INCREMENT_BLOCK copies that starts a generation, never on import. A
 helper so starts with numpy and the C fill loaded, and takes its part of
-that draw. It closes this process's ends of its own socket and of the
-helpers forked before it, so that closing one reaches its helper; it ignores
-SIGINT and ends through os._exit, so it never returns into this process's
-code, runs its atexit handlers or flushes the stdio buffers it inherited.
-Helpers serve until the next generation or the exit of the process that
-started them; any other child it forks drops them and their buffers and
-starts its own. The draw is serial below 2 * INCREMENT_BLOCK copies, on a
-one-CPU mask, where os.fork is missing, while the helpers hold another draw
-and when a new generation's buffers cannot be made. The caller draws
+that draw. It closes this process's end of its own socket, so it sees end
+of file and exits once this process has gone; it ignores SIGINT and ends
+through os._exit, so it never returns into this process's code, runs its
+atexit handlers or flushes the stdio buffers it inherited. Helpers serve
+until the next generation or the exit of the process that started them,
+which stops each by killing it, closing its socket and reaping it; any
+other child it forks drops them and their buffers and starts its own. The
+draw is serial below 2 * INCREMENT_BLOCK copies, on a one-CPU mask, where
+os.fork is missing, while the helpers hold another draw and when a new
+generation's buffers cannot be made. The caller draws
 whatever a failed helper left and uses that helper no more; the next
 generation forks a full set. Every path gives the same bytes.
 """
@@ -77,7 +79,6 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 INCREMENT_BLOCK = 256  # copies per copy-major draw block in fill
 MAX_HELPERS = 3  # helper processes at most, whatever the CPU count
-STOP_WAIT_S = 5.0  # a helper whose socket is closed exits after its block; one that does not is killed
 # What stream_counters counts, summed over every draw of this process; the _s counters are seconds.
 COUNTERS = ("blocks", "helper_blocks", "lookahead_joined", "lookahead_cancelled", "buffers_made",
             "caller_draw_s", "helper_wait_s")
@@ -97,7 +98,7 @@ _BITGEN = np.dtype({"names": ["state", "next_uint64", "next_uint32", "next_doubl
 _PROBE_WORDS = [k * 0x0102030405060708 for k in range(1, 11)]
 _PROBE = {"bit_generator": "Philox", "state": {"counter": _PROBE_WORDS[:4], "key": _PROBE_WORDS[4:6]},
           "buffer": _PROBE_WORDS[6:], "buffer_pos": 2, "has_uint32": 1, "uinteger": 0x89ABCDEF}
-_CHECK_COPY = _MASK64  # the copy index the one-copy check draws, its top bit set
+_CHECK_COPY = _MASK64  # the copy index the one-copy check draws under seed 0, its top bit set
 # numpy's C distributions, loaded as numpy's own cffi example loads them. No argtypes: fill
 # passes (bitgen_t *, npy_intp, double *) as prebuilt c_void_p, c_ssize_t and c_void_p instances,
 # which ctypes hands to C as they are; through CDLL it still releases the GIL for each call.
@@ -111,10 +112,10 @@ def fill(out: np.ndarray, seed: int, copies: range, scale: float, blocks=None) -
     Block b holds copies [b * INCREMENT_BLOCK, (b + 1) * INCREMENT_BLOCK) of
     the range; the blocks are drawn in the order blocks gives (by default
     every block, first to last). The calling thread's generator
-    (_thread_generator) keeps one Philox state per row of its copy-major
-    draw block, and a block re-keys all its rows with a few array writes
-    (_Generator.rekey): row r to (seed, i) for its copy i, from counter
-    zero. Each copy then costs one call of numpy's exported
+    (_thread_generator, keyed by (n, m)) keeps one Philox state per row of
+    its copy-major draw block, and a block of k copies re-keys rows [0, k)
+    with a few array writes (_Generator.rekey): row r to (seed, i) for its
+    copy i, from counter zero. Each copy then costs one call of numpy's exported
     random_standard_normal_fill on its row's state: the C function that
     Generator.standard_normal runs, called without the GIL, with the row's
     prebuilt ctypes arguments. The block is scaled into place. The seconds
@@ -122,7 +123,7 @@ def fill(out: np.ndarray, seed: int, copies: range, scale: float, blocks=None) -
     """
     t0 = time.perf_counter()
     n, m = out.shape[:2]
-    gen = _thread_generator(seed, min(INCREMENT_BLOCK, len(copies)) or 1, n, m)  # the build draws one row
+    gen = _thread_generator(n, m)
     block, args = gen.block, gen.args
     for b in range(_block_count(len(copies))) if blocks is None else blocks:
         start = b * INCREMENT_BLOCK
@@ -135,34 +136,35 @@ def fill(out: np.ndarray, seed: int, copies: range, scale: float, blocks=None) -
 
 
 class _Generator:
-    """One thread's copy-major (rows, n, m) draw block and one Philox state per row.
+    """One thread's copy-major (INCREMENT_BLOCK, n, m) draw block and one Philox state per row.
 
-    bit_gen is a real Philox, never drawn from: its bitgen_t lends every
-    row's bitgen_t its four function pointers, and _check_layout holds the
-    dtypes against it. Row r has its key keys[r] and counter ctrs[r], its
-    philox_state states[r], which points at both, its bitgen_t bitgens[r],
-    which points at states[r], and the C fill's arguments args[r]: c_void_p
-    of bitgens[r], the c_ssize_t count n * m and c_void_p of block[r].
+    bit_gen is a real Philox with the fixed key (0, 0), never drawn from:
+    its bitgen_t lends every row's bitgen_t its four function pointers, and
+    _check_layout holds the dtypes against it. Row r has its key keys[r] and
+    counter ctrs[r], its philox_state states[r], which points at both, its
+    bitgen_t bitgens[r], which points at states[r], and the C fill's
+    arguments args[r]: c_void_p of bitgens[r], the c_ssize_t count n * m and
+    c_void_p of block[r].
     """
 
-    def __init__(self, seed: int):
-        self.bit_gen = np.random.Philox(key=np.array([seed & _MASK64, 0], dtype=np.uint64))
+    def __init__(self):
+        self.bit_gen = np.random.Philox(key=0)
         self.shape = None
 
-    def reshape(self, seed: int, rows: int, n: int, m: int) -> None:
-        """Build the block and the rows' states for rows copies of n * m normals.
+    def reshape(self, n: int, m: int) -> None:
+        """Build the block and the rows' states for INCREMENT_BLOCK copies of n * m normals.
 
-        The layout is checked first, before any state is built, and the
-        built rows must then draw one copy as the public API does.
+        The layout is checked first, before any state is built, and row 0
+        must then draw copy _CHECK_COPY of seed 0 as the public API does.
         """
         _check_layout(self.bit_gen)
         self.shape = None  # until the one-copy check passes
-        self.block = np.empty((rows, n, m))
-        self.keys = np.zeros((rows, 2), np.uint64)
-        self.ctrs = np.zeros((rows, 4), np.uint64)
-        self.states = np.zeros(rows, _PHILOX_STATE)
-        self.bitgens = np.zeros(rows, _BITGEN)
-        self.row_numbers = np.arange(rows, dtype=np.uint64)
+        self.block = np.empty((INCREMENT_BLOCK, n, m))
+        self.keys = np.zeros((INCREMENT_BLOCK, 2), np.uint64)
+        self.ctrs = np.zeros((INCREMENT_BLOCK, 4), np.uint64)
+        self.states = np.zeros(INCREMENT_BLOCK, _PHILOX_STATE)
+        self.bitgens = np.zeros(INCREMENT_BLOCK, _BITGEN)
+        self.row_numbers = np.arange(INCREMENT_BLOCK, dtype=np.uint64)
         self.states["ctr"] = _addresses(self.ctrs)
         self.states["key"] = _addresses(self.keys)
         self.buffer_pos = self.states["buffer_pos"]
@@ -173,11 +175,11 @@ class _Generator:
         count = ctypes.c_ssize_t(n * m)
         self.args = [(ctypes.c_void_p(bitgen), count, ctypes.c_void_p(row))
                      for bitgen, row in zip(_addresses(self.bitgens).tolist(), _addresses(self.block).tolist())]
-        self.rekey(seed, _CHECK_COPY, 1, 1)
+        self.rekey(0, _CHECK_COPY, 1, 1)
         _normal_fill(*self.args[0])
-        if not np.array_equal(self.block[0].ravel(), _public_normals(self.bit_gen, seed, _CHECK_COPY, n * m)):
+        if not np.array_equal(self.block[0].ravel(), _public_normals(self.bit_gen, 0, _CHECK_COPY, n * m)):
             raise _layout_error("a copy drawn on the block's states differs from Philox.standard_normal")
-        self.shape = (rows, n, m)
+        self.shape = (n, m)
 
     def rekey(self, seed: int, first: int, step: int, k: int) -> None:
         """Key rows [0, k) to (seed, first + r * step) modulo 2**64, from counter zero, buffer spent."""
@@ -192,14 +194,15 @@ class _Generator:
 _THREAD = threading.local()  # .generator: the calling thread's _Generator
 
 
-def _thread_generator(seed: int, rows: int, n: int, m: int) -> _Generator:
+def _thread_generator(n: int, m: int) -> _Generator:
     """The calling thread's generator, built on its first fill, with a block of
-    rows copies of n * m normals, rebuilt when a fill needs another shape."""
+    INCREMENT_BLOCK copies of n * m normals: keyed by (n, m) alone, rebuilt
+    when a fill has another n or m, whatever its seed or number of copies."""
     gen = getattr(_THREAD, "generator", None)
     if gen is None:
-        gen = _THREAD.generator = _Generator(seed)
-    if gen.shape != (rows, n, m):
-        gen.reshape(seed, rows, n, m)
+        gen = _THREAD.generator = _Generator()
+    if gen.shape != (n, m):
+        gen.reshape(n, m)
     return gen
 
 
@@ -314,14 +317,12 @@ def _views(buf: mmap.mmap, shape: tuple, helpers: int) -> tuple[np.ndarray, np.n
 class _Helper:
     """One helper process, forked from this one, and this process's end of its socket.
 
-    siblings are the helpers forked before it, whose ends the new helper
-    closes; buffers are its generation's, which it inherits. pid is the
-    helper's, and returncode, None until it is reaped, its exit code, or
-    -signal if a signal ended it.
+    buffers are its generation's, which it inherits. pid is the helper's,
+    and returncode, None until it is reaped, its exit code, or -signal if a
+    signal ended it: -SIGKILL for one this process stopped while it ran.
     """
 
-    def __init__(self, siblings: list[_Helper], buffers: list[mmap.mmap]):
-        self.stopped = False
+    def __init__(self, buffers: list[mmap.mmap]):
         self.returncode = None
         self.sock, theirs = socket.socketpair(socket.AF_UNIX, socket.SOCK_SEQPACKET)
         with theirs:
@@ -333,7 +334,7 @@ class _Helper:
                 self.sock.close()
                 raise
             if self.pid == 0:
-                _serve(theirs, [self.sock] + [helper.sock for helper in siblings], buffers)
+                _serve(theirs, self.sock, buffers)
 
     def send(self, request: tuple) -> bool:
         """Send one fill request; False if the helper is gone."""
@@ -351,32 +352,27 @@ class _Helper:
             return False
 
     def stop(self) -> None:
-        """Close the socket, which ends the helper's loop, and reap the process;
-        one still running after STOP_WAIT_S is killed."""
-        self.stopped = True
-        self.sock.close()
-        if self.wait(STOP_WAIT_S) is None:
+        """Kill the helper, then close the socket and reap it, so it writes no
+        buffer again. Killed before its socket closes, a running helper always
+        ends with -SIGKILL, never with the 0 of an idle one at end of file."""
+        if self.poll() is None:  # not reaped: the pid is still the helper's
             os.kill(self.pid, signal.SIGKILL)
-            self.wait()
+        self.sock.close()
+        self.wait()
 
     def poll(self) -> int | None:
         """returncode, reaping the helper if it has exited, without waiting."""
-        return self.wait(0)
+        return self.wait(os.WNOHANG)
 
-    def wait(self, timeout: float | None = None) -> int | None:
-        """returncode once the helper is reaped, waiting at most timeout seconds if given."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while self.returncode is None:
+    def wait(self, options: int = 0) -> int | None:
+        """returncode once the helper is reaped; with os.WNOHANG, None while it runs."""
+        if self.returncode is None:
             try:
-                pid, status = os.waitpid(self.pid, 0 if deadline is None else os.WNOHANG)
+                pid, status = os.waitpid(self.pid, options)
             except ChildProcessError:  # reaped by another wait of this process; its status is lost
                 pid, status = self.pid, 0
             if pid:
                 self.returncode = os.waitstatus_to_exitcode(status)
-            elif time.monotonic() >= deadline:
-                break
-            else:
-                time.sleep(0.001)
         return self.returncode
 
 
@@ -507,7 +503,7 @@ class _Helpers:
                 self.counts[key] += value
 
     def release(self) -> None:
-        self.live = [h for h in self.live if not h.stopped]
+        self.live = [h for h in self.live if h.returncode is None]
         self.lock.release()
 
     @contextmanager
@@ -539,9 +535,7 @@ class _Helpers:
         self.count(lookahead_cancelled=1)
 
     def stop(self) -> None:
-        """Stop the live helpers; every one starts to exit before the first wait."""
-        for helper in self.live:
-            helper.sock.close()
+        """Stop the live helpers, one after the other (_Helper.stop)."""
         for helper in self.live:
             helper.stop()
         self.live = []
@@ -574,7 +568,7 @@ def _start(count: int, buffers: list[mmap.mmap]) -> list[_Helper]:
     helpers = []
     for _ in range(count):
         try:
-            helpers.append(_Helper(helpers, buffers))
+            helpers.append(_Helper(buffers))
         except OSError:
             break
     return helpers
@@ -635,21 +629,22 @@ def draw(seed: int, copies: range, n: int, m: int, scale: float, then: tuple | N
     return z
 
 
-def _serve(sock: socket.socket, inherited: list[socket.socket], buffers: list[mmap.mmap]) -> None:
+def _serve(sock: socket.socket, caller_end: socket.socket, buffers: list[mmap.mmap]) -> None:
     """A forked helper's life: fill each requested slice of an array on one of
     buffers, its generation's, until end of file on sock, then exit.
 
-    inherited are this process's ends of every helper socket, closed first so
-    that each helper sees end of file once the caller closes its end. buffers
-    come as an argument, not from _HELPERS, which the fork handler has reset.
-    The helper ends only through os._exit, with 0 at end of file and 1 on any
-    error, so it never returns into the caller's stack.
+    caller_end, the caller's end of sock, is closed first, so the helper gets
+    end of file once the caller has gone; the helpers forked after it, which
+    hold copies of that end, get theirs first. The caller stops a helper by
+    killing it (_Helper.stop). buffers come as an argument, not from
+    _HELPERS, which the fork handler has reset. The helper ends only through
+    os._exit, with 0 at end of file and 1 on any error, so it never returns
+    into the caller's stack.
     """
     code = 1
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)  # a terminal's Ctrl-C is the caller's
-        for caller_end in inherited:
-            caller_end.close()
+        caller_end.close()
         while True:
             message = sock.recv(4096)
             if not message:

@@ -153,9 +153,8 @@ def test_helper_stuck_before_its_blocks_is_killed_and_its_blocks_drawn(
     copies = range(1, 4 * INCREMENT_BLOCK + 1)
     gaussian_increments(3, copies, 4, 2, 0.2)
     [helper] = pool.live
-    os.kill(helper.pid, signal.SIGSTOP)  # it takes no request and ignores its closed socket
+    os.kill(helper.pid, signal.SIGSTOP)  # it takes no request
     monkeypatch.setattr(helper, "finished", lambda: False)
-    monkeypatch.setattr(increments, "STOP_WAIT_S", 0.1)
     z = gaussian_increments(3, copies, 4, 2, 0.2)
     np.testing.assert_array_equal(z, serial(3, copies, 4, 2, 0.2))
     assert helper.returncode == -signal.SIGKILL and pool.live == []
@@ -243,9 +242,14 @@ def test_threads_drawing_at_once_get_their_own_streams(helper_pool):
             np.testing.assert_array_equal(z, reference)
 
 
-@pytest.mark.parametrize("ending", ["return", "raise", "sigkill"])
-def test_no_helper_outlives_its_interpreter(ending):
-    code = PRELUDE + textwrap.dedent("""
+@pytest.mark.parametrize("ending,cpus", [
+    pytest.param("return", 2, id="return"), pytest.param("raise", 2, id="raise"),
+    pytest.param("sigkill", 2, id="sigkill"),
+    # three helpers: each closes only its own socket's caller end, so the helpers
+    # forked later hold the earlier ones' ends and must exit first, one after the other
+    pytest.param("sigkill", 4, id="sigkill-three_helpers")])
+def test_no_helper_outlives_its_interpreter(ending, cpus):
+    code = PRELUDE.replace("{0, 1}", repr(set(range(cpus)))) + textwrap.dedent("""
         print(json.dumps([h.pid for h in increments._HELPERS.live]), flush=True)
         sys.stdin.read()  # until the test has seen the helper run, then closes stdin or kills this process
         if sys.argv[1] == "raise":
@@ -256,7 +260,7 @@ def test_no_helper_outlives_its_interpreter(ending):
         stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
     )
     pids = json.loads(proc.stdout.readline())
-    assert len(pids) == 1 and all(running(pid) for pid in pids)
+    assert len(pids) == cpus - 1 and all(running(pid) for pid in pids)
     if ending == "sigkill":
         proc.send_signal(signal.SIGKILL)
     _, stderr = proc.communicate(timeout=60)
@@ -265,7 +269,7 @@ def test_no_helper_outlives_its_interpreter(ending):
     if ending != "sigkill":  # shut down through atexit: reaped before the exit
         assert not any(running(pid) for pid in pids)
         return
-    deadline = time.monotonic() + 30  # the socket closed with the process: the helper exits
+    deadline = time.monotonic() + 30  # the sockets closed with the process: the helpers exit
     while any(running(pid) for pid in pids) and time.monotonic() < deadline:
         time.sleep(0.05)
     assert not any(running(pid) for pid in pids)
@@ -517,7 +521,7 @@ def test_a_multi_unit_run_makes_at_most_two_buffers(helper_pool):
 
 
 def test_a_larger_draw_starts_a_generation():
-    # new helpers on two new buffers; the old helpers exit with status 0, an
+    # new helpers on two new buffers; the old helpers are killed and reaped, an
     # array held on an old buffer keeps its bytes, and with no buffers to be
     # had the draw is serial and the generation stays
     code = PRELUDE + textwrap.dedent("""
@@ -543,7 +547,8 @@ def test_a_larger_draw_starts_a_generation():
         largest = range(1, 9 * 256 + 1)
         w = gaussian_increments(10, largest, 5, 2, 0.1)
         print(json.dumps({
-            "old": [(h.pid, h.returncode) for h in old], "new": [h.pid for h in new],
+            "old": [(h.pid, h.returncode, os.path.exists(f"/proc/{h.pid}")) for h in old],
+            "new": [h.pid for h in new],
             "live": [h.pid for h in increments._HELPERS.live], "processes": stream_processes(),
             "held_on_old": held_on_old,
             "held": bool((held == first).all()), "larger": bool((z == serial(9, larger)).all()),
@@ -554,27 +559,24 @@ def test_a_larger_draw_starts_a_generation():
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     out = json.loads(proc.stdout)
-    [(old_pid, old_status)] = out["old"]
-    assert old_status == 0 and not running(old_pid)
+    [(old_pid, old_status, old_left)] = out["old"]
+    assert old_status == -signal.SIGKILL and not old_left  # reaped, no zombie
     assert len(out["new"]) == 1 and out["new"] != [old_pid] and out["live"] == out["new"]
     assert out["processes"] == 2 and out["buffers_made"] == 2 * 2
     assert out["held_on_old"] and out["held"] and out["larger"] and out["largest"]
 
 
-def test_a_helper_stopped_alone_and_close_reap_every_helper_with_exit_status_0(helper_pool):
-    # each helper closes this process's ends of the sockets of the helpers
-    # forked before it: a later helper that kept the first one's would keep it
-    # from seeing end of file when it is stopped alone, as a failed helper is,
-    # and stop would kill it after STOP_WAIT_S
+def test_a_helper_stopped_alone_and_close_reap_every_helper_killed(helper_pool):
     pool = helper_pool(cpus=4)
     copies = range(1, 3 * INCREMENT_BLOCK + 1)
     np.testing.assert_array_equal(gaussian_increments(8, copies, 5, 2, 0.1), serial(8, copies, 5, 2, 0.1))
     helpers = list(pool.live)
     assert len(helpers) == 3
     helpers[0].stop()
-    assert helpers[0].returncode == 0 and [helper.poll() for helper in helpers[1:]] == [None, None]
+    assert helpers[0].returncode == -signal.SIGKILL and [helper.poll() for helper in helpers[1:]] == [None, None]
     pool.close()
-    assert [helper.returncode for helper in helpers] == [0, 0, 0]
+    assert [helper.returncode for helper in helpers] == [-signal.SIGKILL] * 3
+    assert not any(Path(f"/proc/{helper.pid}").exists() for helper in helpers)  # reaped, no zombie
 
 
 def test_the_fork_warning_of_a_threaded_process_is_no_error(helper_pool, caller_draws_half, monkeypatch):
@@ -598,7 +600,8 @@ def test_the_fork_warning_of_a_threaded_process_is_no_error(helper_pool, caller_
     [helper] = pool.live
     assert pids == [helper.pid] and pool.counts["helper_blocks"] >= 2  # the front half at least
     pool.close()
-    assert helper.returncode == 0 and not Path(f"/proc/{helper.pid}").exists()  # reaped, no zombie
+    assert helper.returncode == -signal.SIGKILL
+    assert not Path(f"/proc/{helper.pid}").exists()  # reaped, no zombie
 
 
 def test_a_helper_ignores_sigint(helper_pool, caller_draws_half):
@@ -724,10 +727,11 @@ def test_block_re_key_equals_the_public_stream(case, undrawn_threads):
 
 
 def test_an_empty_range_draws_nothing(undrawn_threads):
-    # the block is built with one row even then: its build draws one copy to check the layout
+    # the block is built even then, keyed by (n, m): its build draws one copy to check the layout
     z = np.empty((3, 2, 0))
     increments.fill(z, 5, range(7, 7), 1.0)
-    assert increments._THREAD.generator.shape == (1, 3, 2)
+    gen = increments._THREAD.generator
+    assert gen.shape == (3, 2) and gen.block.shape == (INCREMENT_BLOCK, 3, 2)
 
 
 def test_a_helpers_share_equals_the_public_stream(helper_pool, caller_draws_half):
@@ -847,8 +851,8 @@ def test_layout_mismatch_raises_one_line_before_any_write(helper_pool, monkeypat
     message = str(caught.value)
     assert "\n" not in message and f"numpy {np.__version__}" in message
     assert drawn == [] and len(built) == 1
-    state = built[0].state  # as built: key (3, 0), counter zero, buffer spent
-    assert state["state"]["key"].tolist() == [3, 0] and state["state"]["counter"].tolist() == [0, 0, 0, 0]
+    state = built[0].state  # as built: the fixed key (0, 0), counter zero, buffer spent
+    assert state["state"]["key"].tolist() == [0, 0] and state["state"]["counter"].tolist() == [0, 0, 0, 0]
     assert state["buffer"].tolist() == [0, 0, 0, 0] and state["buffer_pos"] == 4
     assert pool.live == [] and stream_processes() == 1
     assert not any(running(pid) for pid in pids)
