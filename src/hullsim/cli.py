@@ -10,9 +10,9 @@ a body, x0 or probe that does not fit the grid, or diagnostic inputs the
 step-bound check cannot evaluate); 2 runtime error. A run prints the median
 errors, the files it wrote and a summary line: label, wall clock, meta.phases,
 meta.stream_processes (this process and the increment helpers it forked),
-the meta.stream share of blocks the helpers drew, the seconds this process
-drew for and waited for them, the shared buffers made, the look-aheads
-joined and cancelled, and the CSV text's SHA-256. The reports are written
+the meta.stream share of blocks the helpers drew, the seconds the main
+thread drew for and waited for them, the shared buffers made, the
+look-aheads joined and cancelled, and the CSV text's SHA-256. The reports are written
 before anything is printed, so a reader that closes stdout early (hullsim
 run ... | head -1) is no error: the rest of the output is dropped and the
 exit code is 0.
@@ -89,7 +89,7 @@ def _run(args: argparse.Namespace) -> int:
         digest = hashlib.sha256(harness.render_csv(report).encode()).hexdigest()
         print(f"{config.label}: {meta['wall_clock_s']:.1f}s ({phases}; {meta['stream_processes']} stream processes, "
               f"helpers drew {stream['helper_block_share']:.0%} of blocks, "
-              f"this process drew for {stream['caller_draw_s']:.1f}s and waited {stream['helper_wait_s']:.1f}s "
+              f"the main thread drew for {stream['caller_draw_s']:.1f}s and waited {stream['helper_wait_s']:.1f}s "
               f"for helpers, {stream['buffers_made']} shared buffers made, {stream['lookahead_joined']} "
               f"look-aheads joined, {stream['lookahead_cancelled']} cancelled) csv sha256 {digest}")
         sys.stdout.flush()

@@ -29,10 +29,9 @@ from typing import Callable, Protocol, Sequence
 import numpy as np
 
 from .geometry import Ball, Box, ConvexBody, GeometryError, HPolytope, Interval, contains, project
-from .increments import _MASK64, INCREMENT_BLOCK, draw
+from .increments import _MASK64, STEP_CHUNK, draw
 
 FINITE_LIMIT = 1e150  # a pre-projection coordinate beyond this overflows a squared norm
-STEP_CHUNK = 16 * INCREMENT_BLOCK  # copies stepped as one batch, on one increments array
 
 
 class ModelError(ValueError):
@@ -210,10 +209,10 @@ class SamplePath:
 class PathEnsemble:
     """n_copies independent trajectories plus the seed that generated them.
 
-    nodes are the grid nodes whose states the ensemble kept, ascending (every
-    node 0..steps unless the simulation was given fewer), and states[i, k] is
-    copy i+1 at node nodes[k] (copies use streams (seed, 1..N)); at(j) is
-    node j's (n_copies, m) slice. states is coordinate-major in memory (a
+    nodes are the grid nodes whose states the ensemble kept, ascending: the
+    nodes simulate_ensemble was given, every node 0..steps for None.
+    states[i, k] is copy i+1 at node nodes[k] (copies use streams (seed,
+    1..N)); at(j) is node j's (n_copies, m) slice. states is coordinate-major in memory (a
     transposed view of a (node, coordinate, copy) array), so one coordinate
     at one node, states[:, k, c], is contiguous and one node's slice
     states[:, k] is an F-ordered (n_copies, m) view. An ensemble keeps no
@@ -226,12 +225,8 @@ class PathEnsemble:
     n_copies: int
     seed: int
     states: np.ndarray  # (n_copies, len(nodes), m)
+    nodes: tuple[int, ...]  # the nodes states holds
     pre_projection: None = None  # always None (see above)
-    nodes: tuple[int, ...] | None = None  # the nodes states holds; None: every node 0..steps
-
-    def __post_init__(self):
-        if self.nodes is None:
-            object.__setattr__(self, "nodes", tuple(range(self.grid.steps + 1)))
 
     @property
     def dim(self) -> int:

@@ -8,13 +8,19 @@ built once per (n, m), whatever the seed, after checking numpy's struct
 layout against a real Philox and its public Philox.state getter. fill
 re-keys a whole block of rows with a few array writes and draws each copy's
 normals with one call of numpy's exported C fill, the one
-Generator.standard_normal calls, on its row's state. draw
-splits a range of at least 2 * INCREMENT_BLOCK copies between the calling
-process and its helper processes, all writing into one coordinate-major
-(n, m, len(copies)) array in a shared buffer, which the caller returns. The
-blocks of INCREMENT_BLOCK copies are cut into one contiguous slice per helper;
-a helper draws its slice from the front and the caller draws from the back,
-so the two meet where their speeds put them.
+Generator.standard_normal calls, on its row's state. In the main thread,
+draw splits a range of at least 2 * INCREMENT_BLOCK copies between the
+calling process and its helper processes, all writing into one
+coordinate-major (n, m, len(copies)) array in a shared buffer, which the
+caller returns. The blocks of INCREMENT_BLOCK copies are cut into one
+contiguous slice per helper; a helper draws its slice from the front and the
+caller draws from the back, so the two meet where their speeds put them.
+
+Only the main thread uses the helpers. A draw in any other thread is serial,
+in that thread's own block, ignores then and is not counted in
+stream_counters. So the helpers, their buffers, the posted draw and the
+counters change only in the main thread, where the atexit handler and
+KeyboardInterrupt also run, and no lock guards them.
 
 A draw may name the request that will follow it (same n, m and scale). Once
 its own array is complete, draw posts that request to the helpers, which start
@@ -22,7 +28,7 @@ on it at once and hold it while the caller works on the array just returned:
 a one-deep look-ahead. The next draw of exactly that request joins the posted
 draw: the caller draws from the back, as always, and waits for every reply.
 Any other draw first cancels the posted draw, because the sequence it was
-made for has moved on. Cancelling claims every block the helpers have not
+made for has moved on. Cancelling takes every block the helpers have not
 started, waits for their replies and frees the array's buffer. cancel does
 the same on request, and the posted draw is also cancelled at exit and
 dropped unwritten in a forked child, whose parent still owns it.
@@ -35,10 +41,11 @@ the other the one the look-ahead writes, and each process faults a buffer's
 pages in once, not once per draw. A split draw takes a buffer that no array
 views any more and that is large enough. With none, because the request is
 larger or the caller holds arrays on both, a new generation starts: two new
-buffers sized for the request, then the helpers stopped and new ones forked.
-Arrays on the old buffers keep their own mappings, also in helpers forked
-while the caller held them, unused there until those exit. The buffers live
-until the next generation, close or exit.
+buffers sized for the request, and for at least STEP_CHUNK copies of its n
+and m, so a run of one shape makes one generation; then the helpers stopped
+and new ones forked. Arrays on the old buffers keep their own mappings, also
+in helpers forked while the caller held them, unused there until those
+exit. The buffers live until the next generation, close or exit.
 
 There is one helper per CPU of the affinity mask beyond the first, at most
 MAX_HELPERS, forked from this process by the draw or look-ahead of at least
@@ -51,11 +58,11 @@ atexit handlers or flushes the stdio buffers it inherited. Helpers serve
 until the next generation or the exit of the process that started them,
 which stops each by killing it, closing its socket and reaping it; any
 other child it forks drops them and their buffers and starts its own. The
-draw is serial below 2 * INCREMENT_BLOCK copies, on a one-CPU mask, where
-os.fork is missing, while the helpers hold another draw and when a new
-generation's buffers cannot be made. The caller draws
-whatever a failed helper left and uses that helper no more; the next
-generation forks a full set. Every path gives the same bytes.
+draw is serial below 2 * INCREMENT_BLOCK copies, outside the main thread,
+on a one-CPU mask, where os.fork is missing and when a new generation's
+buffers cannot be made. The caller draws whatever a failed helper left and
+uses that helper no more; the next generation forks a full set. Every path
+gives the same bytes.
 """
 
 from __future__ import annotations
@@ -78,8 +85,9 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 INCREMENT_BLOCK = 256  # copies per copy-major draw block in fill
+STEP_CHUNK = 16 * INCREMENT_BLOCK  # copies dynamics steps as one batch; a generation's buffers hold as many
 MAX_HELPERS = 3  # helper processes at most, whatever the CPU count
-# What stream_counters counts, summed over every draw of this process; the _s counters are seconds.
+# What stream_counters counts, summed over every draw of the main thread; the _s counters are seconds.
 COUNTERS = ("blocks", "helper_blocks", "lookahead_joined", "lookahead_cancelled", "buffers_made",
             "caller_draw_s", "helper_wait_s")
 # Python 3.12+ warns in the parent on fork() while the process has other threads, numpy's BLAS
@@ -118,10 +126,9 @@ def fill(out: np.ndarray, seed: int, copies: range, scale: float, blocks=None) -
     copy i, from counter zero. Each copy then costs one call of numpy's exported
     random_standard_normal_fill on its row's state: the C function that
     Generator.standard_normal runs, called without the GIL, with the row's
-    prebuilt ctypes arguments. The block is scaled into place. The seconds
-    spent here add to the caller_draw_s counter.
+    prebuilt ctypes arguments. The block is scaled into place. fill touches
+    no pool state: the main thread times its own calls (_Helpers.caller_fill).
     """
-    t0 = time.perf_counter()
     n, m = out.shape[:2]
     gen = _thread_generator(n, m)
     block, args = gen.block, gen.args
@@ -132,7 +139,6 @@ def fill(out: np.ndarray, seed: int, copies: range, scale: float, blocks=None) -
         for row in args[:k]:
             _normal_fill(*row)
         np.multiply(block[:k].transpose(1, 2, 0), scale, out=out[..., start:start + k])
-    _HELPERS.count(caller_draw_s=time.perf_counter() - t0)
 
 
 class _Generator:
@@ -283,7 +289,7 @@ def _block_count(copies: int) -> int:
 
 
 def _ahead(ctl: np.ndarray):
-    """Helper k's blocks, ctl = ctl[k]: first to last, until the caller's claim."""
+    """Helper k's blocks, ctl = ctl[k]: first to last, until they meet the caller's."""
     b = int(ctl[0])
     while b < ctl[1]:
         yield b
@@ -376,119 +382,72 @@ class _Helper:
         return self.returncode
 
 
-class _Split:
-    """One draw shared by the caller and the helpers it was posted to.
-
-    It holds the pool's lock from its posting until finish or cancel, so no
-    other draw uses the helpers meanwhile; either one that raises stops its
-    helpers, whose state is then unknown.
-    """
-
-    def __init__(self, pool: _Helpers, helpers: list[_Helper], request: tuple, index: int,
-                 z: np.ndarray, ctl: np.ndarray):
-        seed, copies, _, _, scale = request
-        self.pool, self.helpers, self.request = pool, helpers, request
-        self.z, self.ctl = z, ctl
-        cuts = [_block_count(len(copies)) * k // len(helpers) for k in range(len(helpers) + 1)]
-        self.starts = cuts[:-1]
-        self.ctl[:] = np.column_stack([cuts[:-1], cuts[1:]])
-        self.sent = [h.send((index, self.z.shape, len(helpers), k, seed, copies, scale))
-                     for k, h in enumerate(helpers)]
-
-    def finish(self) -> np.ndarray:
-        """The array, once the caller has drawn from the back and every helper has replied.
-
-        A helper advances its control word only after a block is written; one
-        that fails or does not answer is stopped, and the caller draws the
-        blocks of its slice from that word on. The split keeps no view of the
-        buffer, so it is free again once the caller drops the array.
-        """
-        seed, copies, _, _, scale = self.request
-        z, ctl = self.z, self.ctl
-        self.z = self.ctl = None
-        with self.pool.holding(self.helpers):
-            fill(z, seed, copies, scale, _behind(ctl))
-            for k in self._replies():
-                fill(z, seed, copies, scale, range(*ctl[k]))  # what it left, or was killed inside
-            self.pool.count(blocks=_block_count(len(copies)),
-                            helper_blocks=int(ctl[:, 0].sum()) - sum(self.starts))
-        return z
-
-    def cancel(self) -> None:
-        """Claim every block the helpers have not started, wait for their replies, free the buffer."""
-        with self.pool.holding(self.helpers):
-            self.ctl[:, 1] = self.ctl[:, 0]
-            self._replies()
-        self.z = self.ctl = None
-
-    def _replies(self) -> list[int]:
-        """Wait for every helper's reply; stop each one that gave none and return their indices.
-
-        The wait adds to the helper_wait_s counter.
-        """
-        t0 = time.perf_counter()
-        failed = [k for k, (h, ok) in enumerate(zip(self.helpers, self.sent)) if not (ok and h.finished())]
-        self.pool.count(helper_wait_s=time.perf_counter() - t0)
-        for k in failed:
-            self.helpers[k].stop()
-        return failed
-
-
 class _Helpers:
-    """One process's generation: its helper processes and the two shared buffers they were forked with."""
+    """The main thread's generation, its helper processes and the two shared
+    buffers they were forked with, and the split draw out to the helpers.
+
+    posted is that draw's request, or None when the helpers hold none; z is
+    its array, ctl its control words, starts the first block of each
+    helper's slice and sent whether each live helper got the request. live
+    is filtered only once the draw ends (ending), so sent stays aligned
+    with the helpers it was sent to. counts are stream_counters'.
+    """
 
     def __init__(self):
         self.live: list[_Helper] = []
-        self.lock = threading.Lock()  # held by the one split draw, posted or running, that uses the helpers
-        self.posted: dict[tuple, _Split] = {}  # the look-ahead: at most one request and its split
+        self.posted = self.z = self.ctl = None  # starts and sent are set with them, by post
         self.buffers: list[mmap.mmap] = []  # none before the first generation, then two
         self.arrays = []  # per buffer, a weak reference to the last array made on it
         self.counts = {key: 0.0 if key.endswith("_s") else 0 for key in COUNTERS}
-        self.counting = threading.Lock()  # threads drawing at once add to the same counters
 
-    def post(self, request: tuple) -> _Split | None:
-        """Send request to every live helper; the split holds the helpers until it ends.
+    def post(self, request: tuple) -> None:
+        """Send request to every live helper: the split draw they hold (posted) until finish or cancel.
 
         The array goes on a buffer that is large enough and free, with no
         array left that views the last one made on it; with none, a new
-        generation starts (renew). None, with the helpers left alone, for a
-        draw below 2 * INCREMENT_BLOCK copies, while another split holds the
-        helpers, when no helper is live (none at all on a one-CPU mask or
-        without os.fork) and when a new generation's buffers cannot be made
-        (out of maps or memory).
+        generation starts (renew). Nothing is posted, and the helpers are
+        left alone, for a draw below 2 * INCREMENT_BLOCK copies, when no
+        helper is live (none at all on a one-CPU mask or without os.fork)
+        and when a new generation's buffers cannot be made (out of maps or
+        memory). A raise while sending stops the helpers.
         """
-        if len(request[1]) < 2 * INCREMENT_BLOCK or not self.lock.acquire(blocking=False):
-            return None
+        seed, copies, n, m, scale = request
+        if len(copies) < 2 * INCREMENT_BLOCK:
+            return
+        shape = (n, m, len(copies))
         try:
-            _, copies, n, m, _ = request
-            shape = (n, m, len(copies))
             free = [k for k, buffer in enumerate(self.buffers)
                     if self.arrays[k]() is None and len(buffer) >= _nbytes(shape, len(self.live))]
-            if (free or self.renew(shape)) and self.live:
-                index = free[0] if free else 0
-                z, ctl = _views(self.buffers[index], shape, len(self.live))
-                self.arrays[index] = weakref.ref(z)
-                return _Split(self, self.live, request, index, z, ctl)
+            if not ((free or self.renew(shape)) and self.live):
+                return
+            index = free[0] if free else 0
+            self.z, self.ctl = _views(self.buffers[index], shape, len(self.live))
+            self.arrays[index] = weakref.ref(self.z)
+            cuts = [_block_count(len(copies)) * k // len(self.live) for k in range(len(self.live) + 1)]
+            self.starts = cuts[:-1]
+            self.ctl[:] = np.column_stack([cuts[:-1], cuts[1:]])
+            self.posted = request
+            self.sent = [h.send((index, shape, len(self.live), k, seed, copies, scale))
+                         for k, h in enumerate(self.live)]
         except BaseException:
             self.stop()
-            self.release()
             raise
-        self.release()
-        return None
 
     def renew(self, shape: tuple) -> bool:
-        """Start a generation: two buffers for an array of shape, then the live
-        helpers stopped and new ones forked, which inherit the buffers.
+        """Start a generation: two buffers for an array of shape, or of
+        STEP_CHUNK copies if that is larger, then the live helpers stopped
+        and new ones forked, which inherit the buffers.
 
         One helper per CPU of the affinity mask beyond the first, at most
         MAX_HELPERS. False, with this generation left as it is, on a one-CPU
-        mask and when the buffers cannot be made. The caller holds the lock.
+        mask and when the buffers cannot be made.
         """
         count = _helper_count()
         if count == 0:
             return False
+        n, m, copies = shape
         try:
-            buffers = [mmap.mmap(-1, _nbytes(shape, count)) for _ in range(2)]
+            buffers = [mmap.mmap(-1, _nbytes((n, m, max(copies, STEP_CHUNK)), count)) for _ in range(2)]
         except OSError:
             return False
         self.stop()
@@ -497,42 +456,67 @@ class _Helpers:
         self.live = _start(count, buffers)
         return True
 
-    def count(self, **added: int) -> None:
-        with self.counting:
-            for key, value in added.items():
-                self.counts[key] += value
+    def finish(self) -> np.ndarray:
+        """The posted draw's array, once the caller has drawn from the back and every helper has replied.
 
-    def release(self) -> None:
-        self.live = [h for h in self.live if h.returncode is None]
-        self.lock.release()
+        A helper advances its control word only after a block is written; one
+        that fails or does not answer is stopped, and the caller draws the
+        blocks of its slice from that word on. The pool keeps no view of the
+        buffer, so it is free again once the caller drops the array.
+        """
+        seed, copies, _, _, scale = self.posted
+        z, ctl = self.z, self.ctl
+        with self.ending():
+            self.caller_fill(z, seed, copies, scale, _behind(ctl))
+            for k in self._replies():
+                self.caller_fill(z, seed, copies, scale, range(*ctl[k]))  # what it left, or was killed inside
+            self.count(blocks=_block_count(len(copies)), helper_blocks=int(ctl[:, 0].sum()) - sum(self.starts))
+        return z
+
+    def cancel(self) -> None:
+        """Cancel the posted draw, if there is one: take every block the
+        helpers have not started, wait for their replies, free the buffer."""
+        if self.posted is None:
+            return
+        with self.ending():
+            self.ctl[:, 1] = self.ctl[:, 0]
+            self._replies()
+        self.count(lookahead_cancelled=1)
 
     @contextmanager
-    def holding(self, helpers: list[_Helper]):
-        """A split's last use of its helpers: released after it, stopped if it raises."""
+    def ending(self):
+        """The posted draw's last use of the helpers: they are stopped if it raises,
+        then the draw is dropped and only the helpers that still run are kept."""
         try:
             yield
         except BaseException:
-            for helper in helpers:
-                helper.stop()
+            self.stop()
             raise
         finally:
-            self.release()
+            self.posted = self.z = self.ctl = None
+            self.live = [h for h in self.live if h.returncode is None]
 
-    def claim(self, request: tuple) -> _Split | None:
-        """The posted split of exactly this request, taken so that no other draw joins it."""
-        split = self.posted.pop(request, None)  # one atomic step: two threads cannot both take it
-        if split is not None:
-            self.count(lookahead_joined=1)
-        return split
+    def _replies(self) -> list[int]:
+        """Wait for every helper's reply; stop each one that gave none and return their indices.
 
-    def cancel(self) -> None:
-        """Cancel the posted split, if there is one."""
-        try:
-            _, split = self.posted.popitem()
-        except KeyError:
-            return
-        split.cancel()
-        self.count(lookahead_cancelled=1)
+        The wait adds to the helper_wait_s counter.
+        """
+        t0 = time.perf_counter()
+        failed = [k for k, (h, ok) in enumerate(zip(self.live, self.sent)) if not (ok and h.finished())]
+        self.count(helper_wait_s=time.perf_counter() - t0)
+        for k in failed:
+            self.live[k].stop()
+        return failed
+
+    def caller_fill(self, z: np.ndarray, seed: int, copies: range, scale: float, blocks=None) -> None:
+        """fill, its seconds added to the caller_draw_s counter."""
+        t0 = time.perf_counter()
+        fill(z, seed, copies, scale, blocks)
+        self.count(caller_draw_s=time.perf_counter() - t0)
+
+    def count(self, **added: int) -> None:
+        for key, value in added.items():
+            self.counts[key] += value
 
     def stop(self) -> None:
         """Stop the live helpers, one after the other (_Helper.stop)."""
@@ -541,21 +525,19 @@ class _Helpers:
         self.live = []
 
     def close(self) -> None:
-        """Cancel the posted split, stop the helpers and drop the buffers; an
+        """Cancel the posted draw, stop the helpers and drop the buffers; an
         array that views one keeps its mapping."""
         self.cancel()
         self.stop()
         self.buffers, self.arrays = [], []
 
     def forget(self) -> None:
-        """In a forked child: drop the parent's generation and posted split, so the child starts its own."""
+        """In a forked child: drop the parent's generation and posted draw, so the child starts its own."""
         for helper in self.live:
             helper.sock.close()  # the child's copy; the parent's stays open
         self.live = []
-        self.posted = {}  # unwritten: its control words are the parent's
+        self.posted = self.z = self.ctl = None  # unwritten: its control words are the parent's
         self.buffers, self.arrays = [], []  # shared with the parent: a write would land in its arrays
-        self.lock = threading.Lock()
-        self.counting = threading.Lock()
 
 
 def _helper_count() -> int:
@@ -586,46 +568,53 @@ def stream_processes() -> int:
 
 
 def stream_counters() -> dict[str, int | float]:
-    """COUNTERS so far: blocks drawn, blocks helpers drew, look-aheads joined and
-    cancelled, shared buffers made, seconds this process spent in fill and
-    seconds it waited for helper replies."""
-    with _HELPERS.counting:
-        return dict(_HELPERS.counts)
+    """COUNTERS so far, of the main thread's draws: blocks drawn, blocks
+    helpers drew, look-aheads joined and cancelled, shared buffers made,
+    seconds the main thread spent in fill and seconds it waited for helper
+    replies. A draw in another thread is not counted."""
+    return dict(_HELPERS.counts)
 
 
 def cancel() -> None:
-    """Cancel the posted look-ahead, if any: its helpers are free again at once."""
-    _HELPERS.cancel()
+    """Cancel the posted look-ahead, if any: its helpers are free again at once.
+
+    Only the main thread holds a look-ahead; in another thread this does nothing.
+    """
+    if threading.current_thread() is threading.main_thread():
+        _HELPERS.cancel()
 
 
 def draw(seed: int, copies: range, n: int, m: int, scale: float, then: tuple | None = None) -> np.ndarray:
     """Copies' increments, standard normals times scale, as an (n, m, len(copies)) array.
 
-    Column k is copy copies[k]'s stream. With helpers, the blocks of the
-    copy range are cut into one contiguous slice per helper. Each helper
-    draws its slice of the shared array from the front while the caller
-    draws the slices from the back, so every slice ends up split at one point
-    between its helper and the caller. then, the (seed, copies) of the draw
-    that follows with the same n, m and scale, is posted to the helpers once
-    this array is complete, and the next draw of exactly that request joins
-    it. Any other draw first cancels the posted draw.
+    Column k is copy copies[k]'s stream. In the main thread, with helpers,
+    the blocks of the copy range are cut into one contiguous slice per
+    helper. Each helper draws its slice of the shared array from the front
+    while the caller draws the slices from the back, so every slice ends up
+    split at one point between its helper and the caller. then, the (seed,
+    copies) of the draw that follows with the same n, m and scale, is posted
+    to the helpers once this array is complete, and the next draw of exactly
+    that request joins it. Any other draw first cancels the posted draw. In
+    any other thread the draw is serial and uncounted, and then is ignored.
     """
-    request = (seed, copies, n, m, scale)
-    split = _HELPERS.claim(request)
-    if split is None:
-        _HELPERS.cancel()  # posted for a sequence that has moved on
-        split = _HELPERS.post(request)
-    if split is None:
+    if threading.current_thread() is not threading.main_thread():  # the helpers are the main thread's
         z = np.empty((n, m, len(copies)))
         fill(z, seed, copies, scale)
+        return z
+    request = (seed, copies, n, m, scale)
+    if _HELPERS.posted == request:
+        _HELPERS.count(lookahead_joined=1)
+    else:
+        _HELPERS.cancel()  # posted for a sequence that has moved on
+        _HELPERS.post(request)
+    if _HELPERS.posted is None:
+        z = np.empty((n, m, len(copies)))
+        _HELPERS.caller_fill(z, seed, copies, scale)
         _HELPERS.count(blocks=_block_count(len(copies)))
     else:
-        z = split.finish()
+        z = _HELPERS.finish()
     if then is not None:
-        following = (*then, n, m, scale)
-        split = _HELPERS.post(following)
-        if split is not None:
-            _HELPERS.posted[following] = split
+        _HELPERS.post((*then, n, m, scale))
     return z
 
 

@@ -771,7 +771,7 @@ class TestCli:
                                     f"{meta['stream_processes']} stream processes, helpers drew ")
         assert lines[-1].endswith(f" cancelled) csv sha256 {digest}")
         stream = meta["stream"]
-        assert (f" this process drew for {stream['caller_draw_s']:.1f}s and waited "
+        assert (f" the main thread drew for {stream['caller_draw_s']:.1f}s and waited "
                 f"{stream['helper_wait_s']:.1f}s for helpers, "
                 f"{stream['buffers_made']} shared buffers made, ") in lines[-1]
 

@@ -5,11 +5,13 @@ ResourceWarning, including one printed at shutdown, shows on their stderr.
 """
 
 import ctypes
+import errno
 import json
 import mmap
 import os
 import re
 import signal
+import socket
 import subprocess
 import sys
 import textwrap
@@ -25,7 +27,7 @@ import pytest
 
 from hullsim import harness, increments
 from hullsim.dynamics import gaussian_increments
-from hullsim.increments import INCREMENT_BLOCK, stream_processes
+from hullsim.increments import INCREMENT_BLOCK, STEP_CHUNK, stream_processes
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -186,20 +188,52 @@ def test_no_fork_starts_no_helper(helper_pool, monkeypatch):
     np.testing.assert_array_equal(z, serial(6, copies, 3, 2, 0.1))
 
 
+@pytest.mark.parametrize("cpus,forks", [pytest.param(2, 0, id="first_of_one"),
+                                         pytest.param(4, 1, id="second_of_three")])
+def test_a_failing_fork_leaves_the_bytes_and_no_socket_open(helper_pool, caller_draws_half, monkeypatch,
+                                                            cpus, forks):
+    # os.fork fails (EAGAIN, out of processes) once forks helpers have started: those serve,
+    # the draw is split with them or serial, and the failed helper's socket pair is closed
+    fork, socketpair, pairs = os.fork, socket.socketpair, []
+
+    def recorded_socketpair(*args):
+        pairs.append(socketpair(*args))
+        return pairs[-1]
+
+    def failing_fork():
+        if len(pairs) > forks:
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return fork()
+
+    monkeypatch.setattr(socket, "socketpair", recorded_socketpair)
+    monkeypatch.setattr(os, "fork", failing_fork)
+    pool = helper_pool(cpus)
+    copies = range(1, 4 * INCREMENT_BLOCK + 1)
+    np.testing.assert_array_equal(gaussian_increments(6, copies, 3, 2, 0.1), serial(6, copies, 3, 2, 0.1))
+    assert len(pool.live) == forks and stream_processes() == 1 + forks and len(pairs) == forks + 1
+    assert (pool.counts["helper_blocks"] > 0) == (forks > 0)
+    ours = [helper.sock for helper in pool.live]  # the one socket per live helper left open
+    others = [sock.fileno() for pair in pairs for sock in pair if not any(sock is s for s in ours)]
+    assert others == [-1] * (forks + 2)  # closed
+
+
 def test_draw_without_a_shared_file_is_serial_and_keeps_the_helpers(helper_pool, monkeypatch):
-    # a larger draw needs a new generation, whose buffers may not be mapped (out of maps or memory)
+    # a draw of more than STEP_CHUNK copies needs a new generation, whose buffers may not be
+    # mapped (out of maps or memory)
     pool = helper_pool(cpus=2)
     gaussian_increments(6, range(1, 2 * INCREMENT_BLOCK + 1), 3, 2, 0.1)
     [helper] = pool.live
+    before = pool.counts["helper_blocks"]
 
     def out_of_memory(*args):
         raise OSError(12, "Cannot allocate memory")
 
     monkeypatch.setattr(mmap, "mmap", out_of_memory)
-    copies = range(1, 3 * INCREMENT_BLOCK + 1)
+    copies = range(1, STEP_CHUNK + 2 * INCREMENT_BLOCK + 1)
     z = gaussian_increments(6, copies, 3, 2, 0.1)
     np.testing.assert_array_equal(z, serial(6, copies, 3, 2, 0.1))
     assert pool.live == [helper] and stream_processes() == 2 and pool.counts["buffers_made"] == 2
+    assert pool.counts["helper_blocks"] == before
 
 
 def test_threads_drawing_at_once_get_their_own_streams(helper_pool):
@@ -210,8 +244,8 @@ def test_threads_drawing_at_once_get_their_own_streams(helper_pool):
     results, errors = {}, []
 
     def worker(chunk):
-        # each draw posts the next of its thread's cases, which that draw joins
-        # unless another thread's draw cancelled it first (or the shapes differ)
+        # outside the main thread every draw is serial, in the thread's own block,
+        # and its then is ignored: no thread posts, joins or cancels a look-ahead
         try:
             for _ in range(3):
                 for case, following in zip(chunk, chunk[1:] + chunk[:1]):
@@ -220,9 +254,11 @@ def test_threads_drawing_at_once_get_their_own_streams(helper_pool):
         except Exception as exc:  # reported below, not lost with the thread
             errors.append(exc)
 
-    # forked here, before the threads start, with buffers for the largest case; the
-    # threads hold every array they get, so their draws start generations of their own
-    gaussian_increments(*max(cases, key=lambda case: len(case[1]) * case[3]))
+    # the main thread forks the helpers here, before the threads start, and posts a
+    # look-ahead of the largest case, which the threads draw too but leave alone
+    largest = max(cases, key=lambda case: len(case[1]) * case[3])
+    gaussian_increments(*largest, then=largest[:2])
+    live, counts, posted = list(pool.live), dict(pool.counts), pool.posted
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -234,12 +270,15 @@ def test_threads_drawing_at_once_get_their_own_streams(helper_pool):
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads) and errors == []
-    assert len(pool.live) == min(3, increments.MAX_HELPERS)
+    assert pool.live == live and len(live) == min(3, increments.MAX_HELPERS)
+    assert pool.counts == counts and pool.posted == posted  # nothing joined, cancelled or counted
     for case in cases:
         reference = serial(*case)
         assert len(results[case[0]]) == 3
         for z in results[case[0]]:
             np.testing.assert_array_equal(z, reference)
+    np.testing.assert_array_equal(gaussian_increments(*largest), serial(*largest))  # the main thread joins it
+    assert pool.counts["lookahead_joined"] == 1 and pool.counts["lookahead_cancelled"] == 0
 
 
 @pytest.mark.parametrize("ending,cpus", [
@@ -326,6 +365,7 @@ def test_forked_child_starts_its_own_helpers():
 A = (8, range(1, 3 * INCREMENT_BLOCK + 1))
 B = (9, range(1, 4 * INCREMENT_BLOCK + 1))
 C = (10, range(1, 2 * INCREMENT_BLOCK + 7))
+LARGE = (12, range(1, STEP_CHUNK + INCREMENT_BLOCK + 1))  # more copies than a first generation's buffers hold
 
 
 def increments_of(request, then=None):
@@ -336,9 +376,9 @@ def increments_of(request, then=None):
 def test_a_matched_look_ahead_is_joined(helper_pool, caller_draws_half):
     pool = helper_pool(cpus=2)
     np.testing.assert_array_equal(increments_of(A, then=B), serial(*A, 5, 2, 0.1))
-    assert [request[:2] for request in pool.posted] == [B]
+    assert pool.posted[:2] == B
     np.testing.assert_array_equal(increments_of(B), serial(*B, 5, 2, 0.1))
-    assert pool.posted == {}
+    assert pool.posted is None
     assert pool.counts["lookahead_joined"] == 1 and pool.counts["lookahead_cancelled"] == 0
     assert pool.counts["helper_blocks"] >= 2  # the front half of B's blocks at least
     assert len(pool.live) == 1
@@ -350,17 +390,17 @@ def test_any_other_draw_cancels_the_look_ahead(helper_pool, caller_draws_half):
     # a plain draw of another request cancels the posted one, and gets the helpers
     before = pool.counts["helper_blocks"]
     np.testing.assert_array_equal(increments_of(C), serial(*C, 5, 2, 0.1))
-    assert pool.posted == {} and pool.counts["lookahead_cancelled"] == 1
+    assert pool.posted is None and pool.counts["lookahead_cancelled"] == 1
     assert pool.counts["helper_blocks"] > before
     # so does a draw that names a following request of its own
     increments_of(A, then=B)
     np.testing.assert_array_equal(increments_of(A, then=C), serial(*A, 5, 2, 0.1))
     assert pool.counts["lookahead_cancelled"] == 2
-    assert [request[:2] for request in pool.posted] == [C]
+    assert pool.posted[:2] == C
     np.testing.assert_array_equal(increments_of(C), serial(*C, 5, 2, 0.1))
     np.testing.assert_array_equal(increments_of(B), serial(*B, 5, 2, 0.1))
     assert pool.counts["lookahead_joined"] == 1 and pool.counts["lookahead_cancelled"] == 2
-    assert pool.posted == {} and len(pool.live) == 1
+    assert pool.posted is None and len(pool.live) == 1
 
 
 def test_a_look_ahead_abandoned_by_an_exception_is_cancelled(helper_pool, caller_draws_half,
@@ -384,7 +424,7 @@ def test_a_look_ahead_abandoned_by_an_exception_is_cancelled(helper_pool, caller
     with pytest.raises(KeyboardInterrupt):
         harness.run_experiment(config)
     assert pool.counts["lookahead_joined"] == 1 and pool.counts["lookahead_cancelled"] == 1
-    assert pool.posted == {}
+    assert pool.posted is None
     [helper] = pool.live
     assert helper.poll() is None
     n_copies, seed = units[-1]
@@ -426,23 +466,23 @@ def test_helper_killed_mid_look_ahead_leaves_the_bytes(helper_pool, caller_draws
     big = (11, range(1, 200 * INCREMENT_BLOCK + 1))  # long enough to kill the helper inside it
     increments_of(A, then=big)
     [helper] = pool.live
-    [split] = pool.posted.values()
+    ctl = pool.ctl  # the posted draw's control words
     deadline = time.monotonic() + 60
-    while split.ctl[0, 0] == 0 and time.monotonic() < deadline:
+    while ctl[0, 0] == 0 and time.monotonic() < deadline:
         time.sleep(0.001)
     os.kill(helper.pid, signal.SIGKILL)
     helper.wait()
-    assert 0 < split.ctl[0, 0] < split.ctl[0, 1]  # killed with blocks drawn and blocks left
+    assert 0 < ctl[0, 0] < ctl[0, 1]  # killed with blocks drawn and blocks left
     np.testing.assert_array_equal(increments_of(big), serial(*big, 5, 2, 0.1))
-    assert pool.live == [] and pool.posted == {} and stream_processes() == 1
+    assert pool.live == [] and pool.posted is None and stream_processes() == 1
     np.testing.assert_array_equal(increments_of(A, then=B), serial(*A, 5, 2, 0.1))
-    assert pool.posted == {}
+    assert pool.posted is None
 
 
 def test_one_cpu_look_ahead_is_a_no_op(helper_pool, caller_draws_half):
     pool = helper_pool(cpus=1)
     np.testing.assert_array_equal(increments_of(A, then=B), serial(*A, 5, 2, 0.1))
-    assert pool.posted == {} and pool.live == []
+    assert pool.posted is None and pool.live == []
     np.testing.assert_array_equal(increments_of(B), serial(*B, 5, 2, 0.1))
     assert pool.counts["lookahead_joined"] == 0 and pool.counts["helper_blocks"] == 0
 
@@ -456,7 +496,7 @@ def shared_maps(pid="self") -> set[str]:
 def test_no_buffer_or_helper_outlives_close(helper_pool, caller_draws_half):
     before = shared_maps()  # other pools' buffers, as the session's own
     pool = helper_pool(cpus=2)
-    z = increments_of(A, then=B)  # B is larger: its look-ahead starts a second generation
+    z = increments_of(A, then=LARGE)  # its look-ahead starts a second generation
     pids = [helper.pid for helper in pool.live]
     assert len(pids) == 1 and len(shared_maps() - before) == 1 + 2  # z's buffer and the new two
     del z
@@ -468,7 +508,7 @@ def test_no_buffer_or_helper_outlives_close(helper_pool, caller_draws_half):
 
 # The shared buffers: two per generation, reused along a sequence of draws.
 def test_a_sequence_of_draws_reuses_two_buffers(helper_pool, caller_draws_half):
-    # B is the largest request, so A and C reuse the two buffers its draw made
+    # the first draw's buffers hold STEP_CHUNK copies, so every later draw reuses them
     before = shared_maps()
     pool = helper_pool(cpus=2)
     for request, following in [(B, C), (C, A), (A, B), (B, A), (A, None)]:
@@ -484,13 +524,13 @@ def test_a_sequence_of_draws_reuses_two_buffers(helper_pool, caller_draws_half):
 
 
 def test_a_held_array_is_never_written_again(helper_pool, caller_draws_half):
-    # every array is kept, so a posted draw finds no free buffer large enough and starts a
-    # generation: A's, then B's (larger), C's on B's second buffer, then A's again (both held)
+    # every array is kept: A's and B's fill the first generation's two buffers, so C's
+    # look-ahead finds no free buffer and starts a second generation, which A's then shares
     before = shared_maps()
     pool = helper_pool(cpus=2)
     sequence = [(A, B), (B, C), (C, A), (A, None)]
     held = [increments_of(request, then=following) for request, following in sequence]
-    assert pool.counts["buffers_made"] == 3 * 2
+    assert pool.counts["buffers_made"] == 2 * 2
     for (request, _), z in zip(sequence, held):
         np.testing.assert_array_equal(z, serial(*request, 5, 2, 0.1))
     del z, held
@@ -513,8 +553,8 @@ def test_a_multi_unit_run_makes_at_most_two_buffers(helper_pool):
     assert stream["lookahead_cancelled"] == 0
     # 600 copies at replication 1, then two chunks in each of the two large units
     assert stream["lookahead_joined"] == 1 + 2 + 2
-    # two generations of two buffers: the 600-copy draws', then the chunks'
-    assert stream["buffers_made"] == 2 * 2
+    # one generation: the 600-copy draw's two buffers hold a full chunk
+    assert stream["buffers_made"] == 2
     assert len(shared_maps() - before) == 2
     pool.close()
     assert shared_maps() <= before
@@ -535,7 +575,7 @@ def test_a_larger_draw_starts_a_generation():
 
         held = gaussian_increments(8, COPIES, 5, 2, 0.1)  # on a first-generation buffer
         old = list(increments._HELPERS.live)
-        larger = range(1, 5 * 256 + 1)
+        larger = range(1, increments.STEP_CHUNK + 256 + 1)  # more than its buffers hold
         z = gaussian_increments(9, larger, 5, 2, 0.1)
         new = list(increments._HELPERS.live)
         held_on_old = isinstance(held.base.base, mmap.mmap) and held.base.base not in increments._HELPERS.buffers
@@ -544,7 +584,7 @@ def test_a_larger_draw_starts_a_generation():
             raise OSError(12, "Cannot allocate memory")
 
         mmap.mmap = out_of_memory
-        largest = range(1, 9 * 256 + 1)
+        largest = range(1, 2 * increments.STEP_CHUNK + 1)
         w = gaussian_increments(10, largest, 5, 2, 0.1)
         print(json.dumps({
             "old": [(h.pid, h.returncode, os.path.exists(f"/proc/{h.pid}")) for h in old],
@@ -566,16 +606,27 @@ def test_a_larger_draw_starts_a_generation():
     assert out["held_on_old"] and out["held"] and out["larger"] and out["largest"]
 
 
-def test_a_helper_stopped_alone_and_close_reap_every_helper_killed(helper_pool):
+@pytest.mark.parametrize("ended", ["stop", "waitpid"])
+def test_a_helper_stopped_alone_and_close_reap_every_helper_killed(helper_pool, monkeypatch, ended):
+    # "waitpid": the test kills and reaps the first helper itself, as other code of the process
+    # may; its status is then lost (returncode 0) and its pid may be another process's by now,
+    # so neither its stop() nor close() sends it a kill
     pool = helper_pool(cpus=4)
     copies = range(1, 3 * INCREMENT_BLOCK + 1)
     np.testing.assert_array_equal(gaussian_increments(8, copies, 5, 2, 0.1), serial(8, copies, 5, 2, 0.1))
     helpers = list(pool.live)
     assert len(helpers) == 3
+    kill, killed = os.kill, []
+    monkeypatch.setattr(os, "kill", lambda pid, sig: (killed.append(pid), kill(pid, sig)))
+    if ended == "waitpid":
+        kill(helpers[0].pid, signal.SIGKILL)
+        os.waitpid(helpers[0].pid, 0)
+    first = {"stop": -signal.SIGKILL, "waitpid": 0}[ended]
     helpers[0].stop()
-    assert helpers[0].returncode == -signal.SIGKILL and [helper.poll() for helper in helpers[1:]] == [None, None]
+    assert helpers[0].returncode == first and [helper.poll() for helper in helpers[1:]] == [None, None]
     pool.close()
-    assert [helper.returncode for helper in helpers] == [-signal.SIGKILL] * 3
+    assert [helper.returncode for helper in helpers] == [first] + [-signal.SIGKILL] * 2
+    assert killed == [helper.pid for helper in helpers[ended == "waitpid":]]
     assert not any(Path(f"/proc/{helper.pid}").exists() for helper in helpers)  # reaped, no zombie
 
 
@@ -635,7 +686,7 @@ def test_forked_child_drops_the_look_ahead_and_the_parent_joins_it():
         increments._behind = lambda ctl: iter(())
         B = (9, range(1, 4 * 256 + 1))
         gaussian_increments(8, COPIES, 5, 2, 0.1, then=B)
-        posted = [request[:2] for request in increments._HELPERS.posted]
+        posted = increments._HELPERS.posted[:2]
         reference = np.empty((5, 2, len(B[1])))
         increments.fill(reference, *B, float(np.sqrt(0.1)))
         reference = reference.transpose(2, 0, 1)
@@ -644,7 +695,7 @@ def test_forked_child_drops_the_look_ahead_and_the_parent_joins_it():
         if pid == 0:
             os.close(read_end)
             z = gaussian_increments(*B, 5, 2, 0.1)
-            result = {"posted": len(increments._HELPERS.posted),
+            result = {"posted": increments._HELPERS.posted,
                       "joined": increments._HELPERS.counts["lookahead_joined"],
                       "equal": bool((z == reference).all())}
             with os.fdopen(write_end, "w") as out:
@@ -664,8 +715,8 @@ def test_forked_child_drops_the_look_ahead_and_the_parent_joins_it():
     assert proc.stderr == ""
     out = json.loads(proc.stdout)
     assert out["child_status"] == 0
-    assert out["posted"] == str([(9, range(1, 4 * INCREMENT_BLOCK + 1))])
-    assert out["child"] == {"posted": 0, "joined": 0, "equal": True}
+    assert out["posted"] == str((9, range(1, 4 * INCREMENT_BLOCK + 1)))
+    assert out["child"] == {"posted": None, "joined": 0, "equal": True}
     assert out["joined"] == 1 and out["equal"]
 
 
