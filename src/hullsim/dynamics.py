@@ -149,6 +149,8 @@ def euler_step(
     Batched over leading axes of x and z. A pre-projection point with a
     coordinate that is not finite or beyond FINITE_LIMIT raises ModelError,
     with where the index of the first such point, before it is projected.
+    When no point is outside the body the projection returns h itself, so
+    the two results may be one array: no caller writes into either.
     """
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -270,7 +272,9 @@ class StepObserver(Protocol):
     of the ensemble: their (len(rows), m) states x at node j, increments z,
     pre-projection points h and the body C(t_{j+1}) h was projected onto. It
     may read the arrays only during the call: z lies on a shared draw buffer,
-    and a view of it kept past the call stops that buffer's reuse.
+    and a view of it kept past the call stops that buffer's reuse. It writes
+    into none of them: when no point of the step was outside the body, h is
+    also the next step's state x.
     """
 
     def observe(self, j: int, rows: slice, x: np.ndarray, z: np.ndarray, h: np.ndarray,

@@ -273,11 +273,12 @@ class TestSimulateEnsemble:
         np.testing.assert_array_equal(small.states, large.states[:4])
 
     def test_path_equals_ensemble_slice(self):
-        # the tilted pentagon's screen mixes a point's coordinates; every copy
+        # the tilted pentagon's screen mixes a point's coordinates, and the
+        # off-origin ball rewrites only its batch's rows outside; every copy
         # projected at some step is checked
         model = make_model("tanh_drift", 2, [0.1, -0.2], scale=2.0, sigma=0.6)
         grid = TimeGrid(1.0, 10)
-        for body in (square(), tilted_polygon()):
+        for body in (square(), tilted_polygon(), Ball(np.array([0.3, -0.1]), 0.6)):
             mf = constant_body(body)
             record = StepRecord(grid.steps, 2, 2000)
             ens = simulate_ensemble(model, mf, grid, 2000, seed=31, observers=[record])

@@ -29,6 +29,7 @@ from hullsim.geometry import (
     min_norm_point_distance,
     norm_bound,
     project,
+    row_norms,
     support,
 )
 from reference import boundary_points, brute_force_hull_distance
@@ -190,6 +191,16 @@ class TestMemoryOrder:
         moved = np.any(out != f, axis=1)
         assert 0 < np.count_nonzero(moved) < len(f)  # points on both sides of the boundary
 
+    @pytest.mark.parametrize("name", ["interval", "box", "ball"])
+    def test_project_a_batch_of_batches(self, name):
+        # the closed forms keep the order past two axes too (an H-polytope
+        # flattens its batch to (N, m), so its result is C-ordered there)
+        body = self.bodies[name]
+        x = np.random.default_rng(6).uniform(-1.6, 1.6, size=(20, 50, body.dim))
+        out = project(body, np.asfortranarray(x))
+        assert out.flags.f_contiguous
+        np.testing.assert_array_equal(out, project(body, x.reshape(-1, body.dim)).reshape(x.shape))
+
     def test_interior_margin(self, points):
         body, c, f = points
         np.testing.assert_array_equal(body.interior_margin(f), body.interior_margin(c))
@@ -197,6 +208,59 @@ class TestMemoryOrder:
     def test_distance_to_body(self, points):
         body, c, f = points
         np.testing.assert_array_equal(distance_to_body(body, f), distance_to_body(body, c))
+
+
+class TestOnlyOutsideRowsMove:
+    """A batch with no row outside comes back as the input itself; otherwise only the
+    rows outside are written, on a copy, each with the bits it gets alone."""
+
+    bodies = {
+        "ball": Ball(np.zeros(2), 1.0),
+        "ball-off-origin": Ball(np.array([0.3, -0.7]), 0.9),
+        "square": HPolytope(
+            np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]), np.ones(4)
+        ),
+        "tilted": tilted_polygon(),
+    }
+
+    @staticmethod
+    def alone(body, x):
+        """Each row of x projected alone: a ball's closed form c + (x - c) r / ||x - c||,
+        a polygon's one-point projection."""
+        if isinstance(body, Ball):
+            off = x - body.center
+            return body.center + off * (body.radius / row_norms(off))[:, None]
+        return np.array([project(body, row) for row in x])
+
+    @pytest.fixture(params=sorted(bodies))
+    def body(self, request):
+        return self.bodies[request.param]
+
+    def test_a_batch_inside_comes_back_as_itself(self, body):
+        rng = np.random.default_rng(11)
+        center, radius = chebyshev_center(body)
+        x = np.asfortranarray(center + rng.uniform(-0.7, 0.7, size=(500, 2)) * radius / np.sqrt(2))
+        assert np.all(body.interior_margin(x) > 0)
+        assert project(body, x) is x
+        point = x[0].copy()
+        assert project(body, point) is point
+
+    def test_a_mixed_batch_writes_only_the_rows_outside(self, body):
+        rng = np.random.default_rng(12)
+        x = np.asfortranarray(rng.uniform(-2.0, 2.0, size=(2000, 2)))
+        before = x.copy()
+        out = project(body, x)
+        inside = body.interior_margin(x) >= 0
+        assert 0 < np.count_nonzero(inside) < len(x)
+        assert out is not x and not np.shares_memory(out, x)
+        np.testing.assert_array_equal(x, before)
+        np.testing.assert_array_equal(out[inside], x[inside])
+        np.testing.assert_array_equal(out[~inside], self.alone(body, x[~inside]))
+        assert out.flags.f_contiguous
+
+    def test_an_empty_batch_projects_to_an_empty_batch(self):
+        for body in (Box(-np.ones(2), np.ones(2)), *self.bodies.values()):
+            assert project(body, np.empty((0, 2))).shape == (0, 2)
 
 
 class TestInterval:
