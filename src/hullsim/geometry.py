@@ -252,7 +252,8 @@ class HPolytope(ConvexBody):
         np.clip's bits wherever x - (x - b) rounds to b.
         """
         x = _check_points(x, self.dim)
-        flat = x.reshape(-1, self.dim)
+        order = "F" if np.isfortran(x) else "C"  # so flat is a view of x and out keeps x's order
+        flat = x.reshape(-1, self.dim, order=order)
         slack = self._face_values(flat)
         slack -= self.offsets[:, None]
         active = np.flatnonzero(np.any(slack > 0, axis=0))
@@ -271,7 +272,7 @@ class HPolytope(ConvexBody):
                 scores.append(np.where(np.all(lam >= 0, axis=1), self.interior_margin(cands[-1]), -np.inf))
             best = np.argmax(np.concatenate(scores), axis=0)
             out[part] = np.concatenate(cands)[best, np.arange(part.size)]
-        return out.reshape(x.shape)
+        return out.reshape(x.shape, order=order)
 
     def _face_values(self, flat: np.ndarray) -> np.ndarray:
         """normals @ flat.T summed over whole columns of flat: unlike BLAS, the same bits in any batch."""

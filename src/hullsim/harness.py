@@ -1,11 +1,12 @@
 """Experiment orchestration: convergence studies over a grid of copy counts.
 
-A study simulates R independent ensembles per copy count N, measures the
-estimation error at the requested nodes (the hull's Hausdorff error in
-dimension one, per-probe hull distances otherwise), aggregates quantiles and a
-log-log rate fit, and emits a CSV plus a JSON report. Runs are deterministic
-given the config: every ensemble seed derives from (master seed, N,
-replication).
+A study is a plan, then its units in row order, then aggregation. The plan is
+built once: model, bodies, grid, probes, checks and the error function (the
+hull's Hausdorff error in dimension one, per-probe hull distances otherwise).
+Each (N, replication) unit simulates one ensemble and scores its hull; units
+share no state. Quantiles and a log-log rate fit aggregate the rows, and a CSV
+plus a JSON report are emitted. Every ensemble seed derives from (master seed,
+N, replication), so a run is deterministic given its config.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import time
 import warnings
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -322,88 +324,110 @@ def rate_fit(n_values, errors) -> tuple[float, float]:
     return float(coeffs[0]), residual
 
 
-def run_experiment(config: ExperimentConfig) -> ConvergenceReport:
-    t_start = time.perf_counter()
+class Plan(NamedTuple):
+    """What every unit of a run shares; plan_experiment builds it once."""
+
+    config: ExperimentConfig
+    model: dynamics.SdeModel
+    mf: dynamics.Multifunction
+    grid: dynamics.TimeGrid
+    probes: np.ndarray | None  # None in dimension one
+    nodes: list[int]  # the nodes every unit keeps, ascending
+    error: Callable  # (hull, j, N) -> a (probe_index, error, scaled_error) per row
+    checks: dict  # diagnostics key -> what makes replication 0's step observer (oracle)
+
+
+class Unit(NamedTuple):
+    """What run_unit returns for one (N, replication) unit."""
+
+    rows: list[ErrorRow]
+    diagnostics: dict  # "step_bound" and "hitting" entries, empty unless the replication is 0
+    phases: dict  # seconds spent simulating, estimating and on diagnostics
+    seconds: float  # wall seconds
+
+
+def plan_experiment(config: ExperimentConfig) -> Plan:
+    """A run's model, body family, grid, probes, error function and checks. Every
+    ConfigError of the run is raised here, before any ensemble is simulated."""
     model = build_model(config)
     mf = build_multifunction(config)
     grid = dynamics.TimeGrid(horizon=config.horizon, steps=config.steps)
-
-    dim = model.dim
-    probes = None if dim == 1 else resolve_probes(config, mf, grid)
-    if config.run_step_bound:  # its inputs are checked before any ensemble is simulated
-        diag_probes = probes if dim > 1 else _interval_probes(mf(grid.node(max(config.j_indices))))
+    probes = None if model.dim == 1 else resolve_probes(config, mf, grid)
+    checks = {}
+    if config.run_step_bound:
+        check_probes = probes if probes is not None else _interval_probes(mf(grid.node(max(config.j_indices))))
         try:
-            constants = oracle.step_bound_constants(model, mf, grid, diag_probes)
+            constants = oracle.step_bound_constants(model, mf, grid, check_probes)
         except oracle.OracleError as exc:
             raise ConfigError(f"diagnostics.step_bound: {exc}") from exc
+        checks["step_bound"] = partial(oracle.StepBoundCheck, model, grid.delta, check_probes, constants)
+    if config.run_hitting and probes is not None:  # the hitting check needs m > 1
+        checks["hitting"] = partial(oracle.HittingCount, probes, grid.steps)
+    error = (partial(_interval_errors, {j: mf(grid.node(j)) for j in config.j_indices}) if probes is None
+             else partial(_probe_errors, probes))
+    return Plan(config, model, mf, grid, probes, sorted(config.j_indices), error, checks)
 
-    rows: list[ErrorRow] = []
-    diagnostics: dict = {"step_bound": [], "hitting": []}
-    phases = dict.fromkeys(("simulate", "estimate", "diagnostics", "aggregate"), 0.0)
-    run_hitting = config.run_hitting and probes is not None  # the hitting check needs m > 1
-    # (N, replication) units in row order; each passes the next one's
-    # (N, seed) on, so its increments are drawn while this unit is worked on
-    units = [(n, r) for n in config.n_grid for r in range(config.replications)]
-    seeds = [dynamics.derive_seed(config.seed, n, r) for n, r in units]
-    following = [(n, seed) for (n, _), seed in zip(units[1:], seeds[1:])] + [None]
-    estimated = sorted(config.j_indices)  # the nodes every unit keeps
-    counts = increments.stream_counters()
-    unit_seconds = []
+
+def _interval_errors(bodies: dict, hull, j: int, n: int) -> list[tuple]:
+    """Dimension one: the hull's Hausdorff error from the interval at node j, and N times it."""
+    err = estimation.hausdorff_error_1d(hull, bodies[j])
+    return [(-1, err, n * err)]
+
+
+def _probe_errors(probes: np.ndarray, hull, j: int, n: int) -> list[tuple]:
+    """Dimension m > 1: the hull's distance from each probe, unscaled."""
+    return [(p, err, None) for p, err in enumerate(estimation.pointwise_error(hull, probes).tolist())]
+
+
+def run_unit(plan: Plan, n: int, r: int, then: tuple[int, int] | None = None) -> Unit:
+    """Replication r at N = n: its ensemble, under the plan's checks when r = 0, and its error
+    rows at every requested node. then is the (N, seed) whose increments are drawn ahead
+    (simulate_ensemble's next_ensemble). A failure raises one line, "experiment aborted at ..."."""
+    t0 = time.perf_counter()
+    seed = dynamics.derive_seed(plan.config.seed, n, r)
+    checks = {key: make() for key, make in plan.checks.items()} if r == 0 else {}
+    timed = _TimedObservers(checks.values())
+    rows, j = [], None
     try:
-        for (n_copies, r), seed, next_ensemble in zip(units, seeds, following):
-            t_unit = time.perf_counter()
-            checks = {}  # replication 0's diagnostics, run on its steps as they are made
-            if r == 0 and config.run_step_bound:
-                checks["step_bound"] = oracle.StepBoundCheck(model, grid.delta, diag_probes, constants)
-            if r == 0 and run_hitting:
-                checks["hitting"] = oracle.HittingCount(probes, grid.steps)
-            timed = _TimedObservers(checks.values())
-            j = None
-            try:
-                t0 = time.perf_counter()
-                ens = dynamics.simulate_ensemble(
-                    model, mf, grid, n_copies, seed, next_ensemble=next_ensemble, nodes=estimated,
-                    observers=[timed] if checks else (),
-                )
-                t1 = time.perf_counter()
-                phases["simulate"] += t1 - t0 - timed.seconds
-                phases["diagnostics"] += timed.seconds
-                for j in config.j_indices:
-                    hull = estimation.hull_estimate(ens, j)
-                    if dim == 1:
-                        err = estimation.hausdorff_error_1d(hull, mf(grid.node(j)))
-                        rows.append(
-                            ErrorRow(n_copies, r, j, -1, err, n_copies * err, seed)
-                        )
-                    else:
-                        errs = estimation.pointwise_error(hull, probes).tolist()
-                        rows.extend(
-                            ErrorRow(n_copies, r, j, p_idx, err, None, seed)
-                            for p_idx, err in enumerate(errs)
-                        )
-                phases["estimate"] += time.perf_counter() - t1
-            except (dynamics.ModelError, geometry.GeometryError,
-                    geometry.ProjectionSolverError, estimation.EstimationError) as exc:
-                where = f"N={n_copies}, replication={r}" + (f", j={j}" if j else "")
-                raise RuntimeError(f"experiment aborted at {where}: {exc}") from exc
-            t0 = time.perf_counter()
-            if "step_bound" in checks:
-                report = checks["step_bound"].report()
-                diagnostics["step_bound"].append({"N": n_copies, **_plain(asdict(report))})
-            if "hitting" in checks:
-                diagnostics["hitting"].extend(
-                    {"N": n_copies, "probe_index": p_idx, **_plain(asdict(hit))}
-                    for p_idx, hit in enumerate(checks["hitting"].report())
-                )
-            del ens  # before the next unit allocates its own
-            t1 = time.perf_counter()
-            phases["diagnostics"] += t1 - t0
-            unit_seconds.append(t1 - t_unit)
+        ens = dynamics.simulate_ensemble(plan.model, plan.mf, plan.grid, n, seed, next_ensemble=then,
+                                         nodes=plan.nodes, observers=[timed] if checks else ())
+        t1 = time.perf_counter()
+        for j in plan.config.j_indices:
+            hull = estimation.hull_estimate(ens, j)
+            rows.extend(ErrorRow(n, r, j, p, err, scaled, seed) for p, err, scaled in plan.error(hull, j, n))
+        t2 = time.perf_counter()
+    except (dynamics.ModelError, geometry.GeometryError,
+            geometry.ProjectionSolverError, estimation.EstimationError) as exc:
+        where = f"N={n}, replication={r}" + (f", j={j}" if j else "")
+        raise RuntimeError(f"experiment aborted at {where}: {exc}") from exc
+    diagnostics = {"step_bound": [], "hitting": []}
+    if "step_bound" in checks:
+        diagnostics["step_bound"] = [{"N": n, **_plain(asdict(checks["step_bound"].report()))}]
+    if "hitting" in checks:
+        hits = checks["hitting"].report()
+        diagnostics["hitting"] = [{"N": n, "probe_index": p, **_plain(asdict(hit))} for p, hit in enumerate(hits)]
+    t3 = time.perf_counter()
+    phases = {"simulate": t1 - t0 - timed.seconds, "estimate": t2 - t1, "diagnostics": timed.seconds + t3 - t2}
+    return Unit(rows, diagnostics, phases, t3 - t0)
+
+
+def run_experiment(config: ExperimentConfig) -> ConvergenceReport:
+    t_start = time.perf_counter()
+    plan = plan_experiment(config)
+    # units in row order; each names the next one's (N, seed), whose increments are drawn ahead
+    units = [(n, r) for n in config.n_grid for r in range(config.replications)]
+    thens = [(n, dynamics.derive_seed(config.seed, n, r)) for n, r in units[1:]] + [None]
+    counts = increments.stream_counters()
+    try:
+        done = [run_unit(plan, n, r, then) for (n, r), then in zip(units, thens)]
     except BaseException:
         increments.cancel()  # a posted look-ahead nothing will join
         raise
     t0 = time.perf_counter()
-    quantiles = _aggregate_quantiles(rows, config)
+    rows = [row for unit in done for row in unit.rows]
+    diagnostics = {key: [e for unit in done for e in unit.diagnostics[key]] for key in done[0].diagnostics}
+    phases = {key: sum(unit.phases[key] for unit in done) for key in done[0].phases}
+    quantiles = _aggregate_quantiles(rows)
     slopes = _fit_slopes(config, quantiles)
     phases["aggregate"] = time.perf_counter() - t0
     meta = {
@@ -411,20 +435,20 @@ def run_experiment(config: ExperimentConfig) -> ConvergenceReport:
         "wall_clock_s": time.perf_counter() - t_start,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "phases": phases,  # seconds per phase, summed over every ensemble
-        "units": unit_seconds,  # wall seconds of each (N, replication) unit, in row order
+        "units": [unit.seconds for unit in done],  # wall seconds of each (N, replication) unit, in row order
         # the most one unit held: its kept states and two increment chunks
-        "array_bytes": dynamics.ensemble_bytes(grid.steps, dim, config.n_grid[-1], len(estimated)),
+        "array_bytes": dynamics.ensemble_bytes(config.steps, plan.model.dim, config.n_grid[-1], len(plan.nodes)),
         "stream_processes": increments.stream_processes(),  # this one plus its live increment helpers
         "stream": _stream_meta(counts),
     }
     return ConvergenceReport(
         config=config_echo(config),
-        dim=dim,
+        dim=plan.model.dim,
         n_grid=list(config.n_grid),
         rows=rows,
         quantiles=quantiles,
         slopes=slopes,
-        probes=probes.tolist() if probes is not None else None,
+        probes=plan.probes.tolist() if plan.probes is not None else None,
         diagnostics=diagnostics,
         meta=meta,
     )
@@ -432,7 +456,7 @@ def run_experiment(config: ExperimentConfig) -> ConvergenceReport:
 
 class _TimedObservers:
     """One step observer that runs the given ones in order and sums the seconds they take,
-    so run_experiment counts them as diagnostics, not simulation."""
+    so run_unit counts them as diagnostics, not simulation."""
 
     def __init__(self, observers):
         self.observers = list(observers)
@@ -458,7 +482,7 @@ def _interval_probes(body: geometry.ConvexBody) -> np.ndarray:
     return np.linspace(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo), 5)[:, None]
 
 
-def _aggregate_quantiles(rows: list[ErrorRow], config: ExperimentConfig) -> dict:
+def _aggregate_quantiles(rows: list[ErrorRow]) -> dict:
     grouped: dict[tuple[int, int, int], list[ErrorRow]] = {}
     for row in rows:
         grouped.setdefault((row.N, row.j, row.probe_index), []).append(row)

@@ -191,10 +191,10 @@ class TestMemoryOrder:
         moved = np.any(out != f, axis=1)
         assert 0 < np.count_nonzero(moved) < len(f)  # points on both sides of the boundary
 
-    @pytest.mark.parametrize("name", ["interval", "box", "ball"])
+    @pytest.mark.parametrize("name", ["interval", "box", "ball", "square", "tilted"])
     def test_project_a_batch_of_batches(self, name):
-        # the closed forms keep the order past two axes too (an H-polytope
-        # flattens its batch to (N, m), so its result is C-ordered there)
+        # every body keeps the order past two axes too, the H-polytopes (square,
+        # tilted) included
         body = self.bodies[name]
         x = np.random.default_rng(6).uniform(-1.6, 1.6, size=(20, 50, body.dim))
         out = project(body, np.asfortranarray(x))

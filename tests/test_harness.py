@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hullsim import cli, dynamics, estimation, geometry, harness, oracle
+from hullsim import cli, dynamics, estimation, geometry, harness, increments, oracle
 from hullsim.increments import INCREMENT_BLOCK
 from hullsim.harness import (
     CSV_HEADER,
@@ -699,6 +699,87 @@ class TestRunExperiment:
         assert outputs[0] == outputs[1] == render_csv(run_experiment(config)).encode()
 
 
+class TestRunUnit:
+    """run_experiment is plan_experiment, then run_unit per (N, replication) unit in row
+    order; a unit's rows and diagnostics entries depend on nothing but the plan and (N, r)."""
+
+    @staticmethod
+    def config(dims):
+        shape = {} if dims == 1 else dict(
+            model_kind="tanh_sigma",
+            model_params={"theta": 1.0, "sigma0": 0.4, "sigma1": 0.15},
+            x0=np.zeros(2),
+            mf_kind="constant_square_hpoly",
+            mf_params={"half_width": 1.0},
+        )
+        return small_config(n_grid=[20, 40, 2 * INCREMENT_BLOCK], replications=2, j_indices=[10, 5],
+                            run_step_bound=True, run_hitting=True, **shape)
+
+    @staticmethod
+    def written(report, n, r):
+        """The rows and diagnostics entries report holds for unit (n, r): entries only at r = 0."""
+        rows = [row for row in report.rows if (row.N, row.replication) == (n, r)]
+        entries = {key: [e for e in listed if r == 0 and e["N"] == n] for key, listed in report.diagnostics.items()}
+        return rows, entries
+
+    @pytest.mark.parametrize("dims", [1, 2])
+    def test_each_unit_returns_what_run_experiment_writes_for_it(self, dims):
+        config = self.config(dims)
+        report = run_experiment(config)
+        plan = harness.plan_experiment(config)
+        for n in config.n_grid:
+            for r in range(config.replications):
+                unit = harness.run_unit(plan, n, r)
+                assert (unit.rows, unit.diagnostics) == self.written(report, n, r)
+                assert unit.rows and (r > 0) == (unit.diagnostics["step_bound"] == [])
+                assert list(unit.phases) == ["simulate", "estimate", "diagnostics"]
+                assert sum(unit.phases.values()) == pytest.approx(unit.seconds)
+
+    @pytest.mark.parametrize("dims", [1, 2])
+    def test_units_in_reverse_with_wrong_look_aheads_return_the_same(self, helper_pool, caller_draws_half, dims):
+        # each unit names its row-order successor as the one to draw ahead, never the unit
+        # run next: the two that name a unit at N = 512 post its first chunk (a smaller draw
+        # posts nothing), and the unit run next cancels it unjoined
+        helper_pool(cpus=2)
+        config = self.config(dims)
+        report = run_experiment(config)
+        plan = harness.plan_experiment(config)
+        units = [(n, r) for n in config.n_grid for r in range(config.replications)]
+        before = increments.stream_counters()["lookahead_cancelled"]
+        try:
+            for i in reversed(range(len(units))):
+                n, r = units[i]
+                after = units[(i + 1) % len(units)]
+                unit = harness.run_unit(plan, n, r, then=(after[0], dynamics.derive_seed(config.seed, *after)))
+                assert (unit.rows, unit.diagnostics) == self.written(report, n, r)
+        finally:
+            increments.cancel()
+        assert increments.stream_counters()["lookahead_cancelled"] - before == 2
+
+    def test_the_plan_simulates_nothing(self, monkeypatch):
+        def simulated(*args, **kwargs):
+            raise AssertionError("the plan simulated an ensemble")
+
+        monkeypatch.setattr(dynamics, "simulate_ensemble", simulated)
+        plan = harness.plan_experiment(self.config(2))
+        assert list(plan.checks) == ["step_bound", "hitting"]
+        assert plan.nodes == [5, 10] and len(plan.probes) == 8
+
+    def test_a_failing_unit_is_one_runtime_error_line(self, monkeypatch):
+        def capped(estimate, x):
+            raise geometry.ProjectionSolverError("min-norm-point solver exceeded its iteration cap", residual=0.25)
+
+        plan = harness.plan_experiment(self.config(2))
+        monkeypatch.setattr(estimation, "pointwise_error", capped)  # looked up when the unit calls it
+        with pytest.raises(RuntimeError) as caught:
+            harness.run_unit(plan, 40, 0)
+        assert str(caught.value) == (
+            "experiment aborted at N=40, replication=0, j=10: "
+            "min-norm-point solver exceeded its iteration cap (residual=2.500e-01)"
+        )
+        assert isinstance(caught.value.__cause__, geometry.ProjectionSolverError)
+
+
 class TestEmission:
     def test_csv_header_exact(self):
         assert CSV_HEADER == "N,replication,j,probe_index,error,scaled_error,seed"
@@ -1144,3 +1225,19 @@ def test_default_reports_keep_their_bytes(default_reports):
         for name, report in default_reports.items()
     }
     assert digests == FROZEN_CSV_SHA256
+
+
+# SHA-256 of the diagnostics of e1 and e4 run with --check (json.dumps with
+# sorted keys). They read only replication 0, so one replication gives a full
+# run's diagnostics.
+FROZEN_CHECK_DIAGNOSTICS_SHA256 = {
+    "e1": "9930f2f13f64fdb2c90222ecd030da77fd50411f75d8aacafd8995f8cb063d7e",
+    "e4": "e9ded2a70d8d490e669d3c8c93cf0c8e709882b4f82d4be54febfffb9024e140",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_CHECK_DIAGNOSTICS_SHA256))
+def test_default_check_diagnostics_keep_their_bytes(frozen_configs, name):
+    config = dataclasses.replace(frozen_configs[name], replications=1, run_step_bound=True, run_hitting=True)
+    text = json.dumps(run_experiment(config).diagnostics, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == FROZEN_CHECK_DIAGNOSTICS_SHA256[name]
