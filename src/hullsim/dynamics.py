@@ -271,10 +271,12 @@ class StepObserver(Protocol):
     observe(j, rows, x, z, h, body) gets step j of the copies at positions rows
     of the ensemble: their (len(rows), m) states x at node j, increments z,
     pre-projection points h and the body C(t_{j+1}) h was projected onto. It
-    may read the arrays only during the call: z lies on a shared draw buffer,
-    and a view of it kept past the call stops that buffer's reuse. It writes
-    into none of them: when no point of the step was outside the body, h is
-    also the next step's state x.
+    writes into none of them. It may keep a reference to x or h past the
+    call, since neither is written afterwards, but never to z: z lies on a
+    shared draw buffer, and a view of it kept past the call stops that
+    buffer's reuse. The next step's state x is h itself exactly when nothing
+    was projected: a Ball or HPolytope with no point of h outside returns h,
+    and any other projection (a Box's always) is a new array.
     """
 
     def observe(self, j: int, rows: slice, x: np.ndarray, z: np.ndarray, h: np.ndarray,

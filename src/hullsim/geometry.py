@@ -287,11 +287,12 @@ class HPolytope(ConvexBody):
 
     def interior_margin(self, x):
         x = _check_points(x, self.dim)
-        flat = x.reshape(-1, self.dim)
+        order = "F" if np.isfortran(x) else "C"  # as in project: the margins keep x's order
+        flat = x.reshape(-1, self.dim, order=order)
         margins = self._face_values(flat)  # becomes (offsets - values) / row norms in place
         np.subtract(self.offsets[:, None], margins, out=margins)
         margins /= self._row_norms[:, None]
-        return margins.min(axis=0).reshape(x.shape[:-1])[()]  # a scalar for one point
+        return margins.min(axis=0).reshape(x.shape[:-1], order=order)[()]  # a scalar for one point
 
     def bounding_box(self):
         return self.vertices.min(axis=0), self.vertices.max(axis=0)

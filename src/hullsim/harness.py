@@ -335,6 +335,7 @@ class Plan(NamedTuple):
     nodes: list[int]  # the nodes every unit keeps, ascending
     error: Callable  # (hull, j, N) -> a (probe_index, error, scaled_error) per row
     checks: dict  # diagnostics key -> what makes replication 0's step observer (oracle)
+    check_probes: np.ndarray  # the checks' probes: a unit's observers share one ProbeDistances of them
 
 
 class Unit(NamedTuple):
@@ -354,18 +355,18 @@ def plan_experiment(config: ExperimentConfig) -> Plan:
     grid = dynamics.TimeGrid(horizon=config.horizon, steps=config.steps)
     probes = None if model.dim == 1 else resolve_probes(config, mf, grid)
     checks = {}
+    check_probes = probes if probes is not None else _interval_probes(mf(grid.node(max(config.j_indices))))
     if config.run_step_bound:
-        check_probes = probes if probes is not None else _interval_probes(mf(grid.node(max(config.j_indices))))
         try:
             constants = oracle.step_bound_constants(model, mf, grid, check_probes)
         except oracle.OracleError as exc:
             raise ConfigError(f"diagnostics.step_bound: {exc}") from exc
-        checks["step_bound"] = partial(oracle.StepBoundCheck, model, grid.delta, check_probes, constants)
+        checks["step_bound"] = partial(oracle.StepBoundCheck, model, grid.delta, constants=constants)
     if config.run_hitting and probes is not None:  # the hitting check needs m > 1
-        checks["hitting"] = partial(oracle.HittingCount, probes, grid.steps)
+        checks["hitting"] = partial(oracle.HittingCount, steps=grid.steps)
     error = (partial(_interval_errors, {j: mf(grid.node(j)) for j in config.j_indices}) if probes is None
              else partial(_probe_errors, probes))
-    return Plan(config, model, mf, grid, probes, sorted(config.j_indices), error, checks)
+    return Plan(config, model, mf, grid, probes, sorted(config.j_indices), error, checks, check_probes)
 
 
 def _interval_errors(bodies: dict, hull, j: int, n: int) -> list[tuple]:
@@ -380,12 +381,15 @@ def _probe_errors(probes: np.ndarray, hull, j: int, n: int) -> list[tuple]:
 
 
 def run_unit(plan: Plan, n: int, r: int, then: tuple[int, int] | None = None) -> Unit:
-    """Replication r at N = n: its ensemble, under the plan's checks when r = 0, and its error
-    rows at every requested node. then is the (N, seed) whose increments are drawn ahead
-    (simulate_ensemble's next_ensemble). A failure raises one line, "experiment aborted at ..."."""
+    """Replication r at N = n: its ensemble, under the plan's checks (sharing one oracle.ProbeDistances)
+    when r = 0, and its error rows at every requested node. then is the (N, seed) whose increments are
+    drawn ahead (simulate_ensemble's next_ensemble). A failure raises one line, "experiment aborted at ..."."""
     t0 = time.perf_counter()
     seed = dynamics.derive_seed(plan.config.seed, n, r)
-    checks = {key: make() for key, make in plan.checks.items()} if r == 0 else {}
+    checks = {}
+    if r == 0 and plan.checks:
+        distances = oracle.ProbeDistances(plan.check_probes)
+        checks = {key: make(distances) for key, make in plan.checks.items()}
     timed = _TimedObservers(checks.values())
     rows, j = [], None
     try:

@@ -3,9 +3,10 @@
 The per-step growth-bound checker with its two constants, and the
 hitting-frequency counts. Each is a step observer (StepBoundCheck,
 HittingCount) that reads the steps as simulate_ensemble makes them, since no
-ensemble keeps its pre-projection points or increments. step1_bound_check
-and hitting_frequency check their inputs, simulate an ensemble with the
-observer and return its report.
+ensemble keeps its pre-projection points or increments. Both read their
+probe distances from one ProbeDistances, which computes each step's once.
+step1_bound_check and hitting_frequency check their inputs, simulate an
+ensemble with the observer and return its report.
 """
 
 from __future__ import annotations
@@ -126,6 +127,38 @@ def step_bound_constants(model: SdeModel, mf: Multifunction, grid: TimeGrid,
     return constants_c1_c2(model, m_c, grid.delta, probe_count=4000)
 
 
+class ProbeDistances:
+    """The (k, n) distances ||points[i] - p|| of a step's n points from k probes, shared by
+    the checks of one simulation so that each is computed once.
+
+    of(points) computes them as _ProbeNorms.distances does and remembers them for the
+    last two arrays it was given, matched by identity: a step's h is read by both checks,
+    and the next step's x is that same array when the projection moved nothing
+    (dynamics.StepObserver). It keeps references to those arrays, a step's x and h,
+    never to its z. The result is read, never written, and holds until of has since
+    been given two other arrays.
+    """
+
+    def __init__(self, probes: np.ndarray):
+        self.probes = probes
+        self.norms = _ProbeNorms(probes, 2)
+        self.outs = self.norms.step(0)
+        self.held = [None, None]  # the arrays whose distances outs holds
+        self.recent = 0  # the index of the one given last
+
+    def of(self, points: np.ndarray) -> np.ndarray:
+        for i in (self.recent, 1 - self.recent):
+            if points is self.held[i]:
+                self.recent = i
+                return self.outs[i]
+        if self.outs[0].shape[1] != len(points):  # a chunk of another size
+            self.outs, self.held = self.norms.step(len(points)), [None, None]
+        self.recent = 1 - self.recent  # the one given first goes
+        self.held[self.recent] = points
+        self.norms.distances(points, self.outs[self.recent])
+        return self.outs[self.recent]
+
+
 class StepBoundCheck:
     """The growth-bound check as a step observer (dynamics.StepObserver).
 
@@ -136,16 +169,21 @@ class StepBoundCheck:
     to a running maximum and to a count of margins above slack; report() is
     the BoundCheckReport. Both reduce by a max and a count, and each margin
     is computed per copy and probe, so the report does not depend on how the
-    copies are split into chunks. probes are a (k, m) array the caller has
-    checked (step_bound_constants does). A step's (k, copies) margins are
-    computed in place in reused buffers (_ProbeNorms).
+    copies are split into chunks. The two distances come from distances, the
+    ProbeDistances of the (k, m) probes, which the caller has checked
+    (step_bound_constants does). The noise term scales z once per coordinate
+    when every probe has the same sigma (constant diffusion), once per probe
+    otherwise, with the same bits. A step's (k, copies) margins are computed
+    in place in reused buffers (_ProbeNorms).
     """
 
-    def __init__(self, model: SdeModel, delta: float, probes: np.ndarray, constants: StepConstants,
-                 slack: float = 1e-10):
-        self.norms = _ProbeNorms(probes, 2)
-        self.sigmas = np.array([np.asarray(model.diffusion(x), dtype=float) for x in probes])
-        self.shifts = np.array([np.asarray(model.drift(x), dtype=float) * delta for x in probes])
+    def __init__(self, model: SdeModel, delta: float, distances: ProbeDistances,
+                 constants: StepConstants, slack: float = 1e-10):
+        self.distances = distances
+        self.norms = _ProbeNorms(distances.probes, 2)
+        self.sigmas = np.array([np.asarray(model.diffusion(x), dtype=float) for x in distances.probes])
+        self.one_sigma = bool(np.all(self.sigmas == self.sigmas[0]))
+        self.shifts = np.array([np.asarray(model.drift(x), dtype=float) * delta for x in distances.probes])
         self.constants = constants
         self.slack = slack
         self.n_checks = 0
@@ -154,18 +192,22 @@ class StepBoundCheck:
 
     def observe(self, j, rows, x_j, z, h, body):
         margins, term = self.norms.step(len(h))
-        self.norms.distances(h, margins)
-        self.norms.distances(x_j, term)
-        term *= self.constants.c1
-        margins -= term
+        # x_j first: when it is the last step's h, its distances are still held
+        np.multiply(self.distances.of(x_j), self.constants.c1, out=term)
+        np.subtract(self.distances.of(h), term, out=margins)
         # h and the states lie within dynamics.FINITE_LIMIT, so only the noise term can
         # overflow (a huge delta): it is then infinite, and its margin -inf holds the bound
         with np.errstate(over="ignore"):
-            self.norms.into(term, z, self.shifts, self.sigmas)
+            if self.one_sigma:
+                self.norms.into(term, z * self.sigmas[0], self.shifts)
+            else:
+                self.norms.into(term, z, self.shifts, self.sigmas)
             term *= self.constants.c2
         margins -= term
-        self.worst_margin = max(self.worst_margin, float(margins.max()))
-        self.n_violations += int(np.count_nonzero(margins > self.slack))
+        worst = float(margins.max())
+        self.worst_margin = max(self.worst_margin, worst)
+        if worst > self.slack:
+            self.n_violations += int(np.count_nonzero(margins > self.slack))
         self.n_checks += margins.size
 
     def report(self) -> BoundCheckReport:
@@ -250,7 +292,7 @@ def step1_bound_check(
         constants = step_bound_constants(model, mf, grid, probes)
     else:
         _check_probes_inside(bodies_at_nodes(mf, grid), probes)
-    check = StepBoundCheck(model, grid.delta, probes, constants, slack)
+    check = StepBoundCheck(model, grid.delta, ProbeDistances(probes), constants, slack)
     simulate_ensemble(model, mf, grid, n_copies, seed, nodes=[grid.steps], observers=[check])
     return check.report()
 
@@ -281,23 +323,26 @@ class HittingCount:
 
     Step j adds, per probe, the copies whose pre-projection point lies within
     radius of the probe and strictly inside the body C(t_{j+1}) it is
-    projected onto, evaluating that body's interior test once, whatever the
-    number of probes is; report() gives one HittingReport per probe, in
-    order. probes are a checked (k, m) array and radius is positive.
+    projected onto. The distances come from distances, the ProbeDistances of
+    the checked (k, m) probes, and the body's interior test runs once, on the
+    copies within radius of some probe only (a point's margin does not depend
+    on its batch); report() gives one HittingReport per probe, in order.
+    radius is positive.
     """
 
-    def __init__(self, probes: np.ndarray, steps: int, radius: float = 0.1):
-        self.probes = probes
-        self.norms = _ProbeNorms(probes, 1)
+    def __init__(self, distances: ProbeDistances, steps: int, radius: float = 0.1):
+        self.distances = distances
+        self.probes = distances.probes
         self.radius = radius
-        self.hits = np.zeros((len(probes), steps), dtype=int)
+        self.hits = np.zeros((len(self.probes), steps), dtype=int)
         self.n_copies = 0
 
     def observe(self, j, rows, x, z, h, body):
-        inside = np.asarray(body.interior_margin(h)) > 0
-        [distances] = self.norms.step(len(h))
-        self.norms.distances(h, distances)
-        self.hits[:, j] += np.count_nonzero((distances <= self.radius) & inside, axis=1)
+        close = self.distances.of(h) <= self.radius
+        near = np.flatnonzero(close.any(axis=0))
+        if near.size:
+            inside = np.asarray(body.interior_margin(h[near])) > 0
+            self.hits[:, j] += np.count_nonzero(close[:, near] & inside, axis=1)
         if j == 0:
             self.n_copies += len(h)
 
@@ -324,6 +369,6 @@ def hitting_frequency(
     probes = np.asarray(probes, dtype=float)
     if probes.ndim != 2 or probes.shape[1] != model.dim:
         raise OracleError(f"probes must be a (k, {model.dim}) array, got shape {probes.shape}")
-    count = HittingCount(probes, grid.steps, radius)
+    count = HittingCount(ProbeDistances(probes), grid.steps, radius)
     simulate_ensemble(model, mf, grid, n_copies, seed, nodes=[grid.steps], observers=[count])
     return count.report()

@@ -4,8 +4,9 @@ They are deliberately independent of the code they check: a grid-search
 projection, a planar hull distance from pairwise segments, empirical and
 Gaussian CDFs with the clamped CDF of acceptance criterion 3, an empirical
 check of a model's declared Lipschitz constants, a sampler of boundary
-points for the variational inequality of a projection, and a step observer
-that records what an ensemble does not keep.
+points for the variational inequality of a projection, a step observer
+that records what an ensemble does not keep, and one that makes the --check
+reports from distances computed afresh.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from scipy.special import ndtr
 from hullsim.dynamics import SdeModel, diffusion_at
 from hullsim.estimation import EstimationError
 from hullsim.geometry import Ball, Box, ConvexBody, HPolytope, Interval, row_norms
-from hullsim.oracle import OracleError
+from hullsim.oracle import BoundCheckReport, HittingReport, OracleError, StepConstants
 
 
 def gaussian_cdf(x, mean: float = 0.0, std: float = 1.0):
@@ -205,3 +206,44 @@ class StepRecord:
     def observe(self, j, rows, x, z, h, body):
         self.h[rows, j] = h
         self.z[rows, j] = z
+
+
+class FreshChecks:
+    """A step observer that makes the reports of hullsim.oracle's StepBoundCheck and
+    HittingCount from scratch: every step computes every distance afresh, one probe
+    at a time with row_norms, and runs the body's interior test on the whole batch.
+    """
+
+    def __init__(self, model: SdeModel, delta: float, probes: np.ndarray, constants: StepConstants,
+                 steps: int, slack: float = 1e-10, radius: float = 0.1):
+        self.model, self.delta, self.probes, self.constants = model, delta, probes, constants
+        self.slack, self.radius = slack, radius
+        self.margins = []  # one (k, copies) array per observed step
+        self.hits = np.zeros((len(probes), steps), dtype=int)
+        self.n_copies = 0
+
+    def observe(self, j, rows, x, z, h, body):
+        c1, c2 = self.constants.c1, self.constants.c2
+        inside = body.interior_margin(h) > 0
+        margins = []
+        for p, probe in enumerate(self.probes):
+            noise = np.asarray(self.model.diffusion(probe), dtype=float) * z
+            noise = noise + np.asarray(self.model.drift(probe), dtype=float) * self.delta
+            dist = row_norms(h - probe)
+            margins.append(dist - c1 * row_norms(x - probe) - c2 * row_norms(noise))
+            self.hits[p, j] += np.count_nonzero((dist <= self.radius) & inside)
+        self.margins.append(np.array(margins))
+        if j == 0:
+            self.n_copies += len(h)
+
+    def bound_report(self) -> BoundCheckReport:
+        margins = np.concatenate(self.margins, axis=1)
+        return BoundCheckReport(
+            n_checks=margins.size, n_violations=int(np.count_nonzero(margins > self.slack)),
+            worst_margin=float(margins.max()), slack=self.slack, c1=self.constants.c1,
+            c2=self.constants.c2, m_c=self.constants.m_c,
+        )
+
+    def hitting_reports(self) -> list[HittingReport]:
+        return [HittingReport(probe=probe, radius=self.radius, n_copies=self.n_copies, hits_per_node=row)
+                for probe, row in zip(self.probes, self.hits)]

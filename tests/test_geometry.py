@@ -201,6 +201,15 @@ class TestMemoryOrder:
         assert out.flags.f_contiguous
         np.testing.assert_array_equal(out, project(body, x.reshape(-1, body.dim)).reshape(x.shape))
 
+    @pytest.mark.parametrize("body", [Box(-np.ones(2), np.ones(2)), Ball(np.zeros(2), 1.0), bodies["square"]],
+                             ids=["box", "ball", "square"])
+    def test_interior_margin_of_a_batch_of_batches(self, body):
+        # the margins of an F-ordered (4, 5, 2) batch keep its order, the H-polytope's too
+        x = np.random.default_rng(7).uniform(-2.0, 2.0, size=(4, 5, 2))
+        margins = body.interior_margin(np.asfortranarray(x))
+        assert margins.shape == (4, 5) and margins.flags.f_contiguous
+        np.testing.assert_array_equal(margins, body.interior_margin(x.reshape(-1, 2)).reshape(4, 5))
+
     def test_interior_margin(self, points):
         body, c, f = points
         np.testing.assert_array_equal(body.interior_margin(f), body.interior_margin(c))

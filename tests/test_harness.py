@@ -1241,3 +1241,36 @@ def test_default_check_diagnostics_keep_their_bytes(frozen_configs, name):
     config = dataclasses.replace(frozen_configs[name], replications=1, run_step_bound=True, run_hitting=True)
     text = json.dumps(run_experiment(config).diagnostics, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == FROZEN_CHECK_DIAGNOSTICS_SHA256[name]
+
+
+def test_check_unit_computes_each_probe_distance_once(frozen_configs, monkeypatch):
+    # e4's --check unit at N = 4096, one chunk of 20 steps: the two checks share one
+    # distance pass per step for h, one for x0, and one more for a step's x only when
+    # the last step moved a copy, so that x is not the last h
+    config = dataclasses.replace(frozen_configs["e4"], replications=1, run_step_bound=True, run_hitting=True)
+    n = 4096
+    assert n <= dynamics.STEP_CHUNK and config.steps == 20
+    passes, steps = [], []
+    into, euler_step = oracle._ProbeNorms.into, dynamics.euler_step
+
+    def counted(self, out, points, offsets, scales=None):
+        if offsets is self.negated:  # a distance pass, not a noise term
+            passes.append(points)
+        into(self, out, points, offsets, scales)
+
+    def recorded(model, body, x, z, delta):
+        h, x_next = euler_step(model, body, x, z, delta)
+        steps.append((x, h, x_next))
+        return h, x_next
+
+    monkeypatch.setattr(oracle._ProbeNorms, "into", counted)
+    monkeypatch.setattr(dynamics, "euler_step", recorded)
+    harness.run_unit(harness.plan_experiment(config), n, 0)
+    assert len(steps) == 20
+    moved = [x_next is not h for _, h, x_next in steps[:-1]]
+    assert moved == [not np.array_equal(x_next, h) for _, h, x_next in steps[:-1]]
+    expected = [steps[0][0]]
+    for j, (x, h, _) in enumerate(steps):
+        expected += [x, h] if j and moved[j - 1] else [h]
+    assert [id(points) for points in passes] == [id(points) for points in expected]
+    assert len(passes) == 20 + 1 + sum(moved)

@@ -18,6 +18,7 @@ from hullsim.geometry import Ball, HPolytope, Interval, row_norms
 from hullsim.oracle import (
     HittingCount,
     OracleError,
+    ProbeDistances,
     StepBoundCheck,
     StepConstants,
     constants_c1_c2,
@@ -25,7 +26,7 @@ from hullsim.oracle import (
     step1_bound_check,
     step_bound_constants,
 )
-from reference import StepRecord
+from reference import FreshChecks, StepRecord
 
 
 def linear_drift_model(dim=1, theta=1.0, sigma=0.5):
@@ -313,7 +314,8 @@ class TestStreamed:
         probes = TestStepBound.probes_1d
         constants = self.constants(model, mf, probes, halved)
         [chunked], [whole] = self.chunked_then_whole(
-            monkeypatch, model, mf, 8, lambda: [StepBoundCheck(model, self.grid.delta, probes, constants)])
+            monkeypatch, model, mf, 8,
+            lambda: [StepBoundCheck(model, self.grid.delta, ProbeDistances(probes), constants)])
         streamed = chunked.report()
         assert asdict(streamed) == asdict(whole.report())
         assert (streamed.n_violations > 0) == halved
@@ -330,7 +332,8 @@ class TestStreamed:
         constants = self.constants(model, mf, probes, halved)
         (check, count), (whole_check, whole_count) = self.chunked_then_whole(
             monkeypatch, model, mf, 9,
-            lambda: [StepBoundCheck(model, self.grid.delta, probes, constants), HittingCount(probes, 10)])
+            lambda: [StepBoundCheck(model, self.grid.delta, ProbeDistances(probes), constants),
+                     HittingCount(ProbeDistances(probes), 10)])
         streamed = check.report()
         assert asdict(streamed) == asdict(whole_check.report())
         assert (streamed.n_violations > 0) == halved
@@ -341,3 +344,71 @@ class TestStreamed:
             assert (a.radius, a.n_copies, a.total_hits, a.frequency) == (b.radius, b.n_copies, b.total_hits,
                                                                          b.frequency)
         assert count.n_copies == self.N and all(rep.total_hits > 0 for rep in whole)
+
+
+class XIsLastH:
+    """A step observer that records, for every step after the first, whether its x is
+    the last step's h: the same array, as when the projection moved nothing."""
+
+    def __init__(self):
+        self.last, self.same = None, []
+
+    def observe(self, j, rows, x, z, h, body):
+        if j > 0:
+            self.same.append(x is self.last)
+        self.last = h
+
+
+def plain(report):
+    return {key: value.tolist() if isinstance(value, np.ndarray) else value
+            for key, value in asdict(report).items()}
+
+
+class TestSharedDistances:
+    """The two checks sharing one ProbeDistances report what each reports alone, and what
+    FreshChecks makes from distances computed afresh, bit for bit, on bodies where the
+    next state is never the last h: a square small enough that every step moves a copy,
+    and an interval, which Box.project always returns as a new array."""
+
+    grid = TimeGrid(1.0, 10)
+    square = HPolytope(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]), np.full(4, 0.4))
+    shapes = {
+        # body, probes (some within the radius of the boundary), model's x0
+        "square": (square, np.array([[0.0, 0.0], [0.35, 0.0], [0.0, -0.37], [0.33, 0.33]]), np.zeros(2)),
+        "interval": (Interval(-1, 1), np.array([[-0.95], [-0.4], [0.0], [0.4], [0.93]]), np.zeros(1)),
+    }
+    models = {  # the noise term's two paths: one sigma for every probe, one per probe
+        "constant-sigma": lambda x0: make_model("ou", len(x0), x0, theta=1.0, sigma=0.8),
+        "state-sigma": lambda x0: make_model("tanh_sigma", len(x0), x0, theta=0.5, sigma0=0.6, sigma1=0.05),
+    }
+
+    @pytest.mark.parametrize("halved", [False, True], ids=["sampled", "c2-halved"])
+    @pytest.mark.parametrize("model_name", sorted(models))
+    @pytest.mark.parametrize("shape", sorted(shapes))
+    def test_shared_equals_alone_and_afresh(self, shape, model_name, halved):
+        body, probes, x0 = self.shapes[shape]
+        model, mf, delta = self.models[model_name](x0), constant_body(body), self.grid.delta
+        constants = step_bound_constants(model, mf, self.grid, probes)
+        if halved:
+            constants = copy.copy(constants)  # bypasses the >= 1 construction invariant
+            object.__setattr__(constants, "c2", constants.c2 / 2)
+
+        def run(*observers):
+            simulate_ensemble(model, mf, self.grid, 300, 41, nodes=[10], observers=observers)
+
+        shared = ProbeDistances(probes)
+        check, count, moves = StepBoundCheck(model, delta, shared, constants), HittingCount(shared, 10), XIsLastH()
+        run(check, count, moves)
+        alone_check = StepBoundCheck(model, delta, ProbeDistances(probes), constants)
+        run(alone_check)
+        alone_count = HittingCount(ProbeDistances(probes), 10)
+        run(alone_count)
+        fresh = FreshChecks(model, delta, probes, constants, 10)
+        run(fresh)
+
+        assert plain(check.report()) == plain(alone_check.report()) == plain(fresh.bound_report())
+        assert (check.report().n_violations > 0) == halved
+        for reports in zip(count.report(), alone_count.report(), fresh.hitting_reports(), strict=True):
+            assert plain(reports[0]) == plain(reports[1]) == plain(reports[2])
+        assert sum(rep.total_hits for rep in count.report()) > 0
+        assert moves.same == [False] * 9
