@@ -108,7 +108,9 @@ class SdeModel:
     """Drift/diffusion pair with declared Lipschitz constants.
 
     drift maps arrays of shape (..., m) to (..., m); diffusion maps (..., m)
-    to (..., m), the diagonal of the diffusion matrix sigma(x). The step uses
+    to (..., m), the diagonal of the diffusion matrix sigma(x). Either may
+    return its input, a view of it or a read-only broadcast: euler_step
+    never writes into what they return, nor into their input. The step uses
     sigma as given; the oracle's step-growth constants assume it invertible.
     x0 is the deterministic starting point.
     """
@@ -146,7 +148,11 @@ def euler_step(
 ) -> tuple[np.ndarray, np.ndarray]:
     """One projected Euler step; returns (pre-projection point, next state).
 
-    Batched over leading axes of x and z. A pre-projection point with a
+    Batched over leading axes of x and z. h = x + drift(x) delta + sigma(x) z
+    is built in one fresh array in x's memory order, drift(x) delta first and
+    then x and sigma(x) z added in place: addition commutes, so these are the
+    sum's bits. The step writes into h only, never into x, z or the model's
+    outputs, which may be views of x. A pre-projection point with a
     coordinate that is not finite or beyond FINITE_LIMIT raises ModelError,
     with where the index of the first such point, before it is projected.
     When no point is outside the body the projection returns h itself, so
@@ -157,7 +163,9 @@ def euler_step(
     if x.shape[-1] != model.dim or z.shape != x.shape:
         raise ModelError("state and increment must both have last axis of the model dimension")
     sig = diffusion_at(model, x)
-    h = x + model.drift(x) * delta + sig * z
+    h = np.multiply(model.drift(x), delta, out=np.empty_like(x))
+    h += x
+    h += sig * z
     if not (h.min() >= -FINITE_LIMIT and h.max() <= FINITE_LIMIT):
         where = tuple(int(k) for k in np.argwhere(~(np.abs(h) <= FINITE_LIMIT))[0][:-1])
         exc = ModelError(f"pre-projection point is not finite or beyond {FINITE_LIMIT:g} in a coordinate")
@@ -425,7 +433,16 @@ def resolve_params(what: str, registry: dict, kind: str, dim: int, given: dict) 
 
 
 def _constant_diffusion(sigma: float) -> Callable[[np.ndarray], np.ndarray]:
-    return lambda x: np.broadcast_to(sigma, np.shape(x))
+    """sigma as a read-only broadcast of x's shape; the last one is reused while the shape holds."""
+    held = np.broadcast_to(sigma, ())
+
+    def diffusion(x):
+        nonlocal held
+        if held.shape != np.shape(x):
+            held = np.broadcast_to(sigma, np.shape(x))
+        return held
+
+    return diffusion
 
 
 def _ou(theta, sigma):
@@ -444,7 +461,12 @@ def _zero_drift(sigma):
 def _tanh_drift(scale, sigma):
     if scale < 0 or not sigma > 0:
         raise ModelError("tanh_drift model needs scale >= 0 and sigma > 0")
-    return (lambda x: -scale * np.tanh(x)), _constant_diffusion(sigma), scale, 0.0
+    def drift(x):
+        pull = np.tanh(x)
+        pull *= -scale  # in place on tanh's own result: -scale * t rounds as t * -scale
+        return pull
+
+    return drift, _constant_diffusion(sigma), scale, 0.0
 
 
 def _tanh_sigma(theta, sigma0, sigma1):
@@ -452,7 +474,12 @@ def _tanh_sigma(theta, sigma0, sigma1):
         raise ModelError("tanh_sigma model needs theta >= 0")
     if not sigma0 - abs(sigma1) > 0:
         raise ModelError("tanh_sigma needs sigma0 - |sigma1| > 0 to stay invertible")
-    diffusion = lambda x: sigma0 + sigma1 * np.tanh(np.asarray(x, dtype=float))
+    def diffusion(x):
+        sig = np.tanh(np.asarray(x, dtype=float))
+        sig *= sigma1  # in place on tanh's own result, with the bits of sigma0 + sigma1 * t
+        sig += sigma0
+        return sig
+
     return (lambda x: -theta * x), diffusion, theta, abs(sigma1)
 
 

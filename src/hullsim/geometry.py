@@ -166,11 +166,18 @@ class Ball(ConvexBody):
     def project(self, x):
         """x itself when no row is outside; else a copy with each row outside
         replaced by c + (x - c) r / ||x - c||, so a row's bits never depend on
-        its batch."""
+        its batch. The screen sums ||x - c||^2 a coordinate column at a time
+        into one buffer, with _row_squares(x - c)'s bits; x - c is formed only
+        for the rows outside."""
         x = _check_points(x, self.dim)
         pts = np.atleast_2d(x)  # a view: one point is a batch of one
-        off = pts - self.center
-        sq = _row_squares(off)
+        sq = np.subtract(pts[..., 0], self.center[0])
+        sq *= sq
+        col = np.empty_like(sq)
+        for k in range(1, self.dim):
+            np.subtract(pts[..., k], self.center[k], out=col)
+            col *= col
+            sq += col
         if not sq.size or np.sqrt(sq.max()) <= self.radius:
             return x
         norms = np.sqrt(sq)
@@ -178,7 +185,7 @@ class Ball(ConvexBody):
         scale = self.radius / norms[outside]
         out = pts.copy(order="K")
         for k in range(self.dim):  # one coordinate column at a time: no gather of whole rows
-            out[(*outside, k)] = self.center[k] + off[(*outside, k)] * scale
+            out[(*outside, k)] = self.center[k] + (pts[(*outside, k)] - self.center[k]) * scale
         return out.reshape(x.shape)
 
     def support(self, u):
@@ -250,10 +257,19 @@ class HPolytope(ConvexBody):
         projection: the one with the largest interior margin (first on a tie).
         A box of half-spaces with unit or power-of-two axis normals gives
         np.clip's bits wherever x - (x - b) rounds to b.
+
+        A screen comes first: over the batch's per-coordinate box [lo, hi] a
+        face's value is at most the sum of max(n_c lo_c, n_c hi_c), added in
+        _face_values' order, as rounding is monotone. A bound <= b on every
+        face proves no point outside, so x comes back exactly when the face
+        values would say so; a NaN or larger bound leaves it to them. For axis
+        normals (the square) the bound is the extreme coordinate: exact.
         """
         x = _check_points(x, self.dim)
         order = "F" if np.isfortran(x) else "C"  # so flat is a view of x and out keeps x's order
         flat = x.reshape(-1, self.dim, order=order)
+        if not len(flat) or (self._box_bound(flat) <= self.offsets).all():
+            return x
         slack = self._face_values(flat)
         slack -= self.offsets[:, None]
         active = np.flatnonzero(np.any(slack > 0, axis=0))
@@ -280,6 +296,15 @@ class HPolytope(ConvexBody):
         for c in range(1, self.dim):
             values += self.normals[:, c:c + 1] * flat[:, c]
         return values
+
+    def _box_bound(self, flat: np.ndarray) -> np.ndarray:
+        """Per face, a bound on every point's _face_values over flat's per-coordinate box,
+        summed in its coordinate order; NaN for a NaN, or an infinity on a zero normal entry."""
+        terms = np.maximum(self.normals * flat.min(axis=0), self.normals * flat.max(axis=0))  # keeps NaN
+        bound = terms[:, 0]
+        for c in range(1, self.dim):
+            bound = bound + terms[:, c]
+        return bound
 
     def support(self, u):
         u = _check_direction(u, self.dim)

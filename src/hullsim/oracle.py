@@ -174,13 +174,15 @@ class StepBoundCheck:
     (step_bound_constants does). The noise term scales z once per coordinate
     when every probe has the same sigma (constant diffusion), once per probe
     otherwise, with the same bits. A step's (k, copies) margins are computed
-    in place in reused buffers (_ProbeNorms).
+    in place in two reused buffers (_ProbeNorms): the c2-scaled noise term
+    first, into the one output, then c1 ||x_j - x|| and the margin into the
+    scratch, in the order of the formula above.
     """
 
     def __init__(self, model: SdeModel, delta: float, distances: ProbeDistances,
                  constants: StepConstants, slack: float = 1e-10):
         self.distances = distances
-        self.norms = _ProbeNorms(distances.probes, 2)
+        self.norms = _ProbeNorms(distances.probes, 1)
         self.sigmas = np.array([np.asarray(model.diffusion(x), dtype=float) for x in distances.probes])
         self.one_sigma = bool(np.all(self.sigmas == self.sigmas[0]))
         self.shifts = np.array([np.asarray(model.drift(x), dtype=float) * delta for x in distances.probes])
@@ -191,10 +193,7 @@ class StepBoundCheck:
         self.worst_margin = -np.inf
 
     def observe(self, j, rows, x_j, z, h, body):
-        margins, term = self.norms.step(len(h))
-        # x_j first: when it is the last step's h, its distances are still held
-        np.multiply(self.distances.of(x_j), self.constants.c1, out=term)
-        np.subtract(self.distances.of(h), term, out=margins)
+        (term,) = self.norms.step(len(h))
         # h and the states lie within dynamics.FINITE_LIMIT, so only the noise term can
         # overflow (a huge delta): it is then infinite, and its margin -inf holds the bound
         with np.errstate(over="ignore"):
@@ -203,6 +202,10 @@ class StepBoundCheck:
             else:
                 self.norms.into(term, z, self.shifts, self.sigmas)
             term *= self.constants.c2
+        margins = self.norms.term  # into's scratch, free again: c1 ||x_j - x||, then the margin
+        # x_j first: when it is the last step's h, its distances are still held
+        np.multiply(self.distances.of(x_j), self.constants.c1, out=margins)
+        np.subtract(self.distances.of(h), margins, out=margins)
         margins -= term
         worst = float(margins.max())
         self.worst_margin = max(self.worst_margin, worst)

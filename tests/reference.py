@@ -4,9 +4,10 @@ They are deliberately independent of the code they check: a grid-search
 projection, a planar hull distance from pairwise segments, empirical and
 Gaussian CDFs with the clamped CDF of acceptance criterion 3, an empirical
 check of a model's declared Lipschitz constants, a sampler of boundary
-points for the variational inequality of a projection, a step observer
-that records what an ensemble does not keep, and one that makes the --check
-reports from distances computed afresh.
+points for the variational inequality of a projection, the projected Euler
+step as a plain sum with the screens that decide whether a projection returns
+its input, a step observer that records what an ensemble does not keep, and
+one that makes the --check reports from distances computed afresh.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from scipy.special import ndtr
 
 from hullsim.dynamics import SdeModel, diffusion_at
 from hullsim.estimation import EstimationError
-from hullsim.geometry import Ball, Box, ConvexBody, HPolytope, Interval, row_norms
+from hullsim.geometry import Ball, Box, ConvexBody, HPolytope, Interval, _row_squares, row_norms
 from hullsim.oracle import BoundCheckReport, HittingReport, OracleError, StepConstants
 
 
@@ -188,6 +189,59 @@ def boundary_points(body: ConvexBody, count: int, rng: np.random.Generator) -> n
         dirs = rng.standard_normal((count, body.dim))
         return body.vertices[np.argmax(dirs @ body.vertices.T, axis=1)]
     raise OracleError(f"unsupported body type {type(body).__name__}")
+
+
+# drift(x, params) and diffusion(x, params) of the registered models (hullsim.dynamics.MODELS)
+# as plain expressions, each a new array
+REFERENCE_MODELS = {
+    "ou": (lambda x, p: -p["theta"] * x, lambda x, p: np.broadcast_to(p["sigma"], np.shape(x))),
+    "zero_drift": (lambda x, p: np.zeros_like(x), lambda x, p: np.broadcast_to(p["sigma"], np.shape(x))),
+    "tanh_drift": (lambda x, p: -p["scale"] * np.tanh(x), lambda x, p: np.broadcast_to(p["sigma"], np.shape(x))),
+    "tanh_sigma": (lambda x, p: -p["theta"] * x, lambda x, p: p["sigma0"] + p["sigma1"] * np.tanh(x)),
+}
+
+
+def nothing_outside(body: ConvexBody, x: np.ndarray) -> bool:
+    """Whether a projection may return the batch x itself: for a Ball, no squared distance
+    _row_squares(x - c) above r^2 (through its square root), for an HPolytope no positive
+    slack among all its face values; never for a Box, which always clips to a new array."""
+    if isinstance(body, Ball):
+        sq = _row_squares(np.atleast_2d(x) - body.center)
+        return not sq.size or bool(np.sqrt(sq.max()) <= body.radius)
+    if isinstance(body, HPolytope):
+        slack = body._face_values(x.reshape(-1, body.dim)) - body.offsets[:, None]
+        return not np.any(slack > 0)
+    return False
+
+
+def reference_project(body: ConvexBody, x: np.ndarray) -> np.ndarray:
+    """The projection of a batch x: x itself when nothing_outside(body, x); otherwise a Ball
+    moves each row outside to c + (x - c) r / ||x - c|| on a copy and a Box clips, while an
+    HPolytope's exact face-set projection is body.project's own, so whether it returns x
+    is to be checked against nothing_outside, not against this."""
+    if nothing_outside(body, x):
+        return x
+    if isinstance(body, Ball):
+        pts = np.atleast_2d(x)
+        off = pts - body.center
+        norms = np.sqrt(_row_squares(off))
+        outside = norms > body.radius
+        out = pts.copy(order="K")
+        out[outside] = body.center + off[outside] * (body.radius / norms[outside])[:, None]
+        return out.reshape(x.shape)
+    if isinstance(body, Box):
+        return np.clip(x, body.lo, body.hi)
+    return body.project(x)
+
+
+def reference_step(kind: str, params: dict, body: ConvexBody, x: np.ndarray, z: np.ndarray,
+                   delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """The projected Euler step of a registered model, (h, x_next), as hullsim.dynamics.euler_step
+    gives it: h = x + drift(x) * delta + sigma(x) * z summed left to right, and x_next its
+    reference_project."""
+    drift, diffusion = REFERENCE_MODELS[kind]
+    h = x + drift(x, params) * delta + diffusion(x, params) * z
+    return h, reference_project(body, h)
 
 
 class StepRecord:

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hullsim.dynamics import (
     BODIES,
@@ -23,9 +25,9 @@ from hullsim.dynamics import (
     simulate_ensemble,
     simulate_path,
 )
-from hullsim.geometry import Ball, HPolytope, Interval, contains, distance_to_body
+from hullsim.geometry import Ball, Box, HPolytope, Interval, chebyshev_center, contains, distance_to_body, row_norms
 from hullsim.increments import INCREMENT_BLOCK, stream_processes
-from reference import StepRecord, check_lipschitz
+from reference import StepRecord, check_lipschitz, nothing_outside, reference_step
 from test_geometry import tilted_polygon
 
 
@@ -192,6 +194,74 @@ class TestEulerStep:
         model = make_model("ou", 2, [0.0, 0.0])
         with pytest.raises(ModelError):
             euler_step(model, Ball(np.zeros(2), 1.0), np.zeros(2), np.zeros(3), 0.1)
+
+    def test_writes_into_nothing_it_is_given(self):
+        # a drift that returns x itself and a diffusion that returns a read-only broadcast:
+        # the step writes into its own h only, so read-only x and z would raise on a write
+        model = SdeModel(2, lambda x: x, lambda x: np.broadcast_to(0.5, np.shape(x)), [0.0, 0.0], 1.0, 0.0)
+        rng = np.random.default_rng(3)
+        x = np.asfortranarray(rng.uniform(-0.5, 0.5, size=(64, 2)))
+        z = np.asfortranarray(rng.standard_normal((64, 2)))
+        x_before, z_before = x.copy(), z.copy()
+        x.flags.writeable = z.flags.writeable = False
+        h, x_next = euler_step(model, Ball(np.zeros(2), 5.0), x, z, 0.1)
+        np.testing.assert_array_equal(x, x_before)
+        np.testing.assert_array_equal(z, z_before)
+        assert not np.shares_memory(h, x) and not np.shares_memory(h, z)
+        assert h.flags.writeable and h.flags.f_contiguous
+        assert x_next is h  # nothing outside the ball
+        assert h.tobytes() == (x_before + x_before * 0.1 + 0.5 * z_before).tobytes()
+
+
+class TestStepMatchesReference:
+    """euler_step gives the bits of the plain sum x + drift(x) delta + sigma(x) z, and the
+    projection returns h itself exactly when the full screens say nothing is outside
+    (reference.reference_step)."""
+
+    params = {  # each registered model's, the workloads' where they have one
+        "ou": {"theta": 1.3, "sigma": 0.51},
+        "zero_drift": {"sigma": 0.7},
+        "tanh_drift": {"scale": 2.0, "sigma": 0.42},
+        "tanh_sigma": {"theta": 2.0, "sigma0": 0.3, "sigma1": 0.1},
+    }
+    bodies = {
+        "ball": Ball(np.array([0.3, -0.2, 0.1]), 0.8),
+        "square": square(),
+        "tilted": tilted_polygon(),
+        "box": Box(np.array([-1.0, -0.5, -2.0]), np.array([1.0, 0.5, 0.3])),
+    }
+
+    @given(
+        kind=st.sampled_from(sorted(params)),
+        name=st.sampled_from(sorted(bodies)),
+        order=st.sampled_from("FC"),
+        batch=st.sampled_from(["inside", "mixed", "outside"]),
+        n=st.integers(1, 64),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_step(self, kind, name, order, batch, n, seed):
+        body = self.bodies[name]
+        m, params = body.dim, self.params[kind]
+        model = make_model(kind, m, np.zeros(m), **params)
+        rng = np.random.default_rng(seed)
+        center, radius = chebyshev_center(body)
+        # states well inside; an increment of 1e-6 keeps h inside, one of 50 takes it
+        # beyond every body (sigma >= 0.2 for every model here)
+        x = center + rng.uniform(-0.5, 0.5, size=(n, m)) * radius / np.sqrt(m)
+        u = rng.standard_normal((n, m))
+        u /= row_norms(u)[:, None]
+        scale = {"inside": np.full(n, 1e-6), "outside": np.full(n, 50.0),
+                 "mixed": np.where(np.arange(n) < n // 2, 1e-6, 50.0)}[batch]
+        x, z = np.array(x, order=order), np.array(u * scale[:, None], order=order)
+        h, x_next = euler_step(model, body, x, z, 0.05)
+        h_ref, x_next_ref = reference_step(kind, params, body, x, z, 0.05)
+        assert h.tobytes() == h_ref.tobytes()
+        assert x_next.tobytes() == x_next_ref.tobytes()
+        assert (x_next is h) == nothing_outside(body, h)
+        assert nothing_outside(body, h) == (batch == "inside" and not isinstance(body, Box))
+        if n > 1:
+            assert h.flags[f"{order}_CONTIGUOUS"] and x_next.flags[f"{order}_CONTIGUOUS"]
 
 
 class TestMemoryOrder:

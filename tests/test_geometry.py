@@ -32,7 +32,7 @@ from hullsim.geometry import (
     row_norms,
     support,
 )
-from reference import boundary_points, brute_force_hull_distance
+from reference import boundary_points, brute_force_hull_distance, nothing_outside, reference_project
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -269,7 +269,38 @@ class TestOnlyOutsideRowsMove:
 
     def test_an_empty_batch_projects_to_an_empty_batch(self):
         for body in (Box(-np.ones(2), np.ones(2)), *self.bodies.values()):
-            assert project(body, np.empty((0, 2))).shape == (0, 2)
+            x = np.empty((0, 2))
+            out = project(body, x)
+            assert out.shape == (0, 2)
+            assert (out is x) == (not isinstance(body, Box))
+
+    @given(
+        name=st.sampled_from(sorted(bodies)),
+        order=st.sampled_from("FC"),
+        coords=st.lists(
+            st.one_of(st.floats(-0.9, 0.9), st.floats(-3.0, 3.0), st.sampled_from([np.nan, np.inf, -np.inf])),
+            max_size=40,
+        ),
+        edge=st.lists(st.sampled_from([-1e-6, -1e-15, 0.0, 1e-15, 1e-6]), max_size=8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_the_screen_returns_the_input_exactly_when_the_full_screen_does(self, name, order, coords, edge, seed):
+        # each screen decides only the early return: a batch comes back as itself exactly
+        # when reference.nothing_outside says so (the ball's _row_squares(x - c), every
+        # face value of a polytope), and otherwise with the reference's bits; batches mix
+        # points drawn anywhere, NaN and infinite coordinates, and boundary points pushed
+        # in or out by a relative edge about the Chebyshev center
+        body = self.bodies[name]
+        center = chebyshev_center(body)[0]
+        near = boundary_points(body, len(edge), np.random.default_rng(seed))
+        near = center + (near - center) * (1.0 + np.array(edge))[:, None]
+        x = np.array(np.vstack([np.reshape(coords[:len(coords) // 2 * 2], (-1, 2)), near]), order=order)
+        with np.errstate(invalid="ignore", over="ignore"):  # an infinity meets a zero or another infinity
+            out = project(body, x)
+            expected = reference_project(body, x)
+            assert (out is x) == nothing_outside(body, x)
+        assert out.tobytes() == expected.tobytes()
 
 
 class TestInterval:

@@ -1274,3 +1274,34 @@ def test_check_unit_computes_each_probe_distance_once(frozen_configs, monkeypatc
         expected += [x, h] if j and moved[j - 1] else [h]
     assert [id(points) for points in passes] == [id(points) for points in expected]
     assert len(passes) == 20 + 1 + sum(moved)
+
+
+def test_square_steps_compute_face_values_only_when_a_copy_moves(frozen_configs, monkeypatch):
+    # e4 at N = 4096, one chunk of 20 steps: for the square the box screen passes exactly
+    # when every pre-projection point is inside, so a step computes the batch's face
+    # values only when the projection moves a copy
+    config = dataclasses.replace(frozen_configs["e4"], replications=1)
+    n = 4096
+    assert n <= dynamics.STEP_CHUNK and config.steps == 20
+    plan = harness.plan_experiment(config)
+    batches, steps = [], []
+    face_values, euler_step = geometry.HPolytope._face_values, dynamics.euler_step
+
+    def counted(self, flat):
+        batches.append(flat)
+        return face_values(self, flat)
+
+    def recorded(model, body, x, z, delta):
+        h, x_next = euler_step(model, body, x, z, delta)
+        steps.append((h, x_next))
+        return h, x_next
+
+    monkeypatch.setattr(geometry.HPolytope, "_face_values", counted)
+    monkeypatch.setattr(dynamics, "euler_step", recorded)
+    harness.run_unit(plan, n, 0)
+    assert len(steps) == 20
+    moved = [x_next is not h for h, x_next in steps]
+    assert moved == [bool(np.any(np.abs(h) > config.mf_params["half_width"])) for h, _ in steps]
+    # the projector's other face values are of its candidates, new arrays
+    whole = [flat for flat in batches if any(np.shares_memory(flat, h) for h, _ in steps)]
+    assert len(whole) == sum(moved)
