@@ -32,6 +32,7 @@ from .geometry import Ball, Box, ConvexBody, GeometryError, HPolytope, Interval,
 from .increments import _MASK64, STEP_CHUNK, draw
 
 FINITE_LIMIT = 1e150  # a pre-projection coordinate beyond this overflows a squared norm
+_DOT_MAX = 8192  # OpenBLAS threads a dot of over 10 000 values: slower at a step's size
 
 
 class ModelError(ValueError):
@@ -155,6 +156,8 @@ def euler_step(
     outputs, which may be views of x. A pre-projection point with a
     coordinate that is not finite or beyond FINITE_LIMIT raises ModelError,
     with where the index of the first such point, before it is projected.
+    A sum of squares of h at most FINITE_LIMIT^2 / 4 rules that out in one
+    pass; only a larger, infinite or NaN sum reads h's min and max.
     When no point is outside the body the projection returns h itself, so
     the two results may be one array: no caller writes into either.
     """
@@ -166,7 +169,14 @@ def euler_step(
     h = np.multiply(model.drift(x), delta, out=np.empty_like(x))
     h += x
     h += sig * z
-    if not (h.min() >= -FINITE_LIMIT and h.max() <= FINITE_LIMIT):
+    flat = h.ravel(order="K")  # a view: h is fresh, so contiguous
+    with np.errstate(over="ignore"):  # an overflow, like a NaN, fails the screen
+        if flat.size <= _DOT_MAX:
+            squares = np.dot(flat, flat)
+        else:
+            cut = flat.size // 2
+            squares = np.dot(flat[:cut], flat[:cut]) + np.dot(flat[cut:], flat[cut:])
+    if not (squares <= FINITE_LIMIT**2 / 4 or h.min() >= -FINITE_LIMIT and h.max() <= FINITE_LIMIT):
         where = tuple(int(k) for k in np.argwhere(~(np.abs(h) <= FINITE_LIMIT))[0][:-1])
         exc = ModelError(f"pre-projection point is not finite or beyond {FINITE_LIMIT:g} in a coordinate")
         exc.where = where

@@ -13,7 +13,7 @@ work runs on whole coordinate columns (row_norms and the H-polytope screen and
 margin), with its loops along the N points, never along the m <= 3
 coordinates, and a point's bits do not depend on its batch.
 scipy's qhull is imported by the first hull with m >= 2, not with this module,
-so one-dimensional hulls load no scipy.
+so one-dimensional hulls load no scipy; a large 2D cloud reaches it thinned.
 """
 
 from __future__ import annotations
@@ -30,6 +30,8 @@ if TYPE_CHECKING:
 
 GEOM_TOL = 1e-9
 HULL_TOL = 1e-7
+_EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
+HULL_FILTER_MIN = 1000  # a smaller 2D cloud goes to qhull whole
 
 MIN_NORM_MAX_ITER = 100_000
 MAX_FACE_SETS = 10_000  # sets of at most m faces an HPolytope may enumerate
@@ -421,7 +423,8 @@ class Hull:
 
     vertices, shape (k, m), are the extreme points. For m = 1 they are the
     min and max. For m >= 2 the hull is built by qhull (Quickhull: Barber,
-    Dobkin & Huhdanpaa, TOMS 1996): in 2D the vertices run counterclockwise,
+    Dobkin & Huhdanpaa, TOMS 1996), in 2D from the points that may lie on it
+    (convex_hull): in 2D the vertices run counterclockwise,
     in higher dimension they keep input order. equations, shape (f, m + 1),
     holds one row [n, b] per facet with unit outward normal n, so that
     n @ y + b <= 0 inside. simplices, shape (f, m), indexes the vertices of
@@ -441,12 +444,17 @@ class Hull:
 def convex_hull(points) -> Hull:
     """Hull of a (p, m) cloud, or of p values on the line; see Hull.
 
-    For m >= 2 qhull builds the hull. Where its facet merging leaves a point
-    of a thin cloud more than HULL_TOL outside, the hull is built again from
-    joggled input (qhull's QJ option), which merges no facets. A cloud qhull
-    reports as flat is kept as its distinct points, or in 2D as the segment
-    between its extremes along its principal axis (for collinear points: the
-    lexicographically first and last).
+    For m >= 2 qhull builds the hull, from _hull_candidates for a 2D cloud of
+    HULL_FILTER_MIN points or more (about 30 of 20 000). The arrays were the
+    whole cloud's bit for bit on every continuous cloud tested; an integer
+    lattice keeps its vertices and distances, not always their order. Where
+    facet merging leaves a point of a thin cloud more than HULL_TOL outside,
+    the hull is built again from the whole cloud joggled (qhull's QJ option),
+    which merges no facets; a thinned-out point is no farther outside than
+    some kept point, an octagon corner. A cloud qhull reports as flat is kept
+    as its distinct points, or in 2D as the segment between its extremes
+    along its principal axis (for collinear points: the lexicographically
+    first and last), all of the whole cloud.
     """
     pts = np.asarray(points, dtype=float)
     if pts.size == 0:
@@ -465,9 +473,10 @@ def convex_hull(points) -> Hull:
         return Hull(dim=1, vertices=verts)
     from scipy.spatial import ConvexHull, QhullError
 
+    cands = _hull_candidates(pts) if m == 2 and len(pts) >= HULL_FILTER_MIN else pts
     try:
         # scipy's default options and Qc, which lists the points kept off the hull as coplanar
-        qhull = ConvexHull(pts, qhull_options="Qt Qc Qx" if m > 4 else "Qt Qc")
+        qhull = ConvexHull(cands, qhull_options="Qt Qc Qx" if m > 4 else "Qt Qc")
     except QhullError:  # the cloud is flat to qhull's precision
         uniq = np.unique(pts, axis=0)  # lexicographic order
         if m == 2 and len(uniq) > 2:
@@ -477,12 +486,52 @@ def convex_hull(points) -> Hull:
             along = uniq @ axis
             uniq = uniq[np.sort([np.argmin(along), np.argmax(along)])]
         return Hull(dim=m, vertices=uniq)
-    hull = _qhull_hull(pts, qhull)
-    coplanar = pts[qhull.coplanar[:, 0]]
+    hull = _qhull_hull(cands, qhull)
+    coplanar = cands[qhull.coplanar[:, 0]]
     if coplanar.size and np.any(distance_to_hull(hull, coplanar) > HULL_TOL):
         # facet merging of a thin cloud left a generator outside: joggle the input instead
         hull = _qhull_hull(pts, ConvexHull(pts, qhull_options="QJ"))
     return hull
+
+
+_CCW = np.array([1, 7, 4, 6, 5, 3, 0, 2])  # the (argmin, argmax) along x, y, x + y, x - y counterclockwise
+_NEXT = np.roll(np.arange(8), -1)
+
+
+def _hull_candidates(pts: np.ndarray) -> np.ndarray:
+    """The points of a (p, 2) cloud, in input order, outside the octagon of its
+    extremes along +-x, +-y, +-(x + y), +-(x - y) (Akl & Toussaint, IPL 7, 1978).
+
+    A point is dropped when its cross product with every edge e from corner v,
+    e x (q - v), exceeds 64 ulps of (|e_x| + |e_y|)(M_x + M_y), M the largest
+    coordinate magnitudes: more than this test's and qhull's rounding. It then
+    winds inside the corners' polygon, strictly inside the hull. The extremes,
+    which set qhull's precision, stay, and so does the first point dropped:
+    qhull's facet order was seen to depend on it. A NaN or an overflow keeps
+    the point; a flat octagon keeps every point.
+    """
+    x, y = pts[:, 0], pts[:, 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = np.add(x, y)  # reused for x - y and for each edge's cross products
+        lo, hi = [x.argmin(), y.argmin(), value.argmin()], [x.argmax(), y.argmax(), value.argmax()]
+        np.subtract(x, y, out=value)
+        corners = pts[np.array([*lo, value.argmin(), *hi, value.argmax()])[_CCW]]
+        edges = corners[_NEXT] - corners
+        keep = edges.any(axis=1)  # a zero edge would fail every point
+        if np.count_nonzero(keep) < 3:
+            return pts
+        corners, edges = corners[keep], edges[keep]
+        inward = edges[:, ::-1] * [-1.0, 1.0]  # e x (q - v) = inward @ (q - v)
+        bound = (inward * corners).sum(axis=1)
+        # the corners hold each coordinate's extremes; tiny covers rounding among subnormals
+        bound += np.abs(inward).sum(axis=1) * (np.abs(corners).max(axis=0).sum() * 64 * _EPS) + _TINY
+        term, inside, passed = np.empty_like(value), np.ones(len(pts), dtype=bool), np.empty(len(pts), dtype=bool)
+        for (a, b), limit in zip(inward.tolist(), bound.tolist()):
+            np.multiply(x, a, out=value)
+            value += np.multiply(y, b, out=term)
+            inside &= np.greater(value, limit, out=passed)
+    inside[np.argmax(inside)] = False
+    return pts[np.flatnonzero(~inside)]
 
 
 def _qhull_hull(pts: np.ndarray, qhull: ConvexHull) -> Hull:

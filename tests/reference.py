@@ -4,7 +4,8 @@ They are deliberately independent of the code they check: a grid-search
 projection, a planar hull distance from pairwise segments, empirical and
 Gaussian CDFs with the clamped CDF of acceptance criterion 3, an empirical
 check of a model's declared Lipschitz constants, a sampler of boundary
-points for the variational inequality of a projection, the projected Euler
+points for the variational inequality of a projection, the hull of a whole
+cloud as qhull builds it with no candidate filter, the projected Euler
 step as a plain sum with the screens that decide whether a projection returns
 its input, a step observer that records what an ensemble does not keep, and
 one that makes the --check reports from distances computed afresh.
@@ -19,7 +20,8 @@ from scipy.special import ndtr
 
 from hullsim.dynamics import SdeModel, diffusion_at
 from hullsim.estimation import EstimationError
-from hullsim.geometry import Ball, Box, ConvexBody, HPolytope, Interval, _row_squares, row_norms
+from hullsim.geometry import (HULL_TOL, Ball, Box, ConvexBody, HPolytope, Hull, Interval, _qhull_hull,
+                              _row_squares, distance_to_hull, row_norms)
 from hullsim.oracle import BoundCheckReport, HittingReport, OracleError, StepConstants
 
 
@@ -152,6 +154,29 @@ def brute_force_hull_distance(points, x) -> float:
     t[pos] = np.clip(np.sum((x - a[pos]) * ab[pos], axis=1) / denom[pos], 0.0, 1.0)
     closest = a + t[:, None] * ab
     return float(np.min(np.linalg.norm(x - closest, axis=1)))
+
+
+def full_cloud_hull(points) -> Hull:
+    """convex_hull of a (p, m) cloud, m >= 2, as built before the 2D candidate filter:
+    qhull sees every point, in the order given, with the same options, the same flat-cloud
+    fallback and the same joggled rebuild."""
+    from scipy.spatial import ConvexHull, QhullError
+
+    pts = np.asarray(points, dtype=float)
+    m = pts.shape[1]
+    try:
+        qhull = ConvexHull(pts, qhull_options="Qt Qc Qx" if m > 4 else "Qt Qc")
+    except QhullError:
+        uniq = np.unique(pts, axis=0)
+        if m == 2 and len(uniq) > 2:
+            along = uniq @ np.linalg.svd(uniq - uniq.mean(axis=0))[2][0]
+            uniq = uniq[np.sort([np.argmin(along), np.argmax(along)])]
+        return Hull(dim=m, vertices=uniq)
+    hull = _qhull_hull(pts, qhull)
+    coplanar = pts[qhull.coplanar[:, 0]]
+    if coplanar.size and np.any(distance_to_hull(hull, coplanar) > HULL_TOL):
+        hull = _qhull_hull(pts, ConvexHull(pts, qhull_options="QJ"))
+    return hull
 
 
 def empirical_cdf(samples, x):

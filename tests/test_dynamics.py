@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from hullsim.dynamics import (
     BODIES,
+    FINITE_LIMIT,
     MODELS,
     STEP_CHUNK,
     ModelError,
@@ -194,6 +195,20 @@ class TestEulerStep:
         model = make_model("ou", 2, [0.0, 0.0])
         with pytest.raises(ModelError):
             euler_step(model, Ball(np.zeros(2), 1.0), np.zeros(2), np.zeros(3), 0.1)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_finite_check_holds_exactly_at_the_limit(self, m):
+        # 4096 copies, so m = 3 sums its squares in two parts: a coordinate at FINITE_LIMIT
+        # fails the sum-of-squares screen and passes the exact check, the next float fails it
+        model = SdeModel(m, lambda x: np.zeros(np.shape(x)), np.ones_like, np.zeros(m), 0.0, 0.0)
+        z = np.asfortranarray(np.full((STEP_CHUNK, m), 0.5))
+        z[3001, m - 1] = -FINITE_LIMIT
+        h, _ = euler_step(model, Box(np.full(m, -1.0), np.ones(m)), np.zeros_like(z), z, 0.1)
+        assert h.tobytes() == z.tobytes()
+        z[3001, m - 1] = np.nextafter(-FINITE_LIMIT, -np.inf)
+        with pytest.raises(ModelError, match="^pre-projection point is not finite or beyond 1e[+]150") as err:
+            euler_step(model, Box(np.full(m, -1.0), np.ones(m)), np.zeros_like(z), z, 0.1)
+        assert err.value.where == (3001,)
 
     def test_writes_into_nothing_it_is_given(self):
         # a drift that returns x itself and a diffusion that returns a read-only broadcast:

@@ -6,16 +6,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.spatial
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
-from scipy.spatial import HalfspaceIntersection
+from scipy.spatial import HalfspaceIntersection, QhullError
 
+from hullsim import dynamics, harness
 from hullsim.geometry import (
     Ball,
     Box,
     ConvexBody,
     GEOM_TOL,
+    HULL_FILTER_MIN,
     MAX_FACE_SETS,
     GeometryError,
     HPolytope,
@@ -32,7 +35,8 @@ from hullsim.geometry import (
     row_norms,
     support,
 )
-from reference import boundary_points, brute_force_hull_distance, nothing_outside, reference_project
+from reference import (boundary_points, brute_force_hull_distance, full_cloud_hull, nothing_outside,
+                       reference_project)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -695,6 +699,147 @@ class TestConvexHull:
                         (48, 0, 0), (61, 0, 0), (-42, 8.27e-6, 0)], dtype=float)
         hull = convex_hull(pts)
         assert np.all(distance_to_hull(hull, pts, tol=1e-7) <= 1e-6)
+
+
+def bent_polygon(seed: int, n: int) -> np.ndarray:
+    """24 corners of a regular polygon at scale 1e10, each edge's midpoint pushed out by
+    1e-15 of its distance from the centre, and n - 48 points inside: qhull merges each
+    corner pair's edges and leaves a corner about 1e-5 outside, so the hull is rebuilt
+    from joggled input."""
+    a = np.arange(24) * (2 * np.pi / 24)
+    ring = np.column_stack([np.cos(a), np.sin(a)])
+    mids = (ring + np.roll(ring, -1, axis=0)) / 2 * (1 + 1e-15)
+    inside = np.random.default_rng(seed).uniform(-0.5, 0.5, (max(n - 48, 0), 2))
+    return np.vstack([ring, mids, inside]) * 1e10
+
+
+def planar_cloud(family: str, n: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if family == "gaussian":
+        return rng.standard_normal((n, 2))
+    if family == "circle":
+        a = rng.uniform(0, 2 * np.pi, n)
+        return np.column_stack([np.cos(a), np.sin(a)])
+    if family == "clipped":  # e4's copies on the square's boundary
+        return np.clip(rng.standard_normal((n, 2)) * 0.6, -1.0, 1.0)
+    if family == "thin":  # widths 1e-13 to 1e-5, rotated
+        turn = rng.uniform(0, np.pi)
+        rotation = np.array([[np.cos(turn), -np.sin(turn)], [np.sin(turn), np.cos(turn)]])
+        return (rng.standard_normal((n, 2)) * [1.0, 10 ** rng.uniform(-13, -5)]) @ rotation
+    if family == "tiny":
+        return rng.standard_normal((n, 2)) * 1e-150
+    if family == "huge":
+        return rng.standard_normal((n, 2)) * 1e150
+    if family == "lattice":  # duplicates and collinear runs
+        r = int(rng.choice([2, 4, 20, 100]))
+        return rng.integers(-r, r + 1, (n, 2)).astype(float)
+    return bent_polygon(seed, n)
+
+
+def assert_same_bits(a, b):
+    assert (a is None) == (b is None)
+    if a is not None:
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_same_hull(hull, expected):
+    for name in ("vertices", "equations", "simplices"):
+        assert_same_bits(getattr(hull, name), getattr(expected, name))
+
+
+def hull_probes(cloud: np.ndarray, seed: int) -> np.ndarray:
+    """20 points uniform on the cloud's box grown by its size on each side, then 10 cloud points."""
+    rng = np.random.default_rng(seed)
+    lo, hi = cloud.min(axis=0), cloud.max(axis=0)
+    return np.vstack([rng.uniform(2 * lo - hi, 2 * hi - lo, (20, 2)), cloud[rng.integers(0, len(cloud), 10)]])
+
+
+def qhull_inputs(monkeypatch) -> list:
+    """Make scipy's ConvexHull record (point count, options) of each call."""
+    calls, build = [], scipy.spatial.ConvexHull
+
+    def spy(points, qhull_options=None):
+        calls.append((len(points), qhull_options))
+        return build(points, qhull_options=qhull_options)
+
+    monkeypatch.setattr(scipy.spatial, "ConvexHull", spy)
+    return calls
+
+
+class TestPlanarHullCandidates:
+    """A 2D hull of at least HULL_FILTER_MIN points is built from the points outside the
+    octagon of the cloud's extremes, with the hull arrays of the whole cloud."""
+
+    @given(
+        family=st.sampled_from(["gaussian", "circle", "clipped", "thin", "tiny", "huge", "bent"]),
+        n=st.one_of(st.integers(3, 64), st.integers(HULL_FILTER_MIN, 20_000)),
+        seed=st.integers(0, 2**32 - 1),
+        order=st.sampled_from("FC"),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_whole_cloud_bit_for_bit(self, family, n, seed, order):
+        cloud = np.asarray(planar_cloud(family, n, seed), order=order)
+        hull, expected = convex_hull(cloud), full_cloud_hull(cloud)
+        assert_same_hull(hull, expected)
+        probes = hull_probes(cloud, seed)
+        assert_same_bits(distance_to_hull(hull, probes), distance_to_hull(expected, probes))
+
+    @given(
+        n=st.one_of(st.integers(3, 64), st.integers(HULL_FILTER_MIN, 20_000)),
+        seed=st.integers(0, 2**32 - 1),
+        order=st.sampled_from("FC"),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_lattice_keeps_its_vertices_and_distances(self, n, seed, order):
+        # an integer lattice has interior points on lines through hull points, and
+        # without them qhull may list the same hull in another order or with other
+        # last bits in a facet equation: the vertices and the distances off the lattice stay
+        cloud = np.asarray(planar_cloud("lattice", n, seed), order=order)
+        hull, expected = convex_hull(cloud), full_cloud_hull(cloud)
+        assert sorted(map(tuple, hull.vertices)) == sorted(map(tuple, expected.vertices))
+        probes = hull_probes(cloud, seed)[:20]  # off the lattice
+        assert_same_bits(distance_to_hull(hull, probes), distance_to_hull(expected, probes))
+
+    def test_e4_node_cloud_reaches_qhull_thinned(self, frozen_configs, monkeypatch):
+        # e4's node-20 cloud at N = 20000, replication 0: qhull sees under 1% of it
+        plan = harness.plan_experiment(frozen_configs["e4"])
+        n = 20_000
+        seed = dynamics.derive_seed(plan.config.seed, n, 0)
+        cloud = dynamics.simulate_ensemble(plan.model, plan.mf, plan.grid, n, seed, nodes=[20]).at(20)
+        expected = full_cloud_hull(cloud)
+        calls = qhull_inputs(monkeypatch)
+        assert_same_hull(convex_hull(cloud), expected)
+        assert len(calls) == 1 and calls[0][0] < n // 100
+
+    @pytest.mark.parametrize("flat", ["collinear", "reported flat"])
+    def test_flat_fallback_sees_the_whole_cloud(self, flat, monkeypatch):
+        rng = np.random.default_rng(5)
+        if flat == "collinear":
+            t = rng.uniform(-1, 1, 2000)
+            cloud = np.column_stack([t, 2 * t])
+        else:  # qhull reports flat a cloud the filter thins to a few points
+            cloud = rng.standard_normal((2000, 2))
+
+            def raises(points, qhull_options=None):
+                raise QhullError("flat")
+
+            monkeypatch.setattr(scipy.spatial, "ConvexHull", raises)
+        inputs, unique = [], np.unique
+
+        def spy(points, **kwargs):
+            inputs.append(len(points))
+            return unique(points, **kwargs)
+
+        monkeypatch.setattr(np, "unique", spy)
+        assert_same_hull(convex_hull(cloud), full_cloud_hull(cloud))
+        assert inputs == [len(cloud), len(cloud)]
+
+    def test_joggled_rebuild_sees_the_whole_cloud(self, monkeypatch):
+        cloud = bent_polygon(0, 2000)
+        expected = full_cloud_hull(cloud)
+        calls = qhull_inputs(monkeypatch)
+        assert_same_hull(convex_hull(cloud), expected)
+        assert calls == [(49, "Qt Qc"), (2000, "QJ")]  # the corners, the midpoints and the first point inside
 
 
 class TestHullDistance:
