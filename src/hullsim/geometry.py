@@ -13,7 +13,8 @@ work runs on whole coordinate columns (row_norms and the H-polytope screen and
 margin), with its loops along the N points, never along the m <= 3
 coordinates, and a point's bits do not depend on its batch.
 scipy's qhull is imported by the first hull with m >= 2, not with this module,
-so one-dimensional hulls load no scipy; a large 2D cloud reaches it thinned.
+so one-dimensional hulls load no scipy; a 2D cloud reaches it as the points
+outside the octagon of its extremes.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ if TYPE_CHECKING:
 GEOM_TOL = 1e-9
 HULL_TOL = 1e-7
 _EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
-HULL_FILTER_MIN = 1000  # a smaller 2D cloud goes to qhull whole
 
 MIN_NORM_MAX_ITER = 100_000
 MAX_FACE_SETS = 10_000  # sets of at most m faces an HPolytope may enumerate
@@ -423,16 +423,18 @@ class Hull:
 
     vertices, shape (k, m), are the extreme points. For m = 1 they are the
     min and max. For m >= 2 the hull is built by qhull (Quickhull: Barber,
-    Dobkin & Huhdanpaa, TOMS 1996), in 2D from the points that may lie on it
-    (convex_hull): in 2D the vertices run counterclockwise,
-    in higher dimension they keep input order. equations, shape (f, m + 1),
-    holds one row [n, b] per facet with unit outward normal n, so that
-    n @ y + b <= 0 inside. simplices, shape (f, m), indexes the vertices of
-    each (triangulated) facet; in 2D each row (i, j) is the counterclockwise
-    edge from vertex i to vertex j = (i + 1) % k. Both are None for m = 1
-    and for a degenerate cloud, one that spans less than m dimensions (fewer
-    than m + 1 distinct points, collinear, coplanar); convex_hull says which
-    vertices it keeps.
+    Dobkin & Huhdanpaa, TOMS 1996). equations, shape (f, m + 1), holds one
+    row [n, b] per facet with unit outward normal n, so that n @ y + b <= 0
+    inside. simplices, shape (f, m), indexes the vertices of each
+    (triangulated) facet. In 2D the three arrays depend on the vertex set
+    alone: the vertices run counterclockwise from the lexicographically
+    smallest, row i of simplices is the edge (i, (i + 1) % k), and its
+    equation is taken from that edge e = v[i + 1] - v[i]:
+    n = (e_y, -e_x) / |e|, b = -n @ v[i]. In higher dimension the arrays keep
+    qhull's order, which depends on the input sequence. equations and
+    simplices are None for m = 1 and for a degenerate cloud, one that spans
+    less than m dimensions (fewer than m + 1 distinct points, collinear,
+    coplanar); convex_hull says which vertices it keeps.
     """
 
     dim: int
@@ -444,10 +446,8 @@ class Hull:
 def convex_hull(points) -> Hull:
     """Hull of a (p, m) cloud, or of p values on the line; see Hull.
 
-    For m >= 2 qhull builds the hull, from _hull_candidates for a 2D cloud of
-    HULL_FILTER_MIN points or more (about 30 of 20 000). The arrays were the
-    whole cloud's bit for bit on every continuous cloud tested; an integer
-    lattice keeps its vertices and distances, not always their order. Where
+    For m >= 2 qhull builds the hull, in 2D from _hull_candidates (about 30
+    of 20 000 points), whose dropped points lie strictly inside. Where
     facet merging leaves a point of a thin cloud more than HULL_TOL outside,
     the hull is built again from the whole cloud joggled (qhull's QJ option),
     which merges no facets; a thinned-out point is no farther outside than
@@ -473,7 +473,7 @@ def convex_hull(points) -> Hull:
         return Hull(dim=1, vertices=verts)
     from scipy.spatial import ConvexHull, QhullError
 
-    cands = _hull_candidates(pts) if m == 2 and len(pts) >= HULL_FILTER_MIN else pts
+    cands = _hull_candidates(pts) if m == 2 else pts
     try:
         # scipy's default options and Qc, which lists the points kept off the hull as coplanar
         qhull = ConvexHull(cands, qhull_options="Qt Qc Qx" if m > 4 else "Qt Qc")
@@ -506,9 +506,8 @@ def _hull_candidates(pts: np.ndarray) -> np.ndarray:
     e x (q - v), exceeds 64 ulps of (|e_x| + |e_y|)(M_x + M_y), M the largest
     coordinate magnitudes: more than this test's and qhull's rounding. It then
     winds inside the corners' polygon, strictly inside the hull. The extremes,
-    which set qhull's precision, stay, and so does the first point dropped:
-    qhull's facet order was seen to depend on it. A NaN or an overflow keeps
-    the point; a flat octagon keeps every point.
+    which set qhull's precision, stay. A NaN or an overflow keeps the point;
+    a flat octagon keeps every point.
     """
     x, y = pts[:, 0], pts[:, 1]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -530,23 +529,24 @@ def _hull_candidates(pts: np.ndarray) -> np.ndarray:
             np.multiply(x, a, out=value)
             value += np.multiply(y, b, out=term)
             inside &= np.greater(value, limit, out=passed)
-    inside[np.argmax(inside)] = False
     return pts[np.flatnonzero(~inside)]
 
 
 def _qhull_hull(pts: np.ndarray, qhull: ConvexHull) -> Hull:
     m = pts.shape[1]
+    if m == 2:  # qhull's counterclockwise cycle, from its lexicographically smallest vertex
+        cycle, k = pts[qhull.vertices], len(qhull.vertices)
+        vertices = cycle[(np.arange(k) + np.lexsort(cycle.T[::-1])[0]) % k]
+        simplices = np.column_stack([np.arange(k), np.arange(1, k + 1) % k])
+        (ax, ay), (ex, ey) = vertices.T, (vertices[simplices[:, 1]] - vertices).T
+        length = np.hypot(ex, ey)
+        nx, ny = ey / length, -ex / length
+        equations = np.column_stack([nx, ny, -(nx * ax + ny * ay)])
+        return Hull(dim=2, vertices=vertices, equations=equations, simplices=simplices)
     # renumber the facet corners from cloud indices to vertex indices
     index = np.empty(pts.shape[0], dtype=np.intp)
     index[qhull.vertices] = np.arange(qhull.vertices.size)
-    simplices = index[qhull.simplices]
-    if m == 2:  # orient each edge along qhull's counterclockwise vertex order
-        k = qhull.vertices.size
-        ccw = simplices[:, 1] == (simplices[:, 0] + 1) % k
-        simplices = np.where(ccw[:, None], simplices, simplices[:, ::-1])
-    return Hull(
-        dim=m, vertices=pts[qhull.vertices], equations=qhull.equations, simplices=simplices
-    )
+    return Hull(dim=m, vertices=pts[qhull.vertices], equations=qhull.equations, simplices=index[qhull.simplices])
 
 
 def distance_to_hull(hull: Hull, x, tol: float = HULL_TOL) -> np.ndarray | float:

@@ -18,7 +18,6 @@ from hullsim.geometry import (
     Box,
     ConvexBody,
     GEOM_TOL,
-    HULL_FILTER_MIN,
     MAX_FACE_SETS,
     GeometryError,
     HPolytope,
@@ -747,6 +746,30 @@ def assert_same_hull(hull, expected):
         assert_same_bits(getattr(hull, name), getattr(expected, name))
 
 
+def assert_canonical(hull):
+    """A full 2D hull runs counterclockwise from its lexicographically smallest vertex, with
+    edge i from vertex i to vertex i + 1 and a unit normal on each edge."""
+    v, k = hull.vertices, len(hull.vertices)
+    assert min(map(tuple, v)) == tuple(v[0])
+    rel = v - v[0]
+    assert np.sum(rel[:-1, 0] * rel[1:, 1] - rel[1:, 0] * rel[:-1, 1]) > 0
+    np.testing.assert_array_equal(hull.simplices, np.column_stack([np.arange(k), (np.arange(k) + 1) % k]))
+    np.testing.assert_allclose(np.hypot(*hull.equations[:, :2].T), 1.0, rtol=1e-15)
+
+
+def strictly_inside(hull, cloud: np.ndarray) -> np.ndarray:
+    """Which points of a 2D cloud are certainly strictly inside its hull: inside a polygon on at
+    most 64 of the hull's vertices, by a cross product with each edge above its rounding error."""
+    if hull.equations is None:  # a flat hull has no interior
+        return np.zeros(len(cloud), dtype=bool)
+    v = hull.vertices[:: -(-len(hull.vertices) // 64)]
+    e = np.roll(v, -1, axis=0) - v
+    left = e[:, 0] * (cloud[:, None, 1] - v[:, 1])
+    right = e[:, 1] * (cloud[:, None, 0] - v[:, 0])
+    bound = 8 * np.finfo(float).eps * (np.abs(left) + np.abs(right)) + np.finfo(float).tiny
+    return np.all(left - right > bound, axis=1)
+
+
 def hull_probes(cloud: np.ndarray, seed: int) -> np.ndarray:
     """20 points uniform on the cloud's box grown by its size on each side, then 10 cloud points."""
     rng = np.random.default_rng(seed)
@@ -767,12 +790,12 @@ def qhull_inputs(monkeypatch) -> list:
 
 
 class TestPlanarHullCandidates:
-    """A 2D hull of at least HULL_FILTER_MIN points is built from the points outside the
-    octagon of the cloud's extremes, with the hull arrays of the whole cloud."""
+    """A 2D hull is built from the points outside the octagon of the cloud's extremes, with
+    the hull arrays of the whole cloud."""
 
     @given(
-        family=st.sampled_from(["gaussian", "circle", "clipped", "thin", "tiny", "huge", "bent"]),
-        n=st.one_of(st.integers(3, 64), st.integers(HULL_FILTER_MIN, 20_000)),
+        family=st.sampled_from(["gaussian", "circle", "clipped", "thin", "tiny", "huge", "lattice", "bent"]),
+        n=st.one_of(st.integers(3, 64), st.integers(1000, 20_000)),
         seed=st.integers(0, 2**32 - 1),
         order=st.sampled_from("FC"),
     )
@@ -784,21 +807,24 @@ class TestPlanarHullCandidates:
         probes = hull_probes(cloud, seed)
         assert_same_bits(distance_to_hull(hull, probes), distance_to_hull(expected, probes))
 
+    # "bent" is left out: its hull is rebuilt from joggled input, and QJ's joggle depends on input order
     @given(
-        n=st.one_of(st.integers(3, 64), st.integers(HULL_FILTER_MIN, 20_000)),
+        family=st.sampled_from(["gaussian", "circle", "clipped", "thin", "tiny", "huge", "lattice"]),
+        n=st.one_of(st.integers(3, 64), st.integers(1000, 20_000)),
         seed=st.integers(0, 2**32 - 1),
         order=st.sampled_from("FC"),
+        drop=st.floats(0.0, 1.0),
     )
-    @settings(max_examples=50, deadline=None)
-    def test_lattice_keeps_its_vertices_and_distances(self, n, seed, order):
-        # an integer lattice has interior points on lines through hull points, and
-        # without them qhull may list the same hull in another order or with other
-        # last bits in a facet equation: the vertices and the distances off the lattice stay
-        cloud = np.asarray(planar_cloud("lattice", n, seed), order=order)
-        hull, expected = convex_hull(cloud), full_cloud_hull(cloud)
-        assert sorted(map(tuple, hull.vertices)) == sorted(map(tuple, expected.vertices))
-        probes = hull_probes(cloud, seed)[:20]  # off the lattice
-        assert_same_bits(distance_to_hull(hull, probes), distance_to_hull(expected, probes))
+    @settings(max_examples=150, deadline=None)
+    def test_is_a_function_of_the_vertex_set(self, family, n, seed, order, drop):
+        # any order of the cloud, less any of its strictly interior points, gives the same arrays
+        cloud = planar_cloud(family, n, seed)
+        expected = convex_hull(np.asarray(cloud, order=order))
+        if expected.equations is not None:
+            assert_canonical(expected)
+        rng = np.random.default_rng(seed)
+        rest = cloud[~(strictly_inside(expected, cloud) & (rng.uniform(size=n) < drop))]
+        assert_same_hull(convex_hull(np.asarray(rest[rng.permutation(len(rest))], order=order)), expected)
 
     def test_e4_node_cloud_reaches_qhull_thinned(self, frozen_configs, monkeypatch):
         # e4's node-20 cloud at N = 20000, replication 0: qhull sees under 1% of it
@@ -839,7 +865,7 @@ class TestPlanarHullCandidates:
         expected = full_cloud_hull(cloud)
         calls = qhull_inputs(monkeypatch)
         assert_same_hull(convex_hull(cloud), expected)
-        assert calls == [(49, "Qt Qc"), (2000, "QJ")]  # the corners, the midpoints and the first point inside
+        assert calls == [(48, "Qt Qc"), (2000, "QJ")]  # the 24 corners and the 24 midpoints
 
 
 class TestHullDistance:
