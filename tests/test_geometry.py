@@ -807,6 +807,22 @@ class TestPlanarHullCandidates:
         probes = hull_probes(cloud, seed)
         assert_same_bits(distance_to_hull(hull, probes), distance_to_hull(expected, probes))
 
+    @given(
+        n=st.one_of(st.integers(3, 64), st.integers(1000, 20_000)),
+        seed=st.integers(0, 2**32 - 1),
+        order=st.sampled_from("FC"),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_lattice_keeps_its_vertices_and_distances(self, n, seed, order):
+        # an integer lattice has interior points on lines through hull points; with the
+        # hull taken from its vertex cycle alone, dropping them changes no bit of it
+        cloud = np.asarray(planar_cloud("lattice", n, seed), order=order)
+        hull, expected = convex_hull(cloud), full_cloud_hull(cloud)
+        assert sorted(map(tuple, hull.vertices)) == sorted(map(tuple, expected.vertices))
+        assert_same_hull(hull, expected)
+        probes = hull_probes(cloud, seed)[:20]  # off the lattice
+        assert_same_bits(distance_to_hull(hull, probes), distance_to_hull(expected, probes))
+
     # "bent" is left out: its hull is rebuilt from joggled input, and QJ's joggle depends on input order
     @given(
         family=st.sampled_from(["gaussian", "circle", "clipped", "thin", "tiny", "huge", "lattice"]),
