@@ -355,7 +355,7 @@ def plan_experiment(config: ExperimentConfig) -> Plan:
     grid = dynamics.TimeGrid(horizon=config.horizon, steps=config.steps)
     probes = None if model.dim == 1 else resolve_probes(config, mf, grid)
     checks = {}
-    check_probes = probes if probes is not None else _interval_probes(mf(grid.node(max(config.j_indices))))
+    check_probes = probes if probes is not None else _interval_probes(*dynamics.bodies_at_nodes(mf, grid)[1:])
     if config.run_step_bound:
         try:
             constants = oracle.step_bound_constants(model, mf, grid, check_probes)
@@ -422,11 +422,7 @@ def run_experiment(config: ExperimentConfig) -> ConvergenceReport:
     units = [(n, r) for n in config.n_grid for r in range(config.replications)]
     thens = [(n, dynamics.derive_seed(config.seed, n, r)) for n, r in units[1:]] + [None]
     counts = increments.stream_counters()
-    try:
-        done = [run_unit(plan, n, r, then) for (n, r), then in zip(units, thens)]
-    except BaseException:
-        increments.cancel()  # a posted look-ahead nothing will join
-        raise
+    done = [run_unit(plan, n, r, then) for (n, r), then in zip(units, thens)]
     t0 = time.perf_counter()
     rows = [row for unit in done for row in unit.rows]
     diagnostics = {key: [e for unit in done for e in unit.diagnostics[key]] for key in done[0].diagnostics}
@@ -481,8 +477,10 @@ def _stream_meta(before: dict) -> dict:
     return counts
 
 
-def _interval_probes(body: geometry.ConvexBody) -> np.ndarray:
-    lo, hi = np.concatenate(body.bounding_box())
+def _interval_probes(*bodies: geometry.ConvexBody) -> np.ndarray:
+    """Five probes at 10-90% of the intersection of the intervals bodies, so in each when it is not empty."""
+    lo, hi = np.array([np.concatenate(body.bounding_box()) for body in bodies]).T
+    lo, hi = lo.max(), hi.min()
     return np.linspace(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo), 5)[:, None]
 
 

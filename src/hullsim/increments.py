@@ -27,11 +27,12 @@ its own array is complete, draw posts that request to the helpers, which start
 on it at once and hold it while the caller works on the array just returned:
 a one-deep look-ahead. The next draw of exactly that request joins the posted
 draw: the caller draws from the back, as always, and waits for every reply.
-Any other draw first cancels the posted draw, because the sequence it was
-made for has moved on. Cancelling takes every block the helpers have not
-started, waits for their replies and frees the array's buffer. cancel does
-the same on request, and the posted draw is also cancelled at exit and
-dropped unwritten in a forked child, whose parent still owns it.
+Any other draw first ends the posted draw unjoined, because the sequence it
+was made for has moved on: the caller takes every block the helpers have not
+started, waits for their replies and frees the array's buffer. So a posted
+draw that nothing joins, as one a raise left behind, is ended by the next
+draw of another request or by close at exit, and dropped unwritten in a
+forked child, whose parent still owns it.
 
 The helpers and two shared buffers make one generation. The buffers are
 anonymous shared mappings (mmap.mmap(-1, nbytes)) made just before the
@@ -79,7 +80,6 @@ import threading
 import time
 import warnings
 import weakref
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -387,21 +387,20 @@ class _Helpers:
     buffers they were forked with, and the split draw out to the helpers.
 
     posted is that draw's request, or None when the helpers hold none; z is
-    its array, ctl its control words, starts the first block of each
-    helper's slice and sent whether each live helper got the request. live
-    is filtered only once the draw ends (ending), so sent stays aligned
-    with the helpers it was sent to. counts are stream_counters'.
+    its array, ctl its control words and starts the first block of each
+    helper's slice. live is filtered only once the draw ends (end), so it
+    stays aligned with the rows of ctl. counts are stream_counters'.
     """
 
     def __init__(self):
         self.live: list[_Helper] = []
-        self.posted = self.z = self.ctl = None  # starts and sent are set with them, by post
+        self.posted = self.z = self.ctl = None  # starts is set with them, by post
         self.buffers: list[mmap.mmap] = []  # none before the first generation, then two
         self.arrays = []  # per buffer, a weak reference to the last array made on it
         self.counts = {key: 0.0 if key.endswith("_s") else 0 for key in COUNTERS}
 
     def post(self, request: tuple) -> None:
-        """Send request to every live helper: the split draw they hold (posted) until finish or cancel.
+        """Send request to every live helper: the split draw they hold (posted) until end.
 
         The array goes on a buffer that is large enough and free, with no
         array left that views the last one made on it; with none, a new
@@ -409,7 +408,8 @@ class _Helpers:
         left alone, for a draw below 2 * INCREMENT_BLOCK copies, when no
         helper is live (none at all on a one-CPU mask or without os.fork)
         and when a new generation's buffers cannot be made (out of maps or
-        memory). A raise while sending stops the helpers.
+        memory). A helper the request cannot be sent to is stopped: its
+        slice is left to the caller. A raise while sending stops the helpers.
         """
         seed, copies, n, m, scale = request
         if len(copies) < 2 * INCREMENT_BLOCK:
@@ -427,8 +427,9 @@ class _Helpers:
             self.starts = cuts[:-1]
             self.ctl[:] = np.column_stack([cuts[:-1], cuts[1:]])
             self.posted = request
-            self.sent = [h.send((index, shape, len(self.live), k, seed, copies, scale))
-                         for k, h in enumerate(self.live)]
+            for k, helper in enumerate(self.live):
+                if not helper.send((index, shape, len(self.live), k, seed, copies, scale)):
+                    helper.stop()  # end finds no reply on its closed socket
         except BaseException:
             self.stop()
             raise
@@ -456,57 +457,43 @@ class _Helpers:
         self.live = _start(count, buffers)
         return True
 
-    def finish(self) -> np.ndarray:
-        """The posted draw's array, once the caller has drawn from the back and every helper has replied.
+    def end(self, join: bool) -> np.ndarray:
+        """End the posted draw and return its array, once every helper has replied.
 
-        A helper advances its control word only after a block is written; one
-        that fails or does not answer is stopped, and the caller draws the
-        blocks of its slice from that word on. The pool keeps no view of the
-        buffer, so it is free again once the caller drops the array.
+        Joined, the caller draws from the back; otherwise it claims every
+        block no helper has started, and the array is left unfinished. A
+        helper advances its control word only after a block is written; one
+        that fails or does not answer is stopped, and on a join the caller
+        draws the blocks of its slice from that word on. A raise stops the
+        helpers. The draw is dropped either way and the pool keeps no view of
+        the buffer, so it is free again once the caller drops the array. The
+        wait adds to the helper_wait_s counter.
         """
         seed, copies, _, _, scale = self.posted
         z, ctl = self.z, self.ctl
-        with self.ending():
-            self.caller_fill(z, seed, copies, scale, _behind(ctl))
-            for k in self._replies():
-                self.caller_fill(z, seed, copies, scale, range(*ctl[k]))  # what it left, or was killed inside
-            self.count(blocks=_block_count(len(copies)), helper_blocks=int(ctl[:, 0].sum()) - sum(self.starts))
-        return z
-
-    def cancel(self) -> None:
-        """Cancel the posted draw, if there is one: take every block the
-        helpers have not started, wait for their replies, free the buffer."""
-        if self.posted is None:
-            return
-        with self.ending():
-            self.ctl[:, 1] = self.ctl[:, 0]
-            self._replies()
-        self.count(lookahead_cancelled=1)
-
-    @contextmanager
-    def ending(self):
-        """The posted draw's last use of the helpers: they are stopped if it raises,
-        then the draw is dropped and only the helpers that still run are kept."""
         try:
-            yield
+            if join:
+                self.caller_fill(z, seed, copies, scale, _behind(ctl))
+            else:
+                ctl[:, 1] = ctl[:, 0]
+            t0 = time.perf_counter()
+            failed = [k for k, helper in enumerate(self.live) if not helper.finished()]
+            self.count(helper_wait_s=time.perf_counter() - t0)
+            for k in failed:
+                self.live[k].stop()
+                if join:
+                    self.caller_fill(z, seed, copies, scale, range(*ctl[k]))  # what it left, or was killed inside
         except BaseException:
             self.stop()
             raise
         finally:
             self.posted = self.z = self.ctl = None
             self.live = [h for h in self.live if h.returncode is None]
-
-    def _replies(self) -> list[int]:
-        """Wait for every helper's reply; stop each one that gave none and return their indices.
-
-        The wait adds to the helper_wait_s counter.
-        """
-        t0 = time.perf_counter()
-        failed = [k for k, (h, ok) in enumerate(zip(self.live, self.sent)) if not (ok and h.finished())]
-        self.count(helper_wait_s=time.perf_counter() - t0)
-        for k in failed:
-            self.live[k].stop()
-        return failed
+        if join:
+            self.count(blocks=_block_count(len(copies)), helper_blocks=int(ctl[:, 0].sum()) - sum(self.starts))
+        else:
+            self.count(lookahead_cancelled=1)
+        return z
 
     def caller_fill(self, z: np.ndarray, seed: int, copies: range, scale: float, blocks=None) -> None:
         """fill, its seconds added to the caller_draw_s counter."""
@@ -525,9 +512,10 @@ class _Helpers:
         self.live = []
 
     def close(self) -> None:
-        """Cancel the posted draw, stop the helpers and drop the buffers; an
-        array that views one keeps its mapping."""
-        self.cancel()
+        """End the posted draw unjoined, stop the helpers and drop the buffers;
+        an array that views one keeps its mapping."""
+        if self.posted is not None:
+            self.end(join=False)
         self.stop()
         self.buffers, self.arrays = [], []
 
@@ -575,15 +563,6 @@ def stream_counters() -> dict[str, int | float]:
     return dict(_HELPERS.counts)
 
 
-def cancel() -> None:
-    """Cancel the posted look-ahead, if any: its helpers are free again at once.
-
-    Only the main thread holds a look-ahead; in another thread this does nothing.
-    """
-    if threading.current_thread() is threading.main_thread():
-        _HELPERS.cancel()
-
-
 def draw(seed: int, copies: range, n: int, m: int, scale: float, then: tuple | None = None) -> np.ndarray:
     """Copies' increments, standard normals times scale, as an (n, m, len(copies)) array.
 
@@ -594,7 +573,7 @@ def draw(seed: int, copies: range, n: int, m: int, scale: float, then: tuple | N
     split at one point between its helper and the caller. then, the (seed,
     copies) of the draw that follows with the same n, m and scale, is posted
     to the helpers once this array is complete, and the next draw of exactly
-    that request joins it. Any other draw first cancels the posted draw. In
+    that request joins it. Any other draw first ends the posted draw unjoined. In
     any other thread the draw is serial and uncounted, and then is ignored.
     """
     if threading.current_thread() is not threading.main_thread():  # the helpers are the main thread's
@@ -605,14 +584,15 @@ def draw(seed: int, copies: range, n: int, m: int, scale: float, then: tuple | N
     if _HELPERS.posted == request:
         _HELPERS.count(lookahead_joined=1)
     else:
-        _HELPERS.cancel()  # posted for a sequence that has moved on
+        if _HELPERS.posted is not None:
+            _HELPERS.end(join=False)  # posted for a sequence that has moved on
         _HELPERS.post(request)
     if _HELPERS.posted is None:
         z = np.empty((n, m, len(copies)))
         _HELPERS.caller_fill(z, seed, copies, scale)
         _HELPERS.count(blocks=_block_count(len(copies)))
     else:
-        z = _HELPERS.finish()
+        z = _HELPERS.end(join=True)
     if then is not None:
         _HELPERS.post((*then, n, m, scale))
     return z

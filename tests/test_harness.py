@@ -739,8 +739,8 @@ class TestRunUnit:
     def test_units_in_reverse_with_wrong_look_aheads_return_the_same(self, helper_pool, caller_draws_half, dims):
         # each unit names its row-order successor as the one to draw ahead, never the unit
         # run next: the two that name a unit at N = 512 post its first chunk (a smaller draw
-        # posts nothing), and the unit run next cancels it unjoined
-        helper_pool(cpus=2)
+        # posts nothing), and the unit run next ends it unjoined
+        pool = helper_pool(cpus=2)
         config = self.config(dims)
         report = run_experiment(config)
         plan = harness.plan_experiment(config)
@@ -753,7 +753,8 @@ class TestRunUnit:
                 unit = harness.run_unit(plan, n, r, then=(after[0], dynamics.derive_seed(config.seed, *after)))
                 assert (unit.rows, unit.diagnostics) == self.written(report, n, r)
         finally:
-            increments.cancel()
+            if pool.posted is not None:
+                pool.end(join=False)
         assert increments.stream_counters()["lookahead_cancelled"] - before == 2
 
     def test_the_plan_simulates_nothing(self, monkeypatch):
@@ -908,6 +909,14 @@ class TestCli:
         assert simulated == [] and not out.exists()
         assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0  # the check alone needs them
         assert capsys.readouterr().err == "" and simulated == [20, 20, 40, 40, 80, 80]
+
+    def test_check_takes_1d_probes_inside_every_step_ends_interval(self, tmp_path, capsys):
+        # a shrinking interval: probes at 10-90% of the interval at node 10 would lie outside the
+        # smaller intervals of the steps after it
+        cfg = self.write_config(tmp_path, "mf.kind = shrinking_box\nmf.rate = 0.4\ngrid.steps = 20\n"
+                                          "j_indices = 10\n")
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"), "--check"]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_missing_out_is_validation_error(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path)

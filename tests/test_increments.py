@@ -403,8 +403,8 @@ def test_any_other_draw_cancels_the_look_ahead(helper_pool, caller_draws_half):
     assert pool.posted is None and len(pool.live) == 1
 
 
-def test_a_look_ahead_abandoned_by_an_exception_is_cancelled(helper_pool, caller_draws_half,
-                                                             monkeypatch):
+def test_a_look_ahead_abandoned_by_an_exception_is_ended_by_the_next_draw(helper_pool, caller_draws_half,
+                                                                         monkeypatch):
     pool = helper_pool(cpus=2)
     simulate = harness.dynamics.simulate_ensemble
     units = []
@@ -423,14 +423,17 @@ def test_a_look_ahead_abandoned_by_an_exception_is_cancelled(helper_pool, caller
         n_grid=[2 * INCREMENT_BLOCK], replications=4, seed=3, j_indices=[5])
     with pytest.raises(KeyboardInterrupt):
         harness.run_experiment(config)
-    assert pool.counts["lookahead_joined"] == 1 and pool.counts["lookahead_cancelled"] == 1
-    assert pool.posted is None
+    # the raise leaves the third unit's draw posted, and its helper running
+    n_copies, seed = units[-1]
+    abandoned = (seed, range(1, n_copies + 1), 5, 1, 0.2)
+    assert pool.counts["lookahead_joined"] == 1 and pool.counts["lookahead_cancelled"] == 0
+    assert pool.posted[:2] == abandoned[:2]
     [helper] = pool.live
     assert helper.poll() is None
-    n_copies, seed = units[-1]
-    abandoned = (seed, range(1, n_copies + 1), 5, 1, 0.2)  # the run's shape: the same generation
+    other = (seed + 1, *abandoned[1:])  # the run's shape: the same generation
     before = pool.counts["helper_blocks"]
-    np.testing.assert_array_equal(gaussian_increments(*abandoned), serial(*abandoned))
+    np.testing.assert_array_equal(gaussian_increments(*other), serial(*other))
+    assert pool.counts["lookahead_cancelled"] == 1 and pool.posted is None
     assert pool.counts["helper_blocks"] > before and pool.live == [helper]
     assert pool.counts["buffers_made"] == 2
 
@@ -477,6 +480,28 @@ def test_helper_killed_mid_look_ahead_leaves_the_bytes(helper_pool, caller_draws
     assert pool.live == [] and pool.posted is None and stream_processes() == 1
     np.testing.assert_array_equal(increments_of(A, then=B), serial(*A, 5, 2, 0.1))
     assert pool.posted is None
+
+
+def test_helper_killed_mid_look_ahead_is_reaped_by_the_draw_that_ends_it(helper_pool):
+    pool = helper_pool(cpus=2)
+    big = (11, range(1, 200 * INCREMENT_BLOCK + 1))  # long enough to kill the helper inside it
+    np.testing.assert_array_equal(increments_of(A, then=big), serial(*A, 5, 2, 0.1))
+    [helper] = pool.live
+    ctl = pool.ctl  # the posted draw's control words
+    deadline = time.monotonic() + 60
+    while ctl[0, 0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.001)
+    os.kill(helper.pid, signal.SIGKILL)
+    while running(helper.pid) and time.monotonic() < deadline:  # dead, not yet reaped
+        time.sleep(0.001)
+    assert 0 < ctl[0, 0] < ctl[0, 1]  # killed with blocks drawn and blocks left
+    # a draw of another request, too small to post, ends the look-ahead unjoined: no reply, so
+    # the helper is stopped and reaped there
+    small = (10, range(1, INCREMENT_BLOCK + 1))
+    np.testing.assert_array_equal(increments_of(small), serial(*small, 5, 2, 0.1))
+    assert helper.returncode == -signal.SIGKILL and pool.live == [] and pool.posted is None
+    assert pool.counts["lookahead_cancelled"] == 1 and pool.counts["lookahead_joined"] == 0
+    assert stream_processes() == 1
 
 
 def test_one_cpu_look_ahead_is_a_no_op(helper_pool, caller_draws_half):
