@@ -355,7 +355,10 @@ def plan_experiment(config: ExperimentConfig) -> Plan:
     grid = dynamics.TimeGrid(horizon=config.horizon, steps=config.steps)
     probes = None if model.dim == 1 else resolve_probes(config, mf, grid)
     checks = {}
-    check_probes = probes if probes is not None else _interval_probes(*dynamics.bodies_at_nodes(mf, grid)[1:])
+    if probes is None:
+        check_probes = _interval_probes(*dynamics.bodies_at_nodes(mf, grid)[1:])
+    else:  # auto: the ring in the last step end's body, which every body family keeps inside the others
+        check_probes = probes if config.probes is not None else default_probes(mf(grid.node(grid.steps)))
     if config.run_step_bound:
         try:
             constants = oracle.step_bound_constants(model, mf, grid, check_probes)

@@ -127,36 +127,49 @@ def step_bound_constants(model: SdeModel, mf: Multifunction, grid: TimeGrid,
     return constants_c1_c2(model, m_c, grid.delta, probe_count=4000)
 
 
+def probe_norms(points: np.ndarray, offsets: np.ndarray, scales: np.ndarray | None = None) -> np.ndarray:
+    """The (k, n) norms ||points[i] * scales[p] + offsets[p]|| of n points against k
+    per-probe offsets (||points[i] + offsets[p]|| without scales), summing squares
+    coordinate by coordinate as geometry.row_norms does, so each norm has row_norms'
+    bits. With offsets the negated probes they are the distances ||points[i] - probe p||,
+    since a - b and a + (-b) round alike."""
+    for c in range(points.shape[1]):
+        if scales is None:
+            term = points[:, c] + offsets[:, c, None]
+        else:
+            term = points[:, c] * scales[:, c, None]
+            term += offsets[:, c, None]
+        term *= term
+        if c == 0:
+            out = term
+        else:
+            out += term
+    return np.sqrt(out, out=out)
+
+
 class ProbeDistances:
     """The (k, n) distances ||points[i] - p|| of a step's n points from k probes, shared by
     the checks of one simulation so that each is computed once.
 
-    of(points) computes them as _ProbeNorms.distances does and remembers them for the
-    last two arrays it was given, matched by identity: a step's h is read by both checks,
-    and the next step's x is that same array when the projection moved nothing
+    of(points) computes them with probe_norms and remembers them for the last two arrays
+    it computed them for, matched by identity: a step's h is read by both checks, and the
+    next step's x is that same array when the projection moved nothing
     (dynamics.StepObserver). It keeps references to those arrays, a step's x and h,
-    never to its z. The result is read, never written, and holds until of has since
-    been given two other arrays.
+    never to its z. The result is read, never written.
     """
 
     def __init__(self, probes: np.ndarray):
         self.probes = probes
-        self.norms = _ProbeNorms(probes, 2)
-        self.outs = self.norms.step(0)
-        self.held = [None, None]  # the arrays whose distances outs holds
-        self.recent = 0  # the index of the one given last
+        self.negated = -np.asarray(probes, dtype=float)
+        self.held = []  # (points, distances) of the last two arrays computed, oldest first
 
     def of(self, points: np.ndarray) -> np.ndarray:
-        for i in (self.recent, 1 - self.recent):
-            if points is self.held[i]:
-                self.recent = i
-                return self.outs[i]
-        if self.outs[0].shape[1] != len(points):  # a chunk of another size
-            self.outs, self.held = self.norms.step(len(points)), [None, None]
-        self.recent = 1 - self.recent  # the one given first goes
-        self.held[self.recent] = points
-        self.norms.distances(points, self.outs[self.recent])
-        return self.outs[self.recent]
+        for array, distances in self.held:
+            if array is points:
+                return distances
+        distances = probe_norms(points, self.negated)
+        self.held = [*self.held[-1:], (points, distances)]
+        return distances
 
 
 class StepBoundCheck:
@@ -173,16 +186,14 @@ class StepBoundCheck:
     ProbeDistances of the (k, m) probes, which the caller has checked
     (step_bound_constants does). The noise term scales z once per coordinate
     when every probe has the same sigma (constant diffusion), once per probe
-    otherwise, with the same bits. A step's (k, copies) margins are computed
-    in place in two reused buffers (_ProbeNorms): the c2-scaled noise term
-    first, into the one output, then c1 ||x_j - x|| and the margin into the
-    scratch, in the order of the formula above.
+    otherwise, with the same bits (probe_norms). A step's (k, copies) margins
+    are computed in the order of the formula above, the distances read before
+    the noise term is made.
     """
 
     def __init__(self, model: SdeModel, delta: float, distances: ProbeDistances,
                  constants: StepConstants, slack: float = 1e-10):
         self.distances = distances
-        self.norms = _ProbeNorms(distances.probes, 1)
         self.sigmas = np.array([np.asarray(model.diffusion(x), dtype=float) for x in distances.probes])
         self.one_sigma = bool(np.all(self.sigmas == self.sigmas[0]))
         self.shifts = np.array([np.asarray(model.drift(x), dtype=float) * delta for x in distances.probes])
@@ -193,20 +204,18 @@ class StepBoundCheck:
         self.worst_margin = -np.inf
 
     def observe(self, j, rows, x_j, z, h, body):
-        (term,) = self.norms.step(len(h))
+        # x_j first: when it is the last step's h, its distances are still held
+        margins = self.distances.of(x_j) * self.constants.c1
+        np.subtract(self.distances.of(h), margins, out=margins)
         # h and the states lie within dynamics.FINITE_LIMIT, so only the noise term can
         # overflow (a huge delta): it is then infinite, and its margin -inf holds the bound
         with np.errstate(over="ignore"):
             if self.one_sigma:
-                self.norms.into(term, z * self.sigmas[0], self.shifts)
+                noise = probe_norms(z * self.sigmas[0], self.shifts)
             else:
-                self.norms.into(term, z, self.shifts, self.sigmas)
-            term *= self.constants.c2
-        margins = self.norms.term  # into's scratch, free again: c1 ||x_j - x||, then the margin
-        # x_j first: when it is the last step's h, its distances are still held
-        np.multiply(self.distances.of(x_j), self.constants.c1, out=margins)
-        np.subtract(self.distances.of(h), margins, out=margins)
-        margins -= term
+                noise = probe_norms(z, self.shifts, self.sigmas)
+            noise *= self.constants.c2
+        margins -= noise
         worst = float(margins.max())
         self.worst_margin = max(self.worst_margin, worst)
         if worst > self.slack:
@@ -223,49 +232,6 @@ class StepBoundCheck:
             c2=self.constants.c2,
             m_c=self.constants.m_c,
         )
-
-
-class _ProbeNorms:
-    """Norms of a step's (copies, m) points against k probes, as (k, copies) arrays.
-
-    step(n) sizes the buffers for a step of n copies and returns its output
-    buffers. into(out, points, offsets, scales) then writes
-    ||points[i] * scales[p] + offsets[p]|| (||points[i] + offsets[p]||
-    without scales) for every probe p and copy i into out, summing squares
-    coordinate by coordinate as geometry.row_norms does, so each norm has
-    row_norms' bits; distances(points, out) is ||points[i] - probe p||, since
-    a - b and a + (-b) round alike. The buffers are reused from step to step.
-    """
-
-    def __init__(self, probes: np.ndarray, outputs: int):
-        self.negated = -np.asarray(probes, dtype=float)
-        self.slabs = np.empty((outputs + 1, len(probes), 0))
-        self.term = self.slabs[0]
-
-    def step(self, n: int) -> list[np.ndarray]:
-        if self.slabs.shape[2] < n:
-            self.slabs = np.empty(self.slabs.shape[:2] + (n,))
-        self.term, *outputs = self.slabs[:, :, :n]
-        return outputs
-
-    def into(self, out: np.ndarray, points: np.ndarray, offsets: np.ndarray,
-             scales: np.ndarray | None = None) -> None:
-        term = self.term
-        for c in range(points.shape[1]):
-            if scales is None:
-                np.add(points[:, c], offsets[:, c, None], out=term)
-            else:
-                np.multiply(points[:, c], scales[:, c, None], out=term)
-                term += offsets[:, c, None]
-            if c == 0:
-                np.multiply(term, term, out=out)
-            else:
-                term *= term
-                out += term
-        np.sqrt(out, out=out)
-
-    def distances(self, points: np.ndarray, out: np.ndarray) -> None:
-        self.into(out, points, self.negated)
 
 
 def step1_bound_check(

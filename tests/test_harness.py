@@ -918,6 +918,18 @@ class TestCli:
         assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"), "--check"]) == 0
         assert capsys.readouterr().err == ""
 
+    def test_check_takes_auto_2d_probes_inside_every_step_ends_body(self, tmp_path, capsys):
+        # a shrinking ball: the default ring in the ball at node 10 would lie outside the
+        # smaller balls of the steps after it
+        cfg = tmp_path / "ball.cfg"
+        cfg.write_text(BALL_CONFIG_TEXT + "mf.rate = 0.6\ngrid.steps = 20\nn_grid = 100 200 400\n")
+        for flags, out in (([], "plain"), (["--check"], "checked")):
+            assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / out), *flags]) == 0
+            assert capsys.readouterr().err == ""
+        report = json.loads((tmp_path / "checked" / "report.json").read_text())
+        assert [entry["n_violations"] for entry in report["diagnostics"]["step_bound"]] == [0, 0, 0]
+        assert (tmp_path / "checked" / "report.csv").read_bytes() == (tmp_path / "plain" / "report.csv").read_bytes()
+
     def test_missing_out_is_validation_error(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path)
         assert cli.main(["run", "--config", str(cfg)]) == 1
@@ -1260,21 +1272,23 @@ def test_check_unit_computes_each_probe_distance_once(frozen_configs, monkeypatc
     n = 4096
     assert n <= dynamics.STEP_CHUNK and config.steps == 20
     passes, steps = [], []
-    into, euler_step = oracle._ProbeNorms.into, dynamics.euler_step
+    plan = harness.plan_experiment(config)
+    negated = -plan.check_probes  # a distance pass's offsets; a noise term's are drift(x) delta
+    probe_norms, euler_step = oracle.probe_norms, dynamics.euler_step
 
-    def counted(self, out, points, offsets, scales=None):
-        if offsets is self.negated:  # a distance pass, not a noise term
+    def counted(points, offsets, scales=None):
+        if np.array_equal(offsets, negated):
             passes.append(points)
-        into(self, out, points, offsets, scales)
+        return probe_norms(points, offsets, scales)
 
     def recorded(model, body, x, z, delta):
         h, x_next = euler_step(model, body, x, z, delta)
         steps.append((x, h, x_next))
         return h, x_next
 
-    monkeypatch.setattr(oracle._ProbeNorms, "into", counted)
+    monkeypatch.setattr(oracle, "probe_norms", counted)
     monkeypatch.setattr(dynamics, "euler_step", recorded)
-    harness.run_unit(harness.plan_experiment(config), n, 0)
+    harness.run_unit(plan, n, 0)
     assert len(steps) == 20
     moved = [x_next is not h for _, h, x_next in steps[:-1]]
     assert moved == [not np.array_equal(x_next, h) for _, h, x_next in steps[:-1]]

@@ -23,6 +23,7 @@ from hullsim.oracle import (
     StepConstants,
     constants_c1_c2,
     hitting_frequency,
+    probe_norms,
     step1_bound_check,
     step_bound_constants,
 )
@@ -31,6 +32,22 @@ from reference import FreshChecks, StepRecord
 
 def linear_drift_model(dim=1, theta=1.0, sigma=0.5):
     return make_model("ou", dim, np.zeros(dim), theta=theta, sigma=sigma)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_probe_norms_have_the_bits_of_row_norms_per_probe(m, order):
+    # magnitudes over six decades, so that another order of the sums rounds differently
+    rng = np.random.default_rng(m)
+    points = np.asarray(rng.standard_normal((517, m)) * 10.0 ** rng.uniform(-3, 3, (517, m)), order=order)
+    offsets, scales = rng.standard_normal((7, m)), rng.uniform(0.1, 3.0, (7, m))
+    unscaled = [row_norms(points + offset) for offset in offsets]
+    scaled = [row_norms(points * scale + offset) for scale, offset in zip(scales, offsets)]
+    assert probe_norms(points, offsets).tobytes() == np.array(unscaled).tobytes()
+    assert probe_norms(points, offsets, scales).tobytes() == np.array(scaled).tobytes()
+    # one sigma for every probe: scaling the points once gives the per-probe scaling's bits
+    same = np.broadcast_to(scales[0], scales.shape)
+    assert probe_norms(points, offsets, same).tobytes() == probe_norms(points * scales[0], offsets).tobytes()
 
 
 class TestConstants:
