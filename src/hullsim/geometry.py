@@ -12,9 +12,9 @@ Ensembles hand over coordinate-major (F-ordered) (N, m) batches, so per-point
 work runs on whole coordinate columns (row_norms and the H-polytope screen and
 margin), with its loops along the N points, never along the m <= 3
 coordinates, and a point's bits do not depend on its batch.
-scipy's qhull is imported by the first hull with m >= 2, not with this module,
-so one-dimensional hulls load no scipy; a 2D cloud reaches it as the points
-outside the octagon of its extremes.
+A 2D hull is built by a monotone chain in plain Python floats; scipy's qhull
+is imported by the first hull the chain refuses or with m >= 3, not with this
+module, so a run whose 2D clouds the chain certifies loads no scipy.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ if TYPE_CHECKING:
 
 GEOM_TOL = 1e-9
 HULL_TOL = 1e-7
-_EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
+_EPS, _TINY = float(np.finfo(float).eps), float(np.finfo(float).tiny)
 
 MIN_NORM_MAX_ITER = 100_000
 MAX_FACE_SETS = 10_000  # sets of at most m faces an HPolytope may enumerate
@@ -422,12 +422,13 @@ class Hull:
     """Convex hull of a finite point cloud; the cloud itself is not kept.
 
     vertices, shape (k, m), are the extreme points. For m = 1 they are the
-    min and max. For m >= 2 the hull is built by qhull (Quickhull: Barber,
-    Dobkin & Huhdanpaa, TOMS 1996). equations, shape (f, m + 1), holds one
-    row [n, b] per facet with unit outward normal n, so that n @ y + b <= 0
-    inside. simplices, shape (f, m), indexes the vertices of each
-    (triangulated) facet. In 2D the three arrays depend on the vertex set
-    alone: the vertices run counterclockwise from the lexicographically
+    min and max. For m = 2 the hull is built by Andrew's monotone chain where
+    it can certify every turn, and otherwise, as for m >= 3, by qhull
+    (Quickhull: Barber, Dobkin & Huhdanpaa, TOMS 1996). equations, shape
+    (f, m + 1), holds one row [n, b] per facet with unit outward normal n, so
+    that n @ y + b <= 0 inside. simplices, shape (f, m), indexes the vertices
+    of each (triangulated) facet. In 2D the three arrays depend on the vertex
+    set alone, whichever builds them: the vertices run counterclockwise from the lexicographically
     smallest, row i of simplices is the edge (i, (i + 1) % k), and its
     equation is taken from that edge e = v[i + 1] - v[i]:
     n = (e_y, -e_x) / |e|, b = -n @ v[i]. In higher dimension the arrays keep
@@ -446,10 +447,12 @@ class Hull:
 def convex_hull(points) -> Hull:
     """Hull of a (p, m) cloud, or of p values on the line; see Hull.
 
-    For m >= 2 qhull builds the hull, in 2D from _hull_candidates (about 30
-    of 20 000 points), whose dropped points lie strictly inside. Where
-    facet merging leaves a point of a thin cloud more than HULL_TOL outside,
-    the hull is built again from the whole cloud joggled (qhull's QJ option),
+    A 2D hull is built from _hull_candidates (about 30 of 20 000 points),
+    whose dropped points lie strictly inside, by _monotone_chain, whose
+    certified cycle gives the arrays qhull's would. A 2D cloud the chain
+    refuses goes to qhull like every cloud with m >= 3. Where facet merging
+    leaves a point of a thin cloud more than HULL_TOL outside, the hull is
+    built again from the whole cloud joggled (qhull's QJ option),
     which merges no facets; a thinned-out point is no farther outside than
     some kept point, an octagon corner. A cloud qhull reports as flat is kept
     as its distinct points, or in 2D as the segment between its extremes
@@ -471,9 +474,12 @@ def convex_hull(points) -> Hull:
         lo, hi = float(vals.min()), float(vals.max())
         verts = np.array([[lo]]) if lo == hi else np.array([[lo], [hi]])
         return Hull(dim=1, vertices=verts)
+    cands = _hull_candidates(pts) if m == 2 else pts
+    cycle = _monotone_chain(cands) if m == 2 else None
+    if cycle is not None:
+        return _planar_hull(cycle)
     from scipy.spatial import ConvexHull, QhullError
 
-    cands = _hull_candidates(pts) if m == 2 else pts
     try:
         # scipy's default options and Qc, which lists the points kept off the hull as coplanar
         qhull = ConvexHull(cands, qhull_options="Qt Qc Qx" if m > 4 else "Qt Qc")
@@ -503,11 +509,11 @@ def _hull_candidates(pts: np.ndarray) -> np.ndarray:
     extremes along +-x, +-y, +-(x + y), +-(x - y) (Akl & Toussaint, IPL 7, 1978).
 
     A point is dropped when its cross product with every edge e from corner v,
-    e x (q - v), exceeds 64 ulps of (|e_x| + |e_y|)(M_x + M_y), M the largest
-    coordinate magnitudes: more than this test's and qhull's rounding. It then
-    winds inside the corners' polygon, strictly inside the hull. The extremes,
-    which set qhull's precision, stay. A NaN or an overflow keeps the point;
-    a flat octagon keeps every point.
+    e x (q - v), exceeds _turn_margin: more than this test's and qhull's
+    rounding. It then winds inside the corners' polygon, strictly inside the
+    hull. The extremes, which set the chain's margin and qhull's precision,
+    stay. A NaN or an overflow keeps the point; a flat octagon keeps every
+    point.
     """
     x, y = pts[:, 0], pts[:, 1]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -523,7 +529,7 @@ def _hull_candidates(pts: np.ndarray) -> np.ndarray:
         inward = edges[:, ::-1] * [-1.0, 1.0]  # e x (q - v) = inward @ (q - v)
         bound = (inward * corners).sum(axis=1)
         # the corners hold each coordinate's extremes; tiny covers rounding among subnormals
-        bound += np.abs(inward).sum(axis=1) * (np.abs(corners).max(axis=0).sum() * 64 * _EPS) + _TINY
+        bound += _turn_margin(np.abs(inward).sum(axis=1), np.abs(corners).max(axis=0).sum())
         term, inside, passed = np.empty_like(value), np.ones(len(pts), dtype=bool), np.empty(len(pts), dtype=bool)
         for (a, b), limit in zip(inward.tolist(), bound.tolist()):
             np.multiply(x, a, out=value)
@@ -532,17 +538,67 @@ def _hull_candidates(pts: np.ndarray) -> np.ndarray:
     return pts[np.flatnonzero(~inside)]
 
 
+def _turn_margin(edge_l1, magnitude):
+    """64 ulps of (|e_x| + |e_y|)(M_x + M_y), plus the smallest normal float for
+    rounding among subnormals: a cross product e x (q - v) whose magnitude
+    exceeds it has the sign of the exact one, for points whose largest
+    coordinate magnitudes are M (edge_l1 = |e_x| + |e_y|, magnitude = M_x + M_y)."""
+    return edge_l1 * (magnitude * 64 * _EPS) + _TINY
+
+
+def _monotone_chain(pts: np.ndarray) -> list | None:
+    """The counterclockwise vertex cycle of a (p, 2) cloud from its lexicographically
+    smallest point (Andrew, IPL 9, 1979), or None where it cannot be sure of it.
+
+    Every turn it decides, a cross product in Python floats, must clear
+    _turn_margin, so each kept vertex turns strictly left and each dropped
+    point strictly right, whatever the rounding. It refuses a turn too close
+    to call (duplicate, collinear and lattice points), a NaN, fewer than 3
+    vertices and M_x + M_y >= 2**500: from Gaussian clouds at scale 1e153.4
+    on, qhull reports some flat that the chain would certify. On every cloud
+    it certifies that was tested, qhull keeps the same vertices, so the Hull
+    is the same.
+    """
+    magnitude = float(np.abs(pts).max(axis=0).sum())
+    if not magnitude < 2.0**500:
+        return None
+    ordered = pts[np.lexsort(pts.T[::-1])].tolist()
+    chains = []
+    for run in (ordered, ordered[::-1]):  # the lower chain, then the upper one
+        chain = []
+        for bx, by in run:
+            while len(chain) >= 2:
+                (ox, oy), (ax, ay) = chain[-2], chain[-1]
+                ex, ey = ax - ox, ay - oy
+                cross = ex * (by - oy) - ey * (bx - ox)
+                if not abs(cross) > _turn_margin(abs(ex) + abs(ey), magnitude):
+                    return None
+                if cross > 0:
+                    break
+                chain.pop()
+            chain.append((bx, by))
+        chains.append(chain[:-1])
+    cycle = chains[0] + chains[1]
+    return cycle if len(cycle) >= 3 else None
+
+
+def _planar_hull(cycle) -> Hull:
+    """The 2D Hull of a counterclockwise vertex cycle, from its lexicographically smallest vertex."""
+    cycle = np.asarray(cycle, dtype=float)
+    k = len(cycle)
+    vertices = cycle[(np.arange(k) + np.lexsort(cycle.T[::-1])[0]) % k]
+    simplices = np.column_stack([np.arange(k), np.arange(1, k + 1) % k])
+    (ax, ay), (ex, ey) = vertices.T, (vertices[simplices[:, 1]] - vertices).T
+    length = np.hypot(ex, ey)
+    nx, ny = ey / length, -ex / length
+    equations = np.column_stack([nx, ny, -(nx * ax + ny * ay)])
+    return Hull(dim=2, vertices=vertices, equations=equations, simplices=simplices)
+
+
 def _qhull_hull(pts: np.ndarray, qhull: ConvexHull) -> Hull:
     m = pts.shape[1]
-    if m == 2:  # qhull's counterclockwise cycle, from its lexicographically smallest vertex
-        cycle, k = pts[qhull.vertices], len(qhull.vertices)
-        vertices = cycle[(np.arange(k) + np.lexsort(cycle.T[::-1])[0]) % k]
-        simplices = np.column_stack([np.arange(k), np.arange(1, k + 1) % k])
-        (ax, ay), (ex, ey) = vertices.T, (vertices[simplices[:, 1]] - vertices).T
-        length = np.hypot(ex, ey)
-        nx, ny = ey / length, -ex / length
-        equations = np.column_stack([nx, ny, -(nx * ax + ny * ay)])
-        return Hull(dim=2, vertices=vertices, equations=equations, simplices=simplices)
+    if m == 2:
+        return _planar_hull(pts[qhull.vertices])
     # renumber the facet corners from cloud indices to vertex indices
     index = np.empty(pts.shape[0], dtype=np.intp)
     index[qhull.vertices] = np.arange(qhull.vertices.size)

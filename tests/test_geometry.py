@@ -547,12 +547,25 @@ SCIPY_SNIPPETS = [
         ),
         set(),
     ),
-    (run_snippet("e4_square_hpoly.cfg", SMALL), {"scipy.spatial"}),
+    (run_snippet("e3_shrinking_ball.cfg", SMALL), set()),
+    (
+        run_snippet(
+            "e4_square_hpoly.cfg",
+            {**SMALL, "diagnostics.step_bound": "true", "diagnostics.hitting": "true"},
+        ),
+        set(),
+    ),
+    (
+        "import numpy as np\nfrom hullsim.geometry import convex_hull\n"
+        "convex_hull(np.random.default_rng(0).standard_normal((50, 3)))",
+        {"scipy.spatial"},
+    ),
 ]
 
 
 def test_import_leaves_out_the_lp_solver():
-    """No snippet loads scipy.optimize; a 1D run loads no scipy, a 2D run loads qhull."""
+    """No snippet loads scipy.optimize; 1D and 2D runs load no scipy (the monotone chain
+    builds their hulls), a 3D hull loads qhull."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     report = "import sys; print(*(m for m in sys.modules if m.startswith('scipy')))"
     for snippet, wanted in SCIPY_SNIPPETS:
@@ -842,8 +855,8 @@ class TestPlanarHullCandidates:
         rest = cloud[~(strictly_inside(expected, cloud) & (rng.uniform(size=n) < drop))]
         assert_same_hull(convex_hull(np.asarray(rest[rng.permutation(len(rest))], order=order)), expected)
 
-    def test_e4_node_cloud_reaches_qhull_thinned(self, frozen_configs, monkeypatch):
-        # e4's node-20 cloud at N = 20000, replication 0: qhull sees under 1% of it
+    def test_e4_node_cloud_needs_no_qhull(self, frozen_configs, monkeypatch):
+        # e4's node-20 cloud at N = 20000, replication 0: the monotone chain certifies it
         plan = harness.plan_experiment(frozen_configs["e4"])
         n = 20_000
         seed = dynamics.derive_seed(plan.config.seed, n, 0)
@@ -851,7 +864,7 @@ class TestPlanarHullCandidates:
         expected = full_cloud_hull(cloud)
         calls = qhull_inputs(monkeypatch)
         assert_same_hull(convex_hull(cloud), expected)
-        assert len(calls) == 1 and calls[0][0] < n // 100
+        assert calls == []
 
     @pytest.mark.parametrize("flat", ["collinear", "reported flat"])
     def test_flat_fallback_sees_the_whole_cloud(self, flat, monkeypatch):
@@ -859,8 +872,9 @@ class TestPlanarHullCandidates:
         if flat == "collinear":
             t = rng.uniform(-1, 1, 2000)
             cloud = np.column_stack([t, 2 * t])
-        else:  # qhull reports flat a cloud the filter thins to a few points
+        else:  # qhull reports flat a cloud the chain refuses: its rightmost point is repeated
             cloud = rng.standard_normal((2000, 2))
+            cloud = np.vstack([cloud, cloud[np.argmax(cloud[:, 0])]])
 
             def raises(points, qhull_options=None):
                 raise QhullError("flat")
@@ -875,6 +889,35 @@ class TestPlanarHullCandidates:
         monkeypatch.setattr(np, "unique", spy)
         assert_same_hull(convex_hull(cloud), full_cloud_hull(cloud))
         assert inputs == [len(cloud), len(cloud)]
+
+    def test_matches_the_whole_cloud_at_every_scale(self):
+        # 40 Gaussian points at scales 1e-320 to 1e308, and in steps of 10**0.2 from 1e153.2
+        # to 1e154.4: without its cutoff at M_x + M_y = 2**500 the chain certifies hulls
+        # there that qhull reports flat
+        for k in [*range(-320, 309, 2), *(j / 10 for j in range(1532, 1546, 2))]:
+            for seed in range(3):
+                with np.errstate(over="ignore"):
+                    cloud = np.random.default_rng(seed).standard_normal((40, 2)) * 10.0**k
+                if np.all(np.isfinite(cloud)):
+                    assert_same_hull(convex_hull(cloud), full_cloud_hull(cloud))
+
+    @pytest.mark.parametrize("case", ["repeated corner", "collinear edge run", "lattice"])
+    def test_a_refused_cloud_reaches_qhull(self, case, monkeypatch):
+        rng = np.random.default_rng(3)
+        if case == "repeated corner":
+            a = np.arange(8) * (np.pi / 4)
+            corners = np.column_stack([np.cos(a), np.sin(a)])
+            cloud = np.vstack([corners, corners[3], rng.uniform(-0.5, 0.5, (100, 2))])
+        elif case == "collinear edge run":  # points exactly on the square's lower edge
+            edge = np.column_stack([np.arange(1, 8) / 8, np.zeros(7)])
+            square = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
+            cloud = np.vstack([square, edge, rng.uniform(0.1, 0.9, (100, 2))])
+        else:
+            cloud = rng.integers(-3, 4, (200, 2)).astype(float)
+        expected = full_cloud_hull(cloud)
+        calls = qhull_inputs(monkeypatch)
+        assert_same_hull(convex_hull(cloud), expected)
+        assert len(calls) == 1
 
     def test_joggled_rebuild_sees_the_whole_cloud(self, monkeypatch):
         cloud = bent_polygon(0, 2000)
