@@ -12,9 +12,10 @@ Ensembles hand over coordinate-major (F-ordered) (N, m) batches, so per-point
 work runs on whole coordinate columns (row_norms and the H-polytope screen and
 margin), with its loops along the N points, never along the m <= 3
 coordinates, and a point's bits do not depend on its batch.
-A 2D hull is built by a monotone chain in plain Python floats; scipy's qhull
-is imported by the first hull the chain refuses or with m >= 3, not with this
-module, so a run whose 2D clouds the chain certifies loads no scipy.
+A 2D hull is built by a monotone chain and a 3D hull of at most
+QUICKHULL_MAX_POINTS candidates by quickhull, both in plain Python floats;
+scipy's qhull is imported by the first hull they refuse or pass on, or with
+m >= 4, not with this module, so a run whose clouds they certify loads no scipy.
 """
 
 from __future__ import annotations
@@ -35,6 +36,10 @@ _EPS, _TINY = float(np.finfo(float).eps), float(np.finfo(float).tiny)
 
 MIN_NORM_MAX_ITER = 100_000
 MAX_FACE_SETS = 10_000  # sets of at most m faces an HPolytope may enumerate
+# 3D hull candidates the Python quickhull takes; more go to qhull, which is faster
+# there. 2.5x the most seen: ball3d node-20 clouds left 18-51, 39-115 and 61-205
+# candidates at N = 200, 2000 and 20 000 over 100 replications
+QUICKHULL_MAX_POINTS = 512
 
 
 class GeometryError(ValueError):
@@ -422,17 +427,24 @@ class Hull:
     """Convex hull of a finite point cloud; the cloud itself is not kept.
 
     vertices, shape (k, m), are the extreme points. For m = 1 they are the
-    min and max. For m = 2 the hull is built by Andrew's monotone chain where
-    it can certify every turn, and otherwise, as for m >= 3, by qhull
-    (Quickhull: Barber, Dobkin & Huhdanpaa, TOMS 1996). equations, shape
-    (f, m + 1), holds one row [n, b] per facet with unit outward normal n, so
-    that n @ y + b <= 0 inside. simplices, shape (f, m), indexes the vertices
-    of each (triangulated) facet. In 2D the three arrays depend on the vertex
-    set alone, whichever builds them: the vertices run counterclockwise from the lexicographically
-    smallest, row i of simplices is the edge (i, (i + 1) % k), and its
-    equation is taken from that edge e = v[i + 1] - v[i]:
-    n = (e_y, -e_x) / |e|, b = -n @ v[i]. In higher dimension the arrays keep
-    qhull's order, which depends on the input sequence. equations and
+    min and max. For m = 2 the hull is built by Andrew's monotone chain and for
+    m = 3 by quickhull in Python floats or qhull where they can certify it, and
+    otherwise, as for m >= 4, by qhull (Quickhull: Barber, Dobkin & Huhdanpaa,
+    TOMS 1996). equations, shape (f, m + 1), holds one row [n, b] per facet with
+    unit outward normal n, so that n @ y + b <= 0 inside. simplices, shape
+    (f, m), indexes the vertices of each (triangulated) facet. In 2D the three
+    arrays depend on the vertex set alone, whichever builds them: the vertices
+    run counterclockwise from the lexicographically smallest, row i of
+    simplices is the edge (i, (i + 1) % k), and its equation is taken from
+    that edge e = v[i + 1] - v[i]: n = (e_y, -e_x) / |e|, b = -n @ v[i]. A
+    certified 3D hull's arrays depend on its vertex set alone too: the
+    vertices in lexicographic order, each row of simplices sorted and the rows
+    sorted, and each equation from its triangle's corners a, b, c in that
+    order, n = (b - a) x (c - a) pointing away from the vertices' mean, then
+    normalized, b = -n @ a. A 3D cloud it cannot certify (ties such as
+    lattices, duplicates or points on a box face, thin clouds, coordinates of
+    2**250 or more) and any with m >= 4 keep qhull's arrays, whose order
+    depends on the input sequence. equations and
     simplices are None for m = 1 and for a degenerate cloud, one that spans
     less than m dimensions (fewer than m + 1 distinct points, collinear,
     coplanar); convex_hull says which vertices it keeps.
@@ -449,8 +461,11 @@ def convex_hull(points) -> Hull:
 
     A 2D hull is built from _hull_candidates (about 30 of 20 000 points),
     whose dropped points lie strictly inside, by _monotone_chain, whose
-    certified cycle gives the arrays qhull's would. A 2D cloud the chain
-    refuses goes to qhull like every cloud with m >= 3. Where facet merging
+    certified cycle gives the arrays qhull's would; a 2D cloud the chain
+    refuses goes to qhull as these candidates. A 3D hull is built by
+    _certified_spatial_hull from _spatial_candidates (61-205 of a ball3d
+    node-20 cloud of 20 000 points); a 3D cloud it refuses goes to qhull
+    whole, like every cloud with m >= 4. Where facet merging
     leaves a point of a thin cloud more than HULL_TOL outside, the hull is
     built again from the whole cloud joggled (qhull's QJ option),
     which merges no facets; a thinned-out point is no farther outside than
@@ -478,6 +493,9 @@ def convex_hull(points) -> Hull:
     cycle = _monotone_chain(cands) if m == 2 else None
     if cycle is not None:
         return _planar_hull(cycle)
+    hull = _certified_spatial_hull(pts) if m == 3 else None
+    if hull is not None:
+        return hull
     from scipy.spatial import ConvexHull, QhullError
 
     try:
@@ -593,6 +611,234 @@ def _planar_hull(cycle) -> Hull:
     nx, ny = ey / length, -ex / length
     equations = np.column_stack([nx, ny, -(nx * ax + ny * ay)])
     return Hull(dim=2, vertices=vertices, equations=equations, simplices=simplices)
+
+
+# the 13 directions of {-1, 0, 1}^3 whose first nonzero entry is 1: with their
+# negatives, the 26 along which _spatial_candidates takes a cloud's extremes
+_DIRECTIONS = np.array([d for d in itertools.product((1, 0, -1), repeat=3) if d > (0, 0, 0)], dtype=float)
+_FACET_TEST_ROWS = 4096  # points _spatial_candidates tests against every facet at once
+
+
+def _certified_spatial_hull(pts: np.ndarray) -> Hull | None:
+    """The Hull of a (p, 3) cloud from _spatial_candidates, with _spatial_hull's canonical
+    arrays, or None where some decision is too close to call.
+
+    Up to QUICKHULL_MAX_POINTS candidates, _quickhull builds it in Python floats;
+    above that, qhull builds it from the candidates, and a hull with a point qhull
+    reports coplanar is refused. The cap picks the builder for speed: _spatial_hull
+    certifies either builder's triangles and gives them the same bits.
+    """
+    cands = _spatial_candidates(pts)
+    if cands is None:
+        return None
+    if len(cands) <= QUICKHULL_MAX_POINTS:
+        triangles = _quickhull(cands)
+    else:
+        from scipy.spatial import ConvexHull, QhullError
+
+        try:
+            qhull = ConvexHull(cands, qhull_options="Qt Qc")
+        except QhullError:
+            return None
+        triangles = None if qhull.coplanar.size else qhull.simplices
+    return None if triangles is None else _spatial_hull(cands, triangles)
+
+
+def _spatial_candidates(pts: np.ndarray) -> np.ndarray | None:
+    """The points of a (p, 3) cloud not certainly inside the hull of its extremes along
+    the 26 directions of {-1, 0, 1}^3. Where _quickhull refuses that hull, they are
+    every point of a cloud of at most QUICKHULL_MAX_POINTS, and None for a larger one.
+
+    A ball inside that hull screens the cloud first, a coordinate column at a time:
+    its centre is the cloud's mean, and its radius the centre's least distance to a
+    facet plane less three of the facet's _plane_margin (no screen where that is not
+    positive), so every point within it is more than two margins below every plane;
+    at N = 20 000 about 7% of a ball3d node-20 cloud is outside it. A point outside
+    the ball is dropped when n @ q - n @ a is below -_plane_margin for every facet
+    (a, b, c), n = (b - a) x (c - a): more than the rounding of this test and of n,
+    so it is strictly inside the hull. The extremes, which set the margins, stay.
+    """
+    # one direction at a time: a (13, p) array of them adds 2 MiB to a 20 000-point run's peak memory
+    along, ends = np.empty(len(pts)), []
+    with np.errstate(over="ignore", invalid="ignore"):  # junk sums pick some cloud point all the same
+        for d in _DIRECTIONS:
+            np.matmul(pts, d, out=along)
+            ends += [along.argmin(), along.argmax()]
+    extremes = pts[np.unique(ends)]
+    triangles = _quickhull(extremes)
+    if triangles is None:  # flat or tied extremes: a small cloud is its own candidates
+        return pts if len(pts) <= QUICKHULL_MAX_POINTS else None
+    a, normals, margins = _triangle_planes(extremes, triangles)
+    offsets = (normals * a).sum(axis=1)
+    centre = pts.mean(axis=0)
+    squares = _row_squares(normals)
+    if np.all(squares >= _TINY):
+        radius = float(np.min((offsets - normals @ centre - 3 * margins) / np.sqrt(squares))) * (1 - 2.0**-40)
+    else:  # a length lost to underflow: no screen
+        radius = 0.0
+    sq = np.subtract(pts[:, 0], centre[0])
+    sq *= sq
+    col = np.empty_like(sq)
+    for k in (1, 2):
+        np.subtract(pts[:, k], centre[k], out=col)
+        col *= col
+        sq += col
+    rest = np.flatnonzero(~(sq < radius * radius)) if radius > 0 else np.arange(len(pts))
+    # n @ q - n @ a < -margin as n @ q < n @ a - margin, whose rounding the margin covers
+    limits, kept = (offsets - margins)[:, None], []
+    for start in range(0, len(rest), _FACET_TEST_ROWS):
+        part = rest[start:start + _FACET_TEST_ROWS]
+        kept.append(part[~np.all(normals @ pts[part].T < limits, axis=0)])
+    return pts[np.concatenate(kept)]
+
+
+def _triangle_planes(points: np.ndarray, triangles: np.ndarray) -> tuple:
+    """For the (f, 3) index triples into points, each first corner a, normal
+    n = (b - a) x (c - a) and _plane_margin, with M taken over points."""
+    a, b, c = points[triangles.T]
+    u, v = b - a, c - a
+    margins = _plane_margin(np.abs(u).sum(axis=1) * np.abs(v).sum(axis=1), np.abs(points).max(axis=0).sum())
+    return a, np.cross(u, v), margins
+
+
+def _plane_margin(edge_l1s, magnitude):
+    """256 ulps of (|b - a|_1 |c - a|_1 + tiny)(M_x + M_y + M_z), plus tiny, the smallest
+    normal float, for rounding among subnormals in n's products and in the height: a
+    height n @ q - n @ a, n = (b - a) x (c - a), whose magnitude exceeds it has the sign
+    of the exact one, for points whose largest coordinate magnitudes are M (edge_l1s =
+    |b - a|_1 |c - a|_1, which bounds |n|_1 and n's own rounding also for a sliver
+    triangle)."""
+    return (edge_l1s + _TINY) * (magnitude * 256 * _EPS) + _TINY
+
+
+def _quickhull(pts: np.ndarray) -> np.ndarray | None:
+    """The (f, 3) triangles of a (p, 3) cloud's hull, each counterclockwise seen from
+    outside, by Quickhull (Barber, Dobkin & Huhdanpaa, TOMS 1996) in Python floats, or
+    None where it cannot be sure of them.
+
+    Every side of a facet plane it decides, a height n @ q - n @ a, must clear
+    _plane_margin, so each point it drops is strictly inside and each apex strictly
+    above the facets it replaces. It refuses a height too close to call (duplicates,
+    coplanar points such as lattices or points on a box face), a NaN, a flat cloud
+    and M_x + M_y + M_z >= 2**250. Two new facets can still be coplanar across an edge
+    it never tests; _spatial_hull refuses those.
+    """
+    magnitude = float(np.abs(pts).max(axis=0).sum())
+    if not magnitude < 2.0**250:
+        return None
+    p = pts.tolist()
+    edges, made = {}, []  # edges: (i, j) -> the live facet with the directed edge i -> j
+
+    def add(i, j, k):
+        # [i, j, k, n, n @ a, margin, points above as (height, index), the apex it was last
+        # tested against, whether it was above]: a facet found below some apex is replaced
+        (ax, ay, az), (bx, by, bz), (cx, cy, cz) = p[i], p[j], p[k]
+        ux, uy, uz, vx, vy, vz = bx - ax, by - ay, bz - az, cx - ax, cy - ay, cz - az
+        nx, ny, nz = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
+        margin = _plane_margin((abs(ux) + abs(uy) + abs(uz)) * (abs(vx) + abs(vy) + abs(vz)), magnitude)
+        f = [i, j, k, nx, ny, nz, nx * ax + ny * ay + nz * az, margin, [], -1, False]
+        edges[i, j] = edges[j, k] = edges[k, i] = f
+        made.append(f)
+        return f
+
+    # the first simplex: the x extremes, the point farthest from their line, and the
+    # point farthest from the plane of those three
+    a, b = int(pts[:, 0].argmin()), int(pts[:, 0].argmax())
+    c = int(_row_squares(np.cross(pts[b] - pts[a], pts - pts[a])).argmax())
+    base = add(a, b, c)
+    d = int(np.abs(pts @ base[3:6] - base[6]).argmax())
+    h = base[3] * p[d][0] + base[4] * p[d][1] + base[5] * p[d][2] - base[6]
+    if not abs(h) > base[7]:
+        return None
+    if h > 0:
+        b, c = c, b
+    edges.clear()
+    made.clear()
+    cone = [add(a, b, c), add(a, d, b), add(b, d, c), add(c, d, a)]
+    orphans, stack = [q for q in range(len(p)) if q not in (a, b, c, d)], []
+    while True:
+        for q in orphans:  # onto the first new facet it is above, or dropped if below all
+            qx, qy, qz = p[q]
+            for f in cone:
+                h = f[3] * qx + f[4] * qy + f[5] * qz - f[6]
+                if h > f[7]:
+                    f[8].append((h, q))
+                    break
+                if not h < -f[7]:
+                    return None
+        stack += [f for f in cone if f[8]]
+        while stack and stack[-1][10]:  # replaced since it was stacked
+            stack.pop()
+        if not stack:
+            return np.array([f[:3] for f in made if not f[10]])
+        f = stack.pop()
+        apex = max(f[8])[1]
+        qx, qy, qz = p[apex]
+        f[9], f[10], visible, horizon = apex, True, [f], []
+        for g in visible:  # every facet the apex is above: a patch its edges connect
+            for i, j in ((g[0], g[1]), (g[1], g[2]), (g[2], g[0])):
+                nb = edges[j, i]
+                if nb[9] != apex:
+                    h = nb[3] * qx + nb[4] * qy + nb[5] * qz - nb[6]
+                    if not abs(h) > nb[7]:
+                        return None
+                    nb[9], nb[10] = apex, h > 0
+                    if nb[10]:
+                        visible.append(nb)
+                if not nb[10]:
+                    horizon.append((i, j))
+        for g in visible:
+            del edges[g[0], g[1]], edges[g[1], g[2]], edges[g[2], g[0]]
+        cone = [add(i, j, apex) for i, j in horizon]
+        orphans = [q for g in visible for _, q in g[8] if q != apex]
+
+
+def _spatial_hull(points: np.ndarray, triangles) -> Hull | None:
+    """The 3D Hull of a cloud from the (f, 3) indices into points of its hull's triangles,
+    with arrays that depend on the triangle set alone, or None where it cannot certify
+    them.
+
+    The vertices, the triangles' corners, run in lexicographic order. Each row of
+    simplices is sorted, and the rows are sorted. A facet's corners a, b, c in that
+    order give n = (b - a) x (c - a), flipped to point away from the vertices' mean
+    and then normalized, and b = -n @ a. It certifies that each edge is on exactly two
+    triangles and that each triangle's far corner is below the other's plane by more
+    than _plane_margin: no two facets are coplanar, so the triangulation is the only one.
+    """
+    used = np.zeros(len(points), dtype=bool)
+    used[triangles] = True
+    corners = points[used]
+    order = np.argsort(corners[:, 0])
+    if np.any(np.diff(corners[order, 0]) == 0):  # a tie in x: y and z decide it
+        order = np.lexsort(corners.T[::-1])
+    vertices, k = corners[order], len(order)
+    if k >= 2**21:  # the row keys below would overflow
+        return None
+    index = np.empty(len(points), dtype=np.intp)
+    index[np.flatnonzero(used)[order]] = np.arange(k)
+    rows = np.sort(index[triangles], axis=1)
+    keys = np.sort((rows[:, 0] * k + rows[:, 1]) * k + rows[:, 2])
+    simplices = np.column_stack([keys // (k * k), keys // k % k, keys % k])
+    a, normals, margins = _triangle_planes(vertices, simplices)
+    normals[np.einsum("fc,fc->f", vertices.mean(axis=0) - a, normals) > 0] *= -1
+    # slot 3t + s is triangle t's edge (0, 1), (1, 2) or (0, 2) for s = 0, 1, 2, far from corner 2, 0 or 1
+    keys = (simplices[:, [0, 1, 0]] * k + simplices[:, [1, 2, 2]]).ravel()
+    slots = np.argsort(keys)
+    one, other = slots[0::2], slots[1::2]
+    if len(keys) % 2 or np.any(keys[one] != keys[other]) or np.any(keys[other[:-1]] == keys[one[1:]]):
+        return None
+    partner = np.empty_like(slots)
+    partner[one], partner[other] = other, one
+    far = vertices[simplices[:, [2, 0, 1]].ravel()[partner]].reshape(-1, 3, 3)  # the other triangle's far corner
+    heights = np.einsum("fsc,fc->fs", far, normals) - np.einsum("fc,fc->f", a, normals)[:, None]
+    if not np.all(heights < -margins[:, None]):
+        return None
+    squares = _row_squares(normals)
+    if not np.all(squares >= _TINY):  # n / |n| would lose bits to underflow
+        return None
+    normals /= np.sqrt(squares)[:, None]
+    equations = np.column_stack([normals, -(normals * a).sum(axis=1)])
+    return Hull(dim=3, vertices=vertices, equations=equations, simplices=simplices)
 
 
 def _qhull_hull(pts: np.ndarray, qhull: ConvexHull) -> Hull:

@@ -5,10 +5,11 @@ projection, a planar hull distance from pairwise segments, empirical and
 Gaussian CDFs with the clamped CDF of acceptance criterion 3, an empirical
 check of a model's declared Lipschitz constants, a sampler of boundary
 points for the variational inequality of a projection, the hull of a whole
-cloud as qhull builds it with no candidate filter, the projected Euler
-step as a plain sum with the screens that decide whether a projection returns
-its input, a step observer that records what an ensemble does not keep, and
-one that makes the --check reports from distances computed afresh.
+cloud as qhull builds it with no candidate filter and its canonical 3D
+arrays, the projected Euler step as a plain sum with the screens that decide
+whether a projection returns its input, a step observer that records what an
+ensemble does not keep, and one that makes the --check reports from
+distances computed afresh.
 """
 
 from __future__ import annotations
@@ -157,9 +158,9 @@ def brute_force_hull_distance(points, x) -> float:
 
 
 def full_cloud_hull(points) -> Hull:
-    """convex_hull of a (p, m) cloud, m >= 2, as built before the 2D candidate filter:
-    qhull sees every point, in the order given, with the same options, the same flat-cloud
-    fallback and the same joggled rebuild."""
+    """convex_hull of a (p, m) cloud, m >= 2, as built before the 2D candidate filter and
+    the certified 3D builders: qhull sees every point, in the order given, with the same
+    options, the same flat-cloud fallback and the same joggled rebuild."""
     from scipy.spatial import ConvexHull, QhullError
 
     pts = np.asarray(points, dtype=float)
@@ -177,6 +178,29 @@ def full_cloud_hull(points) -> Hull:
     if coplanar.size and np.any(distance_to_hull(hull, coplanar) > HULL_TOL):
         hull = _qhull_hull(pts, ConvexHull(pts, qhull_options="QJ"))
     return hull
+
+
+def canonical_spatial_hull(points) -> Hull:
+    """The canonical Hull of a (p, 3) cloud from qhull's whole-cloud Qt Qc hull: its
+    vertices in lexicographic order, each triangle's vertex indices sorted and the rows
+    sorted, and each equation from the triangle's corners a, b, c in that order:
+    n = (b - a) x (c - a), flipped to point away from the vertices' mean, then
+    normalized, and b = -n . a."""
+    from scipy.spatial import ConvexHull
+
+    pts = np.asarray(points, dtype=float)
+    qhull = ConvexHull(pts, qhull_options="Qt Qc")
+    corners = pts[qhull.vertices]
+    order = np.lexsort(corners.T[::-1])
+    rank = {int(v): i for i, v in enumerate(qhull.vertices[order])}
+    rows = sorted(sorted(rank[int(v)] for v in simplex) for simplex in qhull.simplices)
+    vertices, simplices = corners[order], np.array(rows)
+    a, b, c = (vertices[simplices[:, k]] for k in range(3))
+    n = np.cross(b - a, c - a)
+    n[np.sum((vertices.mean(axis=0) - a) * n, axis=1) > 0] *= -1
+    n = n / np.linalg.norm(n, axis=1, keepdims=True)
+    return Hull(dim=3, vertices=vertices, equations=np.column_stack([n, -np.sum(n * a, axis=1)]),
+                simplices=simplices)
 
 
 def empirical_cdf(samples, x):

@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 from scipy.spatial import HalfspaceIntersection, QhullError
 
-from hullsim import dynamics, harness
+from hullsim import dynamics, geometry, harness
 from hullsim.geometry import (
     Ball,
     Box,
@@ -34,8 +35,8 @@ from hullsim.geometry import (
     row_norms,
     support,
 )
-from reference import (boundary_points, brute_force_hull_distance, full_cloud_hull, nothing_outside,
-                       reference_project)
+from reference import (boundary_points, brute_force_hull_distance, canonical_spatial_hull, full_cloud_hull,
+                       nothing_outside, reference_project)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -532,7 +533,8 @@ class TestAgainstLinearProgram:
 
 
 def run_snippet(config: str, overrides: dict) -> str:
-    path = str(SRC.parent / "configs" / config)
+    """A run of the config at this path from the repository root."""
+    path = str(SRC.parent / config)
     return f"from hullsim import harness\nharness.run_experiment(harness.load_config({path!r}, {overrides!r}))"
 
 
@@ -542,30 +544,42 @@ SCIPY_SNIPPETS = [
     ("import hullsim", set()),
     (
         run_snippet(
-            "e1_interval_rate.cfg",
+            "configs/e1_interval_rate.cfg",
             {**SMALL, "diagnostics.step_bound": "true", "diagnostics.hitting": "true"},
         ),
         set(),
     ),
-    (run_snippet("e3_shrinking_ball.cfg", SMALL), set()),
+    (run_snippet("configs/e3_shrinking_ball.cfg", SMALL), set()),
     (
         run_snippet(
-            "e4_square_hpoly.cfg",
+            "configs/e4_square_hpoly.cfg",
             {**SMALL, "diagnostics.step_bound": "true", "diagnostics.hitting": "true"},
         ),
+        set(),
+    ),
+    (run_snippet("hullbench/ball3d_state_sigma.cfg", SMALL), set()),
+    (
+        "import numpy as np\nfrom hullsim.geometry import convex_hull\n"
+        "convex_hull(np.random.default_rng(0).standard_normal((50, 3)))",
         set(),
     ),
     (
         "import numpy as np\nfrom hullsim.geometry import convex_hull\n"
-        "convex_hull(np.random.default_rng(0).standard_normal((50, 3)))",
+        "convex_hull(np.random.default_rng(0).integers(-2, 3, (50, 3)).astype(float))",
+        {"scipy.spatial"},
+    ),
+    (
+        "import numpy as np\nfrom hullsim.geometry import convex_hull\n"
+        "convex_hull(np.random.default_rng(0).standard_normal((50, 4)))",
         {"scipy.spatial"},
     ),
 ]
 
 
 def test_import_leaves_out_the_lp_solver():
-    """No snippet loads scipy.optimize; 1D and 2D runs load no scipy (the monotone chain
-    builds their hulls), a 3D hull loads qhull."""
+    """No snippet loads scipy.optimize. 1D, 2D and 3D runs load no scipy: the monotone
+    chain and the Python quickhull build their hulls. A 3D lattice, which the quickhull
+    refuses, and a 4D hull load qhull."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     report = "import sys; print(*(m for m in sys.modules if m.startswith('scipy')))"
     for snippet, wanted in SCIPY_SNIPPETS:
@@ -925,6 +939,147 @@ class TestPlanarHullCandidates:
         calls = qhull_inputs(monkeypatch)
         assert_same_hull(convex_hull(cloud), expected)
         assert calls == [(48, "Qt Qc"), (2000, "QJ")]  # the 24 corners and the 24 midpoints
+
+
+def spatial_cloud(family: str, n: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if family == "gaussian":
+        return rng.standard_normal((n, 3))
+    if family == "sphere":
+        cloud = rng.standard_normal((n, 3))
+        return cloud / row_norms(cloud)[:, None]
+    if family == "ball-clipped":  # ball3d's copies on the unit sphere: about 43% of them
+        cloud = rng.standard_normal((n, 3)) * 0.6
+        norms = row_norms(cloud)[:, None]
+        return np.where(norms > 1.0, cloud / norms, cloud)
+    # thin: widths 1e-13 to 1e-5, rotated
+    rotation = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    return (rng.standard_normal((n, 3)) * [1.0, 1.0, 10 ** rng.uniform(-13, -5)]) @ rotation
+
+
+def spatial_probes(cloud: np.ndarray) -> np.ndarray:
+    """The 26 auto probes of the ball about the origin through the cloud's farthest point, and
+    of the ball 1.5625 times as large: at 0.8 and 1.25 of the cloud's radius."""
+    radius = float(row_norms(cloud).max())
+    return np.vstack([harness.default_probes(Ball(np.zeros(3), radius * scale)) for scale in (1.0, 1.5625)])
+
+
+def certified(cloud: np.ndarray) -> bool:
+    return geometry._certified_spatial_hull(cloud) is not None
+
+
+class TestSpatialHull:
+    """A 3D hull that the Python quickhull, or qhull above QUICKHULL_MAX_POINTS candidates,
+    certifies has the canonical arrays of the whole cloud's hull; a cloud it refuses goes
+    to qhull whole and keeps qhull's arrays."""
+
+    @pytest.mark.parametrize("n", [200, 2000, 20_000])
+    @pytest.mark.parametrize("family", ["gaussian", "sphere", "ball-clipped", "thin"])
+    def test_matches_the_whole_cloud_bit_for_bit(self, family, n):
+        for seed in range(3):
+            cloud = spatial_cloud(family, n, seed)
+            hull = convex_hull(cloud)
+            assert family == "thin" or certified(cloud)
+            expected = canonical_spatial_hull(cloud) if certified(cloud) else full_cloud_hull(cloud)
+            assert_same_hull(hull, expected)
+            probes = spatial_probes(cloud)
+            assert_same_bits(distance_to_hull(hull, probes), distance_to_hull(expected, probes))
+
+    def test_ball3d_node_clouds_need_no_qhull(self, monkeypatch):
+        # hullbench's ball3d-state-sigma node-20 clouds, replication 0, with its 26 auto probes
+        plan = harness.plan_experiment(harness.load_config(SRC.parent / "hullbench" / "ball3d_state_sigma.cfg"))
+        for n in (200, 2000, 20_000):
+            seed = dynamics.derive_seed(plan.config.seed, n, 0)
+            cloud = dynamics.simulate_ensemble(plan.model, plan.mf, plan.grid, n, seed, nodes=[20]).at(20)
+            expected = canonical_spatial_hull(cloud)
+            with monkeypatch.context() as patch:
+                calls = qhull_inputs(patch)
+                hull = convex_hull(cloud)
+            assert calls == []
+            assert_same_hull(hull, expected)
+            assert_same_bits(distance_to_hull(hull, plan.probes), distance_to_hull(expected, plan.probes))
+
+    @given(
+        family=st.sampled_from(["gaussian", "sphere", "ball-clipped"]),
+        n=st.one_of(st.integers(4, 64), st.integers(1000, 20_000)),
+        seed=st.integers(0, 2**32 - 1),
+        order=st.sampled_from("FC"),
+        drop=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_is_a_function_of_the_vertex_set(self, family, n, seed, order, drop):
+        # any order of the cloud, less any of its strictly interior points, gives the same arrays
+        cloud = spatial_cloud(family, n, seed)
+        assert certified(cloud)
+        expected = convex_hull(np.asarray(cloud, order=order))
+        v, s = expected.vertices, expected.simplices
+        assert np.all(np.lexsort(v.T[::-1]) == np.arange(len(v)))
+        assert np.all(s[:, :-1] < s[:, 1:]) and np.all(np.lexsort(s.T[::-1]) == np.arange(len(s)))
+        heights = cloud @ expected.equations[:, :3].T + expected.equations[:, 3]
+        rng = np.random.default_rng(seed)
+        rest = cloud[~(np.all(heights < -1e-9, axis=1) & (rng.uniform(size=n) < drop))]
+        assert_same_hull(convex_hull(np.asarray(rest[rng.permutation(len(rest))], order=order)), expected)
+
+    @pytest.mark.parametrize("family", ["gaussian", "sphere", "ball-clipped"])
+    def test_both_builders_give_the_same_bits(self, family, monkeypatch):
+        # QUICKHULL_MAX_POINTS only picks the builder: qhull on the candidates, or the Python quickhull
+        for n in (200, 2000) if family == "sphere" else (200, 2000, 20_000):
+            cloud = spatial_cloud(family, n, 1)
+            with monkeypatch.context() as patch:
+                calls = qhull_inputs(patch)
+                patch.setattr(geometry, "QUICKHULL_MAX_POINTS", 0)
+                by_qhull = convex_hull(cloud)
+                patch.setattr(geometry, "QUICKHULL_MAX_POINTS", 10**9)
+                by_python = convex_hull(cloud)
+            assert len(calls) == 1 and calls[0][0] <= n
+            assert_same_hull(by_python, by_qhull)
+
+    def test_coplanar_triangles_are_refused(self):
+        # qhull merges each face of the cube and splits it into two triangles: the edge
+        # check refuses them, while the octahedron's triangles are certified
+        cube = np.array(list(itertools.product([-1.0, 1.0], repeat=3)))
+        assert geometry._spatial_hull(cube, scipy.spatial.ConvexHull(cube, qhull_options="Qt").simplices) is None
+        octahedron = np.vstack([np.eye(3), -np.eye(3)])
+        hull = geometry._spatial_hull(octahedron, scipy.spatial.ConvexHull(octahedron).simplices)
+        assert_same_hull(hull, canonical_spatial_hull(octahedron))
+
+    @pytest.mark.parametrize(
+        "case", ["lattice 2", "lattice 4", "lattice 20", "box-clipped", "repeated vertex", "coplanar",
+                 "collinear", "tiny", "huge"],
+    )
+    def test_a_refused_cloud_reaches_qhull_whole(self, case, monkeypatch):
+        rng = np.random.default_rng(7)
+        cloud = rng.standard_normal((300, 3))
+        if case.startswith("lattice"):  # integer points in [-r, r]^3
+            r = int(case.split()[1])
+            cloud = rng.integers(-r, r + 1, (300, 3)).astype(float)
+        elif case == "box-clipped":  # copies on the faces of a box
+            cloud = np.clip(cloud * 0.6, -1.0, 1.0)
+        elif case == "repeated vertex":
+            cloud = np.vstack([cloud, cloud[np.argmax(cloud[:, 0])]])
+        elif case == "coplanar":
+            cloud[:, 2] = 0.5
+        elif case == "collinear":
+            cloud = np.outer(cloud[:, 0], [1.0, -2.0, 0.5])
+        elif case in ("tiny", "huge"):
+            cloud *= 1e-150 if case == "tiny" else 1e150
+        expected = full_cloud_hull(cloud)
+        calls = qhull_inputs(monkeypatch)
+        assert_same_hull(convex_hull(cloud), expected)
+        assert calls == [(len(cloud), "Qt Qc")]
+
+    def test_matches_the_whole_cloud_at_every_scale(self):
+        # 40 Gaussian points at scales 1e-320 to 1e308: certified from 1e-76, where the
+        # normals' squared lengths leave the subnormals, to 1e74, below M_x + M_y + M_z = 2**250
+        for k in range(-320, 309, 2):
+            for seed in range(3):
+                with np.errstate(over="ignore"):
+                    cloud = np.random.default_rng(seed).standard_normal((40, 3)) * 10.0**k
+                if not np.all(np.isfinite(cloud)):
+                    continue
+                assert certified(cloud) == (-76 <= k <= 74)
+                expected = canonical_spatial_hull(cloud) if certified(cloud) else full_cloud_hull(cloud)
+                assert_same_hull(convex_hull(cloud), expected)
 
 
 class TestHullDistance:
