@@ -6,7 +6,8 @@ hull's Hausdorff error in dimension one, per-probe hull distances otherwise).
 Each (N, replication) unit simulates one ensemble and scores its hull; units
 share no state. Quantiles and a log-log rate fit aggregate the rows, and a CSV
 plus a JSON report are emitted. Every ensemble seed derives from (master seed,
-N, replication), so a run is deterministic given its config.
+N, replication), so a run is deterministic given its config. A diagnostic is a
+diagnostics.<name> key, a DIAGNOSTICS entry and its observer's entries(N).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import os
 import time
 import warnings
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -48,10 +49,10 @@ class ConfigError(ValueError):
 
 @contextmanager
 def _as_config_error(context: str = ""):
-    """Re-raise model and geometry errors as ConfigError."""
+    """Re-raise model, geometry and oracle errors as ConfigError."""
     try:
         yield
-    except (dynamics.ModelError, geometry.GeometryError) as exc:
+    except (dynamics.ModelError, geometry.GeometryError, oracle.OracleError) as exc:
         raise ConfigError(f"{context}: {exc}" if context else str(exc)) from exc
 
 
@@ -190,6 +191,14 @@ SCHEMA = tuple(
 # (dynamics.MODELS, dynamics.BODIES); the value is parsed by _param.
 PARAMS = {"model": "model_params", "mf": "mf_params"}
 _KEYS = {key for key, *_ in SCHEMA}
+# config key diagnostics.<name> -> from the model, body family, grid and check probes, what makes
+# replication 0's step observer from the unit's oracle.ProbeDistances; None where it does not apply
+DIAGNOSTICS = {
+    "diagnostics.step_bound": lambda model, mf, grid, probes: partial(
+        oracle.StepBoundCheck, model, grid.delta, constants=oracle.step_bound_constants(model, mf, grid, probes)),
+    "diagnostics.hitting": lambda model, mf, grid, probes: (  # needs m > 1
+        partial(oracle.HittingCount, steps=grid.steps) if model.dim > 1 else None),
+}
 
 
 def build_model(config: ExperimentConfig) -> dynamics.SdeModel:
@@ -334,15 +343,15 @@ class Plan(NamedTuple):
     probes: np.ndarray | None  # None in dimension one
     nodes: list[int]  # the nodes every unit keeps, ascending
     error: Callable  # (hull, j, N) -> a (probe_index, error, scaled_error) per row
-    checks: dict  # diagnostics key -> what makes replication 0's step observer (oracle)
-    check_probes: np.ndarray  # the checks' probes: a unit's observers share one ProbeDistances of them
+    checks: dict  # diagnostic name -> what makes replication 0's step observer, for those on that apply
+    check_probes: np.ndarray | None  # their probes, a unit's observers sharing one ProbeDistances; None when none is on
 
 
 class Unit(NamedTuple):
     """What run_unit returns for one (N, replication) unit."""
 
     rows: list[ErrorRow]
-    diagnostics: dict  # "step_bound" and "hitting" entries, empty unless the replication is 0
+    diagnostics: dict  # every DIAGNOSTICS name -> its observer's entries(N), empty unless it ran (replication 0)
     phases: dict  # seconds spent simulating, estimating and on diagnostics
     seconds: float  # wall seconds
 
@@ -354,19 +363,17 @@ def plan_experiment(config: ExperimentConfig) -> Plan:
     mf = build_multifunction(config)
     grid = dynamics.TimeGrid(horizon=config.horizon, steps=config.steps)
     probes = None if model.dim == 1 else resolve_probes(config, mf, grid)
-    checks = {}
-    if probes is None:
+    on = [key for key, field, *_ in SCHEMA if key in DIAGNOSTICS and getattr(config, field)]
+    check_probes, checks = None, {}
+    if on and probes is None:
         check_probes = _interval_probes(*dynamics.bodies_at_nodes(mf, grid)[1:])
-    else:  # auto: the ring in the last step end's body, which every body family keeps inside the others
+    elif on:  # auto: the ring in the last step end's body, which every body family keeps inside the others
         check_probes = probes if config.probes is not None else default_probes(mf(grid.node(grid.steps)))
-    if config.run_step_bound:
-        try:
-            constants = oracle.step_bound_constants(model, mf, grid, check_probes)
-        except oracle.OracleError as exc:
-            raise ConfigError(f"diagnostics.step_bound: {exc}") from exc
-        checks["step_bound"] = partial(oracle.StepBoundCheck, model, grid.delta, constants=constants)
-    if config.run_hitting and probes is not None:  # the hitting check needs m > 1
-        checks["hitting"] = partial(oracle.HittingCount, steps=grid.steps)
+    for key in on:
+        with _as_config_error(key):
+            make = DIAGNOSTICS[key](model, mf, grid, check_probes)
+        if make is not None:
+            checks[key.removeprefix("diagnostics.")] = make
     error = (partial(_interval_errors, {j: mf(grid.node(j)) for j in config.j_indices}) if probes is None
              else partial(_probe_errors, probes))
     return Plan(config, model, mf, grid, probes, sorted(config.j_indices), error, checks, check_probes)
@@ -407,12 +414,8 @@ def run_unit(plan: Plan, n: int, r: int, then: tuple[int, int] | None = None) ->
             geometry.ProjectionSolverError, estimation.EstimationError) as exc:
         where = f"N={n}, replication={r}" + (f", j={j}" if j else "")
         raise RuntimeError(f"experiment aborted at {where}: {exc}") from exc
-    diagnostics = {"step_bound": [], "hitting": []}
-    if "step_bound" in checks:
-        diagnostics["step_bound"] = [{"N": n, **_plain(asdict(checks["step_bound"].report()))}]
-    if "hitting" in checks:
-        hits = checks["hitting"].report()
-        diagnostics["hitting"] = [{"N": n, "probe_index": p, **_plain(asdict(hit))} for p, hit in enumerate(hits)]
+    diagnostics = {key.removeprefix("diagnostics."): [] for key in DIAGNOSTICS}
+    diagnostics.update((name, _plain(check.entries(n))) for name, check in checks.items())
     t3 = time.perf_counter()
     phases = {"simulate": t1 - t0 - timed.seconds, "estimate": t2 - t1, "diagnostics": timed.seconds + t3 - t2}
     return Unit(rows, diagnostics, phases, t3 - t0)

@@ -3,15 +3,16 @@
 The per-step growth-bound checker with its two constants, and the
 hitting-frequency counts. Each is a step observer (StepBoundCheck,
 HittingCount) that reads the steps as simulate_ensemble makes them, since no
-ensemble keeps its pre-projection points or increments. Both read their
-probe distances from one ProbeDistances, which computes each step's once.
-step1_bound_check and hitting_frequency check their inputs, simulate an
+ensemble keeps its pre-projection points or increments, and whose entries(N)
+are its report.json entries. Both read their probe distances from one
+ProbeDistances, which computes each step's once. harness.DIAGNOSTICS declares
+them. step1_bound_check and hitting_frequency check their inputs, simulate an
 ensemble with the observer and return its report.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -233,6 +234,9 @@ class StepBoundCheck:
             m_c=self.constants.m_c,
         )
 
+    def entries(self, n: int) -> list[dict]:
+        return [{"N": n, **asdict(self.report())}]
+
 
 def step1_bound_check(
     model: SdeModel,
@@ -320,6 +324,9 @@ class HittingCount:
             HittingReport(probe=probe, radius=self.radius, n_copies=self.n_copies, hits_per_node=row)
             for probe, row in zip(self.probes, self.hits)
         ]
+
+    def entries(self, n: int) -> list[dict]:
+        return [{"N": n, "probe_index": p, **asdict(hit)} for p, hit in enumerate(self.report())]
 
 
 def hitting_frequency(

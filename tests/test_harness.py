@@ -273,6 +273,9 @@ class TestSchema:
             "diagnostics.step_bound", "diagnostics.hitting",
         ]
 
+    def test_diagnostics_are_the_schema_diagnostics_keys_in_order(self):
+        assert list(harness.DIAGNOSTICS) == [key for key, *_ in SCHEMA if key.startswith("diagnostics.")]
+
     def test_absent_label_is_experiment_in_a_file_and_a_construction(self):
         flat = parse_config_text(CONFIG_TEXT)
         del flat["label"]
@@ -766,6 +769,42 @@ class TestRunUnit:
         assert list(plan.checks) == ["step_bound", "hitting"]
         assert plan.nodes == [5, 10] and len(plan.probes) == 8
 
+    @pytest.mark.parametrize("dims", [1, 2])
+    def test_no_diagnostic_builds_no_check_probes(self, monkeypatch, dims):
+        # without a diagnostic the plan builds neither the 1D check probes nor a second
+        # auto ring: default_probes runs once, for the error probes
+        calls = []
+
+        def counting(name):
+            function = getattr(harness, name)
+            monkeypatch.setattr(harness, name, lambda *args: calls.append(name) or function(*args))
+
+        counting("_interval_probes")
+        counting("default_probes")
+        plan = harness.plan_experiment(dataclasses.replace(self.config(dims), run_step_bound=False, run_hitting=False))
+        assert plan.checks == {} and plan.check_probes is None
+        assert calls == ([] if dims == 1 else ["default_probes"])
+
+    def test_hitting_alone_in_1d_builds_no_probe_distances(self, monkeypatch):
+        # the hitting check needs m > 1, so replication 0 of a 1D run observes nothing
+        made = []
+        monkeypatch.setattr(oracle, "ProbeDistances", made.append)
+        plan = harness.plan_experiment(dataclasses.replace(self.config(1), run_step_bound=False))
+        unit = harness.run_unit(plan, 20, 0)
+        assert plan.checks == {} and made == []
+        assert unit.diagnostics == {"step_bound": [], "hitting": []}
+
+    @pytest.mark.parametrize("dims", [1, 2])
+    @pytest.mark.parametrize("on", [(), ("step_bound",), ("hitting",), ("step_bound", "hitting")])
+    def test_report_lists_every_diagnostic_in_table_order(self, tmp_path, dims, on):
+        config = dataclasses.replace(self.config(dims), n_grid=[20, 40, 80], replications=1,
+                                     run_step_bound="step_bound" in on, run_hitting="hitting" in on)
+        emit_report(run_experiment(config), tmp_path, ("json",))
+        diagnostics = json.loads((tmp_path / "report.json").read_text())["diagnostics"]
+        assert list(diagnostics) == ["step_bound", "hitting"]
+        ran = [name for name in on if dims > 1 or name != "hitting"]
+        assert [name for name, entries in diagnostics.items() if entries] == ran
+
     def test_a_failing_unit_is_one_runtime_error_line(self, monkeypatch):
         def capped(estimate, x):
             raise geometry.ProjectionSolverError("min-norm-point solver exceeded its iteration cap", residual=0.25)
@@ -981,6 +1020,8 @@ class TestCli:
             ("ball", "model.kind", "levy"),
             ("interval", "diagnostics.keep_h", "true"),  # removed key
             ("interval", "diagnostics.hitting_radius", "0.1"),  # removed key
+            ("interval", "diagnostics.step_bound", "maybe"),
+            ("ball", "diagnostics.hitting", "2"),
             ("interval", "", "1"),  # the line " = 1" has an empty key
             # coordinates whose squares overflow: no numpy warning, one error line
             ("ball", "x0", "1e300 1e300"),
@@ -1004,6 +1045,12 @@ class TestCli:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "Traceback" not in err
         assert not out.exists()
+        assert err == self.EXACT_ERRORS.get((key, value), err)
+
+    EXACT_ERRORS = {
+        ("diagnostics.step_bound", "maybe"): "error: diagnostics.step_bound: expected a boolean, got 'maybe'\n",
+        ("diagnostics.hitting", "2"): "error: diagnostics.hitting: expected a boolean, got '2'\n",
+    }
 
     def test_overflowing_drift_is_one_runtime_error_line(self, tmp_path, capsys):
         # theta = 1e300 flings every copy off the unit ball by about 1e299, a
