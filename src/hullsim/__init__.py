@@ -14,7 +14,6 @@ from .geometry import (
     contains,
     convex_hull,
     distance_to_body,
-    distance_to_hull,
     min_norm_point_distance,
     norm_bound,
     project,

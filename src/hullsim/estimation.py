@@ -6,14 +6,14 @@ In one dimension its error against the known interval is the Hausdorff
 distance, the larger hull distance of the interval's two ends, valid because
 the estimate is always contained in the truth; in higher dimension the
 estimate is judged pointwise, by the distances from a batch of fixed probes to
-the hull in one distance_to_hull call.
+the hull in one distance_to_body call, as a Hull is a body.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .geometry import ConvexBody, Hull, contains, convex_hull, distance_to_hull
+from .geometry import ConvexBody, Hull, contains, convex_hull, distance_to_body
 from .dynamics import ModelError, PathEnsemble
 
 
@@ -35,7 +35,7 @@ def hull_estimate(ensemble: PathEnsemble, j: int) -> Hull:
 
 def hausdorff_error_1d(hull: Hull, truth: ConvexBody) -> float:
     """Hausdorff distance from the hull to the one-dimensional truth: the larger
-    distance_to_hull of the truth's two ends, so never negative.
+    distance_to_body of the truth's two ends, so never negative.
 
     Valid because the estimate is contained in the truth; a generator outside
     it (contains is false) signals an upstream containment bug and is rejected
@@ -48,11 +48,11 @@ def hausdorff_error_1d(hull: Hull, truth: ConvexBody) -> float:
         lower, upper = hull.vertices[[0, -1], 0].tolist()
         lo, hi = ends.ravel().tolist()
         raise EstimationError(f"estimate [{lower}, {upper}] escapes [{lo}, {hi}]")
-    return float(distance_to_hull(hull, ends).max())
+    return float(distance_to_body(hull, ends).max())
 
 
 def pointwise_error(hull: Hull, x) -> np.ndarray | float:
     """Distance from a fixed point (m,), or from each of a batch (k, m), to the
     estimated hull."""
-    return distance_to_hull(hull, x)
+    return distance_to_body(hull, x)
 

@@ -1,13 +1,15 @@
 """Convex bodies, projections, support functions, hulls, and point-to-set distances.
 
-Bodies come in three variants: box (an interval is the box with one
-coordinate), ball and H-polytope, which lists its vertices at construction
-and needs no LP solver. All point arguments are numpy arrays whose last axis
-is the space dimension, so every projection is batch-friendly: shape (..., m)
-in, shape (..., m) out, in the input's memory order. A ball or H-polytope
-batch with no point outside comes back as the input array itself, not a copy;
-otherwise only the points outside are written, on a copy. Callers must not
-write into a projection's result, since it may be their input.
+Bodies come in four variants: box (an interval is the box with one
+coordinate), ball, H-polytope, which lists its vertices at construction and
+needs no LP solver, and Hull, the convex hull of a finite cloud (a body's
+estimate), whose nearest points and distances come from one kernel. All
+point arguments are numpy arrays whose last axis is the space dimension, so
+every projection is batch-friendly: shape (..., m) in, shape (..., m) out,
+in the input's memory order. A ball or H-polytope batch with no point
+outside comes back as the input array itself, not a copy; otherwise only the
+points outside are written, on a copy. Callers must not write into a
+projection's result, since it may be their input.
 Ensembles hand over coordinate-major (F-ordered) (N, m) batches, so per-point
 work runs on whole coordinate columns (row_norms and the H-polytope screen and
 margin), with its loops along the N points, never along the m <= 3
@@ -81,8 +83,15 @@ def row_norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(_row_squares(a))
 
 
+def _flat(x: np.ndarray, dim: int) -> tuple[np.ndarray, str]:
+    """x as a (k, dim) batch, a view in x's memory order, and that order, which
+    reshapes a result of the batch back to x's leading axes in x's order."""
+    order = "F" if np.isfortran(x) else "C"
+    return x.reshape(-1, dim, order=order), order
+
+
 class ConvexBody:
-    """Base class for closed bounded convex sets with nonempty interior."""
+    """Base class for closed bounded convex sets (with nonempty interior, but for a flat Hull)."""
 
     dim: int
 
@@ -93,6 +102,11 @@ class ConvexBody:
         so the result is read, never written.
         """
         raise NotImplementedError
+
+    def distance(self, x: np.ndarray) -> np.ndarray:
+        """Euclidean distance from each row of x to the body, ||x - project(x)||; zero inside."""
+        x = _check_points(x, self.dim)
+        return row_norms(x - self.project(x))
 
     def support(self, u: np.ndarray) -> float:
         raise NotImplementedError
@@ -273,8 +287,7 @@ class HPolytope(ConvexBody):
         normals (the square) the bound is the extreme coordinate: exact.
         """
         x = _check_points(x, self.dim)
-        order = "F" if np.isfortran(x) else "C"  # so flat is a view of x and out keeps x's order
-        flat = x.reshape(-1, self.dim, order=order)
+        flat, order = _flat(x, self.dim)  # out keeps x's order
         if not len(flat) or (self._box_bound(flat) <= self.offsets).all():
             return x
         slack = self._face_values(flat)
@@ -319,8 +332,7 @@ class HPolytope(ConvexBody):
 
     def interior_margin(self, x):
         x = _check_points(x, self.dim)
-        order = "F" if np.isfortran(x) else "C"  # as in project: the margins keep x's order
-        flat = x.reshape(-1, self.dim, order=order)
+        flat, order = _flat(x, self.dim)  # as in project: the margins keep x's order
         margins = self._face_values(flat)  # becomes (offsets - values) / row norms in place
         np.subtract(self.offsets[:, None], margins, out=margins)
         margins /= self._row_norms[:, None]
@@ -367,9 +379,8 @@ def project(body: ConvexBody, x) -> np.ndarray:
 
 
 def distance_to_body(body: ConvexBody, x) -> np.ndarray | float:
-    """Euclidean distance from x to the body; zero inside."""
-    x = _check_points(x, body.dim)
-    d = row_norms(x - body.project(x))
+    """Euclidean distance from x to the body, body.distance(x); zero inside, a float for one point."""
+    d = body.distance(x)
     return float(d) if d.ndim == 0 else d
 
 
@@ -423,7 +434,7 @@ def chebyshev_center(body: ConvexBody) -> tuple[np.ndarray, float]:
 
 
 @dataclass(frozen=True, eq=False)
-class Hull:
+class Hull(ConvexBody):
     """Convex hull of a finite point cloud; the cloud itself is not kept.
 
     vertices, shape (k, m), are the extreme points. For m = 1 they are the
@@ -448,12 +459,56 @@ class Hull:
     simplices are None for m = 1 and for a degenerate cloud, one that spans
     less than m dimensions (fewer than m + 1 distinct points, collinear,
     coplanar); convex_hull says which vertices it keeps.
+
+    As a body, project(x) is a nearest hull point and distance(x) the distance,
+    each row of a batch with the bits it gets alone, both from one kernel,
+    _nearest, which says how each case is solved. They are exact for m <= 3
+    (x itself and 0.0 inside), but for a flat 3D cloud; there and for m >= 4
+    they are Frank-Wolfe's, whose distance is within HULL_TOL while its point
+    can sit about 1e-5 from the nearest one, and which can run out of its
+    MIN_NORM_MAX_ITER iterations on a point on the boundary
+    (ProjectionSolverError): project is not idempotent there. distance is the
+    kernel's, not ||x - project(x)||, whose rounding differs. interior_margin
+    is min(x - min, max - x) for m = 1, -distance for a flat cloud and else
+    -max_f (n_f @ x + b_f) over the facet equations, negative exactly where the
+    distance is positive. support(u) is max(vertices @ u), and bounding_box
+    the vertices' min and max.
     """
 
     dim: int
     vertices: np.ndarray
     equations: np.ndarray | None = None
     simplices: np.ndarray | None = None
+
+    def project(self, x):
+        x = _check_points(x, self.dim)
+        flat, order = _flat(x, self.dim)
+        return _nearest(self, flat)[1].reshape(x.shape, order=order)
+
+    def distance(self, x):
+        x = _check_points(x, self.dim)
+        flat, order = _flat(x, self.dim)
+        return _nearest(self, flat)[0].reshape(x.shape[:-1], order=order)
+
+    def support(self, u):
+        u = _check_direction(u, self.dim)
+        return float(np.max(self.vertices @ u))
+
+    def interior_margin(self, x):
+        x = _check_points(x, self.dim)
+        if self.dim == 1:
+            return np.minimum(x - self.vertices[0], self.vertices[-1] - x).min(axis=-1)
+        if self.equations is None:
+            return -self.distance(x)
+        flat, order = _flat(x, self.dim)
+        return -self._heights(flat).max(axis=1).reshape(x.shape[:-1], order=order)
+
+    def bounding_box(self):
+        return self.vertices.min(axis=0), self.vertices.max(axis=0)
+
+    def _heights(self, flat: np.ndarray) -> np.ndarray:
+        """n_f @ x + b_f for each row x of flat and each facet f, shape (k, f), by _dot."""
+        return _dot(flat[:, None, :], self.equations[:, :-1]) + self.equations[:, -1]
 
 
 def convex_hull(points) -> Hull:
@@ -512,7 +567,7 @@ def convex_hull(points) -> Hull:
         return Hull(dim=m, vertices=uniq)
     hull = _qhull_hull(cands, qhull)
     coplanar = cands[qhull.coplanar[:, 0]]
-    if coplanar.size and np.any(distance_to_hull(hull, coplanar) > HULL_TOL):
+    if coplanar.size and np.any(hull.distance(coplanar) > HULL_TOL):
         # facet merging of a thin cloud left a generator outside: joggle the input instead
         hull = _qhull_hull(pts, ConvexHull(pts, qhull_options="QJ"))
     return hull
@@ -851,36 +906,71 @@ def _qhull_hull(pts: np.ndarray, qhull: ConvexHull) -> Hull:
     return Hull(dim=m, vertices=pts[qhull.vertices], equations=qhull.equations, simplices=index[qhull.simplices])
 
 
-def distance_to_hull(hull: Hull, x, tol: float = HULL_TOL) -> np.ndarray | float:
-    """Distance from x to the convex hull; exactly 0.0 inside.
+def _nearest(hull: Hull, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distance from each row of pts, shape (k, m), to the hull, exactly 0.0
+    inside, and a nearest hull point in pts' memory order; each row bit for bit
+    what it gets alone.
 
-    x is one point (m,), giving a float, or a batch (k, m), giving k
-    distances; each distance is the one x[i] alone would give, bit for bit.
-    Exact in dimension one (interval), for a flat 2D cloud (a point or a
-    segment) and for full hulls in m = 2 and 3 (nearest point over the
-    facets a point is above). For m >= 4, and for a flat cloud in m >= 3,
-    each point outside is solved by the min-norm-point scheme over the hull
-    vertices to absolute accuracy tol.
+    m = 1 is a clip, and a flat 2D cloud (a point or a segment) its segment
+    foot a + t (b - a). In a full hull with m = 2 or 3 a point is outside iff
+    it is above some facet, and its nearest hull point then lies on a facet it
+    is above: the distance is the least over those facets (a 2D edge's, or a 3D
+    triangle's plane height where the plane foot x - h n falls inside it, else
+    its nearest edge's), and the foot is x - h n where that falls inside the
+    facet (0 < t < 1 on a 2D edge), else the edge foot. For m >= 4, and for a
+    flat cloud in m >= 3, each point outside is solved by _min_norm_point over
+    the vertices to absolute accuracy HULL_TOL, and its foot is the last iterate.
     """
-    if not tol > 0:
-        raise GeometryError("hull distance tolerance must be positive")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    m = hull.dim
-    if x.ndim > 2 or x.shape[-1] != m:
-        raise GeometryError(f"query must have shape ({m},) or (k, {m}), got {x.shape}")
-    if not np.all(np.isfinite(x)):
+    if not np.all(np.isfinite(pts)):
         raise GeometryError("query points must be finite")
-    pts = x.reshape(-1, m)
+    m, vertices = hull.dim, hull.vertices
     if m == 1:
-        lo, hi = hull.vertices[0, 0], hull.vertices[-1, 0]
+        lo, hi = vertices[0, 0], vertices[-1, 0]
         d = np.maximum(np.maximum(lo - pts[:, 0], pts[:, 0] - hi), 0.0)
-    elif hull.equations is None and m == 2:  # one point or one segment
-        d = _segment_distances(hull.vertices[0], hull.vertices[-1], pts)
-    elif hull.equations is None:
-        d = np.array([min_norm_point_distance(hull.vertices, p, tol) for p in pts])
+        return d, np.clip(pts, lo, hi)
+    if hull.equations is None and m == 2:  # one point or one segment
+        return _segment_nearest(vertices[0], vertices[-1], pts)[:2]
+    d, foot = np.zeros(len(pts)), pts.copy(order="K")
+    if hull.equations is None:  # a flat cloud in m >= 3: every point is solved
+        rows = np.arange(len(pts))
     else:
-        d = _facet_distances(hull, pts, tol)
-    return float(d[0]) if x.ndim == 1 else d
+        heights = hull._heights(pts)
+        rows, facets = np.nonzero(heights > 0)
+    if not rows.size:  # no point outside
+        return d, foot
+    if m > 3 or hull.equations is None:
+        for i in np.unique(rows):
+            d[i], foot[i] = _min_norm_point(vertices, pts[i], HULL_TOL, MIN_NORM_MAX_ITER)
+        return d, foot
+    x, corners = pts[rows], vertices[hull.simplices[facets]]
+    h = heights[rows, facets]
+    plane = x - h[:, None] * hull.equations[facets, :-1]  # the foot on the facet's line or plane
+    # edges run from corner k to corner k + 1 (mod m); a 2D facet has just one
+    n_edges = 1 if m == 2 else 3
+    starts, ends = corners[:, :n_edges], np.roll(corners, -1, axis=1)[:, :n_edges]
+    dists, feet, t = _segment_nearest(starts, ends, x[:, None, :])
+    pair = np.arange(len(rows)), dists.argmin(axis=1)
+    dist, near = dists[pair], feet[pair]
+    if m == 2:  # inside the edge, the plane foot: for an axis-aligned edge, HPolytope's bits
+        near = np.where(((t[pair] > 0) & (t[pair] < 1))[:, None], plane, near)
+    else:
+        a, b, c = corners[:, 0], corners[:, 1], corners[:, 2]
+        e0, e1, rel = b - a, c - a, plane - a
+        d00, d01, d11 = _dot(e0, e0), _dot(e0, e1), _dot(e1, e1)
+        d20, d21 = _dot(rel, e0), _dot(rel, e1)
+        # a zero-area facet gives NaN: its plane foot is never inside
+        with np.errstate(divide="ignore", invalid="ignore"):
+            denom = d00 * d11 - d01 * d01
+            v = (d11 * d20 - d01 * d21) / denom
+            w = (d00 * d21 - d01 * d20) / denom
+            inside = (v >= 0) & (w >= 0) & (v + w <= 1)  # inf + -inf is NaN too
+        near = np.where((inside & (h < dist))[:, None], plane, near)
+        dist = np.where(inside, np.minimum(dist, h), dist)
+    d[rows] = np.inf
+    np.minimum.at(d, rows, dist)
+    least = dist == d[rows]
+    foot[rows[least]] = near[least]
+    return d, foot
 
 
 def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -893,66 +983,24 @@ def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
-def _segment_distances(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Distance from x to the segment [a, b], row-wise; if a == b, to a."""
+def _segment_nearest(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distance from x to the segment [a, b], row-wise, the nearest point a + t (b - a)
+    and its t in [0, 1]; if a == b, a and t = 0."""
     ab = b - a
     length2 = _dot(ab, ab)
     with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 where a == b
         t = np.clip(_dot(x - a, ab) / length2, 0.0, 1.0)
     t = np.where(length2 == 0, 0.0, t)
-    off = x - (a + t[..., None] * ab)
-    return np.sqrt(_dot(off, off))
-
-
-def _facet_distances(hull: Hull, pts: np.ndarray, tol: float) -> np.ndarray:
-    """Distances from pts, shape (k, m), to a full-dimensional hull.
-
-    A point is outside iff it is above some facet, and its nearest hull
-    point then lies on a facet it is above: its distance is the least over
-    those facets. A 2D facet is its one edge; a 3D facet is the plane height
-    where the plane foot falls inside the triangle and else its nearest edge.
-    m >= 4 runs the min-norm-point scheme for each point outside.
-    """
-    m = hull.dim
-    normals, offsets = hull.equations[:, :-1], hull.equations[:, -1]
-    heights = _dot(pts[:, None, :], normals) + offsets
-    rows, facets = np.nonzero(heights > 0)
-    d = np.zeros(len(pts))
-    if m > 3:
-        for i in np.unique(rows):
-            d[i] = min_norm_point_distance(hull.vertices, pts[i], tol)
-        return d
-    x, corners = pts[rows], hull.vertices[hull.simplices[facets]]
-    # edges run from corner k to corner k + 1 (mod m); a 2D facet has just one
-    n_edges = 1 if m == 2 else 3
-    starts, ends = corners[:, :n_edges], np.roll(corners, -1, axis=1)[:, :n_edges]
-    dist = _segment_distances(starts, ends, x[:, None, :]).min(axis=1)
-    if m == 3:
-        h = heights[rows, facets]
-        a, b, c = corners[:, 0], corners[:, 1], corners[:, 2]
-        e0, e1, rel = b - a, c - a, x - h[:, None] * normals[facets] - a
-        d00, d01, d11 = _dot(e0, e0), _dot(e0, e1), _dot(e1, e1)
-        d20, d21 = _dot(rel, e0), _dot(rel, e1)
-        # a zero-area facet gives NaN: its plane foot is never inside
-        with np.errstate(divide="ignore", invalid="ignore"):
-            denom = d00 * d11 - d01 * d01
-            v = (d11 * d20 - d01 * d21) / denom
-            w = (d00 * d21 - d01 * d20) / denom
-            inside = (v >= 0) & (w >= 0) & (v + w <= 1)  # inf + -inf is NaN too
-        dist = np.where(inside, np.minimum(dist, h), dist)
-    d[rows] = np.inf
-    np.minimum.at(d, rows, dist)
-    return d
+    foot = a + t[..., None] * ab
+    off = x - foot
+    return np.sqrt(_dot(off, off)), foot, t
 
 
 def min_norm_point_distance(
     points, x, tol: float = HULL_TOL, max_iter: int = MIN_NORM_MAX_ITER
 ) -> float:
-    """Distance from x to conv(points) by Frank-Wolfe with away steps.
+    """Distance from x to conv(points) by Frank-Wolfe with away steps: _min_norm_point's distance.
 
-    Minimizes ||x - V @ w||^2 over the simplex of generator weights with exact
-    line search. It returns ||r|| = ||V @ w - x|| once ||r|| <= tol or the
-    duality gap is <= tol * ||r||: ||r||^2 - d^2 <= gap, so ||r|| - d <= tol.
     A gradient 2 V @ r that overflows float64 is a GeometryError.
     """
     V = np.asarray(points, dtype=float)
@@ -963,6 +1011,18 @@ def min_norm_point_distance(
         raise GeometryError("generators must be (p, m) and the query point (m,)")
     if not tol > 0:
         raise GeometryError("tolerance must be positive")
+    return _min_norm_point(V, x, tol, max_iter)[0]
+
+
+def _min_norm_point(V: np.ndarray, x: np.ndarray, tol: float, max_iter: int) -> tuple[float, np.ndarray]:
+    """||r|| = ||y - x|| and the point y = V @ w of conv(V), shape (p, m), that
+    Frank-Wolfe with away steps ends at.
+
+    Minimizes ||x - V @ w||^2 over the simplex of generator weights with exact
+    line search. It stops once ||r|| <= tol or the duality gap is <= tol * ||r||:
+    ||r||^2 - d^2 <= gap, so ||r|| - d <= tol. y is only within sqrt(gap) of the
+    nearest point, as ||y - nearest||^2 <= ||r||^2 - d^2: far more than tol.
+    """
     p = V.shape[0]
 
     start = int(np.argmin(np.linalg.norm(V - x, axis=1)))
@@ -979,7 +1039,7 @@ def min_norm_point_distance(
         gap = mean_grad - grad[s]
         dist = float(np.linalg.norm(r))
         if dist <= tol or gap <= tol * dist:
-            return dist
+            return dist, y
         if not math.isfinite(gap):  # 2 V @ r overflowed: every step test below would read NaN
             raise GeometryError("min-norm-point gradient is not finite: the generators or the query are too large")
 
@@ -988,12 +1048,12 @@ def min_norm_point_distance(
         if gap >= grad[a] - mean_grad:  # toward V[s], whose gain is gap, at most all the way
             k, sign, direction, gamma_max = s, 1.0, V[s] - y, 1.0
         elif w[a] >= 1.0:  # single-vertex support, nothing to move away from
-            return dist
+            return dist, y
         else:  # away from V[a], at most until its weight is zero
             k, sign, direction, gamma_max = a, -1.0, y - V[a], w[a] / (1.0 - w[a])
         denom = float(direction @ direction)
         if denom == 0.0:
-            return dist
+            return dist, y
         gamma = sign * min(max(-float(r @ direction) / denom, 0.0), gamma_max)
         w *= 1.0 - gamma  # toward: (1 - gamma) w + gamma e_s; away: (1 + gamma) w - gamma e_a
         w[k] += gamma

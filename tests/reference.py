@@ -22,7 +22,7 @@ from scipy.special import ndtr
 from hullsim.dynamics import SdeModel, diffusion_at
 from hullsim.estimation import EstimationError
 from hullsim.geometry import (HULL_TOL, Ball, Box, ConvexBody, HPolytope, Hull, Interval, _qhull_hull,
-                              _row_squares, distance_to_hull, row_norms)
+                              _row_squares, distance_to_body, row_norms)
 from hullsim.oracle import BoundCheckReport, HittingReport, OracleError, StepConstants
 
 
@@ -175,7 +175,7 @@ def full_cloud_hull(points) -> Hull:
         return Hull(dim=m, vertices=uniq)
     hull = _qhull_hull(pts, qhull)
     coplanar = pts[qhull.coplanar[:, 0]]
-    if coplanar.size and np.any(distance_to_hull(hull, coplanar) > HULL_TOL):
+    if coplanar.size and np.any(distance_to_body(hull, coplanar) > HULL_TOL):
         hull = _qhull_hull(pts, ConvexHull(pts, qhull_options="QJ"))
     return hull
 

@@ -25,7 +25,7 @@ from hullsim.geometry import (
     Interval,
     contains,
     convex_hull,
-    distance_to_hull,
+    distance_to_body,
     min_norm_point_distance,
     project,
 )
@@ -79,7 +79,9 @@ def strictly_decreasing(seq):
 def test_criterion_1_geometry_property_suite():
     """10^4 randomized (body, point) cases per variant: idempotence,
     nonexpansiveness, variational inequality within 1e-9; grid-oracle
-    agreement within 2 * resolution * sqrt(m). Under 30 s."""
+    agreement within 2 * resolution * sqrt(m). The hull variant: 8000 cases
+    each in 2D and 3D, with its 2D distances against the pair-segment oracle.
+    Under 30 s."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(2024)
     cases_per_variant = 10_000
@@ -120,10 +122,35 @@ def test_criterion_1_geometry_property_suite():
             if name in ("interval", "box"):
                 assert np.linalg.norm(exact - approx) <= tol, name
 
+    # the hull variant: 80 hulls of 1 to 30 Gaussian points in 2D (a point or a
+    # horizontal segment in one of five) and 80 of 4 to 30 in 3D, where the kernel
+    # is exact; a flat 3D cloud and m >= 4 run Frank-Wolfe, whose point is not
+    # idempotent on the boundary (see Hull). The variational inequality is linear
+    # in the hull point, so checking it at the vertices covers the hull.
+    for m in (2, 3):
+        for b in range(80):
+            pts = rng.standard_normal((int(rng.integers(1 if m == 2 else 4, 31)), m))
+            if m == 2 and b % 5 == 4:
+                pts[:, 1] = rng.uniform(-1, 1)
+            body = convex_hull(pts)
+            x = rng.uniform(-4, 4, size=(pts_per_body, m))
+            y = rng.uniform(-4, 4, size=(pts_per_body, m))
+            p = project(body, x)
+            q = project(body, y)
+            assert np.max(np.abs(project(body, p) - p)) <= 1e-9, m
+            gap = np.sqrt(((p - q) ** 2).sum(axis=1)) - np.sqrt(((x - y) ** 2).sum(axis=1))
+            assert np.max(gap) <= 1e-9, m
+            assert np.all(contains(body, p, tol=1e-9)), m
+            inner = (body.vertices - p[:, None, :]) @ (x - p)[:, :, None]
+            assert np.max(inner) <= 1e-9, m
+            if m == 2:
+                for i in range(0, pts_per_body, 10):
+                    assert abs(distance_to_body(body, x[i]) - brute_force_hull_distance(pts, x[i])) <= 1e-9
+
     elapsed = time.perf_counter() - t0
     assert elapsed < 30
-    print(f"ACCEPTANCE 1 PASS: 4x10^4 projection property cases + 400 grid-oracle "
-          f"cases in {elapsed:.1f}s")
+    print(f"ACCEPTANCE 1 PASS: 4x10^4 projection property cases + 1.6x10^4 hull cases + 400 "
+          f"grid-oracle cases in {elapsed:.1f}s")
 
 
 def test_criterion_2_hull_distance_oracle_equivalence():
@@ -139,7 +166,7 @@ def test_criterion_2_hull_distance_oracle_equivalence():
             x = rng.uniform(-4, 4, size=2)
             reference = brute_force_hull_distance(pts, x)
             solver = min_norm_point_distance(pts, x, tol=1e-7)
-            polygon = distance_to_hull(hull, x)
+            polygon = distance_to_body(hull, x)
             worst = max(worst, abs(solver - reference), abs(polygon - reference))
             assert abs(solver - reference) <= 1e-6
             assert abs(polygon - reference) <= 1e-6

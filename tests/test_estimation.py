@@ -20,7 +20,7 @@ from hullsim.estimation import (
     hull_estimate,
     pointwise_error,
 )
-from hullsim.geometry import Ball, Hull, Interval, convex_hull, distance_to_hull
+from hullsim.geometry import Ball, Hull, Interval, convex_hull, distance_to_body
 from reference import gaussian_cdf, projected_cdf
 
 BALL3D_CONFIG = Path(__file__).resolve().parent.parent / "hullbench" / "ball3d_state_sigma.cfg"
@@ -112,7 +112,7 @@ class TestHullEstimate:
         small = hull_estimate(make_1d_ensemble(n_copies=50, seed=9), 10)
         large = hull_estimate(make_1d_ensemble(n_copies=200, seed=9), 10)
         for v in small.vertices:
-            assert distance_to_hull(large, v) <= 1e-12
+            assert distance_to_body(large, v) <= 1e-12
 
 
 def segment(lower, upper):

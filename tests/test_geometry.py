@@ -19,6 +19,7 @@ from hullsim.geometry import (
     Box,
     ConvexBody,
     GEOM_TOL,
+    HULL_TOL,
     MAX_FACE_SETS,
     GeometryError,
     HPolytope,
@@ -28,7 +29,6 @@ from hullsim.geometry import (
     contains,
     convex_hull,
     distance_to_body,
-    distance_to_hull,
     min_norm_point_distance,
     norm_bound,
     project,
@@ -178,6 +178,8 @@ class TestMemoryOrder:
             np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]), np.ones(4)
         ),
         "tilted": tilted_polygon(),
+        "hull2d": convex_hull(np.random.default_rng(8).standard_normal((40, 2))),
+        "hull3d": convex_hull(np.random.default_rng(9).standard_normal((40, 3))),
     }
 
     @pytest.fixture(params=sorted(bodies))
@@ -195,20 +197,20 @@ class TestMemoryOrder:
         moved = np.any(out != f, axis=1)
         assert 0 < np.count_nonzero(moved) < len(f)  # points on both sides of the boundary
 
-    @pytest.mark.parametrize("name", ["interval", "box", "ball", "square", "tilted"])
+    @pytest.mark.parametrize("name", ["interval", "box", "ball", "square", "tilted", "hull2d", "hull3d"])
     def test_project_a_batch_of_batches(self, name):
         # every body keeps the order past two axes too, the H-polytopes (square,
-        # tilted) included
+        # tilted) and hulls included
         body = self.bodies[name]
         x = np.random.default_rng(6).uniform(-1.6, 1.6, size=(20, 50, body.dim))
         out = project(body, np.asfortranarray(x))
         assert out.flags.f_contiguous
         np.testing.assert_array_equal(out, project(body, x.reshape(-1, body.dim)).reshape(x.shape))
 
-    @pytest.mark.parametrize("body", [Box(-np.ones(2), np.ones(2)), Ball(np.zeros(2), 1.0), bodies["square"]],
-                             ids=["box", "ball", "square"])
+    @pytest.mark.parametrize("body", [Box(-np.ones(2), np.ones(2)), Ball(np.zeros(2), 1.0), bodies["square"],
+                                      bodies["hull2d"]], ids=["box", "ball", "square", "hull2d"])
     def test_interior_margin_of_a_batch_of_batches(self, body):
-        # the margins of an F-ordered (4, 5, 2) batch keep its order, the H-polytope's too
+        # the margins of an F-ordered (4, 5, 2) batch keep its order, the H-polytope's and hull's too
         x = np.random.default_rng(7).uniform(-2.0, 2.0, size=(4, 5, 2))
         margins = body.interior_margin(np.asfortranarray(x))
         assert margins.shape == (4, 5) and margins.flags.f_contiguous
@@ -642,7 +644,7 @@ class TestConvexHull:
         np.testing.assert_allclose(np.linalg.norm(hull.equations[:, :3], axis=1), 1.0)
         assert hull.simplices.shape == (hull.equations.shape[0], 3)
         for p in pts:
-            assert distance_to_hull(hull, p) == 0.0
+            assert distance_to_body(hull, p) == 0.0
 
     @pytest.mark.parametrize(
         "pts, ends",
@@ -658,7 +660,7 @@ class TestConvexHull:
         np.testing.assert_array_equal(hull.vertices, ends)
         assert hull.equations is None and hull.simplices is None
         for p in pts:
-            assert distance_to_hull(hull, np.array(p, dtype=float)) == 0.0
+            assert distance_to_body(hull, np.array(p, dtype=float)) == 0.0
 
     @pytest.mark.parametrize(
         "pts, query, expected",
@@ -676,10 +678,10 @@ class TestConvexHull:
         hull = convex_hull(pts)
         assert hull.equations is None and hull.simplices is None
         np.testing.assert_array_equal(hull.vertices, np.unique(pts, axis=0))
-        d = distance_to_hull(hull, np.array(query, dtype=float), tol=1e-9)
+        d = distance_to_body(hull, np.array(query, dtype=float))
         assert d == pytest.approx(expected, abs=1e-8)
         for p in pts:
-            assert distance_to_hull(hull, p) <= 1e-12
+            assert distance_to_body(hull, p) <= 1e-12
 
     @given(
         st.lists(
@@ -696,7 +698,7 @@ class TestConvexHull:
         pts = np.array(pts, dtype=float)
         hull = convex_hull(pts)
         for p in pts:
-            assert distance_to_hull(hull, p, tol=1e-7) <= 1e-6
+            assert distance_to_body(hull, p) <= 1e-6
 
     @given(
         st.lists(
@@ -716,7 +718,7 @@ class TestConvexHull:
         pts = np.array(pts, dtype=float)
         hull = convex_hull(pts)
         for p in pts:
-            assert distance_to_hull(hull, p, tol=1e-7) <= 1e-6
+            assert distance_to_body(hull, p) <= 1e-6
 
     def test_thin_spatial_cloud_keeps_its_generators(self):
         # qhull's default facet merging leaves (48, 0, 0) 1.04e-6 outside the hull
@@ -724,7 +726,7 @@ class TestConvexHull:
         pts = np.array([(0, 0, 1), (0, 27, -8.29e-184), (0, -2.68e-4, 1e-10),
                         (48, 0, 0), (61, 0, 0), (-42, 8.27e-6, 0)], dtype=float)
         hull = convex_hull(pts)
-        assert np.all(distance_to_hull(hull, pts, tol=1e-7) <= 1e-6)
+        assert np.all(distance_to_body(hull, pts) <= 1e-6)
 
 
 def bent_polygon(seed: int, n: int) -> np.ndarray:
@@ -832,7 +834,7 @@ class TestPlanarHullCandidates:
         hull, expected = convex_hull(cloud), full_cloud_hull(cloud)
         assert_same_hull(hull, expected)
         probes = hull_probes(cloud, seed)
-        assert_same_bits(distance_to_hull(hull, probes), distance_to_hull(expected, probes))
+        assert_same_bits(distance_to_body(hull, probes), distance_to_body(expected, probes))
 
     @given(
         n=st.one_of(st.integers(3, 64), st.integers(1000, 20_000)),
@@ -848,7 +850,7 @@ class TestPlanarHullCandidates:
         assert sorted(map(tuple, hull.vertices)) == sorted(map(tuple, expected.vertices))
         assert_same_hull(hull, expected)
         probes = hull_probes(cloud, seed)[:20]  # off the lattice
-        assert_same_bits(distance_to_hull(hull, probes), distance_to_hull(expected, probes))
+        assert_same_bits(distance_to_body(hull, probes), distance_to_body(expected, probes))
 
     # "bent" is left out: its hull is rebuilt from joggled input, and QJ's joggle depends on input order
     @given(
@@ -983,7 +985,7 @@ class TestSpatialHull:
             expected = canonical_spatial_hull(cloud) if certified(cloud) else full_cloud_hull(cloud)
             assert_same_hull(hull, expected)
             probes = spatial_probes(cloud)
-            assert_same_bits(distance_to_hull(hull, probes), distance_to_hull(expected, probes))
+            assert_same_bits(distance_to_body(hull, probes), distance_to_body(expected, probes))
 
     def test_ball3d_node_clouds_need_no_qhull(self, monkeypatch):
         # hullbench's ball3d-state-sigma node-20 clouds, replication 0, with its 26 auto probes
@@ -997,7 +999,7 @@ class TestSpatialHull:
                 hull = convex_hull(cloud)
             assert calls == []
             assert_same_hull(hull, expected)
-            assert_same_bits(distance_to_hull(hull, plan.probes), distance_to_hull(expected, plan.probes))
+            assert_same_bits(distance_to_body(hull, plan.probes), distance_to_body(expected, plan.probes))
 
     @given(
         family=st.sampled_from(["gaussian", "sphere", "ball-clipped"]),
@@ -1015,9 +1017,12 @@ class TestSpatialHull:
         v, s = expected.vertices, expected.simplices
         assert np.all(np.lexsort(v.T[::-1]) == np.arange(len(v)))
         assert np.all(s[:, :-1] < s[:, 1:]) and np.all(np.lexsort(s.T[::-1]) == np.arange(len(s)))
-        heights = cloud @ expected.equations[:, :3].T + expected.equations[:, 3]
+        # the largest facet height per point, 256 points at a time: a sphere cloud's hull has
+        # about 2n facets, and all n x 2n heights at once take 6.4 GB at n = 20 000
+        top = np.concatenate([(cloud[i:i + 256] @ expected.equations[:, :3].T + expected.equations[:, 3]).max(axis=1)
+                              for i in range(0, n, 256)])
         rng = np.random.default_rng(seed)
-        rest = cloud[~(np.all(heights < -1e-9, axis=1) & (rng.uniform(size=n) < drop))]
+        rest = cloud[~((top < -1e-9) & (rng.uniform(size=n) < drop))]
         assert_same_hull(convex_hull(np.asarray(rest[rng.permutation(len(rest))], order=order)), expected)
 
     @pytest.mark.parametrize("family", ["gaussian", "sphere", "ball-clipped"])
@@ -1085,25 +1090,20 @@ class TestSpatialHull:
 class TestHullDistance:
     def test_point_inside_1d(self):
         hull = convex_hull(np.array([-0.7, 0.3]))
-        assert distance_to_hull(hull, np.array([0.0])) == 0.0
+        assert distance_to_body(hull, np.array([0.0])) == 0.0
 
     def test_triangle_outside_corner(self):
         hull = convex_hull(np.array([[0, 0], [1, 0], [0, 1]], dtype=float))
-        d = distance_to_hull(hull, np.array([1.0, 1.0]))
+        d = distance_to_body(hull, np.array([1.0, 1.0]))
         assert d == pytest.approx(np.sqrt(2) / 2, abs=1e-9)
 
     def test_square_interior(self):
         hull = convex_hull(np.array([[1, 1], [-1, 1], [-1, -1], [1, -1]], dtype=float))
-        assert distance_to_hull(hull, np.zeros(2)) == 0.0
+        assert distance_to_body(hull, np.zeros(2)) == 0.0
 
     def test_singleton(self):
         hull = convex_hull(np.array([[1.0, 2.0]]))
-        assert distance_to_hull(hull, np.array([4.0, 6.0])) == pytest.approx(5.0)
-
-    def test_bad_tolerance(self):
-        hull = convex_hull(np.array([[0.0, 0.0]]))
-        with pytest.raises(GeometryError):
-            distance_to_hull(hull, np.zeros(2), tol=0.0)
+        assert distance_to_body(hull, np.array([4.0, 6.0])) == pytest.approx(5.0)
 
     def test_solver_takes_values_on_the_line(self):
         assert min_norm_point_distance(np.array([0.0, 1.0, 0.5]), 3.0) == 2.0
@@ -1147,7 +1147,7 @@ class TestHullDistance:
         corners = np.array([[i, j, k] for i in (0, 1) for j in (0, 1) for k in (0, 1)], dtype=float)
         hull = convex_hull(np.vstack([corners, [[0.5, 0.5, 0.5], [0.2, 0.9, 0.4]]]))
         assert hull.vertices.shape == (8, 3)
-        d = distance_to_hull(hull, np.array(query))
+        d = distance_to_body(hull, np.array(query))
         if expected == 0.0:
             assert d == 0.0
         else:
@@ -1159,7 +1159,7 @@ class TestHullDistance:
             pts = rng.standard_normal((int(rng.integers(4, 31)), 3))
             hull = convex_hull(pts)
             x = rng.uniform(-3, 3, size=3)
-            exact = distance_to_hull(hull, x)
+            exact = distance_to_body(hull, x)
             assert abs(exact - min_norm_point_distance(pts, x, tol=1e-9)) <= 1e-9 + 1e-12
 
     def test_solver_stops_above_rounding(self):
@@ -1169,7 +1169,7 @@ class TestHullDistance:
         for _ in range(7):
             pts = rng.standard_normal((int(rng.integers(4, 31)), 3))
             x = rng.uniform(-3, 3, size=3)
-        exact = distance_to_hull(convex_hull(pts), x)
+        exact = distance_to_body(convex_hull(pts), x)
         assert exact == pytest.approx(2.1735, abs=1e-4)
         assert abs(min_norm_point_distance(pts, x, tol=1e-9) - exact) <= 1e-9
         # an interior probe ends once the residual itself is below tol
@@ -1181,8 +1181,8 @@ class TestHullDistance:
         )
         hull = convex_hull(np.vstack([corners, np.full((1, 4), 0.5)]))
         assert hull.vertices.shape == (16, 4)
-        assert distance_to_hull(hull, np.full(4, 0.25)) == 0.0
-        assert distance_to_hull(hull, np.array([2.0, 0.5, 0.5, 0.5])) == pytest.approx(1.0, abs=1e-6)
+        assert distance_to_body(hull, np.full(4, 0.25)) == 0.0
+        assert distance_to_body(hull, np.array([2.0, 0.5, 0.5, 0.5])) == pytest.approx(1.0, abs=1e-6)
 
     def test_solver_in_three_dimensions(self):
         # distance from a point above a tetrahedron face computed two ways
@@ -1234,6 +1234,62 @@ class TestHullDistance:
         assert np.isfinite(info.value.residual) and info.value.residual > 0
 
 
+class TestHullAsBody:
+    """A Hull is a ConvexBody: project, distance, support, interior_margin and bounding_box."""
+
+    def test_e4_square_projects_with_the_hpolytope_bits(self):
+        # e4's square (mf.kind = constant_square_hpoly, half_width 1) as half-spaces and as the
+        # hull of its corners: inside an edge the hull's foot is x - h n, the face-set projector's
+        square = HPolytope(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]), np.ones(4))
+        hull = convex_hull(np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]]))
+        x = np.random.default_rng(10).standard_normal((10_000, 2)) * 1.5
+        assert isinstance(hull, ConvexBody)
+        assert project(hull, x).tobytes() == project(square, x).tobytes()
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_projection_matches_the_hpolytope_of_its_facets(self, m):
+        # polygons on 3 to 12 jittered, evenly spread directions, and jittered octahedra (8
+        # facets): no facet pair is near parallel. On a thin Gaussian triangle the H-polytope
+        # of the facet equations is itself ill-conditioned: its foot lands 2.5e-12 off the
+        # vertex, whose distance the hull gets exactly (the pair-segment oracle's)
+        rng = np.random.default_rng(m)
+        for _ in range(30):
+            if m == 2:
+                k = int(rng.integers(3, 13))
+                angles = (np.arange(k) + rng.uniform(-0.3, 0.3, k)) * (2 * np.pi / k)
+                cloud = np.column_stack([np.cos(angles), np.sin(angles)]) * rng.uniform(0.5, 2, (k, 1))
+            else:
+                cloud = np.vstack([np.eye(3), -np.eye(3)]) * rng.uniform(0.5, 2, (6, 1)) + rng.uniform(-0.2, 0.2, (6, 3))
+            hull = convex_hull(cloud + rng.uniform(-1, 1, m))
+            assert len(hull.equations) <= 12
+            poly = HPolytope(hull.equations[:, :-1], -hull.equations[:, -1])
+            x = rng.uniform(-4, 4, (300, m))
+            np.testing.assert_allclose(project(hull, x), project(poly, x), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(hull.interior_margin(x), poly.interior_margin(x), rtol=0, atol=1e-12)
+            for u in rng.standard_normal((5, m)):
+                assert support(hull, u) == pytest.approx(support(poly, u), abs=1e-12)
+
+    def test_body_operations(self):
+        rng = np.random.default_rng(11)
+        hull = convex_hull(rng.standard_normal((30, 3)))
+        lo, hi = hull.bounding_box()
+        np.testing.assert_array_equal(lo, hull.vertices.min(axis=0))
+        np.testing.assert_array_equal(hi, hull.vertices.max(axis=0))
+        assert norm_bound(hull) == np.sqrt(np.sum(np.maximum(lo**2, hi**2)))
+        assert np.all(contains(hull, hull.vertices)) and not contains(hull, hi + 1.0)
+        x = rng.uniform(-3, 3, (500, 3))
+        # the margin and the distance read the same facet heights: outside means both
+        np.testing.assert_array_equal(hull.interior_margin(x) < 0, distance_to_body(hull, x) > 0)
+
+    def test_interior_margin_of_a_line_and_a_flat_hull(self):
+        line = convex_hull(np.array([-0.5, 0.25, 1.0]))
+        np.testing.assert_array_equal(line.interior_margin(np.array([[0.0], [2.0], [-1.0]])), [0.5, -1.0, -0.5])
+        segment = convex_hull(np.array([[0.0, 0.0], [2.0, 0.0]]))
+        q = np.array([[1.0, 1.0], [3.0, 0.0], [1.0, 0.0]])
+        np.testing.assert_array_equal(segment.interior_margin(q), -distance_to_body(segment, q))
+        np.testing.assert_array_equal(project(segment, q), [[1.0, 0.0], [2.0, 0.0], [1.0, 0.0]])
+
+
 def _hull_queries(pts: np.ndarray, rng) -> np.ndarray:
     """Points inside, on the boundary (generators, midpoints, a hair outside
     a generator) and outside a cloud."""
@@ -1268,19 +1324,29 @@ class TestBatchedHullDistance:
     def test_each_row_equals_its_single_query(self, pts):
         hull = convex_hull(pts)
         queries = _hull_queries(pts, np.random.default_rng(5))
-        batch = distance_to_hull(hull, queries)
-        singles = [distance_to_hull(hull, q) for q in queries]
+        batch = distance_to_body(hull, queries)
+        singles = [distance_to_body(hull, q) for q in queries]
         assert batch.shape == (len(queries),)
         assert all(isinstance(d, float) for d in singles)
         assert batch.tobytes() == np.array(singles).tobytes()
         assert batch[0] <= 1e-7 < batch[-1]  # inside (Frank-Wolfe: to tol), outside
-        assert distance_to_hull(hull, queries[:0]).shape == (0,)
+        assert distance_to_body(hull, queries[:0]).shape == (0,)
+        # the foot: each row its single query's, and as far from it as the distance says,
+        # up to rounding where the kernel is exact and to HULL_TOL where Frank-Wolfe runs
+        feet = hull.project(queries)
+        assert feet.shape == queries.shape
+        assert feet.tobytes() == np.array([hull.project(q) for q in queries]).tobytes()
+        frank_wolfe = hull.dim > 3 or (hull.dim == 3 and hull.equations is None)
+        assert np.max(np.abs(row_norms(queries - feet) - batch)) <= (HULL_TOL if frank_wolfe else 1e-12)
 
     @pytest.mark.parametrize("shape", [(4, 3), (4, 1), (2, 4, 2), (3,), ()])
     def test_query_shape_must_be_a_point_or_a_batch(self, shape):
         hull = convex_hull(np.array([[0, 0], [1, 0], [0, 1]], dtype=float))
+        if shape == (2, 4, 2):  # a batch of batches, as for every body
+            np.testing.assert_array_equal(distance_to_body(hull, np.zeros(shape)), np.zeros((2, 4)))
+            return
         with pytest.raises(GeometryError):
-            distance_to_hull(hull, np.zeros(shape))
+            distance_to_body(hull, np.zeros(shape))
 
     def test_planar_simplices_run_counterclockwise(self):
         rng = np.random.default_rng(6)
@@ -1313,9 +1379,9 @@ class TestNonFiniteHullInput:
         query = np.full(dim, 0.1)
         query[0] = np.nan
         with pytest.raises(GeometryError, match="finite"):
-            distance_to_hull(hull, query)
+            distance_to_body(hull, query)
         with pytest.raises(GeometryError, match="finite"):
-            distance_to_hull(hull, np.vstack([np.full(dim, 0.1), query]))
+            distance_to_body(hull, np.vstack([np.full(dim, 0.1), query]))
 
 
 class TestHelpers:
