@@ -14,10 +14,12 @@ Ensembles hand over coordinate-major (F-ordered) (N, m) batches, so per-point
 work runs on whole coordinate columns (row_norms and the H-polytope screen and
 margin), with its loops along the N points, never along the m <= 3
 coordinates, and a point's bits do not depend on its batch.
-A 2D hull is built by a monotone chain and a 3D hull of at most
-QUICKHULL_MAX_POINTS candidates by quickhull, both in plain Python floats;
-scipy's qhull is imported by the first hull they refuse or pass on, or with
-m >= 4, not with this module, so a run whose clouds they certify loads no scipy.
+A 2D hull is built by an exact monotone chain, floats with an exact integer
+fallback, so no 2D cloud needs scipy. A 3D hull of at most
+QUICKHULL_MAX_POINTS candidates is built by quickhull in plain Python floats;
+scipy's qhull is imported by the first 3D hull it refuses or passes on, or
+with m >= 4, not with this module, so a run whose 3D clouds it certifies
+loads no scipy.
 """
 
 from __future__ import annotations
@@ -438,16 +440,18 @@ class Hull(ConvexBody):
     """Convex hull of a finite point cloud; the cloud itself is not kept.
 
     vertices, shape (k, m), are the extreme points. For m = 1 they are the
-    min and max. For m = 2 the hull is built by Andrew's monotone chain and for
-    m = 3 by quickhull in Python floats or qhull where they can certify it, and
-    otherwise, as for m >= 4, by qhull (Quickhull: Barber, Dobkin & Huhdanpaa,
-    TOMS 1996). equations, shape (f, m + 1), holds one row [n, b] per facet with
-    unit outward normal n, so that n @ y + b <= 0 inside. simplices, shape
-    (f, m), indexes the vertices of each (triangulated) facet. In 2D the three
-    arrays depend on the vertex set alone, whichever builds them: the vertices
-    run counterclockwise from the lexicographically smallest, row i of
-    simplices is the edge (i, (i + 1) % k), and its equation is taken from
-    that edge e = v[i + 1] - v[i]: n = (e_y, -e_x) / |e|, b = -n @ v[i]. A
+    min and max. For m = 2 the hull is built by Andrew's monotone chain with
+    exact turns, and for m = 3 by quickhull in Python floats or qhull where
+    they can certify it, and otherwise, as for m >= 4, by qhull (Quickhull:
+    Barber, Dobkin & Huhdanpaa, TOMS 1996). equations, shape (f, m + 1), holds
+    one row [n, b] per facet with unit outward normal n, so that n @ y + b <= 0
+    inside. simplices, shape (f, m), indexes the vertices of each
+    (triangulated) facet. In 2D the three arrays depend on the vertex set
+    alone: the vertices, the strict extreme points with -0.0 read as 0.0, run
+    counterclockwise from the lexicographically smallest, row i of simplices
+    is the edge (i, (i + 1) % k), and its equation is taken from that edge
+    e = v[i + 1] - v[i]: n = (e_y, -e_x) / |e|, b = -n @ v[i], with e scaled
+    by 2**1022 first where both its coordinates are subnormal. A
     certified 3D hull's arrays depend on its vertex set alone too: the
     vertices in lexicographic order, each row of simplices sorted and the rows
     sorted, and each equation from its triangle's corners a, b, c in that
@@ -514,20 +518,17 @@ class Hull(ConvexBody):
 def convex_hull(points) -> Hull:
     """Hull of a (p, m) cloud, or of p values on the line; see Hull.
 
-    A 2D hull is built from _hull_candidates (about 30 of 20 000 points),
-    whose dropped points lie strictly inside, by _monotone_chain, whose
-    certified cycle gives the arrays qhull's would; a 2D cloud the chain
-    refuses goes to qhull as these candidates. A 3D hull is built by
-    _certified_spatial_hull from _spatial_candidates (61-205 of a ball3d
-    node-20 cloud of 20 000 points); a 3D cloud it refuses goes to qhull
-    whole, like every cloud with m >= 4. Where facet merging
-    leaves a point of a thin cloud more than HULL_TOL outside, the hull is
-    built again from the whole cloud joggled (qhull's QJ option),
-    which merges no facets; a thinned-out point is no farther outside than
-    some kept point, an octagon corner. A cloud qhull reports as flat is kept
-    as its distinct points, or in 2D as the segment between its extremes
-    along its principal axis (for collinear points: the lexicographically
-    first and last), all of the whole cloud.
+    A 2D hull is built by _monotone_chain, which decides every turn exactly,
+    from _hull_candidates (about 30 of 20 000 Gaussian points), whose dropped
+    points are no vertices: its cycle is the exact hull of the whole cloud,
+    and a collinear cloud is the segment between its lexicographically first
+    and last points. A 2D hull edge that overflows is a GeometryError. A 3D
+    hull is built by _certified_spatial_hull from _spatial_candidates (61-205
+    of a ball3d node-20 cloud of 20 000 points); a 3D cloud it refuses goes to
+    qhull whole, like every cloud with m >= 4. Where facet merging leaves a
+    point of a thin cloud more than HULL_TOL outside, the hull is built again
+    from the whole cloud joggled (qhull's QJ option), which merges no facets.
+    A cloud qhull reports as flat is kept as its distinct points.
     """
     pts = np.asarray(points, dtype=float)
     if pts.size == 0:
@@ -544,10 +545,8 @@ def convex_hull(points) -> Hull:
         lo, hi = float(vals.min()), float(vals.max())
         verts = np.array([[lo]]) if lo == hi else np.array([[lo], [hi]])
         return Hull(dim=1, vertices=verts)
-    cands = _hull_candidates(pts) if m == 2 else pts
-    cycle = _monotone_chain(cands) if m == 2 else None
-    if cycle is not None:
-        return _planar_hull(cycle)
+    if m == 2:
+        return _planar_hull(_monotone_chain(_hull_candidates(pts)))
     hull = _certified_spatial_hull(pts) if m == 3 else None
     if hull is not None:
         return hull
@@ -555,18 +554,11 @@ def convex_hull(points) -> Hull:
 
     try:
         # scipy's default options and Qc, which lists the points kept off the hull as coplanar
-        qhull = ConvexHull(cands, qhull_options="Qt Qc Qx" if m > 4 else "Qt Qc")
+        qhull = ConvexHull(pts, qhull_options="Qt Qc Qx" if m > 4 else "Qt Qc")
     except QhullError:  # the cloud is flat to qhull's precision
-        uniq = np.unique(pts, axis=0)  # lexicographic order
-        if m == 2 and len(uniq) > 2:
-            # the extremes along the principal axis; for collinear points
-            # these are the lexicographically first and last
-            axis = np.linalg.svd(uniq - uniq.mean(axis=0))[2][0]
-            along = uniq @ axis
-            uniq = uniq[np.sort([np.argmin(along), np.argmax(along)])]
-        return Hull(dim=m, vertices=uniq)
-    hull = _qhull_hull(cands, qhull)
-    coplanar = cands[qhull.coplanar[:, 0]]
+        return Hull(dim=m, vertices=np.unique(pts, axis=0))  # lexicographic order
+    hull = _qhull_hull(pts, qhull)
+    coplanar = pts[qhull.coplanar[:, 0]]
     if coplanar.size and np.any(hull.distance(coplanar) > HULL_TOL):
         # facet merging of a thin cloud left a generator outside: joggle the input instead
         hull = _qhull_hull(pts, ConvexHull(pts, qhull_options="QJ"))
@@ -578,15 +570,17 @@ _NEXT = np.roll(np.arange(8), -1)
 
 
 def _hull_candidates(pts: np.ndarray) -> np.ndarray:
-    """The points of a (p, 2) cloud, in input order, outside the octagon of its
-    extremes along +-x, +-y, +-(x + y), +-(x - y) (Akl & Toussaint, IPL 7, 1978).
+    """The points of a (p, 2) cloud, in input order, that may be hull vertices:
+    those not inside the octagon of its extremes along +-x, +-y, +-(x + y),
+    +-(x - y) (Akl & Toussaint, IPL 7, 1978).
 
     A point is dropped when its cross product with every edge e from corner v,
-    e x (q - v), exceeds _turn_margin: more than this test's and qhull's
-    rounding. It then winds inside the corners' polygon, strictly inside the
-    hull. The extremes, which set the chain's margin and qhull's precision,
-    stay. A NaN or an overflow keeps the point; a flat octagon keeps every
-    point.
+    e x (q - v), exceeds _turn_margin, more than this test's rounding: it then
+    winds inside the corners' polygon, strictly inside the hull. A point is
+    dropped too when it lies strictly between the ends of an axis-aligned
+    edge, by exact float comparisons: points on a box face. The extremes,
+    which set the chain's margin, stay. A NaN or an overflow keeps the point;
+    a flat octagon keeps every point.
     """
     x, y = pts[:, 0], pts[:, 1]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -594,11 +588,12 @@ def _hull_candidates(pts: np.ndarray) -> np.ndarray:
         lo, hi = [x.argmin(), y.argmin(), value.argmin()], [x.argmax(), y.argmax(), value.argmax()]
         np.subtract(x, y, out=value)
         corners = pts[np.array([*lo, value.argmin(), *hi, value.argmax()])[_CCW]]
-        edges = corners[_NEXT] - corners
+        ends = corners[_NEXT]
+        edges = ends - corners
         keep = edges.any(axis=1)  # a zero edge would fail every point
         if np.count_nonzero(keep) < 3:
             return pts
-        corners, edges = corners[keep], edges[keep]
+        corners, ends, edges = corners[keep], ends[keep], edges[keep]
         inward = edges[:, ::-1] * [-1.0, 1.0]  # e x (q - v) = inward @ (q - v)
         bound = (inward * corners).sum(axis=1)
         # the corners hold each coordinate's extremes; tiny covers rounding among subnormals
@@ -608,6 +603,11 @@ def _hull_candidates(pts: np.ndarray) -> np.ndarray:
             np.multiply(x, a, out=value)
             value += np.multiply(y, b, out=term)
             inside &= np.greater(value, limit, out=passed)
+    for (vx, vy), (wx, wy) in zip(corners.tolist(), ends.tolist()):
+        if vx == wx:
+            inside |= (x == vx) & (y > min(vy, wy)) & (y < max(vy, wy))
+        elif vy == wy:
+            inside |= (y == vy) & (x > min(vx, wx)) & (x < max(vx, wx))
     return pts[np.flatnonzero(~inside)]
 
 
@@ -619,49 +619,69 @@ def _turn_margin(edge_l1, magnitude):
     return edge_l1 * (magnitude * 64 * _EPS) + _TINY
 
 
-def _monotone_chain(pts: np.ndarray) -> list | None:
-    """The counterclockwise vertex cycle of a (p, 2) cloud from its lexicographically
-    smallest point (Andrew, IPL 9, 1979), or None where it cannot be sure of it.
+def _monotone_chain(pts: np.ndarray) -> list:
+    """The counterclockwise cycle of the strict extreme points of a (p, 2) cloud
+    from its lexicographically smallest point (Andrew, IPL 9, 1979); for a
+    collinear cloud its lexicographically first and last points, or its one
+    point.
 
-    Every turn it decides, a cross product in Python floats, must clear
-    _turn_margin, so each kept vertex turns strictly left and each dropped
-    point strictly right, whatever the rounding. It refuses a turn too close
-    to call (duplicate, collinear and lattice points), a NaN, fewer than 3
-    vertices and M_x + M_y >= 2**500: from Gaussian clouds at scale 1e153.4
-    on, qhull reports some flat that the chain would certify. On every cloud
-    it certifies that was tested, qhull keeps the same vertices, so the Hull
-    is the same.
+    Every turn is decided exactly, with Shewchuk's filter design (DCG 18,
+    1997): a cross product in Python floats whose magnitude clears
+    _turn_margin has the exact sign. A turn too close to call has three
+    points that share an x or a y, so collinear (a - b == 0 iff a == b in
+    IEEE floats), or is decided by _exact_cross. A repeated point goes
+    before the chain, and an exactly collinear point is popped.
     """
     magnitude = float(np.abs(pts).max(axis=0).sum())
-    if not magnitude < 2.0**500:
-        return None
-    ordered = pts[np.lexsort(pts.T[::-1])].tolist()
+    ordered = pts[np.lexsort(pts.T[::-1])]
+    distinct = np.ones(len(ordered), dtype=bool)
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=distinct[1:])
+    ordered = ordered[distinct].tolist()
     chains = []
     for run in (ordered, ordered[::-1]):  # the lower chain, then the upper one
         chain = []
-        for bx, by in run:
+        for b in run:
+            bx, by = b
             while len(chain) >= 2:
                 (ox, oy), (ax, ay) = chain[-2], chain[-1]
-                ex, ey = ax - ox, ay - oy
-                cross = ex * (by - oy) - ey * (bx - ox)
+                ex, ey, dx, dy = ax - ox, ay - oy, bx - ox, by - oy
+                cross = ex * dy - ey * dx
                 if not abs(cross) > _turn_margin(abs(ex) + abs(ey), magnitude):
-                    return None
+                    cross = 0 if ex == dx == 0 or ey == dy == 0 else _exact_cross(chain[-2], chain[-1], b)
                 if cross > 0:
                     break
                 chain.pop()
-            chain.append((bx, by))
+            chain.append(b)
         chains.append(chain[:-1])
     cycle = chains[0] + chains[1]
-    return cycle if len(cycle) >= 3 else None
+    return cycle if len(cycle) >= 3 else [ordered[0], ordered[-1]][:len(ordered)]
+
+
+def _exact_cross(o, a, b) -> int:
+    """(a - o) x (b - o) for points of Python floats, exactly: each coordinate is
+    an integer times one power of two, so with every coordinate scaled to the
+    largest denominator the cross product is a Python integer of its sign."""
+    ratios = [c.as_integer_ratio() for c in (*o, *a, *b)]
+    scale = max(d for _, d in ratios)
+    ox, oy, ax, ay, bx, by = (n * (scale // d) for n, d in ratios)
+    return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
 
 
 def _planar_hull(cycle) -> Hull:
-    """The 2D Hull of a counterclockwise vertex cycle, from its lexicographically smallest vertex."""
-    cycle = np.asarray(cycle, dtype=float)
-    k = len(cycle)
-    vertices = cycle[(np.arange(k) + np.lexsort(cycle.T[::-1])[0]) % k]
+    """The 2D Hull of _monotone_chain's cycle: flat for fewer than 3 points. An
+    edge that overflows is a GeometryError."""
+    vertices = np.asarray(cycle, dtype=float) + 0.0  # -0.0 reads as 0.0, whichever copy the cloud lists
+    k = len(vertices)
     simplices = np.column_stack([np.arange(k), np.arange(1, k + 1) % k])
-    (ax, ay), (ex, ey) = vertices.T, (vertices[simplices[:, 1]] - vertices).T
+    with np.errstate(over="ignore"):
+        edges = vertices[simplices[:, 1]] - vertices
+    if not np.isfinite(edges).all():
+        raise GeometryError("a 2D hull edge overflows: the cloud spans more than the largest float")
+    if k < 3:
+        return Hull(dim=2, vertices=vertices)
+    # an edge with both coordinates subnormal is scaled by 2**1022, exactly, so that hypot keeps every bit
+    edges[np.abs(edges).max(axis=1) < _TINY] *= 1 / _TINY
+    (ax, ay), (ex, ey) = vertices.T, edges.T
     length = np.hypot(ex, ey)
     nx, ny = ey / length, -ex / length
     equations = np.column_stack([nx, ny, -(nx * ax + ny * ay)])
@@ -897,13 +917,12 @@ def _spatial_hull(points: np.ndarray, triangles) -> Hull | None:
 
 
 def _qhull_hull(pts: np.ndarray, qhull: ConvexHull) -> Hull:
-    m = pts.shape[1]
-    if m == 2:
-        return _planar_hull(pts[qhull.vertices])
+    """The Hull of a (p, m) cloud, m >= 3, with qhull's arrays."""
     # renumber the facet corners from cloud indices to vertex indices
     index = np.empty(pts.shape[0], dtype=np.intp)
     index[qhull.vertices] = np.arange(qhull.vertices.size)
-    return Hull(dim=m, vertices=pts[qhull.vertices], equations=qhull.equations, simplices=index[qhull.simplices])
+    return Hull(dim=pts.shape[1], vertices=pts[qhull.vertices], equations=qhull.equations,
+                simplices=index[qhull.simplices])
 
 
 def _nearest(hull: Hull, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

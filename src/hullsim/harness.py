@@ -18,7 +18,7 @@ import time
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -191,11 +191,12 @@ SCHEMA = tuple(
 # (dynamics.MODELS, dynamics.BODIES); the value is parsed by _param.
 PARAMS = {"model": "model_params", "mf": "mf_params"}
 _KEYS = {key for key, *_ in SCHEMA}
-# config key diagnostics.<name> -> from the model, body family, grid and check probes, what makes
-# replication 0's step observer from the unit's oracle.ProbeDistances; None where it does not apply
+# config key diagnostics.<name> -> from the model, body family, grid and a function that returns the
+# check probes (built on the first call), what makes replication 0's step observer from the unit's
+# oracle.ProbeDistances; None where it does not apply
 DIAGNOSTICS = {
     "diagnostics.step_bound": lambda model, mf, grid, probes: partial(
-        oracle.StepBoundCheck, model, grid.delta, constants=oracle.step_bound_constants(model, mf, grid, probes)),
+        oracle.StepBoundCheck, model, grid.delta, constants=oracle.step_bound_constants(model, mf, grid, probes())),
     "diagnostics.hitting": lambda model, mf, grid, probes: (  # needs m > 1
         partial(oracle.HittingCount, steps=grid.steps) if model.dim > 1 else None),
 }
@@ -344,7 +345,7 @@ class Plan(NamedTuple):
     nodes: list[int]  # the nodes every unit keeps, ascending
     error: Callable  # (hull, j, N) -> a (probe_index, error, scaled_error) per row
     checks: dict  # diagnostic name -> what makes replication 0's step observer, for those on that apply
-    check_probes: np.ndarray | None  # their probes, a unit's observers sharing one ProbeDistances; None when none is on
+    check_probes: np.ndarray | None  # their probes, a unit's observers sharing one ProbeDistances; None without checks
 
 
 class Unit(NamedTuple):
@@ -363,20 +364,25 @@ def plan_experiment(config: ExperimentConfig) -> Plan:
     mf = build_multifunction(config)
     grid = dynamics.TimeGrid(horizon=config.horizon, steps=config.steps)
     probes = None if model.dim == 1 else resolve_probes(config, mf, grid)
-    on = [key for key, field, *_ in SCHEMA if key in DIAGNOSTICS and getattr(config, field)]
-    check_probes, checks = None, {}
-    if on and probes is None:
-        check_probes = _interval_probes(*dynamics.bodies_at_nodes(mf, grid)[1:])
-    elif on:  # auto: the ring in the last step end's body, which every body family keeps inside the others
-        check_probes = probes if config.probes is not None else default_probes(mf(grid.node(grid.steps)))
-    for key in on:
-        with _as_config_error(key):
-            make = DIAGNOSTICS[key](model, mf, grid, check_probes)
-        if make is not None:
-            checks[key.removeprefix("diagnostics.")] = make
+
+    @cache
+    def check_probes():
+        if probes is None:
+            return _interval_probes(*dynamics.bodies_at_nodes(mf, grid)[1:])
+        # auto: the ring in the last step end's body, which every body family keeps inside the others
+        return probes if config.probes is not None else default_probes(mf(grid.node(grid.steps)))
+
+    checks = {}
+    for key, field, *_ in SCHEMA:
+        if key in DIAGNOSTICS and getattr(config, field):
+            with _as_config_error(key):
+                make = DIAGNOSTICS[key](model, mf, grid, check_probes)
+            if make is not None:
+                checks[key.removeprefix("diagnostics.")] = make
     error = (partial(_interval_errors, {j: mf(grid.node(j)) for j in config.j_indices}) if probes is None
              else partial(_probe_errors, probes))
-    return Plan(config, model, mf, grid, probes, sorted(config.j_indices), error, checks, check_probes)
+    return Plan(config, model, mf, grid, probes, sorted(config.j_indices), error, checks,
+                check_probes() if checks else None)
 
 
 def _interval_errors(bodies: dict, hull, j: int, n: int) -> list[tuple]:

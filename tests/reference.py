@@ -5,8 +5,8 @@ projection, a planar hull distance from pairwise segments, empirical and
 Gaussian CDFs with the clamped CDF of acceptance criterion 3, an empirical
 check of a model's declared Lipschitz constants, a sampler of boundary
 points for the variational inequality of a projection, the hull of a whole
-cloud as qhull builds it with no candidate filter and its canonical 3D
-arrays, the projected Euler step as a plain sum with the screens that decide
+cloud as qhull builds it with no candidate filter, its canonical 3D arrays,
+an exact 2D hull in Python integers, the projected Euler step as a plain sum with the screens that decide
 whether a projection returns its input, a step observer that records what an
 ensemble does not keep, and one that makes the --check reports from
 distances computed afresh.
@@ -23,6 +23,8 @@ from hullsim.dynamics import SdeModel, diffusion_at
 from hullsim.estimation import EstimationError
 from hullsim.geometry import (HULL_TOL, Ball, Box, ConvexBody, HPolytope, Hull, Interval, _qhull_hull,
                               _row_squares, distance_to_body, row_norms)
+
+_TINY = float(np.finfo(float).tiny)
 from hullsim.oracle import BoundCheckReport, HittingReport, OracleError, StepConstants
 
 
@@ -158,9 +160,12 @@ def brute_force_hull_distance(points, x) -> float:
 
 
 def full_cloud_hull(points) -> Hull:
-    """convex_hull of a (p, m) cloud, m >= 2, as built before the 2D candidate filter and
-    the certified 3D builders: qhull sees every point, in the order given, with the same
-    options, the same flat-cloud fallback and the same joggled rebuild."""
+    """The hull of a (p, m) cloud, m >= 2, as qhull builds it with no candidate filter and
+    no certified builder: qhull sees every point, in the order given, with convex_hull's
+    options, a flat-cloud fallback and a joggled rebuild where facet merging leaves a
+    point outside. A 2D hull takes planar_hull's arrays from qhull's counterclockwise
+    vertices; a cloud qhull reports flat is its
+    distinct points, or in 2D the segment between its extremes along its principal axis."""
     from scipy.spatial import ConvexHull, QhullError
 
     pts = np.asarray(points, dtype=float)
@@ -173,11 +178,70 @@ def full_cloud_hull(points) -> Hull:
             along = uniq @ np.linalg.svd(uniq - uniq.mean(axis=0))[2][0]
             uniq = uniq[np.sort([np.argmin(along), np.argmax(along)])]
         return Hull(dim=m, vertices=uniq)
-    hull = _qhull_hull(pts, qhull)
+
+    def build(qhull):
+        if m > 2:
+            return _qhull_hull(pts, qhull)
+        cycle = pts[qhull.vertices]
+        return planar_hull(np.roll(cycle, -np.lexsort(cycle.T[::-1])[0], axis=0))
+
+    hull = build(qhull)
     coplanar = pts[qhull.coplanar[:, 0]]
     if coplanar.size and np.any(distance_to_body(hull, coplanar) > HULL_TOL):
-        hull = _qhull_hull(pts, ConvexHull(pts, qhull_options="QJ"))
+        hull = build(ConvexHull(pts, qhull_options="QJ"))
     return hull
+
+
+def exact_planar_hull(points) -> Hull:
+    """The hull of a (p, 2) cloud in exact arithmetic, with planar_hull's arrays.
+
+    Every coordinate is an integer over one power of two, so over the cloud's
+    largest denominator the points are integer pairs. Andrew's monotone chain
+    over the distinct pairs, sorted, pops a point at every turn whose integer
+    cross product is not positive, so the cycle holds the strict extreme points
+    only, counterclockwise from the smallest. A collinear cloud gives its first
+    and last pair, and one point itself.
+    """
+    pts = np.asarray(points, dtype=float)
+    ratios = [c.as_integer_ratio() for c in pts.ravel().tolist()]
+    scale = max(d for _, d in ratios)
+    ints = [n * (scale // d) for n, d in ratios]
+    ordered = sorted(set(zip(ints[0::2], ints[1::2])))
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    halves = []
+    for run in (ordered, ordered[::-1]):
+        chain = []
+        for b in run:
+            while len(chain) >= 2 and cross(chain[-2], chain[-1], b) <= 0:
+                chain.pop()
+            chain.append(b)
+        halves.append(chain[:-1])
+    cycle = halves[0] + halves[1]
+    if len(cycle) < 3:
+        cycle = [ordered[0], ordered[-1]][:len(ordered)]
+    return planar_hull(np.array([[x / scale, y / scale] for x, y in cycle]))
+
+
+def planar_hull(cycle: np.ndarray) -> Hull:
+    """The 2D Hull of a (k, 2) counterclockwise vertex cycle from its lexicographically
+    smallest vertex, by the recipe of the Hull docstring: -0.0 reads as 0.0, and each
+    edge e = v[i + 1] - v[i], scaled by 2**1022 where both its coordinates are
+    subnormal, gives n = (e_y, -e_x) / hypot(e) and b = -(n_x v_x + n_y v_y). A flat
+    cycle, one or two points, is a Hull of vertices alone."""
+    vertices = cycle + 0.0
+    k = len(vertices)
+    if k < 3:
+        return Hull(dim=2, vertices=vertices)
+    edges = np.roll(vertices, -1, axis=0) - vertices
+    edges[np.all(np.abs(edges) < _TINY, axis=1)] *= 2.0**1022
+    length = np.hypot(edges[:, 0], edges[:, 1])
+    nx, ny = edges[:, 1] / length, -edges[:, 0] / length
+    equations = np.column_stack([nx, ny, -(nx * vertices[:, 0] + ny * vertices[:, 1])])
+    return Hull(dim=2, vertices=vertices, equations=equations,
+                simplices=np.column_stack([np.arange(k), (np.arange(k) + 1) % k]))
 
 
 def canonical_spatial_hull(points) -> Hull:

@@ -11,7 +11,7 @@ import scipy.spatial
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
-from scipy.spatial import HalfspaceIntersection, QhullError
+from scipy.spatial import HalfspaceIntersection
 
 from hullsim import dynamics, geometry, harness
 from hullsim.geometry import (
@@ -35,8 +35,8 @@ from hullsim.geometry import (
     row_norms,
     support,
 )
-from reference import (boundary_points, brute_force_hull_distance, canonical_spatial_hull, full_cloud_hull,
-                       nothing_outside, reference_project)
+from reference import (boundary_points, brute_force_hull_distance, canonical_spatial_hull, exact_planar_hull,
+                       full_cloud_hull, nothing_outside, reference_project)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -560,6 +560,16 @@ SCIPY_SNIPPETS = [
         set(),
     ),
     (run_snippet("hullbench/ball3d_state_sigma.cfg", SMALL), set()),
+    *(
+        (f"import numpy as np\nfrom hullsim.geometry import convex_hull\nrng = np.random.default_rng(0)\n"
+         f"convex_hull({cloud})", set())
+        for cloud in (
+            "rng.integers(-20, 21, (2000, 2)).astype(float)",  # lattice
+            "np.clip(rng.standard_normal((2000, 2)), -1.0, 1.0)",  # box-clipped
+            "rng.standard_normal((2000, 2)) * [1.0, 1e-12]",  # thin
+            "rng.standard_normal((2000, 2)) * 1e-200",
+        )
+    ),
     (
         "import numpy as np\nfrom hullsim.geometry import convex_hull\n"
         "convex_hull(np.random.default_rng(0).standard_normal((50, 3)))",
@@ -580,8 +590,9 @@ SCIPY_SNIPPETS = [
 
 def test_import_leaves_out_the_lp_solver():
     """No snippet loads scipy.optimize. 1D, 2D and 3D runs load no scipy: the monotone
-    chain and the Python quickhull build their hulls. A 3D lattice, which the quickhull
-    refuses, and a 4D hull load qhull."""
+    chain and the Python quickhull build their hulls. No 2D cloud loads scipy: lattice,
+    box-clipped, thin and tiny clouds neither. A 3D lattice, which the quickhull refuses,
+    and a 4D hull load qhull."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     report = "import sys; print(*(m for m in sys.modules if m.startswith('scipy')))"
     for snippet, wanted in SCIPY_SNIPPETS:
@@ -731,9 +742,8 @@ class TestConvexHull:
 
 def bent_polygon(seed: int, n: int) -> np.ndarray:
     """24 corners of a regular polygon at scale 1e10, each edge's midpoint pushed out by
-    1e-15 of its distance from the centre, and n - 48 points inside: qhull merges each
-    corner pair's edges and leaves a corner about 1e-5 outside, so the hull is rebuilt
-    from joggled input."""
+    1e-15 of its distance from the centre, and n - 48 points inside: all 48 are vertices,
+    while qhull merges each corner pair's edges and leaves a corner about 1e-5 outside."""
     a = np.arange(24) * (2 * np.pi / 24)
     ring = np.column_stack([np.cos(a), np.sin(a)])
     mids = (ring + np.roll(ring, -1, axis=0)) / 2 * (1 + 1e-15)
@@ -750,6 +760,8 @@ def planar_cloud(family: str, n: int, seed: int) -> np.ndarray:
         return np.column_stack([np.cos(a), np.sin(a)])
     if family == "clipped":  # e4's copies on the square's boundary
         return np.clip(rng.standard_normal((n, 2)) * 0.6, -1.0, 1.0)
+    if family == "box":  # about half the points on a face of the square, repeated corners
+        return np.clip(rng.standard_normal((n, 2)), -1.0, 1.0)
     if family == "thin":  # widths 1e-13 to 1e-5, rotated
         turn = rng.uniform(0, np.pi)
         rotation = np.array([[np.cos(turn), -np.sin(turn)], [np.sin(turn), np.cos(turn)]])
@@ -761,7 +773,16 @@ def planar_cloud(family: str, n: int, seed: int) -> np.ndarray:
     if family == "lattice":  # duplicates and collinear runs
         r = int(rng.choice([2, 4, 20, 100]))
         return rng.integers(-r, r + 1, (n, 2)).astype(float)
+    if family == "duplicates":  # every point about four times
+        base = rng.standard_normal((max(n // 4, 1), 2))
+        return base[rng.integers(0, len(base), n)]
     return bent_polygon(seed, n)
+
+
+PLANAR_FAMILIES = ["gaussian", "circle", "clipped", "box", "thin", "tiny", "huge", "lattice", "duplicates", "bent"]
+# where qhull's hull is not the exact one: it loses a near-collinear vertex of some thin
+# clouds and of some circles of thousands of points, and merges the bent polygon's corner pairs
+QHULL_INEXACT = {"circle", "thin", "bent"}
 
 
 def assert_same_bits(a, b):
@@ -818,12 +839,22 @@ def qhull_inputs(monkeypatch) -> list:
     return calls
 
 
+def planar_hull_without_qhull(cloud: np.ndarray):
+    """convex_hull of a 2D cloud, asserting that it calls no scipy ConvexHull."""
+    with pytest.MonkeyPatch.context() as patch:
+        calls = qhull_inputs(patch)
+        hull = convex_hull(cloud)
+    assert calls == []
+    return hull
+
+
 class TestPlanarHullCandidates:
-    """A 2D hull is built from the points outside the octagon of the cloud's extremes, with
-    the hull arrays of the whole cloud."""
+    """A 2D hull is built by the exact monotone chain from the points outside the octagon of
+    the cloud's extremes, with no qhull call: it has the arrays of the exact hull of the
+    whole cloud, and qhull's where qhull is exact."""
 
     @given(
-        family=st.sampled_from(["gaussian", "circle", "clipped", "thin", "tiny", "huge", "lattice", "bent"]),
+        family=st.sampled_from(PLANAR_FAMILIES),
         n=st.one_of(st.integers(3, 64), st.integers(1000, 20_000)),
         seed=st.integers(0, 2**32 - 1),
         order=st.sampled_from("FC"),
@@ -831,8 +862,10 @@ class TestPlanarHullCandidates:
     @settings(max_examples=150, deadline=None)
     def test_matches_the_whole_cloud_bit_for_bit(self, family, n, seed, order):
         cloud = np.asarray(planar_cloud(family, n, seed), order=order)
-        hull, expected = convex_hull(cloud), full_cloud_hull(cloud)
+        hull, expected = planar_hull_without_qhull(cloud), exact_planar_hull(cloud)
         assert_same_hull(hull, expected)
+        if family not in QHULL_INEXACT:
+            assert_same_hull(hull, full_cloud_hull(cloud))
         probes = hull_probes(cloud, seed)
         assert_same_bits(distance_to_body(hull, probes), distance_to_body(expected, probes))
 
@@ -852,9 +885,8 @@ class TestPlanarHullCandidates:
         probes = hull_probes(cloud, seed)[:20]  # off the lattice
         assert_same_bits(distance_to_body(hull, probes), distance_to_body(expected, probes))
 
-    # "bent" is left out: its hull is rebuilt from joggled input, and QJ's joggle depends on input order
     @given(
-        family=st.sampled_from(["gaussian", "circle", "clipped", "thin", "tiny", "huge", "lattice"]),
+        family=st.sampled_from(PLANAR_FAMILIES),
         n=st.one_of(st.integers(3, 64), st.integers(1000, 20_000)),
         seed=st.integers(0, 2**32 - 1),
         order=st.sampled_from("FC"),
@@ -868,11 +900,11 @@ class TestPlanarHullCandidates:
         if expected.equations is not None:
             assert_canonical(expected)
         rng = np.random.default_rng(seed)
-        rest = cloud[~(strictly_inside(expected, cloud) & (rng.uniform(size=n) < drop))]
+        rest = cloud[~(strictly_inside(expected, cloud) & (rng.uniform(size=len(cloud)) < drop))]
         assert_same_hull(convex_hull(np.asarray(rest[rng.permutation(len(rest))], order=order)), expected)
 
     def test_e4_node_cloud_needs_no_qhull(self, frozen_configs, monkeypatch):
-        # e4's node-20 cloud at N = 20000, replication 0: the monotone chain certifies it
+        # e4's node-20 cloud at N = 20000, replication 0
         plan = harness.plan_experiment(frozen_configs["e4"])
         n = 20_000
         seed = dynamics.derive_seed(plan.config.seed, n, 0)
@@ -883,42 +915,39 @@ class TestPlanarHullCandidates:
         assert calls == []
 
     @pytest.mark.parametrize("flat", ["collinear", "reported flat"])
-    def test_flat_fallback_sees_the_whole_cloud(self, flat, monkeypatch):
+    def test_flat_fallback_sees_the_whole_cloud(self, flat):
+        # a collinear cloud is the segment between its lexicographic ends, and a cloud that
+        # qhull reports flat, a triangle at 1e307 or a Gaussian cloud at 1e-200, is whole
         rng = np.random.default_rng(5)
         if flat == "collinear":
             t = rng.uniform(-1, 1, 2000)
-            cloud = np.column_stack([t, 2 * t])
-        else:  # qhull reports flat a cloud the chain refuses: its rightmost point is repeated
-            cloud = rng.standard_normal((2000, 2))
-            cloud = np.vstack([cloud, cloud[np.argmax(cloud[:, 0])]])
-
-            def raises(points, qhull_options=None):
-                raise QhullError("flat")
-
-            monkeypatch.setattr(scipy.spatial, "ConvexHull", raises)
-        inputs, unique = [], np.unique
-
-        def spy(points, **kwargs):
-            inputs.append(len(points))
-            return unique(points, **kwargs)
-
-        monkeypatch.setattr(np, "unique", spy)
-        assert_same_hull(convex_hull(cloud), full_cloud_hull(cloud))
-        assert inputs == [len(cloud), len(cloud)]
+            clouds = [np.column_stack([t, 2 * t])]
+        else:
+            clouds = [np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]) * 1e307, rng.standard_normal((40, 2)) * 1e-200]
+        for cloud in clouds:
+            hull = planar_hull_without_qhull(cloud)
+            assert_same_hull(hull, exact_planar_hull(cloud))
+            if flat == "collinear":
+                ends = cloud[np.lexsort(cloud.T[::-1])[[0, -1]]]
+                np.testing.assert_array_equal(hull.vertices, ends)
+                assert hull.equations is None
+            else:
+                assert hull.equations is not None and full_cloud_hull(cloud).equations is None
 
     def test_matches_the_whole_cloud_at_every_scale(self):
-        # 40 Gaussian points at scales 1e-320 to 1e308, and in steps of 10**0.2 from 1e153.2
-        # to 1e154.4: without its cutoff at M_x + M_y = 2**500 the chain certifies hulls
-        # there that qhull reports flat
-        for k in [*range(-320, 309, 2), *(j / 10 for j in range(1532, 1546, 2))]:
+        # 40 Gaussian points at scales 1e-320 to 1e306, and in steps of 10**0.2 from 1e153.2
+        # to 1e154.4, where qhull starts to report some flat: the exact hull, with unit normals
+        # also where the edges are subnormal
+        for k in [*range(-320, 307, 2), *(j / 10 for j in range(1532, 1546, 2))]:
             for seed in range(3):
-                with np.errstate(over="ignore"):
-                    cloud = np.random.default_rng(seed).standard_normal((40, 2)) * 10.0**k
-                if np.all(np.isfinite(cloud)):
-                    assert_same_hull(convex_hull(cloud), full_cloud_hull(cloud))
+                cloud = np.random.default_rng(seed).standard_normal((40, 2)) * 10.0**k
+                hull = planar_hull_without_qhull(cloud)
+                assert_same_hull(hull, exact_planar_hull(cloud))
+                np.testing.assert_allclose(np.hypot(*hull.equations[:, :2].T), 1.0, rtol=1e-15)
 
     @pytest.mark.parametrize("case", ["repeated corner", "collinear edge run", "lattice"])
-    def test_a_refused_cloud_reaches_qhull(self, case, monkeypatch):
+    def test_a_tied_cloud_needs_no_qhull(self, case):
+        # turns too close to call in floats are decided exactly
         rng = np.random.default_rng(3)
         if case == "repeated corner":
             a = np.arange(8) * (np.pi / 4)
@@ -930,17 +959,21 @@ class TestPlanarHullCandidates:
             cloud = np.vstack([square, edge, rng.uniform(0.1, 0.9, (100, 2))])
         else:
             cloud = rng.integers(-3, 4, (200, 2)).astype(float)
-        expected = full_cloud_hull(cloud)
-        calls = qhull_inputs(monkeypatch)
-        assert_same_hull(convex_hull(cloud), expected)
-        assert len(calls) == 1
+        hull = planar_hull_without_qhull(cloud)
+        assert_same_hull(hull, exact_planar_hull(cloud))
+        assert_same_hull(hull, full_cloud_hull(cloud))
 
-    def test_joggled_rebuild_sees_the_whole_cloud(self, monkeypatch):
+    def test_bent_polygon_keeps_every_corner(self):
+        # qhull's merged facets leave a corner outside, and its joggled rebuild keeps 39 of the 48
         cloud = bent_polygon(0, 2000)
-        expected = full_cloud_hull(cloud)
-        calls = qhull_inputs(monkeypatch)
-        assert_same_hull(convex_hull(cloud), expected)
-        assert calls == [(48, "Qt Qc"), (2000, "QJ")]  # the 24 corners and the 24 midpoints
+        hull = planar_hull_without_qhull(cloud)
+        assert_same_hull(hull, exact_planar_hull(cloud))
+        assert len(hull.vertices) == 48
+
+    @pytest.mark.parametrize("cloud", [[[-1e308, 0.0], [1e308, 0.0], [0.0, 1.0]], [[-1e308, 1.0], [1e308, 1.0]]])
+    def test_an_overflowing_edge_is_one_geometry_error(self, cloud):
+        with pytest.raises(GeometryError, match=r"^a 2D hull edge overflows: [^\n]*$"):
+            convex_hull(np.array(cloud))
 
 
 def spatial_cloud(family: str, n: int, seed: int) -> np.ndarray:

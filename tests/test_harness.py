@@ -786,12 +786,14 @@ class TestRunUnit:
         assert calls == ([] if dims == 1 else ["default_probes"])
 
     def test_hitting_alone_in_1d_builds_no_probe_distances(self, monkeypatch):
-        # the hitting check needs m > 1, so replication 0 of a 1D run observes nothing
-        made = []
+        # the hitting check needs m > 1, so replication 0 of a 1D run observes nothing, and
+        # the plan builds no check probes
+        made, probed = [], []
         monkeypatch.setattr(oracle, "ProbeDistances", made.append)
+        monkeypatch.setattr(harness, "_interval_probes", lambda *bodies: probed.append(bodies))
         plan = harness.plan_experiment(dataclasses.replace(self.config(1), run_step_bound=False))
         unit = harness.run_unit(plan, 20, 0)
-        assert plan.checks == {} and made == []
+        assert plan.checks == {} and plan.check_probes is None and made == [] and probed == []
         assert unit.diagnostics == {"step_bound": [], "hitting": []}
 
     @pytest.mark.parametrize("dims", [1, 2])
