@@ -14,12 +14,12 @@ Ensembles hand over coordinate-major (F-ordered) (N, m) batches, so per-point
 work runs on whole coordinate columns (row_norms and the H-polytope screen and
 margin), with its loops along the N points, never along the m <= 3
 coordinates, and a point's bits do not depend on its batch.
-A 2D hull is built by an exact monotone chain, floats with an exact integer
-fallback, so no 2D cloud needs scipy. A 3D hull of at most
-QUICKHULL_MAX_POINTS candidates is built by quickhull in plain Python floats;
-scipy's qhull is imported by the first 3D hull it refuses or passes on, or
-with m >= 4, not with this module, so a run whose 3D clouds it certifies
-loads no scipy.
+A 2D hull is built by an exact monotone chain and a 3D hull by an exact
+quickhull: floats decide every side they can certify, and Python integers the
+rest. scipy's qhull is imported by the first 3D hull of more than
+QUICKHULL_MAX_POINTS candidates, whose triangles are then certified exactly,
+or the first hull with m >= 4, not with this module, so a run whose clouds
+have m <= 3 and few candidates loads no scipy.
 """
 
 from __future__ import annotations
@@ -440,29 +440,31 @@ class Hull(ConvexBody):
     """Convex hull of a finite point cloud; the cloud itself is not kept.
 
     vertices, shape (k, m), are the extreme points. For m = 1 they are the
-    min and max. For m = 2 the hull is built by Andrew's monotone chain with
-    exact turns, and for m = 3 by quickhull in Python floats or qhull where
-    they can certify it, and otherwise, as for m >= 4, by qhull (Quickhull:
-    Barber, Dobkin & Huhdanpaa, TOMS 1996). equations, shape (f, m + 1), holds
-    one row [n, b] per facet with unit outward normal n, so that n @ y + b <= 0
-    inside. simplices, shape (f, m), indexes the vertices of each
-    (triangulated) facet. In 2D the three arrays depend on the vertex set
-    alone: the vertices, the strict extreme points with -0.0 read as 0.0, run
-    counterclockwise from the lexicographically smallest, row i of simplices
-    is the edge (i, (i + 1) % k), and its equation is taken from that edge
+    min and max. For m = 2 the hull is built by Andrew's monotone chain and
+    for m = 3 by Quickhull (Barber, Dobkin & Huhdanpaa, TOMS 1996), each
+    deciding every orientation exactly, and for m >= 4 by qhull. equations,
+    shape (f, m + 1), holds one row [n, b] per facet with unit outward
+    normal n, so that n @ y + b <= 0 inside. simplices, shape (f, m), indexes
+    the vertices of each (triangulated) facet. For m <= 3 the three arrays
+    depend on the vertex set alone, and the vertices are the strict extreme
+    points, with -0.0 read as 0.0. In 2D they run counterclockwise from the
+    lexicographically smallest, row i of simplices is the edge
+    (i, (i + 1) % k), and its equation is taken from that edge
     e = v[i + 1] - v[i]: n = (e_y, -e_x) / |e|, b = -n @ v[i], with e scaled
-    by 2**1022 first where both its coordinates are subnormal. A
-    certified 3D hull's arrays depend on its vertex set alone too: the
-    vertices in lexicographic order, each row of simplices sorted and the rows
-    sorted, and each equation from its triangle's corners a, b, c in that
-    order, n = (b - a) x (c - a) pointing away from the vertices' mean, then
-    normalized, b = -n @ a. A 3D cloud it cannot certify (ties such as
-    lattices, duplicates or points on a box face, thin clouds, coordinates of
-    2**250 or more) and any with m >= 4 keep qhull's arrays, whose order
-    depends on the input sequence. equations and
-    simplices are None for m = 1 and for a degenerate cloud, one that spans
-    less than m dimensions (fewer than m + 1 distinct points, collinear,
-    coplanar); convex_hull says which vertices it keeps.
+    by 2**1022 first where both its coordinates are subnormal. In 3D they run
+    in lexicographic order. Each face, a polygon of coplanar triangles, is
+    fanned from its lexicographically smallest vertex; each row of simplices
+    is sorted and the rows are sorted. Every row of a face holds the face's
+    one equation, from the face's first row's corners a, b, c in that order:
+    n = (b - a) x (c - a) pointing outward, then normalized, b = -n @ a;
+    where n's squared length is not a normal float, n is the exact cross
+    product, divided by the power of two 2**s that brings its largest
+    component into [2**63, 2**64) and rounded to floats, before it is
+    normalized. A cloud with m >= 4 keeps qhull's arrays, whose order depends
+    on the input sequence. equations and simplices are None for m = 1 and for
+    a degenerate cloud, one that spans less than m dimensions (fewer than
+    m + 1 distinct points, collinear, coplanar); convex_hull says which
+    vertices it keeps.
 
     As a body, project(x) is a nearest hull point and distance(x) the distance,
     each row of a batch with the bits it gets alone, both from one kernel,
@@ -523,12 +525,17 @@ def convex_hull(points) -> Hull:
     points are no vertices: its cycle is the exact hull of the whole cloud,
     and a collinear cloud is the segment between its lexicographically first
     and last points. A 2D hull edge that overflows is a GeometryError. A 3D
-    hull is built by _certified_spatial_hull from _spatial_candidates (61-205
-    of a ball3d node-20 cloud of 20 000 points); a 3D cloud it refuses goes to
-    qhull whole, like every cloud with m >= 4. Where facet merging leaves a
-    point of a thin cloud more than HULL_TOL outside, the hull is built again
-    from the whole cloud joggled (qhull's QJ option), which merges no facets.
-    A cloud qhull reports as flat is kept as its distinct points.
+    hull is built by _spatial_cloud_hull, which decides every side of a plane
+    exactly, from _spatial_candidates (61-205 of a ball3d node-20 cloud of
+    20 000 points, the 8 corners of a box-clipped one): it is the exact hull
+    of the whole cloud, and a flat cloud keeps its strict extreme points, its
+    one point, the two lexicographic ends of its segment or the corners of
+    its polygon, in lexicographic order. A 3D hull whose vertices span more
+    than the largest float is a GeometryError. A cloud with m >= 4 goes to
+    qhull whole. Where facet merging leaves a point of a thin cloud more than
+    HULL_TOL outside, that hull is built again from the whole cloud joggled
+    (qhull's QJ option), which merges no facets, and a cloud qhull reports as
+    flat is kept as its distinct points.
     """
     pts = np.asarray(points, dtype=float)
     if pts.size == 0:
@@ -546,10 +553,9 @@ def convex_hull(points) -> Hull:
         verts = np.array([[lo]]) if lo == hi else np.array([[lo], [hi]])
         return Hull(dim=1, vertices=verts)
     if m == 2:
-        return _planar_hull(_monotone_chain(_hull_candidates(pts)))
-    hull = _certified_spatial_hull(pts) if m == 3 else None
-    if hull is not None:
-        return hull
+        return _planar_hull(_monotone_chain(pts[_hull_candidates(pts)]))
+    if m == 3:
+        return _spatial_cloud_hull(pts)
     from scipy.spatial import ConvexHull, QhullError
 
     try:
@@ -566,13 +572,15 @@ def convex_hull(points) -> Hull:
 
 
 _CCW = np.array([1, 7, 4, 6, 5, 3, 0, 2])  # the (argmin, argmax) along x, y, x + y, x - y counterclockwise
-_NEXT = np.roll(np.arange(8), -1)
 
 
 def _hull_candidates(pts: np.ndarray) -> np.ndarray:
-    """The points of a (p, 2) cloud, in input order, that may be hull vertices:
-    those not inside the octagon of its extremes along +-x, +-y, +-(x + y),
-    +-(x - y) (Akl & Toussaint, IPL 7, 1978).
+    """The indices, ascending, of the points of a (p, 2) cloud that may be hull
+    vertices: those not inside the octagon of its extremes along +-x, +-y,
+    +-(x + y), +-(x - y) (Akl & Toussaint, IPL 7, 1978). Where fewer than 3
+    octagon edges are nonzero (a thin cloud, whose extremes sit at its two
+    ends), the polygon is instead those two ends and the extremes along the
+    normal of the line through them, which quickhull takes first.
 
     A point is dropped when its cross product with every edge e from corner v,
     e x (q - v), exceeds _turn_margin, more than this test's rounding: it then
@@ -580,20 +588,27 @@ def _hull_candidates(pts: np.ndarray) -> np.ndarray:
     dropped too when it lies strictly between the ends of an axis-aligned
     edge, by exact float comparisons: points on a box face. The extremes,
     which set the chain's margin, stay. A NaN or an overflow keeps the point;
-    a flat octagon keeps every point.
+    a flat polygon keeps every point.
     """
     x, y = pts[:, 0], pts[:, 1]
     with np.errstate(over="ignore", invalid="ignore"):
-        value = np.add(x, y)  # reused for x - y and for each edge's cross products
+        value = np.add(x, y)  # reused for x - y, the normal and each edge's cross products
         lo, hi = [x.argmin(), y.argmin(), value.argmin()], [x.argmax(), y.argmax(), value.argmax()]
         np.subtract(x, y, out=value)
         corners = pts[np.array([*lo, value.argmin(), *hi, value.argmax()])[_CCW]]
-        ends = corners[_NEXT]
-        edges = ends - corners
-        keep = edges.any(axis=1)  # a zero edge would fail every point
+        keep = (np.roll(corners, -1, axis=0) != corners).any(axis=1)  # a zero edge would fail every point
+        if np.count_nonzero(keep) == 2:  # a ccw quadrilateral: a, the least along n, b, the most along n
+            a, b = corners[keep]
+            (ex, ey), term = b - a, np.empty_like(value)
+            np.multiply(x, -ey, out=value)
+            value += np.multiply(y, ex, out=term)  # (x, y) @ n, n = (-e_y, e_x)
+            corners = np.array([a, pts[value.argmin()], b, pts[value.argmax()]])
+            keep = (np.roll(corners, -1, axis=0) != corners).any(axis=1)
         if np.count_nonzero(keep) < 3:
-            return pts
-        corners, ends, edges = corners[keep], ends[keep], edges[keep]
+            return np.arange(len(pts))
+        ends = np.roll(corners, -1, axis=0)[keep]
+        corners = corners[keep]
+        edges = ends - corners
         inward = edges[:, ::-1] * [-1.0, 1.0]  # e x (q - v) = inward @ (q - v)
         bound = (inward * corners).sum(axis=1)
         # the corners hold each coordinate's extremes; tiny covers rounding among subnormals
@@ -608,7 +623,7 @@ def _hull_candidates(pts: np.ndarray) -> np.ndarray:
             inside |= (x == vx) & (y > min(vy, wy)) & (y < max(vy, wy))
         elif vy == wy:
             inside |= (y == vy) & (x > min(vx, wx)) & (x < max(vx, wx))
-    return pts[np.flatnonzero(~inside)]
+    return np.flatnonzero(~inside)
 
 
 def _turn_margin(edge_l1, magnitude):
@@ -619,24 +634,32 @@ def _turn_margin(edge_l1, magnitude):
     return edge_l1 * (magnitude * 64 * _EPS) + _TINY
 
 
+def _distinct(pts: np.ndarray) -> np.ndarray:
+    """The distinct rows of a (p, m) cloud in lexicographic order, with -0.0 read as
+    0.0, so that which copy of a point the cloud lists changes no bit."""
+    ordered = pts[np.argsort(pts[:, 0])]
+    if np.any(ordered[1:, 0] == ordered[:-1, 0]):  # a tie in x, which the other coordinates decide
+        ordered = pts[np.lexsort(pts.T[::-1])]
+    ordered = ordered + 0.0
+    distinct = np.ones(len(ordered), dtype=bool)
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=distinct[1:])
+    return ordered[distinct]
+
+
 def _monotone_chain(pts: np.ndarray) -> list:
     """The counterclockwise cycle of the strict extreme points of a (p, 2) cloud
-    from its lexicographically smallest point (Andrew, IPL 9, 1979); for a
-    collinear cloud its lexicographically first and last points, or its one
-    point.
+    from its lexicographically smallest point (Andrew, IPL 9, 1979), with -0.0
+    read as 0.0; for a collinear cloud its lexicographically first and last
+    points, or its one point.
 
     Every turn is decided exactly, with Shewchuk's filter design (DCG 18,
     1997): a cross product in Python floats whose magnitude clears
-    _turn_margin has the exact sign. A turn too close to call has three
-    points that share an x or a y, so collinear (a - b == 0 iff a == b in
-    IEEE floats), or is decided by _exact_cross. A repeated point goes
-    before the chain, and an exactly collinear point is popped.
+    _turn_margin has the exact sign, and a turn too close to call is decided
+    by _exact_orientation. A repeated point goes before the chain, and an
+    exactly collinear point is popped.
     """
     magnitude = float(np.abs(pts).max(axis=0).sum())
-    ordered = pts[np.lexsort(pts.T[::-1])]
-    distinct = np.ones(len(ordered), dtype=bool)
-    np.any(ordered[1:] != ordered[:-1], axis=1, out=distinct[1:])
-    ordered = ordered[distinct].tolist()
+    ordered = _distinct(pts).tolist()
     chains = []
     for run in (ordered, ordered[::-1]):  # the lower chain, then the upper one
         chain = []
@@ -647,7 +670,7 @@ def _monotone_chain(pts: np.ndarray) -> list:
                 ex, ey, dx, dy = ax - ox, ay - oy, bx - ox, by - oy
                 cross = ex * dy - ey * dx
                 if not abs(cross) > _turn_margin(abs(ex) + abs(ey), magnitude):
-                    cross = 0 if ex == dx == 0 or ey == dy == 0 else _exact_cross(chain[-2], chain[-1], b)
+                    cross = _exact_orientation(chain[-2], chain[-1], b)
                 if cross > 0:
                     break
                 chain.pop()
@@ -657,20 +680,54 @@ def _monotone_chain(pts: np.ndarray) -> list:
     return cycle if len(cycle) >= 3 else [ordered[0], ordered[-1]][:len(ordered)]
 
 
-def _exact_cross(o, a, b) -> int:
-    """(a - o) x (b - o) for points of Python floats, exactly: each coordinate is
-    an integer times one power of two, so with every coordinate scaled to the
-    largest denominator the cross product is a Python integer of its sign."""
-    ratios = [c.as_integer_ratio() for c in (*o, *a, *b)]
+def _integers(*points) -> list:
+    """The coordinates of points of Python floats, flattened, as integers: each
+    is an integer times a power of two, so scaled to the largest denominator
+    among them every coordinate is an integer, and order and signs hold."""
+    ratios = [c.as_integer_ratio() for q in points for c in q]
     scale = max(d for _, d in ratios)
-    ox, oy, ax, ay, bx, by = (n * (scale // d) for n, d in ratios)
-    return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
+    return [n * (scale // d) for n, d in ratios]
+
+
+def _exact_orientation(o, *rest) -> int:
+    """The determinant of the rows p - o for the m points p of rest, for m + 1
+    points of m = 2 or 3 Python floats, as a Python integer of its exact sign:
+    (a - o) x (b - o) in 2D, and in 3D the height (q - o) . ((a - o) x (b - o))
+    of q above the plane of o, a, b (for m = 3, rest is a, b, q). Points that
+    share a coordinate lie on one line or plane, such as a box face: 0 at once."""
+    if len(o) == 2:
+        a, b = rest
+        if o[0] == a[0] == b[0] or o[1] == a[1] == b[1]:
+            return 0
+        ox, oy, ax, ay, bx, by = _integers(o, a, b)
+        return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
+    a, b, q = rest
+    if o[0] == a[0] == b[0] == q[0] or o[1] == a[1] == b[1] == q[1] or o[2] == a[2] == b[2] == q[2]:
+        return 0
+    ox, oy, oz, ax, ay, az, bx, by, bz, qx, qy, qz = _integers(o, a, b, q)
+    ux, uy, uz, vx, vy, vz = ax - ox, ay - oy, az - oz, bx - ox, by - oy, bz - oz
+    return (qx - ox) * (uy * vz - uz * vy) + (qy - oy) * (uz * vx - ux * vz) + (qz - oz) * (ux * vy - uy * vx)
+
+
+def _exact_normal(a, b, c) -> list:
+    """(b - a) x (c - a) for three points of Python floats, exactly up to one
+    positive factor, as three Python integers: zero iff they are collinear."""
+    ax, ay, az, bx, by, bz, cx, cy, cz = _integers(a, b, c)
+    ux, uy, uz, vx, vy, vz = bx - ax, by - ay, bz - az, cx - ax, cy - ay, cz - az
+    return [uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx]
+
+
+def _cross_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u x v for each row of two (k, 3) arrays, with np.cross's bits and without its
+    axis handling, which costs more than the products for a hull's few hundred rows."""
+    (ux, uy, uz), (vx, vy, vz) = u.T, v.T
+    return np.column_stack([uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx])
 
 
 def _planar_hull(cycle) -> Hull:
     """The 2D Hull of _monotone_chain's cycle: flat for fewer than 3 points. An
     edge that overflows is a GeometryError."""
-    vertices = np.asarray(cycle, dtype=float) + 0.0  # -0.0 reads as 0.0, whichever copy the cloud lists
+    vertices = np.asarray(cycle, dtype=float)
     k = len(vertices)
     simplices = np.column_stack([np.arange(k), np.arange(1, k + 1) % k])
     with np.errstate(over="ignore"):
@@ -694,35 +751,55 @@ _DIRECTIONS = np.array([d for d in itertools.product((1, 0, -1), repeat=3) if d 
 _FACET_TEST_ROWS = 4096  # points _spatial_candidates tests against every facet at once
 
 
-def _certified_spatial_hull(pts: np.ndarray) -> Hull | None:
-    """The Hull of a (p, 3) cloud from _spatial_candidates, with _spatial_hull's canonical
-    arrays, or None where some decision is too close to call.
+def _spatial_cloud_hull(pts: np.ndarray) -> Hull:
+    """The exact Hull of a (p, 3) cloud from _spatial_candidates, with _spatial_hull's
+    canonical arrays.
 
-    Up to QUICKHULL_MAX_POINTS candidates, _quickhull builds it in Python floats;
-    above that, qhull builds it from the candidates, and a hull with a point qhull
-    reports coplanar is refused. The cap picks the builder for speed: _spatial_hull
-    certifies either builder's triangles and gives them the same bits.
+    Every decision runs on the cloud scaled by one power of two (_rescaled). A float
+    that overflows only sends a decision to the exact test. A flat cloud's vertices
+    are its strict extreme points (_flat_vertices). Up to QUICKHULL_MAX_POINTS
+    candidates _quickhull triangulates the hull. Above that qhull does, which is
+    faster there, and a triangulation of qhull's that _spatial_hull cannot certify
+    goes to _quickhull: the cap chooses between them for speed alone.
     """
-    cands = _spatial_candidates(pts)
-    if cands is None:
-        return None
-    if len(cands) <= QUICKHULL_MAX_POINTS:
-        triangles = _quickhull(cands)
-    else:
-        from scipy.spatial import ConvexHull, QhullError
-
-        try:
-            qhull = ConvexHull(cands, qhull_options="Qt Qc")
-        except QhullError:
-            return None
-        triangles = None if qhull.coplanar.size else qhull.simplices
-    return None if triangles is None else _spatial_hull(cands, triangles)
+    work, shift = _rescaled(pts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cands = _spatial_candidates(work)
+        simplex = _simplex(cands)
+        if len(simplex) < 4:
+            return Hull(dim=3, vertices=np.ldexp(cands[_flat_vertices(cands, simplex)], -shift))
+        if len(cands) > QUICKHULL_MAX_POINTS:
+            triangles = _qhull_triangles(cands)
+            hull = None if triangles is None else _spatial_hull(cands, triangles, shift)
+            if hull is not None:
+                return hull
+        return _spatial_hull(cands, _quickhull(cands, simplex), shift)
 
 
-def _spatial_candidates(pts: np.ndarray) -> np.ndarray | None:
-    """The points of a (p, 3) cloud not certainly inside the hull of its extremes along
-    the 26 directions of {-1, 0, 1}^3. Where _quickhull refuses that hull, they are
-    every point of a cloud of at most QUICKHULL_MAX_POINTS, and None for a larger one.
+def _rescaled(pts: np.ndarray) -> tuple[np.ndarray, int]:
+    """The cloud times 2**shift, and shift, so that its largest magnitude M lies in
+    [2**-250, 2**248), where the float filters' heights neither overflow nor reach
+    the subnormals: the cloud itself (shift 0) where M is there, else the cloud
+    scaled to M in [0.5, 1). Scaling up is always exact; a cloud that scaling down
+    would round keeps shift 0, and _spatial_magnitude then leaves every side of a
+    plane to the exact test."""
+    big = max(float(pts.max()), -float(pts.min()))
+    if 2.0**-250 <= big < 2.0**248 or big == 0:
+        return pts, 0
+    shift = -math.frexp(big)[1]
+    work = np.ldexp(pts, shift)
+    if shift < 0 and not np.array_equal(np.ldexp(work, -shift), pts):
+        return pts, 0
+    return work, shift
+
+
+def _spatial_candidates(pts: np.ndarray) -> np.ndarray:
+    """The distinct points of a (p, 3) cloud, in lexicographic order, that may be hull
+    vertices: those not certainly inside the hull of its extremes along the 26
+    directions of {-1, 0, 1}^3 (none is, where those extremes are flat), less the
+    points on a face of the cloud's bounding box that are no corner of that face's
+    exact polygon (_face_cycle): a box-clipped cloud of 20 000 points keeps its 8
+    corners.
 
     A ball inside that hull screens the cloud first, a coordinate column at a time:
     its centre is the cloud's mean, and its radius the centre's least distance to a
@@ -735,36 +812,121 @@ def _spatial_candidates(pts: np.ndarray) -> np.ndarray | None:
     """
     # one direction at a time: a (13, p) array of them adds 2 MiB to a 20 000-point run's peak memory
     along, ends = np.empty(len(pts)), []
-    with np.errstate(over="ignore", invalid="ignore"):  # junk sums pick some cloud point all the same
-        for d in _DIRECTIONS:
-            np.matmul(pts, d, out=along)
-            ends += [along.argmin(), along.argmax()]
-    extremes = pts[np.unique(ends)]
-    triangles = _quickhull(extremes)
-    if triangles is None:  # flat or tied extremes: a small cloud is its own candidates
-        return pts if len(pts) <= QUICKHULL_MAX_POINTS else None
-    a, normals, margins = _triangle_planes(extremes, triangles)
-    offsets = (normals * a).sum(axis=1)
-    centre = pts.mean(axis=0)
-    squares = _row_squares(normals)
-    if np.all(squares >= _TINY):
-        radius = float(np.min((offsets - normals @ centre - 3 * margins) / np.sqrt(squares))) * (1 - 2.0**-40)
-    else:  # a length lost to underflow: no screen
-        radius = 0.0
-    sq = np.subtract(pts[:, 0], centre[0])
-    sq *= sq
-    col = np.empty_like(sq)
-    for k in (1, 2):
-        np.subtract(pts[:, k], centre[k], out=col)
-        col *= col
-        sq += col
-    rest = np.flatnonzero(~(sq < radius * radius)) if radius > 0 else np.arange(len(pts))
-    # n @ q - n @ a < -margin as n @ q < n @ a - margin, whose rounding the margin covers
-    limits, kept = (offsets - margins)[:, None], []
-    for start in range(0, len(rest), _FACET_TEST_ROWS):
-        part = rest[start:start + _FACET_TEST_ROWS]
-        kept.append(part[~np.all(normals @ pts[part].T < limits, axis=0)])
-    return pts[np.concatenate(kept)]
+    for d in _DIRECTIONS:  # where a sum overflows, it picks some cloud point all the same
+        np.matmul(pts, d, out=along)
+        ends += [along.argmin(), along.argmax()]
+    extremes = _distinct(pts[np.unique(ends)])
+    simplex = _simplex(extremes)
+    keep = np.zeros(len(pts), dtype=bool)
+    if len(simplex) < 4:
+        keep[:] = True
+    else:
+        a, normals, margins = _triangle_planes(extremes, _quickhull(extremes, simplex))
+        offsets = (normals * a).sum(axis=1)
+        centre = pts.mean(axis=0)
+        squares = _row_squares(normals)
+        if np.all(squares >= _TINY):
+            radius = float(np.min((offsets - normals @ centre - 3 * margins) / np.sqrt(squares))) * (1 - 2.0**-40)
+        else:  # a length lost to underflow: no screen
+            radius = 0.0
+        sq = np.subtract(pts[:, 0], centre[0])
+        sq *= sq
+        col = np.empty_like(sq)
+        for k in (1, 2):
+            np.subtract(pts[:, k], centre[k], out=col)
+            col *= col
+            sq += col
+        rest = np.flatnonzero(~(sq < radius * radius)) if radius > 0 else np.arange(len(pts))
+        # n @ q - n @ a < -margin as n @ q < n @ a - margin, whose rounding the margin covers
+        limits = (offsets - margins)[:, None]
+        for start in range(0, len(rest), _FACET_TEST_ROWS):
+            part = rest[start:start + _FACET_TEST_ROWS]
+            keep[part[~np.all(normals @ pts[part].T < limits, axis=0)]] = True
+    kept = np.flatnonzero(keep)
+    lo, hi = extremes.min(axis=0), extremes.max(axis=0)  # the cloud's, as the extremes hold +-x, +-y, +-z
+    for k in range(3):
+        for value in {lo[k], hi[k]}:
+            on = kept[pts[kept, k] == value]
+            if len(on) > 3:
+                cols = [(k + 1) % 3, (k + 2) % 3]
+                keep[on] = False
+                keep[_face_cycle(pts, on[_hull_candidates(pts[on][:, cols])], cols)] = True
+    return _distinct(pts[keep])
+
+
+def _face_cycle(pts: np.ndarray, on: np.ndarray, cols) -> list:
+    """The indices among on of the strict extreme points of pts[on], which lie on one
+    plane, counterclockwise in the coordinates cols from the point lexicographically
+    smallest there: _monotone_chain over that projection, which is exact, and
+    injective on a plane that the left-out coordinate's axis crosses. A caller with
+    many points drops _hull_candidates' non-candidates first."""
+    plane = pts[on][:, cols]
+    at = {tuple(q): i for q, i in zip(plane.tolist(), on.tolist())}  # -0.0 == 0.0 here
+    return [at[tuple(q)] for q in _monotone_chain(plane)]
+
+
+def _plane_axes(a, b, c) -> tuple[list, bool]:
+    """The two coordinates, in cyclic order, that the largest component n_k of
+    n = (b - a) x (c - a), taken exactly, leaves out, and whether n_k > 0. Projected
+    on them a polygon on that plane keeps its shape's orientation about n: it runs
+    counterclockwise there iff it runs counterclockwise seen from where e_k points."""
+    n = _exact_normal(a, b, c)
+    k = max(range(3), key=lambda j: abs(n[j]))
+    return [(k + 1) % 3, (k + 2) % 3], n[k] > 0
+
+
+def _simplex(pts: np.ndarray) -> list:
+    """Quickhull's first simplex over distinct (p, 3) points in lexicographic order:
+    the first and last points a and b, the point c farthest from their line and d
+    farthest from the plane of a, b and c, as floats measure them, with d exactly off
+    that plane. That is certain where d's height clears _plane_margin. Else c and d
+    are checked exactly, and where one of them is exactly on the line or the plane,
+    the first point off it takes its place. A flat cloud gives fewer: [a] for one
+    point, [a, b] on a line, [a, b, c] on a plane.
+    """
+    a, b = 0, len(pts) - 1
+    if a == b:
+        return [a]
+    magnitude = _spatial_magnitude(pts)
+    u = pts[b] - pts[a]
+    ux, uy, uz = u.tolist()
+
+    def farthest(c):  # the farthest point from the plane of a, b and c, and whether its side is certain
+        vx, vy, vz = (pts[c] - pts[a]).tolist()
+        n = np.array([uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx])
+        heights = np.abs(pts @ n - pts[a] @ n)
+        d = int(heights.argmax())
+        return d, heights[d] > _plane_margin((abs(ux) + abs(uy) + abs(uz)) * (abs(vx) + abs(vy) + abs(vz)), magnitude)
+
+    rel = pts - pts[a]
+    along = rel @ u
+    c = int((_row_squares(rel) * (u @ u) - along * along).argmax())  # |u x (q - a)|^2, roughly
+    d, certain = farthest(c)
+    if certain:
+        return [a, b, c, d]
+    p = pts.tolist()
+    if not any(_exact_normal(p[a], p[b], p[c])):
+        c = next((q for q in range(len(p)) if any(_exact_normal(p[a], p[b], p[q]))), None)
+        if c is None:
+            return [a, b]
+        d = farthest(c)[0]
+    if not _exact_orientation(p[a], p[b], p[c], p[d]):
+        d = next((q for q in range(len(p)) if _exact_orientation(p[a], p[b], p[c], p[q])), None)
+        if d is None:
+            return [a, b, c]
+    return [a, b, c, d]
+
+
+def _flat_vertices(pts: np.ndarray, simplex: list) -> list:
+    """The indices, ascending, of the strict extreme points of a flat cloud of distinct
+    points in lexicographic order, from _simplex's [a], [a, b] or [a, b, c]: its one
+    point, its two ends, or its polygon's corners by _face_cycle on the two
+    coordinates that its normal's largest component leaves out."""
+    if len(simplex) < 3:
+        return simplex
+    p = pts.tolist()
+    cols = _plane_axes(*(p[i] for i in simplex))[0]
+    return sorted(_face_cycle(pts, _hull_candidates(pts[:, cols]), cols))
 
 
 def _triangle_planes(points: np.ndarray, triangles: np.ndarray) -> tuple:
@@ -772,8 +934,16 @@ def _triangle_planes(points: np.ndarray, triangles: np.ndarray) -> tuple:
     n = (b - a) x (c - a) and _plane_margin, with M taken over points."""
     a, b, c = points[triangles.T]
     u, v = b - a, c - a
-    margins = _plane_margin(np.abs(u).sum(axis=1) * np.abs(v).sum(axis=1), np.abs(points).max(axis=0).sum())
-    return a, np.cross(u, v), margins
+    margins = _plane_margin(np.abs(u).sum(axis=1) * np.abs(v).sum(axis=1), _spatial_magnitude(points))
+    return a, _cross_rows(u, v), margins
+
+
+def _spatial_magnitude(points: np.ndarray) -> float:
+    """M_x + M_y + M_z, the largest coordinate magnitudes of points summed, or infinity
+    from 2**250, where a height may overflow: _plane_margin is then infinite, and every
+    side of a plane is decided exactly."""
+    magnitude = float(np.abs(points).max(axis=0).sum())
+    return magnitude if magnitude < 2.0**250 else math.inf
 
 
 def _plane_margin(edge_l1s, magnitude):
@@ -786,21 +956,20 @@ def _plane_margin(edge_l1s, magnitude):
     return (edge_l1s + _TINY) * (magnitude * 256 * _EPS) + _TINY
 
 
-def _quickhull(pts: np.ndarray) -> np.ndarray | None:
-    """The (f, 3) triangles of a (p, 3) cloud's hull, each counterclockwise seen from
-    outside, by Quickhull (Barber, Dobkin & Huhdanpaa, TOMS 1996) in Python floats, or
-    None where it cannot be sure of them.
+def _quickhull(pts: np.ndarray, simplex: list) -> np.ndarray:
+    """The (f, 3) triangles of the hull of distinct (p, 3) points, each counterclockwise
+    seen from outside, by Quickhull (Barber, Dobkin & Huhdanpaa, TOMS 1996) from
+    _simplex's first simplex [a, b, c, d].
 
-    Every side of a facet plane it decides, a height n @ q - n @ a, must clear
-    _plane_margin, so each point it drops is strictly inside and each apex strictly
-    above the facets it replaces. It refuses a height too close to call (duplicates,
-    coplanar points such as lattices or points on a box face), a NaN, a flat cloud
-    and M_x + M_y + M_z >= 2**250. Two new facets can still be coplanar across an edge
-    it never tests; _spatial_hull refuses those.
+    Every side of a facet plane is decided exactly, with Shewchuk's filter design
+    (DCG 18, 1997): a height n @ q - n @ a in Python floats that clears _plane_margin
+    has the exact sign, and one too close to call is the sign of _exact_orientation.
+    A point counts as above a facet only when it is strictly above, so a point on the
+    boundary is dropped (it lies in the hull of the others), and an apex coplanar
+    with a facet leaves it in place: such a facet and its new neighbour are coplanar,
+    and _spatial_hull merges them into one face.
     """
-    magnitude = float(np.abs(pts).max(axis=0).sum())
-    if not magnitude < 2.0**250:
-        return None
+    magnitude = _spatial_magnitude(pts)
     p = pts.tolist()
     edges, made = {}, []  # edges: (i, j) -> the live facet with the directed edge i -> j
 
@@ -816,38 +985,30 @@ def _quickhull(pts: np.ndarray) -> np.ndarray | None:
         made.append(f)
         return f
 
-    # the first simplex: the x extremes, the point farthest from their line, and the
-    # point farthest from the plane of those three
-    a, b = int(pts[:, 0].argmin()), int(pts[:, 0].argmax())
-    c = int(_row_squares(np.cross(pts[b] - pts[a], pts - pts[a])).argmax())
+    a, b, c, d = simplex
     base = add(a, b, c)
-    d = int(np.abs(pts @ base[3:6] - base[6]).argmax())
     h = base[3] * p[d][0] + base[4] * p[d][1] + base[5] * p[d][2] - base[6]
-    if not abs(h) > base[7]:
-        return None
-    if h > 0:
+    if h > 0 if abs(h) > base[7] else _exact_orientation(p[a], p[b], p[c], p[d]) > 0:
         b, c = c, b
     edges.clear()
     made.clear()
     cone = [add(a, b, c), add(a, d, b), add(b, d, c), add(c, d, a)]
     orphans, stack = [q for q in range(len(p)) if q not in (a, b, c, d)], []
     while True:
-        for q in orphans:  # onto the first new facet it is above, or dropped if below all
+        for q in orphans:  # onto the first new facet it is above, or dropped if above none
             qx, qy, qz = p[q]
             for f in cone:
                 h = f[3] * qx + f[4] * qy + f[5] * qz - f[6]
-                if h > f[7]:
+                if h > f[7] or not h < -f[7] and _exact_orientation(p[f[0]], p[f[1]], p[f[2]], p[q]) > 0:
                     f[8].append((h, q))
                     break
-                if not h < -f[7]:
-                    return None
         stack += [f for f in cone if f[8]]
         while stack and stack[-1][10]:  # replaced since it was stacked
             stack.pop()
         if not stack:
             return np.array([f[:3] for f in made if not f[10]])
         f = stack.pop()
-        apex = max(f[8])[1]
+        apex = max(f[8])[1]  # the farthest as floats see it: any point above f would do
         qx, qy, qz = p[apex]
         f[9], f[10], visible, horizon = apex, True, [f], []
         for g in visible:  # every facet the apex is above: a patch its edges connect
@@ -855,9 +1016,8 @@ def _quickhull(pts: np.ndarray) -> np.ndarray | None:
                 nb = edges[j, i]
                 if nb[9] != apex:
                     h = nb[3] * qx + nb[4] * qy + nb[5] * qz - nb[6]
-                    if not abs(h) > nb[7]:
-                        return None
-                    nb[9], nb[10] = apex, h > 0
+                    nb[9], nb[10] = apex, h > nb[7] or not h < -nb[7] and _exact_orientation(
+                        p[nb[0]], p[nb[1]], p[nb[2]], p[apex]) > 0
                     if nb[10]:
                         visible.append(nb)
                 if not nb[10]:
@@ -868,52 +1028,144 @@ def _quickhull(pts: np.ndarray) -> np.ndarray | None:
         orphans = [q for g in visible for _, q in g[8] if q != apex]
 
 
-def _spatial_hull(points: np.ndarray, triangles) -> Hull | None:
-    """The 3D Hull of a cloud from the (f, 3) indices into points of its hull's triangles,
-    with arrays that depend on the triangle set alone, or None where it cannot certify
-    them.
+def _qhull_triangles(points: np.ndarray) -> np.ndarray | None:
+    """qhull's triangles of the hull of distinct (p, 3) points, each turned
+    counterclockwise seen from outside by qhull's facet normal; None where qhull
+    finds the cloud flat or keeps a point off the hull as coplanar, which might be
+    a vertex."""
+    from scipy.spatial import ConvexHull, QhullError
 
-    The vertices, the triangles' corners, run in lexicographic order. Each row of
-    simplices is sorted, and the rows are sorted. A facet's corners a, b, c in that
-    order give n = (b - a) x (c - a), flipped to point away from the vertices' mean
-    and then normalized, and b = -n @ a. It certifies that each edge is on exactly two
-    triangles and that each triangle's far corner is below the other's plane by more
-    than _plane_margin: no two facets are coplanar, so the triangulation is the only one.
-    """
-    used = np.zeros(len(points), dtype=bool)
-    used[triangles] = True
-    corners = points[used]
-    order = np.argsort(corners[:, 0])
-    if np.any(np.diff(corners[order, 0]) == 0):  # a tie in x: y and z decide it
-        order = np.lexsort(corners.T[::-1])
-    vertices, k = corners[order], len(order)
-    if k >= 2**21:  # the row keys below would overflow
+    try:
+        qhull = ConvexHull(points, qhull_options="Qt Qc")
+    except QhullError:
         return None
-    index = np.empty(len(points), dtype=np.intp)
-    index[np.flatnonzero(used)[order]] = np.arange(k)
-    rows = np.sort(index[triangles], axis=1)
-    keys = np.sort((rows[:, 0] * k + rows[:, 1]) * k + rows[:, 2])
-    simplices = np.column_stack([keys // (k * k), keys // k % k, keys % k])
-    a, normals, margins = _triangle_planes(vertices, simplices)
-    normals[np.einsum("fc,fc->f", vertices.mean(axis=0) - a, normals) > 0] *= -1
-    # slot 3t + s is triangle t's edge (0, 1), (1, 2) or (0, 2) for s = 0, 1, 2, far from corner 2, 0 or 1
-    keys = (simplices[:, [0, 1, 0]] * k + simplices[:, [1, 2, 2]]).ravel()
+    if qhull.coplanar.size:
+        return None
+    triangles = qhull.simplices.astype(np.intp)
+    a, b, c = points[triangles.T]
+    inward = np.einsum("fc,fc->f", _cross_rows(b - a, c - a), qhull.equations[:, :3]) < 0
+    triangles[inward] = triangles[inward][:, ::-1]
+    return triangles
+
+
+def _spatial_hull(points: np.ndarray, triangles: np.ndarray, shift: int = 0) -> Hull | None:
+    """The 3D Hull of a cloud from its distinct points in lexicographic order and the
+    (f, 3) indices into them of its hull's triangles, each counterclockwise seen from
+    outside, with arrays that depend on the hull alone; the vertices are the points'
+    times 2**-shift. None where the triangles do not bound a convex body: some edge
+    is not on one triangle each way, or some triangle's far corner is above its
+    neighbour's plane.
+
+    Each side is decided exactly, by the float height where it clears _plane_margin
+    and else by _exact_orientation. Triangles exactly coplanar across an edge merge
+    into one face, whose strict corners come from _face_cycle on the two coordinates
+    that its normal's largest component leaves out, fanned from its
+    lexicographically smallest corner. The vertices, the faces' corners, run in
+    lexicographic order; each row of simplices is sorted, and the rows are sorted.
+    Every row of a face takes that face's one equation, from its first row
+    (_facet_equations), so a point on a face is above all of its rows or none.
+    """
+    vertices, tri = _used(points, triangles)
+    # slot 3t + s is triangle t's edge from corner s to corner s + 1 (mod 3), away from corner s + 2
+    starts, stops = tri.ravel(), tri[:, [1, 2, 0]].ravel()
+    keys = np.minimum(starts, stops) * len(vertices) + np.maximum(starts, stops)
     slots = np.argsort(keys)
-    one, other = slots[0::2], slots[1::2]
-    if len(keys) % 2 or np.any(keys[one] != keys[other]) or np.any(keys[other[:-1]] == keys[one[1:]]):
+    one, other = slots[0::2], slots[1::2]  # each edge's two slots, which must run opposite ways
+    if (len(keys) % 2 or np.any(keys[one] != keys[other]) or np.any(keys[other[:-1]] == keys[one[1:]])
+            or np.any(starts[one] == starts[other])):
         return None
     partner = np.empty_like(slots)
     partner[one], partner[other] = other, one
-    far = vertices[simplices[:, [2, 0, 1]].ravel()[partner]].reshape(-1, 3, 3)  # the other triangle's far corner
-    heights = np.einsum("fsc,fc->fs", far, normals) - np.einsum("fc,fc->f", a, normals)[:, None]
-    if not np.all(heights < -margins[:, None]):
+    far = tri[:, [2, 0, 1]].ravel()[partner]  # the neighbour's corner off the shared edge
+    rows, flip = _sorted_rows(tri)
+    a, normals, margins = planes = _triangle_planes(vertices, rows)
+    heights = np.einsum("fsc,fc->fs", vertices[far].reshape(-1, 3, 3), normals)
+    heights -= np.einsum("fc,fc->f", a, normals)[:, None]
+    heights[flip] *= -1  # as seen from outside
+    if np.any(heights > margins[:, None]):
         return None
-    squares = _row_squares(normals)
-    if not np.all(squares >= _TINY):  # n / |n| would lose bits to underflow
-        return None
-    normals /= np.sqrt(squares)[:, None]
-    equations = np.column_stack([normals, -(normals * a).sum(axis=1)])
+    face = np.arange(len(tri))  # each triangle's face, named by one of its triangles
+    close = np.flatnonzero(~(heights < -margins[:, None]))
+    v_list = vertices.tolist() if close.size else None
+    for slot in close.tolist():
+        t, u = slot // 3, partner[slot] // 3
+        side = _exact_orientation(*(v_list[i] for i in tri[t]), v_list[far[slot]])
+        if side > 0:
+            return None
+        if side == 0 and face[t] != face[u]:
+            face[face == face[u]] = face[t]
+    merged = np.any(face != np.arange(len(tri)))
+    if merged:
+        tri, face = _fanned_faces(vertices, tri, face)
+        vertices, tri = _used(vertices, tri)
+        rows, flip = _sorted_rows(tri)
+    if merged or shift:
+        vertices = np.ldexp(vertices, -shift)
+        planes = _triangle_planes(vertices, rows)
+    equations = _facet_equations(vertices, rows, flip, *planes[:2])
+    order = np.lexsort(rows.T[::-1])
+    simplices, equations = rows[order], equations[order]
+    if merged:  # each face's first row gives its equation to every row of the face
+        _, first, face_of = np.unique(face[order], return_index=True, return_inverse=True)
+        equations = equations[first[face_of]]
     return Hull(dim=3, vertices=vertices, equations=equations, simplices=simplices)
+
+
+def _used(points: np.ndarray, triangles: np.ndarray) -> tuple:
+    """The points that triangles use, in their order, and triangles indexing them."""
+    used = np.zeros(len(points), dtype=bool)
+    used[triangles] = True
+    return points[used], (np.cumsum(used) - 1)[triangles]
+
+
+def _sorted_rows(triangles: np.ndarray) -> tuple:
+    """Each row sorted, and whether that sort is an odd permutation, which turns
+    n = (b - a) x (c - a) around: (j - i)(k - i)(k - j) < 0 for a row (i, j, k)."""
+    i, j, k = triangles.T
+    return np.sort(triangles, axis=1), np.sign(j - i) * np.sign(k - i) * np.sign(k - j) < 0
+
+
+def _fanned_faces(points: np.ndarray, triangles: np.ndarray, face: np.ndarray) -> tuple:
+    """The rows of triangles and their faces, with every face of more than one triangle
+    replaced by the fan from its lexicographically smallest strict corner, each row
+    counterclockwise seen from outside."""
+    labels, counts = np.unique(face, return_counts=True)
+    merged = labels[counts > 1]
+    alone = ~np.isin(face, merged)
+    rows, owner = [triangles[alone]], [face[alone]]
+    for g in merged.tolist():
+        members = np.flatnonzero(face == g)
+        cols, up = _plane_axes(*points[triangles[members[0]]].tolist())
+        cycle = _face_cycle(points, np.unique(triangles[members]), cols)
+        if not up:  # counterclockwise seen from outside, where n_k < 0
+            cycle.reverse()
+        first = cycle.index(min(cycle))  # the points run in lexicographic order
+        cycle = cycle[first:] + cycle[:first]
+        rows.append(np.array([[cycle[0], cycle[i], cycle[i + 1]] for i in range(1, len(cycle) - 1)]))
+        owner.append(np.full(len(cycle) - 2, g))
+    return np.concatenate(rows), np.concatenate(owner)
+
+
+def _facet_equations(vertices: np.ndarray, rows: np.ndarray, flip: np.ndarray, a: np.ndarray,
+                     normals: np.ndarray) -> np.ndarray:
+    """One row [n, b] for each sorted row of corners a, b, c, from _triangle_planes' a and
+    n = (b - a) x (c - a) in floats, negated where flip (it then points outward), then
+    normalized, and b = -n @ a. Where n's squared length is not a normal float (tiny or
+    huge clouds, slivers), n is instead the exact cross product, in integers scaled by
+    one power of two, divided by the power of two 2**s that brings its largest
+    component into [2**63, 2**64), each component rounded to the nearest float.
+    Vertices that span more than the largest float are a GeometryError."""
+    if not np.isfinite(np.ptp(vertices, axis=0)).all():
+        raise GeometryError("a 3D hull spans more than the largest float")
+    squares = _row_squares(normals)
+    for r in np.flatnonzero(~((squares >= _TINY) & (squares < math.inf))).tolist():
+        n = _exact_normal(*vertices[rows[r]].tolist())
+        s = max(abs(x).bit_length() for x in n) - 64
+        normals[r] = [x / 2**s for x in n]
+        squares[r] = _row_squares(normals[r])
+    normals[flip] *= -1
+    normals /= np.sqrt(squares)[:, None]
+    return np.column_stack([normals, -(normals * a).sum(axis=1)])
 
 
 def _qhull_hull(pts: np.ndarray, qhull: ConvexHull) -> Hull:
@@ -975,6 +1227,10 @@ def _nearest(hull: Hull, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     else:
         a, b, c = corners[:, 0], corners[:, 1], corners[:, 2]
         e0, e1, rel = b - a, c - a, plane - a
+        # v and w below do not change under one power of two per row, which keeps their
+        # products off the subnormals and below overflow in tiny and huge hulls
+        scale = np.ldexp(1.0, -np.frexp(np.maximum(np.abs(e0).max(axis=1), np.abs(e1).max(axis=1)))[1])[:, None]
+        e0, e1, rel = e0 * scale, e1 * scale, rel * scale
         d00, d01, d11 = _dot(e0, e0), _dot(e0, e1), _dot(e1, e1)
         d20, d21 = _dot(rel, e0), _dot(rel, e1)
         # a zero-area facet gives NaN: its plane foot is never inside
@@ -1004,15 +1260,22 @@ def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _segment_nearest(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Distance from x to the segment [a, b], row-wise, the nearest point a + t (b - a)
-    and its t in [0, 1]; if a == b, a and t = 0."""
-    ab = b - a
-    length2 = _dot(ab, ab)
+    and its t in [0, 1]; if a == b, a and t = 0.
+
+    The products run on b - a, x - a and x - foot scaled by one power of two per
+    row, which changes no bit where they neither overflow nor reach the
+    subnormals, and keeps them finite for clouds past 1e154.
+    """
+    ab, ax = b - a, x - a
+    scale = np.ldexp(1.0, -np.frexp(np.maximum(np.abs(ab).max(axis=-1), np.abs(ax).max(axis=-1)))[1])[..., None]
+    ab_scaled = ab * scale
+    length2 = _dot(ab_scaled, ab_scaled)
     with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 where a == b
-        t = np.clip(_dot(x - a, ab) / length2, 0.0, 1.0)
+        t = np.clip(_dot(ax * scale, ab_scaled) / length2, 0.0, 1.0)
     t = np.where(length2 == 0, 0.0, t)
     foot = a + t[..., None] * ab
-    off = x - foot
-    return np.sqrt(_dot(off, off)), foot, t
+    off = (x - foot) * scale
+    return np.sqrt(_dot(off, off)) / scale[..., 0], foot, t
 
 
 def min_norm_point_distance(

@@ -6,14 +6,16 @@ Gaussian CDFs with the clamped CDF of acceptance criterion 3, an empirical
 check of a model's declared Lipschitz constants, a sampler of boundary
 points for the variational inequality of a projection, the hull of a whole
 cloud as qhull builds it with no candidate filter, its canonical 3D arrays,
-an exact 2D hull in Python integers, the projected Euler step as a plain sum with the screens that decide
-whether a projection returns its input, a step observer that records what an
-ensemble does not keep, and one that makes the --check reports from
-distances computed afresh.
+exact 2D and 3D hulls in Python integers, the projected Euler step as a
+plain sum with the screens that decide whether a projection returns its
+input, a step observer that records what an ensemble does not keep, and one
+that makes the --check reports from distances computed afresh.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from typing import Callable
 
 import numpy as np
@@ -195,18 +197,37 @@ def full_cloud_hull(points) -> Hull:
 def exact_planar_hull(points) -> Hull:
     """The hull of a (p, 2) cloud in exact arithmetic, with planar_hull's arrays.
 
-    Every coordinate is an integer over one power of two, so over the cloud's
-    largest denominator the points are integer pairs. Andrew's monotone chain
-    over the distinct pairs, sorted, pops a point at every turn whose integer
-    cross product is not positive, so the cycle holds the strict extreme points
-    only, counterclockwise from the smallest. A collinear cloud gives its first
-    and last pair, and one point itself.
+    Every coordinate is an integer times a power of two, so over one power of
+    two the points are integer pairs. Andrew's monotone chain over the distinct
+    pairs, sorted, pops a point at every turn whose integer cross product is not
+    positive, so the cycle holds the strict extreme points only, counterclockwise
+    from the smallest. A collinear cloud gives its first and last pair, and one
+    point itself.
     """
-    pts = np.asarray(points, dtype=float)
-    ratios = [c.as_integer_ratio() for c in pts.ravel().tolist()]
+    e, ints = _integer_coordinates(points)
+    cycle = _integer_chain(sorted(set(zip(ints[0::2], ints[1::2]))))
+    return planar_hull(np.array([[_float(x, e), _float(y, e)] for x, y in cycle]))
+
+
+def _integer_coordinates(points) -> tuple[int, list]:
+    """The coordinates of a cloud, flattened, as integers times 2**e with no factor of two
+    common to them all, and e: every coordinate is an integer over a power of two."""
+    ratios = [c.as_integer_ratio() for c in np.asarray(points, dtype=float).ravel().tolist()]
     scale = max(d for _, d in ratios)
     ints = [n * (scale // d) for n, d in ratios]
-    ordered = sorted(set(zip(ints[0::2], ints[1::2])))
+    common = min(((x & -x).bit_length() - 1 for x in ints if x), default=0)
+    return common - (scale.bit_length() - 1), [x >> common for x in ints]
+
+
+def _float(x: int, e: int) -> float:
+    """x * 2**e, exactly, for a value that is a float."""
+    return float(x << e) if e >= 0 else x / (1 << -e)
+
+
+def _integer_chain(ordered: list) -> list:
+    """Andrew's monotone chain over distinct sorted integer pairs: the strict extreme
+    points counterclockwise from the smallest, or the first and last pair of a
+    collinear run, or its one pair."""
 
     def cross(o, a, b):
         return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
@@ -220,9 +241,124 @@ def exact_planar_hull(points) -> Hull:
             chain.append(b)
         halves.append(chain[:-1])
     cycle = halves[0] + halves[1]
-    if len(cycle) < 3:
-        cycle = [ordered[0], ordered[-1]][:len(ordered)]
-    return planar_hull(np.array([[x / scale, y / scale] for x, y in cycle]))
+    return cycle if len(cycle) >= 3 else [ordered[0], ordered[-1]][:len(ordered)]
+
+
+def _sub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def _cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def _dot(u, v):
+    return sum(x * y for x, y in zip(u, v))
+
+
+def _polygon(on: list, n: tuple) -> list:
+    """The strict corners of integer points on one plane with normal n, counterclockwise
+    seen from where n points: the chain on the two coordinates, in cyclic order, that
+    n's largest component n_k leaves out, reversed where n_k < 0."""
+    k = max(range(3), key=lambda j: abs(n[j]))
+    at = {(q[(k + 1) % 3], q[(k + 2) % 3]): q for q in on}
+    cycle = [at[q] for q in _integer_chain(sorted(at))]
+    return cycle if n[k] > 0 else cycle[::-1]
+
+
+def exact_spatial_hull(points) -> Hull:
+    """The hull of a (p, 3) cloud of at most 40 points in exact arithmetic, with the
+    canonical arrays of the Hull docstring.
+
+    Over one power of two the points are integer triples. A face is a plane
+    through three of the distinct points with every point on one side; its
+    strict corners are those of the exact polygon of the points on it, fanned from
+    its lexicographically smallest corner, counterclockwise seen from outside. The
+    vertices are the faces' corners in lexicographic order, each row of simplices is
+    sorted and the rows are sorted, and every row of a face takes the equation of its
+    first row by spatial_equations. A flat cloud is a Hull of its strict extreme
+    points in lexicographic order: one point, the two ends of a segment, or the
+    corners of a polygon.
+    """
+    pts = np.asarray(points, dtype=float)
+    if len(pts) > 40:
+        raise OracleError("the exact spatial hull takes at most 40 points")
+    e, ints = _integer_coordinates(pts)
+    cloud = sorted(set(zip(ints[0::3], ints[1::3], ints[2::3])))
+    faces = {}  # outward normal over its gcd -> the points on that supporting plane
+    for i, j, k in itertools.combinations(range(len(cloud)), 3):
+        o = cloud[i]
+        n = _cross(_sub(cloud[j], o), _sub(cloud[k], o))
+        if n == (0, 0, 0):
+            continue
+        (nx, ny, nz), offset = n, _dot(n, o)
+        above = below = False
+        for x, y, z in cloud:
+            h = nx * x + ny * y + nz * z - offset
+            if h > 0:
+                above = True
+            elif h < 0:
+                below = True
+            if above and below:
+                break
+        else:
+            if not (above or below):  # every point on the plane: a flat cloud
+                continue
+            out = tuple(-x for x in n) if above else n
+            g = math.gcd(*out)
+            key = tuple(x // g for x in out)
+            if key not in faces:
+                faces[key] = [q for q in cloud if _dot(key, _sub(q, o)) == 0]
+
+    def floats(corners):
+        return np.array([[_float(x, e) for x in q] for q in corners]).reshape(-1, 3)
+
+    if not faces:
+        normal = next((n for q in cloud if (n := _cross(_sub(cloud[-1], cloud[0]), _sub(q, cloud[0]))) != (0, 0, 0)),
+                      None)
+        if normal is None:
+            return Hull(dim=3, vertices=floats([cloud[0], cloud[-1]][:len(cloud)]))
+        return Hull(dim=3, vertices=floats(sorted(_polygon(cloud, normal))))
+    fans = []  # (corners, outward normal) of each row
+    for out, on in faces.items():
+        cycle = _polygon(on, out)
+        first = cycle.index(min(cycle))
+        cycle = cycle[first:] + cycle[:first]
+        fans += [((cycle[0], cycle[t], cycle[t + 1]), out) for t in range(1, len(cycle) - 1)]
+    corners = sorted({q for tri, _ in fans for q in tri})
+    rank = {q: r for r, q in enumerate(corners)}
+    rows = sorted((sorted(rank[q] for q in tri), out) for tri, out in fans)
+    source = {}  # each face's first row
+    for row, out in rows:
+        source.setdefault(out, row)
+    firsts = [source[out] for _, out in rows]
+    flips = [_dot(_cross(_sub(corners[b], corners[a]), _sub(corners[c], corners[a])), out) < 0
+             for (a, b, c), (_, out) in zip(firsts, rows)]
+    vertices = floats(corners)
+    return Hull(dim=3, vertices=vertices, equations=spatial_equations(vertices, np.array(firsts), np.array(flips)),
+                simplices=np.array([row for row, _ in rows]))
+
+
+def spatial_equations(vertices: np.ndarray, rows: np.ndarray, flips: np.ndarray) -> np.ndarray:
+    """One equation [n, b] per (a, b, c) index row into vertices, by the recipe of the
+    Hull docstring: n = (b - a) x (c - a) in floats; where its squared length
+    (n_x^2 + n_y^2 + n_z^2, in that order) is not a normal float, the exact integer
+    cross product divided by the power of two 2**s that brings its largest component
+    into [2**63, 2**64), rounded to the nearest floats; negated where flips, divided by
+    its length, and b = -n . a."""
+    a, b, c = (vertices[rows[:, k]] for k in range(3))
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        n = np.cross(b - a, c - a)
+        squares = n[:, 0] * n[:, 0] + n[:, 1] * n[:, 1] + n[:, 2] * n[:, 2]
+    for r in np.flatnonzero(~((squares >= _TINY) & (squares < np.inf))):
+        _, ints = _integer_coordinates(vertices[rows[r]])
+        exact = _cross(_sub(ints[3:6], ints[0:3]), _sub(ints[6:9], ints[0:3]))
+        s = max(abs(x).bit_length() for x in exact) - 64
+        n[r] = [x / 2**s for x in exact]
+        squares[r] = n[r, 0] * n[r, 0] + n[r, 1] * n[r, 1] + n[r, 2] * n[r, 2]
+    n[flips] *= -1
+    n = n / np.sqrt(squares)[:, None]
+    return np.column_stack([n, -np.sum(n * a, axis=1)])
 
 
 def planar_hull(cycle: np.ndarray) -> Hull:
@@ -258,7 +394,7 @@ def canonical_spatial_hull(points) -> Hull:
     order = np.lexsort(corners.T[::-1])
     rank = {int(v): i for i, v in enumerate(qhull.vertices[order])}
     rows = sorted(sorted(rank[int(v)] for v in simplex) for simplex in qhull.simplices)
-    vertices, simplices = corners[order], np.array(rows)
+    vertices, simplices = corners[order] + 0.0, np.array(rows)
     a, b, c = (vertices[simplices[:, k]] for k in range(3))
     n = np.cross(b - a, c - a)
     n[np.sum((vertices.mean(axis=0) - a) * n, axis=1) > 0] *= -1

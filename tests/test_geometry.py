@@ -36,7 +36,7 @@ from hullsim.geometry import (
     support,
 )
 from reference import (boundary_points, brute_force_hull_distance, canonical_spatial_hull, exact_planar_hull,
-                       full_cloud_hull, nothing_outside, reference_project)
+                       exact_spatial_hull, full_cloud_hull, nothing_outside, reference_project)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -568,17 +568,15 @@ SCIPY_SNIPPETS = [
             "np.clip(rng.standard_normal((2000, 2)), -1.0, 1.0)",  # box-clipped
             "rng.standard_normal((2000, 2)) * [1.0, 1e-12]",  # thin
             "rng.standard_normal((2000, 2)) * 1e-200",
+            "rng.standard_normal((50, 3))",
+            "rng.integers(-2, 3, (50, 3)).astype(float)",  # lattice
+            "np.clip(rng.standard_normal((2000, 3)), -1.0, 1.0)",  # box-clipped
+            "rng.standard_normal((500, 3))[rng.integers(0, 500, 2000)]",  # duplicates
+            "np.column_stack([rng.standard_normal((2000, 2)), np.full(2000, 0.5)])",  # coplanar
+            "np.outer(rng.standard_normal(2000), [1.0, -2.0, 0.5])",  # collinear
+            "rng.standard_normal((2000, 3)) * 1e-150",
+            "rng.standard_normal((2000, 3)) * 1e150",
         )
-    ),
-    (
-        "import numpy as np\nfrom hullsim.geometry import convex_hull\n"
-        "convex_hull(np.random.default_rng(0).standard_normal((50, 3)))",
-        set(),
-    ),
-    (
-        "import numpy as np\nfrom hullsim.geometry import convex_hull\n"
-        "convex_hull(np.random.default_rng(0).integers(-2, 3, (50, 3)).astype(float))",
-        {"scipy.spatial"},
     ),
     (
         "import numpy as np\nfrom hullsim.geometry import convex_hull\n"
@@ -590,9 +588,9 @@ SCIPY_SNIPPETS = [
 
 def test_import_leaves_out_the_lp_solver():
     """No snippet loads scipy.optimize. 1D, 2D and 3D runs load no scipy: the monotone
-    chain and the Python quickhull build their hulls. No 2D cloud loads scipy: lattice,
-    box-clipped, thin and tiny clouds neither. A 3D lattice, which the quickhull refuses,
-    and a 4D hull load qhull."""
+    chain and the exact quickhull build their hulls. No 2D or 3D cloud of at most
+    QUICKHULL_MAX_POINTS candidates loads scipy: lattice, box-clipped, duplicate,
+    coplanar, collinear, thin, tiny and huge clouds neither. A 4D hull loads qhull."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     report = "import sys; print(*(m for m in sys.modules if m.startswith('scipy')))"
     for snippet, wanted in SCIPY_SNIPPETS:
@@ -685,10 +683,11 @@ class TestConvexHull:
         ],
     )
     def test_degenerate_spatial_cloud(self, pts, query, expected):
+        # the vertices are the strict extreme points, in lexicographic order
         pts = np.array(pts, dtype=float)
         hull = convex_hull(pts)
         assert hull.equations is None and hull.simplices is None
-        np.testing.assert_array_equal(hull.vertices, np.unique(pts, axis=0))
+        assert_same_hull(hull, exact_spatial_hull(pts))
         d = distance_to_body(hull, np.array(query, dtype=float))
         assert d == pytest.approx(expected, abs=1e-8)
         for p in pts:
@@ -732,12 +731,13 @@ class TestConvexHull:
             assert distance_to_body(hull, p) <= 1e-6
 
     def test_thin_spatial_cloud_keeps_its_generators(self):
-        # qhull's default facet merging leaves (48, 0, 0) 1.04e-6 outside the hull
-        # of this thin cloud; the joggled rebuild leaves it 5.8e-11 outside
+        # qhull's default facet merging leaves (48, 0, 0) 1.04e-6 outside the hull of
+        # this thin cloud, and its joggled rebuild 5.8e-11; the exact hull, none
         pts = np.array([(0, 0, 1), (0, 27, -8.29e-184), (0, -2.68e-4, 1e-10),
                         (48, 0, 0), (61, 0, 0), (-42, 8.27e-6, 0)], dtype=float)
         hull = convex_hull(pts)
-        assert np.all(distance_to_body(hull, pts) <= 1e-6)
+        assert_same_hull(hull, exact_spatial_hull(pts))
+        assert np.all(distance_to_body(hull, pts) == 0.0)
 
 
 def bent_polygon(seed: int, n: int) -> np.ndarray:
@@ -987,9 +987,30 @@ def spatial_cloud(family: str, n: int, seed: int) -> np.ndarray:
         cloud = rng.standard_normal((n, 3)) * 0.6
         norms = row_norms(cloud)[:, None]
         return np.where(norms > 1.0, cloud / norms, cloud)
+    if family == "box-clipped":  # a cube body's copies: most on a face, repeated corners
+        return np.clip(rng.standard_normal((n, 3)), -1.0, 1.0)
+    if family == "lattice":  # duplicates, coplanar faces and collinear edge runs
+        r = int(rng.choice([1, 2, 20]))
+        return rng.integers(-r, r + 1, (n, 3)).astype(float)
+    if family == "duplicates":  # every point about four times
+        base = rng.standard_normal((max(n // 4, 1), 3))
+        return base[rng.integers(0, len(base), n)]
+    if family == "coplanar":  # exactly on a plane through no axis: s (1, 2, 3) + t (2, -1, 1)
+        s, t = (rng.integers(-2**20, 2**20, (n, 1)) / 2.0**20 for _ in range(2))
+        return s * [1.0, 2.0, 3.0] + t * [2.0, -1.0, 1.0]
+    if family == "collinear":
+        return np.outer(rng.standard_normal(n), [1.0, -2.0, 0.5])
+    if family == "tiny":
+        return rng.standard_normal((n, 3)) * 1e-150
+    if family == "huge":
+        return rng.standard_normal((n, 3)) * 1e150
     # thin: widths 1e-13 to 1e-5, rotated
     rotation = np.linalg.qr(rng.standard_normal((3, 3)))[0]
     return (rng.standard_normal((n, 3)) * [1.0, 1.0, 10 ** rng.uniform(-13, -5)]) @ rotation
+
+
+# the families whose hulls have few facets, and which the float quickhull could not certify
+TIED_FAMILIES = ["box-clipped", "lattice", "duplicates", "coplanar", "collinear", "thin", "tiny", "huge"]
 
 
 def spatial_probes(cloud: np.ndarray) -> np.ndarray:
@@ -999,23 +1020,45 @@ def spatial_probes(cloud: np.ndarray) -> np.ndarray:
     return np.vstack([harness.default_probes(Ball(np.zeros(3), radius * scale)) for scale in (1.0, 1.5625)])
 
 
-def certified(cloud: np.ndarray) -> bool:
-    return geometry._certified_spatial_hull(cloud) is not None
+def spatial_hull_spied(cloud: np.ndarray):
+    """convex_hull of a 3D cloud, asserting that it calls scipy's ConvexHull only on more than
+    QUICKHULL_MAX_POINTS distinct candidates."""
+    with pytest.MonkeyPatch.context() as patch:
+        calls = qhull_inputs(patch)
+        hull = convex_hull(cloud)
+    assert all(count > geometry.QUICKHULL_MAX_POINTS and options == "Qt Qc" for count, options in calls), calls
+    return hull
+
+
+def assert_spatial_canonical(hull):
+    """The vertices, and the rows of simplices and each row, run in lexicographic order."""
+    v = hull.vertices
+    assert np.all(np.lexsort(v.T[::-1]) == np.arange(len(v)))
+    if hull.simplices is not None:
+        s = hull.simplices
+        assert np.all(s[:, :-1] < s[:, 1:]) and np.all(np.lexsort(s.T[::-1]) == np.arange(len(s)))
 
 
 class TestSpatialHull:
-    """A 3D hull that the Python quickhull, or qhull above QUICKHULL_MAX_POINTS candidates,
-    certifies has the canonical arrays of the whole cloud's hull; a cloud it refuses goes
-    to qhull whole and keeps qhull's arrays."""
+    """Every 3D hull is the exact hull of its cloud, with canonical arrays that depend on its
+    vertex set alone. The exact quickhull builds it, or qhull above QUICKHULL_MAX_POINTS
+    distinct candidates, whose triangles are certified exactly; no cloud reaches qhull whole."""
 
     @pytest.mark.parametrize("n", [200, 2000, 20_000])
     @pytest.mark.parametrize("family", ["gaussian", "sphere", "ball-clipped", "thin"])
     def test_matches_the_whole_cloud_bit_for_bit(self, family, n):
+        # where qhull is exact, its hull of the whole cloud with canonical arrays; a thin
+        # cloud, where it is not, holds every point at distance 0.0 and is the hull of its
+        # own vertices, each a cloud point, with every one of them kept
         for seed in range(3):
             cloud = spatial_cloud(family, n, seed)
-            hull = convex_hull(cloud)
-            assert family == "thin" or certified(cloud)
-            expected = canonical_spatial_hull(cloud) if certified(cloud) else full_cloud_hull(cloud)
+            hull = spatial_hull_spied(cloud)
+            if family == "thin":
+                assert np.all(distance_to_body(hull, cloud) == 0.0)
+                assert set(map(tuple, hull.vertices)) <= set(map(tuple, cloud))
+                assert_same_hull(convex_hull(hull.vertices), hull)
+                continue
+            expected = canonical_spatial_hull(cloud)
             assert_same_hull(hull, expected)
             probes = spatial_probes(cloud)
             assert_same_bits(distance_to_body(hull, probes), distance_to_body(expected, probes))
@@ -1035,7 +1078,7 @@ class TestSpatialHull:
             assert_same_bits(distance_to_body(hull, plan.probes), distance_to_body(expected, plan.probes))
 
     @given(
-        family=st.sampled_from(["gaussian", "sphere", "ball-clipped"]),
+        family=st.sampled_from(["gaussian", "sphere", "ball-clipped", "box-clipped", "lattice", "duplicates"]),
         n=st.one_of(st.integers(4, 64), st.integers(1000, 20_000)),
         seed=st.integers(0, 2**32 - 1),
         order=st.sampled_from("FC"),
@@ -1045,20 +1088,63 @@ class TestSpatialHull:
     def test_is_a_function_of_the_vertex_set(self, family, n, seed, order, drop):
         # any order of the cloud, less any of its strictly interior points, gives the same arrays
         cloud = spatial_cloud(family, n, seed)
-        assert certified(cloud)
-        expected = convex_hull(np.asarray(cloud, order=order))
-        v, s = expected.vertices, expected.simplices
-        assert np.all(np.lexsort(v.T[::-1]) == np.arange(len(v)))
-        assert np.all(s[:, :-1] < s[:, 1:]) and np.all(np.lexsort(s.T[::-1]) == np.arange(len(s)))
-        # the largest facet height per point, 256 points at a time: a sphere cloud's hull has
-        # about 2n facets, and all n x 2n heights at once take 6.4 GB at n = 20 000
-        top = np.concatenate([(cloud[i:i + 256] @ expected.equations[:, :3].T + expected.equations[:, 3]).max(axis=1)
-                              for i in range(0, n, 256)])
+        expected = spatial_hull_spied(np.asarray(cloud, order=order))
+        assert_spatial_canonical(expected)
+        top = np.zeros(n)  # a flat hull has no interior
+        if expected.equations is not None:
+            # the largest facet height per point, 256 points at a time: a sphere cloud's hull has
+            # about 2n facets, and all n x 2n heights at once take 6.4 GB at n = 20 000
+            top = np.concatenate([(cloud[i:i + 256] @ expected.equations[:, :3].T + expected.equations[:, 3])
+                                  .max(axis=1) for i in range(0, n, 256)])
         rng = np.random.default_rng(seed)
         rest = cloud[~((top < -1e-9) & (rng.uniform(size=n) < drop))]
         assert_same_hull(convex_hull(np.asarray(rest[rng.permutation(len(rest))], order=order)), expected)
 
-    @pytest.mark.parametrize("family", ["gaussian", "sphere", "ball-clipped"])
+    @pytest.mark.parametrize("n", [300, 2000, 20_000])
+    @pytest.mark.parametrize("family", TIED_FAMILIES)
+    def test_a_tied_flat_thin_tiny_or_huge_cloud_is_exact(self, family, n):
+        # no qhull call below QUICKHULL_MAX_POINTS candidates, every cloud point at distance 0.0
+        # from a full hull, the vertex set of qhull's whole-cloud hull where qhull is exact, and
+        # the same bits from any order of the cloud less half its points strictly inside
+        cloud = spatial_cloud(family, n, 0)
+        hull = spatial_hull_spied(cloud)
+        assert_spatial_canonical(hull)
+        if family in ("coplanar", "collinear"):
+            assert hull.equations is None and hull.simplices is None
+        else:
+            assert np.all(distance_to_body(hull, cloud) == 0.0)
+        if family in ("box-clipped", "lattice", "duplicates", "tiny"):
+            assert sorted(map(tuple, hull.vertices)) == sorted(map(tuple, full_cloud_hull(cloud).vertices))
+        rng = np.random.default_rng(1)
+        inside = np.zeros(n, dtype=bool)  # a flat hull has no interior
+        if hull.equations is not None:
+            inside = hull.interior_margin(cloud) > 1e-9 * np.abs(cloud).max()
+        rest = cloud[~(inside & (rng.uniform(size=n) < 0.5))]
+        assert_same_hull(convex_hull(rest[rng.permutation(len(rest))]), hull)
+
+    @given(
+        family=st.sampled_from(["lattice 1", "lattice 3", "half-integers", "box-clipped"]),
+        n=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_small_tied_clouds_equal_the_exact_hull(self, family, n, seed):
+        # lattices in {-1, 0, 1}^3 and {-3, ..., 3}^3, half-integers in [-2, 2]^3 and
+        # box-clipped Gaussians, against the exact hull from every supporting plane
+        rng = np.random.default_rng(seed)
+        if family.startswith("lattice"):
+            r = int(family.split()[1])
+            cloud = rng.integers(-r, r + 1, (n, 3)).astype(float)
+        elif family == "half-integers":
+            cloud = rng.integers(-4, 5, (n, 3)) / 2.0
+        else:
+            cloud = np.clip(rng.standard_normal((n, 3)), -1.0, 1.0)
+        hull = spatial_hull_spied(cloud)
+        assert_same_hull(hull, exact_spatial_hull(cloud))
+        if hull.equations is not None:  # a point on a tilted face may read a few ulps outside
+            assert np.all(distance_to_body(hull, cloud) <= 4 * np.finfo(float).eps * np.abs(cloud).max())
+
+    @pytest.mark.parametrize("family", ["gaussian", "sphere", "ball-clipped", "box-clipped", "lattice"])
     def test_both_builders_give_the_same_bits(self, family, monkeypatch):
         # QUICKHULL_MAX_POINTS only picks the builder: qhull on the candidates, or the Python quickhull
         for n in (200, 2000) if family == "sphere" else (200, 2000, 20_000):
@@ -1073,19 +1159,40 @@ class TestSpatialHull:
             assert_same_hull(by_python, by_qhull)
 
     def test_coplanar_triangles_are_refused(self):
-        # qhull merges each face of the cube and splits it into two triangles: the edge
-        # check refuses them, while the octahedron's triangles are certified
+        # coplanar triangles merge into one face, fanned from its smallest corner, with one
+        # equation row: the cube has 8 vertices, 12 triangles and 6 distinct equation rows,
+        # from the Python quickhull and from qhull's triangles alike; the octahedron's
+        # triangles are its faces
         cube = np.array(list(itertools.product([-1.0, 1.0], repeat=3)))
-        assert geometry._spatial_hull(cube, scipy.spatial.ConvexHull(cube, qhull_options="Qt").simplices) is None
+        hull = convex_hull(cube)
+        assert hull.vertices.shape == (8, 3) and hull.simplices.shape == (12, 3)
+        assert len(np.unique(hull.equations, axis=0)) == 6
+        assert_same_hull(hull, exact_spatial_hull(cube))
+        assert_same_hull(geometry._spatial_hull(cube, geometry._qhull_triangles(cube)), hull)
         octahedron = np.vstack([np.eye(3), -np.eye(3)])
-        hull = geometry._spatial_hull(octahedron, scipy.spatial.ConvexHull(octahedron).simplices)
-        assert_same_hull(hull, canonical_spatial_hull(octahedron))
+        assert_same_hull(convex_hull(octahedron), canonical_spatial_hull(octahedron))
+
+    def test_one_equation_per_face_keeps_a_face_point_inside(self):
+        # every row of a face shares its equation, so a point on a face is above all of them or
+        # none: with each fan triangle's own equation, rounding put a point on a face of this
+        # lattice hull above a coplanar sibling and 3.18 away from it
+        cloud = np.random.default_rng(0).integers(-20, 21, (2000, 3)).astype(float)
+        hull = convex_hull(cloud)
+        rows = {}
+        for row, simplex in zip(hull.equations.tolist(), hull.simplices.tolist()):
+            rows.setdefault(tuple(row), []).append(simplex)
+        assert len(rows) < len(hull.simplices)  # some face has more than one triangle
+        assert np.all(distance_to_body(hull, cloud) == 0.0)
 
     @pytest.mark.parametrize(
         "case", ["lattice 2", "lattice 4", "lattice 20", "box-clipped", "repeated vertex", "coplanar",
                  "collinear", "tiny", "huge"],
     )
     def test_a_refused_cloud_reaches_qhull_whole(self, case, monkeypatch):
+        # the clouds the float quickhull refused call no qhull now: a full one has qhull's vertex
+        # set (a huge one, which qhull gets wrong, that of the cloud scaled down exactly), every
+        # cloud point at distance 0.0 and the arrays of the hull of its vertices; a coplanar one
+        # has its polygon's corners and a collinear one its two ends
         rng = np.random.default_rng(7)
         cloud = rng.standard_normal((300, 3))
         if case.startswith("lattice"):  # integer points in [-r, r]^3
@@ -1103,21 +1210,52 @@ class TestSpatialHull:
             cloud *= 1e-150 if case == "tiny" else 1e150
         expected = full_cloud_hull(cloud)
         calls = qhull_inputs(monkeypatch)
-        assert_same_hull(convex_hull(cloud), expected)
-        assert calls == [(len(cloud), "Qt Qc")]
+        hull = convex_hull(cloud)
+        assert calls == []
+        if case == "coplanar":
+            corners = exact_planar_hull(cloud[:, :2]).vertices
+            corners = corners[np.lexsort(corners.T[::-1])]
+            np.testing.assert_array_equal(hull.vertices, np.column_stack([corners, np.full(len(corners), 0.5)]))
+        elif case == "collinear":
+            np.testing.assert_array_equal(hull.vertices, cloud[np.lexsort(cloud.T[::-1])[[0, -1]]])
+        else:
+            vertices = expected.vertices
+            if case == "huge":  # where qhull is not exact: the hull of the cloud scaled by 2**-500
+                vertices = np.ldexp(convex_hull(np.ldexp(cloud, -500)).vertices, 500)
+            assert sorted(map(tuple, hull.vertices)) == sorted(map(tuple, vertices))
+            assert np.all(distance_to_body(hull, cloud) == 0.0)
+            assert_same_hull(convex_hull(hull.vertices), hull)
+
+    @pytest.mark.parametrize("cloud", [
+        [[1e300, 0, 0], [0, 1e300, 0], [0, 0, 1e300], [1e-310, 1e-310, 1e-310], [-1e300, -1e300, -1e300],
+         [5e299, 5e299, -1e-300]],  # scaling down would round the small coordinates: decided exactly
+        [[0.0, -0.0, 0.0], [-0.0, 0.0, -0.0], [1, 0, 0], [0, 1, 0], [0, 0, 1]],  # signed zeros
+        [[0, 0, 0], [0, 0, 1.175494351e-38], [0, 1, 0], [-1, 0, 1]],  # a sliver: its float normal is 0
+        [[1, 2, 3]], [[1, 2, 3], [0, 0, 0]], [[1, 2, 3]] * 5,
+    ], ids=["mixed scales", "signed zeros", "sliver", "one point", "two points", "one point repeated"])
+    def test_odd_clouds_equal_the_exact_hull(self, cloud):
+        cloud = np.array(cloud, dtype=float)
+        assert_same_hull(spatial_hull_spied(cloud), exact_spatial_hull(cloud))
+        assert_same_hull(convex_hull(cloud[::-1]), exact_spatial_hull(cloud))
+
+    def test_a_hull_spanning_past_the_largest_float_is_one_geometry_error(self):
+        with pytest.raises(GeometryError, match=r"^a 3D hull spans more than the largest float$"):
+            convex_hull(np.array([[1.7e308, 0, 0], [-1.7e308, 0, 0], [0, 1, 0], [0, 0, 1]]))
 
     def test_matches_the_whole_cloud_at_every_scale(self):
-        # 40 Gaussian points at scales 1e-320 to 1e308: certified from 1e-76, where the
-        # normals' squared lengths leave the subnormals, to 1e74, below M_x + M_y + M_z = 2**250
+        # 40 Gaussian points at scales 1e-320 to 1e308, with no qhull call: the exact hull, checked
+        # against the reference at every 40th power of ten, with normals unit to 1e-15 up to 1e306
         for k in range(-320, 309, 2):
             for seed in range(3):
                 with np.errstate(over="ignore"):
                     cloud = np.random.default_rng(seed).standard_normal((40, 3)) * 10.0**k
                 if not np.all(np.isfinite(cloud)):
                     continue
-                assert certified(cloud) == (-76 <= k <= 74)
-                expected = canonical_spatial_hull(cloud) if certified(cloud) else full_cloud_hull(cloud)
-                assert_same_hull(convex_hull(cloud), expected)
+                hull = spatial_hull_spied(cloud)
+                if k % 40 == 0:
+                    assert_same_hull(hull, exact_spatial_hull(cloud))
+                if hull.equations is not None and k <= 306:
+                    np.testing.assert_allclose(row_norms(hull.equations[:, :3]), 1.0, rtol=1e-15)
 
 
 class TestHullDistance:
@@ -1265,6 +1403,17 @@ class TestHullDistance:
         with pytest.raises(ProjectionSolverError, match="iteration cap") as info:
             min_norm_point_distance(pts, x, max_iter=1)
         assert np.isfinite(info.value.residual) and info.value.residual > 0
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_distances_hold_at_every_scale(self, m):
+        # segment products scaled by a power of two per row: no overflow past 1e154, no
+        # underflow below 1e-154, and the distance scales with the cloud
+        cloud = np.random.default_rng(0).standard_normal((50, m))
+        queries = np.array([[10.0, 10.0, 10.0], [0.1, 0.2, 0.3], [-3.0, 0.5, 4.0]])[:, :m]
+        expected = distance_to_body(convex_hull(cloud), queries)
+        for k in (-300, -200, -160, 100, 160, 200, 300):
+            hull = convex_hull(cloud * 10.0**k)
+            np.testing.assert_allclose(distance_to_body(hull, queries * 10.0**k) / 10.0**k, expected, rtol=1e-12)
 
 
 class TestHullAsBody:
