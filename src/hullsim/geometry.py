@@ -1053,8 +1053,8 @@ def _spatial_hull(points: np.ndarray, triangles: np.ndarray, shift: int = 0) -> 
     (f, 3) indices into them of its hull's triangles, each counterclockwise seen from
     outside, with arrays that depend on the hull alone; the vertices are the points'
     times 2**-shift. None where the triangles do not bound a convex body: some edge
-    is not on one triangle each way, or some triangle's far corner is above its
-    neighbour's plane.
+    is not on one triangle each way, some triangle's far corner is above its
+    neighbour's plane, or some triangle has zero area.
 
     Each side is decided exactly, by the float height where it clears _plane_margin
     and else by _exact_orientation. Triangles exactly coplanar across an edge merge
@@ -1089,8 +1089,10 @@ def _spatial_hull(points: np.ndarray, triangles: np.ndarray, shift: int = 0) -> 
     v_list = vertices.tolist() if close.size else None
     for slot in close.tolist():
         t, u = slot // 3, partner[slot] // 3
-        side = _exact_orientation(*(v_list[i] for i in tri[t]), v_list[far[slot]])
-        if side > 0:
+        corners = [v_list[i] for i in tri[t]]
+        side = _exact_orientation(*corners, v_list[far[slot]])
+        # a zero-area triangle (qhull's Qt makes some) is coplanar with every neighbour
+        if side > 0 or side == 0 and not any(_exact_normal(*corners)):
             return None
         if side == 0 and face[t] != face[u]:
             face[face == face[u]] = face[t]
@@ -1260,22 +1262,15 @@ def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _segment_nearest(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Distance from x to the segment [a, b], row-wise, the nearest point a + t (b - a)
-    and its t in [0, 1]; if a == b, a and t = 0.
-
-    The products run on b - a, x - a and x - foot scaled by one power of two per
-    row, which changes no bit where they neither overflow nor reach the
-    subnormals, and keeps them finite for clouds past 1e154.
-    """
-    ab, ax = b - a, x - a
-    scale = np.ldexp(1.0, -np.frexp(np.maximum(np.abs(ab).max(axis=-1), np.abs(ax).max(axis=-1)))[1])[..., None]
-    ab_scaled = ab * scale
-    length2 = _dot(ab_scaled, ab_scaled)
+    and its t in [0, 1]; if a == b, a and t = 0."""
+    ab = b - a
+    length2 = _dot(ab, ab)
     with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 where a == b
-        t = np.clip(_dot(ax * scale, ab_scaled) / length2, 0.0, 1.0)
+        t = np.clip(_dot(x - a, ab) / length2, 0.0, 1.0)
     t = np.where(length2 == 0, 0.0, t)
     foot = a + t[..., None] * ab
-    off = (x - foot) * scale
-    return np.sqrt(_dot(off, off)) / scale[..., 0], foot, t
+    off = x - foot
+    return np.sqrt(_dot(off, off)), foot, t
 
 
 def min_norm_point_distance(

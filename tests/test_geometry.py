@@ -1158,6 +1158,33 @@ class TestSpatialHull:
             assert len(calls) == 1 and calls[0][0] <= n
             assert_same_hull(by_python, by_qhull)
 
+    def test_a_zero_area_triangle_goes_to_the_python_quickhull(self, monkeypatch):
+        # qhull's Qt may triangulate a merged facet with a zero-area triangle. Here one spans
+        # a tetrahedron's edge a b and its midpoint m, so its side against each neighbour is 0:
+        # merged, it would join two faces that are not coplanar. _spatial_hull refuses it, and
+        # the hull comes from the Python quickhull
+        a, b, c, d = [0.0, 0.0, 0.0], [4.0, 2.0, 6.0], [5.0, -3.0, 1.0], [-1.0, 5.0, 2.0]
+        m = [2.0, 1.0, 3.0]
+        points = np.array(sorted([a, b, c, d, m]))
+        a, b, c, d, m = (int(np.flatnonzero((points == p).all(axis=1))[0]) for p in (a, b, c, d, m))
+        centre, triangles = points[[a, b, c, d]].mean(axis=0), []
+        for i, j, k in [[a, b, c], [m, a, d], [b, m, d], [a, c, d], [b, d, c]]:
+            outward = np.cross(points[j] - points[i], points[k] - points[i]) @ (points[i] - centre) > 0
+            triangles.append([i, j, k] if outward else [i, k, j])
+        edges = {(t[s], t[s - 2]) for t in triangles for s in range(3)}
+        rest = {j: i for i, j in edges if (j, i) not in edges}  # a m b's edges, each reversed
+        triangles = np.array(triangles + [[a, rest[a], rest[rest[a]]]])
+        assert geometry._sorted_rows(triangles)[0][-1].tolist() == sorted([a, b, m])
+        assert geometry._spatial_hull(points, triangles) is None
+        # every cloud takes the qhull path, where the triangles above stand in for qhull's
+        inputs = []
+        monkeypatch.setattr(geometry, "QUICKHULL_MAX_POINTS", 0)
+        monkeypatch.setattr(geometry, "_qhull_triangles", lambda cands: inputs.append(cands) or triangles)
+        hull = convex_hull(points)
+        assert len(inputs) == 1 and np.array_equal(inputs[0], points)
+        assert_same_hull(hull, exact_spatial_hull(points))
+        assert hull.vertices.shape == (4, 3) and hull.simplices.shape == (4, 3)
+
     def test_coplanar_triangles_are_refused(self):
         # coplanar triangles merge into one face, fanned from its smallest corner, with one
         # equation row: the cube has 8 vertices, 12 triangles and 6 distinct equation rows,
@@ -1243,8 +1270,10 @@ class TestSpatialHull:
             convex_hull(np.array([[1.7e308, 0, 0], [-1.7e308, 0, 0], [0, 1, 0], [0, 0, 1]]))
 
     def test_matches_the_whole_cloud_at_every_scale(self):
-        # 40 Gaussian points at scales 1e-320 to 1e308, with no qhull call: the exact hull, checked
-        # against the reference at every 40th power of ten, with normals unit to 1e-15 up to 1e306
+        # 40 Gaussian points at scales 1e-320 to 1e308, with no qhull call: qhull's whole-cloud
+        # hull with canonical arrays at every scale from 1e-76 to 1e74, where the float filter
+        # certified every side before any exact test, the exact hull at every 40th power of ten
+        # outside that, and normals unit to 1e-15 up to 1e306
         for k in range(-320, 309, 2):
             for seed in range(3):
                 with np.errstate(over="ignore"):
@@ -1252,7 +1281,9 @@ class TestSpatialHull:
                 if not np.all(np.isfinite(cloud)):
                     continue
                 hull = spatial_hull_spied(cloud)
-                if k % 40 == 0:
+                if -76 <= k <= 74:
+                    assert_same_hull(hull, canonical_spatial_hull(cloud))
+                elif k % 40 == 0:
                     assert_same_hull(hull, exact_spatial_hull(cloud))
                 if hull.equations is not None and k <= 306:
                     np.testing.assert_allclose(row_norms(hull.equations[:, :3]), 1.0, rtol=1e-15)
@@ -1404,14 +1435,14 @@ class TestHullDistance:
             min_norm_point_distance(pts, x, max_iter=1)
         assert np.isfinite(info.value.residual) and info.value.residual > 0
 
-    @pytest.mark.parametrize("m", [2, 3])
-    def test_distances_hold_at_every_scale(self, m):
-        # segment products scaled by a power of two per row: no overflow past 1e154, no
-        # underflow below 1e-154, and the distance scales with the cloud
-        cloud = np.random.default_rng(0).standard_normal((50, m))
-        queries = np.array([[10.0, 10.0, 10.0], [0.1, 0.2, 0.3], [-3.0, 0.5, 4.0]])[:, :m]
+    def test_face_distances_hold_from_1e_150_to_1e150(self):
+        # the barycentric products of a 3D face run on its edges scaled by one power of two per
+        # row: unscaled, they overflow past 1e77 and underflow below 1e-77, and the plane foot
+        # of a point above the face's interior is lost to the nearest edge's
+        cloud = np.random.default_rng(0).standard_normal((50, 3))
+        queries = np.array([[10.0, 10.0, 10.0], [0.1, 0.2, 0.3], [-3.0, 0.5, 4.0]])
         expected = distance_to_body(convex_hull(cloud), queries)
-        for k in (-300, -200, -160, 100, 160, 200, 300):
+        for k in (-150, -100, 100, 150):
             hull = convex_hull(cloud * 10.0**k)
             np.testing.assert_allclose(distance_to_body(hull, queries * 10.0**k) / 10.0**k, expected, rtol=1e-12)
 
