@@ -1229,9 +1229,8 @@ def _nearest(hull: Hull, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     else:
         a, b, c = corners[:, 0], corners[:, 1], corners[:, 2]
         e0, e1, rel = b - a, c - a, plane - a
-        # v and w below do not change under one power of two per row, which keeps their
-        # products off the subnormals and below overflow in tiny and huge hulls
-        scale = np.ldexp(1.0, -np.frexp(np.maximum(np.abs(e0).max(axis=1), np.abs(e1).max(axis=1)))[1])[:, None]
+        # v and w below do not change under one power of two per row (_row_scale)
+        scale = _row_scale(e0, e1)
         e0, e1, rel = e0 * scale, e1 * scale, rel * scale
         d00, d01, d11 = _dot(e0, e0), _dot(e0, e1), _dot(e1, e1)
         d20, d21 = _dot(rel, e0), _dot(rel, e1)
@@ -1260,17 +1259,35 @@ def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
+def _row_scale(*rows: np.ndarray) -> np.ndarray:
+    """One power of two per row, shape (..., 1), that brings the largest magnitude in that
+    row of any of rows into [0.5, 1) (at most 2**1020, short of that for subnormals).
+    Products of rows scaled by it stay finite and off the subnormals in huge and tiny
+    hulls, and a ratio or square root of them undone by it has the unscaled bits wherever
+    those neither overflow nor underflow."""
+    largest = 0.0
+    for u in rows:
+        for k in range(u.shape[-1]):  # column by column: a reduction over m <= 3 is slower
+            largest = np.maximum(largest, np.abs(u[..., k]))
+    return np.ldexp(1.0, np.minimum(-np.frexp(largest)[1], 1020))[..., None]
+
+
 def _segment_nearest(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Distance from x to the segment [a, b], row-wise, the nearest point a + t (b - a)
-    and its t in [0, 1]; if a == b, a and t = 0."""
-    ab = b - a
-    length2 = _dot(ab, ab)
+    and its t in [0, 1]; if a == b, a and t = 0. t and the distance are taken on rows
+    scaled by _row_scale."""
+    ab, ax = b - a, x - a
+    scale = _row_scale(ab, ax)
+    ab_scaled = ab * scale
+    length2 = _dot(ab_scaled, ab_scaled)
     with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 where a == b
-        t = np.clip(_dot(x - a, ab) / length2, 0.0, 1.0)
+        t = np.clip(_dot(ax * scale, ab_scaled) / length2, 0.0, 1.0)
     t = np.where(length2 == 0, 0.0, t)
     foot = a + t[..., None] * ab
     off = x - foot
-    return np.sqrt(_dot(off, off)), foot, t
+    scale = _row_scale(off)
+    off = off * scale
+    return np.sqrt(_dot(off, off)) / scale[..., 0], foot, t
 
 
 def min_norm_point_distance(

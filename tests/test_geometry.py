@@ -1446,6 +1446,20 @@ class TestHullDistance:
             hull = convex_hull(cloud * 10.0**k)
             np.testing.assert_allclose(distance_to_body(hull, queries * 10.0**k) / 10.0**k, expected, rtol=1e-12)
 
+    @pytest.mark.parametrize("cloud", ["segment", "2d", "3d"])
+    def test_edge_distances_hold_from_1e_300_to_1e300(self, cloud):
+        # an edge's t and distance run on rows scaled by one power of two: unscaled, their
+        # squares overflow past about 1e154 (NaN) and underflow below about 1e-154 (0.0)
+        if cloud == "segment":
+            points = np.array([[0.0, 0.0], [1.0, 2.0]])
+        else:
+            points = np.random.default_rng(0).standard_normal((50, int(cloud[0])))
+        queries = np.array([[10.0, 10.0, 10.0], [-3.0, 0.5, 4.0]])[:, :points.shape[1]]
+        expected = distance_to_body(convex_hull(points), queries)
+        for k in (155, 160, 200, 250, 300, -155, -160, -200, -250, -300):
+            hull = convex_hull(points * 10.0**k)
+            np.testing.assert_allclose(distance_to_body(hull, queries * 10.0**k) / 10.0**k, expected, rtol=1e-12)
+
 
 class TestHullAsBody:
     """A Hull is a ConvexBody: project, distance, support, interior_margin and bounding_box."""

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 import warnings
 import weakref
 from pathlib import Path
@@ -201,12 +202,13 @@ class TestConfigParsing:
         monkeypatch.setattr(harness.os, "sysconf", pages.__getitem__)
 
     def test_row_guard_counts_one_row_per_probe(self, monkeypatch):
-        # 2 * 1000 * 2 units and nodes hold 4000 rows; the eight default probes make 32000
+        # 2 * 250 * 2 units and nodes hold 1000 rows, 460 KB at ROW_BYTES; the eight default
+        # probes make 8000, 3.7 MB
         self.physical_memory(monkeypatch, 1)
         with pytest.raises(ConfigError, match="replications: the error rows"):
             small_config(
                 model_params={"theta": 2.0, "sigma": 0.3}, x0=np.zeros(2), mf_kind="constant_ball",
-                mf_params={"center": np.zeros(2), "radius": 1.0}, n_grid=[20, 40], replications=1000,
+                mf_params={"center": np.zeros(2), "radius": 1.0}, n_grid=[20, 40], replications=250,
             )
 
     def test_unit_guard_counts_the_increments_and_the_look_ahead(self, monkeypatch):
@@ -865,6 +867,82 @@ class TestEmission:
         report = run_experiment(small_config())
         paths = emit_report(report, tmp_path / "o", formats=("csv",))
         assert [p.name for p in paths] == ["report.csv"]
+
+    def test_json_is_json_dumps_byte_for_byte(self, tmp_path):
+        # json.dump streams the chunks json.dumps joins: the same encoder, so the same bytes
+        report = run_experiment(small_config(run_step_bound=True))
+        emit_report(report, tmp_path)
+        expected = json.dumps(report.to_dict(), indent=2) + "\n"
+        assert (tmp_path / "report.json").read_bytes() == expected.encode()
+
+    def test_an_unencodable_value_leaves_no_json_file(self, tmp_path):
+        report = run_experiment(small_config())
+        report.meta["bad"] = {1, 2}
+        with pytest.raises(TypeError, match="^Object of type set is not JSON serializable$"):
+            emit_report(report, tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.csv"]
+
+    def test_a_failed_emission_keeps_the_earlier_report(self, tmp_path):
+        report = run_experiment(small_config())
+        emit_report(report, tmp_path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        report.meta["bad"] = {1, 2}
+        with pytest.raises(TypeError):
+            emit_report(report, tmp_path, ("json",))
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    @pytest.mark.parametrize("blocker", ["directory is a file", "report.json is a directory", "open is refused"])
+    def test_an_unwritable_output_is_one_runtime_error(self, tmp_path, monkeypatch, blocker):
+        out = tmp_path / "out"
+        if blocker == "directory is a file":
+            out.write_text("")
+        elif blocker == "report.json is a directory":
+            (out / "report.json").mkdir(parents=True)
+        else:  # what a directory without write permission gives, also to root
+            def refused(path, *args, **kwargs):
+                raise PermissionError(13, "Permission denied", str(path))
+
+            monkeypatch.setattr(harness, "open", refused, raising=False)
+        report = run_experiment(small_config())
+        with pytest.raises(RuntimeError) as caught:
+            emit_report(report, out)
+        assert str(caught.value).startswith(f"failed to write report under {out}: ")
+        assert "\n" not in str(caught.value)
+        assert isinstance(caught.value.__cause__, OSError)
+        if out.is_dir():
+            assert not [p for p in out.iterdir() if p.name.endswith(".part")]
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077])
+    def test_report_files_get_the_umask_mode(self, tmp_path, umask):
+        report = run_experiment(small_config())
+        old = os.umask(umask)
+        try:
+            paths = emit_report(report, tmp_path)
+        finally:
+            os.umask(old)
+        assert [path.stat().st_mode & 0o777 for path in paths] == [0o666 & ~umask] * 2
+
+    def test_row_bytes_bounds_the_traced_peak_per_row(self):
+        # ROW_BYTES counts an error row through emission: with tiny N and many rows, the
+        # traced peak of run + emit over the row count stays within it. 24 000 rows: 100
+        # replications at three N, two nodes and 40 probes
+        probes = 0.5 * np.column_stack([np.cos(np.arange(40) * np.pi / 20), np.sin(np.arange(40) * np.pi / 20)])
+        config = small_config(
+            model_params={"theta": 2.0, "sigma": 0.3}, x0=np.zeros(2), mf_kind="constant_ball",
+            mf_params={"center": np.zeros(2), "radius": 1.0}, steps=2, n_grid=[4, 5, 6],
+            replications=100, j_indices=[1, 2], probes=probes,
+        )
+        run_experiment(dataclasses.replace(config, replications=1))  # first-call allocations
+        with tempfile.TemporaryDirectory() as out:
+            tracemalloc.start()
+            try:
+                report = run_experiment(config)
+                emit_report(report, out)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert len(report.rows) == 24_000
+        assert peak / len(report.rows) <= harness.ROW_BYTES
 
 
 class TestCli:
