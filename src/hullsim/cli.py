@@ -12,10 +12,11 @@ errors, the files it wrote and a summary line: label, wall clock, meta.phases,
 meta.stream_processes (this process and the increment helpers it forked),
 the meta.stream share of blocks the helpers drew, the seconds the main
 thread drew for and waited for them, the shared buffers made, the
-look-aheads joined and cancelled, and the CSV text's SHA-256. The reports are written
-before anything is printed, so a reader that closes stdout early (hullsim
-run ... | head -1) is no error: the rest of the output is dropped and the
-exit code is 0.
+look-aheads joined, queued behind the draw before them and cancelled, and
+the SHA-256 of the CSV text: of report.csv's bytes as written, rendered
+again only when no CSV is written. The reports are written before anything
+is printed, so a reader that closes stdout early (hullsim run ... | head -1)
+is no error: the rest of the output is dropped and the exit code is 0.
 """
 
 from __future__ import annotations
@@ -86,12 +87,15 @@ def _run(args: argparse.Namespace) -> int:
             print(f"wrote {path}")
         meta, stream = report.meta, report.meta["stream"]
         phases = " ".join(f"{k} {v:.1f}s" for k, v in meta["phases"].items())
-        digest = hashlib.sha256(harness.render_csv(report).encode()).hexdigest()
+        csv = [path for path in paths if path.name == "report.csv"]
+        csv_bytes = csv[0].read_bytes() if csv else harness.render_csv(report).encode()
+        digest = hashlib.sha256(csv_bytes).hexdigest()
         print(f"{config.label}: {meta['wall_clock_s']:.1f}s ({phases}; {meta['stream_processes']} stream processes, "
               f"helpers drew {stream['helper_block_share']:.0%} of blocks, "
               f"the main thread drew for {stream['caller_draw_s']:.1f}s and waited {stream['helper_wait_s']:.1f}s "
               f"for helpers, {stream['buffers_made']} shared buffers made, {stream['lookahead_joined']} "
-              f"look-aheads joined, {stream['lookahead_cancelled']} cancelled) csv sha256 {digest}")
+              f"look-aheads joined, {stream['lookahead_queued']} queued, {stream['lookahead_cancelled']} "
+              f"cancelled) csv sha256 {digest}")
         sys.stdout.flush()
     except BrokenPipeError:  # the reader stopped early, as `| head -1` does; the reports are written
         devnull = os.open(os.devnull, os.O_WRONLY)

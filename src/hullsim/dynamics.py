@@ -316,10 +316,13 @@ def _simulate(model: SdeModel, mf: Multifunction, grid: TimeGrid, seed: int, cop
 
     Each chunk is one batch stepped on its own increments array. Its draw
     names the next chunk as gaussian_increments' then, and the last chunk's
-    names then, so the next chunk is drawn while this one is stepped; the
-    chunk's array is dropped before the next draw. The bodies at nodes
-    1..steps are built once, before the first step (bodies_at_nodes), so an
-    mf that fails at any node raises before any observer sees a step. A
+    names then: a shared draw queues it behind itself, so the helpers go on
+    to the next chunk as soon as their part of this one is done, and draw it
+    while this one is stepped. The chunk's array is dropped before the next
+    draw, so the draw queued behind that one can take its buffer. The bodies
+    at nodes 1..steps are built once, before the first step
+    (bodies_at_nodes), so an mf that fails at any node raises before any
+    observer sees a step. A
     failing copy is named by the first failing step of the first chunk that
     fails. After each step every observer reads it (StepObserver), in order.
 

@@ -18,21 +18,27 @@ caller draws from the back, so the two meet where their speeds put them.
 
 Only the main thread uses the helpers. A draw in any other thread is serial,
 in that thread's own block, ignores then and is not counted in
-stream_counters. So the helpers, their buffers, the posted draw and the
+stream_counters. So the helpers, their buffers, the posted draws and the
 counters change only in the main thread, where the atexit handler and
 KeyboardInterrupt also run, and no lock guards them.
 
-A draw may name the request that will follow it (same n, m and scale). Once
-its own array is complete, draw posts that request to the helpers, which start
-on it at once and hold it while the caller works on the array just returned:
-a one-deep look-ahead. The next draw of exactly that request joins the posted
-draw: the caller draws from the back, as always, and waits for every reply.
-Any other draw first ends the posted draw unjoined, because the sequence it
-was made for has moved on: the caller takes every block the helpers have not
-started, waits for their replies and frees the array's buffer. So a posted
-draw that nothing joins, as one a raise left behind, is ended by the next
-draw of another request or by close at exit, and dropped unwritten in a
-forked child, whose parent still owns it.
+A draw may name the request that will follow it (same n, m and scale), which
+the helpers then draw while the caller works on the array just returned: a
+look-ahead. A split draw queues that request behind itself, on the other
+buffer, before the caller starts its own part, so each helper finds it in its
+socket and goes from its slice of this draw straight to that one. A draw too
+small to split posts it before drawing alone. When it cannot be queued (no
+free buffer large enough, or no live helper), it is posted once this draw's
+array is complete, as a draw of its own. The next draw of exactly that
+request joins the posted draw: the caller draws from the back, as always, and
+waits for every reply. Any other draw first ends the posted draw unjoined,
+because the sequence it was made for has moved on: the caller takes every
+block the helpers have not started, waits for their replies and frees the
+array's buffer. So a posted draw that nothing joins, as one a raise left
+behind, is ended by the next draw of another request or by close at exit,
+and dropped unwritten in a forked child, whose parent still owns it. At most
+two draws are posted at once, the one being joined and the one queued; a
+raise inside a draw can leave both, for the next draw to end.
 
 The helpers and two shared buffers make one generation. The buffers are
 anonymous shared mappings (mmap.mmap(-1, nbytes)) made just before the
@@ -41,10 +47,10 @@ buffer by index, with no descriptor. One holds the array the caller reads,
 the other the one the look-ahead writes, and each process faults a buffer's
 pages in once, not once per draw. A split draw takes a buffer that no array
 views any more and that is large enough. With none, because the request is
-larger or the caller holds arrays on both, a new generation starts: two new
-buffers sized for the request, and for at least STEP_CHUNK copies of its n
-and m, so a run of one shape makes one generation; then the helpers stopped
-and new ones forked. Arrays on the old buffers keep their own mappings, also
+larger or the caller holds arrays on both, a draw that is not queued starts
+a new generation: two new buffers sized for the request, and for at least
+STEP_CHUNK copies of its n and m, so a run of one shape makes one
+generation; then the helpers stopped and new ones forked. Arrays on the old buffers keep their own mappings, also
 in helpers forked while the caller held them, unused there until those
 exit. The buffers live until the next generation, close or exit.
 
@@ -61,9 +67,12 @@ which stops each by killing it, closing its socket and reaping it; any
 other child it forks drops them and their buffers and starts its own. The
 draw is serial below 2 * INCREMENT_BLOCK copies, outside the main thread,
 on a one-CPU mask, where os.fork is missing and when a new generation's
-buffers cannot be made. The caller draws whatever a failed helper left and
-uses that helper no more; the next generation forks a full set. Every path
-gives the same bytes.
+buffers cannot be made. The caller draws whatever a failed helper left, in
+every draw posted to it, and uses that helper no more; the next generation
+forks a full set. A generation whose helpers have all gone is followed by a
+new one at the next split draw if one of its helpers ever replied, so helpers
+that die before their first reply leave the draws serial for good, and no
+fork loop is possible. Every path gives the same bytes.
 """
 
 from __future__ import annotations
@@ -88,8 +97,8 @@ INCREMENT_BLOCK = 256  # copies per copy-major draw block in fill
 STEP_CHUNK = 16 * INCREMENT_BLOCK  # copies dynamics steps as one batch; a generation's buffers hold as many
 MAX_HELPERS = 3  # helper processes at most, whatever the CPU count
 # What stream_counters counts, summed over every draw of the main thread; the _s counters are seconds.
-COUNTERS = ("blocks", "helper_blocks", "lookahead_joined", "lookahead_cancelled", "buffers_made",
-            "caller_draw_s", "helper_wait_s")
+COUNTERS = ("blocks", "helper_blocks", "lookahead_joined", "lookahead_cancelled", "lookahead_queued",
+            "buffers_made", "caller_draw_s", "helper_wait_s")
 # Python 3.12+ warns in the parent on fork() while the process has other threads, numpy's BLAS
 # pool among them. A helper takes no lock those threads may hold: it runs only its socket loop
 # and fill, and ends through os._exit.
@@ -382,57 +391,88 @@ class _Helper:
         return self.returncode
 
 
+class _Draw:
+    """One split draw out to the helpers.
+
+    request is its (seed, copies, n, m, scale); z its array and ctl the
+    control words after it, on one buffer; starts the first block of each
+    helper's slice; helpers the ones it was sent to, one per row of ctl, so a
+    helper that fails leaves its slice of every draw it holds to the caller.
+    joinable turns False when an end of the draw raises: the caller may then
+    have claimed a block it never drew, so the draw is only ever ended unjoined.
+    """
+
+    def __init__(self, request: tuple, z: np.ndarray, ctl: np.ndarray, starts: list[int],
+                 helpers: list[_Helper]):
+        self.request, self.z, self.ctl, self.starts, self.helpers = request, z, ctl, starts, helpers
+        self.joinable = True
+
+
 class _Helpers:
     """The main thread's generation, its helper processes and the two shared
-    buffers they were forked with, and the split draw out to the helpers.
+    buffers they were forked with, and the split draws out to the helpers.
 
-    posted is that draw's request, or None when the helpers hold none; z is
-    its array, ctl its control words and starts the first block of each
-    helper's slice. live is filtered only once the draw ends (end), so it
-    stays aligned with the rows of ctl. counts are stream_counters'.
+    draws are the posted draws, first to last, which each helper serves in
+    that order: at most two, the one the next draw may join and one queued
+    behind it (post). served is False from the start of a generation until
+    one of its helpers replies: a generation whose helpers have all gone is
+    renewed only if served. counts are stream_counters'.
     """
 
     def __init__(self):
         self.live: list[_Helper] = []
-        self.posted = self.z = self.ctl = None  # starts is set with them, by post
+        self.draws: list[_Draw] = []
         self.buffers: list[mmap.mmap] = []  # none before the first generation, then two
         self.arrays = []  # per buffer, a weak reference to the last array made on it
+        self.served = True  # no generation has failed to serve yet
         self.counts = {key: 0.0 if key.endswith("_s") else 0 for key in COUNTERS}
 
-    def post(self, request: tuple) -> None:
-        """Send request to every live helper: the split draw they hold (posted) until end.
+    @property
+    def posted(self) -> tuple | None:
+        """The request the next draw may join: the first posted draw's, if joinable."""
+        return self.draws[0].request if self.draws and self.draws[0].joinable else None
+
+    def post(self, request: tuple, queue: bool = False) -> bool:
+        """Send request to every live helper, behind any draw they hold; True if it is posted.
 
         The array goes on a buffer that is large enough and free, with no
-        array left that views the last one made on it; with none, a new
-        generation starts (renew). Nothing is posted, and the helpers are
-        left alone, for a draw below 2 * INCREMENT_BLOCK copies, when no
-        helper is live (none at all on a one-CPU mask or without os.fork)
+        array left that views the last one made on it. With none, or with no
+        live helper left in a generation that served, a new generation starts
+        (renew), unless queue: a queued draw, behind the one about to be
+        joined, only takes a free buffer. Nothing is posted, and the helpers
+        are left alone, when two draws are posted already, for a draw below
+        2 * INCREMENT_BLOCK copies, when no helper is live (none at all on a
+        one-CPU mask, without os.fork, or after helpers that never served)
         and when a new generation's buffers cannot be made (out of maps or
-        memory). A helper the request cannot be sent to is stopped: its
-        slice is left to the caller. A raise while sending stops the helpers.
+        memory). A helper the request cannot be sent to is stopped: its slice
+        is left to the caller. A raise while sending stops the helpers.
         """
         seed, copies, n, m, scale = request
-        if len(copies) < 2 * INCREMENT_BLOCK:
-            return
+        if len(copies) < 2 * INCREMENT_BLOCK or len(self.draws) == 2:
+            return False
         shape = (n, m, len(copies))
         try:
+            self.prune()
             free = [k for k, buffer in enumerate(self.buffers)
                     if self.arrays[k]() is None and len(buffer) >= _nbytes(shape, len(self.live))]
-            if not ((free or self.renew(shape)) and self.live):
-                return
-            index = free[0] if free else 0
-            self.z, self.ctl = _views(self.buffers[index], shape, len(self.live))
-            self.arrays[index] = weakref.ref(self.z)
+            if not (free and self.live):
+                if queue or not (self.live or self.served) or not self.renew(shape) or not self.live:
+                    return False
+                free = [0]
+            z, ctl = _views(self.buffers[free[0]], shape, len(self.live))
+            self.arrays[free[0]] = weakref.ref(z)
             cuts = [_block_count(len(copies)) * k // len(self.live) for k in range(len(self.live) + 1)]
-            self.starts = cuts[:-1]
-            self.ctl[:] = np.column_stack([cuts[:-1], cuts[1:]])
-            self.posted = request
+            ctl[:] = np.column_stack([cuts[:-1], cuts[1:]])
+            self.draws.append(_Draw(request, z, ctl, cuts[:-1], list(self.live)))
             for k, helper in enumerate(self.live):
-                if not helper.send((index, shape, len(self.live), k, seed, copies, scale)):
-                    helper.stop()  # end finds no reply on its closed socket
+                if not helper.send((free[0], shape, len(self.live), k, seed, copies, scale)):
+                    helper.stop()  # end waits for no reply from it: its slice is the caller's
         except BaseException:
             self.stop()
             raise
+        if queue:
+            self.count(lookahead_queued=1)
+        return True
 
     def renew(self, shape: tuple) -> bool:
         """Start a generation: two buffers for an array of shape, or of
@@ -455,42 +495,50 @@ class _Helpers:
         self.buffers, self.arrays = buffers, [lambda: None] * 2
         self.count(buffers_made=2)
         self.live = _start(count, buffers)
+        self.served = False
         return True
 
     def end(self, join: bool) -> np.ndarray:
-        """End the posted draw and return its array, once every helper has replied.
+        """End the first posted draw and return its array, once every helper it
+        was sent to has replied to it.
 
         Joined, the caller draws from the back; otherwise it claims every
         block no helper has started, and the array is left unfinished. A
         helper advances its control word only after a block is written; one
         that fails or does not answer is stopped, and on a join the caller
-        draws the blocks of its slice from that word on. A raise stops the
-        helpers. The draw is dropped either way and the pool keeps no view of
-        the buffer, so it is free again once the caller drops the array. The
-        wait adds to the helper_wait_s counter.
+        draws the blocks of its slice from that word on; a helper already
+        stopped or reaped is not waited for. A draw queued behind
+        this one stays posted, and the helpers go on to it as they reply. A
+        raise stops the helpers and leaves the draw posted, no longer
+        joinable, for the next draw to end. Otherwise the draw is dropped and
+        the pool keeps no view of the buffer, so it is free again once the
+        caller drops the array. The wait adds to the helper_wait_s counter.
         """
-        seed, copies, _, _, scale = self.posted
-        z, ctl = self.z, self.ctl
+        draw = self.draws[0]
+        seed, copies, _, _, scale = draw.request
+        z, ctl, helpers = draw.z, draw.ctl, draw.helpers
         try:
             if join:
                 self.caller_fill(z, seed, copies, scale, _behind(ctl))
             else:
                 ctl[:, 1] = ctl[:, 0]
             t0 = time.perf_counter()
-            failed = [k for k, helper in enumerate(self.live) if not helper.finished()]
+            failed = [k for k, helper in enumerate(helpers) if helper.returncode is not None or not helper.finished()]
             self.count(helper_wait_s=time.perf_counter() - t0)
             for k in failed:
-                self.live[k].stop()
+                helpers[k].stop()
                 if join:
                     self.caller_fill(z, seed, copies, scale, range(*ctl[k]))  # what it left, or was killed inside
         except BaseException:
+            draw.joinable = False
             self.stop()
             raise
         finally:
-            self.posted = self.z = self.ctl = None
-            self.live = [h for h in self.live if h.returncode is None]
+            self.prune()
+        del self.draws[0]
+        self.served = self.served or len(failed) < len(helpers)
         if join:
-            self.count(blocks=_block_count(len(copies)), helper_blocks=int(ctl[:, 0].sum()) - sum(self.starts))
+            self.count(blocks=_block_count(len(copies)), helper_blocks=int(ctl[:, 0].sum()) - sum(draw.starts))
         else:
             self.count(lookahead_cancelled=1)
         return z
@@ -505,6 +553,13 @@ class _Helpers:
         for key, value in added.items():
             self.counts[key] += value
 
+    def prune(self) -> None:
+        """Drop the reaped helpers from live, each stopped first, so its socket is closed."""
+        for helper in self.live:
+            if helper.returncode is not None:
+                helper.stop()
+        self.live = [helper for helper in self.live if helper.returncode is None]
+
     def stop(self) -> None:
         """Stop the live helpers, one after the other (_Helper.stop)."""
         for helper in self.live:
@@ -512,20 +567,21 @@ class _Helpers:
         self.live = []
 
     def close(self) -> None:
-        """End the posted draw unjoined, stop the helpers and drop the buffers;
+        """End the posted draws unjoined, stop the helpers and drop the buffers;
         an array that views one keeps its mapping."""
-        if self.posted is not None:
+        while self.draws:
             self.end(join=False)
         self.stop()
         self.buffers, self.arrays = [], []
 
     def forget(self) -> None:
-        """In a forked child: drop the parent's generation and posted draw, so the child starts its own."""
+        """In a forked child: drop the parent's generation and posted draws, so the child starts its own."""
         for helper in self.live:
             helper.sock.close()  # the child's copy; the parent's stays open
         self.live = []
-        self.posted = self.z = self.ctl = None  # unwritten: its control words are the parent's
+        self.draws = []  # unwritten: their control words are the parent's
         self.buffers, self.arrays = [], []  # shared with the parent: a write would land in its arrays
+        self.served = True
 
 
 def _helper_count() -> int:
@@ -557,9 +613,9 @@ def stream_processes() -> int:
 
 def stream_counters() -> dict[str, int | float]:
     """COUNTERS so far, of the main thread's draws: blocks drawn, blocks
-    helpers drew, look-aheads joined and cancelled, shared buffers made,
-    seconds the main thread spent in fill and seconds it waited for helper
-    replies. A draw in another thread is not counted."""
+    helpers drew, look-aheads joined, cancelled and queued, shared buffers
+    made, seconds the main thread spent in fill and seconds it waited for
+    helper replies. A draw in another thread is not counted."""
     return dict(_HELPERS.counts)
 
 
@@ -571,30 +627,34 @@ def draw(seed: int, copies: range, n: int, m: int, scale: float, then: tuple | N
     helper. Each helper draws its slice of the shared array from the front
     while the caller draws the slices from the back, so every slice ends up
     split at one point between its helper and the caller. then, the (seed,
-    copies) of the draw that follows with the same n, m and scale, is posted
-    to the helpers once this array is complete, and the next draw of exactly
-    that request joins it. Any other draw first ends the posted draw unjoined. In
-    any other thread the draw is serial and uncounted, and then is ignored.
+    copies) of the draw that follows with the same n, m and scale, is queued
+    behind a split draw before the caller draws its part, posted before a
+    serial one is drawn, and posted once this array is complete when it
+    cannot be queued (_Helpers.post); the next draw of exactly that request
+    joins it. Any other draw first ends every posted draw unjoined. In any
+    other thread the draw is serial and uncounted, and then is ignored.
     """
     if threading.current_thread() is not threading.main_thread():  # the helpers are the main thread's
         z = np.empty((n, m, len(copies)))
         fill(z, seed, copies, scale)
         return z
     request = (seed, copies, n, m, scale)
-    if _HELPERS.posted == request:
+    following = None if then is None else (*then, n, m, scale)
+    while _HELPERS.draws and _HELPERS.posted != request:
+        _HELPERS.end(join=False)  # posted for a sequence that has moved on, or left by a raise
+    if _HELPERS.draws:
         _HELPERS.count(lookahead_joined=1)
-    else:
-        if _HELPERS.posted is not None:
-            _HELPERS.end(join=False)  # posted for a sequence that has moved on
-        _HELPERS.post(request)
-    if _HELPERS.posted is None:
+    elif not _HELPERS.post(request):
+        if following is not None:
+            _HELPERS.post(following)
         z = np.empty((n, m, len(copies)))
         _HELPERS.caller_fill(z, seed, copies, scale)
         _HELPERS.count(blocks=_block_count(len(copies)))
-    else:
-        z = _HELPERS.end(join=True)
-    if then is not None:
-        _HELPERS.post((*then, n, m, scale))
+        return z
+    queued = following is not None and _HELPERS.post(following, queue=True)
+    z = _HELPERS.end(join=True)
+    if following is not None and not queued:
+        _HELPERS.post(following)
     return z
 
 

@@ -678,9 +678,13 @@ class TestRunExperiment:
             streams.append(json.loads((tmp_path / str(cpus) / "report.json").read_text())["meta"]["stream"])
         assert outputs[0] == outputs[1]
         one, two = streams
-        # the three units at N = 512 join the draws posted by the unit before each
+        # the three units at N = 512 join the draws posted by the unit before each; the last
+        # unit at N = 20 posts its draw before drawing alone, each of the first two at N = 512
+        # queues the next behind its own
         assert (one["lookahead_joined"], two["lookahead_joined"]) == (0, 3)
+        assert (one["lookahead_queued"], two["lookahead_queued"]) == (0, 2)
         assert one["lookahead_cancelled"] == two["lookahead_cancelled"] == 0
+        assert set(one) == set(two) == {*increments.COUNTERS, "helper_block_share"}
         assert one["helper_block_share"] == 0.0 < two["helper_block_share"] <= 1.0
         # every unit's blocks; the step-bound check reads replication 0's kept increments
         blocks = 3 * 1 + 3 * 2
@@ -974,7 +978,23 @@ class TestCli:
         stream = meta["stream"]
         assert (f" the main thread drew for {stream['caller_draw_s']:.1f}s and waited "
                 f"{stream['helper_wait_s']:.1f}s for helpers, "
-                f"{stream['buffers_made']} shared buffers made, ") in lines[-1]
+                f"{stream['buffers_made']} shared buffers made, {stream['lookahead_joined']} look-aheads "
+                f"joined, {stream['lookahead_queued']} queued, {stream['lookahead_cancelled']} cancelled)") in lines[-1]
+
+    def test_a_run_renders_its_csv_once(self, tmp_path, capsys, monkeypatch):
+        render, rendered = harness.render_csv, []
+        monkeypatch.setattr(harness, "render_csv", lambda report: rendered.append(1) or render(report))
+        cfg = self.write_config(tmp_path)
+        digests = {}
+        for formats in ("both", "json"):  # json alone writes no report.csv: its text is rendered to hash
+            out = tmp_path / formats
+            assert cli.main(["run", "--config", str(cfg), "--out", str(out), "--format", formats]) == 0
+            digests[formats] = capsys.readouterr().out.splitlines()[-1].rsplit(" csv sha256 ", 1)[1]
+            assert len(rendered) == 1
+            rendered.clear()
+        assert not (tmp_path / "json" / "report.csv").exists()
+        written = (tmp_path / "both" / "report.csv").read_bytes()
+        assert digests["both"] == digests["json"] == hashlib.sha256(written).hexdigest()
 
     def test_reader_closing_the_pipe_early_is_no_error(self, tmp_path):
         # `hullsim run ... | head -1`: a one-page pipe, far more output than it

@@ -20,6 +20,7 @@ import time
 import warnings
 from contextlib import redirect_stdout
 from io import StringIO
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,7 @@ import pytest
 
 from hullsim import harness, increments
 from hullsim.dynamics import gaussian_increments
+from hullsim.geometry import Interval
 from hullsim.increments import INCREMENT_BLOCK, STEP_CHUNK, stream_processes
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -115,18 +117,43 @@ def test_readme_quick_start_runs_as_an_unguarded_script():
     assert proc.stdout == printed.getvalue() != ""
 
 
-def test_killed_helper_leaves_the_bytes_and_raises_nothing(helper_pool):
+def test_killed_helper_leaves_the_bytes_and_raises_nothing(helper_pool, caller_draws_half):
     pool = helper_pool(cpus=2)
     copies = range(1, 3 * INCREMENT_BLOCK + 1)
     first = gaussian_increments(8, copies, 5, 2, 0.1).copy()
     [helper] = pool.live
     os.kill(helper.pid, signal.SIGKILL)
     helper.wait()
+    before = pool.counts["helper_blocks"]
     again = gaussian_increments(8, copies, 5, 2, 0.1)
     np.testing.assert_array_equal(first, serial(8, copies, 5, 2, 0.1))
     np.testing.assert_array_equal(again, first)
-    assert pool.live == [] and stream_processes() == 1
+    # the dead helper had served, so a new generation's helper serves the next draw
+    [new] = pool.live
+    assert new is not helper and stream_processes() == 2 and pool.counts["buffers_made"] == 2 * 2
+    assert pool.counts["helper_blocks"] > before
     np.testing.assert_array_equal(gaussian_increments(8, copies, 5, 2, 0.1), first)
+
+
+def test_helpers_that_die_before_their_first_reply_leave_the_pool_serial(helper_pool, monkeypatch):
+    forks, fork = [], os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(increments, "_serve", lambda *args: os._exit(1))  # each helper exits at once
+    pool = helper_pool(cpus=2)
+    copies = range(1, 3 * INCREMENT_BLOCK + 1)
+    np.testing.assert_array_equal(gaussian_increments(8, copies, 5, 2, 0.1), serial(8, copies, 5, 2, 0.1))
+    assert forks == [1] and pool.live == [] and not pool.served
+    # never forked again: not by the next draw, its look-ahead, nor a draw larger than the buffers
+    np.testing.assert_array_equal(gaussian_increments(8, copies, 5, 2, 0.1, then=B),
+                                  serial(8, copies, 5, 2, 0.1))
+    np.testing.assert_array_equal(increments_of(LARGE), serial(*LARGE, 5, 2, 0.1))
+    assert forks == [1] and pool.live == [] and pool.draws == [] and stream_processes() == 1
+    assert pool.counts["buffers_made"] == 2 and pool.counts["helper_blocks"] == 0
 
 
 def test_helper_draws_every_block_the_caller_leaves(helper_pool, monkeypatch):
@@ -469,7 +496,7 @@ def test_helper_killed_mid_look_ahead_leaves_the_bytes(helper_pool, caller_draws
     big = (11, range(1, 200 * INCREMENT_BLOCK + 1))  # long enough to kill the helper inside it
     increments_of(A, then=big)
     [helper] = pool.live
-    ctl = pool.ctl  # the posted draw's control words
+    ctl = pool.draws[0].ctl  # the posted draw's control words
     deadline = time.monotonic() + 60
     while ctl[0, 0] == 0 and time.monotonic() < deadline:
         time.sleep(0.001)
@@ -487,7 +514,7 @@ def test_helper_killed_mid_look_ahead_is_reaped_by_the_draw_that_ends_it(helper_
     big = (11, range(1, 200 * INCREMENT_BLOCK + 1))  # long enough to kill the helper inside it
     np.testing.assert_array_equal(increments_of(A, then=big), serial(*A, 5, 2, 0.1))
     [helper] = pool.live
-    ctl = pool.ctl  # the posted draw's control words
+    ctl = pool.draws[0].ctl  # the posted draw's control words
     deadline = time.monotonic() + 60
     while ctl[0, 0] == 0 and time.monotonic() < deadline:
         time.sleep(0.001)
@@ -502,6 +529,97 @@ def test_helper_killed_mid_look_ahead_is_reaped_by_the_draw_that_ends_it(helper_
     assert helper.returncode == -signal.SIGKILL and pool.live == [] and pool.posted is None
     assert pool.counts["lookahead_cancelled"] == 1 and pool.counts["lookahead_joined"] == 0
     assert stream_processes() == 1
+
+
+# The queue: a split draw queues its look-ahead behind itself before the caller draws its part.
+@pytest.mark.parametrize("next_ensemble,queued", [(None, 2), ((600, 5), 3)])
+def test_a_three_chunk_unit_queues_every_chunk_after_its_first(helper_pool, next_ensemble, queued):
+    pool = helper_pool(cpus=2)
+    model = harness.dynamics.make_model("ou", 1, [0.0], theta=1.0, sigma=0.5)
+    mf = harness.dynamics.constant_body(Interval(-1.0, 1.0))
+    grid = harness.dynamics.TimeGrid(1.0, 5)
+    harness.dynamics.simulate_ensemble(model, mf, grid, 3 * STEP_CHUNK, 4, next_ensemble=next_ensemble)
+    assert pool.counts["lookahead_queued"] == queued and pool.counts["lookahead_joined"] == 2
+    assert pool.counts["buffers_made"] == 2 and len(pool.draws) == queued - 2
+
+
+def test_the_look_ahead_is_posted_before_the_caller_draws(helper_pool, monkeypatch):
+    # what is posted whenever the caller starts drawing: its own draw's back-fill or a serial draw
+    pool = helper_pool(cpus=2)
+    caller_fill, seen = pool.caller_fill, []
+
+    def recorded(*args):
+        seen.append([draw.request[:2] for draw in pool.draws])
+        caller_fill(*args)
+
+    monkeypatch.setattr(pool, "caller_fill", recorded)
+    np.testing.assert_array_equal(increments_of(A, then=B), serial(*A, 5, 2, 0.1))
+    np.testing.assert_array_equal(increments_of(B, then=C), serial(*B, 5, 2, 0.1))
+    assert seen == [[A, B], [B, C]] and pool.posted[:2] == C
+    assert pool.counts["lookahead_queued"] == 2 and pool.counts["lookahead_joined"] == 1
+    # a draw too small to split ends C unjoined and posts its look-ahead before drawing alone;
+    # that post is no queue
+    small = (10, range(1, INCREMENT_BLOCK + 1))
+    np.testing.assert_array_equal(increments_of(small, then=A), serial(*small, 5, 2, 0.1))
+    assert seen[-1] == [A] and pool.counts["lookahead_cancelled"] == 1
+    assert pool.posted[:2] == A and pool.counts["lookahead_queued"] == 2
+
+
+def test_an_interrupted_back_fill_leaves_both_draws_for_the_next_to_end(helper_pool, monkeypatch):
+    pool = helper_pool(cpus=2)
+    np.testing.assert_array_equal(increments_of(C), serial(*C, 5, 2, 0.1))  # the helper has served
+    behind = increments._behind
+
+    def interrupted(ctl):
+        yield from islice(behind(ctl), 1)
+        raise KeyboardInterrupt  # a Ctrl-C between the caller's blocks
+
+    monkeypatch.setattr(increments, "_behind", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        increments_of(A, then=B)
+    monkeypatch.setattr(increments, "_behind", behind)
+    assert [draw.request[:2] for draw in pool.draws] == [A, B] and pool.posted is None
+    assert pool.live == []  # the raise stopped the helper
+    counts = dict(pool.counts)
+    np.testing.assert_array_equal(increments_of(C), serial(*C, 5, 2, 0.1))
+    assert pool.counts["lookahead_cancelled"] - counts["lookahead_cancelled"] == 2
+    assert pool.counts["lookahead_joined"] == counts["lookahead_joined"]
+    assert pool.draws == [] and len(pool.live) == 1  # a new generation served C
+
+
+def test_helper_killed_with_two_draws_out_leaves_both_to_the_caller(helper_pool, monkeypatch):
+    pool = helper_pool(cpus=2)
+    np.testing.assert_array_equal(increments_of(C), serial(*C, 5, 2, 0.1))
+    [helper] = pool.live
+    caller_fill, outstanding = pool.caller_fill, []
+
+    def killing_fill(*args):
+        if not outstanding:  # the back-fill of A, with B queued behind it
+            outstanding.append(len(pool.draws))
+            os.kill(helper.pid, signal.SIGKILL)
+            helper.wait()
+        caller_fill(*args)
+
+    monkeypatch.setattr(pool, "caller_fill", killing_fill)
+    np.testing.assert_array_equal(increments_of(A, then=B), serial(*A, 5, 2, 0.1))
+    np.testing.assert_array_equal(increments_of(B), serial(*B, 5, 2, 0.1))
+    assert outstanding == [2] and pool.live == [] and pool.draws == [] and stream_processes() == 1
+    assert pool.counts["lookahead_joined"] == 1 and pool.counts["lookahead_cancelled"] == 0
+
+
+def test_a_look_ahead_larger_than_the_buffers_is_posted_after_the_draw(helper_pool, caller_draws_half):
+    pool = helper_pool(cpus=2)
+    np.testing.assert_array_equal(increments_of(C), serial(*C, 5, 2, 0.1))
+    [old] = pool.live
+    counts = dict(pool.counts)
+    np.testing.assert_array_equal(increments_of(A, then=LARGE), serial(*A, 5, 2, 0.1))
+    # the old helper drew A's front half, then LARGE's post started one new generation
+    assert pool.counts["helper_blocks"] - counts["helper_blocks"] >= 1
+    assert old.returncode == -signal.SIGKILL and len(pool.live) == 1
+    assert pool.counts["buffers_made"] - counts["buffers_made"] == 2
+    assert pool.counts["lookahead_queued"] == 0 and pool.posted[:2] == LARGE
+    np.testing.assert_array_equal(increments_of(LARGE), serial(*LARGE, 5, 2, 0.1))
+    assert pool.counts["lookahead_joined"] == 1 and pool.counts["buffers_made"] - counts["buffers_made"] == 2
 
 
 def test_one_cpu_look_ahead_is_a_no_op(helper_pool, caller_draws_half):
